@@ -7,12 +7,19 @@ threads.  Every pass of a workload runs in a fresh interpreter (module-level
 caches start empty, as in every real invocation), and at most one child
 process runs at once.
 
-With --trace 0 the run makes as many passes as nominally fit in --seconds
-(at least one), plus a few set-up-only interpreters, and prints the
-end-to-end metrics: medians over passes (wall_s, peak_rss_mb), over set-ups
-(setup_s), and over every case latency of the run (case_p50_ms,
-case_p90_ms).  With --trace 1 it runs one untraced and one traced pass and
-prints the per-layer metrics of the traced one.
+With --trace 0 the run makes one or more passes (as many as nominally fit
+in --seconds), each in its own fresh interpreter, with a set-up-only
+interpreter before, between and after them.  The host's vCPUs change speed
+by up to 1.7x within seconds, so timings are adjusted to a reference CPU
+speed by the probe in speed.py, which times a fixed stretch of interpreter
+work on the same thread during the cases (in each CLI child for
+cli_session, through cli_probe.py).  The end-to-end metrics
+are wall_s, the sum of the case latencies (time to solution of one pass);
+case_p50_ms and case_p90_ms over them; setup_s, the median adjusted set-up
+time; and peak_rss_mb, the median over passes.  With more than one pass, a
+case's latency is its fastest over the passes.  With --trace 1 it runs one
+untraced and one traced pass and prints the per-layer metrics of the traced
+one, unadjusted.
 
 The last line of standard output is one JSON object: correct, attempted,
 failed, metrics.  A run is correct when every case passed its invariant
@@ -40,13 +47,12 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT_DIR = BENCH_DIR / "out"
 WORKLOADS = ("mep_grid", "lattice_moebius", "structure_census", "cli_session")
-SETUP_PROBES = 5
 PASS_TIMEOUT_S = 170
 # Seconds one pass takes on a 2-core x86 box (Python 3.11).  A run makes
-# --seconds // this many passes (at least one): a fixed count, so every run
-# of a workload pools the same number of passes, whatever the machine's
-# speed during the run.
-NOMINAL_PASS_S = {"mep_grid": 15, "lattice_moebius": 7, "structure_census": 11, "cli_session": 24}
+# --seconds // this many passes, and at least one: a fixed count, so
+# every run of a workload takes each case's best of the same number of
+# passes, whatever the machine's speed during the run.
+NOMINAL_PASS_S = {"mep_grid": 13.5, "lattice_moebius": 8, "structure_census": 11.5, "cli_session": 22.5}
 
 
 def child(args: list[str]) -> dict:
@@ -92,21 +98,25 @@ def metadata() -> dict:
 
 
 def untraced_run(workload: str, seed: int, seconds: float) -> tuple[dict, list[dict], dict]:
-    setups = [child(["--workload", workload, "--seed", str(seed), "--setup-only"])["setup_s"]
-              for _ in range(SETUP_PROBES)]
+    def setup_probe() -> float:
+        return child(["--workload", workload, "--seed", str(seed), "--setup-only"])["setup_s"]
+
     count = max(1, int(seconds // NOMINAL_PASS_S[workload]))
-    passes = [child(["--workload", workload, "--seed", str(seed)]) for _ in range(count)]
-    setups += [p["setup_s"] for p in passes]
-    latencies = [x for p in passes for x in p["latencies_ms"]]
-    deciles = statistics.quantiles(latencies, n=10, method="inclusive")
+    setups, passes = [setup_probe()], []
+    for _ in range(count):
+        passes.append(child(["--workload", workload, "--seed", str(seed)]))
+        setups += [passes[-1]["setup_s"], setup_probe()]
+    columns = list(zip(*(p["latencies_ms"] for p in passes), strict=True))
+    best = [min(column) for column in columns]  # each case at its fastest pass
+    deciles = statistics.quantiles(best, n=10, method="inclusive")
     metrics = {
-        "wall_s": (statistics.median(p["wall_s"] for p in passes), "s"),
+        "wall_s": (sum(best) / 1000, "s"),
         "setup_s": (statistics.median(setups), "s"),
-        "case_p50_ms": (statistics.median(latencies), "ms"),
+        "case_p50_ms": (statistics.median(best), "ms"),
         "case_p90_ms": (deciles[8], "ms"),
         "peak_rss_mb": (statistics.median(p["peak_rss_mb"] for p in passes), "MB"),
     }
-    samples = {"passes": len(passes), "setups": len(setups), "cases": len(latencies)}
+    samples = {"passes": len(passes), "setups": len(setups), "cases": len(best)}
     return metrics, passes, samples
 
 
@@ -169,7 +179,8 @@ def main(argv=None) -> int:
         "details": extra,
         "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
         "passes": [
-            {k: v for k, v in p.items() if k not in ("digests", "latencies_ms", "trace")}
+            {k: v for k, v in p.items()
+             if k not in ("digests", "latencies_ms", "raw_latencies_ms", "trace")}
             for p in passes
         ],
     }

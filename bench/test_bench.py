@@ -14,6 +14,7 @@ import pytest
 BENCH_DIR = Path(__file__).resolve().parent
 sys.path.insert(0, str(BENCH_DIR))
 
+import speed  # noqa: E402
 import tracing  # noqa: E402
 import workloads  # noqa: E402
 
@@ -62,6 +63,30 @@ def test_unrecorded_case_fails_on_a_recorded_seed():
     del missing["digests"][cases[-1].key]
     summary = workloads.run_pass("lattice_moebius", SEED, limit=TINY, expected=missing)
     assert summary["failed"] == 1
+
+
+def test_speed_probe_adjusts_latencies_and_restores_the_timer():
+    import signal
+
+    handler = signal.getsignal(signal.SIGALRM)
+    summary = workloads.run_pass("lattice_moebius", SEED, limit=TINY)
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler
+    assert summary["speed_samples"] >= 9  # bursts around set-up and after the last case
+    raw, adjusted = summary["raw_latencies_ms"], summary["latencies_ms"]
+    assert len(raw) == len(adjusted) == summary["cases"]
+    assert all(x > 0 for x in adjusted)
+    assert sum(raw) / 1000 <= summary["wall_s"]  # the probe's own time is in neither
+
+
+def test_speed_is_the_mean_of_the_samples_near_a_window():
+    probe = speed.SpeedProbe()
+    probe.times = [0.0, 0.1, 0.2, 10.0]
+    probe.speeds = [1.0, 2.0, 4.0, 8.0]
+    assert speed.SAMPLE_EVERY_S < 0.1
+    assert probe.speed(0.1, 0.1) == pytest.approx(2.0)
+    assert probe.speed(0.0, 0.2) == pytest.approx(7 / 3)
+    assert probe.speed(5.0, 5.1) == pytest.approx(6.0)  # nothing near: both neighbours
 
 
 def test_every_target_resolves():

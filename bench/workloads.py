@@ -30,6 +30,8 @@ import sys
 import time
 from pathlib import Path
 
+import speed
+
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 SRC = ROOT / "src"
@@ -412,15 +414,31 @@ def structure_census_cases(seed: int, limit=None) -> list[Case]:
 
 
 class CliContext:
-    """State shared by the CLI cases of one pass: where instances live, how to launch."""
+    """State shared by the CLI cases of one pass: where instances live, how to launch.
 
-    def __init__(self, workdir: Path, trace_dir=None):
+    With `probe`, each command runs under cli_probe.py, which samples the
+    CPU's speed in the child; probe_result() reads what it wrote.
+    """
+
+    def __init__(self, workdir: Path, trace_dir=None, probe=False):
         self.workdir = workdir
         self.trace_dir = trace_dir
+        self.probe_out = workdir / "probe.json" if probe else None
         self.env = dict(os.environ, PYTHONPATH=str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", ""))
         self.launches = 0
 
+    def probe_result(self):
+        """(seconds the probe added, mean speed) of the last command; (0, None) if none ran."""
+        try:
+            record = json.loads(self.probe_out.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            return 0.0, None
+        self.probe_out.unlink()
+        return record["added_s"], record["speed"]
+
     def argv(self, args):
+        if self.probe_out is not None:
+            return [sys.executable, str(BENCH_DIR / "cli_probe.py"), str(self.probe_out), *args]
         if self.trace_dir is None:
             return [sys.executable, "-m", "posetmetrics.cli", *args]
         self.launches += 1
@@ -434,19 +452,29 @@ class CliContext:
 # makes `isometries --brute-force` scan GL_4(F_2) or GL_3(F_3), which takes
 # 10 to 25 times as long as a whole command on F_2^3.
 CLI_SHAPES = ((2, (1, 1, 1)),) * 9 + ((3, (1, 1, 1)),) * 3 + ((2, (1, 2, 1)),)
+# The posets and weights of the generated instances are drawn once from a
+# fixed generator, and the seed relabels their elements, as for the lattice
+# families: the inputs change with the seed, but what a command costs
+# depends on the instance's shape and weights, and those do not.  Drawing
+# them from the seed moved the slowest tenth of commands by 20% from seed
+# to seed.
+CLI_DRAW = 20261017
 
 
 def _generated_instances(rng: random.Random) -> list[dict]:
     """Seeded 3-element instances over CLI_SHAPES, with mixed weights."""
+    draw = random.Random(CLI_DRAW)
     posets = labeled_posets(3)
     out = []
     for q, dims in CLI_SHAPES:
-        elements, covers = rng.choice(posets)
+        elements, covers = draw.choice(posets)
+        omega = {e: draw.choice(RATIONALS) for e in elements}
+        name = dict(zip(elements, rng.sample(elements, len(elements))))
         out.append({
             "q": q,
-            "poset": {"elements": list(elements), "covers": covers},
-            "omega": {e: rng.choice(RATIONALS) for e in elements},
-            "dims": dict(zip(elements, dims)),
+            "poset": {"elements": list(elements), "covers": [[name[a], name[b]] for a, b in covers]},
+            "omega": {name[e]: w for e, w in omega.items()},
+            "dims": {name[e]: d for e, d in zip(elements, dims)},
         })
     return out
 
@@ -575,7 +603,15 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
     `expected` maps case keys to accepted digests; for a recorded seed every
     case must be in it.  With `trace_dir`, the package is traced (in the
     CLI children for cli_session) and the spans are written there.
+
+    Untraced, the pass also samples the CPU's speed (speed.py), in this
+    process or, for a CLI case, in the child (cli_probe.py): setup_s and
+    latencies_ms are adjusted to the reference speed; setup_raw_s, wall_s
+    and raw_latencies_ms are as measured, less the probe's own time.
     """
+    probe = None if trace_dir is not None else speed.SpeedProbe()
+    if probe is not None:
+        probe.burst()
     start = time.perf_counter()
     import posetmetrics as pm  # set-up is this import plus input generation
     import posetmetrics.cli  # noqa: F401
@@ -588,8 +624,12 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
         workdir.mkdir(parents=True, exist_ok=True)
         for name, doc in documents.items():
             (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
-    setup_s = time.perf_counter() - start
-    summary = {"workload": workload, "seed": seed, "setup_s": setup_s}
+    setup_end = time.perf_counter()
+    setup_s = setup_end - start
+    summary = {"workload": workload, "seed": seed, "setup_s": setup_s, "setup_raw_s": setup_s}
+    if probe is not None:
+        probe.burst()
+        summary["setup_s"] = setup_s * probe.speed(start, setup_end)
     if setup_only:
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
@@ -598,7 +638,9 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
         expected = load_expected(workload)
     recorded = seed in expected.get("seeds", [])
     table = expected.get("digests", {})
-    ctx = CliContext(workdir, trace_dir) if workload == "cli_session" else None
+    ctx = None
+    if workload == "cli_session":
+        ctx = CliContext(workdir, trace_dir, probe=probe is not None)
     tracer = spans_file = None
     if trace_dir is not None:
         import tracing
@@ -607,18 +649,25 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
         if ctx is None:
             spans_file = tracing.open_spans(trace_dir / "spans.bin.gz")
             tracer.install()
-    latencies, digests, failures = [], {}, []
+    # per case: raw latency, its time window, and the CLI child's speed
+    raw_latencies, windows, child_speeds, digests, failures = [], [], [], {}, []
     refused = 0
     covered_s = 0.0
     import_times = [import_s]
     launched_at = os.environ.get(LAUNCH_ENV)
     start_times = [start - float(launched_at) + import_s] if launched_at else [0.0]
     caches = {}
+    sampling = probe is not None and ctx is None
+    if sampling:
+        probe.start()
     try:
         first = time.perf_counter()
+        first_spent = probe.spent_s if sampling else 0.0
+        child_added_s = 0.0
         for number, case in enumerate(cases):
             if tracer is not None:
                 tracer.case[0] = number
+            spent = probe.spent_s if sampling else 0.0
             t0 = time.perf_counter()
             try:
                 args = (pm, case.data, ctx) if ctx is not None else (pm, case.data)
@@ -636,7 +685,15 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
                 outcome, digest = "failed", None
                 failures.append({"case": number, "part": case.part, "key": case.key,
                                  "error": f"{type(exc).__name__}: {exc}"})
-            latencies.append(time.perf_counter() - t0)
+            t1 = time.perf_counter()
+            added = probe.spent_s - spent if sampling else 0.0
+            if ctx is not None and ctx.probe_out is not None:
+                child_added, child_speed = ctx.probe_result()
+                added += child_added
+                child_added_s += child_added
+                child_speeds.append(child_speed)
+            raw_latencies.append(t1 - t0 - added)
+            windows.append((t0, t1))
             digests[case.key] = digest
             refused += outcome == "refused"
             if spans_file is not None:
@@ -651,12 +708,23 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
                     old = caches.get(metric, (0, 0))
                     caches[metric] = (old[0] + hits, old[1] + lookups)
         wall_s = time.perf_counter() - first
+        if sampling:
+            wall_s -= probe.spent_s - first_spent
+        wall_s -= child_added_s
     finally:
+        if sampling:
+            probe.stop()
+            probe.burst()  # the samples after the last case
         if spans_file is not None:
             tracer.uninstall()
             spans_file.close()
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
+    latencies = raw_latencies
+    if sampling:
+        latencies = [x * probe.speed(*w) for x, w in zip(raw_latencies, windows)]
+    elif child_speeds:
+        latencies = [x * (s or 1.0) for x, s in zip(raw_latencies, child_speeds)]
     deciles = statistics.quantiles(latencies, n=10, method="inclusive")
     summary.update({
         "wall_s": wall_s,
@@ -664,6 +732,8 @@ def run_pass(workload: str, seed: int, limit=None, expected=None, trace_dir=None
         "case_p50_ms": statistics.median(latencies) * 1000,
         "case_p90_ms": deciles[8] * 1000,
         "latencies_ms": [x * 1000 for x in latencies],
+        "raw_latencies_ms": [x * 1000 for x in raw_latencies],
+        "speed_samples": 0 if probe is None else len(probe.speeds),
         "peak_rss_mb": peak_rss_mb(workload),
         "failed": len(failures),
         "refused": refused,
