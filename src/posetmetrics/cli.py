@@ -258,37 +258,45 @@ def cmd_lattice(args) -> tuple[dict, int]:
     return build_report("lattice", None, results, witnesses), 0
 
 
+def _int_args(spec: Sequence[str], count: int, usage: str) -> list[int]:
+    """The integer arguments after the spec kind, or the usage line as an error."""
+    try:
+        values = [int(token) for token in spec[1:]]
+    except ValueError:
+        values = None
+    if values is None or len(values) != count:
+        raise ValidationError(f"usage: {usage}")
+    return values
+
+
 def _parse_lattice_spec(args) -> tuple[FiniteLattice, dict]:
     spec = args.spec
     kind = spec[0]
     if kind == "subspace":
-        if len(spec) != 3:
-            raise ValidationError("usage: lattice subspace <q> <k>")
-        q, k = int(spec[1]), int(spec[2])
+        q, k = _int_args(spec, 2, "lattice subspace <q> <k>")
         lattice = subspace_lattice(q, k)
         results: dict = {"lattice": f"subspace q={q} k={k}"}
         if args.module_rank is not None:
             results["module_threshold"] = matrix_module_min_length(q, args.module_rank, k)
         return lattice, results
     if kind == "boolean":
-        if len(spec) != 2:
-            raise ValidationError("usage: lattice boolean <n>")
-        n = int(spec[1])
+        (n,) = _int_args(spec, 1, "lattice boolean <n>")
         return pointed_boolean_lattice(n), {"lattice": f"pointed boolean n={n}"}
     if kind == "file":
         if len(spec) != 2:
             raise ValidationError("usage: lattice file <path>")
         try:
-            payload = json.loads(open(spec[1], encoding="utf-8").read())
-            ground = payload["ground"]
-            members = payload["members"]
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            with open(spec[1], encoding="utf-8") as handle:
+                payload = json.load(handle)
+            ground = [x if not isinstance(x, list) else tuple(x) for x in payload["ground"]]
+            members = [
+                [x if not isinstance(x, list) else tuple(x) for x in m]
+                for m in payload["members"]
+            ]
+            lattice = FiniteLattice.from_sets(ground, members)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
             raise ValidationError(f"bad lattice file: {exc}") from None
-        hashable = [x if not isinstance(x, list) else tuple(x) for x in ground]
-        fixed_members = [
-            [x if not isinstance(x, list) else tuple(x) for x in m] for m in members
-        ]
-        return FiniteLattice.from_sets(hashable, fixed_members), {"lattice": f"file {spec[1]}"}
+        return lattice, {"lattice": f"file {spec[1]}"}
     raise ValidationError(f"unknown lattice spec {kind!r}")
 
 

@@ -34,6 +34,11 @@ class Instance:
     digest: str
 
 
+def _is_int(raw) -> bool:
+    """JSON true and false load as bools, which Python counts as ints."""
+    return isinstance(raw, int) and not isinstance(raw, bool)
+
+
 def _parse_fraction(raw, where: str) -> Fraction:
     if isinstance(raw, float):
         raise ValidationError(f"{where}: floats are not accepted, use strings like '1/3'")
@@ -53,7 +58,7 @@ def instance_from_dict(payload: Mapping) -> Instance:
         covers = [tuple(pair) for pair in poset_doc.get("covers", [])]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing or malformed instance field: {exc}") from None
-    if not isinstance(q, int):
+    if not _is_int(q):
         raise ValidationError("q must be an integer")
     if not elements:
         raise ValidationError("the coordinate set must be nonempty")
@@ -78,7 +83,7 @@ def instance_from_dict(payload: Mapping) -> Instance:
     else:
         if set(dims_doc) != set(elements):
             raise ValidationError("dims keys must equal the element set")
-        if not all(isinstance(dims_doc[e], int) for e in elements):
+        if not all(_is_int(dims_doc[e]) for e in elements):
             raise ValidationError("dims must be integers")
         space = AlphabetSpec.from_map(field, poset.elements, dims_doc)
     digest = hashlib.sha256(

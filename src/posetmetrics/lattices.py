@@ -2,17 +2,22 @@
 to the indicator-sum (isometry) equation.
 
 A lattice here is a finite family of subsets of a ground set, containing the
-ground set and closed under pairwise intersection.  Members are mirrored as
-int bitmasks and the Moebius recursion runs as a downward sieve, so even the
-2825-subspace lattice of F_2^6 stays tractable.
+ground set and closed under pairwise intersection.  Members are frozensets
+at the interface.  Inside, bit t of an int mask stands for the t-th ground
+point, and bit i of a member bitset for the i-th member, so validation,
+closures and the Moebius down-sets are operations on ints (bitset
+techniques as in Knuth, TAOCP 4A, 7.1.3).  Closure under intersection is
+checked against the meet-irreducible members only, which every member is an
+intersection of.  The member index, the point closures and the Moebius
+table are built at most once per lattice and kept on it, so they are freed
+with it.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -22,91 +27,147 @@ from .errors import (
     ValidationError,
 )
 from .fields import Vector
-from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes
+from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
+
+
+def _derived(**kwargs):
+    """An attribute computed from the fields: not an argument, and left out
+    of eq, hash and repr."""
+    return field(init=False, repr=False, compare=False, **kwargs)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _meet_irreducibles(
+    masks: Sequence[int], points: Sequence[tuple[int, ...]], holders: list[int], width: int
+) -> list[int]:
+    """The masks that are not the intersection of the masks strictly above them."""
+    full = (1 << width) - 1
+    every = (1 << len(masks)) - 1
+    out = []
+    for i, m in enumerate(masks):
+        above = every ^ (1 << i)
+        for t in points[i]:
+            above &= holders[t]
+        meet = full
+        for j in _set_bits(above):
+            meet &= masks[j]
+        if meet != m:
+            out.append(m)
+    return out
 
 
 @dataclass(frozen=True)
 class FiniteLattice:
     ground: tuple
     members: tuple[frozenset, ...]
+    # Point t is ground[t].  Member i holds the points _points[i], as a
+    # tuple and as the mask _masks[i] with bit t set for each; _holders[t]
+    # is the bitset of the members holding point t.
+    _pos: dict = _derived()
+    _points: tuple[tuple[int, ...], ...] = _derived()
+    _masks: tuple[int, ...] = _derived()
+    _holders: list[int] = _derived()
+    _member_index: dict = _derived()
+    _mask_index: dict = _derived()
+    _point_closures: Optional[tuple[int, ...]] = _derived(default=None)
+    _moebius: Optional[MoebiusTable] = _derived(default=None)
 
     def __post_init__(self) -> None:
-        ground_set = frozenset(self.ground)
-        if len(self.ground) != len(ground_set):
+        pos = {x: t for t, x in enumerate(self.ground)}
+        if len(pos) != len(self.ground):
             raise ValidationError("ground points must be distinct")
-        member_set = set(self.members)
-        if len(member_set) != len(self.members):
+        member_index = {m: i for i, m in enumerate(self.members)}
+        if len(member_index) != len(self.members):
             raise ValidationError("duplicate members")
-        if ground_set not in member_set:
+        if frozenset(self.ground) not in member_index:
             raise ValidationError("the ground set itself must be a member")
-        for m in self.members:
-            if not m <= ground_set:
-                raise ValidationError("member outside the ground set")
-        for a in self.members:
-            for b in self.members:
-                if a & b not in member_set:
-                    raise ValidationError(
-                        f"family is not intersection-closed at {sorted(a)} and {sorted(b)}"
-                    )
+        try:
+            points = tuple(tuple(map(pos.__getitem__, m)) for m in self.members)
+        except KeyError:
+            raise ValidationError("member outside the ground set") from None
+        masks = tuple(sum(1 << t for t in p) for p in points)
+        holders = [0] * len(self.ground)
+        for i, p in enumerate(points):
+            for t in p:
+                holders[t] |= 1 << i
+        mask_index = dict(zip(masks, range(len(masks))))
+        # Every member is the intersection of the meet-irreducible members
+        # containing it (the ground set of none), so the family is
+        # intersection-closed once its intersections with those are members.
+        irreducible = _meet_irreducibles(masks, points, holders, len(self.ground))
+        if not all({a & b for b in irreducible} <= mask_index.keys() for a in masks):
+            # The first failing pair of the row-major square has i <= j,
+            # because (j, i) fails exactly when (i, j) does.
+            i, j = next(
+                (i, j)
+                for i, a in enumerate(masks)
+                for j in range(i, len(masks))
+                if a & masks[j] not in mask_index
+            )
+            raise ValidationError(
+                f"family is not intersection-closed at {sorted(self.members[i])} "
+                f"and {sorted(self.members[j])}"
+            )
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_points", points)
+        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_holders", holders)
+        object.__setattr__(self, "_member_index", member_index)
+        object.__setattr__(self, "_mask_index", mask_index)
 
     @classmethod
     def from_sets(cls, ground: Iterable, members: Iterable[Iterable]) -> "FiniteLattice":
         ground = tuple(ground)
+        pos = {x: i for i, x in enumerate(ground)}
         frozen = {frozenset(m) for m in members}
-        ordered = sorted(frozen, key=lambda s: (len(s), _sort_key(ground, s)))
+        # points outside the ground sort first; the constructor rejects them
+        ordered = sorted(frozen, key=lambda s: (len(s), sorted(pos.get(x, -1) for x in s)))
         return cls(ground, tuple(ordered))
+
+    def _closure_mask(self, mask: int) -> int:
+        """Intersection of the members containing the mask, itself a member."""
+        out = (1 << len(self.ground)) - 1
+        for m in self._masks:
+            if m & mask == mask:
+                out &= m
+        return out
+
+    def _point_closure_masks(self) -> tuple[int, ...]:
+        """The closure mask of each ground point, in ground order."""
+        if self._point_closures is None:
+            closures = tuple(self._closure_mask(1 << t) for t in range(len(self.ground)))
+            object.__setattr__(self, "_point_closures", closures)
+        return self._point_closures
 
     def closure(self, subset: Iterable) -> frozenset:
         """Smallest member containing the subset; unique by intersection-closure."""
-        subset = frozenset(subset)
-        if not subset <= frozenset(self.ground):
-            raise ValidationError("closure argument outside the ground set")
-        best: Optional[frozenset] = None
-        for m in self.members:
-            if subset <= m and (best is None or len(m) < len(best)):
-                best = m
-        assert best is not None  # the ground set always qualifies
-        return best
+        try:
+            mask = sum(1 << self._pos[x] for x in frozenset(subset))
+        except KeyError:
+            raise ValidationError("closure argument outside the ground set") from None
+        return self.members[self._mask_index[self._closure_mask(mask)]]
 
     def bottom(self) -> frozenset:
-        out = frozenset(self.ground)
-        for m in self.members:
-            out &= m
-        return out
+        return self.closure(())
 
     def point_closures(self) -> dict:
-        return _point_closures(self)
+        members, index = self.members, self._mask_index
+        return {x: members[index[c]] for x, c in zip(self.ground, self._point_closure_masks())}
 
     def non_point_closures(self) -> tuple[frozenset, ...]:
         """Members that are not the closure of any single point."""
-        hit = set(self.point_closures().values())
-        return tuple(m for m in self.members if m not in hit)
+        hit = set(self._point_closure_masks())
+        return tuple(m for m, mask in zip(self.members, self._masks) if mask not in hit)
 
     def contains_empty(self) -> bool:
-        return frozenset() in set(self.members)
-
-
-def _sort_key(ground: tuple, subset: frozenset):
-    pos = {x: i for i, x in enumerate(ground)}
-    return sorted(pos[x] for x in subset)
-
-
-@lru_cache(maxsize=None)
-def _member_index(lattice: FiniteLattice) -> dict:
-    return {m: t for t, m in enumerate(lattice.members)}
-
-
-@lru_cache(maxsize=None)
-def _point_closures(lattice: FiniteLattice) -> dict:
-    # smallest-first member order makes the first hit the closure
-    by_size = sorted(lattice.members, key=len)
-    out = {}
-    for x in lattice.ground:
-        for m in by_size:
-            if x in m:
-                out[x] = m
-                break
-    return out
+        return 0 in self._mask_index
 
 
 class MoebiusTable:
@@ -124,45 +185,57 @@ class MoebiusTable:
             self.by_above.setdefault(j, []).append((i, v))
 
     def of(self, below: frozenset, above: frozenset) -> int:
-        index = _member_index(self.lattice)
+        index = self.lattice._member_index
         return self.entries.get((index[below], index[above]), 0)
 
     def column(self, above: frozenset) -> list[tuple[frozenset, int]]:
-        j = _member_index(self.lattice)[above]
+        j = self.lattice._member_index[above]
         members = self.lattice.members
         return [(members[i], v) for i, v in self.by_above.get(j, [])]
 
 
-@lru_cache(maxsize=None)
 def moebius(lattice: FiniteLattice) -> MoebiusTable:
     """The unique table with unit diagonal, zero off intervals, and vanishing
-    interval sums, computed per upper member by a downward sieve."""
-    pos = {x: t for t, x in enumerate(lattice.ground)}
-    masks = []
-    for m in lattice.members:
-        mask = 0
-        for x in m:
-            mask |= 1 << pos[x]
-        masks.append(mask)
-    count = len(masks)
-    sizes = [bin(m).count("1") for m in masks]
-    down_lists: list[tuple[int, ...]] = []
-    for j in range(count):
-        mj = masks[j]
-        down = [i for i in range(count) if masks[i] & mj == masks[i]]
-        down.sort(key=lambda t: -sizes[t])
-        down_lists.append(tuple(down))
+    interval sums, computed per upper member by a downward sieve.  The table
+    is built once per lattice and kept on it."""
+    if lattice._moebius is None:
+        object.__setattr__(lattice, "_moebius", MoebiusTable(lattice, _moebius_entries(lattice)))
+    return lattice._moebius
+
+
+def _down_lists(lattice: FiniteLattice) -> list[tuple[int, ...]]:
+    """For each member, the indices of the members below it (itself
+    included, so first), by size descending, then index.  The members below
+    m are those outside the holders of every point m lacks."""
+    masks, holders = lattice._masks, lattice._holders
+    neg_sizes = [-m.bit_count() for m in masks]
+    every = (1 << len(masks)) - 1
+    full = (1 << len(lattice.ground)) - 1
+    out = []
+    for mask in masks:
+        outside = 0
+        for t in _set_bits(full ^ mask):
+            outside |= holders[t]
+        out.append(tuple(sorted(_set_bits(every ^ outside), key=neg_sizes.__getitem__)))
+    return out
+
+
+def _moebius_entries(lattice: FiniteLattice) -> dict[tuple[int, int], int]:
+    down_lists = _down_lists(lattice)
+    strictly_below = [down[1:] for down in down_lists]
+    count = len(down_lists)
     entries: dict[tuple[int, int], int] = {}
-    for j in range(count):
+    for j, down in enumerate(down_lists):
+        # acc[i] is minus the value at i: the sum of the values strictly above i
         acc = [0] * count
-        for i in down_lists[j]:
-            value = 1 if i == j else -acc[i]
+        acc[j] = -1
+        for i in down:
+            value = -acc[i]
             if value:
                 entries[(i, j)] = value
-                for w in down_lists[i]:
-                    if w != i:
-                        acc[w] += value
-    return MoebiusTable(lattice, entries)
+                for w in strictly_below[i]:
+                    acc[w] += value
+    return entries
 
 
 def moebius_indicator_identity(
@@ -177,23 +250,21 @@ def moebius_indicator_identity(
     generates the member.
     """
     table = moebius(lattice)
-    idx_above = _member_index(lattice)[above]
-    closures = lattice.point_closures()
-    generators = frozenset(x for x in lattice.ground if closures[x] == above)
-    signed = {x: 0 for x in lattice.ground}
-    positive = {x: 0 for x in lattice.ground}
-    negative = {x: 0 for x in lattice.ground}
-    members = lattice.members
-    for i, coeff in table.by_above.get(idx_above, []):
-        for x in members[i]:
-            signed[x] += coeff
-            if coeff > 0:
-                positive[x] += coeff
-            else:
-                negative[x] -= coeff
-    identity_ok = all(signed[x] == (1 if x in generators else 0) for x in lattice.ground)
-    split_holds = all(positive[x] == negative[x] for x in lattice.ground)
-    split_ok = split_holds == (not generators)
+    j = lattice._member_index[above]
+    target = lattice._masks[j]
+    closures = lattice._point_closure_masks()
+    generators = frozenset(x for x, c in zip(lattice.ground, closures) if c == target)
+    positive = [0] * len(closures)
+    negative = [0] * len(closures)
+    points = lattice._points
+    for i, coeff in table.by_above.get(j, []):
+        counts, weight = (positive, coeff) if coeff > 0 else (negative, -coeff)
+        for t in points[i]:
+            counts[t] += weight
+    identity_ok = all(
+        p - n == (c == target) for p, n, c in zip(positive, negative, closures)
+    )
+    split_ok = (positive == negative) == (not generators)
     return identity_ok, split_ok, generators
 
 
@@ -284,7 +355,7 @@ def minimal_nontrivial_length(
     if not tops:
         raise AllSolutionsTrivial("every member is generated by a point")
     table = moebius(lattice)
-    index = _member_index(lattice)
+    index = lattice._member_index
     best: Optional[int] = None
     for top in tops:
         mass = sum(abs(v) for _i, v in table.by_above.get(index[top], []))
@@ -309,7 +380,7 @@ def minimal_nontrivial_solution(
     if not tops:
         raise AllSolutionsTrivial("every member is generated by a point")
     table = moebius(lattice)
-    index = _member_index(lattice)
+    index = lattice._member_index
     best_top = min(
         tops, key=lambda m: sum(abs(v) for _i, v in table.by_above.get(index[m], []))
     )
@@ -343,17 +414,35 @@ def nontrivial_solutions_up_to(
 # -- concrete lattices -----------------------------------------------------------
 
 
-def subspace_lattice(q: int, k: int, point_bound: int = 4096) -> FiniteLattice:
-    """All subspaces of F_q^k as sets of vector tuples."""
-    if q**k > point_bound:
-        raise BoundExceeded(f"{q ** k} points exceed the bound {point_bound}")
-    space = AlphabetSpec(FieldSpec(q), ("x",), (k,))
+def subspace_lattice(
+    q: int, k: int, point_bound: int = 4096, member_bound: int = 4096
+) -> FiniteLattice:
+    """All subspaces of F_q^k as sets of vector tuples.
+
+    Both bounds are checked before anything is enumerated: F_q^k has q^k
+    points and a sum of Gaussian binomials of subspaces.
+    """
+    if k < 1:
+        raise ValidationError("every block dimension must be at least 1")
+    # q^k >= 2^k passes the bound once k reaches the bound's bit length; the
+    # test comes first so that a huge k is never raised to a power
+    if q >= 2 and (k >= point_bound.bit_length() or q**k > point_bound):
+        raise BoundExceeded(f"F_{q}^{k} has {q}^{k} points, over the bound {point_bound}")
+    field_spec = FieldSpec(q)
+    count = subspace_count(k, q)
+    if count > member_bound:
+        raise BoundExceeded(
+            f"F_{q}^{k} has {count} subspaces, over the member bound {member_bound}"
+        )
+    space = AlphabetSpec(field_spec, ("x",), (k,))
     members = [frozenset(code.codewords()) for code in enumerate_codes(space)]
     return FiniteLattice.from_sets(list(space.vectors()), members)
 
 
 def boolean_lattice(n: int) -> FiniteLattice:
     """Plain powerset of {1..n}; contains the empty set."""
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
     ground = tuple(range(1, n + 1))
     members = [
         frozenset(c) for r in range(n + 1) for c in itertools.combinations(ground, r)
@@ -361,12 +450,18 @@ def boolean_lattice(n: int) -> FiniteLattice:
     return FiniteLattice.from_sets(ground, members)
 
 
-def pointed_boolean_lattice(n: int) -> FiniteLattice:
+def pointed_boolean_lattice(n: int, member_bound: int = 4096) -> FiniteLattice:
     """Powerset of {1..n} with a shared basepoint 0 added to every member.
 
     Isomorphic to the powerset as a lattice but avoids the empty set, so the
-    minimal-length machinery applies.
+    minimal-length machinery applies.  The 2^n members are checked against
+    the bound before any is built.
     """
+    if n < 0:
+        raise ValidationError(f"n must be >= 0, got {n}")
+    # 2^n exceeds the bound exactly when n reaches the bound's bit length
+    if n >= member_bound.bit_length():
+        raise BoundExceeded(f"2^{n} members exceed the member bound {member_bound}")
     ground = tuple(range(0, n + 1))
     members = [
         frozenset(c) | {0}
@@ -394,6 +489,8 @@ def matrix_module_min_length(q: int, e: int, k: int) -> int:
     dimension above e.  The value always equals prod_{i=1..e} (q^i + 1),
     which is asserted before returning.
     """
+    if e < 1:
+        raise ValidationError("the matrix rank e must be at least 1")
     if k <= e:
         raise ValidationError("the module has no non-cyclic submodule when k <= e")
     lattice = subspace_lattice(q, k)

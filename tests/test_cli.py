@@ -1,9 +1,13 @@
 """Command layer: parsing, determinism, exit codes, witnesses."""
 
+import contextlib
+import io
 import json
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
@@ -43,6 +47,20 @@ class TestInstances:
     def test_defaults_fill_in(self):
         inst = instance_from_dict({"q": 3, "poset": {"elements": ["a", "b"], "covers": []}})
         assert inst.omega.is_all_ones and inst.space.dims == (1, 1)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"q": True, "poset": {"elements": ["a"], "covers": []}}, "q must be an integer"),
+            (
+                {"q": 2, "poset": {"elements": ["a", "b"], "covers": []}, "dims": {"a": True, "b": 1}},
+                "dims must be integers",
+            ),
+        ],
+    )
+    def test_bools_are_not_integers(self, doc, message):
+        with pytest.raises(ValidationError, match=message):
+            instance_from_dict(doc)
 
     def test_sample_instances_load(self):
         for name in ("chain3", "antichain3_k2", "mixed3", "weighted_vee"):
@@ -140,6 +158,42 @@ class TestCommands:
         assert code == 0
         assert payload["results"]["all_solutions_trivial"] is True
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (("subspace", "x", "2"), "usage: lattice subspace <q> <k>"),
+            (("subspace", "2"), "usage: lattice subspace <q> <k>"),
+            (("boolean", "2.5"), "usage: lattice boolean <n>"),
+            (("boolean", "-3"), "n must be >= 0"),
+            (("subspace", "4", "2"), "not prime"),
+            (("subspace", "2", "3", "--module-rank", "0"), "rank e must be at least 1"),
+        ],
+    )
+    def test_lattice_bad_arguments_exit_two(self, capsys, spec, message):
+        assert main(["lattice", *spec]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec", [("boolean", "30"), ("subspace", "2", "7"), ("subspace", "2", "13")])
+    def test_lattice_bounds_exit_three_before_work(self, capsys, spec):
+        start = time.perf_counter()
+        assert main(["lattice", *spec]) == 3
+        assert time.perf_counter() - start < 1
+        assert "bound" in capsys.readouterr().err
+
+    def test_lattice_bad_files_exit_two(self, tmp_path, capsys):
+        docs = [
+            "not json",
+            json.dumps({"ground": [1, 2], "members": [[1, 2], [3]]}),
+            json.dumps({"ground": [1, {"a": 1}], "members": [[1]]}),
+            json.dumps({"ground": [1], "members": 5}),
+        ]
+        for t, text in enumerate(docs):
+            path = tmp_path / f"bad{t}.json"
+            path.write_text(text)
+            assert main(["lattice", "file", str(path)]) == 2
+        (tmp_path / "latin1.json").write_bytes(b"\xff")
+        assert main(["lattice", "file", str(tmp_path / "latin1.json")]) == 2
+
     def test_macwilliams_refutation(self, capsys):
         code, payload = run_json(
             capsys, "macwilliams", "--instance", str(INSTANCES / "mixed3.json")
@@ -179,3 +233,32 @@ class TestDeterminism:
         _, first = run_json(capsys, "mep", "--instance", str(INSTANCES / "chain3.json"))
         _, second = run_json(capsys, "mep", "--instance", str(INSTANCES / "chain3.json"))
         assert first["report_digest"] == second["report_digest"]
+
+
+# Tokens that mix valid sizes, sizes past each bound, and non-integers; the
+# valid combinations stay small enough that an example runs in milliseconds.
+SIZE_TOKENS = ["-3", "-1", "0", "1", "2", "3", "5", "7", "13", "30", "99999999999999", "x", "2.5", ""]
+LATTICE_ARGV = st.one_of(
+    st.tuples(st.just("subspace"), st.sampled_from(SIZE_TOKENS), st.sampled_from(SIZE_TOKENS)),
+    st.tuples(st.just("boolean"), st.sampled_from(SIZE_TOKENS[:6] + SIZE_TOKENS[8:])),
+    st.tuples(st.sampled_from(["subspace", "boolean", "file", "other"]), st.text(max_size=6)),
+    st.lists(st.text(max_size=6), min_size=1, max_size=4),
+).flatmap(
+    lambda spec: st.one_of(
+        st.just(list(spec)),
+        st.sampled_from(["-1", "0", "1", "2", "x"]).map(lambda e: [*spec, "--module-rank", e]),
+    )
+)
+
+
+class TestLatticeFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(LATTICE_ARGV)
+    def test_exit_codes_are_documented(self, spec):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(["lattice", *spec])
+            except SystemExit as exc:  # argparse rejects the arguments (or prints help)
+                code = exc.code
+        assert code in (0, 2, 3)

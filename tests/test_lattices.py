@@ -1,11 +1,14 @@
 """Intersection-closed families: Moebius values, indicator identities,
 minimal solutions, module thresholds, and the kernel-tuple translation."""
 
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
+from posetmetrics.acceptance import _random_intersection_family
 from posetmetrics.errors import (
     AllSolutionsTrivial,
     BoundExceeded,
@@ -13,6 +16,7 @@ from posetmetrics.errors import (
 )
 from posetmetrics.lattices import (
     FiniteLattice,
+    MoebiusTable,
     Solution,
     boolean_lattice,
     construct_minimal_solution,
@@ -32,7 +36,14 @@ from posetmetrics.lattices import (
 )
 from posetmetrics.mep import extend_to_isometry, preserves_weight
 from posetmetrics.posets import Poset, WeightFunction
-from posetmetrics.spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, linear_maps
+from posetmetrics.spaces import (
+    AlphabetSpec,
+    FieldSpec,
+    LinearCode,
+    enumerate_codes,
+    linear_maps,
+    subspace_count,
+)
 
 S22 = subspace_lattice(2, 2)
 FULL22 = frozenset(S22.ground)
@@ -44,6 +55,136 @@ def binomial(n, k):
     for i in range(k):
         out = out * (n - i) // (i + 1)
     return out
+
+
+# -- frozenset oracles for the bitmask core ----------------------------------------
+
+
+def pair_check_oracle(ground, members):
+    """Validate a family on frozensets, intersecting every ordered pair."""
+    ground_set = frozenset(ground)
+    if len(ground) != len(ground_set):
+        raise ValidationError("ground points must be distinct")
+    member_set = set(members)
+    if len(member_set) != len(members):
+        raise ValidationError("duplicate members")
+    if ground_set not in member_set:
+        raise ValidationError("the ground set itself must be a member")
+    for m in members:
+        if not m <= ground_set:
+            raise ValidationError("member outside the ground set")
+    for a in members:
+        for b in members:
+            if a & b not in member_set:
+                raise ValidationError(
+                    f"family is not intersection-closed at {sorted(a)} and {sorted(b)}"
+                )
+
+
+def list_scan_moebius_oracle(lattice):
+    """Moebius entries by the downward sieve, with down-sets found by scanning
+    every member pair."""
+    pos = {x: t for t, x in enumerate(lattice.ground)}
+    masks = []
+    for m in lattice.members:
+        mask = 0
+        for x in m:
+            mask |= 1 << pos[x]
+        masks.append(mask)
+    count = len(masks)
+    sizes = [bin(m).count("1") for m in masks]
+    down_lists = []
+    for j in range(count):
+        mj = masks[j]
+        down = [i for i in range(count) if masks[i] & mj == masks[i]]
+        down.sort(key=lambda t: -sizes[t])
+        down_lists.append(tuple(down))
+    entries = {}
+    for j in range(count):
+        acc = [0] * count
+        for i in down_lists[j]:
+            value = 1 if i == j else -acc[i]
+            if value:
+                entries[(i, j)] = value
+                for w in down_lists[i]:
+                    if w != i:
+                        acc[w] += value
+    return entries
+
+
+def _oracle_lattices():
+    yield from (boolean_lattice(n) for n in range(5))
+    yield from (pointed_boolean_lattice(n) for n in range(5))
+    yield from (subspace_lattice(2, k) for k in range(1, 5))
+    yield from (subspace_lattice(3, k) for k in range(1, 4))
+    rng = random.Random(20260808)  # the criterion-9 families
+    yield from (_random_intersection_family(rng) for _ in range(60))
+
+
+class TestBitmaskCoreAgainstOracles:
+    def test_moebius_entries_and_column_order(self):
+        for lattice in _oracle_lattices():
+            table = moebius(lattice)
+            expected = list_scan_moebius_oracle(lattice)
+            assert list(table.entries.items()) == list(expected.items())
+            oracle_table = MoebiusTable(lattice, expected)
+            assert list(table.by_above.items()) == list(oracle_table.by_above.items())
+
+    def test_closures(self):
+        for lattice in _oracle_lattices():
+            members = lattice.members
+            by_size = sorted(members, key=len)
+            closures = {x: next(m for m in by_size if x in m) for x in lattice.ground}
+            assert lattice.point_closures() == closures
+            assert lattice.non_point_closures() == tuple(
+                m for m in members if m not in set(closures.values())
+            )
+            assert lattice.bottom() == frozenset.intersection(*members)
+            assert lattice.contains_empty() == (frozenset() in members)
+
+    def test_validation_messages(self):
+        rng = random.Random(11)
+        checked = 0
+        for _ in range(400):
+            size = rng.randint(0, 6)
+            ground = list(range(size))
+            members = {frozenset(ground)}
+            for _ in range(rng.randint(0, 8)):
+                members.add(frozenset(x for x in ground if rng.random() < 0.6))
+            if rng.random() < 0.05:
+                members.add(frozenset({size}))
+            members = list(members)
+            rng.shuffle(members)
+            if members and rng.random() < 0.1:
+                members.append(members[0])
+            if rng.random() < 0.1:
+                members.remove(frozenset(ground))
+            if ground and rng.random() < 0.05:
+                ground.append(ground[0])
+            members = tuple(members)
+            try:
+                pair_check_oracle(tuple(ground), members)
+                expected = None
+            except ValidationError as exc:
+                expected = str(exc)
+            if expected is None:
+                FiniteLattice(tuple(ground), members)
+            else:
+                with pytest.raises(ValidationError) as info:
+                    FiniteLattice(tuple(ground), members)
+                assert str(info.value) == expected
+                checked += 1
+        assert checked > 100
+
+    def test_moebius_table_is_kept_on_the_lattice_and_freed_with_it(self):
+        lattice = subspace_lattice(2, 3)
+        table = moebius(lattice)
+        assert moebius(lattice) is table
+        assert moebius(subspace_lattice(2, 3)) is not table
+        ref = weakref.ref(lattice)
+        del lattice, table
+        gc.collect()
+        assert ref() is None
 
 
 class TestLattice:
@@ -66,6 +207,47 @@ class TestLattice:
 
     def test_non_point_closures(self):
         assert S22.non_point_closures() == (FULL22,)
+
+    def test_from_sets_rejects_points_outside_the_ground(self):
+        with pytest.raises(ValidationError, match="outside the ground set"):
+            FiniteLattice.from_sets((1, 2), [{1, 2}, {3}])
+
+    def test_boolean_rank_must_be_nonnegative(self):
+        for build in (boolean_lattice, pointed_boolean_lattice):
+            with pytest.raises(ValidationError, match="n must be >= 0"):
+                build(-3)
+
+
+class TestBoundsBeforeWork:
+    def test_member_bound_admits_the_binary_six_space(self):
+        lattice = subspace_lattice(2, 6)
+        assert len(lattice.members) == subspace_count(6, 2) == 2825
+        assert minimal_nontrivial_length(lattice) == 3
+
+    def test_subspace_member_bound(self):
+        with pytest.raises(BoundExceeded, match="29212 subspaces, over the member bound 4096"):
+            subspace_lattice(2, 7)
+        with pytest.raises(BoundExceeded, match="member bound 4"):
+            subspace_lattice(2, 2, member_bound=4)
+
+    def test_subspace_point_bound_without_the_power(self):
+        with pytest.raises(BoundExceeded, match="2\\^13 points"):
+            subspace_lattice(2, 13)
+        with pytest.raises(BoundExceeded, match="over the bound 4096"):
+            subspace_lattice(3, 10**15)
+
+    def test_subspace_dimension_and_field(self):
+        with pytest.raises(ValidationError, match="at least 1"):
+            subspace_lattice(0, -1)
+        with pytest.raises(ValidationError, match="not prime"):
+            subspace_lattice(4, 2)
+
+    def test_pointed_boolean_member_bound(self):
+        assert len(pointed_boolean_lattice(3, member_bound=8).members) == 8
+        with pytest.raises(BoundExceeded, match="2\\^4 members exceed the member bound 8"):
+            pointed_boolean_lattice(4, member_bound=8)
+        with pytest.raises(BoundExceeded, match="2\\^30 members"):
+            pointed_boolean_lattice(30)
 
 
 class TestMoebius:
@@ -278,6 +460,11 @@ class TestModuleThreshold:
     def test_requires_a_non_cyclic_submodule(self):
         with pytest.raises(ValidationError):
             matrix_module_min_length(2, 2, 2)
+
+    def test_requires_a_positive_rank(self):
+        for e in (0, -1):
+            with pytest.raises(ValidationError, match="rank e must be at least 1"):
+                matrix_module_min_length(2, e, 3)
 
 
 class TestSubgroupIndicators:
