@@ -33,7 +33,7 @@ from .isometries import (
 )
 from .lattices import (
     FiniteLattice,
-    matrix_module_min_length,
+    _module_min_length,
     minimal_nontrivial_solution,
     moebius,
     pointed_boolean_lattice,
@@ -277,7 +277,7 @@ def _parse_lattice_spec(args) -> tuple[FiniteLattice, dict]:
         lattice = subspace_lattice(q, k)
         results: dict = {"lattice": f"subspace q={q} k={k}"}
         if args.module_rank is not None:
-            results["module_threshold"] = matrix_module_min_length(q, args.module_rank, k)
+            results["module_threshold"] = _module_min_length(lattice, q, args.module_rank, k)
         return lattice, results
     if kind == "boolean":
         (n,) = _int_args(spec, 1, "lattice boolean <n>")

@@ -6,11 +6,9 @@ ground set and closed under pairwise intersection.  Members are frozensets
 at the interface.  Inside, bit t of an int mask stands for the t-th ground
 point, and bit i of a member bitset for the i-th member, so validation,
 closures and the Moebius down-sets are operations on ints (bitset
-techniques as in Knuth, TAOCP 4A, 7.1.3).  Closure under intersection is
-checked against the meet-irreducible members only, which every member is an
-intersection of.  The member index, the point closures and the Moebius
-table are built at most once per lattice and kept on it, so they are freed
-with it.
+techniques as in Knuth, TAOCP 4A, 7.1.3).  The member index, the point
+closures and the Moebius table are built at most once per lattice and kept
+on it, so they are freed with it.
 """
 
 from __future__ import annotations
@@ -42,25 +40,6 @@ def _set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def _meet_irreducibles(
-    masks: Sequence[int], points: Sequence[tuple[int, ...]], holders: list[int], width: int
-) -> list[int]:
-    """The masks that are not the intersection of the masks strictly above them."""
-    full = (1 << width) - 1
-    every = (1 << len(masks)) - 1
-    out = []
-    for i, m in enumerate(masks):
-        above = every ^ (1 << i)
-        for t in points[i]:
-            above &= holders[t]
-        meet = full
-        for j in _set_bits(above):
-            meet &= masks[j]
-        if meet != m:
-            out.append(m)
-    return out
 
 
 @dataclass(frozen=True)
@@ -98,23 +77,15 @@ class FiniteLattice:
             for t in p:
                 holders[t] |= 1 << i
         mask_index = dict(zip(masks, range(len(masks))))
-        # Every member is the intersection of the meet-irreducible members
-        # containing it (the ground set of none), so the family is
-        # intersection-closed once its intersections with those are members.
-        irreducible = _meet_irreducibles(masks, points, holders, len(self.ground))
-        if not all({a & b for b in irreducible} <= mask_index.keys() for a in masks):
-            # The first failing pair of the row-major square has i <= j,
-            # because (j, i) fails exactly when (i, j) does.
-            i, j = next(
-                (i, j)
-                for i, a in enumerate(masks)
-                for j in range(i, len(masks))
-                if a & masks[j] not in mask_index
-            )
-            raise ValidationError(
-                f"family is not intersection-closed at {sorted(self.members[i])} "
-                f"and {sorted(self.members[j])}"
-            )
+        # The pairs i <= j suffice, and the first failing one is also the
+        # first of the whole row-major square: (j, i) fails when (i, j) does.
+        for i, a in enumerate(masks):
+            if not {a & b for b in masks[i:]} <= mask_index.keys():
+                j = next(j for j in range(i, len(masks)) if a & masks[j] not in mask_index)
+                raise ValidationError(
+                    f"family is not intersection-closed at {sorted(self.members[i])} "
+                    f"and {sorted(self.members[j])}"
+                )
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_masks", masks)
@@ -414,13 +385,16 @@ def nontrivial_solutions_up_to(
 # -- concrete lattices -----------------------------------------------------------
 
 
-def subspace_lattice(
-    q: int, k: int, point_bound: int = 4096, member_bound: int = 4096
-) -> FiniteLattice:
+# The most members a built-in lattice may have; F_2^6 has 2825 subspaces.
+MEMBER_BOUND = 4096
+
+
+def subspace_lattice(q: int, k: int, point_bound: int = 4096) -> FiniteLattice:
     """All subspaces of F_q^k as sets of vector tuples.
 
-    Both bounds are checked before anything is enumerated: F_q^k has q^k
-    points and a sum of Gaussian binomials of subspaces.
+    The point bound and MEMBER_BOUND are checked before anything is
+    enumerated: F_q^k has q^k points and a sum of Gaussian binomials of
+    subspaces.
     """
     if k < 1:
         raise ValidationError("every block dimension must be at least 1")
@@ -430,9 +404,9 @@ def subspace_lattice(
         raise BoundExceeded(f"F_{q}^{k} has {q}^{k} points, over the bound {point_bound}")
     field_spec = FieldSpec(q)
     count = subspace_count(k, q)
-    if count > member_bound:
+    if count > MEMBER_BOUND:
         raise BoundExceeded(
-            f"F_{q}^{k} has {count} subspaces, over the member bound {member_bound}"
+            f"F_{q}^{k} has {count} subspaces, over the member bound {MEMBER_BOUND}"
         )
     space = AlphabetSpec(field_spec, ("x",), (k,))
     members = [frozenset(code.codewords()) for code in enumerate_codes(space)]
@@ -450,18 +424,18 @@ def boolean_lattice(n: int) -> FiniteLattice:
     return FiniteLattice.from_sets(ground, members)
 
 
-def pointed_boolean_lattice(n: int, member_bound: int = 4096) -> FiniteLattice:
+def pointed_boolean_lattice(n: int) -> FiniteLattice:
     """Powerset of {1..n} with a shared basepoint 0 added to every member.
 
     Isomorphic to the powerset as a lattice but avoids the empty set, so the
     minimal-length machinery applies.  The 2^n members are checked against
-    the bound before any is built.
+    MEMBER_BOUND before any is built.
     """
     if n < 0:
         raise ValidationError(f"n must be >= 0, got {n}")
     # 2^n exceeds the bound exactly when n reaches the bound's bit length
-    if n >= member_bound.bit_length():
-        raise BoundExceeded(f"2^{n} members exceed the member bound {member_bound}")
+    if n >= MEMBER_BOUND.bit_length():
+        raise BoundExceeded(f"2^{n} members exceed the member bound {MEMBER_BOUND}")
     ground = tuple(range(0, n + 1))
     members = [
         frozenset(c) | {0}
@@ -489,11 +463,16 @@ def matrix_module_min_length(q: int, e: int, k: int) -> int:
     dimension above e.  The value always equals prod_{i=1..e} (q^i + 1),
     which is asserted before returning.
     """
+    return _module_min_length(subspace_lattice(q, k), q, e, k)
+
+
+def _module_min_length(lattice: FiniteLattice, q: int, e: int, k: int) -> int:
+    """matrix_module_min_length on the already built subspace lattice of
+    F_q^k, so that its Moebius table is reused."""
     if e < 1:
         raise ValidationError("the matrix rank e must be at least 1")
     if k <= e:
         raise ValidationError("the module has no non-cyclic submodule when k <= e")
-    lattice = subspace_lattice(q, k)
     tops = [m for m in lattice.members if _vector_set_dim(q, m) > e]
     value = minimal_nontrivial_length(lattice, tops=tops)
     closed_form = 1

@@ -18,6 +18,7 @@ from posetmetrics.lattices import (
     FiniteLattice,
     MoebiusTable,
     Solution,
+    _module_min_length,
     boolean_lattice,
     construct_minimal_solution,
     hamming_extension_via_solutions,
@@ -227,8 +228,6 @@ class TestBoundsBeforeWork:
     def test_subspace_member_bound(self):
         with pytest.raises(BoundExceeded, match="29212 subspaces, over the member bound 4096"):
             subspace_lattice(2, 7)
-        with pytest.raises(BoundExceeded, match="member bound 4"):
-            subspace_lattice(2, 2, member_bound=4)
 
     def test_subspace_point_bound_without_the_power(self):
         with pytest.raises(BoundExceeded, match="2\\^13 points"):
@@ -243,9 +242,6 @@ class TestBoundsBeforeWork:
             subspace_lattice(4, 2)
 
     def test_pointed_boolean_member_bound(self):
-        assert len(pointed_boolean_lattice(3, member_bound=8).members) == 8
-        with pytest.raises(BoundExceeded, match="2\\^4 members exceed the member bound 8"):
-            pointed_boolean_lattice(4, member_bound=8)
         with pytest.raises(BoundExceeded, match="2\\^30 members"):
             pointed_boolean_lattice(30)
 
@@ -456,6 +452,12 @@ class TestModuleThreshold:
         # the plain lattice bottoms out at the planes; the rank-2 cutoff does not
         assert minimal_nontrivial_length(subspace_lattice(2, 3)) == 3
         assert matrix_module_min_length(2, 2, 3) == 15
+
+    def test_built_lattice_keeps_its_table(self):
+        lattice = subspace_lattice(2, 3)
+        table = moebius(lattice)
+        assert _module_min_length(lattice, 2, 2, 3) == 15
+        assert moebius(lattice) is table
 
     def test_requires_a_non_cyclic_submodule(self):
         with pytest.raises(ValidationError):
