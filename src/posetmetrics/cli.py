@@ -75,6 +75,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return code
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type of --max-dim and --bound: an integer of at least 1."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="posetmetrics",
@@ -94,15 +101,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isometries", help="structured weight isometry group")
     add_common(p)
     p.add_argument("--brute-force", action="store_true", help="compare with the matrix scan")
-    p.add_argument("--bound", type=int, default=1 << 20, help="group size bound")
+    p.add_argument("--bound", type=_at_least_one, default=1 << 20, help="group size bound")
     p.set_defaults(handler=cmd_isometries)
 
     p = sub.add_parser("mep", help="extension property verdicts")
     add_common(p)
     p.add_argument("--mode", choices=("weight", "psupport"), default="weight")
     p.add_argument("--brute-force", action="store_true")
-    p.add_argument("--max-dim", type=int, default=None, help="cap the code dimension scanned")
-    p.add_argument("--bound", type=int, default=1 << 19, help="candidate-map bound")
+    p.add_argument("--max-dim", type=_at_least_one, default=None, help="cap the code dimension scanned")
+    p.add_argument("--bound", type=_at_least_one, default=1 << 19, help="candidate-map bound")
     p.set_defaults(handler=cmd_mep)
 
     p = sub.add_parser("lattice", help="Moebius data and minimal solutions")

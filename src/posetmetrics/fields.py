@@ -49,8 +49,14 @@ def vec_scale(q: int, c: int, a: Sequence[int]) -> Vector:
     return tuple((c * x) % q for x in a)
 
 
-def dot(q: int, a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b)) % q
+def combine(q: int, rows: Sequence[Sequence[int]], coeffs: Sequence[int], n: int) -> Vector:
+    """The length-n vector sum_r coeffs[r] * rows[r]."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for t in range(n):
+                out[t] = (out[t] + c * row[t]) % q
+    return tuple(out)
 
 
 def mat_vec(q: int, m: Matrix, v: Sequence[int]) -> Vector:

@@ -65,6 +65,9 @@ def instance_from_dict(payload: Mapping) -> Instance:
     for pair in covers:
         if len(pair) != 2:
             raise ValidationError(f"cover {pair!r} must be a pair")
+    # omega and dims keys are JSON strings, so any other label could never match
+    if not all(isinstance(label, str) for label in elements + [x for p in covers for x in p]):
+        raise ValidationError("poset elements and cover endpoints must be strings")
     field = FieldSpec(q)
     poset = Poset.from_covers(elements, covers)
     omega_doc = payload.get("omega")

@@ -24,7 +24,7 @@ from .errors import (
     PropertyViolation,
     ValidationError,
 )
-from .fields import Vector
+from .fields import Vector, combine
 from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
 
 
@@ -527,13 +527,8 @@ def hamming_extension_via_solutions(
     codewords = []
     image_of = {}
     for coeffs, vec in code.coefficient_pairs():
-        img = [0] * n
-        for cc, irow in zip(coeffs, images):
-            if cc:
-                for t in range(n):
-                    img[t] = (img[t] + cc * irow[t]) % q
         codewords.append(vec)
-        image_of[vec] = tuple(img)
+        image_of[vec] = combine(q, images, coeffs, n)
     left = []
     right = []
     for label in space.labels:

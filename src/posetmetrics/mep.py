@@ -9,7 +9,6 @@ densely so the inner loops run on ints.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -38,10 +37,12 @@ from .spaces import weight as space_weight
 
 
 class SpaceIndex:
-    """Dense int index of a small space: add/scale tables and per-vector values.
+    """Dense int index of a small space: add/scale tables and per-vector value classes.
 
-    value[t] is the exact weight (mode "weight") or the support closure
-    (mode "support") of vector t, so preservation checks are table lookups.
+    values[t] is the class id of vector t: two vectors share an id exactly
+    when they share the exact weight (mode "weight") or the support closure
+    (mode "support"), so preservation checks compare ints.  classes[i] lists
+    the vectors of class i in index order.
     """
 
     def __init__(
@@ -56,22 +57,24 @@ class SpaceIndex:
             raise BoundExceeded(f"space of {space.vector_count} vectors exceeds {bound}")
         if mode == "weight" and omega is None:
             raise ValidationError("weight mode needs a weight function")
-        self.space = space
-        self.poset = poset
-        self.mode = mode
         q = space.q
         self.q = q
         self.vectors = list(space.vectors())
         self.index = {v: t for t, v in enumerate(self.vectors)}
-        closures: dict[frozenset, frozenset] = {}
+        class_of_support: dict[frozenset, int] = {}
+        ids: dict[object, int] = {}
         values = []
         for v in self.vectors:
             supp = space.support(v)
-            if supp not in closures:
-                closures[supp] = poset.ideal_closure(supp)
-            closure = closures[supp]
-            values.append(omega.total(closure) if mode == "weight" else closure)
+            if supp not in class_of_support:
+                closure = poset.ideal_closure(supp)
+                value = omega.total(closure) if mode == "weight" else closure
+                class_of_support[supp] = ids.setdefault(value, len(ids))
+            values.append(class_of_support[supp])
         self.values = values
+        self.classes: list[list[int]] = [[] for _ in ids]
+        for t, c in enumerate(values):
+            self.classes[c].append(t)
         count = len(self.vectors)
         self.scale_table = [
             [self.index[fields.vec_scale(q, c, v)] for v in self.vectors] for c in range(q)
@@ -86,25 +89,28 @@ class SpaceIndex:
         else:
             raise BoundExceeded("space too large for an addition table and q != 2")
 
-    def add(self, a: int, b: int) -> int:
-        if self._add_table is None:
-            return a ^ b
-        return self._add_table[a][b]
+    def span_indices(self, basis: Sequence[int], spans: Sequence[int] = (0,)) -> list[int]:
+        """Indices of all combinations, aligned with lexicographic coefficients.
 
-    def scale(self, c: int, a: int) -> int:
-        return self.scale_table[c % self.q][a]
-
-    def span_indices(self, basis: Sequence[int]) -> list[int]:
-        """Indices of all combinations, aligned with lexicographic coefficients."""
-        spans = [0]
+        spans is the span of a basis prefix, in the same order; the result
+        extends it by the given basis vectors.
+        """
+        add_table = self._add_table
         for b in basis:
-            scaled = [self.scale(c, b) for c in range(self.q)]
-            spans = [self.add(s, sc) for s in spans for sc in scaled]
-        return spans
+            scaled = [row[b] for row in self.scale_table]
+            if add_table is None:
+                spans = [s ^ sc for s in spans for sc in scaled]
+            else:
+                spans = [row[sc] for row in map(add_table.__getitem__, spans) for sc in scaled]
+        return list(spans)
 
     def perm_of_matrix(self, matrix: Matrix) -> tuple[int, ...]:
-        q = self.q
-        return tuple(self.index[fields.mat_vec(q, matrix, v)] for v in self.vectors)
+        """Index permutation of a matrix, spanned from its column images.
+
+        Vector t has coordinates equal to its base-q digits, most significant
+        first, so its image is the span entry of the columns at t.
+        """
+        return tuple(self.span_indices([self.index[col] for col in zip(*matrix)]))
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,7 @@ def preserves_weight(
 ) -> bool:
     n = space.total_dim
     for coeffs, vec in code.coefficient_pairs():
-        image = _combine(space.q, images, coeffs, n)
+        image = fields.combine(space.q, images, coeffs, n)
         if space_weight(space, poset, omega, image) != space_weight(space, poset, omega, vec):
             return False
     return True
@@ -137,19 +143,10 @@ def preserves_p_support(
 ) -> bool:
     n = space.total_dim
     for coeffs, vec in code.coefficient_pairs():
-        image = _combine(space.q, images, coeffs, n)
+        image = fields.combine(space.q, images, coeffs, n)
         if space_p_support(space, poset, image) != space_p_support(space, poset, vec):
             return False
     return True
-
-
-def _combine(q: int, images: Sequence[Vector], coeffs: Sequence[int], n: int) -> Vector:
-    out = [0] * n
-    for c, img in zip(coeffs, images):
-        if c:
-            for t in range(n):
-                out[t] = (out[t] + c * img[t]) % q
-    return tuple(out)
 
 
 def _functional_for(poset: Poset, omega: Optional[WeightFunction], mode: str) -> SupportFunctional:
@@ -180,7 +177,7 @@ def extend_to_isometry(
         if all(iso.apply(b) == tuple(img) for b, img in zip(basis, images)):
             n = space.total_dim
             for coeffs, vec in code.coefficient_pairs():
-                if iso.apply(vec) != _combine(space.q, images, coeffs, n):
+                if iso.apply(vec) != fields.combine(space.q, images, coeffs, n):
                     raise PropertyViolation("extension replay failed on a codeword")
             return iso
     return None
@@ -206,13 +203,10 @@ def mep_brute_force(
     has weight zero), so no injectivity filter is applied or needed.
     """
     si = SpaceIndex(space, poset, omega, mode=mode)
-    group = list(enumerate_group(space, poset, _functional_for(poset, omega, mode), group_bound))
-    perms = [si.perm_of_matrix(iso.matrix) for iso in group]
-    values = si.values
+    group = enumerate_group(space, poset, _functional_for(poset, omega, mode), group_bound)
+    # columns[t][g] is the image of vector t under the g-th group element
+    columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
     count = len(si.vectors)
-    classes: dict[object, list[int]] = {}
-    for t in range(count):
-        classes.setdefault(values[t], []).append(t)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
     for code in enumerate_codes(space, max_dim=top):
@@ -221,28 +215,55 @@ def mep_brute_force(
             continue
         if count**d > map_bound:
             raise BoundExceeded(
-                f"{count ** d} candidate maps at dimension {d} exceed {map_bound}"
+                f"{count ** d} candidate maps at dimension {d} exceed the bound "
+                f"{map_bound}; raise it with --bound"
             )
         basis_idx = [si.index[b] for b in code.basis]
-        cw = si.span_indices(basis_idx)
-        cw_values = [values[t] for t in cw]
-        reachable = {tuple(p[b] for b in basis_idx) for p in perms}
-        # each basis image must share the basis vector's value, so restrict the
-        # product to those classes; candidate order stays lexicographic
-        allowed = [classes[values[b]] for b in basis_idx]
-        for images in itertools.product(*allowed):
-            img_span = si.span_indices(images)
-            if all(values[s] == w for s, w in zip(img_span, cw_values)):
-                if images not in reachable:
-                    image_vectors = tuple(si.vectors[t] for t in images)
-                    return MepVerdict(
-                        holds=False,
-                        mode=mode,
-                        source="brute-force",
-                        complete=True,
-                        counterexample=(code, image_vectors),
-                    )
+        reachable = set(zip(*(columns[b] for b in basis_idx)))
+        images = _first_unreachable_map(si, basis_idx, reachable)
+        if images is not None:
+            image_vectors = tuple(si.vectors[t] for t in images)
+            return MepVerdict(
+                holds=False,
+                mode=mode,
+                source="brute-force",
+                complete=True,
+                counterexample=(code, image_vectors),
+            )
     return MepVerdict(holds=True, mode=mode, source="brute-force", complete=(top >= n))
+
+
+def _first_unreachable_map(
+    si: SpaceIndex, basis_idx: Sequence[int], reachable: set[tuple[int, ...]]
+) -> Optional[tuple[int, ...]]:
+    """The first class-preserving basis-image tuple outside reachable.
+
+    Tuples come in itertools.product order over the classes of the basis
+    vectors.  Images are chosen one basis vector at a time, and a prefix is
+    dropped as soon as an element of its span leaves the class of the
+    matching codeword: every completion of it would fail the same check.
+    """
+    values = si.values
+    # targets[k]: classes of the span of the first k + 1 basis vectors
+    targets, span = [], (0,)
+    for b in basis_idx:
+        span = si.span_indices((b,), span)
+        targets.append(list(map(values.__getitem__, span)))
+    allowed = [si.classes[values[b]] for b in basis_idx]
+
+    def search(images: tuple[int, ...], prefix_span: list[int]) -> Optional[tuple[int, ...]]:
+        k = len(images)
+        if k == len(basis_idx):
+            return None if images in reachable else images
+        for img in allowed[k]:
+            img_span = si.span_indices((img,), prefix_span)
+            if list(map(values.__getitem__, img_span)) == targets[k]:
+                found = search(images + (img,), img_span)
+                if found is not None:
+                    return found
+        return None
+
+    return search((), [0])
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -411,14 +432,10 @@ def single_orbit_check(
             ra, rb = find(t), find(perm[t])
             if ra != rb:
                 root[ra] = rb
-    classes: dict[object, int] = {}
-    for t in range(count):
-        value = si.values[t]
-        if value in classes:
-            if find(classes[value]) != find(t):
-                return False, (si.vectors[classes[value]], si.vectors[t])
-        else:
-            classes[value] = t
+    first = [members[0] for members in si.classes]
+    for t, value in enumerate(si.values):
+        if find(first[value]) != find(t):
+            return False, (si.vectors[first[value]], si.vectors[t])
     return True, None
 
 
@@ -480,7 +497,7 @@ def _split_at_level(
     constraint = tuple(tuple(row[p] for row in basis) for p in positions)
     kernel_coeffs = fields.nullspace(q, constraint, len(basis))
     lower_rows = [
-        _combine(q, basis, coeffs, space.total_dim) for coeffs in kernel_coeffs
+        fields.combine(q, basis, coeffs, space.total_dim) for coeffs in kernel_coeffs
     ]
     chosen: list[Vector] = []
     stack = list(lower_rows)
@@ -522,11 +539,7 @@ def _clearing_map(
             coords = fields.solve_linear(q, transposed, x)
             if coords is None:
                 raise PropertyViolation("level basis failed to span a unit vector")
-            correction = [0] * n
-            for c, low in zip(coords, lows):
-                if c:
-                    for s in range(n):
-                        correction[s] = (correction[s] + c * low[s]) % q
+            correction = fields.combine(q, lows, coords, n)
             column = [(1 if s == t else 0) - correction[s] for s in range(n)]
             columns.append([x % q for x in column])
         else:

@@ -184,12 +184,7 @@ class LinearCode:
         q = self.space.q
         n = self.space.total_dim
         for coeffs in itertools.product(range(q), repeat=self.dim):
-            out = [0] * n
-            for c, row in zip(coeffs, self.basis):
-                if c:
-                    for t in range(n):
-                        out[t] = (out[t] + c * row[t]) % q
-            yield coeffs, tuple(out)
+            yield coeffs, fields.combine(q, self.basis, coeffs, n)
 
     def dual(self) -> "LinearCode":
         """All vectors orthogonal to this code under the coordinatewise inner product."""
@@ -271,12 +266,3 @@ def linear_maps(
         raise BoundExceeded(f"{total} maps exceed the bound {map_bound}")
     all_vecs = tuple(space.vectors())
     return itertools.product(all_vecs, repeat=code.dim)
-
-
-def apply_images(q: int, images: Sequence[Vector], coeffs: Sequence[int], n: int) -> Vector:
-    out = [0] * n
-    for c, img in zip(coeffs, images):
-        if c:
-            for t in range(n):
-                out[t] = (out[t] + c * img[t]) % q
-    return tuple(out)

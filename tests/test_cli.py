@@ -62,6 +62,19 @@ class TestInstances:
         with pytest.raises(ValidationError, match=message):
             instance_from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "elements, covers",
+        [([["a"]], []), ([{"a": 1}], []), ([1], []), ([True], []), (["a", "b"], [["a", 1]])],
+    )
+    def test_non_string_labels_exit_two(self, tmp_path, capsys, elements, covers):
+        doc = {"q": 2, "poset": {"elements": elements, "covers": covers}}
+        with pytest.raises(ValidationError, match="must be strings"):
+            instance_from_dict(doc)
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        assert main(["poset", "--instance", str(path)]) == 2
+        assert "must be strings" in capsys.readouterr().err
+
     def test_sample_instances_load(self):
         for name in ("chain3", "antichain3_k2", "mixed3", "weighted_vee"):
             inst = load_instance(INSTANCES / f"{name}.json")
@@ -107,6 +120,32 @@ class TestCommands:
         assert payload["results"]["brute_force"]["holds"] is False
         assert payload["results"]["agreement"] is True
         assert payload["witnesses"]["counterexample"]["code_basis"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mep", "--brute-force", "--max-dim", "-1"),
+            ("mep", "--brute-force", "--max-dim", "0"),
+            ("mep", "--bound", "-5"),
+            ("mep", "--bound", "x"),
+            ("isometries", "--bound", "-5"),
+        ],
+    )
+    def test_sizes_below_one_exit_two_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--instance", str(INSTANCES / "chain3.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: posetmetrics") and "is not an integer >= 1" in err
+
+    def test_mep_bound_names_its_flag(self, capsys):
+        chain3 = str(INSTANCES / "chain3.json")
+        assert main(["mep", "--instance", chain3, "--brute-force", "--bound", "63"]) == 3
+        assert "64 candidate maps at dimension 2 exceed the bound 63; raise it with --bound" in (
+            capsys.readouterr().err
+        )
+        code, payload = run_json(capsys, "mep", "--instance", chain3, "--brute-force", "--max-dim", "1")
+        assert code == 0 and payload["results"]["brute_force"] == {"holds": True, "complete": False}
 
     def test_mep_chain_holds(self, capsys):
         code, payload = run_json(capsys, "mep", "--instance", str(INSTANCES / "chain3.json"))

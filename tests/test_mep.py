@@ -1,12 +1,19 @@
 """Extension property: brute force, closed forms, conditions, orbit checks,
 and the canonical level decomposition."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
-from posetmetrics.errors import PredicateUnavailable, ValidationError
+from posetmetrics import fields
+from posetmetrics.acceptance import _labeled_posets, _omega_variants
+from posetmetrics.errors import BoundExceeded, PredicateUnavailable, ValidationError
+from posetmetrics.isometries import enumerate_group
 from posetmetrics.mep import (
+    MepVerdict,
+    SpaceIndex,
+    _functional_for,
     canonical_decomposition,
     condition_report,
     extend_to_isometry,
@@ -19,7 +26,15 @@ from posetmetrics.mep import (
     single_orbit_check,
 )
 from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight
-from posetmetrics.spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, linear_maps
+from posetmetrics.spaces import (
+    AlphabetSpec,
+    FieldSpec,
+    LinearCode,
+    enumerate_codes,
+    linear_maps,
+    p_support,
+    weight,
+)
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -144,6 +159,104 @@ class TestBruteForce:
             sub = mep_brute_force(sub_space, sub_poset, WeightFunction.ones(tuple(labels)))
             per_class = per_class and sub.holds
         assert whole.holds == (udp_ok and per_class)
+
+
+def _mat_vec_perm(si: SpaceIndex, matrix) -> tuple[int, ...]:
+    """The index permutation of a matrix, one mat_vec per vector."""
+    return tuple(si.index[fields.mat_vec(si.q, matrix, v)] for v in si.vectors)
+
+
+def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVerdict:
+    """The brute-force scan without backtracking, kept as the oracle.
+
+    Raw weights or closures instead of class ids, every tuple of the class
+    product with a full span per tuple, and reachable tuples from every group
+    permutation.
+    """
+    si = SpaceIndex(space, poset, omega, mode=mode)
+    values = [
+        weight(space, poset, omega, v) if mode == "weight" else p_support(space, poset, v)
+        for v in si.vectors
+    ]
+    classes: dict = {}
+    for t, value in enumerate(values):
+        classes.setdefault(value, []).append(t)
+    count = len(values)
+    for code in enumerate_codes(space):
+        d = code.dim
+        if d == 0:
+            continue
+        if count**d > map_bound:
+            raise BoundExceeded(f"{count ** d} candidate maps at dimension {d}")
+        basis_idx = [si.index[b] for b in code.basis]
+        cw_values = [values[t] for t in si.span_indices(basis_idx)]
+        reachable = {tuple(p[b] for b in basis_idx) for p in perms}
+        for images in itertools.product(*(classes[values[b]] for b in basis_idx)):
+            img_span = si.span_indices(images)
+            if all(values[s] == w for s, w in zip(img_span, cw_values)):
+                if images not in reachable:
+                    found = (code, tuple(si.vectors[t] for t in images))
+                    return MepVerdict(False, mode, "brute-force", True, found)
+    return MepVerdict(True, mode, "brute-force", True)
+
+
+# (q, poset size, block dims): the 4-element grid, q=3, and mixed block dimensions
+ORACLE_GRIDS = [(2, 4, (1, 1, 1, 1)), (3, 3, (1, 1, 1)), (2, 3, (1, 2, 1))]
+
+
+class TestBacktrackingScanOracle:
+    @pytest.mark.parametrize("q, size, dims", ORACLE_GRIDS)
+    def test_backtracking_matches_the_product_scan(self, q, size, dims):
+        failures = 0
+        for poset in _labeled_posets(size):
+            space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+            runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
+            for omega, mode in runs:
+                si = SpaceIndex(space, poset, omega, mode=mode)
+                group = enumerate_group(space, poset, _functional_for(poset, omega, mode))
+                perms = []
+                for iso in group:
+                    perms.append(si.perm_of_matrix(iso.matrix))
+                    assert perms[-1] == _mat_vec_perm(si, iso.matrix)
+                verdict = mep_brute_force(space, poset, omega, mode=mode)
+                assert verdict == _product_scan(space, poset, omega, mode, perms)
+                failures += not verdict.holds
+        assert failures > 0  # the grid exercises counterexamples, not only passes
+
+    def test_same_refusal_as_the_product_scan(self):
+        chain = Poset.chain(("a", "b", "c"))
+        space = AlphabetSpec.uniform(F2, chain.elements, 1)
+        omega = WeightFunction.ones(chain.elements)
+        si = SpaceIndex(space, chain, omega)
+        group = enumerate_group(space, chain, _functional_for(chain, omega, "weight"))
+        perms = [si.perm_of_matrix(iso.matrix) for iso in group]
+        with pytest.raises(BoundExceeded, match="^64 candidate maps at dimension 2"):
+            _product_scan(space, chain, omega, "weight", perms, map_bound=63)
+        with pytest.raises(
+            BoundExceeded,
+            match="^64 candidate maps at dimension 2 exceed the bound 63; raise it with --bound$",
+        ):
+            mep_brute_force(space, chain, omega, map_bound=63)
+
+
+class TestClosedFormCrossCheck:
+    # every case of each grid with a closed form
+    @pytest.mark.parametrize(
+        "q, size, dims, cases", [(*grid, n) for grid, n in zip(ORACLE_GRIDS, (369, 45, 45))]
+    )
+    def test_brute_force_equals_the_predicate(self, q, size, dims, cases):
+        checked = 0
+        for poset in _labeled_posets(size):
+            space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+            for omega in _omega_variants(poset):
+                try:
+                    closed = mep_predicate(space, poset, omega)
+                except PredicateUnavailable:
+                    continue
+                brute = mep_brute_force(space, poset, omega)
+                assert brute.complete and brute.holds == closed.holds, (poset.leq, omega)
+                checked += 1
+        assert checked == cases
 
 
 class TestMatrixScanCrossCheck:
