@@ -65,7 +65,7 @@ from .mep import (
     mep_brute_force,
     mep_p_support_predicate,
     mep_predicate,
-    preserves_p_support,
+    preserves,
     preserves_weight,
     single_orbit_check,
 )

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from . import fields
+from .errors import ValidationError
 from .fourier import (
     character_choice_audit,
     is_fourier_reflexive,
@@ -416,6 +417,13 @@ def run_acceptance(
     seed: Optional[int] = None,
 ) -> list[CriterionResult]:
     wanted = set(keys) if keys else None
+    known = [key for key, _title, _fn in CRITERIA]
+    unknown = sorted(wanted - set(known)) if wanted else []
+    if unknown:
+        raise ValidationError(
+            f"unknown criterion keys: {', '.join(map(repr, unknown))}; "
+            f"valid keys: {', '.join(known)}"
+        )
     results = []
     for key, title, fn in CRITERIA:
         if wanted is not None and key not in wanted:

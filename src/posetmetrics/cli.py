@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from typing import Optional, Sequence
@@ -68,15 +69,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
     report["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
-    if args.json:
-        print(json.dumps(report, indent=2))
-    else:
-        print(render_text(report))
+    try:
+        print(json.dumps(report, indent=2) if args.json else render_text(report))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early; the command itself has finished.
+        # Point the fd at devnull so the flush at exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 
 def _at_least_one(text: str) -> int:
-    """argparse type of --max-dim and --bound: an integer of at least 1."""
+    """argparse type of the size flags: an integer of at least 1."""
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
     return int(text)
@@ -135,7 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("accept", help="run the acceptance grid")
     p.add_argument("--json", action="store_true", help="emit the JSON report")
     p.add_argument("--only", default=None, help="comma-separated criterion keys")
-    p.add_argument("--max-elements", type=int, default=None,
+    p.add_argument("--max-elements", type=_at_least_one, default=None,
                    help="shrink the poset grids (criteria 1, 5, 8, 10)")
     p.add_argument("--seed", type=int, default=None,
                    help="seed for the random family sampling in criterion 9")
@@ -203,18 +209,12 @@ def cmd_mep(args) -> tuple[dict, int]:
         "udp_matched_dims": conditions.udp_matched_dims,
         "level_matched_dims": conditions.level_matched_dims,
     }
-    if args.mode == "psupport":
-        predicate = mep_p_support_predicate(space, poset)
-        results["predicate"] = {"holds": predicate.holds, "trace": predicate.predicate_trace}
-        if args.brute_force:
-            brute = mep_brute_force(
-                space, poset, mode="support", max_dim=args.max_dim, map_bound=args.bound
-            )
-            results["brute_force"] = _verdict_payload(brute, witnesses)
-            results["agreement"] = brute.holds == predicate.holds or not brute.complete
-        return build_report("mep", inst.digest, results, witnesses), 0
+    mode = "support" if args.mode == "psupport" else "weight"
     try:
-        predicate = mep_predicate(space, poset, omega)
+        if mode == "support":
+            predicate = mep_p_support_predicate(space, poset)
+        else:
+            predicate = mep_predicate(space, poset, omega)
         results["predicate"] = {"holds": predicate.holds, "trace": predicate.predicate_trace}
     except PredicateUnavailable:
         if not args.brute_force:
@@ -223,7 +223,7 @@ def cmd_mep(args) -> tuple[dict, int]:
         predicate = None
     if args.brute_force or predicate is None:
         brute = mep_brute_force(
-            space, poset, omega, max_dim=args.max_dim, map_bound=args.bound
+            space, poset, omega, mode=mode, max_dim=args.max_dim, map_bound=args.bound
         )
         results["brute_force"] = _verdict_payload(brute, witnesses)
         if predicate is not None:

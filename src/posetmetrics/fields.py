@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BoundExceeded, ValidationError
 
@@ -147,10 +147,7 @@ def solve_linear(q: int, a: Matrix, b: Sequence[int]) -> Optional[Vector]:
     for row, piv in zip(reduced, pivots):
         if piv < ncols:
             x[piv] = row[ncols]
-    # free variables stay 0; verify to guard against rounding in the logic
-    if mat_vec(q, a, x) != tuple(v % q for v in b):
-        return None
-    return tuple(x)
+    return tuple(x)  # free variables stay 0
 
 
 def coefficients_in_rref(
@@ -180,10 +177,6 @@ def nullspace(q: int, rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
             vec[p] = (-reduced[r][f]) % q
         basis.append(tuple(vec))
     return rref(q, basis)[0]
-
-
-def all_vectors(q: int, n: int) -> Iterator[Vector]:
-    return itertools.product(range(q), repeat=n)
 
 
 @lru_cache(maxsize=None)

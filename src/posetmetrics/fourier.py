@@ -10,12 +10,12 @@ equality, so partition comparisons are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, PropertyViolation, ValidationError
 from .fields import Vector
+from .isometries import weight_sum_functional
 from .mep import (
     MepVerdict,
     condition_report,
@@ -24,8 +24,7 @@ from .mep import (
     single_orbit_check,
 )
 from .posets import Poset, WeightFunction
-from .spaces import AlphabetSpec, LinearCode, enumerate_codes
-from .spaces import weight as space_weight
+from .spaces import AlphabetSpec, LinearCode, enumerate_codes, support_classes
 
 
 @dataclass(frozen=True)
@@ -144,10 +143,11 @@ def weight_partition(
     """Group vectors by exact weight; the zero vector always sits alone."""
     if space.vector_count > bound:
         raise BoundExceeded("space too large to partition")
-    groups: dict[Fraction, list[Vector]] = {}
-    for vec in space.vectors():
-        groups.setdefault(space_weight(space, poset, omega, vec), []).append(vec)
-    partition = Partition.from_blocks(groups.values())
+    classes = support_classes(space, weight_sum_functional(poset, omega).evaluate)
+    blocks: list[list[Vector]] = [[] for _ in range(max(classes) + 1)]
+    for vec, c in zip(space.vectors(), classes):
+        blocks[c].append(vec)
+    partition = Partition.from_blocks(blocks)
     zero_block = partition.blocks[partition.block_of(space.zero())]
     if zero_block != frozenset({space.zero()}):
         raise PropertyViolation("a nonzero vector has weight zero")

@@ -17,13 +17,13 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import fields
 from .errors import BoundExceeded, PropertyViolation, ValidationError
 from .fields import Matrix, Vector
-from .posets import Perm, Poset, WeightFunction
-from .spaces import AlphabetSpec
+from .posets import Perm, Poset, WeightFunction, weight_preserving_automorphisms
+from .spaces import AlphabetSpec, support_classes
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,11 @@ def admissible_automorphisms(
     """Poset automorphisms preserving the functional on every ideal and all
     block dimensions (block isomorphism over a field is dimension equality)."""
     ideals = poset.all_ideals()
-    dims = space.dims
-    out = []
-    for perm in poset.automorphisms():
-        if any(dims[perm[i]] != dims[i] for i in range(len(dims))):
-            continue
-        if all(sf.evaluate(poset.apply_perm(perm, ideal)) == sf.evaluate(ideal) for ideal in ideals):
-            out.append(perm)
-    return tuple(out)
+    return tuple(
+        perm
+        for perm in _keeping_dims(space, poset.automorphisms())
+        if all(sf.evaluate(poset.apply_perm(perm, ideal)) == sf.evaluate(ideal) for ideal in ideals)
+    )
 
 
 def weight_automorphisms(
@@ -125,13 +122,13 @@ def weight_automorphisms(
 ) -> tuple[Perm, ...]:
     """Pointwise filter: automorphisms fixing the weight of every label and
     every block dimension.  Agrees with the weight-sum functional filter."""
-    values = tuple(omega.of(e) for e in poset.elements)
+    return tuple(_keeping_dims(space, weight_preserving_automorphisms(poset, omega)))
+
+
+def _keeping_dims(space: AlphabetSpec, perms: Iterable[Perm]) -> Iterator[Perm]:
+    """The label permutations that send every block to one of its dimension."""
     dims = space.dims
-    out = []
-    for perm in poset.automorphisms():
-        if all(values[perm[i]] == values[i] and dims[perm[i]] == dims[i] for i in range(len(dims))):
-            out.append(perm)
-    return tuple(out)
+    return (perm for perm in perms if all(dims[perm[i]] == dims[i] for i in range(len(dims))))
 
 
 # -- structured isometries -----------------------------------------------------
@@ -325,13 +322,9 @@ def brute_force_isometries(
     q = space.q
     n = space.total_dim
     matrices, perms = _invertible_index_perms(q, n, bound)
-    values = [sf.evaluate(space.support(vec)) for vec in space.vectors()]
-    count = len(values)
-    out = []
-    for m, perm in zip(matrices, perms):
-        if all(values[perm[t]] == values[t] for t in range(count)):
-            out.append(m)
-    return out
+    values = support_classes(space, sf.evaluate)
+    # perm[t] is the index of the image of vector t
+    return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
 
 
 def decompose(

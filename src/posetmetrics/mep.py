@@ -31,49 +31,28 @@ from .isometries import (
     weight_sum_functional,
 )
 from .posets import Poset, WeightFunction, udp_check
-from .spaces import AlphabetSpec, LinearCode, enumerate_codes
-from .spaces import p_support as space_p_support
-from .spaces import weight as space_weight
+from .spaces import AlphabetSpec, LinearCode, enumerate_codes, support_classes
 
 
 class SpaceIndex:
     """Dense int index of a small space: add/scale tables and per-vector value classes.
 
     values[t] is the class id of vector t: two vectors share an id exactly
-    when they share the exact weight (mode "weight") or the support closure
-    (mode "support"), so preservation checks compare ints.  classes[i] lists
-    the vectors of class i in index order.
+    when the functional gives their supports equal values, so preservation
+    checks compare ints.  classes[i] lists the vectors of class i in index
+    order.
     """
 
-    def __init__(
-        self,
-        space: AlphabetSpec,
-        poset: Poset,
-        omega: Optional[WeightFunction] = None,
-        mode: str = "weight",
-        bound: int = 1 << 16,
-    ):
+    def __init__(self, space: AlphabetSpec, sf: SupportFunctional, bound: int = 1 << 16):
         if space.vector_count > bound:
             raise BoundExceeded(f"space of {space.vector_count} vectors exceeds {bound}")
-        if mode == "weight" and omega is None:
-            raise ValidationError("weight mode needs a weight function")
         q = space.q
         self.q = q
         self.vectors = list(space.vectors())
         self.index = {v: t for t, v in enumerate(self.vectors)}
-        class_of_support: dict[frozenset, int] = {}
-        ids: dict[object, int] = {}
-        values = []
-        for v in self.vectors:
-            supp = space.support(v)
-            if supp not in class_of_support:
-                closure = poset.ideal_closure(supp)
-                value = omega.total(closure) if mode == "weight" else closure
-                class_of_support[supp] = ids.setdefault(value, len(ids))
-            values.append(class_of_support[supp])
-        self.values = values
-        self.classes: list[list[int]] = [[] for _ in ids]
-        for t, c in enumerate(values):
+        self.values = support_classes(space, sf.evaluate)
+        self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
+        for t, c in enumerate(self.values):
             self.classes[c].append(t)
         count = len(self.vectors)
         self.scale_table = [
@@ -123,6 +102,19 @@ class MepVerdict:
     predicate_trace: Optional[dict] = None
 
 
+def preserves(
+    space: AlphabetSpec, sf: SupportFunctional, code: LinearCode, images: Sequence[Vector]
+) -> bool:
+    """Does the map sending the code's basis rows to images keep the
+    functional's value on the support of every codeword?"""
+    n = space.total_dim
+    for coeffs, vec in code.coefficient_pairs():
+        image = fields.combine(space.q, images, coeffs, n)
+        if sf.evaluate(space.support(image)) != sf.evaluate(space.support(vec)):
+            return False
+    return True
+
+
 def preserves_weight(
     space: AlphabetSpec,
     poset: Poset,
@@ -130,23 +122,7 @@ def preserves_weight(
     code: LinearCode,
     images: Sequence[Vector],
 ) -> bool:
-    n = space.total_dim
-    for coeffs, vec in code.coefficient_pairs():
-        image = fields.combine(space.q, images, coeffs, n)
-        if space_weight(space, poset, omega, image) != space_weight(space, poset, omega, vec):
-            return False
-    return True
-
-
-def preserves_p_support(
-    space: AlphabetSpec, poset: Poset, code: LinearCode, images: Sequence[Vector]
-) -> bool:
-    n = space.total_dim
-    for coeffs, vec in code.coefficient_pairs():
-        image = fields.combine(space.q, images, coeffs, n)
-        if space_p_support(space, poset, image) != space_p_support(space, poset, vec):
-            return False
-    return True
+    return preserves(space, weight_sum_functional(poset, omega), code, images)
 
 
 def _functional_for(poset: Poset, omega: Optional[WeightFunction], mode: str) -> SupportFunctional:
@@ -202,8 +178,9 @@ def mep_brute_force(
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
-    si = SpaceIndex(space, poset, omega, mode=mode)
-    group = enumerate_group(space, poset, _functional_for(poset, omega, mode), group_bound)
+    sf = _functional_for(poset, omega, mode)
+    si = SpaceIndex(space, sf)
+    group = enumerate_group(space, poset, sf, group_bound)
     # columns[t][g] is the image of vector t under the g-th group element
     columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
     count = len(si.vectors)
@@ -414,9 +391,10 @@ def single_orbit_check(
     group: Optional[Sequence[Isometry]] = None,
 ) -> tuple[bool, Optional[tuple[Vector, Vector]]]:
     """Does the isometry group act transitively on each equal-weight class?"""
-    si = SpaceIndex(space, poset, omega, mode="weight")
+    sf = weight_sum_functional(poset, omega)
+    si = SpaceIndex(space, sf)
     if group is None:
-        group = list(enumerate_group(space, poset, weight_sum_functional(poset, omega)))
+        group = enumerate_group(space, poset, sf)
     perms = [si.perm_of_matrix(iso.matrix) for iso in group]
     count = len(si.vectors)
     root = list(range(count))

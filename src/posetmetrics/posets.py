@@ -147,9 +147,6 @@ class Poset:
             for r in range(1, m + 1)
         )
 
-    def height(self) -> int:
-        return max(_levels_cached(self))
-
     def hierarchy_violation(self) -> Optional[tuple[str, str]]:
         """A pair (u, v) with level(u)+1 <= level(v) but u not below v, or None."""
         levels = _levels_cached(self)

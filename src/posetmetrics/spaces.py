@@ -8,11 +8,11 @@ the unique canonical basis, so code equality and hashing are structural.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import fields
 from .errors import BoundExceeded, ValidationError
@@ -34,6 +34,10 @@ class AlphabetSpec:
     field: FieldSpec
     labels: tuple[str, ...]
     dims: tuple[int, ...]
+    # label -> (start, stop) of its block: derived, so out of eq, hash and repr
+    _block_bounds: dict[str, tuple[int, int]] = dataclasses.field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.dims):
@@ -42,6 +46,11 @@ class AlphabetSpec:
             raise ValidationError("labels must be distinct")
         if any(k < 1 for k in self.dims):
             raise ValidationError("every block dimension must be at least 1")
+        bounds, start = {}, 0
+        for label, k in zip(self.labels, self.dims):
+            bounds[label] = (start, start + k)
+            start += k
+        object.__setattr__(self, "_block_bounds", bounds)
 
     @classmethod
     def from_map(cls, field: FieldSpec, labels: Sequence[str], dims: Mapping[str, int]) -> "AlphabetSpec":
@@ -66,11 +75,10 @@ class AlphabetSpec:
         return self.q**self.total_dim
 
     def block_range(self, label: str) -> range:
-        start, stop = _offsets(self)[label]
-        return range(start, stop)
+        return range(*self._block_bounds[label])
 
     def block(self, vec: Sequence[int], label: str) -> Vector:
-        start, stop = _offsets(self)[label]
+        start, stop = self._block_bounds[label]
         return tuple(vec[start:stop])
 
     def dim_of(self, label: str) -> int:
@@ -81,7 +89,7 @@ class AlphabetSpec:
 
     def support(self, vec: Sequence[int]) -> frozenset[str]:
         out = []
-        for label, (start, stop) in _offsets(self).items():
+        for label, (start, stop) in self._block_bounds.items():
             if any(vec[t] for t in range(start, stop)):
                 out.append(label)
         return frozenset(out)
@@ -98,13 +106,21 @@ class AlphabetSpec:
         return tuple(x % self.q for x in vec)
 
 
-@lru_cache(maxsize=None)
-def _offsets(space: AlphabetSpec) -> dict[str, tuple[int, int]]:
-    out = {}
-    start = 0
-    for label, k in zip(space.labels, space.dims):
-        out[label] = (start, start + k)
-        start += k
+def support_classes(space: AlphabetSpec, value: Callable[[frozenset[str]], object]) -> list[int]:
+    """One class id per vector, in lexicographic order.
+
+    Two vectors share an id exactly when value gives their supports equal
+    results.  Ids are numbered by first appearance, and value runs once per
+    distinct support.
+    """
+    class_of_support: dict[frozenset[str], int] = {}
+    ids: dict[object, int] = {}
+    out = []
+    for vec in space.vectors():
+        supp = space.support(vec)
+        if supp not in class_of_support:
+            class_of_support[supp] = ids.setdefault(value(supp), len(ids))
+        out.append(class_of_support[supp])
     return out
 
 

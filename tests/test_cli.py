@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -14,6 +17,7 @@ from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import ValidationError
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -258,6 +262,40 @@ class TestCommands:
         code = main(["accept", "--only", "8", "--max-elements", "3", "--json"])
         payload = json.loads(capsys.readouterr().out)
         assert code == 0 and payload["results"]["all_passed"] is True
+
+    @pytest.mark.parametrize("only", ["99", "3,99", "3,"])
+    def test_accept_unknown_keys_exit_two(self, capsys, only):
+        assert main(["accept", "--only", only]) == 2
+        err = capsys.readouterr().err
+        assert "unknown criterion keys" in err and "valid keys: 1, 2, 3, 4, 5, 6, 7, 8, 9, 10" in err
+
+    @pytest.mark.parametrize("value", ["0", "-2", "x"])
+    def test_accept_max_elements_below_one_exits_two(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["accept", "--only", "8", "--max-elements", value])
+        assert exc.value.code == 2
+        assert "is not an integer >= 1" in capsys.readouterr().err
+
+    def test_accept_seed_must_be_an_integer(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["accept", "--only", "9", "--seed", "x"])
+        assert exc.value.code == 2
+        assert "invalid int value" in capsys.readouterr().err
+
+    def test_closed_stdout_is_not_a_failure(self):
+        argv = ["mep", "--instance", str(INSTANCES / "mixed3.json"), "--brute-force", "--json"]
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "posetmetrics.cli", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        proc.stdout.close()  # the reader goes away before the report is written
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 0
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 class TestDeterminism:

@@ -1,0 +1,85 @@
+"""Report digests of the CLI commands on every sample instance, against a checked-in baseline.
+
+`tests/data/report_digests.json` maps each command line to its exit code
+and `report_digest`.  A run that exits with a bound refusal has no report,
+so its entry records the code only.  A refactor that keeps every verdict,
+witness and report byte-identical keeps this file unchanged.
+
+Re-record (only after a deliberate change of a report) with
+`PYTHONPATH=src python tests/test_digests.py --record`.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from posetmetrics.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+BASELINE = ROOT / "tests" / "data" / "report_digests.json"
+
+INSTANCE_COMMANDS = (
+    ("poset",),
+    ("isometries",),
+    ("isometries", "--brute-force"),
+    ("mep",),
+    ("mep", "--brute-force"),
+    ("mep", "--mode", "psupport"),
+    ("mep", "--mode", "psupport", "--brute-force"),
+    ("macwilliams",),
+    ("audit",),
+)
+LATTICE_COMMANDS = (
+    ("lattice", "subspace", "3", "2"),
+    ("lattice", "subspace", "2", "3", "--module-rank", "2"),
+    ("lattice", "boolean", "3"),
+)
+
+
+def command_lines() -> list[tuple[str, ...]]:
+    lines = [
+        (*command, "--instance", f"instances/{path.name}")
+        for path in sorted((ROOT / "instances").glob("*.json"))
+        for command in INSTANCE_COMMANDS
+    ]
+    return lines + list(LATTICE_COMMANDS)
+
+
+def run_command(argv: tuple[str, ...]) -> dict:
+    """Exit code and report digest of one CLI run, from the repository root."""
+    argv = [str(ROOT / a) if a.startswith("instances/") else a for a in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, "--json"])
+    entry = {"exit": code}
+    if out.getvalue():
+        entry["report_digest"] = json.loads(out.getvalue())["report_digest"]
+    return entry
+
+
+def _baseline() -> dict:
+    return json.loads(BASELINE.read_text())
+
+
+def test_baseline_covers_every_command():
+    assert sorted(_baseline()) == sorted(" ".join(argv) for argv in command_lines())
+
+
+@pytest.mark.parametrize("argv", command_lines(), ids=" ".join)
+def test_report_digest_unchanged(argv):
+    assert run_command(argv) == _baseline()[" ".join(argv)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: test_digests.py --record")
+    BASELINE.parent.mkdir(exist_ok=True)
+    entries = {" ".join(argv): run_command(argv) for argv in command_lines()}
+    BASELINE.write_text(json.dumps(entries, indent=1, sort_keys=True) + "\n")
+    print(f"recorded {len(entries)} entries in {BASELINE.relative_to(ROOT)}")

@@ -3,6 +3,7 @@
 import pytest
 
 from posetmetrics import fields
+from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import PropertyViolation, ValidationError
 from posetmetrics.isometries import (
     Isometry,
@@ -86,6 +87,21 @@ class TestAdmissible:
                 assert admissible_automorphisms(poset, SP21, sf) == weight_automorphisms(
                     poset, SP21, omega
                 )
+        # every labeled 3-element poset and weighting, with unit and mixed
+        # blocks; the support functional admits the identity only
+        identity = (tuple(range(3)),)
+        swaps = 0
+        for dims in ((1, 1, 1), (1, 2, 1)):
+            for poset in _labeled_posets(3):
+                space = AlphabetSpec(F2, poset.elements, dims)
+                for omega in _omega_variants(poset):
+                    pointwise = weight_automorphisms(poset, space, omega)
+                    sf = weight_sum_functional(poset, omega)
+                    assert admissible_automorphisms(poset, space, sf) == pointwise
+                    swaps += pointwise != identity
+                sf = p_support_functional(poset)
+                assert admissible_automorphisms(poset, space, sf) == identity
+        assert swaps > 0  # the grid has weightings with nontrivial label maps
 
     def test_support_functional_forces_identity(self):
         assert admissible_automorphisms(ANTI2, SP21, p_support_functional(ANTI2)) == ((0, 1),)

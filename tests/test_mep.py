@@ -9,7 +9,7 @@ import pytest
 from posetmetrics import fields
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, PredicateUnavailable, ValidationError
-from posetmetrics.isometries import enumerate_group
+from posetmetrics.isometries import enumerate_group, p_support_functional
 from posetmetrics.mep import (
     MepVerdict,
     SpaceIndex,
@@ -21,7 +21,7 @@ from posetmetrics.mep import (
     mep_brute_force,
     mep_p_support_predicate,
     mep_predicate,
-    preserves_p_support,
+    preserves,
     preserves_weight,
     single_orbit_check,
 )
@@ -49,7 +49,7 @@ class TestPreservation:
     def test_identity_preserves(self):
         code = LinearCode.from_rows(SP21, [(1, 1)])
         assert preserves_weight(SP21, CHAIN2, ONES2, code, code.basis)
-        assert preserves_p_support(SP21, CHAIN2, code, code.basis)
+        assert preserves(SP21, p_support_functional(CHAIN2), code, code.basis)
 
     def test_zero_map_on_nonzero_code_fails(self):
         code = LinearCode.from_rows(SP21, [(1, 1)])
@@ -63,7 +63,7 @@ class TestPreservation:
                 continue
             for images in linear_maps(code, space):
                 assert preserves_weight(space, MIXED, omega, code, images) == (
-                    preserves_p_support(space, MIXED, code, images)
+                    preserves(space, p_support_functional(MIXED), code, images)
                 )
 
     def test_weight_preserving_maps_are_injective(self):
@@ -173,7 +173,7 @@ def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVer
     product with a full span per tuple, and reachable tuples from every group
     permutation.
     """
-    si = SpaceIndex(space, poset, omega, mode=mode)
+    si = SpaceIndex(space, _functional_for(poset, omega, mode))
     values = [
         weight(space, poset, omega, v) if mode == "weight" else p_support(space, poset, v)
         for v in si.vectors
@@ -212,7 +212,7 @@ class TestBacktrackingScanOracle:
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
             runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
             for omega, mode in runs:
-                si = SpaceIndex(space, poset, omega, mode=mode)
+                si = SpaceIndex(space, _functional_for(poset, omega, mode))
                 group = enumerate_group(space, poset, _functional_for(poset, omega, mode))
                 perms = []
                 for iso in group:
@@ -227,7 +227,7 @@ class TestBacktrackingScanOracle:
         chain = Poset.chain(("a", "b", "c"))
         space = AlphabetSpec.uniform(F2, chain.elements, 1)
         omega = WeightFunction.ones(chain.elements)
-        si = SpaceIndex(space, chain, omega)
+        si = SpaceIndex(space, _functional_for(chain, omega, "weight"))
         group = enumerate_group(space, chain, _functional_for(chain, omega, "weight"))
         perms = [si.perm_of_matrix(iso.matrix) for iso in group]
         with pytest.raises(BoundExceeded, match="^64 candidate maps at dimension 2"):

@@ -18,6 +18,7 @@ from posetmetrics.spaces import (
     p_support,
     p_weight,
     subspace_count,
+    support_classes,
     weight,
 )
 
@@ -53,6 +54,63 @@ class TestSupport:
                 label for label in space.labels if any(space.block(vec, label))
             )
             assert space.support(vec) == expected
+
+
+class TestBlockBounds:
+    def test_bounds_stay_out_of_eq_hash_and_repr(self):
+        space = AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1))
+        twin = AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1))
+        assert space == twin and hash(space) == hash(twin)
+        assert repr(space) == "AlphabetSpec(field=FieldSpec(q=3), labels=('a', 'b', 'c'), dims=(1, 2, 1))"
+        assert [space.block_range(label) for label in space.labels] == [
+            range(0, 1), range(1, 3), range(3, 4)
+        ]
+        assert space.block((0, 1, 2, 0), "b") == (1, 2)
+
+
+class TestSupportClasses:
+    MIXED = Poset.from_covers(("a", "b", "c"), [("a", "b")])
+    SPACE = AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1))
+
+    @staticmethod
+    def _partition(keys):
+        groups = {}
+        for t, key in enumerate(keys):
+            groups.setdefault(key, set()).add(t)
+        return {frozenset(g) for g in groups.values()}
+
+    @pytest.mark.parametrize(
+        "omega",
+        [
+            WeightFunction.ones(("a", "b", "c")),
+            WeightFunction.from_map({"a": "1/2", "b": 1, "c": "3/2"}),
+            WeightFunction.from_map({"a": 1, "b": 2, "c": 4}),
+        ],
+    )
+    def test_same_partition_as_weight_and_p_support(self, omega):
+        space, poset = self.SPACE, self.MIXED
+        vectors = list(space.vectors())
+        calls = []
+
+        def weight_value(supp):
+            calls.append(supp)
+            return omega.total(poset.ideal_closure(supp))
+
+        ids = support_classes(space, weight_value)
+        assert len(ids) == len(vectors)
+        assert self._partition(ids) == self._partition(
+            [weight(space, poset, omega, v) for v in vectors]
+        )
+        assert sorted(calls, key=sorted) == sorted({space.support(v) for v in vectors}, key=sorted)
+        closure_ids = support_classes(space, poset.ideal_closure)
+        assert self._partition(closure_ids) == self._partition(
+            [p_support(space, poset, v) for v in vectors]
+        )
+
+    def test_ids_numbered_by_first_appearance(self):
+        ids = support_classes(self.SPACE, len)
+        first = [ids.index(c) for c in range(max(ids) + 1)]
+        assert first == sorted(first) and ids[0] == 0
 
 
 class TestWeight:
