@@ -2,7 +2,7 @@
 
 Exit codes: 0 the command ran (verdicts live in the report), 1 an internal
 property or acceptance criterion failed, 2 invalid input or an unavailable
-closed form, 3 a resource bound was exceeded.
+closed form, 3 a resource bound was exceeded, 4 an unexpected internal error.
 """
 
 from __future__ import annotations
@@ -68,6 +68,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # a bug, not a verdict: keep it apart from 1, which means a property failed
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     report["timing_ms"] = round((time.perf_counter() - start) * 1000, 3)
     try:
         print(json.dumps(report, indent=2) if args.json else render_text(report))
@@ -347,13 +351,14 @@ def cmd_accept(args) -> tuple[dict, int]:
                 "title": r.title,
                 "passed": r.passed,
                 "details": r.details,
-                "elapsed_s": round(r.elapsed_s, 2),
             }
             for r in results
         ],
         "all_passed": all(r.passed for r in results),
     }
-    return build_report("accept", None, payload), 0 if payload["all_passed"] else 1
+    # the times live under trace, outside the digest, so equal runs digest equally
+    trace = {"elapsed_s": {r.key: round(r.elapsed_s, 2) for r in results}}
+    return build_report("accept", None, payload, trace=trace), 0 if payload["all_passed"] else 1
 
 
 if __name__ == "__main__":

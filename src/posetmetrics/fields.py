@@ -181,12 +181,27 @@ def nullspace(q: int, rows: Sequence[Sequence[int]], ncols: int) -> Matrix:
 
 @lru_cache(maxsize=None)
 def invertible_matrices(q: int, n: int, bound: int = 1 << 18) -> tuple[Matrix, ...]:
-    """Every invertible n x n matrix over F_q, by scanning all q^(n^2) candidates."""
+    """Every invertible n x n matrix over F_q, in lexicographic order of its entries.
+
+    Each row is picked outside the span of the rows above it, so no singular
+    matrix is visited; the bound still counts all q^(n^2) candidates."""
     if q ** (n * n) > bound:
         raise BoundExceeded(f"cannot scan {q}^{n * n} matrices (bound {bound})")
+    if n == 0:
+        return ((),)
+    vectors = list(itertools.product(range(q), repeat=n))
+    index = {v: t for t, v in enumerate(vectors)}
     out = []
-    for entries in itertools.product(range(q), repeat=n * n):
-        m = tuple(entries[r * n : (r + 1) * n] for r in range(n))
-        if is_invertible(q, m):
-            out.append(m)
+
+    def extend(rows: tuple[Vector, ...], span: set[int]) -> None:  # span: indices of vectors
+        free = [row for t, row in enumerate(vectors) if t not in span]
+        if len(rows) == n - 1:
+            out.extend((*rows, row) for row in free)
+            return
+        for row in free:
+            multiples = [vec_scale(q, a, row) for a in range(1, q)]
+            grown = {index[vec_add(q, vectors[s], m)] for s in span for m in multiples}
+            extend((*rows, row), span | grown)
+
+    extend((), {0})
     return tuple(out)

@@ -4,7 +4,7 @@ Every weight isometry of the ambient space factors as a label permutation
 (constrained to preserve weights and block dimensions), one invertible
 square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The structured form is stored; the full
-N x N matrix is derived on demand.
+N x N matrix is built on first use and kept on the isometry.
 
 The same machinery runs for any support functional: a function on label
 subsets that only sees the ideal closure, is monotone on ideals, and pins
@@ -14,7 +14,9 @@ weight sum and the ideal-closure map itself are the two shipped instances.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -143,6 +145,8 @@ class Isometry:
     lam: Perm
     diag: tuple[Matrix, ...]  # diag[i] : block i -> block lam(i), invertible
     strict: tuple[tuple[int, int, Matrix], ...]  # (i, j, M) with j strictly below lam(i)
+    # the full matrix, built on first use: derived, so out of eq, hash and repr
+    _matrix: Optional[Matrix] = dataclasses.field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def identity(cls, space: AlphabetSpec, poset: Poset) -> "Isometry":
@@ -157,7 +161,20 @@ class Isometry:
 
     @property
     def matrix(self) -> Matrix:
-        return _isometry_matrix(self)
+        if self._matrix is None:
+            bounds = self.space._block_bounds
+            starts = [bounds[label][0] for label in self.poset.elements]
+            rows = [[0] * self.space.total_dim for _ in range(self.space.total_dim)]
+            for i, block in enumerate(self.diag):
+                c0 = starts[i]
+                for r, row in enumerate(block, starts[self.lam[i]]):
+                    rows[r][c0 : c0 + len(row)] = row
+            for i, j, block in self.strict:
+                c0 = starts[i]
+                for r, row in enumerate(block, starts[j]):
+                    rows[r][c0 : c0 + len(row)] = row
+            object.__setattr__(self, "_matrix", tuple(map(tuple, rows)))
+        return self._matrix
 
     def apply(self, vec: Sequence[int]) -> Vector:
         return fields.mat_vec(self.space.q, self.matrix, vec)
@@ -205,27 +222,6 @@ def build_isometry(
             raise ValidationError(f"strict block ({i}->{j}) has the wrong shape")
     ordered = tuple(sorted(((i, j, m) for i, j, m in strict), key=lambda t: (t[0], t[1])))
     return Isometry(space, poset, tuple(lam), tuple(diag), ordered)
-
-
-@lru_cache(maxsize=1 << 17)
-def _isometry_matrix(iso: Isometry) -> Matrix:
-    space = iso.space
-    n_total = space.total_dim
-    labels = iso.poset.elements
-    rows = [[0] * n_total for _ in range(n_total)]
-
-    def paste(block: Matrix, out_label: str, in_label: str) -> None:
-        r0 = space.block_range(out_label).start
-        c0 = space.block_range(in_label).start
-        for r, row in enumerate(block):
-            for c, x in enumerate(row):
-                rows[r0 + r][c0 + c] = x
-
-    for i in range(len(labels)):
-        paste(iso.diag[i], labels[iso.lam[i]], labels[i])
-    for i, j, m in iso.strict:
-        paste(m, labels[j], labels[i])
-    return tuple(tuple(row) for row in rows)
 
 
 def _strict_pairs(poset: Poset, lam: Perm) -> list[tuple[int, int]]:
@@ -298,14 +294,27 @@ def support_isometry_group(
 
 @lru_cache(maxsize=8)
 def _invertible_index_perms(q: int, n: int, bound: int) -> tuple[tuple[Matrix, ...], tuple[tuple[int, ...], ...]]:
-    """Invertible matrices with their action on lexicographically indexed vectors."""
+    """Invertible matrices with their action on lexicographically indexed vectors.
+
+    The image of v has index sum_r q^(n-1-r) (row_r . v mod q), summed row by
+    row from one dot table per row; matrices sharing leading rows share those sums."""
     matrices = fields.invertible_matrices(q, n, bound)
+    if n == 0:
+        return matrices, ((0,),)
     vectors = list(itertools.product(range(q), repeat=n))
-    index = {v: t for t, v in enumerate(vectors)}
-    perms = tuple(
-        tuple(index[fields.mat_vec(q, m, v)] for v in vectors) for m in matrices
-    )
-    return matrices, perms
+    dots = {w: [sum(map(operator.mul, w, v)) % q for v in vectors] for w in vectors}
+    perms: list[tuple[int, ...]] = []
+
+    def walk(group: Iterable[Matrix], r: int, scaled: list[int]) -> None:
+        # group: consecutive matrices sharing rows 0..r-1; scaled: q times their sums
+        if r == n - 1:
+            perms.extend(tuple(map(operator.add, scaled, dots[m[r]])) for m in group)
+            return
+        for row, sub in itertools.groupby(group, key=operator.itemgetter(r)):
+            walk(sub, r + 1, [(s + d) * q for s, d in zip(scaled, dots[row])])
+
+    walk(matrices, 0, [0] * len(vectors))
+    return matrices, tuple(perms)
 
 
 def brute_force_isometries(
@@ -316,8 +325,9 @@ def brute_force_isometries(
 ) -> list[Matrix]:
     """All invertible matrices preserving the functional of the support.
 
-    Scans every invertible N x N matrix, so this is an oracle for small N
-    only; the matrix actions on indexed vectors are cached across calls.
+    Tests every invertible N x N matrix, so this is an oracle for small N
+    only; the bound counts all q^(N^2) candidates, though the singular ones
+    are never built.  The matrix actions on indexed vectors are cached.
     """
     q = space.q
     n = space.total_dim

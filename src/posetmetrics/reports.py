@@ -1,8 +1,8 @@
 """Deterministic report documents for the command layer.
 
 Reports are plain dicts with a stable field order; the digest covers the
-canonical JSON form with the timing field removed, so identical inputs give
-byte-identical reports modulo timing.
+canonical JSON form without the timing and trace fields, so identical inputs
+give byte-identical reports apart from what those two fields measure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ def canonical_json(payload: Any) -> str:
     return json.dumps(jsonable(payload), sort_keys=True, separators=(",", ":"))
 
 
-def build_report(command: str, instance_digest: str | None, results: dict, witnesses: dict | None = None, timing_ms: float | None = None) -> dict:
+def build_report(command: str, instance_digest: str | None, results: dict, witnesses: dict | None = None, trace: dict | None = None) -> dict:
     body = {
         "command": command,
         "instance_digest": instance_digest,
@@ -42,8 +42,8 @@ def build_report(command: str, instance_digest: str | None, results: dict, witne
         "witnesses": jsonable(witnesses or {}),
     }
     body["report_digest"] = hashlib.sha256(canonical_json(body).encode()).hexdigest()
-    if timing_ms is not None:
-        body["timing_ms"] = round(timing_ms, 3)
+    if trace is not None:
+        body["trace"] = jsonable(trace)
     return body
 
 
@@ -57,6 +57,8 @@ def render_text(report: dict) -> str:
         lines.append("witnesses:")
         for key, value in report["witnesses"].items():
             lines.append(f"  {key}: {_compact(value)}")
+    if report.get("trace"):
+        lines.append(f"trace: {_compact(report['trace'])}")
     lines.append(f"digest: {report['report_digest'][:16]}")
     return "\n".join(lines)
 

@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from posetmetrics import cli
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import ValidationError
+from posetmetrics.reports import build_report
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -297,6 +299,16 @@ class TestCommands:
         assert proc.wait(timeout=60) == 0
         assert "Traceback" not in err and "BrokenPipeError" not in err
 
+    def test_internal_error_exits_four(self, capsys, monkeypatch):
+        def broken(args):
+            raise KeyError("missing")
+
+        monkeypatch.setattr(cli, "cmd_poset", broken)
+        assert main(["poset", "--instance", str(INSTANCES / "chain3.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal error: KeyError: 'missing'\n"
+
 
 class TestDeterminism:
     def test_reports_are_byte_identical_modulo_timing(self, capsys):
@@ -310,6 +322,24 @@ class TestDeterminism:
         _, first = run_json(capsys, "mep", "--instance", str(INSTANCES / "chain3.json"))
         _, second = run_json(capsys, "mep", "--instance", str(INSTANCES / "chain3.json"))
         assert first["report_digest"] == second["report_digest"]
+
+    def test_accept_digest_is_stable(self, capsys):
+        reports = []
+        for _ in range(2):
+            assert main(["accept", "--only", "1,2,3", "--json"]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        first, second = reports
+        assert first["report_digest"] == second["report_digest"]
+        assert sorted(first["trace"]["elapsed_s"]) == ["1", "2", "3"]
+        assert all("elapsed_s" not in c for c in first["results"]["criteria"])
+
+    def test_digest_ignores_trace(self):
+        results = {"all_passed": True}
+        plain = build_report("accept", None, results)
+        traced = build_report("accept", None, results, trace={"elapsed_s": {"1": 0.5}})
+        slower = build_report("accept", None, results, trace={"elapsed_s": {"1": 9.0}})
+        assert plain["report_digest"] == traced["report_digest"] == slower["report_digest"]
+        assert traced["trace"] == {"elapsed_s": {"1": 0.5}}
 
 
 # Tokens that mix valid sizes, sizes past each bound, and non-integers; the

@@ -1,5 +1,7 @@
 """Structured isometries: functionals, enumeration, oracle agreement, decomposition."""
 
+import itertools
+
 import pytest
 
 from posetmetrics import fields
@@ -8,6 +10,7 @@ from posetmetrics.errors import PropertyViolation, ValidationError
 from posetmetrics.isometries import (
     Isometry,
     SupportFunctional,
+    _invertible_index_perms,
     admissible_automorphisms,
     brute_force_isometries,
     build_isometry,
@@ -107,6 +110,21 @@ class TestAdmissible:
         assert admissible_automorphisms(ANTI2, SP21, p_support_functional(ANTI2)) == ((0, 1),)
 
 
+def paste_matrix(iso):
+    """The full matrix pasted entry by entry through the label block ranges."""
+    space, labels = iso.space, iso.poset.elements
+    rows = [[0] * space.total_dim for _ in range(space.total_dim)]
+    blocks = [(iso.diag[i], iso.lam[i], i) for i in range(len(labels))]
+    blocks += [(m, j, i) for i, j, m in iso.strict]
+    for block, out_label, in_label in blocks:
+        r0 = space.block_range(labels[out_label]).start
+        c0 = space.block_range(labels[in_label]).start
+        for r, row in enumerate(block):
+            for c, x in enumerate(row):
+                rows[r0 + r][c0 + c] = x
+    return tuple(tuple(row) for row in rows)
+
+
 class TestBuildApply:
     def test_identity_fixes_everything(self):
         iso = Isometry.identity(SP21, CHAIN2)
@@ -126,6 +144,23 @@ class TestBuildApply:
                 product = fields.mat_mul(2, a.matrix, b.matrix)
                 for vec in SP21.vectors():
                     assert fields.mat_vec(2, product, vec) == a.apply(b.apply(vec))
+
+    def test_matrix_equals_entrywise_paste(self):
+        vee = Poset.from_covers(("a", "b", "c"), [("b", "a"), ("b", "c")])
+        space = AlphabetSpec(F2, vee.elements, (1, 2, 1))
+        omega = WeightFunction.from_map({"a": "3", "b": "1/2", "c": "3"})
+        group = weight_isometry_group(space, vee, omega)
+        assert len(group) == 192
+        for iso in group:
+            assert iso.matrix == paste_matrix(iso)
+
+    def test_matrix_is_built_once_and_kept_out_of_identity(self):
+        iso = build_isometry(SP21, CHAIN2, (0, 1), (((1,),), ((1,),)), [(1, 0, ((1,),))])
+        fresh = build_isometry(SP21, CHAIN2, (0, 1), (((1,),), ((1,),)), [(1, 0, ((1,),))])
+        first = iso.matrix
+        assert iso.matrix is first
+        assert iso == fresh and hash(iso) == hash(fresh) and repr(iso) == repr(fresh)
+        assert "_matrix" not in repr(iso)
 
     def test_non_invertible_diagonal_rejected(self):
         with pytest.raises(ValidationError, match="invertible"):
@@ -170,7 +205,22 @@ class TestEnumeration:
         assert kernel == support
 
 
+def mat_vec_perms(q, n, matrices):
+    """The action of each matrix on lexicographically indexed vectors, one mat_vec per vector."""
+    vectors = list(itertools.product(range(q), repeat=n))
+    index = {v: t for t, v in enumerate(vectors)}
+    return tuple(tuple(index[fields.mat_vec(q, m, v)] for v in vectors) for m in matrices)
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize(
+        "q,n", [(q, n) for q in (2, 3, 5, 7) for n in range(5) if q ** (n * n) <= 1 << 16]
+    )
+    def test_index_perms_equal_mat_vec_action(self, q, n):
+        matrices, perms = _invertible_index_perms(q, n, 1 << 18)
+        assert matrices == fields.invertible_matrices(q, n)
+        assert perms == mat_vec_perms(q, n, matrices)
+
     def test_single_coordinate(self):
         space = AlphabetSpec.uniform(F3, ("a",), 1)
         one = Poset.chain(("a",))
