@@ -10,7 +10,7 @@ equality, so partition comparisons are exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import BoundExceeded, PropertyViolation, ValidationError
@@ -41,10 +41,6 @@ class CyclotomicInteger:
     @classmethod
     def zero(cls, prime: int) -> "CyclotomicInteger":
         return cls(prime, (0,) * (prime - 1))
-
-    @classmethod
-    def from_int(cls, prime: int, value: int) -> "CyclotomicInteger":
-        return cls(prime, (value,) + (0,) * (prime - 2))
 
     @classmethod
     def root_power(cls, prime: int, exponent: int) -> "CyclotomicInteger":
@@ -112,29 +108,19 @@ class Partition:
     def block_count(self) -> int:
         return len(self.blocks)
 
-    def block_of(self, vec: Vector) -> int:
-        return _block_lookup(self)[vec]
+    @cached_property
+    def _block_index(self) -> dict:
+        """vector -> index of its block"""
+        return {v: t for t, block in enumerate(self.blocks) for v in block}
 
-    def refines(self, other: "Partition") -> bool:
-        return all(
-            any(block <= coarse for coarse in other.blocks) for block in self.blocks
-        )
+    def block_of(self, vec: Vector) -> int:
+        return self._block_index[vec]
 
     def distribution(self, vectors: Iterable[Vector]) -> tuple[int, ...]:
         counts = [0] * len(self.blocks)
-        lookup = _block_lookup(self)
         for v in vectors:
-            counts[lookup[v]] += 1
+            counts[self._block_index[v]] += 1
         return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def _block_lookup(partition: Partition) -> dict:
-    out = {}
-    for t, block in enumerate(partition.blocks):
-        for v in block:
-            out[v] = t
-    return out
 
 
 def weight_partition(

@@ -21,8 +21,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
-from .errors import ValidationError
-from .posets import Poset, WeightFunction
+from .errors import BoundExceeded, ValidationError
+from .posets import ELEMENT_BOUND, Poset, WeightFunction
 from .spaces import AlphabetSpec, FieldSpec
 
 
@@ -44,7 +44,7 @@ def _parse_fraction(raw, where: str) -> Fraction:
         raise ValidationError(f"{where}: floats are not accepted, use strings like '1/3'")
     try:
         return Fraction(raw)
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 
@@ -69,6 +69,8 @@ def instance_from_dict(payload: Mapping) -> Instance:
     if not all(isinstance(label, str) for label in elements + [x for p in covers for x in p]):
         raise ValidationError("poset elements and cover endpoints must be strings")
     field = FieldSpec(q)
+    if len(elements) > ELEMENT_BOUND:  # checked before any work on the relation
+        raise BoundExceeded(f"{len(elements)} poset elements exceed the element bound {ELEMENT_BOUND}")
     poset = Poset.from_covers(elements, covers)
     omega_doc = payload.get("omega")
     if omega_doc is None:

@@ -14,7 +14,6 @@ weight sum and the ideal-closure map itself are the two shipped instances.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import operator
 from dataclasses import dataclass
@@ -24,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import fields
 from .errors import BoundExceeded, PropertyViolation, ValidationError
 from .fields import Matrix, Vector
-from .posets import Perm, Poset, WeightFunction, weight_preserving_automorphisms
+from .posets import Perm, Poset, WeightFunction, derived, set_bits, weight_preserving_automorphisms
 from .spaces import AlphabetSpec, support_classes
 
 
@@ -146,7 +145,7 @@ class Isometry:
     diag: tuple[Matrix, ...]  # diag[i] : block i -> block lam(i), invertible
     strict: tuple[tuple[int, int, Matrix], ...]  # (i, j, M) with j strictly below lam(i)
     # the full matrix, built on first use: derived, so out of eq, hash and repr
-    _matrix: Optional[Matrix] = dataclasses.field(default=None, init=False, repr=False, compare=False)
+    _matrix: Optional[Matrix] = derived(default=None)
 
     @classmethod
     def identity(cls, space: AlphabetSpec, poset: Poset) -> "Isometry":
@@ -213,7 +212,7 @@ def build_isometry(
             raise ValidationError(f"diagonal block {i} is not invertible")
     seen = set()
     for i, j, m in strict:
-        if not (poset.leq[j][lam[i]] and j != lam[i]):
+        if not poset.strictly_below(lam[i]) >> j & 1:
             raise ValidationError(f"strict block ({i}->{j}) is not below lam({i})")
         if (i, j) in seen:
             raise ValidationError(f"duplicate strict block ({i}->{j})")
@@ -225,8 +224,15 @@ def build_isometry(
 
 
 def _strict_pairs(poset: Poset, lam: Perm) -> list[tuple[int, int]]:
-    n = len(poset.elements)
-    return [(i, j) for i in range(n) for j in range(n) if poset.leq[j][lam[i]] and j != lam[i]]
+    return [(i, j) for i, image in enumerate(lam) for j in set_bits(poset.strictly_below(image))]
+
+
+def gl_order(q: int, k: int) -> int:
+    """|GL_k(F_q)|: the product of q^k - q^i over i < k."""
+    order = 1
+    for i in range(k):
+        order *= q**k - q**i
+    return order
 
 
 def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
@@ -234,10 +240,7 @@ def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
     q = space.q
     order = lam_count
     for k in space.dims:
-        gl = 1
-        for i in range(k):
-            gl *= q**k - q**i
-        order *= gl
+        order *= gl_order(q, k)
     identity = tuple(range(len(poset.elements)))
     exponent = sum(space.dims[i] * space.dims[j] for i, j in _strict_pairs(poset, identity))
     return order * q**exponent
@@ -292,6 +295,10 @@ def support_isometry_group(
 # -- brute force & decomposition ------------------------------------------------
 
 
+# The brute-force oracle refuses an action table of more entries than this.
+ACTION_TABLE_BOUND = 1 << 22
+
+
 @lru_cache(maxsize=8)
 def _invertible_index_perms(q: int, n: int, bound: int) -> tuple[tuple[Matrix, ...], tuple[tuple[int, ...], ...]]:
     """Invertible matrices with their action on lexicographically indexed vectors.
@@ -323,14 +330,22 @@ def brute_force_isometries(
     sf: SupportFunctional,
     bound: int = 1 << 18,
 ) -> list[Matrix]:
-    """All invertible matrices preserving the functional of the support.
+    """All invertible N x N matrices preserving the functional of the support.
 
-    Tests every invertible N x N matrix, so this is an oracle for small N
-    only; the bound counts all q^(N^2) candidates, though the singular ones
-    are never built.  The matrix actions on indexed vectors are cached.
+    An oracle for small spaces only.  Two bounds are checked before any
+    matrix is built: the |GL_N(F_q)| * q^N entries of the action table
+    against ACTION_TABLE_BOUND, and all q^(N^2) candidates against the
+    bound argument, though the singular ones are never built.  The matrix
+    actions on indexed vectors are cached.
     """
     q = space.q
     n = space.total_dim
+    table = f"the action table of GL_{n}(F_{q}) on F_{q}^{n}"
+    if n >= ACTION_TABLE_BOUND.bit_length():  # q^N alone is over the bound
+        raise BoundExceeded(f"{table} has over 2^{n} entries, over the bound {ACTION_TABLE_BOUND}")
+    entries = gl_order(q, n) * q**n
+    if entries > ACTION_TABLE_BOUND:
+        raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
     matrices, perms = _invertible_index_perms(q, n, bound)
     values = support_classes(space, sf.evaluate)
     # perm[t] is the index of the image of vector t
@@ -388,7 +403,7 @@ def decompose(
                     raise PropertyViolation(f"diagonal block {labels[i]!r} not invertible")
                 diag.append(block)
             elif any(any(row) for row in block):
-                if not (poset.leq[j][lam[i]] and j != lam[i]):
+                if not poset.strictly_below(lam[i]) >> j & 1:
                     raise PropertyViolation(
                         f"nonzero block ({labels[i]!r} -> {labels[j]!r}) outside the "
                         "allowed triangular pattern"

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -25,21 +26,8 @@ from .errors import (
     ValidationError,
 )
 from .fields import Vector, combine
+from .posets import derived, set_bits
 from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
-
-
-def _derived(**kwargs):
-    """An attribute computed from the fields: not an argument, and left out
-    of eq, hash and repr."""
-    return field(init=False, repr=False, compare=False, **kwargs)
-
-
-def _set_bits(mask: int) -> Iterator[int]:
-    """Positions of the set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -49,14 +37,12 @@ class FiniteLattice:
     # Point t is ground[t].  Member i holds the points _points[i], as a
     # tuple and as the mask _masks[i] with bit t set for each; _holders[t]
     # is the bitset of the members holding point t.
-    _pos: dict = _derived()
-    _points: tuple[tuple[int, ...], ...] = _derived()
-    _masks: tuple[int, ...] = _derived()
-    _holders: list[int] = _derived()
-    _member_index: dict = _derived()
-    _mask_index: dict = _derived()
-    _point_closures: Optional[tuple[int, ...]] = _derived(default=None)
-    _moebius: Optional[MoebiusTable] = _derived(default=None)
+    _pos: dict = derived()
+    _points: tuple[tuple[int, ...], ...] = derived()
+    _masks: tuple[int, ...] = derived()
+    _holders: list[int] = derived()
+    _member_index: dict = derived()
+    _mask_index: dict = derived()
 
     def __post_init__(self) -> None:
         pos = {x: t for t, x in enumerate(self.ground)}
@@ -110,12 +96,14 @@ class FiniteLattice:
                 out &= m
         return out
 
+    @cached_property
     def _point_closure_masks(self) -> tuple[int, ...]:
         """The closure mask of each ground point, in ground order."""
-        if self._point_closures is None:
-            closures = tuple(self._closure_mask(1 << t) for t in range(len(self.ground)))
-            object.__setattr__(self, "_point_closures", closures)
-        return self._point_closures
+        return tuple(self._closure_mask(1 << t) for t in range(len(self.ground)))
+
+    @cached_property
+    def _moebius(self) -> MoebiusTable:
+        return MoebiusTable(self, _moebius_entries(self))
 
     def closure(self, subset: Iterable) -> frozenset:
         """Smallest member containing the subset; unique by intersection-closure."""
@@ -128,13 +116,9 @@ class FiniteLattice:
     def bottom(self) -> frozenset:
         return self.closure(())
 
-    def point_closures(self) -> dict:
-        members, index = self.members, self._mask_index
-        return {x: members[index[c]] for x, c in zip(self.ground, self._point_closure_masks())}
-
     def non_point_closures(self) -> tuple[frozenset, ...]:
         """Members that are not the closure of any single point."""
-        hit = set(self._point_closure_masks())
+        hit = set(self._point_closure_masks)
         return tuple(m for m, mask in zip(self.members, self._masks) if mask not in hit)
 
     def contains_empty(self) -> bool:
@@ -169,8 +153,6 @@ def moebius(lattice: FiniteLattice) -> MoebiusTable:
     """The unique table with unit diagonal, zero off intervals, and vanishing
     interval sums, computed per upper member by a downward sieve.  The table
     is built once per lattice and kept on it."""
-    if lattice._moebius is None:
-        object.__setattr__(lattice, "_moebius", MoebiusTable(lattice, _moebius_entries(lattice)))
     return lattice._moebius
 
 
@@ -185,9 +167,9 @@ def _down_lists(lattice: FiniteLattice) -> list[tuple[int, ...]]:
     out = []
     for mask in masks:
         outside = 0
-        for t in _set_bits(full ^ mask):
+        for t in set_bits(full ^ mask):
             outside |= holders[t]
-        out.append(tuple(sorted(_set_bits(every ^ outside), key=neg_sizes.__getitem__)))
+        out.append(tuple(sorted(set_bits(every ^ outside), key=neg_sizes.__getitem__)))
     return out
 
 
@@ -223,7 +205,7 @@ def moebius_indicator_identity(
     table = moebius(lattice)
     j = lattice._member_index[above]
     target = lattice._masks[j]
-    closures = lattice._point_closure_masks()
+    closures = lattice._point_closure_masks
     generators = frozenset(x for x, c in zip(lattice.ground, closures) if c == target)
     positive = [0] * len(closures)
     negative = [0] * len(closures)
@@ -269,14 +251,6 @@ def is_solution(candidate: Solution) -> bool:
 def is_trivial(candidate: Solution) -> bool:
     """Trivial when the two multisets coincide."""
     return Counter(candidate.left) == Counter(candidate.right)
-
-
-def restrict_solution(candidate: Solution, window: Iterable) -> Solution:
-    window = frozenset(window)
-    return Solution(
-        tuple(s & window for s in candidate.left),
-        tuple(s & window for s in candidate.right),
-    )
 
 
 def construct_minimal_solution(lattice: FiniteLattice, top: frozenset) -> Solution:
@@ -411,17 +385,6 @@ def subspace_lattice(q: int, k: int, point_bound: int = 4096) -> FiniteLattice:
     space = AlphabetSpec(field_spec, ("x",), (k,))
     members = [frozenset(code.codewords()) for code in enumerate_codes(space)]
     return FiniteLattice.from_sets(list(space.vectors()), members)
-
-
-def boolean_lattice(n: int) -> FiniteLattice:
-    """Plain powerset of {1..n}; contains the empty set."""
-    if n < 0:
-        raise ValidationError(f"n must be >= 0, got {n}")
-    ground = tuple(range(1, n + 1))
-    members = [
-        frozenset(c) for r in range(n + 1) for c in itertools.combinations(ground, r)
-    ]
-    return FiniteLattice.from_sets(ground, members)
 
 
 def pointed_boolean_lattice(n: int) -> FiniteLattice:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import fields
@@ -283,7 +282,7 @@ class ConditionReport:
 
 def condition_report(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> ConditionReport:
     witnesses: list[tuple[str, object]] = []
-    udp_ok, udp_witness = _udp(poset, omega)
+    udp_ok, udp_witness = udp_check(poset, omega)
     if not udp_ok:
         witnesses.append(("udp_matched_dims", udp_witness))
     dims_ok, dims_witness = _matched_dims(space, poset, omega)
@@ -307,11 +306,6 @@ def condition_report(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
             "(finite-dimensional blocks over a prime field)",
         ),
     )
-
-
-@lru_cache(maxsize=None)
-def _udp(poset: Poset, omega: WeightFunction):
-    return udp_check(poset, omega)
 
 
 def _matched_dims(space: AlphabetSpec, poset: Poset, omega: WeightFunction):

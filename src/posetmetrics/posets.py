@@ -1,62 +1,92 @@
 """Finite posets on a labeled coordinate set, with exact rational weights.
 
-Posets are immutable: a tuple of distinct labels plus the full order relation
-as a boolean matrix (row i, column j means elements[i] is below elements[j]).
-Construction validates reflexivity, antisymmetry and transitivity; the
-cover-relation constructor computes the transitive closure and reports a
-cycle witness on antisymmetry failures.
+A poset's value is a tuple of distinct labels plus the full order relation
+as a boolean matrix (row i, column j means elements[i] is below elements[j]);
+those two fields alone make its eq, hash and repr.  Construction also keeps a
+label -> position dict and one down-set mask per element (bit i of mask j is
+set when elements[i] <= elements[j]).  Validation, closure, ideal enumeration,
+levels and the automorphism test run on those int masks (bit techniques as in
+Knuth, TAOCP 4A, 7.1.3).  The ideal, level and automorphism tables are cached
+on the poset at first use, so they are freed with it.  Label sets cross the
+interface as frozensets.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, ValidationError
 
 Perm = tuple[int, ...]  # perm[i] = index of the image of elements[i]
 
+# Ideals are enumerated exactly, so instances are capped at this many elements.
+ELEMENT_BOUND = 20
+
+
+def derived(**kwargs):
+    """An attribute computed from the fields: not an argument, and left out
+    of eq, hash and repr."""
+    return field(init=False, repr=False, compare=False, **kwargs)
+
+
+def set_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first (i, j, k) in row-major order with i <= j <= k but not i <= k,
+    for a relation whose row i has bit j set when i <= j."""
+    for i, row in enumerate(rows):
+        for j, other in enumerate(rows):
+            if row >> j & 1 and other & ~row:
+                return i, j, next(set_bits(other & ~row))
+    return None
+
 
 @dataclass(frozen=True)
 class Poset:
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
+    _pos: dict[str, int] = derived()
+    _down: tuple[int, ...] = derived()
 
     def __post_init__(self) -> None:
         n = len(self.elements)
-        if len(set(self.elements)) != n:
+        pos = {e: i for i, e in enumerate(self.elements)}
+        if len(pos) != n:
             raise ValidationError("poset labels must be distinct")
         if len(self.leq) != n or any(len(row) != n for row in self.leq):
             raise ValidationError("relation matrix shape must match the label count")
-        for i in range(n):
-            if not self.leq[i][i]:
+        powers = [1 << j for j in range(n)]
+        rows = [sum(itertools.compress(powers, row)) for row in self.leq]
+        down = [sum(itertools.compress(powers, column)) for column in zip(*self.leq)]
+        for i, row in enumerate(rows):
+            if not row >> i & 1:
                 raise ValidationError(f"relation is not reflexive at {self.elements[i]!r}")
-        for i in range(n):
-            for j in range(n):
-                if i != j and self.leq[i][j] and self.leq[j][i]:
-                    raise ValidationError(
-                        f"relation is not antisymmetric: {self.elements[i]!r} and "
-                        f"{self.elements[j]!r} are mutually comparable"
-                    )
-        for i in range(n):
-            for j in range(n):
-                if not self.leq[i][j]:
-                    continue
-                for k in range(n):
-                    if self.leq[j][k] and not self.leq[i][k]:
-                        raise ValidationError(
-                            f"relation is not transitive at "
-                            f"({self.elements[i]!r}, {self.elements[j]!r}, {self.elements[k]!r})"
-                        )
+        for i, row in enumerate(rows):
+            mutual = row & down[i] & ~(1 << i)
+            if mutual:
+                raise ValidationError(
+                    f"relation is not antisymmetric: {self.elements[i]!r} and "
+                    f"{self.elements[next(set_bits(mutual))]!r} are mutually comparable"
+                )
+        triple = _intransitive_triple(rows)
+        if triple is not None:
+            i, j, k = (repr(self.elements[t]) for t in triple)
+            raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_down", tuple(down))
 
     # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_relation(cls, elements: Sequence[str], leq: Sequence[Sequence[bool]]) -> "Poset":
-        return cls(tuple(elements), tuple(tuple(bool(x) for x in row) for row in leq))
 
     @classmethod
     def from_covers(cls, elements: Sequence[str], covers: Iterable[tuple[str, str]]) -> "Poset":
@@ -69,30 +99,24 @@ class Poset:
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        below = [[False] * n for _ in range(n)]
+        rows = [1 << i for i in range(n)]
         for a, b in covers:
             if a not in index or b not in index:
                 raise ValidationError(f"cover ({a!r}, {b!r}) uses an unknown label")
             if a == b:
                 raise ValidationError(f"cover ({a!r}, {b!r}) is reflexive")
             adjacency[index[a]].append(index[b])
-            below[index[a]][index[b]] = True
+            rows[index[a]] |= 1 << index[b]
         cycle = _find_cycle(adjacency)
         if cycle is not None:
             names = " < ".join(elements[t] for t in cycle)
             raise ValidationError(f"cover relation contains a cycle: {names}")
-        # Warshall closure
+        # Warshall closure, one row mask at a time
         for k in range(n):
             for i in range(n):
-                if below[i][k]:
-                    row_k = below[k]
-                    row_i = below[i]
-                    for j in range(n):
-                        if row_k[j]:
-                            row_i[j] = True
-        for i in range(n):
-            below[i][i] = True
-        return cls(elements, tuple(tuple(row) for row in below))
+                if rows[i] >> k & 1:
+                    rows[i] |= rows[k]
+        return cls(elements, _matrix(rows, n))
 
     @classmethod
     def chain(cls, elements: Sequence[str]) -> "Poset":
@@ -107,147 +131,139 @@ class Poset:
 
     def index(self, label: str) -> int:
         try:
-            return self.elements.index(label)
-        except ValueError:
+            return self._pos[label]
+        except KeyError:
             raise ValidationError(f"unknown label {label!r}") from None
 
-    def leq_of(self, a: str, b: str) -> bool:
-        return self.leq[self.index(a)][self.index(b)]
+    def _labels(self, mask: int) -> frozenset[str]:
+        return frozenset(self.elements[t] for t in set_bits(mask))
+
+    def strictly_below(self, j: int) -> int:
+        """The mask of the elements strictly below elements[j]."""
+        return self._down[j] & ~(1 << j)
 
     def ideal_closure(self, subset: Iterable[str]) -> frozenset[str]:
         """Smallest ideal containing the given labels."""
-        idxs = [self.index(b) for b in subset]
-        out = set()
-        for j in idxs:
-            for i in range(len(self.elements)):
-                if self.leq[i][j]:
-                    out.add(self.elements[i])
-        return frozenset(out)
+        mask = 0
+        for b in subset:
+            mask |= self._down[self.index(b)]
+        return self._labels(mask)
 
-    def is_ideal(self, subset: Iterable[str]) -> bool:
-        subset = frozenset(subset)
-        return self.ideal_closure(subset) == subset
+    def _linear_extension(self) -> list[int]:
+        """Positions ordered so that every element follows those below it."""
+        return sorted(range(len(self.elements)), key=lambda j: self._down[j].bit_count())
 
     def all_ideals(self) -> tuple[frozenset[str], ...]:
         """Exact enumeration of all ideals, in canonical (size, index) order."""
-        if len(self.elements) > 20:
-            raise BoundExceeded("ideal enumeration by subset filter is capped at 20 elements")
-        return _all_ideals_cached(self)
+        if len(self.elements) > ELEMENT_BOUND:
+            raise BoundExceeded(f"ideal enumeration is capped at {ELEMENT_BOUND} elements")
+        return self._ideals
+
+    @cached_property
+    def _ideals(self) -> tuple[frozenset[str], ...]:
+        # adding the elements in a linear extension order, the ideals so far
+        # are extended by the new element wherever they hold its down-set
+        masks = [0]
+        for j in self._linear_extension():
+            below, bit = self.strictly_below(j), 1 << j
+            masks += [m | bit for m in masks if m & below == below]
+        masks.sort(key=lambda m: (m.bit_count(), tuple(set_bits(m))))
+        return tuple(map(self._labels, masks))
+
+    @cached_property
+    def _levels(self) -> tuple[int, ...]:
+        levels = [0] * len(self.elements)
+        for j in self._linear_extension():
+            levels[j] = 1 + max((levels[i] for i in set_bits(self.strictly_below(j))), default=0)
+        return tuple(levels)
 
     def level(self, label: str) -> int:
         """Largest size of a chain having this label as its greatest element."""
-        return _levels_cached(self)[self.index(label)]
+        return self._levels[self.index(label)]
 
     def level_sets(self) -> tuple[frozenset[str], ...]:
         """Partition of the labels by level, bottom level first."""
-        levels = _levels_cached(self)
-        m = max(levels)
+        levels = self._levels
         return tuple(
             frozenset(e for e, l in zip(self.elements, levels) if l == r)
-            for r in range(1, m + 1)
+            for r in range(1, max(levels) + 1)
         )
 
     def hierarchy_violation(self) -> Optional[tuple[str, str]]:
-        """A pair (u, v) with level(u)+1 <= level(v) but u not below v, or None."""
-        levels = _levels_cached(self)
-        n = len(self.elements)
-        for i in range(n):
-            for j in range(n):
-                if levels[i] + 1 <= levels[j] and not self.leq[i][j]:
-                    return (self.elements[i], self.elements[j])
-        return None
+        """The first pair (u, v) in row-major order with level(u)+1 <= level(v)
+        but u not below v, or None."""
+        levels = self._levels
+        level_masks = [0] * (max(levels) + 1)
+        for i, l in enumerate(levels):
+            level_masks[l] |= 1 << i
+        # lower[r]: the elements on a level below r; missing[j]: the elements
+        # on a lower level than j that are not below j
+        lower = list(itertools.accumulate(level_masks, operator.or_, initial=0))
+        missing = [lower[l] & ~down for l, down in zip(levels, self._down)]
+        if not any(missing):
+            return None
+        i = min(next(set_bits(m)) for m in missing if m)
+        j = next(j for j, m in enumerate(missing) if m >> i & 1)
+        return (self.elements[i], self.elements[j])
 
     @property
     def is_hierarchical(self) -> bool:
         return self.hierarchy_violation() is None
 
     def dual(self) -> "Poset":
-        n = len(self.elements)
-        return Poset(self.elements, tuple(tuple(self.leq[j][i] for j in range(n)) for i in range(n)))
+        return Poset(self.elements, tuple(zip(*self.leq)))
 
     def automorphisms(self, cap: int = 8) -> tuple[Perm, ...]:
         """All order automorphisms, by brute force over permutations."""
         if len(self.elements) > cap:
             raise BoundExceeded(f"automorphism enumeration is capped at {cap} elements")
-        return _automorphisms_cached(self)
+        return self._automorphisms
+
+    @cached_property
+    def _automorphisms(self) -> tuple[Perm, ...]:
+        down = self._down
+        sizes = tuple(d.bit_count() for d in down)
+        n = len(down)
+        # perm keeps the order when it sends each down-set into the down-set
+        # of the image, of the same size
+        pairs = [(i, j) for j in range(n) for i in set_bits(self.strictly_below(j))]
+        return tuple(
+            perm
+            for perm in itertools.permutations(range(n))
+            if tuple(map(sizes.__getitem__, perm)) == sizes
+            and all(down[perm[j]] >> perm[i] & 1 for i, j in pairs)
+        )
 
     def apply_perm(self, perm: Perm, subset: Iterable[str]) -> frozenset[str]:
         return frozenset(self.elements[perm[self.index(x)]] for x in subset)
 
 
+def _matrix(rows: Sequence[int], n: int) -> tuple[tuple[bool, ...], ...]:
+    """The boolean matrix of a relation given by row masks."""
+    powers = [1 << j for j in range(n)]
+    return tuple(tuple([row & p != 0 for p in powers]) for row in rows)
+
+
 def _find_cycle(adjacency: list[list[int]]) -> Optional[list[int]]:
     """A directed cycle (as an index path, closing node repeated) or None."""
-    n = len(adjacency)
-    color = [0] * n  # 0 unseen, 1 on stack, 2 done
-    parent = [-1] * n
-    for root in range(n):
+    color = [0] * len(adjacency)  # 0 unseen, 1 on the path, 2 done
+    for root in range(len(adjacency)):
         if color[root]:
             continue
-        stack = [(root, iter(adjacency[root]))]
         color[root] = 1
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                if color[nxt] == 0:
-                    color[nxt] = 1
-                    parent[nxt] = node
-                    stack.append((nxt, iter(adjacency[nxt])))
-                    advanced = True
-                    break
-                if color[nxt] == 1:
-                    path = [node]
-                    cur = node
-                    while cur != nxt:
-                        cur = parent[cur]
-                        path.append(cur)
-                    path.reverse()
-                    path.append(path[0])
-                    return path
-            if not advanced:
-                color[node] = 2
-                stack.pop()
+        path, todo = [root], [iter(adjacency[root])]
+        while path:
+            nxt = next(todo[-1], None)
+            if nxt is None:
+                color[path.pop()] = 2
+                todo.pop()
+            elif color[nxt] == 1:
+                return path[path.index(nxt) :] + [nxt]
+            elif color[nxt] == 0:
+                color[nxt] = 1
+                path.append(nxt)
+                todo.append(iter(adjacency[nxt]))
     return None
-
-
-@lru_cache(maxsize=None)
-def _all_ideals_cached(poset: Poset) -> tuple[frozenset[str], ...]:
-    n = len(poset.elements)
-    ideals = []
-    for mask in range(1 << n):
-        subset = frozenset(poset.elements[i] for i in range(n) if mask >> i & 1)
-        if poset.is_ideal(subset):
-            ideals.append(subset)
-    return tuple(sorted(ideals, key=lambda s: (len(s), sorted(poset.index(x) for x in s))))
-
-
-@lru_cache(maxsize=None)
-def _levels_cached(poset: Poset) -> tuple[int, ...]:
-    n = len(poset.elements)
-    memo: dict[int, int] = {}
-
-    def depth(j: int) -> int:
-        if j in memo:
-            return memo[j]
-        best = 1
-        for i in range(n):
-            if i != j and poset.leq[i][j]:
-                best = max(best, depth(i) + 1)
-        memo[j] = best
-        return best
-
-    return tuple(depth(j) for j in range(n))
-
-
-@lru_cache(maxsize=None)
-def _automorphisms_cached(poset: Poset) -> tuple[Perm, ...]:
-    n = len(poset.elements)
-    leq = poset.leq
-    out = []
-    for perm in itertools.permutations(range(n)):
-        if all(leq[i][j] == leq[perm[i]][perm[j]] for i in range(n) for j in range(n)):
-            out.append(perm)
-    return tuple(out)
 
 
 def compose_perms(outer: Perm, inner: Perm) -> Perm:
@@ -335,18 +351,15 @@ def udp_check(
     by_sum: dict[Fraction, list[frozenset[str]]] = {}
     for ideal in ideals:
         by_sum.setdefault(omega.total(ideal), []).append(ideal)
-    if all(len(group) == 1 for group in by_sum.values()):
+    shared = [by_sum[total] for total in sorted(by_sum) if len(by_sum[total]) > 1]
+    if not shared:
         return True, None
     perms = weight_preserving_automorphisms(poset, omega)
-    for total in sorted(by_sum):
-        group = by_sum[total]
-        if len(group) == 1:
-            continue
-        base = group[0]
+    for base, *others in shared:
         # weight-preserving automorphisms form a group, so orbits partition
         # the equal-sum class; one orbit computation settles the whole class
         orbit = {poset.apply_perm(p, base) for p in perms}
-        for other in group[1:]:
+        for other in others:
             if other not in orbit:
                 return False, (base, other)
     return True, None
@@ -362,24 +375,11 @@ def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
     n = len(labels)
     pairs = list(itertools.combinations(range(n), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        leq = [[i == j for j in range(n)] for i in range(n)]
+        rows = [1 << i for i in range(n)]
         for (i, j), state in zip(pairs, states):
             if state == 1:
-                leq[i][j] = True
+                rows[i] |= 1 << j
             elif state == 2:
-                leq[j][i] = True
-        if _is_transitive(leq):
-            yield Poset(labels, tuple(tuple(row) for row in leq))
-
-
-def _is_transitive(leq: list[list[bool]]) -> bool:
-    n = len(leq)
-    for i in range(n):
-        row_i = leq[i]
-        for j in range(n):
-            if i != j and row_i[j]:
-                row_j = leq[j]
-                for k in range(n):
-                    if row_j[k] and not row_i[k]:
-                        return False
-    return True
+                rows[j] |= 1 << i
+        if _intransitive_triple(rows) is None:
+            yield Poset(labels, _matrix(rows, n))

@@ -8,7 +8,6 @@ the unique canonical basis, so code equality and hashing are structural.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 from . import fields
 from .errors import BoundExceeded, ValidationError
 from .fields import Matrix, Vector
-from .posets import Poset, WeightFunction
+from .posets import Poset, WeightFunction, derived
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,7 @@ class AlphabetSpec:
     labels: tuple[str, ...]
     dims: tuple[int, ...]
     # label -> (start, stop) of its block: derived, so out of eq, hash and repr
-    _block_bounds: dict[str, tuple[int, int]] = dataclasses.field(
-        init=False, repr=False, compare=False
-    )
+    _block_bounds: dict[str, tuple[int, int]] = derived()
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.dims):

@@ -15,7 +15,8 @@ from hypothesis import given, settings, strategies as st
 from posetmetrics import cli
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
-from posetmetrics.errors import ValidationError
+from posetmetrics.errors import BoundExceeded, ValidationError
+from posetmetrics.posets import ELEMENT_BOUND
 from posetmetrics.reports import build_report
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -26,6 +27,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+# The commands that take an instance file, each with its default options.
+INSTANCE_COMMANDS = (
+    ["poset"],
+    ["isometries"],
+    ["mep"],
+    ["mep", "--mode", "psupport"],
+    ["macwilliams"],
+    ["audit"],
+)
 
 
 def run_json(capsys, *argv):
@@ -39,6 +51,12 @@ class TestInstances:
             instance_from_dict(
                 {"q": 2, "poset": {"elements": ["a"], "covers": []}, "omega": {"a": 0.5}}
             )
+
+    @pytest.mark.parametrize("raw", [None, [1], {"n": 1}])
+    def test_non_numeric_weight_rejected(self, raw):
+        doc = {"q": 2, "poset": {"elements": ["a"], "covers": []}, "omega": {"a": raw}}
+        with pytest.raises(ValidationError, match="omega\\[a\\]"):
+            instance_from_dict(doc)
 
     def test_nonprime_field_rejected(self):
         with pytest.raises(ValidationError, match="prime"):
@@ -369,3 +387,88 @@ class TestLatticeFuzz:
             except SystemExit as exc:  # argparse rejects the arguments (or prints help)
                 code = exc.code
         assert code in (0, 2, 3)
+
+
+class TestBoundsAtLoad:
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS, ids=" ".join)
+    def test_too_many_elements_exit_three(self, tmp_path, capsys, command):
+        doc = {"q": 2, "poset": {"elements": [f"e{t}" for t in range(30)], "covers": []}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        assert main([*command, "--instance", str(path)]) == 3
+        assert f"30 poset elements exceed the element bound {ELEMENT_BOUND}" in capsys.readouterr().err
+
+    def test_element_bound_is_checked_before_validation(self):
+        labels = [f"e{t}" for t in range(400)]
+        doc = {"q": 2, "poset": {"elements": labels, "covers": list(zip(labels, labels[1:]))}}
+        start = time.perf_counter()
+        with pytest.raises(BoundExceeded, match="400 poset elements"):
+            instance_from_dict(doc)
+        assert time.perf_counter() - start < 0.1
+        doc["poset"]["elements"] = labels[:ELEMENT_BOUND]
+        doc["poset"]["covers"] = doc["poset"]["covers"][: ELEMENT_BOUND - 1]
+        assert len(instance_from_dict(doc).poset.elements) == ELEMENT_BOUND
+
+    def test_oracle_action_table_exits_three_before_it_is_built(self, tmp_path, capsys):
+        path = tmp_path / "q19.json"
+        path.write_text(json.dumps({"q": 19, "poset": {"elements": ["a", "b"], "covers": []}}))
+        start = time.perf_counter()
+        assert main(["isometries", "--brute-force", "--instance", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "GL_2(F_19) on F_19^2 has 44446320 entries, over the bound 4194304" in err
+
+
+BROKEN_LABELS = ["a", 1, None, ""]
+BROKEN_WEIGHTS = ["0", "-1", "x", 0.5, None]
+BROKEN_DIMS = [0, -1, True, "1", 1.5]
+
+
+@st.composite
+def instance_docs(draw):
+    """Instance documents of at most three labels over a space of at most 27
+    vectors.  Each field is broken once in eight draws, so most documents load."""
+
+    def pick(valid, broken):
+        return draw(st.sampled_from(broken if draw(st.integers(0, 7)) == 0 else valid))
+
+    labels = draw(st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True))
+    pairs = [[x, y] for x in labels for y in labels if x != y]
+    covers = draw(st.lists(st.sampled_from(pairs or [["a", "a"]]), max_size=3))
+    doc = {
+        "q": pick([2, 2, 3], [4, 1, 0, True, "2", 2.0]),
+        "poset": {
+            "elements": labels + pick([[]], [[x] for x in BROKEN_LABELS]),
+            "covers": covers + pick([[]], [[["a"]], [["a", "z"]], [None], [7]]),
+        },
+    }
+    if draw(st.booleans()):
+        doc["omega"] = {k: draw(st.sampled_from(["1", "2", "1/2", 3])) for k in labels}
+        doc["omega"][labels[0]] = pick(["1"], BROKEN_WEIGHTS)
+    if draw(st.booleans()):
+        # one block of dimension 2, over F_2 only, keeps every space within F_2^4 or F_3^3
+        doc["dims"] = {k: 1 for k in labels}
+        doc["dims"][labels[0]] = pick([1, 2] if doc["q"] == 2 else [1], BROKEN_DIMS)
+    return pick([doc], [doc["poset"], [doc], {**doc, "q": None}])
+
+
+class TestInstanceFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(instance_docs())
+    def test_loader_raises_only_documented_errors(self, doc):
+        try:
+            instance_from_dict(doc)
+        except (ValidationError, BoundExceeded):
+            pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(instance_docs())
+    def test_every_instance_command_exits_with_a_documented_code(self, tmp_path_factory, doc):
+        path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+        path.write_text(json.dumps(doc))
+        for command in INSTANCE_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*command, "--instance", str(path)])
+            assert code in (0, 1, 2, 3), (command, err.getvalue())
+            assert "Traceback" not in err.getvalue()

@@ -35,11 +35,17 @@ INSTANCE_COMMANDS = (
     ("macwilliams",),
     ("audit",),
 )
-# The F_2^4 instance under tests/data covers the GL_4(F_2) oracle path; it is
-# kept out of instances/, whose every file the benchmark's CLI session runs.
+# The instances under tests/data are kept out of instances/, whose every file
+# the benchmark's CLI session runs.  The F_2^4 one covers the GL_4(F_2) oracle
+# path; the 6- and 8-element ones cover the poset layer beyond 3 labels.
 DATA_COMMANDS = (
     ("isometries", "--brute-force", "--instance", "tests/data/vee_f2_4.json"),
     ("audit", "--instance", "tests/data/vee_f2_4.json"),
+    *(
+        (*command, "--instance", f"tests/data/{name}")
+        for name in ("tiers6_f3.json", "crown8_f2.json")
+        for command in (("poset",), ("mep", "--mode", "psupport"))
+    ),
 )
 LATTICE_COMMANDS = (
     ("lattice", "subspace", "3", "2"),

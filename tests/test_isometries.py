@@ -6,8 +6,9 @@ import pytest
 
 from posetmetrics import fields
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
-from posetmetrics.errors import PropertyViolation, ValidationError
+from posetmetrics.errors import BoundExceeded, PropertyViolation, ValidationError
 from posetmetrics.isometries import (
+    ACTION_TABLE_BOUND,
     Isometry,
     SupportFunctional,
     _invertible_index_perms,
@@ -16,6 +17,7 @@ from posetmetrics.isometries import (
     build_isometry,
     check_support_functional,
     decompose,
+    gl_order,
     group_order,
     p_support_functional,
     support_isometry_group,
@@ -213,6 +215,22 @@ def mat_vec_perms(q, n, matrices):
 
 
 class TestBruteForce:
+    def test_action_table_bound_is_checked_before_any_matrix(self):
+        # the largest oracle shapes the tests and the benchmark run stay admitted
+        assert gl_order(2, 4) * 2**4 == 322560 <= ACTION_TABLE_BOUND
+        assert gl_order(3, 3) * 3**3 == 303264 <= ACTION_TABLE_BOUND
+        assert gl_order(11, 2) * 11**2 <= ACTION_TABLE_BOUND < gl_order(13, 2) * 13**2
+        refused = [
+            (FieldSpec(13), (1, 1), "has 4429152 entries"),
+            (FieldSpec(2053), (1,), "has 4212756 entries"),
+            (F2, (40,), "has over 2\\^40 entries"),
+        ]
+        for field, dims, message in refused:
+            labels = tuple("ab"[: len(dims)])
+            space, poset = AlphabetSpec(field, labels, dims), Poset.antichain(labels)
+            with pytest.raises(BoundExceeded, match=f"{message}, over the bound 4194304"):
+                brute_force_isometries(space, poset, p_support_functional(poset))
+
     @pytest.mark.parametrize(
         "q,n", [(q, n) for q in (2, 3, 5, 7) for n in range(5) if q ** (n * n) <= 1 << 16]
     )

@@ -19,7 +19,6 @@ from posetmetrics.lattices import (
     MoebiusTable,
     Solution,
     _module_min_length,
-    boolean_lattice,
     construct_minimal_solution,
     hamming_extension_via_solutions,
     is_solution,
@@ -31,7 +30,6 @@ from posetmetrics.lattices import (
     moebius_indicator_identity,
     nontrivial_solutions_up_to,
     pointed_boolean_lattice,
-    restrict_solution,
     subgroup_indicator_equivalence,
     subspace_lattice,
 )
@@ -49,6 +47,13 @@ from posetmetrics.spaces import (
 S22 = subspace_lattice(2, 2)
 FULL22 = frozenset(S22.ground)
 ZERO22 = frozenset({(0, 0)})
+
+
+def boolean_lattice(n):
+    """Plain powerset of {1..n}; contains the empty set."""
+    ground = tuple(range(1, n + 1))
+    members = [frozenset(c) for r in range(n + 1) for c in itertools.combinations(ground, r)]
+    return FiniteLattice.from_sets(ground, members)
 
 
 def binomial(n, k):
@@ -136,7 +141,7 @@ class TestBitmaskCoreAgainstOracles:
             members = lattice.members
             by_size = sorted(members, key=len)
             closures = {x: next(m for m in by_size if x in m) for x in lattice.ground}
-            assert lattice.point_closures() == closures
+            assert {x: lattice.closure({x}) for x in lattice.ground} == closures
             assert lattice.non_point_closures() == tuple(
                 m for m in members if m not in set(closures.values())
             )
@@ -214,9 +219,8 @@ class TestLattice:
             FiniteLattice.from_sets((1, 2), [{1, 2}, {3}])
 
     def test_boolean_rank_must_be_nonnegative(self):
-        for build in (boolean_lattice, pointed_boolean_lattice):
-            with pytest.raises(ValidationError, match="n must be >= 0"):
-                build(-3)
+        with pytest.raises(ValidationError, match="n must be >= 0"):
+            pointed_boolean_lattice(-3)
 
 
 class TestBoundsBeforeWork:
@@ -384,7 +388,11 @@ class TestSolutions:
         rng = random.Random(3)
         for _ in range(20):
             window = frozenset(x for x in S22.ground if rng.random() < 0.6)
-            assert is_solution(restrict_solution(solution, window))
+            restricted = Solution(
+                tuple(s & window for s in solution.left),
+                tuple(s & window for s in solution.right),
+            )
+            assert is_solution(restricted)
 
 
 class TestConstruction:

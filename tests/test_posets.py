@@ -1,14 +1,24 @@
 """Poset core: ideals, levels, hierarchy, automorphisms, UDP, weights."""
 
+import gc
+import importlib
+import inspect
 import itertools
+import pkgutil
+import random
+import sys
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import posetmetrics
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.posets import (
+    ELEMENT_BOUND,
+    _find_cycle,
     Poset,
     WeightFunction,
     all_posets_on,
@@ -25,22 +35,6 @@ MIXED = Poset.from_covers(("a", "b", "c"), [("a", "b")])
 THREE = list(all_posets_on(("a", "b", "c")))
 
 
-def brute_force_ideals(poset):
-    """Oracle: downward-closure filter over all subsets."""
-    n = len(poset.elements)
-    out = []
-    for mask in range(1 << n):
-        subset = frozenset(poset.elements[i] for i in range(n) if mask >> i & 1)
-        if all(
-            poset.elements[i] in subset
-            for b in subset
-            for i in range(n)
-            if poset.leq[i][poset.index(b)]
-        ):
-            out.append(subset)
-    return set(out)
-
-
 class TestConstruction:
     def test_cycle_rejected_with_witness(self):
         with pytest.raises(ValidationError, match="cycle"):
@@ -53,7 +47,7 @@ class TestConstruction:
     def test_non_transitive_matrix_rejected(self):
         leq = ((True, True, False), (False, True, True), (False, False, True))
         with pytest.raises(ValidationError, match="transitive"):
-            Poset.from_relation(("a", "b", "c"), leq)
+            Poset(("a", "b", "c"), leq)
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValidationError):
@@ -92,11 +86,11 @@ class TestIdeals:
 
     def test_mixed_poset_has_six_ideals(self):
         assert len(MIXED.all_ideals()) == 6
-        assert set(MIXED.all_ideals()) == brute_force_ideals(MIXED)
+        assert MIXED.all_ideals() == oracle_all_ideals(MIXED)
 
     @pytest.mark.parametrize("poset", THREE, ids=lambda p: repr(p.leq))
     def test_ideal_enumeration_matches_filter(self, poset):
-        assert set(poset.all_ideals()) == brute_force_ideals(poset)
+        assert poset.all_ideals() == oracle_all_ideals(poset)
 
     def test_closure_is_smallest_ideal_containing(self):
         for poset in THREE:
@@ -140,7 +134,7 @@ class TestHierarchy:
         # alternative predicate: every lower-level element below every higher one
         levels = poset.level_sets()
         alt = all(
-            poset.leq_of(u, v)
+            poset.leq[poset.index(u)][poset.index(v)]
             for r, s in itertools.combinations(range(len(levels)), 2)
             for u in levels[r]
             for v in levels[s]
@@ -154,7 +148,7 @@ class TestDual:
 
     def test_chain_dual_reverses(self):
         c = Poset.chain(("1", "2"))
-        assert c.dual().leq_of("2", "1") and not c.dual().leq_of("1", "2")
+        assert c.dual().leq == ((True, False), (True, True))
 
     @pytest.mark.parametrize("poset", THREE, ids=lambda p: repr(p.leq))
     def test_dual_involution(self, poset):
@@ -267,3 +261,279 @@ def test_closure_properties_random(data):
         poset.elements[i] for i in range(n) if other_mask >> i & 1
     )
     assert closed <= poset.ideal_closure(larger)
+
+
+# -- the matrix implementations the bitmask core replaced, kept as oracles ------
+
+
+def oracle_validation_error(elements, leq):
+    """The triple-loop validator: the message of the first failed check, or None."""
+    n = len(elements)
+    if len(set(elements)) != n:
+        return "poset labels must be distinct"
+    if len(leq) != n or any(len(row) != n for row in leq):
+        return "relation matrix shape must match the label count"
+    for i in range(n):
+        if not leq[i][i]:
+            return f"relation is not reflexive at {elements[i]!r}"
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j] and leq[j][i]:
+                return (
+                    f"relation is not antisymmetric: {elements[i]!r} and "
+                    f"{elements[j]!r} are mutually comparable"
+                )
+    for i in range(n):
+        for j in range(n):
+            if not leq[i][j]:
+                continue
+            for k in range(n):
+                if leq[j][k] and not leq[i][k]:
+                    return (
+                        f"relation is not transitive at "
+                        f"({elements[i]!r}, {elements[j]!r}, {elements[k]!r})"
+                    )
+    return None
+
+
+def oracle_is_transitive(leq):
+    n = len(leq)
+    for i in range(n):
+        for j in range(n):
+            if i != j and leq[i][j]:
+                for k in range(n):
+                    if leq[j][k] and not leq[i][k]:
+                        return False
+    return True
+
+
+def oracle_all_posets_on(labels):
+    """The relations of the labeled posets, filtered by the old transitivity test."""
+    n = len(labels)
+    pairs = list(itertools.combinations(range(n), 2))
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        leq = [[i == j for j in range(n)] for i in range(n)]
+        for (i, j), state in zip(pairs, states):
+            if state == 1:
+                leq[i][j] = True
+            elif state == 2:
+                leq[j][i] = True
+        if oracle_is_transitive(leq):
+            yield tuple(tuple(row) for row in leq)
+
+
+def oracle_warshall(n, strict_pairs):
+    """Reflexive-transitive closure of index pairs, as a boolean matrix."""
+    below = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in strict_pairs:
+        below[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if below[i][k]:
+                for j in range(n):
+                    if below[k][j]:
+                        below[i][j] = True
+    return tuple(tuple(row) for row in below)
+
+
+def oracle_find_cycle(adjacency):
+    """The stack-and-parent DFS: a directed cycle, closing node repeated, or None."""
+    n = len(adjacency)
+    color = [0] * n  # 0 unseen, 1 on stack, 2 done
+    parent = [-1] * n
+    for root in range(n):
+        if color[root]:
+            continue
+        stack = [(root, iter(adjacency[root]))]
+        color[root] = 1
+        while stack:
+            node, it = stack[-1]
+            advanced = False
+            for nxt in it:
+                if color[nxt] == 0:
+                    color[nxt] = 1
+                    parent[nxt] = node
+                    stack.append((nxt, iter(adjacency[nxt])))
+                    advanced = True
+                    break
+                if color[nxt] == 1:
+                    path = [node]
+                    cur = node
+                    while cur != nxt:
+                        cur = parent[cur]
+                        path.append(cur)
+                    path.reverse()
+                    path.append(path[0])
+                    return path
+            if not advanced:
+                color[node] = 2
+                stack.pop()
+    return None
+
+
+def oracle_ideal_closure(poset, subset):
+    idxs = [poset.index(b) for b in subset]
+    n = len(poset.elements)
+    return frozenset(poset.elements[i] for j in idxs for i in range(n) if poset.leq[i][j])
+
+
+def oracle_all_ideals(poset):
+    n = len(poset.elements)
+    ideals = []
+    for mask in range(1 << n):
+        subset = frozenset(poset.elements[i] for i in range(n) if mask >> i & 1)
+        if oracle_ideal_closure(poset, subset) == subset:
+            ideals.append(subset)
+    return tuple(sorted(ideals, key=lambda s: (len(s), sorted(poset.index(x) for x in s))))
+
+
+def oracle_levels(poset):
+    n = len(poset.elements)
+    memo = {}
+
+    def depth(j):
+        if j not in memo:
+            memo[j] = max([depth(i) + 1 for i in range(n) if i != j and poset.leq[i][j]], default=1)
+        return memo[j]
+
+    return tuple(depth(j) for j in range(n))
+
+
+def oracle_hierarchy_violation(poset):
+    levels = oracle_levels(poset)
+    n = len(poset.elements)
+    for i in range(n):
+        for j in range(n):
+            if levels[i] + 1 <= levels[j] and not poset.leq[i][j]:
+                return (poset.elements[i], poset.elements[j])
+    return None
+
+
+def oracle_automorphisms(poset):
+    n = len(poset.elements)
+    leq = poset.leq
+    return tuple(
+        perm
+        for perm in itertools.permutations(range(n))
+        if all(leq[i][j] == leq[perm[i]][perm[j]] for i in range(n) for j in range(n))
+    )
+
+
+def assert_agrees_with_oracles(poset):
+    n = len(poset.elements)
+    for mask in range(1 << n):
+        subset = [poset.elements[i] for i in range(n) if mask >> i & 1]
+        assert poset.ideal_closure(subset) == oracle_ideal_closure(poset, subset)
+    assert poset.all_ideals() == oracle_all_ideals(poset)
+    levels = oracle_levels(poset)
+    assert tuple(poset.level(e) for e in poset.elements) == levels
+    assert poset.level_sets() == tuple(
+        frozenset(e for e, l in zip(poset.elements, levels) if l == r)
+        for r in range(1, max(levels) + 1)
+    )
+    assert poset.hierarchy_violation() == oracle_hierarchy_violation(poset)
+    assert poset.automorphisms() == oracle_automorphisms(poset)
+
+
+LABELS = tuple("abcdefgh")
+UP_TO_FIVE = [p for n in range(1, 6) for p in all_posets_on(LABELS[:n])]
+
+
+class TestBitmaskCoreAgainstOracles:
+    def test_generator_matches_the_transitivity_filter(self):
+        for n in range(6):
+            assert [p.leq for p in all_posets_on(LABELS[:n])] == list(oracle_all_posets_on(LABELS[:n]))
+
+    def test_every_labeled_poset_up_to_five(self):
+        assert len(UP_TO_FIVE) == 1 + 3 + 19 + 219 + 4231
+        for poset in UP_TO_FIVE:
+            assert_agrees_with_oracles(poset)
+
+    def test_random_relations_up_to_eight(self):
+        rng = random.Random(20261018)
+        valid = 0
+        for trial in range(400):
+            n = rng.randint(1, 8)
+            labels = rng.sample(LABELS, n)
+            order = rng.sample(range(n), n)  # a hidden linear extension
+            strict = [
+                (order[a], order[b])
+                for a in range(n)
+                for b in range(a + 1, n)
+                if rng.random() < 0.3
+            ]
+            leq = [list(row) for row in oracle_warshall(n, strict)]
+            for _ in range(rng.choice((0, 0, 1, 2))):  # break it, or not
+                i, j = rng.randrange(n), rng.randrange(n)
+                leq[i][j] = not leq[i][j]
+            leq = tuple(tuple(row) for row in leq)
+            if trial % 50 == 0:
+                labels[-1] = labels[0]
+            expected = oracle_validation_error(tuple(labels), leq)
+            if expected is not None:
+                with pytest.raises(ValidationError) as info:
+                    Poset(tuple(labels), leq)
+                assert str(info.value) == expected
+                continue
+            valid += 1
+            poset = Poset(tuple(labels), leq)
+            covers = [(labels[i], labels[j]) for i, j in strict]
+            assert Poset.from_covers(labels, covers).leq == oracle_warshall(n, strict)
+            assert_agrees_with_oracles(poset)
+        assert 100 < valid < 400
+
+    def test_cycle_witness_matches_the_stack_and_parent_search(self):
+        rng = random.Random(7)
+        cyclic = 0
+        for _ in range(500):
+            n = rng.randint(1, 7)
+            adjacency = [
+                rng.sample([j for j in range(n) if j != i], rng.randint(0, min(3, n - 1)))
+                for i in range(n)
+            ]
+            found = _find_cycle(adjacency)
+            assert found == oracle_find_cycle(adjacency)
+            cyclic += found is not None
+        assert 50 < cyclic < 450
+
+    def test_shape_errors_match(self):
+        for leq in (((True,),), ((True, False), (False,))):
+            with pytest.raises(ValidationError) as info:
+                Poset(("a", "b"), leq)
+            assert str(info.value) == oracle_validation_error(("a", "b"), leq)
+
+
+class TestTablesLiveOnThePoset:
+    def test_poset_and_tables_are_freed_together(self):
+        poset = Poset.from_covers(tuple("abcd"), [("a", "b"), ("a", "c")])
+        ideals, autos = poset.all_ideals(), poset.automorphisms()
+        assert not poset.is_hierarchical
+        assert vars(poset)["_ideals"] is ideals and vars(poset)["_automorphisms"] is autos
+        held = sys.getrefcount(ideals)
+        ref = weakref.ref(poset)
+        del poset
+        gc.collect()
+        assert ref() is None  # no module-level cache keeps the poset alive
+        assert sys.getrefcount(ideals) == held - 1  # its hold on the table went with it
+
+    def test_tables_are_built_once(self):
+        poset = Poset.chain(("x", "y"))
+        assert poset.all_ideals() is poset.all_ideals()
+        assert poset.automorphisms() is poset.automorphisms()
+
+    def test_no_lru_cache_is_keyed_by_a_domain_object(self):
+        domain = {"Poset", "WeightFunction", "Partition", "AlphabetSpec", "SupportFunctional"}
+        for info in pkgutil.iter_modules(posetmetrics.__path__):
+            module = importlib.import_module(f"posetmetrics.{info.name}")
+            for name, fn in vars(module).items():
+                if callable(fn) and hasattr(fn, "cache_info"):
+                    params = inspect.signature(fn.__wrapped__).parameters.values()
+                    keyed_by = {str(p.annotation) for p in params}
+                    assert not keyed_by & domain, (info.name, name)
+
+
+class TestElementBound:
+    def test_ideal_enumeration_names_the_bound(self):
+        big = Poset.antichain([f"e{t}" for t in range(ELEMENT_BOUND + 1)])
+        with pytest.raises(BoundExceeded, match=f"capped at {ELEMENT_BOUND} elements"):
+            big.all_ideals()
