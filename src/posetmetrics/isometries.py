@@ -15,6 +15,7 @@ weight sum and the ideal-closure map itself are the two shipped instances.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -235,15 +236,18 @@ def gl_order(q: int, k: int) -> int:
     return order
 
 
+def _order_factors(space: AlphabetSpec, poset: Poset, lam_count: int) -> Iterator[int]:
+    """Factors of the closed-form order, each at least 1: the lam choices,
+    q^k - q^i (i < k) per diagonal block, q^(k k') per strict block."""
+    q, dims, identity = space.q, space.dims, tuple(range(len(poset.elements)))
+    yield lam_count
+    yield from (q**k - q**i for k in dims for i in range(k))
+    yield from (q ** (dims[i] * dims[j]) for i, j in _strict_pairs(poset, identity))
+
+
 def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
     """Closed-form order: lam choices x invertible diagonals x strict entries."""
-    q = space.q
-    order = lam_count
-    for k in space.dims:
-        order *= gl_order(q, k)
-    identity = tuple(range(len(poset.elements)))
-    exponent = sum(space.dims[i] * space.dims[j] for i, j in _strict_pairs(poset, identity))
-    return order * q**exponent
+    return math.prod(_order_factors(space, poset, lam_count))
 
 
 def enumerate_group(
@@ -254,7 +258,8 @@ def enumerate_group(
 ) -> Iterator[Isometry]:
     """All isometries for the functional, in (lam, diag, strict) lexicographic order."""
     lams = admissible_automorphisms(poset, space, sf)
-    if group_order(space, poset, len(lams)) > bound:
+    partial_orders = itertools.accumulate(_order_factors(space, poset, len(lams)), operator.mul)
+    if any(order > bound for order in partial_orders):  # stops at the first one over
         raise BoundExceeded(f"isometry group larger than bound {bound}")
     q = space.q
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]

@@ -1,10 +1,10 @@
 """MacWilliams extension property: brute-force verdicts, closed forms, and
 the canonical level decomposition for hierarchical posets.
 
-Brute force quantifies over every code and every linear map out of it,
-checks weight (or support-closure) preservation per codeword, and searches
-the structured isometry group for an extension.  Small spaces are indexed
-densely so the inner loops run on ints.
+Brute force quantifies over every code (skipping the isometry orbit of a code
+that held) and every linear map out of it, checks weight (or support-closure)
+preservation per codeword, and searches the structured isometry group for an
+extension.  Small spaces are indexed densely so the inner loops run on ints.
 """
 
 from __future__ import annotations
@@ -174,17 +174,23 @@ def mep_brute_force(
     max_dim cuts the scan short and no counterexample was found, the verdict
     is marked complete=False.
 
+    A code gC in the orbit of a code C that held is skipped (f on gC extends
+    to F iff f o g on C extends to F o g).  Only orbits of codes that held are
+    marked, so the first failing code and its counterexample are unchanged.
+
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
     sf = _functional_for(poset, omega, mode)
     si = SpaceIndex(space, sf)
     group = enumerate_group(space, poset, sf, group_bound)
+    perms = [si.perm_of_matrix(iso.matrix) for iso in group]
     # columns[t][g] is the image of vector t under the g-th group element
-    columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
+    columns = list(zip(*perms))
     count = len(si.vectors)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
+    held: set[frozenset[int]] = set()  # spans of the orbits of codes that held
     for code in enumerate_codes(space, max_dim=top):
         d = code.dim
         if d == 0:
@@ -195,6 +201,9 @@ def mep_brute_force(
                 f"{map_bound}; raise it with --bound"
             )
         basis_idx = [si.index[b] for b in code.basis]
+        span = frozenset(si.span_indices(basis_idx))
+        if span in held:
+            continue
         reachable = set(zip(*(columns[b] for b in basis_idx)))
         images = _first_unreachable_map(si, basis_idx, reachable)
         if images is not None:
@@ -206,6 +215,7 @@ def mep_brute_force(
                 complete=True,
                 counterexample=(code, image_vectors),
             )
+        held.update(frozenset(map(p.__getitem__, span)) for p in perms)
     return MepVerdict(holds=True, mode=mode, source="brute-force", complete=(top >= n))
 
 

@@ -418,6 +418,16 @@ class TestBoundsAtLoad:
         err = capsys.readouterr().err
         assert "GL_2(F_19) on F_19^2 has 44446320 entries, over the bound 4194304" in err
 
+    def test_group_bound_exits_three_before_the_full_order(self, tmp_path, capsys):
+        # |GL_3000(F_2)| has about 9M bits; the bound is passed by its first factor
+        path = tmp_path / "wide_block.json"
+        doc = {"q": 2, "poset": {"elements": ["a"], "covers": []}, "dims": {"a": 3000}}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["isometries", "--instance", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert "isometry group larger than bound 1048576" in capsys.readouterr().err
+
 
 BROKEN_LABELS = ["a", 1, None, ""]
 BROKEN_WEIGHTS = ["0", "-1", "x", 0.5, None]

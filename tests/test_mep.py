@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from posetmetrics import fields
+from posetmetrics import fields, mep
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, PredicateUnavailable, ValidationError
 from posetmetrics.isometries import enumerate_group, p_support_functional
 from posetmetrics.mep import (
     MepVerdict,
     SpaceIndex,
+    _first_unreachable_map,
     _functional_for,
     canonical_decomposition,
     condition_report,
@@ -237,6 +238,110 @@ class TestBacktrackingScanOracle:
             match="^64 candidate maps at dimension 2 exceed the bound 63; raise it with --bound$",
         ):
             mep_brute_force(space, chain, omega, map_bound=63)
+
+
+def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_bound=1 << 19):
+    """The backtracking scan of every code, without the orbit skip, kept as the oracle."""
+    sf = _functional_for(poset, omega, mode)
+    si = SpaceIndex(space, sf)
+    group = enumerate_group(space, poset, sf)
+    # columns[t][g] is the image of vector t under the g-th group element
+    columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
+    count = len(si.vectors)
+    n = space.total_dim
+    top = n if max_dim is None else min(max_dim, n)
+    for code in enumerate_codes(space, max_dim=top):
+        d = code.dim
+        if d == 0:
+            continue
+        if count**d > map_bound:
+            raise BoundExceeded(
+                f"{count ** d} candidate maps at dimension {d} exceed the bound "
+                f"{map_bound}; raise it with --bound"
+            )
+        basis_idx = [si.index[b] for b in code.basis]
+        reachable = set(zip(*(columns[b] for b in basis_idx)))
+        images = _first_unreachable_map(si, basis_idx, reachable)
+        if images is not None:
+            image_vectors = tuple(si.vectors[t] for t in images)
+            return MepVerdict(False, mode, "brute-force", True, (code, image_vectors))
+    return MepVerdict(True, mode, "brute-force", complete=(top >= n))
+
+
+def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
+    """Code orbits met up to the code the scan stops at, each code's span
+    closed under every group permutation (from mat_vec, not the span tables)."""
+    si = SpaceIndex(space, _functional_for(poset, omega, "weight"))
+    group = enumerate_group(space, poset, _functional_for(poset, omega, "weight"))
+    perms = [_mat_vec_perm(si, iso.matrix) for iso in group]
+    stop = verdict.counterexample[0] if verdict.counterexample else None
+    seen: set = set()
+    orbits = 0
+    for code in enumerate_codes(space, max_dim=max_dim):
+        if code.dim == 0:
+            continue
+        span = frozenset(si.index[v] for v in code.codewords())
+        if span not in seen:
+            orbits += 1
+            seen |= {frozenset(p[t] for t in span) for p in perms}
+        if code == stop:
+            break
+    return orbits
+
+
+# mep_grid's large shapes over F_2 with unit weights: (poset, dims, max_dim, orbits scanned)
+LARGE_SHAPES = [
+    (Poset.chain(tuple("abcde")), (1, 1, 1, 1, 1), 3, 25),
+    (Poset.chain(tuple("abcd")), (1, 1, 1, 2), 2, 11),
+    (Poset.antichain(tuple("abc")), (2, 2, 2), 3, 7),
+]
+LARGE_IDS = ["chain5", "chain4-plane-on-top", "three-planes"]
+
+
+class TestOrbitReducedScan:
+    @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
+    def test_large_shapes_match_the_unreduced_scan(self, poset, dims, max_dim, orbits):
+        space = AlphabetSpec(F2, poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
+        assert verdict == _unreduced_scan(space, poset, omega, max_dim=max_dim)
+
+    def test_three_element_posets_at_q3_match_the_unreduced_scan(self):
+        failures = 0
+        for poset in _labeled_posets(3):
+            space = AlphabetSpec(FieldSpec(3), poset.elements, (1, 1, 1))
+            runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
+            for omega, mode in runs:
+                verdict = mep_brute_force(space, poset, omega, mode=mode)
+                assert verdict == _unreduced_scan(space, poset, omega, mode=mode)
+                failures += not verdict.holds
+        assert failures > 0
+
+    def test_same_refusal_as_the_unreduced_scan(self):
+        chain = Poset.chain(tuple("abcde"))
+        space = AlphabetSpec.uniform(F2, chain.elements, 1)
+        omega = WeightFunction.ones(chain.elements)
+        message = (
+            "^1048576 candidate maps at dimension 4 exceed the bound 524288; "
+            "raise it with --bound$"
+        )
+        for scan in (mep_brute_force, _unreduced_scan):
+            with pytest.raises(BoundExceeded, match=message):
+                scan(space, chain, omega)
+
+    @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
+    def test_one_search_per_code_orbit(self, monkeypatch, poset, dims, max_dim, orbits):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return _first_unreachable_map(*args)
+
+        monkeypatch.setattr(mep, "_first_unreachable_map", counting)
+        space = AlphabetSpec(F2, poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
+        assert len(calls) == _orbits_scanned(space, poset, omega, max_dim, verdict) == orbits
 
 
 class TestClosedFormCrossCheck:
