@@ -271,9 +271,9 @@ def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_b
 def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
     """Code orbits met up to the code the scan stops at, each code's span
     closed under every group permutation (from mat_vec, not the span tables)."""
-    si = SpaceIndex(space, _functional_for(poset, omega, "weight"))
-    group = enumerate_group(space, poset, _functional_for(poset, omega, "weight"))
-    perms = [_mat_vec_perm(si, iso.matrix) for iso in group]
+    sf = _functional_for(poset, omega, "weight")
+    si = SpaceIndex(space, sf)
+    perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, sf)]
     stop = verdict.counterexample[0] if verdict.counterexample else None
     seen: set = set()
     orbits = 0
@@ -334,7 +334,7 @@ class TestOrbitReducedScan:
         calls = []
 
         def counting(*args):
-            calls.append(args)
+            calls.append(None)
             return _first_unreachable_map(*args)
 
         monkeypatch.setattr(mep, "_first_unreachable_map", counting)
