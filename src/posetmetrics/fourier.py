@@ -16,15 +16,9 @@ from typing import Iterable, Optional, Sequence
 from .errors import BoundExceeded, PropertyViolation, ValidationError
 from .fields import Vector
 from .isometries import weight_sum_functional
-from .mep import (
-    MepVerdict,
-    condition_report,
-    level_class_bound,
-    mep_brute_force,
-    single_orbit_check,
-)
+from .mep import condition_report, level_class_bound, mep_brute_force, single_orbit_check
 from .posets import Poset, WeightFunction
-from .spaces import AlphabetSpec, LinearCode, enumerate_codes, support_classes
+from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
 
 
 @dataclass(frozen=True)
@@ -123,12 +117,13 @@ class Partition:
         return tuple(counts)
 
 
-def weight_partition(
-    space: AlphabetSpec, poset: Poset, omega: WeightFunction, bound: int = 1 << 16
-) -> Partition:
+def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> Partition:
     """Group vectors by exact weight; the zero vector always sits alone."""
-    if space.vector_count > bound:
-        raise BoundExceeded("space too large to partition")
+    if space.vector_count > VECTOR_BOUND:
+        raise BoundExceeded(
+            f"space too large to partition: {space.vector_count} vectors, "
+            f"over the bound {VECTOR_BOUND}"
+        )
     classes = support_classes(space, weight_sum_functional(poset, omega).evaluate)
     blocks: list[list[Vector]] = [[] for _ in range(max(classes) + 1)]
     for vec, c in zip(space.vectors(), classes):
@@ -172,17 +167,14 @@ class MacwilliamsResult:
 
 
 def macwilliams_identity_check(
-    space: AlphabetSpec,
-    poset: Poset,
-    omega: WeightFunction,
-    codeword_bound: int = 1 << 16,
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction
 ) -> MacwilliamsResult:
     """Equal dual-order weight distributions must force equal weight
     distributions of the dual codes; codes are grouped by distribution first."""
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
     groups: dict[tuple[int, ...], list[LinearCode]] = {}
-    for code in enumerate_codes(space, codeword_bound=codeword_bound):
+    for code in enumerate_codes(space):
         key = reversed_order.distribution(code.codewords())
         groups.setdefault(key, []).append(code)
     for group in groups.values():
@@ -226,12 +218,7 @@ class AuditReport:
         return not self.implication_failures and self.block_counts_match
 
 
-def coding_property_audit(
-    space: AlphabetSpec,
-    poset: Poset,
-    omega: WeightFunction,
-    mep_verdict: Optional[MepVerdict] = None,
-) -> AuditReport:
+def coding_property_audit(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> AuditReport:
     """Evaluate the seven comparison statements and check their implication web.
 
     One-directional: extension property forces orbit transitivity; matched
@@ -241,10 +228,7 @@ def coding_property_audit(
     matched UDP plus the level class bound, and with integer (or all-ones)
     weights the middle five statements collapse into one.
     """
-    if mep_verdict is None:
-        mep_verdict = mep_brute_force(space, poset, omega)
-    if not mep_verdict.complete and mep_verdict.holds:
-        raise ValidationError("audit needs a complete extension verdict")
+    mep_verdict = mep_brute_force(space, poset, omega)
     report = condition_report(space, poset, omega)
     orbit_ok, _ = single_orbit_check(space, poset, omega)
     primal = weight_partition(space, poset, omega)

@@ -4,7 +4,9 @@ Every weight isometry of the ambient space factors as a label permutation
 (constrained to preserve weights and block dimensions), one invertible
 square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The structured form is stored; the full
-N x N matrix is built on first use and kept on the isometry.
+N x N matrix is built on first use and kept on the isometry.  The MEP layer
+and criterion 4 act with the permutation it induces on the indexed vectors
+(`mep.SpaceIndex.perm_of_matrix`); matrices serve reports and the oracles.
 
 The same machinery runs for any support functional: a function on label
 subsets that only sees the ideal closure, is monotone on ideals, and pins
@@ -55,8 +57,12 @@ def p_support_functional(poset: Poset) -> SupportFunctional:
     return SupportFunctional("support-closure", evaluate, lambda a, b: a <= b)
 
 
+# check_support_functional walks all 2^n label subsets, so n is capped.
+FUNCTIONAL_CHECK_BOUND = 12
+
+
 def check_support_functional(
-    sf: SupportFunctional, poset: Poset, cap: int = 12
+    sf: SupportFunctional, poset: Poset
 ) -> tuple[bool, dict[str, Optional[tuple]]]:
     """Exhaustively check the three defining conditions over all subsets.
 
@@ -68,8 +74,10 @@ def check_support_functional(
                              must be that point's principal ideal.
     """
     n = len(poset.elements)
-    if n > cap:
-        raise BoundExceeded(f"support functional check capped at {cap} elements")
+    if n > FUNCTIONAL_CHECK_BOUND:
+        raise BoundExceeded(
+            f"support functional check capped at {FUNCTIONAL_CHECK_BOUND} elements"
+        )
     violations: dict[str, Optional[tuple]] = {
         "closure_invariant": None,
         "monotone": None,
@@ -300,8 +308,10 @@ def support_isometry_group(
 # -- brute force & decomposition ------------------------------------------------
 
 
-# The brute-force oracle refuses an action table of more entries than this.
+# The brute-force oracle refuses an action table of more entries than this,
+# and more q^(N^2) candidate matrices than MATRIX_SCAN_BOUND.
 ACTION_TABLE_BOUND = 1 << 22
+MATRIX_SCAN_BOUND = 1 << 18
 
 
 @lru_cache(maxsize=8)
@@ -330,17 +340,14 @@ def _invertible_index_perms(q: int, n: int, bound: int) -> tuple[tuple[Matrix, .
 
 
 def brute_force_isometries(
-    space: AlphabetSpec,
-    poset: Poset,
-    sf: SupportFunctional,
-    bound: int = 1 << 18,
+    space: AlphabetSpec, poset: Poset, sf: SupportFunctional
 ) -> list[Matrix]:
     """All invertible N x N matrices preserving the functional of the support.
 
     An oracle for small spaces only.  Two bounds are checked before any
     matrix is built: the |GL_N(F_q)| * q^N entries of the action table
-    against ACTION_TABLE_BOUND, and all q^(N^2) candidates against the
-    bound argument, though the singular ones are never built.  The matrix
+    against ACTION_TABLE_BOUND, and all q^(N^2) candidates against
+    MATRIX_SCAN_BOUND, though the singular ones are never built.  The matrix
     actions on indexed vectors are cached.
     """
     q = space.q
@@ -351,33 +358,28 @@ def brute_force_isometries(
     entries = gl_order(q, n) * q**n
     if entries > ACTION_TABLE_BOUND:
         raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
-    matrices, perms = _invertible_index_perms(q, n, bound)
+    matrices, perms = _invertible_index_perms(q, n, MATRIX_SCAN_BOUND)
     values = support_classes(space, sf.evaluate)
     # perm[t] is the index of the image of vector t
     return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
 
 
 def decompose(
-    space: AlphabetSpec,
-    poset: Poset,
-    matrix: Matrix,
-    sf: SupportFunctional,
-    verify: bool = True,
+    space: AlphabetSpec, poset: Poset, matrix: Matrix, sf: SupportFunctional
 ) -> Isometry:
-    """Recover (lam, blocks) from a matrix known to preserve the functional.
+    """Recover (lam, blocks) from a matrix that should preserve the functional.
 
-    Raises PropertyViolation with a witness vector if the matrix is not an
-    isometry for the functional.
+    Raises PropertyViolation with the first witness vector (in index order) if
+    the matrix is not an isometry for the functional.
     """
     q = space.q
     n = space.total_dim
     if len(matrix) != n or not fields.is_invertible(q, matrix):
         raise PropertyViolation("matrix is not an automorphism of the space")
-    if verify:
-        for vec in space.vectors():
-            image = fields.mat_vec(q, matrix, vec)
-            if sf.evaluate(space.support(image)) != sf.evaluate(space.support(vec)):
-                raise PropertyViolation(f"functional not preserved at {vec}")
+    for vec in space.vectors():
+        image = fields.mat_vec(q, matrix, vec)
+        if sf.evaluate(space.support(image)) != sf.evaluate(space.support(vec)):
+            raise PropertyViolation(f"functional not preserved at {vec}")
     principal = {poset.ideal_closure({e}): idx for idx, e in enumerate(poset.elements)}
     lam = []
     for idx, label in enumerate(poset.elements):

@@ -313,15 +313,11 @@ def minimal_nontrivial_length(
     return best
 
 
-def minimal_nontrivial_solution(
-    lattice: FiniteLattice, tops: Optional[Sequence[frozenset]] = None
-) -> tuple[int, frozenset, Solution]:
+def minimal_nontrivial_solution(lattice: FiniteLattice) -> tuple[int, frozenset, Solution]:
     """Minimal length together with a minimizing top and a built solution."""
     if lattice.contains_empty():
         raise ValidationError("the family must not contain the empty set")
-    if tops is None:
-        tops = lattice.non_point_closures()
-    tops = tuple(tops)
+    tops = lattice.non_point_closures()
     if not tops:
         raise AllSolutionsTrivial("every member is generated by a point")
     table = moebius(lattice)
@@ -361,9 +357,11 @@ def nontrivial_solutions_up_to(
 
 # The most members a built-in lattice may have; F_2^6 has 2825 subspaces.
 MEMBER_BOUND = 4096
+# The most points F_q^k may have for subspace_lattice.
+POINT_BOUND = 4096
 
 
-def subspace_lattice(q: int, k: int, point_bound: int = 4096) -> FiniteLattice:
+def subspace_lattice(q: int, k: int) -> FiniteLattice:
     """All subspaces of F_q^k as sets of vector tuples.
 
     The point bound and MEMBER_BOUND are checked before anything is
@@ -374,8 +372,8 @@ def subspace_lattice(q: int, k: int, point_bound: int = 4096) -> FiniteLattice:
         raise ValidationError("every block dimension must be at least 1")
     # q^k >= 2^k passes the bound once k reaches the bound's bit length; the
     # test comes first so that a huge k is never raised to a power
-    if q >= 2 and (k >= point_bound.bit_length() or q**k > point_bound):
-        raise BoundExceeded(f"F_{q}^{k} has {q}^{k} points, over the bound {point_bound}")
+    if q >= 2 and (k >= POINT_BOUND.bit_length() or q**k > POINT_BOUND):
+        raise BoundExceeded(f"F_{q}^{k} has {q}^{k} points, over the bound {POINT_BOUND}")
     field_spec = FieldSpec(q)
     count = subspace_count(k, q)
     if count > MEMBER_BOUND:

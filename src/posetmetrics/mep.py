@@ -4,7 +4,9 @@ the canonical level decomposition for hierarchical posets.
 Brute force quantifies over every code (skipping the isometry orbit of a code
 that held) and every linear map out of it, checks weight (or support-closure)
 preservation per codeword, and searches the structured isometry group for an
-extension.  Small spaces are indexed densely so the inner loops run on ints.
+extension.  Small spaces are indexed densely so the inner loops run on ints,
+and the scan and the orbit check see each group element only as the
+permutation it induces on the indexed vectors (`_indexed_group`).
 """
 
 from __future__ import annotations
@@ -30,7 +32,11 @@ from .isometries import (
     weight_sum_functional,
 )
 from .posets import Poset, WeightFunction, udp_check
-from .spaces import AlphabetSpec, LinearCode, enumerate_codes, support_classes
+from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
+
+
+# The most entries of a q != 2 addition table (q = 2 adds by xor).
+ADD_TABLE_BOUND = 1 << 20
 
 
 class SpaceIndex:
@@ -42,10 +48,14 @@ class SpaceIndex:
     order.
     """
 
-    def __init__(self, space: AlphabetSpec, sf: SupportFunctional, bound: int = 1 << 16):
-        if space.vector_count > bound:
-            raise BoundExceeded(f"space of {space.vector_count} vectors exceeds {bound}")
-        q = space.q
+    def __init__(self, space: AlphabetSpec, sf: SupportFunctional):
+        q, count = space.q, space.vector_count
+        if count > VECTOR_BOUND:
+            raise BoundExceeded(f"space of {count} vectors exceeds {VECTOR_BOUND}")
+        if q != 2 and count * count > ADD_TABLE_BOUND:
+            raise BoundExceeded(
+                f"addition table of {count * count} entries for q = {q} exceeds {ADD_TABLE_BOUND}"
+            )
         self.q = q
         self.vectors = list(space.vectors())
         self.index = {v: t for t, v in enumerate(self.vectors)}
@@ -53,19 +63,16 @@ class SpaceIndex:
         self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
         for t, c in enumerate(self.values):
             self.classes[c].append(t)
-        count = len(self.vectors)
         self.scale_table = [
             [self.index[fields.vec_scale(q, c, v)] for v in self.vectors] for c in range(q)
         ]
         if q == 2:
             self._add_table = None  # index equals the base-2 digit string, so add is xor
-        elif count * count <= 1 << 20:
+        else:
             self._add_table = [
                 [self.index[fields.vec_add(q, a, b)] for b in self.vectors]
                 for a in self.vectors
             ]
-        else:
-            raise BoundExceeded("space too large for an addition table and q != 2")
 
     def span_indices(self, basis: Sequence[int], spans: Sequence[int] = (0,)) -> list[int]:
         """Indices of all combinations, aligned with lexicographic coefficients.
@@ -135,20 +142,16 @@ def _functional_for(poset: Poset, omega: Optional[WeightFunction], mode: str) ->
 def extend_to_isometry(
     space: AlphabetSpec,
     poset: Poset,
-    omega: Optional[WeightFunction],
+    omega: WeightFunction,
     code: LinearCode,
     images: Sequence[Vector],
-    group: Optional[Sequence[Isometry]] = None,
-    mode: str = "weight",
 ) -> Optional[Isometry]:
-    """Search the structured group for an isometry restricting to the map.
+    """Search the weight isometry group for an isometry restricting to the map.
 
     A hit is replayed on every codeword before being returned.
     """
-    if group is None:
-        group = list(enumerate_group(space, poset, _functional_for(poset, omega, mode)))
     basis = code.basis
-    for iso in group:
+    for iso in enumerate_group(space, poset, weight_sum_functional(poset, omega)):
         if all(iso.apply(b) == tuple(img) for b, img in zip(basis, images)):
             n = space.total_dim
             for coeffs, vec in code.coefficient_pairs():
@@ -165,7 +168,6 @@ def mep_brute_force(
     mode: str = "weight",
     max_dim: Optional[int] = None,
     map_bound: int = 1 << 19,
-    group_bound: int = 1 << 20,
 ) -> MepVerdict:
     """Quantify over codes (by ascending dimension) and all linear maps.
 
@@ -181,10 +183,7 @@ def mep_brute_force(
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
-    sf = _functional_for(poset, omega, mode)
-    si = SpaceIndex(space, sf)
-    group = enumerate_group(space, poset, sf, group_bound)
-    perms = [si.perm_of_matrix(iso.matrix) for iso in group]
+    si, perms = _indexed_group(space, poset, _functional_for(poset, omega, mode))
     # columns[t][g] is the image of vector t under the g-th group element
     columns = list(zip(*perms))
     count = len(si.vectors)
@@ -217,6 +216,15 @@ def mep_brute_force(
             )
         held.update(frozenset(map(p.__getitem__, span)) for p in perms)
     return MepVerdict(holds=True, mode=mode, source="brute-force", complete=(top >= n))
+
+
+def _indexed_group(
+    space: AlphabetSpec, poset: Poset, sf: SupportFunctional
+) -> tuple[SpaceIndex, list[tuple[int, ...]]]:
+    """The space's dense index and each group element's index permutation
+    (perm[t] indexes the image of vector t); every bound fires before the work."""
+    si = SpaceIndex(space, sf)
+    return si, [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, sf)]
 
 
 def _first_unreachable_map(
@@ -389,17 +397,10 @@ def mep_p_support_predicate(space: AlphabetSpec, poset: Poset) -> MepVerdict:
 
 
 def single_orbit_check(
-    space: AlphabetSpec,
-    poset: Poset,
-    omega: WeightFunction,
-    group: Optional[Sequence[Isometry]] = None,
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction
 ) -> tuple[bool, Optional[tuple[Vector, Vector]]]:
     """Does the isometry group act transitively on each equal-weight class?"""
-    sf = weight_sum_functional(poset, omega)
-    si = SpaceIndex(space, sf)
-    if group is None:
-        group = enumerate_group(space, poset, sf)
-    perms = [si.perm_of_matrix(iso.matrix) for iso in group]
+    si, perms = _indexed_group(space, poset, weight_sum_functional(poset, omega))
     count = len(si.vectors)
     root = list(range(count))
 
@@ -463,7 +464,7 @@ def canonical_decomposition(
     if current.dim != 0:
         raise PropertyViolation("decomposition did not exhaust the code")
     parts.reverse()
-    phi = decompose(space, poset, phi_matrix, p_support_functional(poset), verify=True)
+    phi = decompose(space, poset, phi_matrix, p_support_functional(poset))
     return phi, parts
 
 

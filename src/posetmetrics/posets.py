@@ -26,6 +26,8 @@ Perm = tuple[int, ...]  # perm[i] = index of the image of elements[i]
 
 # Ideals are enumerated exactly, so instances are capped at this many elements.
 ELEMENT_BOUND = 20
+# Automorphisms are found by trying all n! permutations, up to this many elements.
+AUTOMORPHISM_BOUND = 8
 
 
 def derived(**kwargs):
@@ -213,10 +215,12 @@ class Poset:
     def dual(self) -> "Poset":
         return Poset(self.elements, tuple(zip(*self.leq)))
 
-    def automorphisms(self, cap: int = 8) -> tuple[Perm, ...]:
+    def automorphisms(self) -> tuple[Perm, ...]:
         """All order automorphisms, by brute force over permutations."""
-        if len(self.elements) > cap:
-            raise BoundExceeded(f"automorphism enumeration is capped at {cap} elements")
+        if len(self.elements) > AUTOMORPHISM_BOUND:
+            raise BoundExceeded(
+                f"automorphism enumeration is capped at {AUTOMORPHISM_BOUND} elements"
+            )
         return self._automorphisms
 
     @cached_property
@@ -268,7 +272,7 @@ def _find_cycle(adjacency: list[list[int]]) -> Optional[list[int]]:
 
 def compose_perms(outer: Perm, inner: Perm) -> Perm:
     """Permutation sending i to outer[inner[i]]."""
-    return tuple(outer[inner[i]] for i in range(len(inner)))
+    return tuple(map(outer.__getitem__, inner))
 
 
 def invert_perm(perm: Perm) -> Perm:

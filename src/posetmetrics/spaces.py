@@ -18,6 +18,12 @@ from .errors import BoundExceeded, ValidationError
 from .fields import Matrix, Vector
 from .posets import Poset, WeightFunction, derived
 
+# The most vectors a space may have where its vectors are enumerated one by
+# one: code enumeration, weight partitions and the dense MEP index.
+VECTOR_BOUND = 1 << 16
+# The most basis-image tuples linear_maps yields.
+LINEAR_MAP_BOUND = 1 << 20
+
 
 @dataclass(frozen=True)
 class FieldSpec:
@@ -233,19 +239,15 @@ def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def enumerate_codes(
-    space: AlphabetSpec,
-    max_dim: Optional[int] = None,
-    codeword_bound: int = 1 << 16,
-) -> Iterator[LinearCode]:
+def enumerate_codes(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator[LinearCode]:
     """Every subspace exactly once via its RREF, ordered by dimension.
 
     Within one dimension the order is (pivot columns, free entries), both
     lexicographic, so the stream is deterministic.
     """
-    if space.vector_count > codeword_bound:
+    if space.vector_count > VECTOR_BOUND:
         raise BoundExceeded(
-            f"space holds {space.vector_count} vectors, over the bound {codeword_bound}"
+            f"space holds {space.vector_count} vectors, over the bound {VECTOR_BOUND}"
         )
     q = space.q
     n = space.total_dim
@@ -266,16 +268,14 @@ def enumerate_codes(
                 yield LinearCode(space, tuple(tuple(row) for row in rows))
 
 
-def linear_maps(
-    code: LinearCode, space: AlphabetSpec, map_bound: int = 1 << 20
-) -> Iterator[tuple[Vector, ...]]:
+def linear_maps(code: LinearCode, space: AlphabetSpec) -> Iterator[tuple[Vector, ...]]:
     """Every linear map from the code into the space, as basis-image tuples.
 
     Images align with the code's RREF basis rows; the map sends
     sum c_r basis_r to sum c_r images_r.
     """
     total = space.vector_count**code.dim
-    if total > map_bound:
-        raise BoundExceeded(f"{total} maps exceed the bound {map_bound}")
+    if total > LINEAR_MAP_BOUND:
+        raise BoundExceeded(f"{total} maps exceed the bound {LINEAR_MAP_BOUND}")
     all_vecs = tuple(space.vectors())
     return itertools.product(all_vecs, repeat=code.dim)

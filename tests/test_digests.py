@@ -52,6 +52,8 @@ LATTICE_COMMANDS = (
     ("lattice", "subspace", "2", "3", "--module-rank", "2"),
     ("lattice", "boolean", "3"),
 )
+# The acceptance grid runs every criterion; its times live under `trace`.
+ACCEPT_COMMANDS = (("accept",),)
 
 
 def command_lines() -> list[tuple[str, ...]]:
@@ -60,7 +62,7 @@ def command_lines() -> list[tuple[str, ...]]:
         for path in sorted((ROOT / "instances").glob("*.json"))
         for command in INSTANCE_COMMANDS
     ]
-    return lines + list(DATA_COMMANDS) + list(LATTICE_COMMANDS)
+    return lines + list(DATA_COMMANDS) + list(LATTICE_COMMANDS) + list(ACCEPT_COMMANDS)
 
 
 def run_command(argv: tuple[str, ...]) -> dict:

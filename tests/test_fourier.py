@@ -2,7 +2,7 @@
 
 import pytest
 
-from posetmetrics.errors import ValidationError
+from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.fourier import (
     CyclotomicInteger,
     Partition,
@@ -103,6 +103,13 @@ class TestWeightPartitions:
         sp2 = AlphabetSpec.uniform(F2, chain2.elements, 1)
         partition = weight_partition(sp2, chain2, ones(chain2))
         assert sorted(len(b) for b in partition.blocks) == [1, 1, 2]
+
+    def test_bound_names_the_count_and_the_bound(self):
+        one = Poset.chain(("a",))
+        space = AlphabetSpec(F2, ("a",), (17,))
+        message = "^space too large to partition: 131072 vectors, over the bound 65536$"
+        with pytest.raises(BoundExceeded, match=message):
+            weight_partition(space, one, WeightFunction.ones(("a",)))
 
     def test_distribution_conserves_code_size(self):
         partition = weight_partition(SP3, CHAIN3, ones(CHAIN3))

@@ -25,6 +25,7 @@ from posetmetrics.isometries import (
     weight_isometry_group,
     weight_sum_functional,
 )
+from posetmetrics.mep import SpaceIndex
 from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support
 
@@ -288,8 +289,35 @@ class TestDecompose:
     def test_rejects_non_isometry_with_witness(self):
         sf = weight_sum_functional(CHAIN2, ONES2)
         bad = ((0, 1), (1, 0))  # swap is invertible but not a chain isometry
-        with pytest.raises(PropertyViolation, match="not preserved"):
+        # (0, 1) is the first vector in index order whose weight moves (2 -> 1)
+        with pytest.raises(PropertyViolation, match=r"^functional not preserved at \(0, 1\)$"):
             decompose(SP21, CHAIN2, bad, sf)
+
+
+class TestPermutationAction:
+    """The index permutation of a product is the composite and that of an
+    inverse is the inverse: the matrix oracle behind criterion 4, which
+    composes and inverts permutations only."""
+
+    @pytest.mark.parametrize(
+        "q,poset,dims,order",
+        [
+            (2, Poset.chain(("a", "b")), (1, 2), 24),
+            (3, Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")]), (1, 1, 1), 144),
+        ],
+        ids=["q2-chain-dims12", "q3-vee"],
+    )
+    def test_products_and_inverses_match_mat_mul_and_mat_inv(self, q, poset, dims, order):
+        space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        perm_of = SpaceIndex(space, weight_sum_functional(poset, omega)).perm_of_matrix
+        group = weight_isometry_group(space, poset, omega)
+        perms = {iso.matrix: perm_of(iso.matrix) for iso in group}
+        assert len(perms) == len(set(perms.values())) == order  # the action is faithful
+        for a, perm_a in perms.items():
+            assert perm_of(fields.mat_inv(q, a)) == invert_perm(perm_a)
+            for b, perm_b in perms.items():
+                assert perm_of(fields.mat_mul(q, a, b)) == compose_perms(perm_a, perm_b)
 
 
 class TestClosureTransform:

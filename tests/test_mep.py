@@ -129,6 +129,23 @@ class TestBruteForce:
         assert not verdict.holds
         assert verdict.counterexample[0].dim == 2
 
+    @pytest.mark.parametrize(
+        "q,dim,message",
+        [
+            (3, 7, "^addition table of 4782969 entries for q = 3 exceeds 1048576$"),
+            (2, 17, "^space of 131072 vectors exceeds 65536$"),
+        ],
+    )
+    def test_space_bounds_name_their_numbers_before_any_table(self, monkeypatch, q, dim, message):
+        def no_work(*args):
+            raise AssertionError("the space was indexed before its bounds were checked")
+
+        monkeypatch.setattr(mep, "support_classes", no_work)
+        one = Poset.chain(("a",))
+        space = AlphabetSpec(FieldSpec(q), ("a",), (dim,))
+        with pytest.raises(BoundExceeded, match=message):
+            mep_brute_force(space, one, WeightFunction.ones(("a",)))
+
     def test_mixed_dims_fail_with_unit_weights(self):
         # same weight class with blocks of different sizes cannot extend
         space = AlphabetSpec(F2, ("1", "2"), (1, 2))
