@@ -198,7 +198,8 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
             )
         # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared,
         # composed and inverted as permutations of the indexed vectors
-        perm_of = SpaceIndex(space, sf).perm_of_matrix
+        si = SpaceIndex(space, sf)
+        perm_of = si.perm_of_matrix
         pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
         to_lam = dict(pairs)
         admissible = set(weight_automorphisms(poset, space, omega))
@@ -218,6 +219,18 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
             for b, lam_b in sample:
                 if to_lam.get(compose_perms(a, b)) != compose_perms(lam_a, lam_b):
                     return False, "label map is not multiplicative"
+        # composing both sides in the wrong order would still pass the loop
+        # above, so products with one fixed b != 1 are replayed on unit vectors
+        n = space.total_dim
+        units = [tuple(int(s == t) for s in range(n)) for t in range(n)]
+        fixed = tuple(range(len(si.vectors)))
+        moved = [(iso, p) for iso, (p, _) in zip(structured, pairs) if p != fixed]
+        if moved:
+            b, perm_b = moved[0]
+            for a, (perm_a, _) in zip(structured, sample):
+                product = compose_perms(perm_a, perm_b)
+                if any(product[si.index[e]] != si.index[a.apply(b.apply(e))] for e in units):
+                    return False, "composite permutation disagrees with the action"
     return True, f"{len(instances)} instances, sets equal and projection multiplicative"
 
 

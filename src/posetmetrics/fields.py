@@ -8,6 +8,7 @@ is hashable, so results can be deduplicated with sets and memoized.
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -60,7 +61,7 @@ def combine(q: int, rows: Sequence[Sequence[int]], coeffs: Sequence[int], n: int
 
 
 def mat_vec(q: int, m: Matrix, v: Sequence[int]) -> Vector:
-    return tuple(sum(row[c] * v[c] for c in range(len(v))) % q for row in m)
+    return tuple(sum(map(operator.mul, row, v)) % q for row in m)
 
 
 def mat_mul(q: int, a: Matrix, b: Matrix) -> Matrix:
@@ -74,10 +75,6 @@ def mat_mul(q: int, a: Matrix, b: Matrix) -> Matrix:
 
 def identity_matrix(n: int) -> Matrix:
     return tuple(tuple(1 if r == c else 0 for c in range(n)) for r in range(n))
-
-
-def transpose(m: Matrix) -> Matrix:
-    return tuple(zip(*m)) if m else ()
 
 
 def rref(q: int, rows: Sequence[Sequence[int]]) -> tuple[Matrix, tuple[int, ...]]:
@@ -132,22 +129,6 @@ def mat_inv(q: int, m: Matrix) -> Matrix:
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is not invertible")
     return tuple(tuple(row[n:]) for row in reduced)
-
-
-def solve_linear(q: int, a: Matrix, b: Sequence[int]) -> Optional[Vector]:
-    """One solution x of a x = b, or None if inconsistent."""
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    aug = [list(a[r]) + [b[r] % q] for r in range(nrows)]
-    reduced, pivots = rref(q, aug)
-    for row, piv in zip(reduced, pivots):
-        if piv == ncols:
-            return None
-    x = [0] * ncols
-    for row, piv in zip(reduced, pivots):
-        if piv < ncols:
-            x[piv] = row[ncols]
-    return tuple(x)  # free variables stay 0
 
 
 def coefficients_in_rref(

@@ -52,9 +52,6 @@ class CyclotomicInteger:
             self.prime, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
         )
 
-    def __neg__(self) -> "CyclotomicInteger":
-        return CyclotomicInteger(self.prime, tuple(-a for a in self.coeffs))
-
 
 def inner_product(q: int, a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b)) % q
@@ -73,12 +70,8 @@ def character_sum(
     counts = [0] * q
     for beta in block:
         counts[(scale * inner_product(q, alpha, beta)) % q] += 1
-    total = CyclotomicInteger.zero(q)
-    for exponent, count in enumerate(counts):
-        if count:
-            term = CyclotomicInteger.root_power(q, exponent)
-            total = total + CyclotomicInteger(q, tuple(count * c for c in term.coeffs))
-    return total
+    # z^(q-1) = -(1 + z + ... + z^(q-2)), so its count is taken off every coefficient
+    return CyclotomicInteger(q, tuple(c - counts[-1] for c in counts[:-1]))
 
 
 @dataclass(frozen=True)

@@ -308,19 +308,17 @@ def support_isometry_group(
 # -- brute force & decomposition ------------------------------------------------
 
 
-# The brute-force oracle refuses an action table of more entries than this,
-# and more q^(N^2) candidate matrices than MATRIX_SCAN_BOUND.
+# The brute-force oracle refuses an action table of more entries than this.
 ACTION_TABLE_BOUND = 1 << 22
-MATRIX_SCAN_BOUND = 1 << 18
 
 
 @lru_cache(maxsize=8)
-def _invertible_index_perms(q: int, n: int, bound: int) -> tuple[tuple[Matrix, ...], tuple[tuple[int, ...], ...]]:
+def _invertible_index_perms(q: int, n: int) -> tuple[tuple[Matrix, ...], tuple[tuple[int, ...], ...]]:
     """Invertible matrices with their action on lexicographically indexed vectors.
 
     The image of v has index sum_r q^(n-1-r) (row_r . v mod q), summed row by
     row from one dot table per row; matrices sharing leading rows share those sums."""
-    matrices = fields.invertible_matrices(q, n, bound)
+    matrices = fields.invertible_matrices(q, n)
     if n == 0:
         return matrices, ((0,),)
     vectors = list(itertools.product(range(q), repeat=n))
@@ -344,11 +342,9 @@ def brute_force_isometries(
 ) -> list[Matrix]:
     """All invertible N x N matrices preserving the functional of the support.
 
-    An oracle for small spaces only.  Two bounds are checked before any
-    matrix is built: the |GL_N(F_q)| * q^N entries of the action table
-    against ACTION_TABLE_BOUND, and all q^(N^2) candidates against
-    MATRIX_SCAN_BOUND, though the singular ones are never built.  The matrix
-    actions on indexed vectors are cached.
+    An oracle for small spaces only.  The |GL_N(F_q)| * q^N entries of the
+    action table are checked against ACTION_TABLE_BOUND before any matrix is
+    built.  The matrix actions on indexed vectors are cached.
     """
     q = space.q
     n = space.total_dim
@@ -358,7 +354,7 @@ def brute_force_isometries(
     entries = gl_order(q, n) * q**n
     if entries > ACTION_TABLE_BOUND:
         raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
-    matrices, perms = _invertible_index_perms(q, n, MATRIX_SCAN_BOUND)
+    matrices, perms = _invertible_index_perms(q, n)
     values = support_classes(space, sf.evaluate)
     # perm[t] is the index of the image of vector t
     return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
@@ -370,64 +366,43 @@ def decompose(
     """Recover (lam, blocks) from a matrix that should preserve the functional.
 
     Raises PropertyViolation with the first witness vector (in index order) if
-    the matrix is not an isometry for the functional.
+    the matrix is not an isometry for the functional.  The structure is then
+    read off the block pattern: lam(i) is the one label whose block in block
+    column i is invertible and lies above every other nonzero block of that
+    column, and those other blocks are the strict ones.
     """
     q = space.q
     n = space.total_dim
     if len(matrix) != n or not fields.is_invertible(q, matrix):
         raise PropertyViolation("matrix is not an automorphism of the space")
-    for vec in space.vectors():
-        image = fields.mat_vec(q, matrix, vec)
-        if sf.evaluate(space.support(image)) != sf.evaluate(space.support(vec)):
+    values = support_classes(space, sf.evaluate)
+    for vec, value in zip(space.vectors(), values):
+        image = 0  # index of the image: its base-q digits
+        for x in fields.mat_vec(q, matrix, vec):
+            image = image * q + x
+        if values[image] != value:
             raise PropertyViolation(f"functional not preserved at {vec}")
-    principal = {poset.ideal_closure({e}): idx for idx, e in enumerate(poset.elements)}
-    lam = []
-    for idx, label in enumerate(poset.elements):
-        targets = set()
-        for a in _nonzero_block_vectors(space, label):
-            image = fields.mat_vec(q, matrix, a)
-            closure = poset.ideal_closure(space.support(image))
-            if closure not in principal:
-                raise PropertyViolation(
-                    f"image support closure of a single-block vector at {label!r} "
-                    "is not a principal ideal"
-                )
-            targets.add(principal[closure])
-        if len(targets) != 1:
-            raise PropertyViolation(f"block {label!r} maps to several principal ideals")
-        lam.append(targets.pop())
-    lam = tuple(lam)
-    if sorted(lam) != list(range(len(poset.elements))):
-        raise PropertyViolation("recovered label map is not a permutation")
     labels = poset.elements
-    diag = []
-    strict = []
-    for i in range(len(labels)):
-        for j in range(len(labels)):
-            block = _extract_block(space, matrix, labels[j], labels[i])
-            if j == lam[i]:
-                if not fields.is_invertible(q, block):
-                    raise PropertyViolation(f"diagonal block {labels[i]!r} not invertible")
-                diag.append(block)
-            elif any(any(row) for row in block):
-                if not poset.strictly_below(lam[i]) >> j & 1:
-                    raise PropertyViolation(
-                        f"nonzero block ({labels[i]!r} -> {labels[j]!r}) outside the "
-                        "allowed triangular pattern"
-                    )
-                strict.append((i, j, block))
-    return build_isometry(space, poset, lam, tuple(diag), tuple(strict))
-
-
-def _nonzero_block_vectors(space: AlphabetSpec, label: str) -> Iterator[Vector]:
-    n = space.total_dim
-    rng = space.block_range(label)
-    for entries in itertools.product(range(space.q), repeat=len(rng)):
-        if any(entries):
-            vec = [0] * n
-            for t, x in zip(rng, entries):
-                vec[t] = x
-            yield tuple(vec)
+    lam, diag, strict = [], [], []
+    for i, label in enumerate(labels):
+        column = [_extract_block(space, matrix, out, label) for out in labels]
+        nonzero = {j for j, block in enumerate(column) if any(map(any, block))}
+        heads = [
+            j
+            for j in nonzero
+            if all(poset.strictly_below(j) >> k & 1 for k in nonzero - {j})
+            and fields.is_invertible(q, column[j])
+        ]
+        if not heads:
+            raise PropertyViolation(
+                f"block column {label!r} has no invertible block above its other nonzero blocks"
+            )
+        lam.append(heads[0])
+        diag.append(column[heads[0]])
+        strict += [(i, j, column[j]) for j in nonzero - {heads[0]}]
+    if sorted(lam) != list(range(len(labels))):
+        raise PropertyViolation("recovered label map is not a permutation")
+    return build_isometry(space, poset, tuple(lam), tuple(diag), tuple(strict))
 
 
 def _extract_block(space: AlphabetSpec, matrix: Matrix, out_label: str, in_label: str) -> Matrix:

@@ -434,97 +434,46 @@ def canonical_decomposition(
     the code: phi fixes every vector supported above level r, phi maps the
     code onto the direct sum of the B_j, and B_j lives inside level j's
     coordinates.  Requires a hierarchical poset.
+
+    One RREF of the basis, with the columns ordered by level from the top
+    down (position order inside a level), shows the whole structure: every
+    reduced row is t + l, with t on its pivot's level and l on lower levels.
+    B_j is the span of the level-j tops, which is the level-j projection of
+    the codewords vanishing above level j, so the parts are unique.  sigma_j
+    is the identity minus each such l placed in its pivot's column: it sends
+    t + l to t and fixes every vector vanishing on level j.  phi is
+    sigma_1 ... sigma_r, replayed through `decompose`.
     """
     if not poset.is_hierarchical:
         raise ValidationError("canonical decomposition needs a hierarchical poset")
-    q = space.q
-    n = space.total_dim
-    levels = poset.level_sets()
-    level_positions = [
-        sorted(t for label in level for t in space.block_range(label)) for level in levels
-    ]
     if code.dim == 0:
         return Isometry.identity(space, poset), []
-    r = max(
-        max(poset.level(label) for label in space.support(row)) for row in code.basis
-    )
-    phi_matrix = fields.identity_matrix(n)
-    current = code
-    parts: list[LinearCode] = []
-    for level in range(r, 0, -1):
-        positions = level_positions[level - 1]
-        lower_rows, top_parts = _split_at_level(space, current, positions)
-        if top_parts:
-            sigma = _clearing_map(q, n, positions, top_parts)
-            phi_matrix = fields.mat_mul(q, sigma, phi_matrix)
-            parts.append(LinearCode.from_rows(space, [t for t, _low in top_parts]))
-        else:
-            parts.append(LinearCode.zero(space))
-        current = LinearCode.from_rows(space, lower_rows)
-    if current.dim != 0:
+    q = space.q
+    n = space.total_dim
+    level_of = [0] * n
+    for label in poset.elements:
+        for t in space.block_range(label):
+            level_of[t] = poset.level(label)
+    order = sorted(range(n), key=lambda t: -level_of[t])
+    reduced, pivots = fields.rref(q, [[row[t] for t in order] for row in code.basis])
+    r = level_of[order[pivots[0]]]
+    tops: list[list[list[int]]] = [[] for _ in range(r)]
+    sigmas = [[list(row) for row in fields.identity_matrix(n)] for _ in range(r)]
+    for reduced_row, pivot in zip(reduced, pivots):
+        column = order[pivot]
+        j = level_of[column]
+        top = [0] * n
+        for t, x in zip(order, reduced_row):
+            if level_of[t] == j:
+                top[t] = x
+            else:  # zero above level j, so only the tail l lands in sigma_j
+                sigmas[j - 1][t][column] = -x % q
+        tops[j - 1].append(top)
+    parts = [LinearCode.from_rows(space, rows) for rows in tops]
+    if sum(part.dim for part in parts) != code.dim:
         raise PropertyViolation("decomposition did not exhaust the code")
-    parts.reverse()
+    phi_matrix = fields.identity_matrix(n)
+    for sigma in sigmas:  # phi = sigma_1 ... sigma_r
+        phi_matrix = fields.mat_mul(q, phi_matrix, sigma)
     phi = decompose(space, poset, phi_matrix, p_support_functional(poset))
     return phi, parts
-
-
-def _split_at_level(
-    space: AlphabetSpec, code: LinearCode, positions: list[int]
-) -> tuple[list[Vector], list[tuple[Vector, Vector]]]:
-    """Split a code into (basis of the sub-code vanishing on the level,
-    (top-part, lower-part) pairs for a complement)."""
-    q = space.q
-    basis = code.basis
-    if not basis:
-        return [], []
-    constraint = tuple(tuple(row[p] for row in basis) for p in positions)
-    kernel_coeffs = fields.nullspace(q, constraint, len(basis))
-    lower_rows = [
-        fields.combine(q, basis, coeffs, space.total_dim) for coeffs in kernel_coeffs
-    ]
-    chosen: list[Vector] = []
-    stack = list(lower_rows)
-    for row in basis:
-        if fields.rank(q, stack + [row]) > len(stack):
-            stack.append(row)
-            chosen.append(row)
-    tops = []
-    for row in chosen:
-        top = [0] * space.total_dim
-        for p in positions:
-            top[p] = row[p]
-        top_vec = tuple(top)
-        tops.append((top_vec, fields.vec_sub(q, row, top_vec)))
-    return lower_rows, tops
-
-
-def _clearing_map(
-    q: int, n: int, positions: list[int], top_parts: list[tuple[Vector, Vector]]
-) -> Matrix:
-    """Identity minus a strictly-lower correction killing the listed tails.
-
-    The map sends each chosen row top+low to top, fixes every vector that
-    vanishes on the level's positions, and is triangular for the poset order.
-    """
-    span_basis = [tuple(top[p] for p in positions) for top, _low in top_parts]
-    lows = [low for _top, low in top_parts]
-    for p in positions:
-        unit = tuple(1 if t == p else 0 for t in positions)
-        if fields.rank(q, span_basis + [unit]) > len(span_basis):
-            span_basis.append(unit)
-            lows.append((0,) * n)
-    basis_matrix = tuple(span_basis)  # rows form a basis of the level coordinates
-    transposed = fields.transpose(basis_matrix)
-    columns = []
-    for t in range(n):
-        if t in positions:
-            x = tuple(1 if p == t else 0 for p in positions)
-            coords = fields.solve_linear(q, transposed, x)
-            if coords is None:
-                raise PropertyViolation("level basis failed to span a unit vector")
-            correction = fields.combine(q, lows, coords, n)
-            column = [(1 if s == t else 0) - correction[s] for s in range(n)]
-            columns.append([x % q for x in column])
-        else:
-            columns.append([1 if s == t else 0 for s in range(n)])
-    return tuple(tuple(columns[c][rr] for c in range(n)) for rr in range(n))

@@ -91,11 +91,9 @@ class AlphabetSpec:
             raise ValidationError(f"unknown label {label!r}") from None
 
     def support(self, vec: Sequence[int]) -> frozenset[str]:
-        out = []
-        for label, (start, stop) in self._block_bounds.items():
-            if any(vec[t] for t in range(start, stop)):
-                out.append(label)
-        return frozenset(out)
+        return frozenset(
+            label for label, (start, stop) in self._block_bounds.items() if any(vec[start:stop])
+        )
 
     def zero(self) -> Vector:
         return (0,) * self.total_dim

@@ -81,6 +81,21 @@ class TestCharacterSums:
         for alpha in outside:
             assert character_sum(space, block, alpha) == CyclotomicInteger.zero(3)
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_equals_the_sum_of_root_powers(self, q):
+        # oracle: add z^(scale <alpha, beta>) one beta at a time
+        space = AlphabetSpec.uniform(FieldSpec(q), ("x", "y"), 1)
+        vectors = list(space.vectors())
+        for alpha in vectors:
+            for scale in range(1, q):
+                for size in (1, q, len(vectors)):
+                    block = vectors[:size]
+                    total = CyclotomicInteger.zero(q)
+                    for beta in block:
+                        dot = sum(a * b for a, b in zip(alpha, beta))
+                        total = total + CyclotomicInteger.root_power(q, scale * dot)
+                    assert character_sum(space, block, alpha, scale) == total
+
     def test_trivial_scaling_rejected(self):
         with pytest.raises(ValidationError):
             character_sum(SP3, [(0, 0, 0)], (0, 0, 0), scale=2)

@@ -17,6 +17,7 @@ from posetmetrics.isometries import (
     build_isometry,
     check_support_functional,
     decompose,
+    enumerate_group,
     gl_order,
     group_order,
     p_support_functional,
@@ -232,11 +233,27 @@ class TestBruteForce:
             with pytest.raises(BoundExceeded, match=f"{message}, over the bound 4194304"):
                 brute_force_isometries(space, poset, p_support_functional(poset))
 
+    def test_the_table_bound_refuses_every_shape_over_the_matrix_scan_bound(self):
+        # fields.invertible_matrices refuses over 2^18 candidates by itself; on
+        # this path the action-table rule always refuses first, so that check
+        # never decides a refusal of the oracle
+        one = Poset.chain(("a",))
+        sf = p_support_functional(one)
+        refused = 0
+        for q in filter(fields.is_prime, range(4096)):
+            for n in range(1, 23):
+                if q ** (n * n) > 1 << 18:
+                    space = AlphabetSpec(FieldSpec(q), ("a",), (n,))
+                    with pytest.raises(BoundExceeded, match=f"over the bound {ACTION_TABLE_BOUND}$"):
+                        brute_force_isometries(space, one, sf)
+                    refused += 1
+        assert refused == 11833  # of the 564 * 22 shapes, 575 have at most 2^18 candidates
+
     @pytest.mark.parametrize(
         "q,n", [(q, n) for q in (2, 3, 5, 7) for n in range(5) if q ** (n * n) <= 1 << 16]
     )
     def test_index_perms_equal_mat_vec_action(self, q, n):
-        matrices, perms = _invertible_index_perms(q, n, 1 << 18)
+        matrices, perms = _invertible_index_perms(q, n)
         assert matrices == fields.invertible_matrices(q, n)
         assert perms == mat_vec_perms(q, n, matrices)
 
@@ -251,13 +268,30 @@ class TestBruteForce:
         matrices = brute_force_isometries(SP21, CHAIN2, sf)
         assert sorted(matrices) == [((1, 0), (0, 1)), ((1, 1), (0, 1))]
 
-    def test_every_member_decomposes_and_rebuilds(self):
+    @pytest.mark.parametrize(
+        "q,dims,functional",
+        [
+            (2, (1, 1, 1), "weight"),
+            (3, (1, 1, 1), "weight"),
+            (2, (1, 1, 1), "support"),
+            (3, (1, 1, 1), "support"),
+            (2, (1, 2, 2), "weight"),
+            (2, (1, 2, 2), "support"),
+        ],
+    )
+    def test_every_member_decomposes_and_rebuilds(self, q, dims, functional):
         vee = Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")])
-        space = AlphabetSpec.uniform(F2, vee.elements, 1)
-        omega = WeightFunction.ones(vee.elements)
-        sf = weight_sum_functional(vee, omega)
-        admissible = set(weight_automorphisms(vee, space, omega))
-        for matrix in brute_force_isometries(space, vee, sf):
+        space = AlphabetSpec(FieldSpec(q), vee.elements, dims)
+        if functional == "weight":
+            sf = weight_sum_functional(vee, WeightFunction.ones(vee.elements))
+        else:
+            sf = p_support_functional(vee)
+        admissible = set(admissible_automorphisms(vee, space, sf))
+        if space.total_dim <= 3:
+            members = brute_force_isometries(space, vee, sf)
+        else:  # F_2^5 is over the oracle's bound, so the structured group stands in
+            members = [iso.matrix for iso in enumerate_group(space, vee, sf)]
+        for matrix in members:
             iso = decompose(space, vee, matrix, sf)
             assert iso.matrix == matrix
             assert iso.lam in admissible

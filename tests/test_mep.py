@@ -544,3 +544,44 @@ class TestCanonicalDecomposition:
             for idx, part in enumerate(parts, start=1):
                 for row in part.basis:
                     assert space.support(row) <= levels[idx - 1]
+
+
+def parts_from_codewords(space, poset, code):
+    """B_j spanned by the level-j projections of the codewords that vanish
+    above level j, for j up to the highest level the code reaches."""
+    levels = poset.level_sets()
+    level_of = {label: poset.level(label) for label in poset.elements}
+    words = [(w, max((level_of[l] for l in space.support(w)), default=0)) for w in code.codewords()]
+    parts = []
+    for j in range(1, max(top for _w, top in words) + 1):
+        on_level = {t for label in levels[j - 1] for t in space.block_range(label)}
+        rows = [
+            tuple(x if t in on_level else 0 for t, x in enumerate(w)) for w, top in words if top <= j
+        ]
+        parts.append(LinearCode.from_rows(space, rows))
+    return parts
+
+
+HIERARCHICAL = {n: [p for p in _labeled_posets(n) if p.is_hierarchical] for n in range(1, 5)}
+
+
+class TestCanonicalDecompositionOracle:
+    """The parts against codewords, and phi against its defining properties.
+    Unit dims on up to 4 elements; mixed dims (1, 2, 1) on up to 3, since
+    (1, 2, 1, 2) over F_2 alone has 75 x 2825 codes."""
+
+    @pytest.mark.parametrize(
+        "q,dims",
+        [(q, (1,) * n) for q in (2, 3) for n in range(1, 5)]
+        + [(q, (1, 2, 1)[:n]) for q in (2, 3) for n in (2, 3)],
+    )
+    def test_parts_equal_the_codeword_oracle(self, q, dims):
+        n = len(dims)
+        for poset in HIERARCHICAL[n]:
+            space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+            for code in enumerate_codes(space):
+                phi, parts = canonical_decomposition(space, poset, code)
+                assert parts == parts_from_codewords(space, poset, code)
+                assert phi.lam == tuple(range(n))
+                image = LinearCode.from_rows(space, [phi.apply(row) for row in code.basis])
+                assert image == LinearCode.from_rows(space, [r for p in parts for r in p.basis])
