@@ -562,13 +562,11 @@ def parts_from_codewords(space, poset, code):
     return parts
 
 
-HIERARCHICAL = {n: [p for p in _labeled_posets(n) if p.is_hierarchical] for n in range(1, 5)}
-
-
 class TestCanonicalDecompositionOracle:
-    """The parts against codewords, and phi against its defining properties.
-    Unit dims on up to 4 elements; mixed dims (1, 2, 1) on up to 3, since
-    (1, 2, 1, 2) over F_2 alone has 75 x 2825 codes."""
+    """The parts against codewords; phi keeps every label and maps the code
+    onto the sum of the parts.  Unit dims on every hierarchical poset of up
+    to 4 elements; mixed dims (1, 2, 1) on up to 3, since (1, 2, 1, 2) over
+    F_2 alone has 75 x 2825 codes."""
 
     @pytest.mark.parametrize(
         "q,dims",
@@ -577,7 +575,7 @@ class TestCanonicalDecompositionOracle:
     )
     def test_parts_equal_the_codeword_oracle(self, q, dims):
         n = len(dims)
-        for poset in HIERARCHICAL[n]:
+        for poset in [p for p in _labeled_posets(n) if p.is_hierarchical]:
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
             for code in enumerate_codes(space):
                 phi, parts = canonical_decomposition(space, poset, code)
