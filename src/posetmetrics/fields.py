@@ -65,12 +65,8 @@ def mat_vec(q: int, m: Matrix, v: Sequence[int]) -> Vector:
 
 
 def mat_mul(q: int, a: Matrix, b: Matrix) -> Matrix:
-    cols = len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum(a[r][k] * b[k][c] for k in range(inner)) % q for c in range(cols))
-        for r in range(len(a))
-    )
+    cols = list(zip(*b))
+    return tuple([tuple([sum(map(operator.mul, row, col)) % q for col in cols]) for row in a])
 
 
 def identity_matrix(n: int) -> Matrix:

@@ -32,26 +32,6 @@ class CyclotomicInteger:
         if len(self.coeffs) != self.prime - 1:
             raise ValidationError("coefficient vector must have length p - 1")
 
-    @classmethod
-    def zero(cls, prime: int) -> "CyclotomicInteger":
-        return cls(prime, (0,) * (prime - 1))
-
-    @classmethod
-    def root_power(cls, prime: int, exponent: int) -> "CyclotomicInteger":
-        exponent %= prime
-        if exponent < prime - 1:
-            coeffs = tuple(1 if t == exponent else 0 for t in range(prime - 1))
-        else:
-            coeffs = (-1,) * (prime - 1)
-        return cls(prime, coeffs)
-
-    def __add__(self, other: "CyclotomicInteger") -> "CyclotomicInteger":
-        if self.prime != other.prime:
-            raise ValidationError("mixed cyclotomic orders")
-        return CyclotomicInteger(
-            self.prime, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
 
 def inner_product(q: int, a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b)) % q

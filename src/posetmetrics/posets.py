@@ -3,17 +3,18 @@
 A poset's value is a tuple of distinct labels plus the full order relation
 as a boolean matrix (row i, column j means elements[i] is below elements[j]);
 those two fields alone make its eq, hash and repr.  Construction also keeps a
-label -> position dict and one down-set mask per element (bit i of mask j is
-set when elements[i] <= elements[j]).  Validation, closure, ideal enumeration,
-levels and the automorphism test run on those int masks (bit techniques as in
-Knuth, TAOCP 4A, 7.1.3).  The ideal, level and automorphism tables are cached
-on the poset at first use, so they are freed with it.  Label sets cross the
-interface as frozensets.
+label -> position dict and a down-set and an up-set mask per element (bit i
+of down-set j is set when elements[i] <= elements[j]).  Validation, closure,
+ideals, levels, UDP and automorphisms by refinement (McKay & Piperno, J. Symb.
+Comput. 2014) run on those masks (Knuth, TAOCP 4A, 7.1.3) and on integer-scaled
+weights.  Tables are cached on the poset at first use, so they are freed with
+it.  Label sets cross the interface as frozensets, weights as Fractions.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -26,8 +27,8 @@ Perm = tuple[int, ...]  # perm[i] = index of the image of elements[i]
 
 # Ideals are enumerated exactly, so instances are capped at this many elements.
 ELEMENT_BOUND = 20
-# Automorphisms are found by trying all n! permutations, up to this many elements.
-AUTOMORPHISM_BOUND = 8
+# Cap on the automorphism search's candidates (Poset.automorphisms); 8! admits 8 elements.
+AUTOMORPHISM_BOUND = 40320
 
 
 def derived(**kwargs):
@@ -44,22 +45,13 @@ def set_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
-    """The first (i, j, k) in row-major order with i <= j <= k but not i <= k,
-    for a relation whose row i has bit j set when i <= j."""
-    for i, row in enumerate(rows):
-        for j, other in enumerate(rows):
-            if row >> j & 1 and other & ~row:
-                return i, j, next(set_bits(other & ~row))
-    return None
-
-
 @dataclass(frozen=True)
 class Poset:
     elements: tuple[str, ...]
     leq: tuple[tuple[bool, ...], ...]
     _pos: dict[str, int] = derived()
     _down: tuple[int, ...] = derived()
+    _up: tuple[int, ...] = derived()
 
     def __post_init__(self) -> None:
         n = len(self.elements)
@@ -81,12 +73,15 @@ class Poset:
                     f"relation is not antisymmetric: {self.elements[i]!r} and "
                     f"{self.elements[next(set_bits(mutual))]!r} are mutually comparable"
                 )
-        triple = _intransitive_triple(rows)
-        if triple is not None:
-            i, j, k = (repr(self.elements[t]) for t in triple)
-            raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
+        for i, row in enumerate(rows):  # the first i <= j <= k with not i <= k, row-major
+            for j in set_bits(row):
+                if rows[j] & ~row:
+                    triple = (i, j, next(set_bits(rows[j] & ~row)))
+                    names = ", ".join(repr(self.elements[t]) for t in triple)
+                    raise ValidationError(f"relation is not transitive at ({names})")
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
+        object.__setattr__(self, "_up", tuple(rows))
 
     # -- constructors ------------------------------------------------------
 
@@ -157,12 +152,12 @@ class Poset:
 
     def all_ideals(self) -> tuple[frozenset[str], ...]:
         """Exact enumeration of all ideals, in canonical (size, index) order."""
-        if len(self.elements) > ELEMENT_BOUND:
-            raise BoundExceeded(f"ideal enumeration is capped at {ELEMENT_BOUND} elements")
         return self._ideals
 
     @cached_property
-    def _ideals(self) -> tuple[frozenset[str], ...]:
+    def _ideal_masks(self) -> tuple[int, ...]:
+        if len(self.elements) > ELEMENT_BOUND:
+            raise BoundExceeded(f"ideal enumeration is capped at {ELEMENT_BOUND} elements")
         # adding the elements in a linear extension order, the ideals so far
         # are extended by the new element wherever they hold its down-set
         masks = [0]
@@ -170,7 +165,11 @@ class Poset:
             below, bit = self.strictly_below(j), 1 << j
             masks += [m | bit for m in masks if m & below == below]
         masks.sort(key=lambda m: (m.bit_count(), tuple(set_bits(m))))
-        return tuple(map(self._labels, masks))
+        return tuple(masks)
+
+    @cached_property
+    def _ideals(self) -> tuple[frozenset[str], ...]:
+        return tuple(map(self._labels, self._ideal_masks))
 
     @cached_property
     def _levels(self) -> tuple[int, ...]:
@@ -216,27 +215,34 @@ class Poset:
         return Poset(self.elements, tuple(zip(*self.leq)))
 
     def automorphisms(self) -> tuple[Perm, ...]:
-        """All order automorphisms, by brute force over permutations."""
-        if len(self.elements) > AUTOMORPHISM_BOUND:
-            raise BoundExceeded(
-                f"automorphism enumeration is capped at {AUTOMORPHISM_BOUND} elements"
-            )
+        """All order automorphisms in lexicographic order, by backtracking.  perm[i]
+        runs over the elements with i's (down-set size, up-set size, level), so
+        prod(c!) over those classes c bounds the search, and keeps k <= i iff
+        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i."""
         return self._automorphisms
 
     @cached_property
     def _automorphisms(self) -> tuple[Perm, ...]:
-        down = self._down
-        sizes = tuple(d.bit_count() for d in down)
-        n = len(down)
-        # perm keeps the order when it sends each down-set into the down-set
-        # of the image, of the same size
-        pairs = [(i, j) for j in range(n) for i in set_bits(self.strictly_below(j))]
-        return tuple(
-            perm
-            for perm in itertools.permutations(range(n))
-            if tuple(map(sizes.__getitem__, perm)) == sizes
-            and all(down[perm[j]] >> perm[i] & 1 for i, j in pairs)
-        )
+        down, up, n = self._down, self._up, len(self.elements)
+        signatures = [(d.bit_count(), u.bit_count(), l) for d, u, l in zip(down, up, self._levels)]
+        estimate = math.prod(math.factorial(signatures.count(s)) for s in set(signatures))
+        if estimate > AUTOMORPHISM_BOUND:
+            search = f"automorphism search over {estimate} candidate permutations"
+            raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
+        candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
+
+        def extend(perm: Perm, used: int) -> Iterator[Perm]:
+            i = len(perm)
+            if i == n:
+                yield perm
+                return
+            below = sum(1 << p for k, p in enumerate(perm) if down[i] >> k & 1)
+            above = sum(1 << p for k, p in enumerate(perm) if up[i] >> k & 1)
+            for j in candidates[i]:
+                if not used >> j & 1 and down[j] & used == below and up[j] & used == above:
+                    yield from extend(perm + (j,), used | 1 << j)
+
+        return tuple(extend((), 0))
 
     def apply_perm(self, perm: Perm, subset: Iterable[str]) -> frozenset[str]:
         return frozenset(self.elements[perm[self.index(x)]] for x in subset)
@@ -288,6 +294,7 @@ class WeightFunction:
 
     labels: tuple[str, ...]
     values: tuple[Fraction, ...]
+    _scaled: tuple[int, ...] = derived()
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):
@@ -297,6 +304,9 @@ class WeightFunction:
         for label, value in zip(self.labels, self.values):
             if value <= 0:
                 raise ValidationError(f"weight of {label!r} must be strictly positive")
+        scale = math.lcm(*(v.denominator for v in self.values))
+        scaled = tuple(v.numerator * scale // v.denominator for v in self.values)
+        object.__setattr__(self, "_scaled", scaled)
 
     @classmethod
     def from_map(cls, values: Mapping[str, Fraction | int | str]) -> "WeightFunction":
@@ -307,11 +317,18 @@ class WeightFunction:
     def ones(cls, labels: Sequence[str]) -> "WeightFunction":
         return cls(tuple(labels), tuple(Fraction(1) for _ in labels))
 
-    def of(self, label: str) -> Fraction:
+    def _index(self, label: str) -> int:
         try:
-            return self.values[self.labels.index(label)]
+            return self.labels.index(label)
         except ValueError:
             raise ValidationError(f"unknown label {label!r}") from None
+
+    def of(self, label: str) -> Fraction:
+        return self.values[self._index(label)]
+
+    def scaled(self, labels: Iterable[str]) -> tuple[int, ...]:
+        """The weights of the labels times the LCM of all denominators: exact, same order."""
+        return tuple(self._scaled[self._index(l)] for l in labels)
 
     def total(self, subset: Iterable[str]) -> Fraction:
         return sum((self.of(x) for x in subset), Fraction(0))
@@ -335,12 +352,8 @@ def powers_of_two_weight(poset: Poset) -> WeightFunction:
 
 
 def weight_preserving_automorphisms(poset: Poset, omega: WeightFunction) -> tuple[Perm, ...]:
-    values = tuple(omega.of(e) for e in poset.elements)
-    return tuple(
-        perm
-        for perm in poset.automorphisms()
-        if all(values[perm[i]] == values[i] for i in range(len(values)))
-    )
+    weights = omega.scaled(poset.elements)
+    return tuple(p for p in poset.automorphisms() if tuple(map(weights.__getitem__, p)) == weights)
 
 
 def udp_check(
@@ -351,39 +364,50 @@ def udp_check(
     Returns (True, None) or (False, witness pair of ideals with equal weight
     sums lying in different orbits).
     """
-    ideals = poset.all_ideals()
-    by_sum: dict[Fraction, list[frozenset[str]]] = {}
-    for ideal in ideals:
-        by_sum.setdefault(omega.total(ideal), []).append(ideal)
+    masks, weights = poset._ideal_masks, omega.scaled(poset.elements)  # element bound first
+    powers = [1 << t for t in range(len(weights))]
+    by_sum: dict[int, list[int]] = {}
+    for mask in masks:
+        total = sum(itertools.compress(weights, map(mask.__and__, powers)))
+        by_sum.setdefault(total, []).append(mask)
     shared = [by_sum[total] for total in sorted(by_sum) if len(by_sum[total]) > 1]
     if not shared:
         return True, None
-    perms = weight_preserving_automorphisms(poset, omega)
+    images = [[1 << t for t in perm] for perm in weight_preserving_automorphisms(poset, omega)]
     for base, *others in shared:
         # weight-preserving automorphisms form a group, so orbits partition
         # the equal-sum class; one orbit computation settles the whole class
-        orbit = {poset.apply_perm(p, base) for p in perms}
+        orbit = {sum(itertools.compress(bits, map(base.__and__, powers))) for bits in images}
         for other in others:
             if other not in orbit:
-                return False, (base, other)
+                return False, (poset._labels(base), poset._labels(other))
     return True, None
 
 
 def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
     """Every labeled poset on the given labels.
 
-    Each unordered pair is independently incomparable, <, or >; transitivity
-    is then filtered.  Antisymmetry and reflexivity hold by construction.
+    Each unordered pair, in combinations order, is incomparable, <, or >, in
+    itertools.product order; reflexivity and antisymmetry hold by construction.
+    Transitivity holds when it holds on every triple, and (k, i, j) with k < i
+    is complete once (i, j) is set, so prefixes are pruned there.
     """
     labels = tuple(labels)
     n = len(labels)
     pairs = list(itertools.combinations(range(n), 2))
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rows = [1 << i for i in range(n)]
-        for (i, j), state in zip(pairs, states):
-            if state == 1:
-                rows[i] |= 1 << j
-            elif state == 2:
-                rows[j] |= 1 << i
-        if _intransitive_triple(rows) is None:
+    rows = [1 << i for i in range(n)]
+
+    def extend(p: int) -> Iterator[Poset]:
+        if p == len(pairs):
             yield Poset(labels, _matrix(rows, n))
+            return
+        i, j = pairs[p]
+        triples = [1 << k | 1 << i | 1 << j for k in range(i)]
+        for a, bit in ((i, 0), (i, 1 << j), (j, 1 << i)):
+            rows[a] |= bit
+            if all(rows[y] & t & ~rows[x] == 0
+                   for t in triples for x in set_bits(t) for y in set_bits(rows[x] & t)):
+                yield from extend(p + 1)
+            rows[a] &= ~bit
+
+    return extend(0)

@@ -113,6 +113,21 @@ class TestCommands:
         assert payload["results"]["automorphism_count"] == 1
         assert payload["results"]["udp"] is True
 
+    def test_poset_counts_automorphisms_past_eight_elements(self, tmp_path, capsys):
+        labels = [f"e{t}" for t in range(12)]
+        path = tmp_path / "chain12.json"
+        path.write_text(json.dumps({"q": 2, "poset": {"elements": labels, "covers": list(zip(labels, labels[1:]))}}))
+        code, payload = run_json(capsys, "poset", "--instance", str(path))
+        assert code == 0
+        assert payload["results"]["automorphism_count"] == 1
+        assert payload["results"]["udp"] is True
+
+    def test_poset_refuses_a_large_automorphism_search(self, tmp_path, capsys):
+        path = tmp_path / "anti9.json"
+        path.write_text(json.dumps({"q": 2, "poset": {"elements": list("abcdefghi"), "covers": []}}))
+        assert main(["poset", "--instance", str(path)]) == 3
+        assert "362880 candidate permutations exceeds the bound 40320" in capsys.readouterr().err
+
     def test_poset_reports_hierarchy_witness(self, capsys):
         code, payload = run_json(capsys, "poset", "--instance", str(INSTANCES / "mixed3.json"))
         assert code == 0

@@ -1,6 +1,7 @@
 """Exact linear algebra over prime fields."""
 
 import itertools
+import random
 
 import pytest
 
@@ -52,3 +53,29 @@ class TestInvertibleMatrices:
         with pytest.raises(BoundExceeded) as exc:
             fields.invertible_matrices(q, n)
         assert str(exc.value) == text
+
+
+def oracle_mat_mul(q, a, b):
+    """The triple-index product that the column kernel replaced."""
+    cols = len(b[0])
+    inner = len(b)
+    return tuple(
+        tuple(sum(a[r][k] * b[k][c] for k in range(inner)) % q for c in range(cols))
+        for r in range(len(a))
+    )
+
+
+class TestMatMul:
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_column_kernel_equals_the_triple_index_product(self, q):
+        rng = random.Random(q)
+
+        def random_matrix(rows, cols):
+            return tuple(tuple(rng.randrange(q) for _ in range(cols)) for _ in range(rows))
+
+        for _ in range(300):
+            k, m, l = (rng.randint(1, 5) for _ in range(3))
+            a, b = random_matrix(k, m), random_matrix(m, l)
+            assert fields.mat_mul(q, a, b) == oracle_mat_mul(q, a, b)
+            assert fields.mat_mul(q, fields.identity_matrix(k), a) == a
+            assert fields.mat_mul(q, a, fields.identity_matrix(m)) == a

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import posetmetrics
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.posets import (
+    AUTOMORPHISM_BOUND,
     ELEMENT_BOUND,
     _find_cycle,
     Poset,
@@ -171,6 +172,29 @@ class TestAutomorphisms:
         with pytest.raises(BoundExceeded):
             big.automorphisms()
 
+    def test_refusal_names_the_estimate_and_the_bound(self):
+        # nine unrelated elements share one signature: 9! candidates
+        big = Poset.antichain(tuple("abcdefghi"))
+        with pytest.raises(BoundExceeded) as info:
+            big.automorphisms()
+        assert str(info.value) == (
+            "automorphism search over 362880 candidate permutations exceeds the bound 40320"
+        )
+
+    def test_every_eight_element_poset_is_still_searched(self):
+        assert AUTOMORPHISM_BOUND == 40320  # 8!, the most any 8-element poset can need
+        anti8 = Poset.antichain(LABELS)
+        assert anti8.automorphisms() == tuple(itertools.permutations(range(8)))
+
+    def test_large_posets_with_small_symmetry(self):
+        chain = Poset.chain([f"e{t}" for t in range(ELEMENT_BOUND)])
+        assert chain.automorphisms() == (tuple(range(ELEMENT_BOUND)),)
+        # two 6-chains side by side: classes of size 2, so 2^6 candidates
+        left, right = [f"l{t}" for t in range(6)], [f"r{t}" for t in range(6)]
+        covers = list(zip(left, left[1:])) + list(zip(right, right[1:]))
+        twins = Poset.from_covers(left + right, covers)
+        assert twins.automorphisms() == (tuple(range(12)), tuple(range(6, 12)) + tuple(range(6)))
+
     @pytest.mark.parametrize("poset", THREE, ids=lambda p: repr(p.leq))
     def test_group_axioms_and_level_preservation(self, poset):
         autos = set(poset.automorphisms())
@@ -209,6 +233,14 @@ class TestUdp:
 
 
 class TestWeights:
+    def test_scaled_by_the_lcm_of_the_denominators(self):
+        w = WeightFunction.from_map({"a": "1/3", "b": "3/4", "c": 2})
+        assert w.scaled("cab") == (24, 4, 9)
+        assert w == WeightFunction.from_map({"a": "1/3", "b": "3/4", "c": 2})
+        assert "_scaled" not in repr(w)
+        with pytest.raises(ValidationError, match="unknown label 'z'"):
+            w.scaled("az")
+
     def test_positive_required(self):
         with pytest.raises(ValidationError):
             WeightFunction.from_map({"a": 0})
@@ -419,6 +451,25 @@ def oracle_automorphisms(poset):
     )
 
 
+def oracle_udp_check(poset, omega, ideals, autos):
+    """The frozenset/Fraction check the mask core replaced, given the poset's
+    oracle ideals and automorphisms."""
+    by_sum = {}
+    for ideal in ideals:
+        by_sum.setdefault(omega.total(ideal), []).append(ideal)
+    shared = [by_sum[total] for total in sorted(by_sum) if len(by_sum[total]) > 1]
+    if not shared:
+        return True, None
+    values = tuple(omega.of(e) for e in poset.elements)
+    perms = [p for p in autos if all(values[p[i]] == values[i] for i in range(len(values)))]
+    for base, *others in shared:
+        orbit = {poset.apply_perm(p, base) for p in perms}
+        for other in others:
+            if other not in orbit:
+                return False, (base, other)
+    return True, None
+
+
 def assert_agrees_with_oracles(poset):
     n = len(poset.elements)
     for mask in range(1 << n):
@@ -481,6 +532,42 @@ class TestBitmaskCoreAgainstOracles:
             assert Poset.from_covers(labels, covers).leq == oracle_warshall(n, strict)
             assert_agrees_with_oracles(poset)
         assert 100 < valid < 400
+
+    def test_udp_check_on_masks_matches_the_fraction_check(self):
+        rng = random.Random(20261019)
+        halves = [Fraction(k, 2) for k in (1, 2, 3, 4, 6)]
+        pairs = failing = 0
+        for poset in UP_TO_FIVE:
+            ideals, autos = oracle_all_ideals(poset), oracle_automorphisms(poset)
+            weightings = [WeightFunction.ones(poset.elements), powers_of_two_weight(poset)]
+            weightings += [
+                WeightFunction(poset.elements, tuple(rng.choice(halves) for _ in poset.elements))
+                for _ in range(3)
+            ]
+            for omega in weightings:
+                expected = oracle_udp_check(poset, omega, ideals, autos)
+                assert udp_check(poset, omega) == expected
+                pairs += 1
+                failing += not expected[0]
+        assert pairs == 22365 and 1000 < failing < pairs
+
+    def test_refinement_matches_the_permutation_scan_on_six_to_eight(self):
+        rng = random.Random(20261020)
+        symmetric = 0
+        for trial in range(24):
+            n = 6 + trial % 3
+            order = rng.sample(range(n), n)  # a hidden linear extension
+            density = (0.05, 0.15, 0.3, 0.6)[trial % 4]
+            strict = [
+                (order[a], order[b])
+                for a in range(n)
+                for b in range(a + 1, n)
+                if rng.random() < density
+            ]
+            poset = Poset(LABELS[:n], oracle_warshall(n, strict))
+            assert poset.automorphisms() == oracle_automorphisms(poset)
+            symmetric += len(poset.automorphisms()) > 1
+        assert symmetric >= 6
 
     def test_cycle_witness_matches_the_stack_and_parent_search(self):
         rng = random.Random(7)
