@@ -229,6 +229,8 @@ class Poset:
         if estimate > AUTOMORPHISM_BOUND:
             search = f"automorphism search over {estimate} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
+        if estimate == 1:  # no two signatures are equal, so only the identity keeps them
+            return (tuple(range(n)),)
         candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
 
         def extend(perm: Perm, used: int) -> Iterator[Perm]:
@@ -364,7 +366,7 @@ def udp_check(
     Returns (True, None) or (False, witness pair of ideals with equal weight
     sums lying in different orbits).
     """
-    masks, weights = poset._ideal_masks, omega.scaled(poset.elements)  # element bound first
+    masks, weights = poset._ideal_masks, omega.scaled(poset.elements)  # bound checked first
     powers = [1 << t for t in range(len(weights))]
     by_sum: dict[int, list[int]] = {}
     for mask in masks:
@@ -385,13 +387,10 @@ def udp_check(
 
 
 def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
-    """Every labeled poset on the given labels.
-
-    Each unordered pair, in combinations order, is incomparable, <, or >, in
-    itertools.product order; reflexivity and antisymmetry hold by construction.
-    Transitivity holds when it holds on every triple, and (k, i, j) with k < i
-    is complete once (i, j) is set, so prefixes are pruned there.
-    """
+    """Every labeled poset on the given labels, in itertools.product order of
+    the pair states (incomparable, <, >) over the pairs in combinations order.
+    A relation is transitive when each triple is, and (k, i, j), k < i, is
+    complete once (i, j) is set, so an intransitive prefix is pruned there."""
     labels = tuple(labels)
     n = len(labels)
     pairs = list(itertools.combinations(range(n), 2))
