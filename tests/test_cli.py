@@ -116,7 +116,8 @@ class TestCommands:
     def test_poset_counts_automorphisms_past_eight_elements(self, tmp_path, capsys):
         labels = [f"e{t}" for t in range(12)]
         path = tmp_path / "chain12.json"
-        path.write_text(json.dumps({"q": 2, "poset": {"elements": labels, "covers": list(zip(labels, labels[1:]))}}))
+        covers = list(zip(labels, labels[1:]))
+        path.write_text(json.dumps({"q": 2, "poset": {"elements": labels, "covers": covers}}))
         code, payload = run_json(capsys, "poset", "--instance", str(path))
         assert code == 0
         assert payload["results"]["automorphism_count"] == 1
@@ -124,7 +125,8 @@ class TestCommands:
 
     def test_poset_refuses_a_large_automorphism_search(self, tmp_path, capsys):
         path = tmp_path / "anti9.json"
-        path.write_text(json.dumps({"q": 2, "poset": {"elements": list("abcdefghi"), "covers": []}}))
+        doc = {"q": 2, "poset": {"elements": list("abcdefghi"), "covers": []}}
+        path.write_text(json.dumps(doc))
         assert main(["poset", "--instance", str(path)]) == 3
         assert "362880 candidate permutations exceeds the bound 40320" in capsys.readouterr().err
 
