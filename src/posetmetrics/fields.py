@@ -132,11 +132,7 @@ def coefficients_in_rref(
 ) -> Optional[Vector]:
     """Coordinates of target w.r.t. an RREF basis, or None if outside the span."""
     coeffs = tuple(target[p] % q for p in pivots)
-    probe = [0] * (len(target))
-    for c, row in zip(coeffs, basis):
-        for t, x in enumerate(row):
-            probe[t] = (probe[t] + c * x) % q
-    if tuple(probe) != tuple(v % q for v in target):
+    if combine(q, basis, coeffs, len(target)) != tuple(v % q for v in target):
         return None
     return coeffs
 

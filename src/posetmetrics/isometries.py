@@ -26,7 +26,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import fields
 from .errors import BoundExceeded, PropertyViolation, ValidationError
 from .fields import Matrix, Vector
-from .posets import Perm, Poset, WeightFunction, derived, set_bits, weight_preserving_automorphisms
+from .posets import SCAN_BOUND, Perm, Poset, WeightFunction, derived, set_bits, weight_preserving_automorphisms
 from .spaces import AlphabetSpec, support_classes
 
 
@@ -119,10 +119,13 @@ def admissible_automorphisms(
 ) -> tuple[Perm, ...]:
     """Poset automorphisms preserving the functional on every ideal and all
     block dimensions (block isomorphism over a field is dimension equality)."""
-    ideals = poset.all_ideals()
+    ideals, autos = poset.all_ideals(), tuple(_keeping_dims(space, poset.automorphisms()))
+    if len(autos) * len(ideals) > SCAN_BOUND:  # before any functional is evaluated
+        scan = f"functional filter of {len(autos)} automorphisms over {len(ideals)} ideals"
+        raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
     return tuple(
         perm
-        for perm in _keeping_dims(space, poset.automorphisms())
+        for perm in autos
         if all(sf.evaluate(poset.apply_perm(perm, ideal)) == sf.evaluate(ideal) for ideal in ideals)
     )
 
@@ -258,6 +261,12 @@ def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
     return math.prod(_order_factors(space, poset, lam_count))
 
 
+def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) -> None:
+    partial_orders = itertools.accumulate(_order_factors(space, poset, lam_count), operator.mul)
+    if any(order > bound for order in partial_orders):  # stops at the first one over
+        raise BoundExceeded(f"isometry group larger than bound {bound}")
+
+
 def enumerate_group(
     space: AlphabetSpec,
     poset: Poset,
@@ -265,10 +274,9 @@ def enumerate_group(
     bound: int = 1 << 20,
 ) -> Iterator[Isometry]:
     """All isometries for the functional, in (lam, diag, strict) lexicographic order."""
+    _check_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
     lams = admissible_automorphisms(poset, space, sf)
-    partial_orders = itertools.accumulate(_order_factors(space, poset, len(lams)), operator.mul)
-    if any(order > bound for order in partial_orders):  # stops at the first one over
-        raise BoundExceeded(f"isometry group larger than bound {bound}")
+    _check_order(space, poset, len(lams), bound)
     q = space.q
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
     for lam in lams:

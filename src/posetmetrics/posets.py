@@ -29,6 +29,8 @@ Perm = tuple[int, ...]  # perm[i] = index of the image of elements[i]
 ELEMENT_BOUND = 20
 # Cap on the automorphism search's candidates (Poset.automorphisms); 8! admits 8 elements.
 AUTOMORPHISM_BOUND = 40320
+# Cap on automorphisms x ideals or weight classes in one scan; 8! * 2^8 admits 8 elements.
+SCAN_BOUND = AUTOMORPHISM_BOUND << 8
 
 
 def derived(**kwargs):
@@ -43,6 +45,16 @@ def set_bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
+    """The first (i, j, k) in row-major order with i <= j <= k but not i <= k,
+    for a relation whose row i has bit j set when i <= j."""
+    for i, row in enumerate(rows):
+        for j, other in enumerate(rows):
+            if row >> j & 1 and other & ~row:
+                return i, j, next(set_bits(other & ~row))
+    return None
 
 
 @dataclass(frozen=True)
@@ -73,12 +85,10 @@ class Poset:
                     f"relation is not antisymmetric: {self.elements[i]!r} and "
                     f"{self.elements[next(set_bits(mutual))]!r} are mutually comparable"
                 )
-        for i, row in enumerate(rows):  # the first i <= j <= k with not i <= k, row-major
-            for j in set_bits(row):
-                if rows[j] & ~row:
-                    triple = (i, j, next(set_bits(rows[j] & ~row)))
-                    names = ", ".join(repr(self.elements[t]) for t in triple)
-                    raise ValidationError(f"relation is not transitive at ({names})")
+        triple = _intransitive_triple(rows)
+        if triple is not None:
+            i, j, k = (repr(self.elements[t]) for t in triple)
+            raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_up", tuple(rows))
@@ -229,8 +239,6 @@ class Poset:
         if estimate > AUTOMORPHISM_BOUND:
             search = f"automorphism search over {estimate} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
-        if estimate == 1:  # no two signatures are equal, so only the identity keeps them
-            return (tuple(range(n)),)
         candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
 
         def extend(perm: Perm, used: int) -> Iterator[Perm]:
@@ -376,6 +384,9 @@ def udp_check(
     if not shared:
         return True, None
     images = [[1 << t for t in perm] for perm in weight_preserving_automorphisms(poset, omega)]
+    if len(images) * len(shared) > SCAN_BOUND:
+        scan = f"orbit scan of {len(images)} automorphisms over {len(shared)} weight classes"
+        raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
     for base, *others in shared:
         # weight-preserving automorphisms form a group, so orbits partition
         # the equal-sum class; one orbit computation settles the whole class
@@ -387,26 +398,20 @@ def udp_check(
 
 
 def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
-    """Every labeled poset on the given labels, in itertools.product order of
-    the pair states (incomparable, <, >) over the pairs in combinations order.
-    A relation is transitive when each triple is, and (k, i, j), k < i, is
-    complete once (i, j) is set, so an intransitive prefix is pruned there."""
+    """Every labeled poset on the given labels.
+
+    Each unordered pair is independently incomparable, <, or >; transitivity
+    is then filtered.  Antisymmetry and reflexivity hold by construction.
+    """
     labels = tuple(labels)
     n = len(labels)
     pairs = list(itertools.combinations(range(n), 2))
-    rows = [1 << i for i in range(n)]
-
-    def extend(p: int) -> Iterator[Poset]:
-        if p == len(pairs):
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for (i, j), state in zip(pairs, states):
+            if state == 1:
+                rows[i] |= 1 << j
+            elif state == 2:
+                rows[j] |= 1 << i
+        if _intransitive_triple(rows) is None:
             yield Poset(labels, _matrix(rows, n))
-            return
-        i, j = pairs[p]
-        triples = [1 << k | 1 << i | 1 << j for k in range(i)]
-        for a, bit in ((i, 0), (i, 1 << j), (j, 1 << i)):
-            rows[a] |= bit
-            if all(rows[y] & t & ~rows[x] == 0
-                   for t in triples for x in set_bits(t) for y in set_bits(rows[x] & t)):
-                yield from extend(p + 1)
-            rows[a] &= ~bit
-
-    return extend(0)

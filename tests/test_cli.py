@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetmetrics import cli
+from posetmetrics import cli, isometries
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import BoundExceeded, ValidationError
@@ -129,6 +129,36 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["poset", "--instance", str(path)]) == 3
         assert "362880 candidate permutations exceeds the bound 40320" in capsys.readouterr().err
+
+    @staticmethod
+    def antichain_beside_chains(tmp_path, lengths):
+        """Eight unrelated labels beside chains of the given lengths, over F_2."""
+        elements, covers = [f"a{t}" for t in range(8)], []
+        for c, length in enumerate(lengths):
+            chain = [f"c{c}_{t}" for t in range(length)]
+            elements += chain
+            covers += list(zip(chain, chain[1:]))
+        path = tmp_path / "antichain_beside_chains.json"
+        path.write_text(json.dumps({"q": 2, "poset": {"elements": elements, "covers": covers}}))
+        return str(path)
+
+    def test_isometries_refuse_before_the_functional_filter(self, tmp_path, capsys, monkeypatch):
+        # 8! automorphisms over 26,880 ideals, but the 22 strict blocks alone
+        # give 2^22 isometries, so the filter never runs
+        def unreachable(*args):
+            raise AssertionError("the functional filter ran")
+
+        monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
+        path = self.antichain_beside_chains(tmp_path, (2, 4, 6))
+        assert main(["isometries", "--instance", path]) == 3
+        assert "isometry group larger than bound 1048576" in capsys.readouterr().err
+
+    def test_isometries_refuse_a_large_functional_filter(self, tmp_path, capsys):
+        # 8! automorphisms over 256 * 3 * 4 ideals, with a group of 8! * 2^4
+        path = self.antichain_beside_chains(tmp_path, (2, 3))
+        assert main(["isometries", "--instance", path]) == 3
+        message = "functional filter of 40320 automorphisms over 3072 ideals exceeds the bound 10321920"
+        assert message in capsys.readouterr().err
 
     def test_poset_reports_hierarchy_witness(self, capsys):
         code, payload = run_json(capsys, "poset", "--instance", str(INSTANCES / "mixed3.json"))

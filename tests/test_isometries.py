@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from posetmetrics import fields
+from posetmetrics import fields, isometries
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, PropertyViolation, ValidationError
 from posetmetrics.isometries import (
@@ -113,6 +113,16 @@ class TestAdmissible:
     def test_support_functional_forces_identity(self):
         assert admissible_automorphisms(ANTI2, SP21, p_support_functional(ANTI2)) == ((0, 1),)
 
+    def test_filter_is_refused_past_the_scan_bound(self, monkeypatch):
+        # the identity and the swap, each over the four ideals of two unrelated labels
+        sf = p_support_functional(ANTI2)
+        monkeypatch.setattr(isometries, "SCAN_BOUND", 8)
+        assert admissible_automorphisms(ANTI2, SP21, sf) == ((0, 1),)
+        monkeypatch.setattr(isometries, "SCAN_BOUND", 7)
+        message = "^functional filter of 2 automorphisms over 4 ideals exceeds the bound 7$"
+        with pytest.raises(BoundExceeded, match=message):
+            admissible_automorphisms(ANTI2, SP21, sf)
+
 
 def paste_matrix(iso):
     """The full matrix pasted entry by entry through the label block ranges."""
@@ -184,6 +194,15 @@ class TestEnumeration:
         group = weight_isometry_group(SP21, ANTI2, ONES2)
         assert len(group) == 2
         assert {iso.lam for iso in group} == {(0, 1), (1, 0)}
+
+    def test_label_free_factors_are_checked_before_the_filter(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the functional filter ran")
+
+        # the strict block of a 2-chain over F_2 alone gives 2 isometries
+        monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
+        with pytest.raises(BoundExceeded, match="^isometry group larger than bound 1$"):
+            next(enumerate_group(SP21, CHAIN2, p_support_functional(CHAIN2), bound=1))
 
     def test_order_formula_matches(self):
         vee = Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")])

@@ -19,6 +19,7 @@ from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.posets import (
     AUTOMORPHISM_BOUND,
     ELEMENT_BOUND,
+    SCAN_BOUND,
     _find_cycle,
     Poset,
     WeightFunction,
@@ -217,6 +218,21 @@ class TestUdp:
                 assert holds == poset.is_hierarchical
                 if not holds:
                     assert witness is not None
+
+    def test_orbit_scan_is_refused_past_the_bound(self, monkeypatch):
+        # three unrelated labels: 3! automorphisms over the classes of sums 1 and 2
+        anti3, ones = Poset.antichain("abc"), WeightFunction.ones("abc")
+        monkeypatch.setattr(posetmetrics.posets, "SCAN_BOUND", 12)
+        assert udp_check(anti3, ones) == (True, None)
+        monkeypatch.setattr(posetmetrics.posets, "SCAN_BOUND", 11)
+        message = "^orbit scan of 6 automorphisms over 2 weight classes exceeds the bound 11$"
+        with pytest.raises(BoundExceeded, match=message):
+            udp_check(anti3, ones)
+
+    def test_orbit_scan_admits_every_eight_element_poset(self):
+        # at most 8! automorphisms over fewer than 2^8 classes
+        assert SCAN_BOUND == AUTOMORPHISM_BOUND * 2**8
+        assert udp_check(Poset.antichain(LABELS), WeightFunction.ones(LABELS)) == (True, None)
 
     def test_distinct_weights_on_antichain(self):
         omega = WeightFunction.from_map({"1": 1, "2": 2})
