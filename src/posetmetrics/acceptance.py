@@ -198,7 +198,7 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
             )
         # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared,
         # composed and inverted as permutations of the indexed vectors
-        si = SpaceIndex(space, sf)
+        si = SpaceIndex(space, poset, sf)
         perm_of = si.perm_of_matrix
         pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
         to_lam = dict(pairs)

@@ -26,6 +26,7 @@ from .errors import (
 from .fourier import coding_property_audit, macwilliams_identity_check
 from .instances import load_instance
 from .isometries import (
+    GROUP_BOUND,
     brute_force_isometries,
     support_isometry_group,
     weight_automorphisms,
@@ -111,7 +112,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isometries", help="structured weight isometry group")
     add_common(p)
     p.add_argument("--brute-force", action="store_true", help="compare with the matrix scan")
-    p.add_argument("--bound", type=_at_least_one, default=1 << 20, help="group size bound")
+    p.add_argument("--bound", type=_at_least_one, default=GROUP_BOUND, help="group size bound")
     p.set_defaults(handler=cmd_isometries)
 
     p = sub.add_parser("mep", help="extension property verdicts")

@@ -50,6 +50,14 @@ def vec_scale(q: int, c: int, a: Sequence[int]) -> Vector:
     return tuple((c * x) % q for x in a)
 
 
+def vec_index(q: int, v: Sequence[int]) -> int:
+    """The vector's place in lexicographic order: its entries as base-q digits."""
+    index = 0
+    for x in v:
+        index = index * q + x
+    return index
+
+
 def combine(q: int, rows: Sequence[Sequence[int]], coeffs: Sequence[int], n: int) -> Vector:
     """The length-n vector sum_r coeffs[r] * rows[r]."""
     out = [0] * n

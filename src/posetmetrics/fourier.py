@@ -18,7 +18,18 @@ from .fields import Vector
 from .isometries import weight_sum_functional
 from .mep import condition_report, level_class_bound, mep_brute_force, single_orbit_check
 from .posets import Poset, WeightFunction
-from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
+from .spaces import (
+    VECTOR_BOUND,
+    AlphabetSpec,
+    LinearCode,
+    enumerate_codes,
+    subspace_count,
+    support_classes,
+)
+
+# The most codes macwilliams_identity_check enumerates: F_2^7 has 29,212
+# subspaces and is admitted, F_2^8 has 417,199 and is refused.
+CODE_BOUND = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,7 +108,7 @@ def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
             f"space too large to partition: {space.vector_count} vectors, "
             f"over the bound {VECTOR_BOUND}"
         )
-    classes = support_classes(space, weight_sum_functional(poset, omega).evaluate)
+    classes = support_classes(space, poset, weight_sum_functional(poset, omega).key)
     blocks: list[list[Vector]] = [[] for _ in range(max(classes) + 1)]
     for vec, c in zip(space.vectors(), classes):
         blocks[c].append(vec)
@@ -144,6 +155,7 @@ def macwilliams_identity_check(
 ) -> MacwilliamsResult:
     """Equal dual-order weight distributions must force equal weight
     distributions of the dual codes; codes are grouped by distribution first."""
+    _check_code_count(space)
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
     groups: dict[tuple[int, ...], list[LinearCode]] = {}
@@ -161,6 +173,18 @@ def macwilliams_identity_check(
                 return MacwilliamsResult(False, (other, code))
             seen.setdefault(dual_key, code)
     return MacwilliamsResult(True)
+
+
+def _check_code_count(space: AlphabetSpec) -> None:
+    """Refuse a space with more subspaces than CODE_BOUND.  Past the vector
+    bound the count is not formed: the weight partition refuses such a space."""
+    if space.vector_count > VECTOR_BOUND:
+        return
+    count = subspace_count(space.total_dim, space.q)
+    if count > CODE_BOUND:
+        raise BoundExceeded(
+            f"F_{space.q}^{space.total_dim} has {count} subspaces, over the code bound {CODE_BOUND}"
+        )
 
 
 # -- the comparison audit ---------------------------------------------------------
@@ -199,8 +223,10 @@ def coding_property_audit(space: AlphabetSpec, poset: Poset, omega: WeightFuncti
     Equivalences: orbit transitivity with matched UDP; partition match with
     the identity.  With a hierarchical order the extension property equals
     matched UDP plus the level class bound, and with integer (or all-ones)
-    weights the middle five statements collapse into one.
+    weights the middle five statements collapse into one.  The code bound
+    of the identity check is checked before the first statement runs.
     """
+    _check_code_count(space)
     mep_verdict = mep_brute_force(space, poset, omega)
     report = condition_report(space, poset, omega)
     orbit_ok, _ = single_orbit_check(space, poset, omega)

@@ -5,13 +5,16 @@ Every weight isometry of the ambient space factors as a label permutation
 square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The structured form is stored; the full
 N x N matrix is built on first use and kept on the isometry.  The MEP layer
-and criterion 4 act with the permutation it induces on the indexed vectors
-(`mep.SpaceIndex.perm_of_matrix`); matrices serve reports and the oracles.
+builds the group's permutations of the indexed vectors from its semidirect
+factors without any matrix (`mep._indexed_group`); criterion 4 turns
+matrices into permutations with `mep.SpaceIndex.perm_of_matrix`, and
+matrices serve reports and the oracles.
 
 The same machinery runs for any support functional: a function on label
 subsets that only sees the ideal closure, is monotone on ideals, and pins
 ideals that share a value with one of their points.  The exact-rational
 weight sum and the ideal-closure map itself are the two shipped instances.
+Each also has an integer key on ideal masks, which the scans compare.
 """
 
 from __future__ import annotations
@@ -32,29 +35,42 @@ from .spaces import AlphabetSpec, support_classes
 
 @dataclass(frozen=True)
 class SupportFunctional:
-    """A closure-respecting functional on label subsets with a comparison."""
+    """A closure-respecting functional on label subsets with a comparison.
+
+    key gives an int for each ideal mask of the poset (bit t for
+    poset.elements[t]); two ideals have equal keys exactly when evaluate gives
+    them equal values.  The scans compare keys; evaluate and leq serve the
+    condition check, preserves and reports.
+    """
 
     name: str
     evaluate: Callable[[frozenset[str]], object]
     leq: Callable[[object, object], bool]
+    key: Callable[[int], int]
 
 
 def weight_sum_functional(poset: Poset, omega: WeightFunction) -> SupportFunctional:
-    """Exact rational weight of the ideal closure, compared by <=."""
+    """Exact rational weight of the ideal closure, compared by <=.  Its key is
+    the weight sum scaled by the LCM of the denominators, so keys and values
+    are equal together."""
+    weights = omega.scaled(poset.elements)
 
     def evaluate(subset: frozenset[str]):
         return omega.total(poset.ideal_closure(subset))
 
-    return SupportFunctional("weight-sum", evaluate, lambda a, b: a <= b)
+    def key(mask: int) -> int:
+        return sum(map(weights.__getitem__, set_bits(mask)))
+
+    return SupportFunctional("weight-sum", evaluate, lambda a, b: a <= b, key)
 
 
 def p_support_functional(poset: Poset) -> SupportFunctional:
-    """The ideal closure itself, compared by inclusion."""
+    """The ideal closure itself, compared by inclusion; its key is the mask."""
 
     def evaluate(subset: frozenset[str]):
         return poset.ideal_closure(subset)
 
-    return SupportFunctional("support-closure", evaluate, lambda a, b: a <= b)
+    return SupportFunctional("support-closure", evaluate, lambda a, b: a <= b, lambda mask: mask)
 
 
 # check_support_functional walks all 2^n label subsets, so n is capped.
@@ -119,15 +135,18 @@ def admissible_automorphisms(
 ) -> tuple[Perm, ...]:
     """Poset automorphisms preserving the functional on every ideal and all
     block dimensions (block isomorphism over a field is dimension equality)."""
-    ideals, autos = poset.all_ideals(), tuple(_keeping_dims(space, poset.automorphisms()))
-    if len(autos) * len(ideals) > SCAN_BOUND:  # before any functional is evaluated
-        scan = f"functional filter of {len(autos)} automorphisms over {len(ideals)} ideals"
+    masks, autos = poset._ideal_masks, tuple(_keeping_dims(space, poset.automorphisms()))
+    if len(autos) * len(masks) > SCAN_BOUND:  # before any key is computed
+        scan = f"functional filter of {len(autos)} automorphisms over {len(masks)} ideals"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
-    return tuple(
-        perm
-        for perm in autos
-        if all(sf.evaluate(poset.apply_perm(perm, ideal)) == sf.evaluate(ideal) for ideal in ideals)
-    )
+    keys = list(map(sf.key, masks))
+
+    def preserved(perm: Perm) -> bool:
+        bits = [1 << t for t in perm]
+        images = (sum(map(bits.__getitem__, set_bits(mask))) for mask in masks)
+        return all(map(operator.eq, map(sf.key, images), keys))
+
+    return tuple(filter(preserved, autos))
 
 
 def weight_automorphisms(
@@ -239,6 +258,10 @@ def _strict_pairs(poset: Poset, lam: Perm) -> list[tuple[int, int]]:
     return [(i, j) for i, image in enumerate(lam) for j in set_bits(poset.strictly_below(image))]
 
 
+# The largest isometry group that is enumerated (the --bound default of `isometries`).
+GROUP_BOUND = 1 << 20
+
+
 def gl_order(q: int, k: int) -> int:
     """|GL_k(F_q)|: the product of q^k - q^i over i < k."""
     order = 1
@@ -263,20 +286,34 @@ def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
 
 def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) -> None:
     partial_orders = itertools.accumulate(_order_factors(space, poset, lam_count), operator.mul)
-    if any(order > bound for order in partial_orders):  # stops at the first one over
-        raise BoundExceeded(f"isometry group larger than bound {bound}")
+    order = next((order for order in partial_orders if order > bound), None)  # the first one over
+    if order is not None:
+        # a str of over 4300 digits raises, so a huge order is named by its bit length
+        reached = order if order < 1 << 64 else f"at least 2^{order.bit_length() - 1}"
+        raise BoundExceeded(
+            f"isometry group order reaches {reached}, over the bound {bound}; raise it with --bound"
+        )
+
+
+def admissible_lams(
+    space: AlphabetSpec, poset: Poset, sf: SupportFunctional, bound: int
+) -> tuple[Perm, ...]:
+    """The group's label maps, with its order checked against the bound
+    before the functional filter and again after it."""
+    _check_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
+    lams = admissible_automorphisms(poset, space, sf)
+    _check_order(space, poset, len(lams), bound)
+    return lams
 
 
 def enumerate_group(
     space: AlphabetSpec,
     poset: Poset,
     sf: SupportFunctional,
-    bound: int = 1 << 20,
+    bound: int = GROUP_BOUND,
 ) -> Iterator[Isometry]:
     """All isometries for the functional, in (lam, diag, strict) lexicographic order."""
-    _check_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
-    lams = admissible_automorphisms(poset, space, sf)
-    _check_order(space, poset, len(lams), bound)
+    lams = admissible_lams(space, poset, sf, bound)
     q = space.q
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
     for lam in lams:
@@ -302,13 +339,13 @@ def _all_blocks(q: int, shape: tuple[int, int]) -> tuple[Matrix, ...]:
 
 
 def weight_isometry_group(
-    space: AlphabetSpec, poset: Poset, omega: WeightFunction, bound: int = 1 << 20
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction, bound: int = GROUP_BOUND
 ) -> list[Isometry]:
     return list(enumerate_group(space, poset, weight_sum_functional(poset, omega), bound))
 
 
 def support_isometry_group(
-    space: AlphabetSpec, poset: Poset, bound: int = 1 << 20
+    space: AlphabetSpec, poset: Poset, bound: int = GROUP_BOUND
 ) -> list[Isometry]:
     return list(enumerate_group(space, poset, p_support_functional(poset), bound))
 
@@ -363,7 +400,7 @@ def brute_force_isometries(
     if entries > ACTION_TABLE_BOUND:
         raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
     matrices, perms = _invertible_index_perms(q, n)
-    values = support_classes(space, sf.evaluate)
+    values = support_classes(space, poset, sf.key)
     # perm[t] is the index of the image of vector t
     return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
 
@@ -383,12 +420,9 @@ def decompose(
     n = space.total_dim
     if len(matrix) != n or not fields.is_invertible(q, matrix):
         raise PropertyViolation("matrix is not an automorphism of the space")
-    values = support_classes(space, sf.evaluate)
+    values = support_classes(space, poset, sf.key)
     for vec, value in zip(space.vectors(), values):
-        image = 0  # index of the image: its base-q digits
-        for x in fields.mat_vec(q, matrix, vec):
-            image = image * q + x
-        if values[image] != value:
+        if values[fields.vec_index(q, fields.mat_vec(q, matrix, vec))] != value:
             raise PropertyViolation(f"functional not preserved at {vec}")
     labels = poset.elements
     lam, diag, strict = [], [], []

@@ -4,13 +4,18 @@ the canonical level decomposition for hierarchical posets.
 Brute force quantifies over every code (skipping the isometry orbit of a code
 that held) and every linear map out of it, checks weight (or support-closure)
 preservation per codeword, and searches the structured isometry group for an
-extension.  Small spaces are indexed densely so the inner loops run on ints,
+extension.  Small spaces are indexed densely so the inner loops run on ints:
+vectors are classed by the functional's integer key on their closure masks,
 and the scan and the orbit check see each group element only as the
-permutation it induces on the indexed vectors (`_indexed_group`).
+permutation it induces on the indexed vectors.  `_indexed_group` composes
+those permutations from the group's semidirect factors, with no `Isometry`
+and no matrix.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -24,14 +29,16 @@ from .errors import (
 )
 from .fields import Matrix, Vector
 from .isometries import (
+    GROUP_BOUND,
     Isometry,
     SupportFunctional,
+    admissible_lams,
     decompose,
     p_support_functional,
     enumerate_group,
     weight_sum_functional,
 )
-from .posets import Poset, WeightFunction, udp_check
+from .posets import Poset, WeightFunction, set_bits, udp_check
 from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
 
 
@@ -48,7 +55,7 @@ class SpaceIndex:
     order.
     """
 
-    def __init__(self, space: AlphabetSpec, sf: SupportFunctional):
+    def __init__(self, space: AlphabetSpec, poset: Poset, sf: SupportFunctional):
         q, count = space.q, space.vector_count
         if count > VECTOR_BOUND:
             raise BoundExceeded(f"space of {count} vectors exceeds {VECTOR_BOUND}")
@@ -59,7 +66,7 @@ class SpaceIndex:
         self.q = q
         self.vectors = list(space.vectors())
         self.index = {v: t for t, v in enumerate(self.vectors)}
-        self.values = support_classes(space, sf.evaluate)
+        self.values = support_classes(space, poset, sf.key)
         self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
         for t, c in enumerate(self.values):
             self.classes[c].append(t)
@@ -222,9 +229,51 @@ def _indexed_group(
     space: AlphabetSpec, poset: Poset, sf: SupportFunctional
 ) -> tuple[SpaceIndex, list[tuple[int, ...]]]:
     """The space's dense index and each group element's index permutation
-    (perm[t] indexes the image of vector t); every bound fires before the work."""
-    si = SpaceIndex(space, sf)
-    return si, [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, sf)]
+    (perm[t] indexes the image of vector t); every bound fires before the work.
+
+    Every element is P u.  P = P(lam, D) sends block i into block lam(i) by
+    the invertible D_i.  u = I + X lies in the unipotent group U of strict
+    blocks (k, i), k strictly below i.  With X_i the part of X in block column
+    i, X_a X_b = 0 unless a is strictly below b, so taking the factors
+    C_i = {I + X_i} top-down gives U = C_top ... C_bottom with no cross terms.
+    Each P and each factor element is spanned once from its column indices;
+    every other element is a composite of those permutations.  A column's
+    index is the plain sum of its blocks' base-q digit values, which is exact
+    because the blocks fill disjoint digits.
+    """
+    si = SpaceIndex(space, poset, sf)
+    lams = admissible_lams(space, poset, sf, GROUP_BOUND)
+    q, n = space.q, space.total_dim
+    bounds = [space._block_bounds[label] for label in poset.elements]
+    # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere
+    place = [[t * q ** (n - stop) for t in range(q ** (stop - start))] for start, stop in bounds]
+    units = [q ** (n - 1 - c) for c in range(n)]  # index of the c-th unit vector
+    diag_columns = []  # the columns of each invertible block, as block vector indices
+    for start, stop in bounds:
+        matrices = fields.invertible_matrices(q, stop - start)
+        diag_columns.append([tuple(fields.vec_index(q, c) for c in zip(*m)) for m in matrices])
+    outer = []  # the permutations of P(lam, D)
+    for lam in lams:
+        for diag in itertools.product(*diag_columns):
+            columns = [0] * n
+            for (start, stop), image, block_columns in zip(bounds, lam, diag):
+                columns[start:stop] = map(place[image].__getitem__, block_columns)
+            outer.append(tuple(si.span_indices(columns)))
+    inner = [tuple(range(len(si.vectors)))]  # the permutations of U
+    for i in reversed(poset._linear_extension()):
+        below = [0]  # indices of the vectors supported strictly below block i
+        for k in set_bits(poset.strictly_below(i)):
+            below = [a + b for a in below for b in place[k]]
+        if len(below) == 1:
+            continue
+        start, stop = bounds[i]
+        factor = []
+        for lows in itertools.product(below, repeat=stop - start):
+            columns = units[:]
+            columns[start:stop] = map(operator.add, units[start:stop], lows)
+            factor.append(tuple(si.span_indices(columns)))
+        inner = [tuple(map(a.__getitem__, c)) for a in inner for c in factor]
+    return si, [tuple(map(p.__getitem__, u)) for p in outer for u in inner]
 
 
 def _first_unreachable_map(

@@ -304,18 +304,21 @@ class WeightFunction:
 
     labels: tuple[str, ...]
     values: tuple[Fraction, ...]
+    _pos: dict[str, int] = derived()
     _scaled: tuple[int, ...] = derived()
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.values):
             raise ValidationError("weight function shape mismatch")
-        if len(set(self.labels)) != len(self.labels):
+        pos = {label: i for i, label in enumerate(self.labels)}
+        if len(pos) != len(self.labels):
             raise ValidationError("weight function labels must be distinct")
         for label, value in zip(self.labels, self.values):
             if value <= 0:
                 raise ValidationError(f"weight of {label!r} must be strictly positive")
         scale = math.lcm(*(v.denominator for v in self.values))
         scaled = tuple(v.numerator * scale // v.denominator for v in self.values)
+        object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_scaled", scaled)
 
     @classmethod
@@ -329,8 +332,8 @@ class WeightFunction:
 
     def _index(self, label: str) -> int:
         try:
-            return self.labels.index(label)
-        except ValueError:
+            return self._pos[label]
+        except KeyError:
             raise ValidationError(f"unknown label {label!r}") from None
 
     def of(self, label: str) -> Fraction:

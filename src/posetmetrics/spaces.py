@@ -86,9 +86,10 @@ class AlphabetSpec:
 
     def dim_of(self, label: str) -> int:
         try:
-            return self.dims[self.labels.index(label)]
-        except ValueError:
+            start, stop = self._block_bounds[label]
+        except KeyError:
             raise ValidationError(f"unknown label {label!r}") from None
+        return stop - start
 
     def support(self, vec: Sequence[int]) -> frozenset[str]:
         return frozenset(
@@ -107,22 +108,23 @@ class AlphabetSpec:
         return tuple(x % self.q for x in vec)
 
 
-def support_classes(space: AlphabetSpec, value: Callable[[frozenset[str]], object]) -> list[int]:
+def support_classes(space: AlphabetSpec, poset: Poset, key: Callable[[int], object]) -> list[int]:
     """One class id per vector, in lexicographic order.
 
-    Two vectors share an id exactly when value gives their supports equal
-    results.  Ids are numbered by first appearance, and value runs once per
-    distinct support.
+    A vector's closure mask is the OR of the poset's down-set masks over its
+    nonzero blocks, built for all vectors in one walk over the blocks' digits.
+    Two vectors share an id exactly when key gives their closure masks equal
+    results.  Ids are numbered by first appearance, and key runs once per
+    distinct mask.
     """
-    class_of_support: dict[frozenset[str], int] = {}
+    masks = [0]
+    for label, k in zip(space.labels, space.dims):
+        down = poset._down[poset.index(label)]
+        digits = [0] + [down] * (space.q**k - 1)  # only the zero block adds nothing
+        masks = [m | d for m in masks for d in digits]
     ids: dict[object, int] = {}
-    out = []
-    for vec in space.vectors():
-        supp = space.support(vec)
-        if supp not in class_of_support:
-            class_of_support[supp] = ids.setdefault(value(supp), len(ids))
-        out.append(class_of_support[supp])
-    return out
+    class_of_mask = {mask: ids.setdefault(key(mask), len(ids)) for mask in dict.fromkeys(masks)}
+    return list(map(class_of_mask.__getitem__, masks))
 
 
 # -- weights -----------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from posetmetrics import fourier
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.fourier import (
     CyclotomicInteger,
@@ -15,7 +16,7 @@ from posetmetrics.fourier import (
     weight_partition,
 )
 from posetmetrics.posets import Poset, WeightFunction
-from posetmetrics.spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes
+from posetmetrics.spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -229,8 +230,33 @@ class TestMacwilliams:
             space, anti2, WeightFunction.ones(anti2.elements)
         ).holds
 
+    def test_code_bound_admits_f2_7_and_refuses_f2_8(self):
+        assert subspace_count(7, 2) == 29212 <= fourier.CODE_BOUND < subspace_count(8, 2) == 417199
+
+    @pytest.mark.parametrize("q,n,count", [(2, 8, 417199), (2, 9, 8283458), (3, 7, 2052656)])
+    def test_code_bound_refuses_before_any_code(self, monkeypatch, q, n, count):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a code was enumerated")
+
+        monkeypatch.setattr(fourier, "enumerate_codes", unreachable)
+        chain = Poset.chain(tuple("abcdefghi"[:n]))
+        space = AlphabetSpec.uniform(FieldSpec(q), chain.elements, 1)
+        message = f"^F_{q}\\^{n} has {count} subspaces, over the code bound 65536$"
+        with pytest.raises(BoundExceeded, match=message):
+            macwilliams_identity_check(space, chain, ones(chain))
+
 
 class TestAudit:
+    def test_code_bound_is_checked_before_the_first_statement(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a statement ran")
+
+        monkeypatch.setattr(fourier, "mep_brute_force", unreachable)
+        chain = Poset.chain(tuple("abcdefgh"))
+        space = AlphabetSpec.uniform(F2, chain.elements, 1)
+        with pytest.raises(BoundExceeded, match="^F_2\\^8 has 417199 subspaces"):
+            coding_property_audit(space, chain, ones(chain))
+
     def test_hierarchical_instance_all_true(self):
         audit = coding_property_audit(SP3, CHAIN3, ones(CHAIN3))
         assert audit.consistent

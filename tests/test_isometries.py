@@ -1,8 +1,10 @@
 """Structured isometries: functionals, enumeration, oracle agreement, decomposition."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from posetmetrics import fields, isometries
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
@@ -56,7 +58,7 @@ class TestSupportFunctionals:
         assert ok
 
     def test_raw_cardinality_breaks_closure_invariance(self):
-        raw = SupportFunctional("raw-size", lambda s: len(s), lambda a, b: a <= b)
+        raw = SupportFunctional("raw-size", len, lambda a, b: a <= b, int.bit_count)
         ok, violations = check_support_functional(raw, CHAIN2)
         assert not ok
         assert violations["closure_invariant"] is not None
@@ -66,10 +68,58 @@ class TestSupportFunctionals:
             "negated",
             lambda s: -len(CHAIN2.ideal_closure(s)),
             lambda a, b: a <= b,
+            lambda mask: -mask.bit_count(),
         )
         ok, violations = check_support_functional(neg, CHAIN2)
         assert not ok
         assert violations["monotone"] is not None
+
+
+@st.composite
+def weighted_posets(draw):
+    """A random labeled poset on up to 5 elements with random rational weights."""
+    n = draw(st.integers(1, 5))
+    labels = draw(st.permutations("abcde"[:n]))
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    covers = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    poset = Poset.from_covers("abcde"[:n], covers)
+    weights = draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
+                            min_size=n, max_size=n))
+    return poset, WeightFunction(poset.elements, tuple(weights))
+
+
+class TestFunctionalKeys:
+    @settings(max_examples=80, deadline=None)
+    @given(weighted_posets())
+    def test_keys_are_equal_exactly_when_values_are(self, drawn):
+        # the weight key scales every weight by the same LCM, so it keeps equality
+        poset, omega = drawn
+        for sf in (weight_sum_functional(poset, omega), p_support_functional(poset)):
+            ok, violations = check_support_functional(sf, poset)
+            assert ok, violations
+            keyed = [(sf.key(m), sf.evaluate(i)) for m, i in zip(poset._ideal_masks, poset.all_ideals())]
+            for key_a, value_a in keyed:
+                for key_b, value_b in keyed:
+                    assert (key_a == key_b) == (value_a == value_b)
+
+    def test_weight_key_is_the_scaled_sum(self):
+        omega = WeightFunction.from_map({"1": "1/2", "2": "3"})
+        key = weight_sum_functional(CHAIN2, omega).key
+        assert [key(m) for m in CHAIN2._ideal_masks] == [0, 1, 7]
+        assert [p_support_functional(CHAIN2).key(m) for m in CHAIN2._ideal_masks] == [0, 1, 3]
+
+
+def _fraction_filter(poset, space, sf):
+    """The admissible label maps from frozenset ideals and evaluated values,
+    the path admissible_automorphisms replaced."""
+    dims = space.dims
+    return tuple(
+        perm
+        for perm in poset.automorphisms()
+        if all(dims[perm[i]] == dims[i] for i in range(len(dims)))
+        and all(sf.evaluate(poset.apply_perm(perm, ideal)) == sf.evaluate(ideal)
+                for ideal in poset.all_ideals())
+    )
 
 
 class TestAdmissible:
@@ -109,6 +159,21 @@ class TestAdmissible:
                 sf = p_support_functional(poset)
                 assert admissible_automorphisms(poset, space, sf) == identity
         assert swaps > 0  # the grid has weightings with nontrivial label maps
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 1, 2)])
+    def test_equal_to_the_fraction_filter(self, dims):
+        swaps = 0
+        for poset in _labeled_posets(4):
+            space = AlphabetSpec(F2, poset.elements, dims)
+            omegas = _omega_variants(poset) + [
+                WeightFunction(poset.elements, tuple(Fraction(t % 2 + 1, 2) for t in range(4)))
+            ]
+            functionals = [weight_sum_functional(poset, omega) for omega in omegas]
+            for sf in functionals + [p_support_functional(poset)]:
+                filtered = admissible_automorphisms(poset, space, sf)
+                assert filtered == _fraction_filter(poset, space, sf)
+                swaps += len(filtered) > 1
+        assert swaps > 0
 
     def test_support_functional_forces_identity(self):
         assert admissible_automorphisms(ANTI2, SP21, p_support_functional(ANTI2)) == ((0, 1),)
@@ -201,7 +266,7 @@ class TestEnumeration:
 
         # the strict block of a 2-chain over F_2 alone gives 2 isometries
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
-        with pytest.raises(BoundExceeded, match="^isometry group larger than bound 1$"):
+        with pytest.raises(BoundExceeded, match=r"^isometry group order reaches 2, over the bound 1; raise it with --bound$"):
             next(enumerate_group(SP21, CHAIN2, p_support_functional(CHAIN2), bound=1))
 
     def test_order_formula_matches(self):
@@ -363,7 +428,7 @@ class TestPermutationAction:
     def test_products_and_inverses_match_mat_mul_and_mat_inv(self, q, poset, dims, order):
         space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        perm_of = SpaceIndex(space, weight_sum_functional(poset, omega)).perm_of_matrix
+        perm_of = SpaceIndex(space, poset, weight_sum_functional(poset, omega)).perm_of_matrix
         group = weight_isometry_group(space, poset, omega)
         perms = {iso.matrix: perm_of(iso.matrix) for iso in group}
         assert len(perms) == len(set(perms.values())) == order  # the action is faithful

@@ -2,12 +2,14 @@
 and the canonical level decomposition."""
 
 import itertools
+import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from posetmetrics import fields, mep
-from posetmetrics.acceptance import _labeled_posets, _omega_variants
+from posetmetrics.acceptance import _group_grid, _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, PredicateUnavailable, ValidationError
 from posetmetrics.isometries import enumerate_group, p_support_functional
 from posetmetrics.mep import (
@@ -191,7 +193,7 @@ def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVer
     product with a full span per tuple, and reachable tuples from every group
     permutation.
     """
-    si = SpaceIndex(space, _functional_for(poset, omega, mode))
+    si = SpaceIndex(space, poset, _functional_for(poset, omega, mode))
     values = [
         weight(space, poset, omega, v) if mode == "weight" else p_support(space, poset, v)
         for v in si.vectors
@@ -230,7 +232,7 @@ class TestBacktrackingScanOracle:
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
             runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
             for omega, mode in runs:
-                si = SpaceIndex(space, _functional_for(poset, omega, mode))
+                si = SpaceIndex(space, poset, _functional_for(poset, omega, mode))
                 group = enumerate_group(space, poset, _functional_for(poset, omega, mode))
                 perms = []
                 for iso in group:
@@ -245,7 +247,7 @@ class TestBacktrackingScanOracle:
         chain = Poset.chain(("a", "b", "c"))
         space = AlphabetSpec.uniform(F2, chain.elements, 1)
         omega = WeightFunction.ones(chain.elements)
-        si = SpaceIndex(space, _functional_for(chain, omega, "weight"))
+        si = SpaceIndex(space, chain, _functional_for(chain, omega, "weight"))
         group = enumerate_group(space, chain, _functional_for(chain, omega, "weight"))
         perms = [si.perm_of_matrix(iso.matrix) for iso in group]
         with pytest.raises(BoundExceeded, match="^64 candidate maps at dimension 2"):
@@ -260,7 +262,7 @@ class TestBacktrackingScanOracle:
 def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_bound=1 << 19):
     """The backtracking scan of every code, without the orbit skip, kept as the oracle."""
     sf = _functional_for(poset, omega, mode)
-    si = SpaceIndex(space, sf)
+    si = SpaceIndex(space, poset, sf)
     group = enumerate_group(space, poset, sf)
     # columns[t][g] is the image of vector t under the g-th group element
     columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
@@ -289,7 +291,7 @@ def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
     """Code orbits met up to the code the scan stops at, each code's span
     closed under every group permutation (from mat_vec, not the span tables)."""
     sf = _functional_for(poset, omega, "weight")
-    si = SpaceIndex(space, sf)
+    si = SpaceIndex(space, poset, sf)
     perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, sf)]
     stop = verdict.counterexample[0] if verdict.counterexample else None
     seen: set = set()
@@ -313,6 +315,80 @@ LARGE_SHAPES = [
     (Poset.antichain(tuple("abc")), (2, 2, 2), 3, 7),
 ]
 LARGE_IDS = ["chain5", "chain4-plane-on-top", "three-planes"]
+
+
+def _oracle_perms(space, poset, sf):
+    """The group's index permutations from its matrices, the path that
+    _indexed_group replaced."""
+    si = SpaceIndex(space, poset, sf)
+    return [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, sf)]
+
+
+class TestIndexedGroup:
+    """The permutations composed from the semidirect factors are the group's
+    permutations built from its matrices: the same multiset, in another order."""
+
+    @staticmethod
+    def _functionals(poset):
+        weights = [_functional_for(poset, omega, "weight") for omega in _omega_variants(poset)]
+        return weights + [_functional_for(poset, None, "support")]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_every_poset_over_f2_matches_the_matrix_oracle(self, size):
+        compared = 0
+        for poset in _labeled_posets(size):
+            space = AlphabetSpec.uniform(F2, poset.elements, 1)
+            for sf in self._functionals(poset):
+                _, perms = mep._indexed_group(space, poset, sf)
+                assert Counter(perms) == Counter(_oracle_perms(space, poset, sf))
+                compared += 1
+        assert compared == 4 * {1: 1, 2: 3, 3: 19, 4: 219}[size]
+
+    def test_criterion_four_shapes_match_the_matrix_oracle(self):
+        compared = 0
+        for space, poset, omega in _group_grid():  # q = 2 and 3, blocks up to dimension 3
+            for sf in (_functional_for(poset, omega, "weight"), p_support_functional(poset)):
+                _, perms = mep._indexed_group(space, poset, sf)
+                assert Counter(perms) == Counter(_oracle_perms(space, poset, sf))
+                compared += 1
+        assert compared == 156
+
+    def test_group_bound_fires_before_any_permutation(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a permutation was spanned")
+
+        # the strict block of a 2-chain over F_2 alone gives 2 elements
+        monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
+        monkeypatch.setattr(mep, "GROUP_BOUND", 1)
+        message = r"^isometry group order reaches 2, over the bound 1; raise it with --bound$"
+        with pytest.raises(BoundExceeded, match=message):
+            mep._indexed_group(SP21, CHAIN2, p_support_functional(CHAIN2))
+
+
+class TestIntegerScan:
+    def test_no_fraction_or_matrix_under_the_scan(self):
+        # the scan compares integer keys and composes permutations, so nothing
+        # under it adds Fractions, builds a matrix or turns one back into a permutation
+        calls = []
+
+        def hook(frame, event, arg):
+            code = frame.f_code
+            if event == "call" and (
+                "fractions" in code.co_filename or code.co_name in ("matrix", "perm_of_matrix")
+            ):
+                calls.append(code.co_name)
+
+        omega = WeightFunction.from_map({"a": "1/2", "b": "3/2", "c": "1/2"})
+        space = AlphabetSpec(F2, MIXED.elements, (1, 2, 1))
+        sys.setprofile(hook)
+        try:
+            weight_verdict = mep_brute_force(space, MIXED, omega)
+            support_verdict = mep_brute_force(space, MIXED, mode="support")
+            single_orbit_check(space, MIXED, omega)
+        finally:
+            sys.setprofile(None)
+        assert calls == []
+        assert support_verdict.holds and weight_verdict.complete
 
 
 class TestOrbitReducedScan:

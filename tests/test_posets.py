@@ -257,6 +257,17 @@ class TestWeights:
         with pytest.raises(ValidationError, match="unknown label 'z'"):
             w.scaled("az")
 
+    def test_label_positions_stay_out_of_eq_hash_and_repr(self):
+        w = WeightFunction.from_map({"a": "1/3", "b": "3/4", "c": 2})
+        assert w._pos == {"a": 0, "b": 1, "c": 2}
+        assert "_pos" not in repr(w)
+        assert hash(w) == hash(WeightFunction(w.labels, w.values))
+        assert w.of("b") == Fraction(3, 4)
+        with pytest.raises(ValidationError, match="^unknown label 'z'$"):
+            w.of("z")
+        with pytest.raises(ValidationError, match="^unknown label 'z'$"):
+            w.total({"a", "z"})
+
     def test_positive_required(self):
         with pytest.raises(ValidationError):
             WeightFunction.from_map({"a": 0})

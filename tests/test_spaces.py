@@ -4,7 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, ValidationError
+from posetmetrics.isometries import p_support_functional, weight_sum_functional
 from posetmetrics.posets import Poset, WeightFunction
 from posetmetrics.spaces import (
     AlphabetSpec,
@@ -68,6 +70,27 @@ class TestBlockBounds:
         assert space.block((0, 1, 2, 0), "b") == (1, 2)
 
 
+def _support_classes_oracle(space, value):
+    """Class ids from frozenset supports and a value per support, the path
+    support_classes replaced: numbered by first appearance, value once per
+    distinct support."""
+    class_of_support, ids, out = {}, {}, []
+    for vec in space.vectors():
+        supp = space.support(vec)
+        if supp not in class_of_support:
+            class_of_support[supp] = ids.setdefault(value(supp), len(ids))
+        out.append(class_of_support[supp])
+    return out
+
+
+class TestDimOf:
+    def test_reads_the_block_bounds(self):
+        space = AlphabetSpec(F3, ("a", "b", "c"), (1, 3, 2))
+        assert [space.dim_of(l) for l in "cab"] == [2, 1, 3]
+        with pytest.raises(ValidationError, match="^unknown label 'z'$"):
+            space.dim_of("z")
+
+
 class TestSupportClasses:
     MIXED = Poset.from_covers(("a", "b", "c"), [("a", "b")])
     SPACE = AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1))
@@ -91,26 +114,51 @@ class TestSupportClasses:
         space, poset = self.SPACE, self.MIXED
         vectors = list(space.vectors())
         calls = []
+        key = weight_sum_functional(poset, omega).key
 
-        def weight_value(supp):
-            calls.append(supp)
-            return omega.total(poset.ideal_closure(supp))
+        def counted_key(mask):
+            calls.append(mask)
+            return key(mask)
 
-        ids = support_classes(space, weight_value)
+        ids = support_classes(space, poset, counted_key)
         assert len(ids) == len(vectors)
         assert self._partition(ids) == self._partition(
             [weight(space, poset, omega, v) for v in vectors]
         )
-        assert sorted(calls, key=sorted) == sorted({space.support(v) for v in vectors}, key=sorted)
-        closure_ids = support_classes(space, poset.ideal_closure)
+        closures = {p_support(space, poset, v) for v in vectors}
+        assert sorted(calls) == sorted(sum(1 << poset.index(l) for l in c) for c in closures)
+        closure_ids = support_classes(space, poset, p_support_functional(poset).key)
         assert self._partition(closure_ids) == self._partition(
             [p_support(space, poset, v) for v in vectors]
         )
 
     def test_ids_numbered_by_first_appearance(self):
-        ids = support_classes(self.SPACE, len)
+        ids = support_classes(self.SPACE, self.MIXED, int.bit_count)
         first = [ids.index(c) for c in range(max(ids) + 1)]
         assert first == sorted(first) and ids[0] == 0
+
+    @pytest.mark.parametrize("q,dims", [(2, (1, 1, 1)), (3, (1, 1, 1)), (2, (1, 2, 1)), (3, (2, 1, 1))])
+    def test_equal_to_the_frozenset_oracle(self, q, dims):
+        # equal ids, not only equal partitions, on every labeled 3-element poset
+        compared = 0
+        for poset in _labeled_posets(3):
+            space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+            functionals = [weight_sum_functional(poset, omega) for omega in _omega_variants(poset)]
+            for sf in functionals + [p_support_functional(poset)]:
+                assert support_classes(space, poset, sf.key) == _support_classes_oracle(
+                    space, sf.evaluate
+                )
+                compared += 1
+        assert compared == 19 * 4
+
+    def test_space_label_order_is_mapped_to_poset_positions(self):
+        poset = self.MIXED
+        space = AlphabetSpec(F2, ("c", "a", "b"), (1, 2, 1))
+        for sf in (weight_sum_functional(poset, WeightFunction.ones(poset.elements)),
+                   p_support_functional(poset)):
+            assert support_classes(space, poset, sf.key) == _support_classes_oracle(
+                space, sf.evaluate
+            )
 
 
 class TestWeight:
