@@ -300,6 +300,8 @@ def admissible_lams(
 ) -> tuple[Perm, ...]:
     """The group's label maps, with its order checked against the bound
     before the functional filter and again after it."""
+    if space.labels != poset.elements:  # blocks and dims are indexed by poset position
+        raise ValidationError("the space's labels must be the poset's elements, in its order")
     _check_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
     lams = admissible_automorphisms(poset, space, sf)
     _check_order(space, poset, len(lams), bound)

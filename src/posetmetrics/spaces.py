@@ -120,8 +120,9 @@ def support_classes(space: AlphabetSpec, poset: Poset, key: Callable[[int], obje
     masks = [0]
     for label, k in zip(space.labels, space.dims):
         down = poset._down[poset.index(label)]
-        digits = [0] + [down] * (space.q**k - 1)  # only the zero block adds nothing
-        masks = [m | d for m in masks for d in digits]
+        # the zero block vector adds nothing, every other one the label's down-set
+        block_masks = [0] + [down] * (space.q**k - 1)
+        masks = [m | b for m in masks for b in block_masks]
     ids: dict[object, int] = {}
     class_of_mask = {mask: ids.setdefault(key(mask), len(ids)) for mask in dict.fromkeys(masks)}
     return list(map(class_of_mask.__getitem__, masks))

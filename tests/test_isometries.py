@@ -28,7 +28,7 @@ from posetmetrics.isometries import (
     weight_isometry_group,
     weight_sum_functional,
 )
-from posetmetrics.mep import SpaceIndex
+from posetmetrics.mep import SpaceIndex, mep_brute_force
 from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support
 
@@ -83,8 +83,8 @@ def weighted_posets(draw):
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     covers = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     poset = Poset.from_covers("abcde"[:n], covers)
-    weights = draw(st.lists(st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6),
-                            min_size=n, max_size=n))
+    weight = st.fractions(min_value=Fraction(1, 6), max_value=3, max_denominator=6)
+    weights = draw(st.lists(weight, min_size=n, max_size=n))
     return poset, WeightFunction(poset.elements, tuple(weights))
 
 
@@ -97,7 +97,8 @@ class TestFunctionalKeys:
         for sf in (weight_sum_functional(poset, omega), p_support_functional(poset)):
             ok, violations = check_support_functional(sf, poset)
             assert ok, violations
-            keyed = [(sf.key(m), sf.evaluate(i)) for m, i in zip(poset._ideal_masks, poset.all_ideals())]
+            ideals = zip(poset._ideal_masks, poset.all_ideals())
+            keyed = [(sf.key(mask), sf.evaluate(ideal)) for mask, ideal in ideals]
             for key_a, value_a in keyed:
                 for key_b, value_b in keyed:
                     assert (key_a == key_b) == (value_a == value_b)
@@ -266,8 +267,20 @@ class TestEnumeration:
 
         # the strict block of a 2-chain over F_2 alone gives 2 isometries
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
-        with pytest.raises(BoundExceeded, match=r"^isometry group order reaches 2, over the bound 1; raise it with --bound$"):
+        message = r"^isometry group order reaches 2, over the bound 1; raise it with --bound$"
+        with pytest.raises(BoundExceeded, match=message):
             next(enumerate_group(SP21, CHAIN2, p_support_functional(CHAIN2), bound=1))
+
+    def test_space_in_another_label_order_is_refused(self):
+        # dims and blocks are read by poset position; this space once gave a
+        # group of 192 where 48 is right, and a wrong MEP counterexample
+        vee = Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")])
+        space = AlphabetSpec(F2, ("c", "a", "b"), (2, 1, 1))
+        message = "^the space's labels must be the poset's elements, in its order$"
+        with pytest.raises(ValidationError, match=message):
+            weight_isometry_group(space, vee, WeightFunction.ones(vee.elements))
+        with pytest.raises(ValidationError, match=message):
+            mep_brute_force(space, vee, WeightFunction.ones(vee.elements))
 
     def test_order_formula_matches(self):
         vee = Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")])
