@@ -10,53 +10,17 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import ValidationError
-from .fourier import (
-    character_choice_audit,
-    is_fourier_reflexive,
-    macwilliams_identity_check,
-    weight_partition,
-)
-from .isometries import (
-    brute_force_isometries,
-    p_support_functional,
-    support_isometry_group,
-    weight_automorphisms,
-    weight_isometry_group,
-    weight_sum_functional,
-)
-from .lattices import (
-    FiniteLattice,
-    construct_minimal_solution,
-    is_solution,
-    is_trivial,
-    matrix_module_min_length,
-    moebius_indicator_identity,
-    nontrivial_solutions_up_to,
-    subspace_lattice,
-)
-from .mep import (
-    SpaceIndex,
-    canonical_decomposition,
-    condition_report,
-    extend_to_isometry,
-    level_class_bound,
-    mep_brute_force,
-    mep_predicate,
-    preserves_weight,
-)
-from .posets import (
-    Poset,
-    WeightFunction,
-    all_posets_on,
-    compose_perms,
-    invert_perm,
-    powers_of_two_weight,
-    udp_check,
-)
-from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes
+
+if TYPE_CHECKING:
+    from .lattices import FiniteLattice
+    from .posets import Poset, WeightFunction
+    from .spaces import AlphabetSpec
+
+# The criteria import the engine modules they run, so importing this module
+# (as the command line does for every command) imports none of them.
 
 LABELS = ("a", "b", "c", "d", "e")
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
@@ -76,6 +40,8 @@ class CriterionResult:
 
 
 def _labeled_posets(n: int) -> list[Poset]:
+    from .posets import all_posets_on
+
     posets = list(all_posets_on(LABELS[:n]))
     expected = POSET_COUNTS.get(n)
     if expected is not None and len(posets) != expected:
@@ -85,6 +51,10 @@ def _labeled_posets(n: int) -> list[Poset]:
 
 def criterion_mep_closed_form(max_elements: int = 3) -> tuple[bool, str]:
     """Brute-force extension verdicts match the closed form on every small poset."""
+    from .mep import condition_report, level_class_bound, mep_brute_force, mep_predicate
+    from .posets import WeightFunction
+    from .spaces import AlphabetSpec, FieldSpec
+
     n = min(max_elements, 3)
     field = FieldSpec(2)
     checked = 0
@@ -104,6 +74,10 @@ def criterion_mep_closed_form(max_elements: int = 3) -> tuple[bool, str]:
 
 def criterion_threshold_sharpness() -> tuple[bool, str]:
     """Two equal planes extend; three do not, with a replayable counterexample."""
+    from .mep import extend_to_isometry, mep_brute_force, preserves_weight
+    from .posets import Poset, WeightFunction
+    from .spaces import AlphabetSpec, FieldSpec
+
     field = FieldSpec(2)
     pair = Poset.antichain(("a", "b"))
     space2 = AlphabetSpec.uniform(field, pair.elements, 2)
@@ -128,6 +102,15 @@ def criterion_threshold_sharpness() -> tuple[bool, str]:
 
 def criterion_module_threshold() -> tuple[bool, str]:
     """Computed minimal lengths match the product formula; minimality verified."""
+    from .lattices import (
+        construct_minimal_solution,
+        is_solution,
+        is_trivial,
+        matrix_module_min_length,
+        nontrivial_solutions_up_to,
+        subspace_lattice,
+    )
+
     cases = ((2, 1, 2, 3), (3, 1, 2, 4), (5, 1, 2, 6), (2, 2, 3, 15))
     for q, e, k, expected in cases:
         value = matrix_module_min_length(q, e, k)
@@ -150,6 +133,8 @@ def criterion_module_threshold() -> tuple[bool, str]:
 
 
 def _omega_variants(poset: Poset) -> list[WeightFunction]:
+    from .posets import WeightFunction, powers_of_two_weight
+
     labels = poset.elements
     ones = WeightFunction.ones(labels)
     pow2 = powers_of_two_weight(poset)
@@ -161,6 +146,9 @@ def _omega_variants(poset: Poset) -> list[WeightFunction]:
 
 
 def _group_grid() -> list[tuple[AlphabetSpec, Poset, WeightFunction]]:
+    from .posets import Poset
+    from .spaces import AlphabetSpec, FieldSpec
+
     grid = []
     for q in (2, 3):
         field = FieldSpec(q)
@@ -184,6 +172,16 @@ def _group_grid() -> list[tuple[AlphabetSpec, Poset, WeightFunction]]:
 def criterion_isometry_group_structure() -> tuple[bool, str]:
     """Structured enumeration equals the brute-force group; the label-map
     projection is a homomorphism with the support group as kernel."""
+    from .isometries import (
+        brute_force_isometries,
+        support_isometry_group,
+        weight_automorphisms,
+        weight_isometry_group,
+        weight_sum_functional,
+    )
+    from .mep import SpaceIndex
+    from .posets import compose_perms, invert_perm
+
     instances = _group_grid()
     for space, poset, omega in instances:
         q = space.q
@@ -236,6 +234,9 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
 
 def criterion_canonical_decomposition(max_elements: int = 3) -> tuple[bool, str]:
     """Every code over a small hierarchical poset straightens and replays."""
+    from .mep import canonical_decomposition
+    from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes
+
     field = FieldSpec(2)
     checked = 0
     for n in range(1, min(max_elements, 3) + 1):
@@ -274,11 +275,17 @@ def criterion_canonical_decomposition(max_elements: int = 3) -> tuple[bool, str]
 
 
 def _nonhierarchical_example() -> Poset:
+    from .posets import Poset
+
     return Poset.from_covers(("a", "b", "c"), [("a", "b")])
 
 
 def criterion_macwilliams_dichotomy() -> tuple[bool, str]:
     """Identity verified on chain and antichain, refuted on the mixed poset."""
+    from .fourier import macwilliams_identity_check, weight_partition
+    from .posets import Poset, WeightFunction
+    from .spaces import AlphabetSpec, FieldSpec
+
     field = FieldSpec(2)
     for make in (Poset.chain, Poset.antichain):
         poset = make(("a", "b", "c"))
@@ -308,6 +315,10 @@ def criterion_macwilliams_dichotomy() -> tuple[bool, str]:
 
 def criterion_fourier_reflexivity() -> tuple[bool, str]:
     """Double dual returns the weight partition exactly when expected."""
+    from .fourier import character_choice_audit, is_fourier_reflexive, weight_partition
+    from .posets import Poset, WeightFunction
+    from .spaces import AlphabetSpec, FieldSpec
+
     field = FieldSpec(2)
     for make in (Poset.chain, Poset.antichain):
         poset = make(("a", "b", "c"))
@@ -332,6 +343,8 @@ def criterion_fourier_reflexivity() -> tuple[bool, str]:
 
 def criterion_udp_hierarchy(max_elements: int = 5) -> tuple[bool, str]:
     """All-ones weights: unique decomposition is exactly hierarchy."""
+    from .posets import WeightFunction, udp_check
+
     total = 0
     for n in range(1, min(max_elements, 5) + 1):
         for poset in _labeled_posets(n):
@@ -347,6 +360,8 @@ RANDOM_FAMILIES = 60
 
 
 def _random_intersection_family(rng: random.Random) -> FiniteLattice:
+    from .lattices import FiniteLattice
+
     size = rng.randint(1, 5)
     ground = tuple(range(size))
     members = {frozenset(ground)}
@@ -365,6 +380,8 @@ def _random_intersection_family(rng: random.Random) -> FiniteLattice:
 
 def criterion_moebius_identities(seed: int = 20260808) -> tuple[bool, str]:
     """Signed indicator identity holds pointwise on every tested family."""
+    from .lattices import moebius_indicator_identity, subspace_lattice
+
     rng = random.Random(seed)
     lattices = [_random_intersection_family(rng) for _ in range(RANDOM_FAMILIES)]
     for q in (2, 3, 5, 7, 11, 13):
@@ -388,6 +405,15 @@ def criterion_moebius_identities(seed: int = 20260808) -> tuple[bool, str]:
 def criterion_support_weight_bridge(max_elements: int = 3) -> tuple[bool, str]:
     """Doubling weights make weight classes the closure classes and the two
     brute-force isometry groups coincide."""
+    from .isometries import (
+        brute_force_isometries,
+        p_support_functional,
+        weight_isometry_group,
+        weight_sum_functional,
+    )
+    from .posets import powers_of_two_weight
+    from .spaces import AlphabetSpec, FieldSpec
+
     field = FieldSpec(2)
     for poset in _labeled_posets(min(max_elements, 3)):
         space = AlphabetSpec.uniform(field, poset.elements, 1)

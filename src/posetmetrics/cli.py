@@ -13,42 +13,24 @@ import json
 import os
 import sys
 import time
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
+# Each command imports the engine modules it runs, so a command pays only
+# for its own imports.  `acceptance` stays here: its module body imports no
+# engine module.
 from .acceptance import run_acceptance
 from .errors import (
     AllSolutionsTrivial,
     BoundExceeded,
+    GroupBoundExceeded,
     PredicateUnavailable,
     PropertyViolation,
     ValidationError,
 )
-from .fourier import coding_property_audit, macwilliams_identity_check
-from .instances import load_instance
-from .isometries import (
-    GROUP_BOUND,
-    brute_force_isometries,
-    support_isometry_group,
-    weight_automorphisms,
-    weight_isometry_group,
-    weight_sum_functional,
-)
-from .lattices import (
-    FiniteLattice,
-    _module_min_length,
-    minimal_nontrivial_solution,
-    moebius,
-    pointed_boolean_lattice,
-    subspace_lattice,
-)
-from .mep import (
-    condition_report,
-    mep_brute_force,
-    mep_p_support_predicate,
-    mep_predicate,
-)
-from .posets import udp_check
 from .reports import build_report, canonical_json, render_text
+
+if TYPE_CHECKING:
+    from .lattices import FiniteLattice
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -112,7 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("isometries", help="structured weight isometry group")
     add_common(p)
     p.add_argument("--brute-force", action="store_true", help="compare with the matrix scan")
-    p.add_argument("--bound", type=_at_least_one, default=GROUP_BOUND, help="group size bound")
+    p.add_argument("--bound", type=_at_least_one, default=None,
+                   help="group size bound (default: isometries.GROUP_BOUND)")
     p.set_defaults(handler=cmd_isometries)
 
     p = sub.add_parser("mep", help="extension property verdicts")
@@ -155,6 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_poset(args) -> tuple[dict, int]:
+    from .instances import load_instance
+    from .posets import udp_check
+
     inst = load_instance(args.instance)
     poset, omega = inst.poset, inst.omega
     violation = poset.hierarchy_violation()
@@ -177,10 +163,24 @@ def cmd_poset(args) -> tuple[dict, int]:
 
 
 def cmd_isometries(args) -> tuple[dict, int]:
+    from .instances import load_instance
+    from .isometries import (
+        GROUP_BOUND,
+        brute_force_isometries,
+        support_isometry_group,
+        weight_automorphisms,
+        weight_isometry_group,
+        weight_sum_functional,
+    )
+
     inst = load_instance(args.instance)
-    group = weight_isometry_group(inst.space, inst.poset, inst.omega, bound=args.bound)
-    admissible = weight_automorphisms(inst.poset, inst.space, inst.omega)
-    kernel_size = len(support_isometry_group(inst.space, inst.poset, bound=args.bound))
+    bound = GROUP_BOUND if args.bound is None else args.bound
+    try:
+        group = weight_isometry_group(inst.space, inst.poset, inst.omega, bound=bound)
+        admissible = weight_automorphisms(inst.poset, inst.space, inst.omega)
+        kernel_size = len(support_isometry_group(inst.space, inst.poset, bound=bound))
+    except GroupBoundExceeded as exc:
+        raise GroupBoundExceeded(f"{exc}; raise it with --bound") from None
     results = {
         "group_order": len(group),
         "label_map_image_size": len(admissible),
@@ -202,6 +202,9 @@ def cmd_isometries(args) -> tuple[dict, int]:
 
 
 def cmd_mep(args) -> tuple[dict, int]:
+    from .instances import load_instance
+    from .mep import condition_report, mep_brute_force, mep_p_support_predicate, mep_predicate
+
     inst = load_instance(args.instance)
     space, poset, omega = inst.space, inst.poset, inst.omega
     results: dict = {"mode": args.mode}
@@ -248,6 +251,8 @@ def _verdict_payload(verdict, witnesses: dict) -> dict:
 
 
 def cmd_lattice(args) -> tuple[dict, int]:
+    from .lattices import minimal_nontrivial_solution, moebius
+
     lattice, results = _parse_lattice_spec(args)
     table = moebius(lattice)
     results["member_count"] = len(lattice.members)
@@ -282,6 +287,13 @@ def _int_args(spec: Sequence[str], count: int, usage: str) -> list[int]:
 
 
 def _parse_lattice_spec(args) -> tuple[FiniteLattice, dict]:
+    from .lattices import (
+        FiniteLattice,
+        _module_min_length,
+        pointed_boolean_lattice,
+        subspace_lattice,
+    )
+
     spec = args.spec
     kind = spec[0]
     if kind == "subspace":
@@ -313,6 +325,9 @@ def _parse_lattice_spec(args) -> tuple[FiniteLattice, dict]:
 
 
 def cmd_macwilliams(args) -> tuple[dict, int]:
+    from .fourier import macwilliams_identity_check
+    from .instances import load_instance
+
     inst = load_instance(args.instance)
     result = macwilliams_identity_check(inst.space, inst.poset, inst.omega)
     results = {"identity_holds": result.holds}
@@ -327,6 +342,9 @@ def cmd_macwilliams(args) -> tuple[dict, int]:
 
 
 def cmd_audit(args) -> tuple[dict, int]:
+    from .fourier import coding_property_audit
+    from .instances import load_instance
+
     inst = load_instance(args.instance)
     audit = coding_property_audit(inst.space, inst.poset, inst.omega)
     results = {

@@ -13,6 +13,11 @@ class BoundExceeded(PosetMetricsError):
     """An enumeration would exceed its configured resource bound."""
 
 
+class GroupBoundExceeded(BoundExceeded):
+    """An isometry group's order is over the group bound; only the `isometries`
+    command sets that bound (`--bound`), the others use `isometries.GROUP_BOUND`."""
+
+
 class PropertyViolation(PosetMetricsError):
     """An internal replay or cross-check failed; indicates a bug, not bad input."""
 

@@ -27,7 +27,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import fields
-from .errors import BoundExceeded, PropertyViolation, ValidationError
+from .errors import BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError
 from .fields import Matrix, Vector
 from .posets import SCAN_BOUND, Perm, Poset, WeightFunction, derived, set_bits, weight_preserving_automorphisms
 from .spaces import AlphabetSpec, support_classes
@@ -258,7 +258,8 @@ def _strict_pairs(poset: Poset, lam: Perm) -> list[tuple[int, int]]:
     return [(i, j) for i, image in enumerate(lam) for j in set_bits(poset.strictly_below(image))]
 
 
-# The largest isometry group that is enumerated (the --bound default of `isometries`).
+# The largest isometry group that is enumerated: the --bound default of the
+# `isometries` command, and the fixed bound of the MEP scan and orbit check.
 GROUP_BOUND = 1 << 20
 
 
@@ -290,9 +291,7 @@ def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) 
     if order is not None:
         # a str of over 4300 digits raises, so a huge order is named by its bit length
         reached = order if order < 1 << 64 else f"at least 2^{order.bit_length() - 1}"
-        raise BoundExceeded(
-            f"isometry group order reaches {reached}, over the bound {bound}; raise it with --bound"
-        )
+        raise GroupBoundExceeded(f"isometry group order reaches {reached}, over the bound {bound}")
 
 
 def admissible_lams(

@@ -70,16 +70,25 @@ class SpaceIndex:
         self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
         for t, c in enumerate(self.values):
             self.classes[c].append(t)
-        self.scale_table = [
-            [self.index[fields.vec_scale(q, c, v)] for v in self.vectors] for c in range(q)
-        ]
+        # Index t spells vector t in base-q digits, most significant first, and
+        # scaling and adding act digit by digit, so the tables grow one digit
+        # at a time: prefix index p and digit d make index p * q + d.
+        n = space.total_dim
         if q == 2:
-            self._add_table = None  # index equals the base-2 digit string, so add is xor
+            self.scale_table = [[0] * count, list(range(count))]  # c v is 0 or v
+            self._add_table = None  # add is xor of the digit strings
         else:
-            self._add_table = [
-                [self.index[fields.vec_add(q, a, b)] for b in self.vectors]
-                for a in self.vectors
-            ]
+            self.scale_table = []
+            for c in range(q):
+                row = [0]
+                for _ in range(n):
+                    row = [s * q + c * d % q for s in row for d in range(q)]
+                self.scale_table.append(row)
+            table = [[0]]
+            for _ in range(n):
+                table = [[s * q + (x + y) % q for s in row for y in range(q)]
+                         for row in table for x in range(q)]
+            self._add_table = table
 
     def span_indices(self, basis: Sequence[int], spans: Sequence[int] = (0,)) -> list[int]:
         """Indices of all combinations, aligned with lexicographic coefficients.

@@ -478,6 +478,18 @@ class TestBoundsAtLoad:
         message = "isometry group order reaches at least 2^2999, over the bound 1048576"
         assert f"{message}; raise it with --bound\n" in capsys.readouterr().err
 
+    def test_group_bound_under_mep_names_no_flag(self, tmp_path, capsys):
+        # mep --bound sets the candidate-map bound, not the group bound, so the
+        # q = 2 8-chain's group (2^28 strict-block choices) stays refused
+        path = tmp_path / "chain8.json"
+        elements = list("abcdefgh")
+        doc = {"q": 2, "poset": {"elements": elements, "covers": list(zip(elements, elements[1:]))}}
+        path.write_text(json.dumps(doc))
+        argv = ["mep", "--brute-force", "--bound", str(1 << 40), "--instance", str(path)]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err == "bound exceeded: isometry group order reaches 2097152, over the bound 1048576\n"
+
     @pytest.mark.parametrize("command", ["macwilliams", "audit"])
     def test_code_bound_exits_three_at_once(self, tmp_path, capsys, command):
         # F_2^9 has 8,283,458 subspaces; without the bound the enumeration ran past two minutes

@@ -10,7 +10,12 @@ import pytest
 
 from posetmetrics import fields, mep
 from posetmetrics.acceptance import _group_grid, _labeled_posets, _omega_variants
-from posetmetrics.errors import BoundExceeded, PredicateUnavailable, ValidationError
+from posetmetrics.errors import (
+    BoundExceeded,
+    GroupBoundExceeded,
+    PredicateUnavailable,
+    ValidationError,
+)
 from posetmetrics.isometries import enumerate_group, p_support_functional
 from posetmetrics.mep import (
     MepVerdict,
@@ -360,9 +365,31 @@ class TestIndexedGroup:
         # the strict block of a 2-chain over F_2 alone gives 2 elements
         monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
         monkeypatch.setattr(mep, "GROUP_BOUND", 1)
-        message = r"^isometry group order reaches 2, over the bound 1; raise it with --bound$"
-        with pytest.raises(BoundExceeded, match=message):
+        # no flag raises the bound of the scan, so the message names none
+        message = r"^isometry group order reaches 2, over the bound 1$"
+        with pytest.raises(GroupBoundExceeded, match=message):
             mep._indexed_group(SP21, CHAIN2, p_support_functional(CHAIN2))
+
+
+class TestSpaceIndexTables:
+    """The scale and add tables grown from base-q digits are the tables read
+    off the vectors through the vector -> index dict."""
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 1)], ids=str)
+    def test_digit_tables_match_the_vector_dict(self, q, dims):
+        space = AlphabetSpec(FieldSpec(q), ANTI3.elements, dims)
+        si = SpaceIndex(space, ANTI3, p_support_functional(ANTI3))
+        vectors, index = si.vectors, si.index
+        assert si.scale_table == [
+            [index[fields.vec_scale(q, c, v)] for v in vectors] for c in range(q)
+        ]
+        adds = [[index[fields.vec_add(q, a, b)] for b in vectors] for a in vectors]
+        if q == 2:
+            assert si._add_table is None  # span_indices adds by xor
+            assert adds == [[a ^ b for b in range(len(vectors))] for a in range(len(vectors))]
+        else:
+            assert si._add_table == adds
 
 
 class TestIntegerScan:

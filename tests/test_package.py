@@ -1,0 +1,139 @@
+"""The package's export surface and what each entry point imports."""
+
+import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import posetmetrics
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+CHAIN3 = Path(__file__).resolve().parents[1] / "instances" / "chain3.json"
+
+# The exported names, by the module that defines them, as of the lazy package.
+EXPORTS = {
+    "errors": (
+        "AllSolutionsTrivial", "BoundExceeded", "PosetMetricsError", "PredicateUnavailable",
+        "PropertyViolation", "ValidationError",
+    ),
+    "fourier": (
+        "CyclotomicInteger", "Partition", "character_sum", "coding_property_audit",
+        "dual_partition", "is_fourier_reflexive", "macwilliams_identity_check",
+        "weight_partition",
+    ),
+    "instances": ("Instance", "instance_from_dict", "load_instance"),
+    "isometries": (
+        "Isometry", "SupportFunctional", "brute_force_isometries", "build_isometry",
+        "check_support_functional", "decompose", "enumerate_group", "p_support_functional",
+        "support_isometry_group", "weight_isometry_group", "weight_sum_functional",
+    ),
+    "lattices": (
+        "FiniteLattice", "Solution", "construct_minimal_solution",
+        "hamming_extension_via_solutions", "is_solution", "is_trivial",
+        "matrix_module_min_length", "minimal_nontrivial_length", "minimal_nontrivial_solution",
+        "moebius", "moebius_indicator_identity", "pointed_boolean_lattice",
+        "subgroup_indicator_equivalence", "subspace_lattice",
+    ),
+    "mep": (
+        "ConditionReport", "MepVerdict", "canonical_decomposition", "condition_report",
+        "extend_to_isometry", "level_class_bound", "mep_brute_force", "mep_p_support_predicate",
+        "mep_predicate", "preserves", "preserves_weight", "single_orbit_check",
+    ),
+    "posets": ("Poset", "WeightFunction", "all_posets_on", "powers_of_two_weight", "udp_check"),
+    "spaces": (
+        "AlphabetSpec", "FieldSpec", "LinearCode", "delta_code", "distance", "enumerate_codes",
+        "gaussian_binomial", "linear_maps", "p_support", "p_weight", "weight",
+    ),
+}
+NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
+ENGINE = ("instances", "isometries", "mep", "lattices", "fourier")
+
+
+def run_fresh(code: str) -> dict:
+    """Run code in a fresh interpreter; it prints one JSON value as its last line."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestExports:
+    @pytest.mark.parametrize("module, name", NAMES, ids=[name for _, name in NAMES])
+    def test_name_is_the_defining_module_object(self, module, name):
+        defining = importlib.import_module(f"posetmetrics.{module}")
+        assert getattr(posetmetrics, name) is getattr(defining, name)
+
+    def test_all_and_dir_list_every_export(self):
+        names = {name for _, name in NAMES}
+        assert len(names) == len(NAMES) == 70
+        assert sorted(posetmetrics.__all__) == sorted(names)
+        assert names <= set(dir(posetmetrics))
+        assert {"fields", "mep", "cli"} <= set(dir(posetmetrics))
+
+    def test_star_import_binds_every_export(self):
+        namespace: dict = {}
+        exec("from posetmetrics import *", namespace)
+        for module, name in NAMES:
+            assert namespace[name] is getattr(importlib.import_module(f"posetmetrics.{module}"), name)
+
+    def test_submodules_resolve(self):
+        assert posetmetrics.fields is importlib.import_module("posetmetrics.fields")
+        assert posetmetrics.acceptance is importlib.import_module("posetmetrics.acceptance")
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            posetmetrics.no_such_name  # noqa: B018
+        assert not hasattr(posetmetrics, "GroupBoundExceeded")  # defined, but not exported
+        with pytest.raises(ImportError):
+            exec("from posetmetrics import no_such_name", {})
+
+    def test_first_access_imports_and_binds(self):
+        loaded = run_fresh(
+            "import json, sys, posetmetrics as pm\n"
+            "before = 'udp_check' in vars(pm) or 'posetmetrics.posets' in sys.modules\n"
+            "first = pm.udp_check\n"
+            "print(json.dumps([before, vars(pm).get('udp_check') is first,\n"
+            "                  'posetmetrics.mep' in sys.modules]))"
+        )
+        assert loaded == [False, True, False]
+
+
+def _loaded_after(statements: str) -> set[str]:
+    """The posetmetrics submodules a fresh interpreter holds after the statements."""
+    return set(run_fresh(
+        "import contextlib, io, json, sys\n"
+        f"{statements}\n"
+        "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+        "                        if m.startswith('posetmetrics.'))))"
+    ))
+
+
+def _cli(*argv: str) -> str:
+    """Statements that run one CLI command with its report captured."""
+    return (
+        "import posetmetrics.cli as cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.main({list(argv)!r}) == 0"
+    )
+
+
+class TestImportBoundary:
+    def test_cli_import_loads_no_engine_module(self):
+        assert _loaded_after("import posetmetrics.cli").isdisjoint(ENGINE)
+
+    def test_poset_command_loads_no_group_lattice_or_fourier_module(self):
+        loaded = _loaded_after(_cli("poset", "--instance", str(CHAIN3)))
+        assert {"instances", "posets"} <= loaded
+        assert loaded.isdisjoint({"isometries", "mep", "lattices", "fourier"})
+
+    def test_lattice_command_loads_no_instance_or_group_module(self):
+        loaded = _loaded_after(_cli("lattice", "boolean", "3"))
+        assert "lattices" in loaded
+        assert loaded.isdisjoint({"instances", "isometries", "mep", "fourier"})
