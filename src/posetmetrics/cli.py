@@ -23,6 +23,7 @@ from .errors import (
     AllSolutionsTrivial,
     BoundExceeded,
     GroupBoundExceeded,
+    MapBoundExceeded,
     PredicateUnavailable,
     PropertyViolation,
     ValidationError,
@@ -230,9 +231,12 @@ def cmd_mep(args) -> tuple[dict, int]:
         results["predicate"] = "unavailable"
         predicate = None
     if args.brute_force or predicate is None:
-        brute = mep_brute_force(
-            space, poset, omega, mode=mode, max_dim=args.max_dim, map_bound=args.bound
-        )
+        try:
+            brute = mep_brute_force(
+                space, poset, omega, mode=mode, max_dim=args.max_dim, map_bound=args.bound
+            )
+        except MapBoundExceeded as exc:
+            raise MapBoundExceeded(f"{exc}; raise it with --bound") from None
         results["brute_force"] = _verdict_payload(brute, witnesses)
         if predicate is not None:
             results["agreement"] = brute.holds == predicate.holds or not brute.complete

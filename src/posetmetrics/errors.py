@@ -18,6 +18,11 @@ class GroupBoundExceeded(BoundExceeded):
     command sets that bound (`--bound`), the others use `isometries.GROUP_BOUND`."""
 
 
+class MapBoundExceeded(BoundExceeded):
+    """An MEP scan's candidate maps are over the map bound; only the `mep`
+    command sets that bound (`--bound`), `audit` uses the default."""
+
+
 class PropertyViolation(PosetMetricsError):
     """An internal replay or cross-check failed; indicates a bug, not bad input."""
 

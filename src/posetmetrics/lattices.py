@@ -6,7 +6,11 @@ ground set and closed under pairwise intersection.  Members are frozensets
 at the interface.  Inside, bit t of an int mask stands for the t-th ground
 point, and bit i of a member bitset for the i-th member, so validation,
 closures and the Moebius down-sets are operations on ints (bitset
-techniques as in Knuth, TAOCP 4A, 7.1.3).  The member index, the point
+techniques as in Knuth, TAOCP 4A, 7.1.3).  Validation intersects every
+member with the meet-irreducible members only, which generate every member
+by intersection (Ganter & Wille, *Formal Concept Analysis*, 1999, ch. 1).
+The Moebius down-sets come from each member's up-set, the bitset of the
+members containing it, computed once.  The member index, the point
 closures and the Moebius table are built at most once per lattice and kept
 on it, so they are freed with it.
 """
@@ -36,13 +40,15 @@ class FiniteLattice:
     members: tuple[frozenset, ...]
     # Point t is ground[t].  Member i holds the points _points[i], as a
     # tuple and as the mask _masks[i] with bit t set for each; _holders[t]
-    # is the bitset of the members holding point t.
+    # is the bitset of the members holding point t, and _ups[i] that of the
+    # members containing member i (itself included), indexed by _up_index.
     _pos: dict = derived()
     _points: tuple[tuple[int, ...], ...] = derived()
     _masks: tuple[int, ...] = derived()
     _holders: list[int] = derived()
+    _ups: tuple[int, ...] = derived()
+    _up_index: dict = derived()
     _member_index: dict = derived()
-    _mask_index: dict = derived()
 
     def __post_init__(self) -> None:
         pos = {x: t for t, x in enumerate(self.ground)}
@@ -62,22 +68,28 @@ class FiniteLattice:
         for i, p in enumerate(points):
             for t in p:
                 holders[t] |= 1 << i
+        object.__setattr__(self, "_holders", holders)
+        ups = tuple(map(self._holding, points))
         mask_index = dict(zip(masks, range(len(masks))))
-        # The pairs i <= j suffice, and the first failing one is also the
-        # first of the whole row-major square: (j, i) fails when (i, j) does.
-        for i, a in enumerate(masks):
-            if not {a & b for b in masks[i:]} <= mask_index.keys():
-                j = next(j for j in range(i, len(masks)) if a & masks[j] not in mask_index)
-                raise ValidationError(
-                    f"family is not intersection-closed at {sorted(self.members[i])} "
-                    f"and {sorted(self.members[j])}"
-                )
+        # Every member is an intersection of meet-irreducible members, so
+        # closure under intersection with each of them implies closure.
+        irreducibles = _meet_irreducibles(masks, ups, (1 << len(self.ground)) - 1)
+        if not all({a & m for a in masks} <= mask_index.keys() for m in irreducibles):
+            # The pairs i <= j name the first failing pair of the whole
+            # row-major square: (j, i) fails when (i, j) does.
+            for i, a in enumerate(masks):
+                if not {a & b for b in masks[i:]} <= mask_index.keys():
+                    j = next(j for j in range(i, len(masks)) if a & masks[j] not in mask_index)
+                    raise ValidationError(
+                        f"family is not intersection-closed at {sorted(self.members[i])} "
+                        f"and {sorted(self.members[j])}"
+                    )
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_points", points)
         object.__setattr__(self, "_masks", masks)
-        object.__setattr__(self, "_holders", holders)
+        object.__setattr__(self, "_ups", ups)
+        object.__setattr__(self, "_up_index", dict(zip(ups, range(len(ups)))))
         object.__setattr__(self, "_member_index", member_index)
-        object.__setattr__(self, "_mask_index", mask_index)
 
     @classmethod
     def from_sets(cls, ground: Iterable, members: Iterable[Iterable]) -> "FiniteLattice":
@@ -88,22 +100,27 @@ class FiniteLattice:
         ordered = sorted(frozen, key=lambda s: (len(s), sorted(pos.get(x, -1) for x in s)))
         return cls(ground, tuple(ordered))
 
-    def _closure_mask(self, mask: int) -> int:
-        """Intersection of the members containing the mask, itself a member."""
-        out = (1 << len(self.ground)) - 1
-        for m in self._masks:
-            if m & mask == mask:
-                out &= m
+    def _holding(self, points: Iterable[int]) -> int:
+        """Bitset of the members holding every given point; all members when
+        there are none."""
+        out = (1 << len(self.members)) - 1
+        for t in points:
+            out &= self._holders[t]
         return out
+
+    def _closure_index(self, mask: int) -> int:
+        """Index of the intersection of the members containing the mask: the
+        member whose up-set is exactly those members."""
+        return self._up_index[self._holding(set_bits(mask))]
 
     @cached_property
     def _point_closure_masks(self) -> tuple[int, ...]:
         """The closure mask of each ground point, in ground order."""
-        return tuple(self._closure_mask(1 << t) for t in range(len(self.ground)))
+        return tuple(self._masks[self._closure_index(1 << t)] for t in range(len(self.ground)))
 
     @cached_property
     def _moebius(self) -> MoebiusTable:
-        return MoebiusTable(self, _moebius_entries(self))
+        return _moebius_table(self)
 
     def closure(self, subset: Iterable) -> frozenset:
         """Smallest member containing the subset; unique by intersection-closure."""
@@ -111,7 +128,7 @@ class FiniteLattice:
             mask = sum(1 << self._pos[x] for x in frozenset(subset))
         except KeyError:
             raise ValidationError("closure argument outside the ground set") from None
-        return self.members[self._mask_index[self._closure_mask(mask)]]
+        return self.members[self._closure_index(mask)]
 
     def bottom(self) -> frozenset:
         return self.closure(())
@@ -122,22 +139,43 @@ class FiniteLattice:
         return tuple(m for m, mask in zip(self.members, self._masks) if mask not in hit)
 
     def contains_empty(self) -> bool:
-        return 0 in self._mask_index
+        return self._masks[self._closure_index(0)] == 0
+
+
+def _meet_irreducibles(masks: Sequence[int], ups: Sequence[int], full: int) -> list[int]:
+    """The masks of the members that are not the intersection of the members
+    strictly above them, given each member's up-set.  The ground set is the
+    empty intersection, full, so it is not one.  Every member above holds the
+    member, so a running intersection that reaches it stops there."""
+    out = []
+    for i, m in enumerate(masks):
+        meet = full
+        for j in set_bits(ups[i] ^ (1 << i)):
+            if meet == m:
+                break
+            meet &= masks[j]
+        if meet != m:
+            out.append(m)
+    return out
 
 
 class MoebiusTable:
     """Sparse table of the lattice's Moebius values.
 
     entries maps (below index, above index) to the nonzero value; by_above
-    groups the same data per upper member for interval scans.
+    groups the same data per upper member for interval scans, in the order
+    of entries.  The sieve passes both; from entries alone, by_above is
+    grouped from them.
     """
 
-    def __init__(self, lattice: FiniteLattice, entries: dict):
+    def __init__(self, lattice: FiniteLattice, entries: dict, by_above: Optional[dict] = None):
         self.lattice = lattice
         self.entries = entries
-        self.by_above: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), v in entries.items():
-            self.by_above.setdefault(j, []).append((i, v))
+        if by_above is None:
+            by_above = {}
+            for (i, j), v in entries.items():
+                by_above.setdefault(j, []).append((i, v))
+        self.by_above = by_above
 
     def of(self, below: frozenset, above: frozenset) -> int:
         index = self.lattice._member_index
@@ -156,39 +194,37 @@ def moebius(lattice: FiniteLattice) -> MoebiusTable:
     return lattice._moebius
 
 
-def _down_lists(lattice: FiniteLattice) -> list[tuple[int, ...]]:
+def _down_lists(lattice: FiniteLattice) -> list[list[int]]:
     """For each member, the indices of the members below it (itself
-    included, so first), by size descending, then index.  The members below
-    m are those outside the holders of every point m lacks."""
-    masks, holders = lattice._masks, lattice._holders
-    neg_sizes = [-m.bit_count() for m in masks]
-    every = (1 << len(masks)) - 1
-    full = (1 << len(lattice.ground)) - 1
-    out = []
-    for mask in masks:
-        outside = 0
-        for t in set_bits(full ^ mask):
-            outside |= holders[t]
-        out.append(tuple(sorted(set_bits(every ^ outside), key=neg_sizes.__getitem__)))
+    included, so first), by size descending, then index: each member is
+    appended, in that order, to the list of every member in its up-set."""
+    masks = lattice._masks
+    out: list[list[int]] = [[] for _ in masks]
+    for i in sorted(range(len(masks)), key=lambda i: -masks[i].bit_count()):
+        for j in set_bits(lattice._ups[i]):
+            out[j].append(i)
     return out
 
 
-def _moebius_entries(lattice: FiniteLattice) -> dict[tuple[int, int], int]:
+def _moebius_table(lattice: FiniteLattice) -> MoebiusTable:
     down_lists = _down_lists(lattice)
     strictly_below = [down[1:] for down in down_lists]
     count = len(down_lists)
     entries: dict[tuple[int, int], int] = {}
+    by_above: dict[int, list[tuple[int, int]]] = {}
     for j, down in enumerate(down_lists):
         # acc[i] is minus the value at i: the sum of the values strictly above i
         acc = [0] * count
         acc[j] = -1
+        column = by_above[j] = []
         for i in down:
             value = -acc[i]
             if value:
                 entries[(i, j)] = value
+                column.append((i, value))
                 for w in strictly_below[i]:
                     acc[w] += value
-    return entries
+    return MoebiusTable(lattice, entries, by_above)
 
 
 def moebius_indicator_identity(

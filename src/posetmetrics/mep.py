@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from . import fields
 from .errors import (
     BoundExceeded,
+    MapBoundExceeded,
     PredicateUnavailable,
     PropertyViolation,
     ValidationError,
@@ -211,9 +212,8 @@ def mep_brute_force(
         if d == 0:
             continue
         if count**d > map_bound:
-            raise BoundExceeded(
-                f"{count ** d} candidate maps at dimension {d} exceed the bound "
-                f"{map_bound}; raise it with --bound"
+            raise MapBoundExceeded(
+                f"{count ** d} candidate maps at dimension {d} exceed the bound {map_bound}"
             )
         basis_idx = [si.index[b] for b in code.basis]
         span = frozenset(si.span_indices(basis_idx))

@@ -503,6 +503,20 @@ class TestBoundsAtLoad:
         message = "F_2^9 has 8283458 subspaces, over the code bound 65536"
         assert message in capsys.readouterr().err
 
+    def test_map_bound_under_audit_names_no_flag(self, tmp_path, capsys):
+        # audit scans MEP under the default map bound, and has no --bound to raise it
+        path = tmp_path / "chain5.json"
+        elements = list("abcde")
+        doc = {"q": 2, "poset": {"elements": elements, "covers": list(zip(elements, elements[1:]))}}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main(["audit", "--instance", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err == (
+            "bound exceeded: 1048576 candidate maps at dimension 4 exceed the bound 524288\n"
+        )
+
 
 BROKEN_LABELS = ["a", 1, None, ""]
 BROKEN_WEIGHTS = ["0", "-1", "x", 0.5, None]

@@ -18,6 +18,7 @@ from posetmetrics.lattices import (
     FiniteLattice,
     MoebiusTable,
     Solution,
+    _meet_irreducibles,
     _module_min_length,
     construct_minimal_solution,
     hamming_extension_via_solutions,
@@ -147,6 +148,67 @@ class TestBitmaskCoreAgainstOracles:
             )
             assert lattice.bottom() == frozenset.intersection(*members)
             assert lattice.contains_empty() == (frozenset() in members)
+
+    def test_closures_of_random_subsets(self):
+        rng = random.Random(5)
+        for lattice in _oracle_lattices():
+            for _ in range(10):
+                subset = frozenset(x for x in lattice.ground if rng.random() < 0.3)
+                holding = [m for m in lattice.members if subset <= m]
+                assert lattice.closure(subset) == frozenset.intersection(*holding)
+
+    def test_meet_irreducibles(self):
+        for lattice in _oracle_lattices():
+            ground = frozenset(lattice.ground)
+            expected = [
+                lattice._masks[i]
+                for i, m in enumerate(lattice.members)
+                if m != ground.intersection(*(a for a in lattice.members if m < a))
+            ]
+            full = (1 << len(lattice.ground)) - 1
+            assert _meet_irreducibles(lattice._masks, lattice._ups, full) == expected
+
+    def test_near_closed_families(self):
+        # one meet-reducible member removed breaks closure; one subset added may
+        rng = random.Random(13)
+        checked = 0
+        for lattice in _oracle_lattices():
+            ground, members = lattice.ground, list(lattice.members)
+            full = (1 << len(ground)) - 1
+            irreducible = set(_meet_irreducibles(lattice._masks, lattice._ups, full))
+            reducible = [
+                m for m, mask in zip(members, lattice._masks)
+                if mask not in irreducible and m != frozenset(ground)
+            ]
+            families = []  # (family, whether the oracle must refuse it)
+            if reducible:
+                removed = rng.choice(reducible)
+                families.append(([m for m in members if m != removed], True))
+            subset = frozenset(x for x in ground if rng.random() < 0.5)
+            if subset not in members:
+                added = members[:]
+                added.insert(rng.randint(0, len(members)), subset)
+                families.append((added, False))
+            for family, must_refuse in families:
+                family = tuple(family)
+                try:
+                    pair_check_oracle(ground, family)
+                except ValidationError as exc:
+                    with pytest.raises(ValidationError) as info:
+                        FiniteLattice(ground, family)
+                    assert str(info.value) == str(exc)
+                    checked += 1
+                else:
+                    assert not must_refuse
+                    FiniteLattice(ground, family)
+        assert checked > 40
+
+    @pytest.mark.parametrize("ground", [(), (1,), (1, 2, 3)])
+    def test_ground_only_family(self, ground):
+        lattice = FiniteLattice(ground, (frozenset(ground),))
+        assert lattice.bottom() == frozenset(ground)
+        assert lattice.non_point_closures() == (() if ground else (frozenset(),))
+        assert moebius(lattice).entries == {(0, 0): 1}
 
     def test_validation_messages(self):
         rng = random.Random(11)
