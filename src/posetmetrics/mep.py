@@ -10,6 +10,12 @@ and the scan and the orbit check see each group element only as the
 permutation it induces on the indexed vectors.  `_indexed_group` composes
 those permutations from the group's semidirect factors, with no `Isometry`
 and no matrix.
+
+A code is decided on the stabilizer chain of its basis (`_holds_on`): only
+the images of the identity prefix at each level are looked at, and the leaf
+search that names the first counterexample runs only on a code that fails.
+A held code's orbit is marked with one group element per basis-image tuple,
+since an element's image of the code follows from its images of the basis.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from . import fields
 from .errors import (
@@ -196,6 +202,10 @@ def mep_brute_force(
     A code gC in the orbit of a code C that held is skipped (f on gC extends
     to F iff f o g on C extends to F o g).  Only orbits of codes that held are
     marked, so the first failing code and its counterexample are unchanged.
+    Each scanned code is decided by `_holds_on` on the stabilizer chain of its
+    basis; only a code it rejects gets the reachable tuples and the leaf
+    search for the first unreachable map.  The orbit of a held code is marked
+    with one element per distinct basis-image tuple, not with all of G.
 
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
@@ -219,9 +229,9 @@ def mep_brute_force(
         span = frozenset(si.span_indices(basis_idx))
         if span in held:
             continue
-        reachable = set(zip(*(columns[b] for b in basis_idx)))
-        images = _first_unreachable_map(si, basis_idx, reachable)
-        if images is not None:
+        if not _holds_on(si, basis_idx, columns):
+            reachable = set(zip(*(columns[b] for b in basis_idx)))
+            images = _first_unreachable_map(si, basis_idx, reachable)
             image_vectors = tuple(si.vectors[t] for t in images)
             return MepVerdict(
                 holds=False,
@@ -230,7 +240,9 @@ def mep_brute_force(
                 complete=True,
                 counterexample=(code, image_vectors),
             )
-        held.update(frozenset(map(p.__getitem__, span)) for p in perms)
+        # g's image of the span follows from g's basis images: one g per image tuple
+        movers = dict(zip(zip(*(columns[b] for b in basis_idx)), perms))
+        held.update(frozenset(map(p.__getitem__, span)) for p in movers.values())
     return MepVerdict(holds=True, mode=mode, source="brute-force", complete=(top >= n))
 
 
@@ -285,37 +297,89 @@ def _indexed_group(
     return si, [tuple(map(p.__getitem__, u)) for p in outer for u in inner]
 
 
+def _levels(
+    si: SpaceIndex, basis_idx: Sequence[int]
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Per basis position k: the span of the first k basis vectors, the
+    classes the span of the first k + 1 must keep, and the vectors of the
+    class image k is drawn from."""
+    values = si.values
+    spans, targets = [[0]], []
+    for b in basis_idx:
+        spans.append(si.span_indices((b,), spans[-1]))
+        targets.append(list(map(values.__getitem__, spans[-1])))
+    return spans, targets, [si.classes[values[b]] for b in basis_idx]
+
+
+def _first_leaf_outside(
+    si: SpaceIndex,
+    allowed: Sequence[Sequence[int]],
+    targets: Sequence[list[int]],
+    images: tuple[int, ...],
+    prefix_span: list[int],
+    reachable: Container[tuple[int, ...]],
+) -> Optional[tuple[int, ...]]:
+    """The first class-preserving completion of the image prefix outside reachable.
+
+    Completions come in itertools.product order over allowed.  Images are
+    chosen one basis vector at a time, and a prefix is dropped as soon as an
+    element of its span leaves the class of the matching codeword: every
+    completion of it would fail the same check.
+    """
+    k = len(images)
+    if k == len(allowed):
+        return None if images in reachable else images
+    values = si.values
+    for img in allowed[k]:
+        img_span = si.span_indices((img,), prefix_span)
+        if list(map(values.__getitem__, img_span)) == targets[k]:
+            found = _first_leaf_outside(si, allowed, targets, images + (img,), img_span, reachable)
+            if found is not None:
+                return found
+    return None
+
+
 def _first_unreachable_map(
     si: SpaceIndex, basis_idx: Sequence[int], reachable: set[tuple[int, ...]]
 ) -> Optional[tuple[int, ...]]:
-    """The first class-preserving basis-image tuple outside reachable.
+    """The first class-preserving basis-image tuple outside reachable, in
+    itertools.product order over the classes of the basis vectors."""
+    _, targets, allowed = _levels(si, basis_idx)
+    return _first_leaf_outside(si, allowed, targets, (), [0], reachable)
 
-    Tuples come in itertools.product order over the classes of the basis
-    vectors.  Images are chosen one basis vector at a time, and a prefix is
-    dropped as soon as an element of its span leaves the class of the
-    matching codeword: every completion of it would fail the same check.
+
+def _holds_on(si: SpaceIndex, basis_idx: Sequence[int], columns: Sequence[Sequence[int]]) -> bool:
+    """Is every class-preserving basis-image tuple the basis's image under
+    some group element?  Decided on the basis's stabilizer chain.
+
+    An element g reaching the prefix (x_1..x_k) moves the subtree of the
+    identity prefix (b_1..b_k) onto that prefix's subtree, leaf for leaf and
+    reachable onto reachable, so only the identity prefix's children need a
+    look.  Its child x is reachable exactly when x lies in O_k, the orbit of
+    b_{k+1} under the elements fixing b_1..b_k, and then its subtree has an
+    unreachable leaf exactly when level k + 1 has one.  A class-preserving
+    child outside O_k is unreachable with its whole subtree, which is bad
+    exactly when it has a class-preserving completion.  So the code holds iff
+    no level k has such a child; levels are looked at from the bottom up.
     """
+    spans, targets, allowed = _levels(si, basis_idx)
     values = si.values
-    # targets[k]: classes of the span of the first k + 1 basis vectors
-    targets, span = [], (0,)
-    for b in basis_idx:
-        span = si.span_indices((b,), span)
-        targets.append(list(map(values.__getitem__, span)))
-    allowed = [si.classes[values[b]] for b in basis_idx]
-
-    def search(images: tuple[int, ...], prefix_span: list[int]) -> Optional[tuple[int, ...]]:
-        k = len(images)
-        if k == len(basis_idx):
-            return None if images in reachable else images
-        for img in allowed[k]:
-            img_span = si.span_indices((img,), prefix_span)
-            if list(map(values.__getitem__, img_span)) == targets[k]:
-                found = search(images + (img,), img_span)
-                if found is not None:
-                    return found
-        return None
-
-    return search((), [0])
+    fixers = [range(len(columns[0]))]  # fixers[k]: the elements fixing b_1..b_k
+    for b in basis_idx[:-1]:
+        column = columns[b]
+        fixers.append([g for g in fixers[-1] if column[g] == b])
+    for k in reversed(range(len(basis_idx))):
+        orbit = set(map(columns[basis_idx[k]].__getitem__, fixers[k]))
+        prefix = tuple(basis_idx[:k])
+        for x in allowed[k]:
+            if x in orbit:
+                continue
+            x_span = si.span_indices((x,), spans[k])
+            if list(map(values.__getitem__, x_span)) == targets[k] and (
+                _first_leaf_outside(si, allowed, targets, prefix + (x,), x_span, ()) is not None
+            ):
+                return False
+    return True
 
 
 # -- closed forms ---------------------------------------------------------------
@@ -459,24 +523,11 @@ def single_orbit_check(
 ) -> tuple[bool, Optional[tuple[Vector, Vector]]]:
     """Does the isometry group act transitively on each equal-weight class?"""
     si, perms = _indexed_group(space, poset, weight_sum_functional(poset, omega))
-    count = len(si.vectors)
-    root = list(range(count))
-
-    def find(a: int) -> int:
-        while root[a] != a:
-            root[a] = root[root[a]]
-            a = root[a]
-        return a
-
-    for perm in perms:
-        for t in range(count):
-            ra, rb = find(t), find(perm[t])
-            if ra != rb:
-                root[ra] = rb
-    first = [members[0] for members in si.classes]
+    # perms is the whole group, so the orbit of a vector is the set of its images
+    orbits = [set(map(operator.itemgetter(members[0]), perms)) for members in si.classes]
     for t, value in enumerate(si.values):
-        if find(first[value]) != find(t):
-            return False, (si.vectors[first[value]], si.vectors[t])
+        if t not in orbits[value]:
+            return False, (si.vectors[si.classes[value][0]], si.vectors[t])
     return True, None
 
 

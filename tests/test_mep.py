@@ -23,6 +23,7 @@ from posetmetrics.mep import (
     SpaceIndex,
     _first_unreachable_map,
     _functional_for,
+    _holds_on,
     canonical_decomposition,
     condition_report,
     extend_to_isometry,
@@ -452,13 +453,106 @@ class TestOrbitReducedScan:
 
         def counting(*args):
             calls.append(None)
-            return _first_unreachable_map(*args)
+            return _holds_on(*args)
 
-        monkeypatch.setattr(mep, "_first_unreachable_map", counting)
+        monkeypatch.setattr(mep, "_holds_on", counting)
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
         verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
         assert len(calls) == _orbits_scanned(space, poset, omega, max_dim, verdict) == orbits
+
+    @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES[:2], ids=LARGE_IDS[:2])
+    def test_held_spans_are_the_full_orbit_closure(self, poset, dims, max_dim, orbits):
+        # marking one element per basis-image tuple leaves the same spans held
+        # as marking with every element; read the scan's set as it returns
+        held = []
+
+        def hook(frame, event, arg):
+            if event == "return" and frame.f_code is mep.mep_brute_force.__code__:
+                held.append(frame.f_locals["held"])
+
+        space = AlphabetSpec(F2, poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        sys.setprofile(hook)
+        try:
+            verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
+        finally:
+            sys.setprofile(None)
+        assert verdict.holds
+        sf = _functional_for(poset, omega, "weight")
+        si = SpaceIndex(space, poset, sf)
+        perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, sf)]
+        closure = set()
+        for code in enumerate_codes(space, max_dim=max_dim):
+            if code.dim:
+                span = frozenset(si.index[v] for v in code.codewords())
+                closure |= {frozenset(p[t] for t in span) for p in perms}
+        assert held == [closure]
+
+    def test_stabilizer_decision_prunes_the_leaf_search(self, monkeypatch):
+        # a timing-free work count on chain5: spans under the stabilizer-chain
+        # decision against the same scan deciding every representative by its leaves
+        calls = []
+        span_indices = SpaceIndex.span_indices
+
+        def counting(self, *args):
+            calls.append(None)
+            return span_indices(self, *args)
+
+        def leaf_search(si, basis_idx, columns):
+            reachable = set(zip(*(columns[b] for b in basis_idx)))
+            return _first_unreachable_map(si, basis_idx, reachable) is None
+
+        poset, dims, max_dim, _ = LARGE_SHAPES[0]
+        space = AlphabetSpec(F2, poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        monkeypatch.setattr(SpaceIndex, "span_indices", counting)
+        verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
+        pruned = len(calls)
+        calls.clear()
+        monkeypatch.setattr(mep, "_holds_on", leaf_search)
+        assert mep_brute_force(space, poset, omega, max_dim=max_dim) == verdict
+        assert 2 * pruned <= len(calls)  # 427 against 2396 when this test was written
+
+
+def _small_grid():
+    """Every labeled poset on up to 3 elements at q=2 with unit dims and with a
+    2-dim first block, and at q=3 with unit dims; three weightings and support."""
+    for size in (1, 2, 3):
+        for poset in _labeled_posets(size):
+            units = (1,) * size
+            for q, dims in ((2, units), (2, (2,) + units[1:]), (3, units)):
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for omega in _omega_variants(poset):
+                    yield space, poset, omega, "weight"
+                yield space, poset, None, "support"
+
+
+class TestStabilizerDecision:
+    def test_decision_equals_the_leaf_search_on_every_code(self):
+        codes = rejected = 0
+        for space, poset, omega, mode in _small_grid():
+            si, perms = mep._indexed_group(space, poset, _functional_for(poset, omega, mode))
+            columns = list(zip(*perms))
+            for code in enumerate_codes(space):
+                if code.dim == 0:
+                    continue
+                basis_idx = [si.index[b] for b in code.basis]
+                reachable = set(zip(*(columns[b] for b in basis_idx)))
+                expected = _first_unreachable_map(si, basis_idx, reachable) is None
+                assert _holds_on(si, basis_idx, columns) == expected
+                codes += 1
+                rejected += not expected
+        assert codes > rejected > 0
+
+    def test_scan_equals_the_unreduced_scan_on_the_grid(self):
+        scans = failures = 0
+        for space, poset, omega, mode in _small_grid():
+            verdict = mep_brute_force(space, poset, omega, mode=mode)
+            assert verdict == _unreduced_scan(space, poset, omega, mode=mode)
+            scans += 1
+            failures += not verdict.holds
+        assert scans == 276 and failures > 0
 
 
 class TestClosedFormCrossCheck:
@@ -582,7 +676,43 @@ class TestConditions:
         assert report.common_nonzero_block
 
 
+def _union_find_orbit_check(space, poset, omega):
+    """single_orbit_check by union-find over every group permutation, kept as the oracle."""
+    si, perms = mep._indexed_group(space, poset, _functional_for(poset, omega, "weight"))
+    count = len(si.vectors)
+    root = list(range(count))
+
+    def find(a: int) -> int:
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        return a
+
+    for perm in perms:
+        for t in range(count):
+            ra, rb = find(t), find(perm[t])
+            if ra != rb:
+                root[ra] = rb
+    first = [members[0] for members in si.classes]
+    for t, value in enumerate(si.values):
+        if find(first[value]) != find(t):
+            return False, (si.vectors[first[value]], si.vectors[t])
+    return True, None
+
+
 class TestSingleOrbit:
+    def test_orbit_sets_match_the_union_find(self):
+        # every labeled poset on up to 3 elements, q in {2, 3}, unit dims and a
+        # 2-dim first block, three weightings
+        cases = failures = 0
+        for space, poset, omega, mode in _small_grid():
+            if mode == "weight":
+                result = single_orbit_check(space, poset, omega)
+                assert result == _union_find_orbit_check(space, poset, omega)
+                cases += 1
+                failures += not result[0]
+        assert cases == 207 and failures > 0
+
     def test_single_coordinate_transitive(self):
         one = Poset.chain(("a",))
         space = AlphabetSpec.uniform(FieldSpec(3), ("a",), 1)
