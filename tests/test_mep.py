@@ -419,6 +419,19 @@ class TestIntegerScan:
         assert support_verdict.holds and weight_verdict.complete
 
 
+def _small_grid():
+    """Every labeled poset on up to 3 elements at q=2 with unit dims and with a
+    2-dim first block, and at q=3 with unit dims; three weightings and support."""
+    for size in (1, 2, 3):
+        for poset in _labeled_posets(size):
+            units = (1,) * size
+            for q, dims in ((2, units), (2, (2,) + units[1:]), (3, units)):
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for omega in _omega_variants(poset):
+                    yield space, poset, omega, "weight"
+                yield space, poset, None, "support"
+
+
 class TestOrbitReducedScan:
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
     def test_large_shapes_match_the_unreduced_scan(self, poset, dims, max_dim, orbits):
@@ -427,16 +440,14 @@ class TestOrbitReducedScan:
         verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
         assert verdict == _unreduced_scan(space, poset, omega, max_dim=max_dim)
 
-    def test_three_element_posets_at_q3_match_the_unreduced_scan(self):
-        failures = 0
-        for poset in _labeled_posets(3):
-            space = AlphabetSpec(FieldSpec(3), poset.elements, (1, 1, 1))
-            runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
-            for omega, mode in runs:
-                verdict = mep_brute_force(space, poset, omega, mode=mode)
-                assert verdict == _unreduced_scan(space, poset, omega, mode=mode)
-                failures += not verdict.holds
-        assert failures > 0
+    def test_small_grid_matches_the_unreduced_scan(self):
+        scans = failures = 0
+        for space, poset, omega, mode in _small_grid():
+            verdict = mep_brute_force(space, poset, omega, mode=mode)
+            assert verdict == _unreduced_scan(space, poset, omega, mode=mode)
+            scans += 1
+            failures += not verdict.holds
+        assert scans == 276 and failures > 0
 
     def test_same_refusal_as_the_unreduced_scan(self):
         chain = Poset.chain(tuple("abcde"))
@@ -515,19 +526,6 @@ class TestOrbitReducedScan:
         assert 2 * pruned <= len(calls)  # 427 against 2396 when this test was written
 
 
-def _small_grid():
-    """Every labeled poset on up to 3 elements at q=2 with unit dims and with a
-    2-dim first block, and at q=3 with unit dims; three weightings and support."""
-    for size in (1, 2, 3):
-        for poset in _labeled_posets(size):
-            units = (1,) * size
-            for q, dims in ((2, units), (2, (2,) + units[1:]), (3, units)):
-                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
-                for omega in _omega_variants(poset):
-                    yield space, poset, omega, "weight"
-                yield space, poset, None, "support"
-
-
 class TestStabilizerDecision:
     def test_decision_equals_the_leaf_search_on_every_code(self):
         codes = rejected = 0
@@ -544,15 +542,6 @@ class TestStabilizerDecision:
                 codes += 1
                 rejected += not expected
         assert codes > rejected > 0
-
-    def test_scan_equals_the_unreduced_scan_on_the_grid(self):
-        scans = failures = 0
-        for space, poset, omega, mode in _small_grid():
-            verdict = mep_brute_force(space, poset, omega, mode=mode)
-            assert verdict == _unreduced_scan(space, poset, omega, mode=mode)
-            scans += 1
-            failures += not verdict.holds
-        assert scans == 276 and failures > 0
 
 
 class TestClosedFormCrossCheck:
