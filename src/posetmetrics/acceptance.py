@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from .errors import ValidationError
 
 if TYPE_CHECKING:
+    from .fourier import Partition
     from .lattices import FiniteLattice
     from .posets import Poset, WeightFunction
     from .spaces import AlphabetSpec
@@ -313,8 +314,24 @@ def criterion_macwilliams_dichotomy() -> tuple[bool, str]:
     return True, "identity holds on chain/antichain, refuted with replayable witness"
 
 
+def _transform_replays(space: AlphabetSpec, partition: Partition) -> bool:
+    """Every exact character sum over a block, at every alpha and nontrivial
+    scale, equals the integer the dual partition's support transform gives."""
+    from .fourier import CyclotomicInteger, character_sum, support_transforms
+
+    supports, sums = support_transforms(space, partition)
+    pad = (0,) * (space.q - 2)
+    return all(
+        character_sum(space, block, alpha, scale) == CyclotomicInteger(space.q, (sums[s][b],) + pad)
+        for alpha, s in zip(space.vectors(), supports)
+        for b, block in enumerate(partition.blocks)
+        for scale in range(1, space.q)
+    )
+
+
 def criterion_fourier_reflexivity() -> tuple[bool, str]:
-    """Double dual returns the weight partition exactly when expected."""
+    """Double dual returns the weight partition exactly when expected; the
+    dual's support transform replays against the exact character sums."""
     from .fourier import character_choice_audit, is_fourier_reflexive, weight_partition
     from .posets import Poset, WeightFunction
     from .spaces import AlphabetSpec, FieldSpec
@@ -324,17 +341,23 @@ def criterion_fourier_reflexivity() -> tuple[bool, str]:
         poset = make(("a", "b", "c"))
         space = AlphabetSpec.uniform(field, poset.elements, 1)
         partition = weight_partition(space, poset, WeightFunction.ones(poset.elements))
+        if not _transform_replays(space, partition):
+            return False, f"character sums differ from the support transform on {make.__name__}"
         if not is_fourier_reflexive(space, partition):
             return False, f"reflexivity failed on {make.__name__}"
     poset = _nonhierarchical_example()
     space = AlphabetSpec.uniform(field, poset.elements, 1)
     partition = weight_partition(space, poset, WeightFunction.ones(poset.elements))
+    if not _transform_replays(space, partition):
+        return False, "character sums differ from the support transform on the mixed poset"
     if is_fourier_reflexive(space, partition):
         return False, "reflexivity unexpectedly held on the non-hierarchical poset"
     field3 = FieldSpec(3)
     triple = Poset.antichain(("a", "b"))
     space3 = AlphabetSpec.uniform(field3, triple.elements, 1)
     partition3 = weight_partition(space3, triple, WeightFunction.ones(triple.elements))
+    if not _transform_replays(space3, partition3):
+        return False, "character sums differ from the support transform over F_3"
     agree, verdicts = character_choice_audit(space3, partition3)
     if not agree or not all(verdicts):
         return False, "character choice changed the verdict"

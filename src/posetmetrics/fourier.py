@@ -5,6 +5,15 @@ Character sums live in the ring of integers of the p-th cyclotomic field,
 represented as integer vectors over the power basis 1, z, ..., z^{p-2} with
 z^{p-1} reduced to -(1 + z + ... + z^{p-2}).  Equality is coefficient
 equality, so partition comparisons are exact.
+
+Dual partitions take no character sum.  Over the vectors of one exact
+support (the labels whose block is nonzero), a nontrivial character sums to
+a rational integer that depends only on the support of alpha.  So a
+partition whose blocks are unions of exact-support classes, as every weight
+partition and every dual partition is, dualizes by one transform per block
+over the 2^n label subsets (support_transforms; MacWilliams and Sloane, The
+Theory of Error-Correcting Codes, ch. 5).  character_sum is the exact sum
+that acceptance criterion 7 replays against that transform.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from .spaces import (
     enumerate_codes,
     subspace_count,
     support_classes,
+    vector_masks,
 )
 
 # The most codes macwilliams_identity_check enumerates: F_2^7 has 29,212
@@ -119,14 +129,66 @@ def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
     return partition
 
 
-def dual_partition(space: AlphabetSpec, partition: Partition, scale: int = 1) -> Partition:
-    """Group vectors by their tuple of character sums across the blocks."""
-    signatures: dict[tuple, list[Vector]] = {}
-    for alpha in space.vectors():
-        key = tuple(
-            character_sum(space, block, alpha, scale).coeffs for block in partition.blocks
+def support_transforms(
+    space: AlphabetSpec, partition: Partition
+) -> tuple[list[int], list[tuple[int, ...]]]:
+    """Each vector's exact-support mask (bit i for the i-th label), and per
+    support mask T the character sums of the blocks at any alpha of support T.
+
+    Over the vectors beta of exact support S, the sum of z^<alpha, beta> under
+    a nontrivial character is the integer prod_{i in S} g_i, with g_i =
+    q^{k_i} - 1 if alpha_i = 0 and -1 otherwise.  So the sum over a block that
+    is a union of exact-support classes depends only on T = supp(alpha), and
+    is sum_S h(S) prod_{i in S} g_i for the block's indicator h over the
+    supports: one butterfly over the 2^n label subsets, with the step
+    (x, y) -> (x + (q^{k_i} - 1) y, x - y) on each label i.
+
+    Raises ValidationError naming the first vector of the space the partition
+    lacks, or the first vector whose block splits its exact-support class.
+    """
+    n = len(space.labels)
+    supports = vector_masks(space, [1 << i for i in range(n)])
+    index = partition._block_index
+    holder: list[Optional[int]] = [None] * (1 << n)  # block of each exact-support class
+    for vec, s in zip(space.vectors(), supports):
+        b = index.get(vec)
+        if b is None:
+            raise ValidationError(f"the partition lacks the vector {vec} of the space")
+        if holder[s] is None:
+            holder[s] = b
+        elif holder[s] != b:
+            raise ValidationError(f"the block of the vector {vec} splits its exact-support class")
+    if len(index) != space.vector_count:
+        raise ValidationError(
+            f"the partition holds {len(index)} vectors, the space {space.vector_count}"
         )
-        signatures.setdefault(key, []).append(alpha)
+    steps = [(1 << i, space.q**k - 1) for i, k in enumerate(space.dims)]
+    columns = []
+    for b in range(partition.block_count):
+        h = [int(c == b) for c in holder]
+        for bit, g in steps:
+            for low in range(0, 1 << n, bit << 1):
+                for m in range(low, low + bit):
+                    x, y = h[m], h[m | bit]
+                    h[m], h[m | bit] = x + g * y, x - y
+        columns.append(h)
+    return supports, list(zip(*columns))
+
+
+def dual_partition(space: AlphabetSpec, partition: Partition, scale: int = 1) -> Partition:
+    """Group vectors by their tuple of character sums across the blocks.
+
+    Every block must be a union of exact-support classes, and the sums come
+    from support_transforms, with no sum over the vectors of a block.  They
+    are rational integers that do not depend on the nontrivial character, so
+    the result does not depend on scale, which is only checked.
+    """
+    if scale % space.q == 0:
+        raise ValidationError("the character must be nontrivial")
+    supports, sums = support_transforms(space, partition)
+    signatures: dict[tuple, list[Vector]] = {}
+    for alpha, s in zip(space.vectors(), supports):
+        signatures.setdefault(sums[s], []).append(alpha)
     return Partition.from_blocks(signatures.values())
 
 

@@ -402,8 +402,13 @@ def brute_force_isometries(
         raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
     matrices, perms = _invertible_index_perms(q, n)
     values = support_classes(space, poset, sf.key)
-    # perm[t] is the index of the image of vector t
-    return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
+    # perm[t] is the index of the image of vector t; the scan of a matrix
+    # stops at the first vector whose class it moves
+    return [
+        m
+        for m, perm in zip(matrices, perms)
+        if all(map(operator.eq, map(values.__getitem__, perm), values))
+    ]
 
 
 def decompose(

@@ -108,21 +108,28 @@ class AlphabetSpec:
         return tuple(x % self.q for x in vec)
 
 
+def vector_masks(space: AlphabetSpec, label_masks: Sequence[int]) -> list[int]:
+    """One mask per vector, in lexicographic order: the OR of label_masks
+    (one per label, in space order) over the vector's nonzero blocks, built
+    for all vectors in one walk over the blocks' digits.  With label_masks[i]
+    = 1 << i this is the vector's exact support."""
+    masks = [0]
+    for label_mask, k in zip(label_masks, space.dims):
+        # the zero block vector adds nothing, every other one the label's mask
+        digit_masks = [0] + [label_mask] * (space.q**k - 1)
+        masks = [m | b for m in masks for b in digit_masks]
+    return masks
+
+
 def support_classes(space: AlphabetSpec, poset: Poset, key: Callable[[int], object]) -> list[int]:
     """One class id per vector, in lexicographic order.
 
     A vector's closure mask is the OR of the poset's down-set masks over its
-    nonzero blocks, built for all vectors in one walk over the blocks' digits.
-    Two vectors share an id exactly when key gives their closure masks equal
-    results.  Ids are numbered by first appearance, and key runs once per
-    distinct mask.
+    nonzero blocks (vector_masks).  Two vectors share an id exactly when key
+    gives their closure masks equal results.  Ids are numbered by first
+    appearance, and key runs once per distinct mask.
     """
-    masks = [0]
-    for label, k in zip(space.labels, space.dims):
-        down = poset._down[poset.index(label)]
-        # the zero block vector adds nothing, every other one the label's down-set
-        block_masks = [0] + [down] * (space.q**k - 1)
-        masks = [m | b for m in masks for b in block_masks]
+    masks = vector_masks(space, [poset._down[poset.index(label)] for label in space.labels])
     ids: dict[object, int] = {}
     class_of_mask = {mask: ids.setdefault(key(mask), len(ids)) for mask in dict.fromkeys(masks)}
     return list(map(class_of_mask.__getitem__, masks))

@@ -1,8 +1,12 @@
 """Exact character sums, dual partitions, identity checks, and the audit."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from posetmetrics import fourier
+from posetmetrics.acceptance import _labeled_posets
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.fourier import (
     CyclotomicInteger,
@@ -53,6 +57,31 @@ def root_power(prime, exponent):
 def add(a, b):
     assert a.prime == b.prime
     return CyclotomicInteger(a.prime, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def _exact_dual_partition(space, partition, scale=1):
+    """The dual partition by summing the character over every block for every
+    alpha, q^(2N) inner products in all: the oracle of the support transform."""
+    signatures = {}
+    for alpha in space.vectors():
+        key = tuple(
+            character_sum(space, block, alpha, scale).coeffs for block in partition.blocks
+        )
+        signatures.setdefault(key, []).append(alpha)
+    return Partition.from_blocks(signatures.values())
+
+
+def random_rational_weights(poset, rng):
+    return WeightFunction.from_map(
+        {e: Fraction(rng.randint(1, 5), rng.randint(1, 3)) for e in poset.elements}
+    )
+
+
+def order_id(poset):
+    """The elements and strict relations, as in "abc:a<b,a<c"."""
+    e = poset.elements
+    pairs = [f"{e[i]}<{e[j]}" for i in range(len(e)) for j in range(len(e)) if i != j and poset.leq[i][j]]
+    return "".join(e) + ":" + ",".join(pairs)
 
 
 def refines(fine, coarse):
@@ -179,6 +208,103 @@ class TestDualPartition:
         twice = dual_partition(SP3, once)
         assert twice == partition
         assert dual_partition(SP3, dual_partition(SP3, once)) == once
+
+
+class TestSupportTransform:
+    @pytest.mark.parametrize("poset", [p for n in (1, 2, 3) for p in _labeled_posets(n)], ids=order_id)
+    def test_equals_the_exact_dual_on_every_small_poset(self, poset):
+        rng = random.Random(1)
+        n = len(poset.elements)
+        for q in (2, 3, 5):
+            for dims in [(1,) * n] + ([(1, 2, 1)] if n == 3 and q < 5 else []):
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for omega in (ones(poset), random_rational_weights(poset, rng)):
+                    partition = weight_partition(space, poset, omega)
+                    dual = dual_partition(space, partition)
+                    double = dual_partition(space, dual)
+                    for scale in range(1, q):
+                        assert dual_partition(space, partition, scale) == dual
+                        assert _exact_dual_partition(space, partition, scale) == dual
+                        assert _exact_dual_partition(space, dual, scale) == double
+
+    @pytest.mark.parametrize("poset", [CHAIN3, MIXED], ids=["chain", "mixed"])
+    def test_equals_the_exact_dual_at_q5_with_a_two_dim_block(self, poset):
+        space = AlphabetSpec(FieldSpec(5), poset.elements, (1, 2, 1))
+        partition = weight_partition(space, poset, ones(poset))
+        dual = dual_partition(space, partition)
+        assert _exact_dual_partition(space, partition, 2) == dual
+        assert _exact_dual_partition(space, dual, 3) == dual_partition(space, dual)
+
+    def test_equals_the_exact_dual_on_merged_and_whole_space_partitions(self):
+        fine = weight_partition(SP3, CHAIN3, ones(CHAIN3))
+        blocks = list(fine.blocks)
+        merged = Partition.from_blocks([blocks[0] | blocks[1]] + blocks[2:])
+        whole = Partition.from_blocks([list(SP3.vectors())])
+        for partition in (fine, merged, whole):
+            dual = dual_partition(SP3, partition)
+            assert _exact_dual_partition(SP3, partition) == dual
+            assert _exact_dual_partition(SP3, dual) == dual_partition(SP3, dual)
+
+    def test_sums_equal_the_exact_character_sums(self):
+        space = AlphabetSpec(F3, MIXED.elements, (1, 2, 1))
+        partition = weight_partition(space, MIXED, ones(MIXED))
+        supports, sums = fourier.support_transforms(space, partition)
+        for alpha, s in zip(space.vectors(), supports):
+            for b, block in enumerate(partition.blocks):
+                for scale in (1, 2):
+                    assert character_sum(space, block, alpha, scale) == cyclotomic_int(3, sums[s][b])
+
+    def test_no_character_sum_is_taken(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a character sum was taken")
+
+        monkeypatch.setattr(fourier, "character_sum", unreachable)
+        space = AlphabetSpec(F3, MIXED.elements, (1, 2, 1))
+        for poset in (CHAIN3, ANTI3, MIXED):
+            partition = weight_partition(space, poset, ones(poset))
+            dual_partition(space, partition, 2)
+            is_fourier_reflexive(space, partition)
+            character_choice_audit(space, partition)
+
+    def test_binary_12_chain_round_trip(self):
+        # q^(2N) = 2^24 inner products on the exact path; the transform takes
+        # 13 blocks x 12 labels x 2^11 steps
+        chain = Poset.chain(tuple("abcdefghijkl"))
+        space = AlphabetSpec.uniform(F2, chain.elements, 1)
+        partition = weight_partition(space, chain, ones(chain))
+        dual = dual_partition(space, partition)
+        assert dual == weight_partition(space, chain.dual(), ones(chain))
+        assert dual_partition(space, dual) == partition
+        assert is_fourier_reflexive(space, partition)
+
+    def test_partition_of_another_space_is_refused(self):
+        chain2 = Poset.chain(("a", "b"))
+        partition = weight_partition(AlphabetSpec.uniform(F2, chain2.elements, 1), chain2, ones(chain2))
+        message = "^the partition lacks the vector \\(0, 0, 0\\) of the space$"
+        with pytest.raises(ValidationError, match=message):
+            dual_partition(SP3, partition)
+        with pytest.raises(ValidationError, match=message):
+            is_fourier_reflexive(SP3, partition)
+
+    def test_partition_with_extra_vectors_is_refused(self):
+        space = AlphabetSpec.uniform(F2, ("a",), 1)
+        partition = Partition.from_blocks([[(0,)], [(1,)], [(1, 1)]])
+        with pytest.raises(ValidationError, match="^the partition holds 3 vectors, the space 2$"):
+            dual_partition(space, partition)
+
+    def test_block_splitting_a_support_class_is_refused(self):
+        # (0, 1) and (0, 2) both have support {b}
+        space = AlphabetSpec.uniform(F3, ("a", "b"), 1)
+        vectors = list(space.vectors())
+        partition = Partition.from_blocks([vectors[:2], vectors[2:]])
+        message = "^the block of the vector \\(0, 2\\) splits its exact-support class$"
+        with pytest.raises(ValidationError, match=message):
+            dual_partition(space, partition)
+
+    def test_trivial_scaling_rejected(self):
+        partition = weight_partition(SP3, CHAIN3, ones(CHAIN3))
+        with pytest.raises(ValidationError, match="^the character must be nontrivial$"):
+            dual_partition(SP3, partition, scale=2)
 
 
 class TestReflexivity:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from posetmetrics import fields, isometries
-from posetmetrics.acceptance import _labeled_posets, _omega_variants
+from posetmetrics.acceptance import _group_grid, _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, PropertyViolation, ValidationError
 from posetmetrics.isometries import (
     ACTION_TABLE_BOUND,
@@ -30,7 +30,7 @@ from posetmetrics.isometries import (
 )
 from posetmetrics.mep import SpaceIndex, mep_brute_force
 from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm
-from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support
+from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -313,7 +313,26 @@ def mat_vec_perms(q, n, matrices):
     return tuple(tuple(index[fields.mat_vec(q, m, v)] for v in vectors) for m in matrices)
 
 
+def list_compare_isometries(space, poset, sf):
+    """The brute-force oracle comparing each matrix's whole list of image classes."""
+    matrices, perms = _invertible_index_perms(space.q, space.total_dim)
+    values = support_classes(space, poset, sf.key)
+    return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
+
+
 class TestBruteForce:
+    @pytest.mark.parametrize("space,poset,omega", _group_grid())
+    def test_equals_the_list_comparison_on_the_group_grid(self, space, poset, omega):
+        for sf in (weight_sum_functional(poset, omega), p_support_functional(poset)):
+            assert brute_force_isometries(space, poset, sf) == list_compare_isometries(space, poset, sf)
+
+    def test_empty_space_keeps_its_one_isometry(self):
+        empty = Poset.antichain(())
+        space = AlphabetSpec(F2, (), ())
+        for sf in (weight_sum_functional(empty, WeightFunction.ones(())), p_support_functional(empty)):
+            assert brute_force_isometries(space, empty, sf) == [()]
+            assert list_compare_isometries(space, empty, sf) == [()]
+
     def test_action_table_bound_is_checked_before_any_matrix(self):
         # the largest oracle shapes the tests and the benchmark run stay admitted
         assert gl_order(2, 4) * 2**4 == 322560 <= ACTION_TABLE_BOUND
