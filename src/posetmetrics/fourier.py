@@ -6,14 +6,14 @@ represented as integer vectors over the power basis 1, z, ..., z^{p-2} with
 z^{p-1} reduced to -(1 + z + ... + z^{p-2}).  Equality is coefficient
 equality, so partition comparisons are exact.
 
-Dual partitions take no character sum.  Over the vectors of one exact
-support (the labels whose block is nonzero), a nontrivial character sums to
-a rational integer that depends only on the support of alpha.  So a
-partition whose blocks are unions of exact-support classes, as every weight
-partition and every dual partition is, dualizes by one transform per block
-over the 2^n label subsets (support_transforms; MacWilliams and Sloane, The
-Theory of Error-Correcting Codes, ch. 5).  character_sum is the exact sum
-that acceptance criterion 7 replays against that transform.
+Dual partitions take no character sum.  Over the vectors beta of exact
+support S (the labels whose block is nonzero), z^<alpha, beta> sums to the
+integer prod_{i in S} (q^{k_i} [alpha_i = 0] - 1) under every nontrivial
+character.  So where every block is a union of exact-support classes, as in
+weight partitions and their duals, a block's sum depends only on supp(alpha)
+and comes from one transform over the 2^n label subsets (MacWilliams and
+Sloane, The Theory of Error-Correcting Codes, ch. 5).  Criterion 7 replays
+character_sum against that transform.
 """
 
 from __future__ import annotations
@@ -132,17 +132,12 @@ def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
 def support_transforms(
     space: AlphabetSpec, partition: Partition
 ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Each vector's exact-support mask (bit i for the i-th label), and per
-    support mask T the character sums of the blocks at any alpha of support T.
+    """Each vector's exact-support mask (bit i for label i), and per mask T
+    the character sums of the blocks at any alpha of support T.
 
-    Over the vectors beta of exact support S, the sum of z^<alpha, beta> under
-    a nontrivial character is the integer prod_{i in S} g_i, with g_i =
-    q^{k_i} - 1 if alpha_i = 0 and -1 otherwise.  So the sum over a block that
-    is a union of exact-support classes depends only on T = supp(alpha), and
-    is sum_S h(S) prod_{i in S} g_i for the block's indicator h over the
-    supports: one butterfly over the 2^n label subsets, with the step
-    (x, y) -> (x + (q^{k_i} - 1) y, x - y) on each label i.
-
+    A block's sum at T is sum_S h(S) prod_{i in S} g_i, with h its indicator
+    on the supports and g_i = -1 for i in T, q^{k_i} - 1 otherwise: one
+    butterfly with the step (x, y) -> (x + (q^{k_i} - 1) y, x - y) per label.
     Raises ValidationError naming the first vector of the space the partition
     lacks, or the first vector whose block splits its exact-support class.
     """
@@ -178,10 +173,11 @@ def support_transforms(
 def dual_partition(space: AlphabetSpec, partition: Partition, scale: int = 1) -> Partition:
     """Group vectors by their tuple of character sums across the blocks.
 
-    Every block must be a union of exact-support classes, and the sums come
-    from support_transforms, with no sum over the vectors of a block.  They
-    are rational integers that do not depend on the nontrivial character, so
-    the result does not depend on scale, which is only checked.
+    Over the vectors beta of exact support S, z^<alpha, beta> sums to the
+    integer prod_{i in S} (q^{k_i} [alpha_i = 0] - 1) under every nontrivial
+    character.  So with every block a union of exact-support classes, which
+    is required, the sums are the integers of support_transforms, and the
+    result does not depend on scale, which is only checked to be nontrivial.
     """
     if scale % space.q == 0:
         raise ValidationError("the character must be nontrivial")
