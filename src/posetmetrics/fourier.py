@@ -13,11 +13,17 @@ character.  So where every block is a union of exact-support classes, as in
 weight partitions and their duals, a block's sum depends only on supp(alpha)
 and comes from one transform over the 2^n label subsets (MacWilliams and
 Sloane, The Theory of Error-Correcting Codes, ch. 5).  Criterion 7 replays
-character_sum against that transform.
+character_sum against that transform.  The identity check keys each code by
+its exact-support enumerator A_C, the codeword count per exact support, and
+gets the dual code's distribution from A_C and that transform (Kim and Oh,
+IEEE Trans. Inf. Theory 51, 2005), with no dual code built.
 """
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -31,7 +37,7 @@ from .spaces import (
     VECTOR_BOUND,
     AlphabetSpec,
     LinearCode,
-    enumerate_codes,
+    code_indices,
     subspace_count,
     support_classes,
     vector_masks,
@@ -54,10 +60,6 @@ class CyclotomicInteger:
             raise ValidationError("coefficient vector must have length p - 1")
 
 
-def inner_product(q: int, a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b)) % q
-
-
 def character_sum(
     space: AlphabetSpec,
     block: Iterable[Vector],
@@ -70,7 +72,7 @@ def character_sum(
         raise ValidationError("the character must be nontrivial")
     counts = [0] * q
     for beta in block:
-        counts[(scale * inner_product(q, alpha, beta)) % q] += 1
+        counts[scale * sum(map(operator.mul, alpha, beta)) % q] += 1
     # z^(q-1) = -(1 + z + ... + z^(q-2)), so its count is taken off every coefficient
     return CyclotomicInteger(q, tuple(c - counts[-1] for c in counts[:-1]))
 
@@ -192,16 +194,6 @@ def is_fourier_reflexive(space: AlphabetSpec, partition: Partition, scale: int =
     return dual_partition(space, dual_partition(space, partition, scale), scale) == partition
 
 
-def character_choice_audit(
-    space: AlphabetSpec, partition: Partition
-) -> tuple[bool, tuple[bool, ...]]:
-    """Reflexivity verdicts for every nontrivial character scaling must agree."""
-    verdicts = tuple(
-        is_fourier_reflexive(space, partition, scale) for scale in range(1, space.q)
-    )
-    return len(set(verdicts)) == 1, verdicts
-
-
 @dataclass(frozen=True)
 class MacwilliamsResult:
     holds: bool
@@ -212,25 +204,57 @@ def macwilliams_identity_check(
     space: AlphabetSpec, poset: Poset, omega: WeightFunction
 ) -> MacwilliamsResult:
     """Equal dual-order weight distributions must force equal weight
-    distributions of the dual codes; codes are grouped by distribution first."""
+    distributions of the dual codes; codes are grouped by distribution first.
+    Primal block B holds (sum_S A_C(S) H_B(S)) / |C| dual codewords, H_B(S)
+    being B's character sum at a vector of support S (support_transforms)."""
     _check_code_count(space)
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
-    groups: dict[tuple[int, ...], list[LinearCode]] = {}
-    for code in enumerate_codes(space):
-        key = reversed_order.distribution(code.codewords())
-        groups.setdefault(key, []).append(code)
+    supports, sums = support_transforms(space, primal)
+    vectors = list(space.vectors())
+    block_of = dict(zip(supports, map(reversed_order.block_of, vectors)))
+    signatures: dict[tuple[int, ...], int] = {}  # supports with equal sums are folded first
+    signature_of = [signatures.setdefault(row, len(signatures)) for row in sums]
+    columns = list(zip(*signatures))
+    label_bits = [1 << i for i, k in enumerate(space.dims) for _ in range(k)]
+    # per key, the first code of each folded A_C: codes with equal folds have equal duals
+    groups: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
+    cache: dict = {}
+    for basis in code_indices(space):
+        key, folded = [0] * reversed_order.block_count, [0] * len(signatures)
+        masks = _codeword_supports(space.q, label_bits, [vectors[t] for t in basis], cache)
+        for s, count in Counter(masks).items():  # the exact-support enumerator A_C
+            key[block_of[s]] += count
+            folded[signature_of[s]] += count
+        groups.setdefault(tuple(key), {}).setdefault(tuple(folded), basis)
     for group in groups.values():
-        if len(group) < 2:
-            continue
-        seen: dict[tuple[int, ...], LinearCode] = {}
-        for code in group:
-            dual_key = primal.distribution(code.dual().codewords())
-            if seen and dual_key not in seen:
-                other = next(iter(seen.values()))
-                return MacwilliamsResult(False, (other, code))
-            seen.setdefault(dual_key, code)
+        firsts = list(group.values())
+        duals = [tuple(sum(map(operator.mul, f, c)) // sum(f) for c in columns) for f in group]
+        other = next((b for b, d in zip(firsts, duals) if d != duals[0]), None)
+        if other is not None:
+            witness = (LinearCode(space, tuple(vectors[t] for t in firsts[0])),
+                       LinearCode(space, tuple(vectors[t] for t in other)))
+            return MacwilliamsResult(False, witness)
     return MacwilliamsResult(True)
+
+
+def _codeword_supports(
+    q: int, label_bits: Sequence[int], rows: Sequence[Vector], cache: dict
+) -> list[int]:
+    """Each codeword's exact-support mask, in lexicographic coefficient order.
+    Coordinate c of the codeword sum_r x_r rows_r is <x, column c>, so no table
+    over the space is built; cache keeps each (label bit, column)'s part."""
+    masks = [0] * q ** len(rows)
+    for bit, column in zip(label_bits, zip(*rows)):
+        if not any(column):
+            continue
+        contribution = cache.get((bit, column))
+        if contribution is None:
+            words = itertools.product(range(q), repeat=len(column))
+            contribution = [bit if sum(map(operator.mul, x, column)) % q else 0 for x in words]
+            cache[bit, column] = contribution
+        masks = list(map(operator.or_, masks, contribution))
+    return masks
 
 
 def _check_code_count(space: AlphabetSpec) -> None:

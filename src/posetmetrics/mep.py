@@ -16,6 +16,8 @@ the images of the identity prefix at each level are looked at, and the leaf
 search that names the first counterexample runs only on a code that fails.
 A held code's orbit is marked with one group element per basis-image tuple,
 since an element's image of the code follows from its images of the basis.
+Codes come from `code_indices` as tuples of vector indices, the scan's own
+currency; only a counterexample's code is built as a `LinearCode`.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .isometries import (
     weight_sum_functional,
 )
 from .posets import Poset, WeightFunction, set_bits, udp_check
-from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
+from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, code_indices, support_classes
 
 
 # The most entries of a q != 2 addition table (q = 2 adds by xor).
@@ -217,28 +219,27 @@ def mep_brute_force(
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
     held: set[frozenset[int]] = set()  # spans of the orbits of codes that held
-    for code in enumerate_codes(space, max_dim=top):
-        d = code.dim
+    for basis_idx in code_indices(space, max_dim=top):
+        d = len(basis_idx)
         if d == 0:
             continue
         if count**d > map_bound:
             raise MapBoundExceeded(
                 f"{count ** d} candidate maps at dimension {d} exceed the bound {map_bound}"
             )
-        basis_idx = [si.index[b] for b in code.basis]
         span = frozenset(si.span_indices(basis_idx))
         if span in held:
             continue
         if not _holds_on(si, basis_idx, columns):
             reachable = set(zip(*(columns[b] for b in basis_idx)))
             images = _first_unreachable_map(si, basis_idx, reachable)
-            image_vectors = tuple(si.vectors[t] for t in images)
+            code = LinearCode(space, tuple(si.vectors[t] for t in basis_idx))
             return MepVerdict(
                 holds=False,
                 mode=mode,
                 source="brute-force",
                 complete=True,
-                counterexample=(code, image_vectors),
+                counterexample=(code, tuple(si.vectors[t] for t in images)),
             )
         # g's image of the span follows from g's basis images: one g per image tuple
         movers = dict(zip(zip(*(columns[b] for b in basis_idx)), perms))

@@ -254,9 +254,6 @@ class Poset:
 
         return tuple(extend((), 0))
 
-    def apply_perm(self, perm: Perm, subset: Iterable[str]) -> frozenset[str]:
-        return frozenset(self.elements[perm[self.index(x)]] for x in subset)
-
 
 def _matrix(rows: Sequence[int], n: int) -> tuple[tuple[bool, ...], ...]:
     """The boolean matrix of a relation given by row masks."""

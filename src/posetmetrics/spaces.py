@@ -4,6 +4,8 @@ The ambient space is a product of blocks F_q^{k_i}, one block per poset
 label.  Vectors are flat int tuples of length N = sum k_i; the space knows
 each block's slice.  Codes are kept in reduced row echelon form, which is
 the unique canonical basis, so code equality and hashing are structural.
+code_indices enumerates the codes as their rows' lexicographic vector
+indices, which the scans read directly; enumerate_codes is its code view.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .posets import Poset, WeightFunction, derived
 # The most vectors a space may have where its vectors are enumerated one by
 # one: code enumeration, weight partitions and the dense MEP index.
 VECTOR_BOUND = 1 << 16
-# The most basis-image tuples linear_maps yields.
-LINEAR_MAP_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,13 +194,9 @@ class LinearCode:
     def size(self) -> int:
         return self.space.q**self.dim
 
-    def pivots(self) -> tuple[int, ...]:
-        # basis is already reduced, so pivots are the leading-one columns
-        return tuple(next(t for t, x in enumerate(row) if x) for row in self.basis)
-
     def contains(self, vec: Sequence[int]) -> bool:
         vec = self.space.check_vector(vec)
-        return fields.coefficients_in_rref(self.space.q, self.basis, self.pivots(), vec) is not None
+        return fields.rank(self.space.q, self.basis + (vec,)) == self.dim
 
     def codewords(self) -> Iterator[Vector]:
         for coeffs, vec in self.coefficient_pairs():
@@ -223,13 +219,8 @@ class LinearCode:
 def delta_code(space: AlphabetSpec, labels: Iterable[str]) -> LinearCode:
     """Code of all vectors supported inside the given label set."""
     positions = sorted(t for label in set(labels) for t in space.block_range(label))
-    n = space.total_dim
-    rows = []
-    for t in positions:
-        row = [0] * n
-        row[t] = 1
-        rows.append(tuple(row))
-    return LinearCode(space, tuple(rows))
+    identity = fields.identity_matrix(space.total_dim)
+    return LinearCode(space, tuple(identity[t] for t in positions))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -247,11 +238,13 @@ def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def enumerate_codes(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator[LinearCode]:
-    """Every subspace exactly once via its RREF, ordered by dimension.
+def code_indices(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator[tuple[int, ...]]:
+    """Every subspace exactly once, as its RREF basis rows' lexicographic
+    vector indices, ordered by dimension.
 
     Within one dimension the order is (pivot columns, free entries), both
-    lexicographic, so the stream is deterministic.
+    lexicographic, so the stream is deterministic.  The free entries run row
+    by row, so each pivot set's rows are a product of per-row index lists.
     """
     if space.vector_count > VECTOR_BOUND:
         raise BoundExceeded(
@@ -260,30 +253,24 @@ def enumerate_codes(space: AlphabetSpec, max_dim: Optional[int] = None) -> Itera
     q = space.q
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
-    yield LinearCode.zero(space)
+    yield ()
     for d in range(1, top + 1):
         for pivots in itertools.combinations(range(n), d):
-            pivot_set = set(pivots)
-            free_slots = [
-                (r, c) for r in range(d) for c in range(pivots[r] + 1, n) if c not in pivot_set
-            ]
-            for values in itertools.product(range(q), repeat=len(free_slots)):
-                rows = [[0] * n for _ in range(d)]
-                for r, p in enumerate(pivots):
-                    rows[r][p] = 1
-                for (r, c), v in zip(free_slots, values):
-                    rows[r][c] = v
-                yield LinearCode(space, tuple(tuple(row) for row in rows))
+            rows = []
+            for p in pivots:
+                row = [q ** (n - 1 - p)]
+                for c in range(p + 1, n):
+                    if c not in pivots:
+                        place = q ** (n - 1 - c)
+                        row = [t + v * place for t in row for v in range(q)]
+                rows.append(row)
+            yield from itertools.product(*rows)
 
 
-def linear_maps(code: LinearCode, space: AlphabetSpec) -> Iterator[tuple[Vector, ...]]:
-    """Every linear map from the code into the space, as basis-image tuples.
-
-    Images align with the code's RREF basis rows; the map sends
-    sum c_r basis_r to sum c_r images_r.
-    """
-    total = space.vector_count**code.dim
-    if total > LINEAR_MAP_BOUND:
-        raise BoundExceeded(f"{total} maps exceed the bound {LINEAR_MAP_BOUND}")
-    all_vecs = tuple(space.vectors())
-    return itertools.product(all_vecs, repeat=code.dim)
+def enumerate_codes(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator[LinearCode]:
+    """The codes of code_indices, in its order."""
+    codes = code_indices(space, max_dim)
+    yield LinearCode(space, next(codes))  # the zero code, once code_indices checked the bound
+    vectors = list(space.vectors())
+    for basis in codes:
+        yield LinearCode(space, tuple(map(vectors.__getitem__, basis)))

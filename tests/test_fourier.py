@@ -2,16 +2,17 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from posetmetrics import fourier
+from posetmetrics import fields, fourier
 from posetmetrics.acceptance import _labeled_posets
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.fourier import (
     CyclotomicInteger,
+    MacwilliamsResult,
     Partition,
-    character_choice_audit,
     character_sum,
     coding_property_audit,
     dual_partition,
@@ -19,6 +20,7 @@ from posetmetrics.fourier import (
     macwilliams_identity_check,
     weight_partition,
 )
+from posetmetrics.instances import load_instance
 from posetmetrics.posets import Poset, WeightFunction
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
 
@@ -28,6 +30,7 @@ CHAIN3 = Poset.chain(("a", "b", "c"))
 ANTI3 = Poset.antichain(("a", "b", "c"))
 MIXED = Poset.from_covers(("a", "b", "c"), [("a", "b")])
 SP3 = AlphabetSpec.uniform(F2, ("a", "b", "c"), 1)
+INSTANCES = Path(__file__).resolve().parents[1] / "instances"
 
 
 def ones(poset):
@@ -75,6 +78,51 @@ def random_rational_weights(poset, rng):
     return WeightFunction.from_map(
         {e: Fraction(rng.randint(1, 5), rng.randint(1, 3)) for e in poset.elements}
     )
+
+
+def _grouped_macwilliams_identity_check(space, poset, omega):
+    """The identity check on listed codewords, dual codes and partition
+    distributions: the oracle of the exact-support enumerator keys."""
+    fourier._check_code_count(space)
+    primal = weight_partition(space, poset, omega)
+    reversed_order = weight_partition(space, poset.dual(), omega)
+    groups = {}
+    for code in enumerate_codes(space):
+        key = reversed_order.distribution(code.codewords())
+        groups.setdefault(key, []).append(code)
+    for group in groups.values():
+        if len(group) < 2:
+            continue
+        seen = {}
+        for code in group:
+            dual_key = primal.distribution(code.dual().codewords())
+            if seen and dual_key not in seen:
+                other = next(iter(seen.values()))
+                return MacwilliamsResult(False, (other, code))
+            seen.setdefault(dual_key, code)
+    return MacwilliamsResult(True)
+
+
+def _macwilliams_grid():
+    """(id, space, poset, omega): every labeled poset on up to 3 elements at
+    q in {2, 3} with unit dims and at q = 2 with dims (1, 2, 1), each with
+    unit and random rational weights; the instances; the two-label F_37
+    chain and antichain, past the q != 2 addition-table bound."""
+    rng = random.Random(7)
+    for n in (1, 2, 3):
+        for poset in _labeled_posets(n):
+            for q, dims in [(2, (1,) * n), (3, (1,) * n)] + ([(2, (1, 2, 1))] if n == 3 else []):
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for w, omega in enumerate((ones(poset), random_rational_weights(poset, rng))):
+                    case = f"{order_id(poset)}-q{q}-{''.join(map(str, dims))}-w{w}"
+                    yield case, space, poset, omega
+    for path in sorted(INSTANCES.glob("*.json")):
+        inst = load_instance(path)
+        yield path.stem, inst.space, inst.poset, inst.omega
+    for make in (Poset.chain, Poset.antichain):
+        poset = make(("a", "b"))
+        space = AlphabetSpec.uniform(FieldSpec(37), poset.elements, 1)
+        yield f"f37-{make.__name__}", space, poset, ones(poset)
 
 
 def order_id(poset):
@@ -263,8 +311,8 @@ class TestSupportTransform:
         for poset in (CHAIN3, ANTI3, MIXED):
             partition = weight_partition(space, poset, ones(poset))
             dual_partition(space, partition, 2)
-            is_fourier_reflexive(space, partition)
-            character_choice_audit(space, partition)
+            verdicts = {is_fourier_reflexive(space, partition, scale) for scale in (1, 2)}
+            assert len(verdicts) == 1
 
     def test_binary_12_chain_round_trip(self):
         # q^(2N) = 2^24 inner products on the exact path; the transform takes
@@ -321,8 +369,7 @@ class TestReflexivity:
         space = AlphabetSpec.uniform(F3, ("x", "y"), 1)
         anti = Poset.antichain(("x", "y"))
         partition = weight_partition(space, anti, WeightFunction.ones(anti.elements))
-        agree, verdicts = character_choice_audit(space, partition)
-        assert agree and len(verdicts) == 2
+        assert {is_fourier_reflexive(space, partition, scale) for scale in (1, 2)} == {True}
 
     def test_block_counts_match_under_order_reversal(self):
         for poset in (CHAIN3, ANTI3, MIXED):
@@ -349,6 +396,26 @@ class TestMacwilliams:
             second.dual().codewords()
         )
 
+    def test_equals_the_grouped_oracle(self):
+        compared = failed = 0
+        for case, space, poset, omega in _macwilliams_grid():
+            result = macwilliams_identity_check(space, poset, omega)
+            assert result == _grouped_macwilliams_identity_check(space, poset, omega), case
+            compared += 1
+            failed += not result.holds
+        assert compared == 23 * 4 + 19 * 2 + 4 + 2
+        assert 0 < failed < compared
+
+    def test_builds_no_dual_code_and_lists_no_codeword(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the slow path ran")
+
+        for owner, name in ((LinearCode, "dual"), (LinearCode, "codewords"), (fields, "combine"),
+                            (Partition, "distribution")):
+            monkeypatch.setattr(owner, name, unreachable)
+        assert macwilliams_identity_check(SP3, CHAIN3, ones(CHAIN3)).holds
+        assert not macwilliams_identity_check(SP3, MIXED, ones(MIXED)).holds
+
     def test_mixed_dims_antichain_fails(self):
         anti2 = Poset.antichain(("x", "y"))
         space = AlphabetSpec(F2, anti2.elements, (1, 2))
@@ -364,7 +431,7 @@ class TestMacwilliams:
         def unreachable(*args, **kwargs):
             raise AssertionError("a code was enumerated")
 
-        monkeypatch.setattr(fourier, "enumerate_codes", unreachable)
+        monkeypatch.setattr(fourier, "code_indices", unreachable)
         chain = Poset.chain(tuple("abcdefghi"[:n]))
         space = AlphabetSpec.uniform(FieldSpec(q), chain.elements, 1)
         message = f"^F_{q}\\^{n} has {count} subspaces, over the code bound 65536$"

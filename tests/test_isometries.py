@@ -32,6 +32,8 @@ from posetmetrics.mep import SpaceIndex, mep_brute_force
 from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
+from helpers import apply_perm
+
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -118,7 +120,7 @@ def _fraction_filter(poset, space, sf):
         perm
         for perm in poset.automorphisms()
         if all(dims[perm[i]] == dims[i] for i in range(len(dims)))
-        and all(sf.evaluate(poset.apply_perm(perm, ideal)) == sf.evaluate(ideal)
+        and all(sf.evaluate(apply_perm(poset, perm, ideal)) == sf.evaluate(ideal)
                 for ideal in poset.all_ideals())
     )
 
@@ -480,7 +482,7 @@ class TestClosureTransform:
         for iso in weight_isometry_group(space, poset, WeightFunction.ones(poset.elements)):
             for vec in space.vectors():
                 left = p_support(space, poset, iso.apply(vec))
-                right = poset.apply_perm(iso.lam, p_support(space, poset, vec))
+                right = apply_perm(poset, iso.lam, p_support(space, poset, vec))
                 assert left == right
 
     def test_single_block_images_close_to_principal_ideals(self):

@@ -1,9 +1,11 @@
 """Ambient spaces: supports, weights, metric axioms, codes and duals."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from posetmetrics import fields
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.isometries import p_support_functional, weight_sum_functional
@@ -11,12 +13,13 @@ from posetmetrics.posets import Poset, WeightFunction
 from posetmetrics.spaces import (
     AlphabetSpec,
     FieldSpec,
+    VECTOR_BOUND,
     LinearCode,
+    code_indices,
     delta_code,
     distance,
     enumerate_codes,
     gaussian_binomial,
-    linear_maps,
     p_support,
     p_weight,
     subspace_count,
@@ -24,11 +27,35 @@ from posetmetrics.spaces import (
     weight,
 )
 
+from helpers import linear_maps
+
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
 CHAIN3 = Poset.chain(("1", "2", "3"))
 SP3 = AlphabetSpec.uniform(F2, CHAIN3.elements, 1)
 ONES3 = WeightFunction.ones(CHAIN3.elements)
+
+
+def _rref_codes(space, max_dim=None):
+    """Every subspace as an RREF basis built row by row, in (dimension, pivot
+    columns, free entries) order: the oracle of code_indices."""
+    q = space.q
+    n = space.total_dim
+    top = n if max_dim is None else min(max_dim, n)
+    yield LinearCode.zero(space)
+    for d in range(1, top + 1):
+        for pivots in itertools.combinations(range(n), d):
+            pivot_set = set(pivots)
+            free_slots = [
+                (r, c) for r in range(d) for c in range(pivots[r] + 1, n) if c not in pivot_set
+            ]
+            for values in itertools.product(range(q), repeat=len(free_slots)):
+                rows = [[0] * n for _ in range(d)]
+                for r, p in enumerate(pivots):
+                    rows[r][p] = 1
+                for (r, c), v in zip(free_slots, values):
+                    rows[r][c] = v
+                yield LinearCode(space, tuple(tuple(row) for row in rows))
 
 
 class TestFieldSpec:
@@ -302,6 +329,26 @@ class TestEnumeration:
         with pytest.raises(BoundExceeded):
             list(enumerate_codes(big))
 
+    def test_index_bound_fires_at_the_first_code(self):
+        big = AlphabetSpec(F2, ("x",), (17,))
+        codes = code_indices(big)  # a generator: nothing runs before the first code
+        message = f"^space holds 131072 vectors, over the bound {VECTOR_BOUND}$"
+        with pytest.raises(BoundExceeded, match=message):
+            next(codes)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 1), (2,), (3,)])
+    def test_indices_equal_the_row_by_row_oracle(self, q, dims):
+        space = AlphabetSpec(FieldSpec(q), tuple("abc"[: len(dims)]), dims)
+        n = space.total_dim
+        for max_dim in [None, *range(n + 2)]:
+            oracle = list(_rref_codes(space, max_dim))
+            assert list(code_indices(space, max_dim)) == [
+                tuple(fields.vec_index(q, row) for row in code.basis) for code in oracle
+            ]
+            assert list(enumerate_codes(space, max_dim)) == oracle
+        assert len(oracle) == subspace_count(n, q)
+
 
 class TestMaps:
     def test_zero_code_has_one_map(self):
@@ -315,9 +362,3 @@ class TestMaps:
     def test_count_is_exponential(self):
         c = LinearCode.from_rows(SP3, [(1, 0, 0), (0, 1, 0)])
         assert sum(1 for _ in linear_maps(c, SP3)) == 8**2
-
-    def test_map_bound(self):
-        sp6 = AlphabetSpec.uniform(F2, tuple(f"x{i}" for i in range(6)), 1)
-        full = LinearCode.full(sp6)
-        with pytest.raises(BoundExceeded):
-            linear_maps(full, sp6)
