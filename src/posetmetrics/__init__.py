@@ -45,7 +45,7 @@ _EXPORTED_FROM = {
     "posets": ("Poset", "WeightFunction", "all_posets_on", "powers_of_two_weight", "udp_check"),
     "spaces": (
         "AlphabetSpec", "FieldSpec", "LinearCode", "delta_code", "distance", "enumerate_codes",
-        "gaussian_binomial", "p_support", "p_weight", "weight",
+        "gaussian_binomial", "linear_maps", "p_support", "p_weight", "weight",
     ),
 }
 _EXPORTS = {name: module for module, names in _EXPORTED_FROM.items() for name in names}

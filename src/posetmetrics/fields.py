@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import operator
 from functools import lru_cache
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import BoundExceeded, ValidationError
 
@@ -133,6 +133,16 @@ def mat_inv(q: int, m: Matrix) -> Matrix:
     if pivots != tuple(range(n)):
         raise ValidationError("matrix is not invertible")
     return tuple(tuple(row[n:]) for row in reduced)
+
+
+def coefficients_in_rref(
+    q: int, basis: Matrix, pivots: tuple[int, ...], target: Sequence[int]
+) -> Optional[Vector]:
+    """Coordinates of target w.r.t. an RREF basis, or None if outside the span."""
+    coeffs = tuple(target[p] % q for p in pivots)
+    if combine(q, basis, coeffs, len(target)) != tuple(v % q for v in target):
+        return None
+    return coeffs
 
 
 def nullspace(q: int, rows: Sequence[Sequence[int]], ncols: int) -> Matrix:

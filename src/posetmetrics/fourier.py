@@ -13,15 +13,13 @@ character.  So where every block is a union of exact-support classes, as in
 weight partitions and their duals, a block's sum depends only on supp(alpha)
 and comes from one transform over the 2^n label subsets (MacWilliams and
 Sloane, The Theory of Error-Correcting Codes, ch. 5).  Criterion 7 replays
-character_sum against that transform.  The identity check keys each code by
-its exact-support enumerator A_C, the codeword count per exact support, and
-gets the dual code's distribution from A_C and that transform (Kim and Oh,
-IEEE Trans. Inf. Theory 51, 2005), with no dual code built.
+character_sum against that transform.  The MacWilliams check keys each code
+by its exact-support enumerator A_C and gets its dual code's distribution
+from A_C and that transform (Kim and Oh, 2005), building no dual code.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -37,7 +35,7 @@ from .spaces import (
     VECTOR_BOUND,
     AlphabetSpec,
     LinearCode,
-    code_indices,
+    enumerate_codes,
     subspace_count,
     support_classes,
     vector_masks,
@@ -60,6 +58,10 @@ class CyclotomicInteger:
             raise ValidationError("coefficient vector must have length p - 1")
 
 
+def inner_product(q: int, a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, b)) % q
+
+
 def character_sum(
     space: AlphabetSpec,
     block: Iterable[Vector],
@@ -72,7 +74,7 @@ def character_sum(
         raise ValidationError("the character must be nontrivial")
     counts = [0] * q
     for beta in block:
-        counts[scale * sum(map(operator.mul, alpha, beta)) % q] += 1
+        counts[(scale * inner_product(q, alpha, beta)) % q] += 1
     # z^(q-1) = -(1 + z + ... + z^(q-2)), so its count is taken off every coefficient
     return CyclotomicInteger(q, tuple(c - counts[-1] for c in counts[:-1]))
 
@@ -211,50 +213,35 @@ def macwilliams_identity_check(
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
     supports, sums = support_transforms(space, primal)
-    vectors = list(space.vectors())
+    q, vectors = space.q, list(space.vectors())
     block_of = dict(zip(supports, map(reversed_order.block_of, vectors)))
-    signatures: dict[tuple[int, ...], int] = {}  # supports with equal sums are folded first
-    signature_of = [signatures.setdefault(row, len(signatures)) for row in sums]
-    columns = list(zip(*signatures))
     label_bits = [1 << i for i, k in enumerate(space.dims) for _ in range(k)]
-    # per key, the first code of each folded A_C: codes with equal folds have equal duals
-    groups: dict[tuple[int, ...], dict[tuple[int, ...], tuple[int, ...]]] = {}
-    cache: dict = {}
-    for basis in code_indices(space):
-        key, folded = [0] * reversed_order.block_count, [0] * len(signatures)
-        masks = _codeword_supports(space.q, label_bits, [vectors[t] for t in basis], cache)
-        for s, count in Counter(masks).items():  # the exact-support enumerator A_C
-            key[block_of[s]] += count
-            folded[signature_of[s]] += count
-        groups.setdefault(tuple(key), {}).setdefault(tuple(folded), basis)
-    for group in groups.values():
-        firsts = list(group.values())
-        duals = [tuple(sum(map(operator.mul, f, c)) // sum(f) for c in columns) for f in group]
-        other = next((b for b, d in zip(firsts, duals) if d != duals[0]), None)
+    groups: dict[tuple[int, ...], list] = {}  # key -> [first code, its dual key, first other]
+    parts: dict[tuple[int, Vector], list[int]] = {}  # (label bit, column) -> its mask bits
+    for basis in enumerate_codes(space, indices=True):
+        # coordinate c of the codeword sum_r x_r row_r is <x, column c>: no table over the space
+        masks = [0] * q ** len(basis)
+        for part in zip(label_bits, zip(*(vectors[t] for t in basis))):
+            if part not in parts:  # <x, column> for every x, one digit of x at a time
+                values = [0]
+                for a in part[1]:
+                    values = [(v + x * a) % q for v in values for x in range(q)]
+                parts[part] = [part[0] if v else 0 for v in values]
+            masks = list(map(operator.or_, masks, parts[part]))
+        # |C| times the dual code's distribution; the key fixes |C| within a group
+        key, dual = [0] * reversed_order.block_count, [0] * primal.block_count
+        for s, c in Counter(masks).items():  # the exact-support enumerator A_C
+            key[block_of[s]] += c
+            dual = [d + c * h for d, h in zip(dual, sums[s])]
+        group = groups.setdefault(tuple(key), [basis, dual, None])
+        if group[2] is None and dual != group[1]:
+            group[2] = basis
+    for first, _, other in groups.values():
         if other is not None:
-            witness = (LinearCode(space, tuple(vectors[t] for t in firsts[0])),
+            witness = (LinearCode(space, tuple(vectors[t] for t in first)),
                        LinearCode(space, tuple(vectors[t] for t in other)))
             return MacwilliamsResult(False, witness)
     return MacwilliamsResult(True)
-
-
-def _codeword_supports(
-    q: int, label_bits: Sequence[int], rows: Sequence[Vector], cache: dict
-) -> list[int]:
-    """Each codeword's exact-support mask, in lexicographic coefficient order.
-    Coordinate c of the codeword sum_r x_r rows_r is <x, column c>, so no table
-    over the space is built; cache keeps each (label bit, column)'s part."""
-    masks = [0] * q ** len(rows)
-    for bit, column in zip(label_bits, zip(*rows)):
-        if not any(column):
-            continue
-        contribution = cache.get((bit, column))
-        if contribution is None:
-            words = itertools.product(range(q), repeat=len(column))
-            contribution = [bit if sum(map(operator.mul, x, column)) % q else 0 for x in words]
-            cache[bit, column] = contribution
-        masks = list(map(operator.or_, masks, contribution))
-    return masks
 
 
 def _check_code_count(space: AlphabetSpec) -> None:

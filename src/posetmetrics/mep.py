@@ -16,8 +16,8 @@ the images of the identity prefix at each level are looked at, and the leaf
 search that names the first counterexample runs only on a code that fails.
 A held code's orbit is marked with one group element per basis-image tuple,
 since an element's image of the code follows from its images of the basis.
-Codes come from `code_indices` as tuples of vector indices, the scan's own
-currency; only a counterexample's code is built as a `LinearCode`.
+Codes come from `enumerate_codes` as tuples of vector indices, the scan's
+own currency; only a counterexample's code is built as a `LinearCode`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .isometries import (
     weight_sum_functional,
 )
 from .posets import Poset, WeightFunction, set_bits, udp_check
-from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, code_indices, support_classes
+from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
 
 
 # The most entries of a q != 2 addition table (q = 2 adds by xor).
@@ -219,7 +219,7 @@ def mep_brute_force(
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
     held: set[frozenset[int]] = set()  # spans of the orbits of codes that held
-    for basis_idx in code_indices(space, max_dim=top):
+    for basis_idx in enumerate_codes(space, max_dim=top, indices=True):
         d = len(basis_idx)
         if d == 0:
             continue

@@ -4,8 +4,8 @@ The ambient space is a product of blocks F_q^{k_i}, one block per poset
 label.  Vectors are flat int tuples of length N = sum k_i; the space knows
 each block's slice.  Codes are kept in reduced row echelon form, which is
 the unique canonical basis, so code equality and hashing are structural.
-code_indices enumerates the codes as their rows' lexicographic vector
-indices, which the scans read directly; enumerate_codes is its code view.
+enumerate_codes also yields the codes as their rows' lexicographic vector
+indices, which the MEP scan and the MacWilliams check read directly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .posets import Poset, WeightFunction, derived
 # The most vectors a space may have where its vectors are enumerated one by
 # one: code enumeration, weight partitions and the dense MEP index.
 VECTOR_BOUND = 1 << 16
+# The most basis-image tuples linear_maps yields.
+LINEAR_MAP_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -194,9 +196,13 @@ class LinearCode:
     def size(self) -> int:
         return self.space.q**self.dim
 
+    def pivots(self) -> tuple[int, ...]:
+        # basis is already reduced, so pivots are the leading-one columns
+        return tuple(next(t for t, x in enumerate(row) if x) for row in self.basis)
+
     def contains(self, vec: Sequence[int]) -> bool:
         vec = self.space.check_vector(vec)
-        return fields.rank(self.space.q, self.basis + (vec,)) == self.dim
+        return fields.coefficients_in_rref(self.space.q, self.basis, self.pivots(), vec) is not None
 
     def codewords(self) -> Iterator[Vector]:
         for coeffs, vec in self.coefficient_pairs():
@@ -219,8 +225,13 @@ class LinearCode:
 def delta_code(space: AlphabetSpec, labels: Iterable[str]) -> LinearCode:
     """Code of all vectors supported inside the given label set."""
     positions = sorted(t for label in set(labels) for t in space.block_range(label))
-    identity = fields.identity_matrix(space.total_dim)
-    return LinearCode(space, tuple(identity[t] for t in positions))
+    n = space.total_dim
+    rows = []
+    for t in positions:
+        row = [0] * n
+        row[t] = 1
+        rows.append(tuple(row))
+    return LinearCode(space, tuple(rows))
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -238,13 +249,16 @@ def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
-def code_indices(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator[tuple[int, ...]]:
-    """Every subspace exactly once, as its RREF basis rows' lexicographic
-    vector indices, ordered by dimension.
+def enumerate_codes(
+    space: AlphabetSpec, max_dim: Optional[int] = None, indices: bool = False
+) -> Iterator[LinearCode | tuple[int, ...]]:
+    """Every subspace exactly once via its RREF, ordered by dimension; with
+    indices, as its basis rows' lexicographic vector indices, which the
+    scans read directly.
 
     Within one dimension the order is (pivot columns, free entries), both
     lexicographic, so the stream is deterministic.  The free entries run row
-    by row, so each pivot set's rows are a product of per-row index lists.
+    by row, so each pivot set's bases are a product of per-row index lists.
     """
     if space.vector_count > VECTOR_BOUND:
         raise BoundExceeded(
@@ -253,24 +267,28 @@ def code_indices(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator
     q = space.q
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
-    yield ()
+    yield () if indices else LinearCode.zero(space)
+    vectors = None if indices else list(space.vectors())
     for d in range(1, top + 1):
         for pivots in itertools.combinations(range(n), d):
             rows = []
             for p in pivots:
                 row = [q ** (n - 1 - p)]
-                for c in range(p + 1, n):
-                    if c not in pivots:
-                        place = q ** (n - 1 - c)
-                        row = [t + v * place for t in row for v in range(q)]
+                for place in (q ** (n - 1 - c) for c in range(p + 1, n) if c not in pivots):
+                    row = [t + v * place for t in row for v in range(q)]
                 rows.append(row)
-            yield from itertools.product(*rows)
+            for basis in itertools.product(*rows):
+                yield basis if indices else LinearCode(space, tuple(map(vectors.__getitem__, basis)))
 
 
-def enumerate_codes(space: AlphabetSpec, max_dim: Optional[int] = None) -> Iterator[LinearCode]:
-    """The codes of code_indices, in its order."""
-    codes = code_indices(space, max_dim)
-    yield LinearCode(space, next(codes))  # the zero code, once code_indices checked the bound
-    vectors = list(space.vectors())
-    for basis in codes:
-        yield LinearCode(space, tuple(map(vectors.__getitem__, basis)))
+def linear_maps(code: LinearCode, space: AlphabetSpec) -> Iterator[tuple[Vector, ...]]:
+    """Every linear map from the code into the space, as basis-image tuples.
+
+    Images align with the code's RREF basis rows; the map sends
+    sum c_r basis_r to sum c_r images_r.
+    """
+    total = space.vector_count**code.dim
+    if total > LINEAR_MAP_BOUND:
+        raise BoundExceeded(f"{total} maps exceed the bound {LINEAR_MAP_BOUND}")
+    all_vecs = tuple(space.vectors())
+    return itertools.product(all_vecs, repeat=code.dim)

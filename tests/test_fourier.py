@@ -431,7 +431,7 @@ class TestMacwilliams:
         def unreachable(*args, **kwargs):
             raise AssertionError("a code was enumerated")
 
-        monkeypatch.setattr(fourier, "code_indices", unreachable)
+        monkeypatch.setattr(fourier, "enumerate_codes", unreachable)
         chain = Poset.chain(tuple("abcdefghi"[:n]))
         space = AlphabetSpec.uniform(FieldSpec(q), chain.elements, 1)
         message = f"^F_{q}\\^{n} has {count} subspaces, over the code bound 65536$"

@@ -41,10 +41,9 @@ from posetmetrics.spaces import (
     FieldSpec,
     LinearCode,
     enumerate_codes,
+    linear_maps,
     subspace_count,
 )
-
-from helpers import linear_maps
 
 S22 = subspace_lattice(2, 2)
 FULL22 = frozenset(S22.ground)

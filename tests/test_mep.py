@@ -41,11 +41,10 @@ from posetmetrics.spaces import (
     FieldSpec,
     LinearCode,
     enumerate_codes,
+    linear_maps,
     p_support,
     weight,
 )
-
-from helpers import linear_maps
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))

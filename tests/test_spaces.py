@@ -15,19 +15,17 @@ from posetmetrics.spaces import (
     FieldSpec,
     VECTOR_BOUND,
     LinearCode,
-    code_indices,
     delta_code,
     distance,
     enumerate_codes,
     gaussian_binomial,
+    linear_maps,
     p_support,
     p_weight,
     subspace_count,
     support_classes,
     weight,
 )
-
-from helpers import linear_maps
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -38,7 +36,7 @@ ONES3 = WeightFunction.ones(CHAIN3.elements)
 
 def _rref_codes(space, max_dim=None):
     """Every subspace as an RREF basis built row by row, in (dimension, pivot
-    columns, free entries) order: the oracle of code_indices."""
+    columns, free entries) order: the oracle of enumerate_codes."""
     q = space.q
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
@@ -331,7 +329,7 @@ class TestEnumeration:
 
     def test_index_bound_fires_at_the_first_code(self):
         big = AlphabetSpec(F2, ("x",), (17,))
-        codes = code_indices(big)  # a generator: nothing runs before the first code
+        codes = enumerate_codes(big, indices=True)  # a generator: nothing runs before the first code
         message = f"^space holds 131072 vectors, over the bound {VECTOR_BOUND}$"
         with pytest.raises(BoundExceeded, match=message):
             next(codes)
@@ -343,7 +341,7 @@ class TestEnumeration:
         n = space.total_dim
         for max_dim in [None, *range(n + 2)]:
             oracle = list(_rref_codes(space, max_dim))
-            assert list(code_indices(space, max_dim)) == [
+            assert list(enumerate_codes(space, max_dim, indices=True)) == [
                 tuple(fields.vec_index(q, row) for row in code.basis) for code in oracle
             ]
             assert list(enumerate_codes(space, max_dim)) == oracle
@@ -362,3 +360,9 @@ class TestMaps:
     def test_count_is_exponential(self):
         c = LinearCode.from_rows(SP3, [(1, 0, 0), (0, 1, 0)])
         assert sum(1 for _ in linear_maps(c, SP3)) == 8**2
+
+    def test_map_bound(self):
+        sp6 = AlphabetSpec.uniform(F2, tuple(f"x{i}" for i in range(6)), 1)
+        full = LinearCode.full(sp6)
+        with pytest.raises(BoundExceeded):
+            linear_maps(full, sp6)
