@@ -180,6 +180,7 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
         weight_isometry_group,
         weight_sum_functional,
     )
+    from .fields import vec_index
     from .mep import SpaceIndex
     from .posets import compose_perms, invert_perm
 
@@ -228,7 +229,7 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
             b, perm_b = moved[0]
             for a, (perm_a, _) in zip(structured, sample):
                 product = compose_perms(perm_a, perm_b)
-                if any(product[si.index[e]] != si.index[a.apply(b.apply(e))] for e in units):
+                if any(product[vec_index(q, e)] != vec_index(q, a.apply(b.apply(e))) for e in units):
                     return False, "composite permutation disagrees with the action"
     return True, f"{len(instances)} instances, sets equal and projection multiplicative"
 
@@ -320,11 +321,11 @@ def _transform_replays(space: AlphabetSpec, partition: Partition) -> bool:
     from .fourier import CyclotomicInteger, character_sum, support_transforms
 
     supports, sums = support_transforms(space, partition)
-    pad = (0,) * (space.q - 2)
+    pad, blocks = (0,) * (space.q - 2), partition.blocks
     return all(
         character_sum(space, block, alpha, scale) == CyclotomicInteger(space.q, (sums[s][b],) + pad)
         for alpha, s in zip(space.vectors(), supports)
-        for b, block in enumerate(partition.blocks)
+        for b, block in enumerate(blocks)
         for scale in range(1, space.q)
     )
 

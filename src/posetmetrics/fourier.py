@@ -1,6 +1,10 @@
 """Weight partitions, exact character sums, dual partitions, and the audit
 relating the extension property to identity/duality/reflexivity properties.
 
+A partition holds one block id per vector, in lexicographic order, with
+blocks numbered by first appearance, which orders them by their least
+vectors.  Equality is id-tuple equality; blocks as vector sets are derived.
+
 Character sums live in the ring of integers of the p-th cyclotomic field,
 represented as integer vectors over the power basis 1, z, ..., z^{p-2} with
 z^{p-1} reduced to -(1 + z + ... + z^{p-2}).  Equality is coefficient
@@ -23,9 +27,9 @@ from __future__ import annotations
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
+from . import fields
 from .errors import BoundExceeded, PropertyViolation, ValidationError
 from .fields import Vector
 from .isometries import weight_sum_functional
@@ -58,10 +62,6 @@ class CyclotomicInteger:
             raise ValidationError("coefficient vector must have length p - 1")
 
 
-def inner_product(q: int, a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b)) % q
-
-
 def character_sum(
     space: AlphabetSpec,
     block: Iterable[Vector],
@@ -74,45 +74,59 @@ def character_sum(
         raise ValidationError("the character must be nontrivial")
     counts = [0] * q
     for beta in block:
-        counts[(scale * inner_product(q, alpha, beta)) % q] += 1
+        counts[scale * sum(map(operator.mul, alpha, beta)) % q] += 1
     # z^(q-1) = -(1 + z + ... + z^(q-2)), so its count is taken off every coefficient
     return CyclotomicInteger(q, tuple(c - counts[-1] for c in counts[:-1]))
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Partition of the ambient space's vectors, blocks in canonical order."""
+    """Partition of a space's vectors: ids[t] is the block of vector t in
+    lexicographic order, blocks numbered by first appearance."""
 
-    blocks: tuple[frozenset, ...]
+    space: AlphabetSpec
+    ids: tuple[int, ...]
 
     @classmethod
-    def from_blocks(cls, blocks: Iterable[Iterable[Vector]]) -> "Partition":
-        frozen = [frozenset(b) for b in blocks]
-        if any(not b for b in frozen):
-            raise ValidationError("partition blocks must be nonempty")
-        total = sum(len(b) for b in frozen)
-        union = frozenset().union(*frozen)
-        if total != len(union):
-            raise ValidationError("partition blocks must be disjoint")
-        return cls(tuple(sorted(frozen, key=lambda b: sorted(b))))
+    def from_blocks(cls, space: AlphabetSpec, blocks: Iterable[Iterable[Vector]]) -> "Partition":
+        """Refuses an empty block, a vector in two blocks, a vector outside the
+        space (wrong length, or an entry outside 0..q-1) and a missing vector."""
+        q, block_of = space.q, {}  # vector index -> block
+        for b, block in enumerate(map(list, blocks)):
+            if not block:
+                raise ValidationError("partition blocks must be nonempty")
+            for vec in block:
+                if len(vec) != space.total_dim or not all(x in range(q) for x in vec):
+                    raise ValidationError(f"the vector {tuple(vec)} is not in the space")
+                if block_of.setdefault(fields.vec_index(q, vec), b) != b:
+                    raise ValidationError("partition blocks must be disjoint")
+        if len(block_of) < space.vector_count:
+            missing = next(v for t, v in enumerate(space.vectors()) if t not in block_of)
+            raise ValidationError(f"the partition lacks the vector {missing} of the space")
+        return cls(space, _numbered(map(block_of.__getitem__, range(space.vector_count))))
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return max(self.ids) + 1
 
-    @cached_property
-    def _block_index(self) -> dict:
-        """vector -> index of its block"""
-        return {v: t for t, block in enumerate(self.blocks) for v in block}
-
-    def block_of(self, vec: Vector) -> int:
-        return self._block_index[vec]
+    @property
+    def blocks(self) -> tuple[frozenset, ...]:
+        blocks: list[list[Vector]] = [[] for _ in range(self.block_count)]
+        for vec, b in zip(self.space.vectors(), self.ids):
+            blocks[b].append(vec)
+        return tuple(map(frozenset, blocks))
 
     def distribution(self, vectors: Iterable[Vector]) -> tuple[int, ...]:
-        counts = [0] * len(self.blocks)
+        counts = [0] * self.block_count
         for v in vectors:
-            counts[self._block_index[v]] += 1
+            counts[self.ids[fields.vec_index(self.space.q, v)]] += 1
         return tuple(counts)
+
+
+def _numbered(keys: Iterable) -> tuple[int, ...]:
+    """Each key's id, numbered by first appearance."""
+    ids: dict = {}
+    return tuple(ids.setdefault(key, len(ids)) for key in keys)
 
 
 def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> Partition:
@@ -122,15 +136,10 @@ def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
             f"space too large to partition: {space.vector_count} vectors, "
             f"over the bound {VECTOR_BOUND}"
         )
-    classes = support_classes(space, poset, weight_sum_functional(poset, omega).key)
-    blocks: list[list[Vector]] = [[] for _ in range(max(classes) + 1)]
-    for vec, c in zip(space.vectors(), classes):
-        blocks[c].append(vec)
-    partition = Partition.from_blocks(blocks)
-    zero_block = partition.blocks[partition.block_of(space.zero())]
-    if zero_block != frozenset({space.zero()}):
+    ids = tuple(support_classes(space, poset, weight_sum_functional(poset, omega).key))
+    if 0 in ids[1:]:
         raise PropertyViolation("a nonzero vector has weight zero")
-    return partition
+    return Partition(space, ids)
 
 
 def support_transforms(
@@ -142,25 +151,19 @@ def support_transforms(
     A block's sum at T is sum_S h(S) prod_{i in S} g_i, with h its indicator
     on the supports and g_i = -1 for i in T, q^{k_i} - 1 otherwise: one
     butterfly with the step (x, y) -> (x + (q^{k_i} - 1) y, x - y) per label.
-    Raises ValidationError naming the first vector of the space the partition
-    lacks, or the first vector whose block splits its exact-support class.
+    Raises ValidationError for a partition of another space, or naming the
+    first vector whose block splits its exact-support class.
     """
+    if partition.space != space:
+        raise ValidationError("the partition is of another space")
     n = len(space.labels)
     supports = vector_masks(space, [1 << i for i in range(n)])
-    index = partition._block_index
     holder: list[Optional[int]] = [None] * (1 << n)  # block of each exact-support class
-    for vec, s in zip(space.vectors(), supports):
-        b = index.get(vec)
-        if b is None:
-            raise ValidationError(f"the partition lacks the vector {vec} of the space")
+    for vec, s, b in zip(space.vectors(), supports, partition.ids):
         if holder[s] is None:
             holder[s] = b
         elif holder[s] != b:
             raise ValidationError(f"the block of the vector {vec} splits its exact-support class")
-    if len(index) != space.vector_count:
-        raise ValidationError(
-            f"the partition holds {len(index)} vectors, the space {space.vector_count}"
-        )
     steps = [(1 << i, space.q**k - 1) for i, k in enumerate(space.dims)]
     columns = []
     for b in range(partition.block_count):
@@ -186,10 +189,7 @@ def dual_partition(space: AlphabetSpec, partition: Partition, scale: int = 1) ->
     if scale % space.q == 0:
         raise ValidationError("the character must be nontrivial")
     supports, sums = support_transforms(space, partition)
-    signatures: dict[tuple, list[Vector]] = {}
-    for alpha, s in zip(space.vectors(), supports):
-        signatures.setdefault(sums[s], []).append(alpha)
-    return Partition.from_blocks(signatures.values())
+    return Partition(space, _numbered(sums[s] for s in supports))
 
 
 def is_fourier_reflexive(space: AlphabetSpec, partition: Partition, scale: int = 1) -> bool:
@@ -214,7 +214,8 @@ def macwilliams_identity_check(
     reversed_order = weight_partition(space, poset.dual(), omega)
     supports, sums = support_transforms(space, primal)
     q, vectors = space.q, list(space.vectors())
-    block_of = dict(zip(supports, map(reversed_order.block_of, vectors)))
+    block_of = dict(zip(supports, reversed_order.ids))
+    key_width, dual_width = reversed_order.block_count, primal.block_count
     label_bits = [1 << i for i, k in enumerate(space.dims) for _ in range(k)]
     groups: dict[tuple[int, ...], list] = {}  # key -> [first code, its dual key, first other]
     parts: dict[tuple[int, Vector], list[int]] = {}  # (label bit, column) -> its mask bits
@@ -229,7 +230,7 @@ def macwilliams_identity_check(
                 parts[part] = [part[0] if v else 0 for v in values]
             masks = list(map(operator.or_, masks, parts[part]))
         # |C| times the dual code's distribution; the key fixes |C| within a group
-        key, dual = [0] * reversed_order.block_count, [0] * primal.block_count
+        key, dual = [0] * key_width, [0] * dual_width
         for s, c in Counter(masks).items():  # the exact-support enumerator A_C
             key[block_of[s]] += c
             dual = [d + c * h for d, h in zip(dual, sums[s])]
@@ -257,17 +258,6 @@ def _check_code_count(space: AlphabetSpec) -> None:
 
 
 # -- the comparison audit ---------------------------------------------------------
-
-
-AUDIT_STATEMENTS = (
-    "mep",
-    "single_orbit",
-    "udp_matched_dims",
-    "dual_partition_match",
-    "macwilliams_identity",
-    "fourier_reflexive",
-    "level_class_bound",
-)
 
 
 @dataclass(frozen=True)

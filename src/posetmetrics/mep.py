@@ -74,7 +74,6 @@ class SpaceIndex:
             )
         self.q = q
         self.vectors = list(space.vectors())
-        self.index = {v: t for t, v in enumerate(self.vectors)}
         self.values = support_classes(space, poset, sf.key)
         self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
         for t, c in enumerate(self.values):
@@ -120,7 +119,7 @@ class SpaceIndex:
         Vector t has coordinates equal to its base-q digits, most significant
         first, so its image is the span entry of the columns at t.
         """
-        return tuple(self.span_indices([self.index[col] for col in zip(*matrix)]))
+        return tuple(self.span_indices([fields.vec_index(self.q, col) for col in zip(*matrix)]))
 
 
 @dataclass(frozen=True)

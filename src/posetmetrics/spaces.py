@@ -196,13 +196,9 @@ class LinearCode:
     def size(self) -> int:
         return self.space.q**self.dim
 
-    def pivots(self) -> tuple[int, ...]:
-        # basis is already reduced, so pivots are the leading-one columns
-        return tuple(next(t for t, x in enumerate(row) if x) for row in self.basis)
-
     def contains(self, vec: Sequence[int]) -> bool:
         vec = self.space.check_vector(vec)
-        return fields.coefficients_in_rref(self.space.q, self.basis, self.pivots(), vec) is not None
+        return fields.rank(self.space.q, self.basis + (vec,)) == self.dim
 
     def codewords(self) -> Iterator[Vector]:
         for coeffs, vec in self.coefficient_pairs():

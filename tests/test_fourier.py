@@ -1,6 +1,8 @@
 """Exact character sums, dual partitions, identity checks, and the audit."""
 
 import random
+import re
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,6 +11,7 @@ import pytest
 from posetmetrics import fields, fourier
 from posetmetrics.acceptance import _labeled_posets
 from posetmetrics.errors import BoundExceeded, ValidationError
+from posetmetrics.isometries import weight_sum_functional
 from posetmetrics.fourier import (
     CyclotomicInteger,
     MacwilliamsResult,
@@ -22,7 +25,15 @@ from posetmetrics.fourier import (
 )
 from posetmetrics.instances import load_instance
 from posetmetrics.posets import Poset, WeightFunction
-from posetmetrics.spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
+from posetmetrics.spaces import (
+    AlphabetSpec,
+    FieldSpec,
+    LinearCode,
+    enumerate_codes,
+    subspace_count,
+    support_classes,
+    vector_masks,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -65,13 +76,83 @@ def add(a, b):
 def _exact_dual_partition(space, partition, scale=1):
     """The dual partition by summing the character over every block for every
     alpha, q^(2N) inner products in all: the oracle of the support transform."""
-    signatures = {}
+    signatures, blocks = {}, partition.blocks
     for alpha in space.vectors():
-        key = tuple(
-            character_sum(space, block, alpha, scale).coeffs for block in partition.blocks
-        )
+        key = tuple(character_sum(space, block, alpha, scale).coeffs for block in blocks)
         signatures.setdefault(key, []).append(alpha)
-    return Partition.from_blocks(signatures.values())
+    return Partition.from_blocks(space, signatures.values())
+
+
+# -- partitions as frozensets of vectors: the oracle of the block-id Partition -----
+
+
+@dataclass(frozen=True)
+class FrozensetPartition:
+    """Blocks as frozensets of vector tuples, sorted by their least vectors."""
+
+    blocks: tuple[frozenset, ...]
+
+    @classmethod
+    def from_blocks(cls, blocks):
+        frozen = [frozenset(b) for b in blocks]
+        assert all(frozen) and sum(map(len, frozen)) == len(frozenset().union(*frozen))
+        return cls(tuple(sorted(frozen, key=sorted)))
+
+    @property
+    def block_count(self):
+        return len(self.blocks)
+
+
+def _frozenset_weight_partition(space, poset, omega):
+    classes = support_classes(space, poset, weight_sum_functional(poset, omega).key)
+    blocks = [[] for _ in range(max(classes) + 1)]
+    for vec, c in zip(space.vectors(), classes):
+        blocks[c].append(vec)
+    partition = FrozensetPartition.from_blocks(blocks)
+    assert frozenset({space.zero()}) in partition.blocks
+    return partition
+
+
+def _frozenset_dual_partition(space, partition):
+    """Vectors grouped by their blocks' character sums, each block's taken by
+    the butterfly on its indicator over the exact supports, looked up by vector."""
+    n = len(space.labels)
+    supports = vector_masks(space, [1 << i for i in range(n)])
+    block_index = {v: b for b, block in enumerate(partition.blocks) for v in block}
+    assert len(block_index) == space.vector_count
+    holder = [None] * (1 << n)
+    for vec, s in zip(space.vectors(), supports):
+        assert holder[s] in (None, block_index[vec])
+        holder[s] = block_index[vec]
+    columns = []
+    for b in range(partition.block_count):
+        h = [int(c == b) for c in holder]
+        for i, k in enumerate(space.dims):
+            for m in range(1 << n):
+                if not m >> i & 1:
+                    x, y = h[m], h[m | 1 << i]
+                    h[m], h[m | 1 << i] = x + (space.q**k - 1) * y, x - y
+        columns.append(h)
+    signatures = {}
+    for alpha, s in zip(space.vectors(), supports):
+        signatures.setdefault(tuple(h[s] for h in columns), []).append(alpha)
+    return FrozensetPartition.from_blocks(signatures.values())
+
+
+def _partition_grid():
+    """(id, space, poset, omega): every labeled poset on up to 3 elements at
+    q in {2, 3} with unit dims and at q = 2 with dims (1, 2, 1), each with
+    unit and random rational weights; q = 5 with dims (1, 2, 1) on two posets."""
+    rng = random.Random(3)
+    for n in (1, 2, 3):
+        for poset in _labeled_posets(n):
+            for q, dims in [(2, (1,) * n), (3, (1,) * n)] + ([(2, (1, 2, 1))] if n == 3 else []):
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for w, omega in enumerate((ones(poset), random_rational_weights(poset, rng))):
+                    yield f"{order_id(poset)}-q{q}-{''.join(map(str, dims))}-w{w}", space, poset, omega
+    for poset in (CHAIN3, MIXED):
+        space = AlphabetSpec(FieldSpec(5), poset.elements, (1, 2, 1))
+        yield f"{order_id(poset)}-q5-121", space, poset, ones(poset)
 
 
 def random_rational_weights(poset, rng):
@@ -230,9 +311,74 @@ class TestWeightPartitions:
             assert sum(partition.distribution(code.codewords())) == code.size
 
 
+class TestBlockIds:
+    def test_equals_the_frozenset_partitions_on_the_grid(self):
+        rng, compared, reflexive = random.Random(5), 0, 0
+        for case, space, poset, omega in _partition_grid():
+            primal = weight_partition(space, poset, omega)
+            reversed_order = weight_partition(space, poset.dual(), omega)
+            dual = dual_partition(space, primal)
+            oracle = _frozenset_weight_partition(space, poset, omega)
+            oracle_reversed = _frozenset_weight_partition(space, poset.dual(), omega)
+            oracle_dual = _frozenset_dual_partition(space, oracle)
+            for got, want in ((primal, oracle), (reversed_order, oracle_reversed), (dual, oracle_dual)):
+                assert got.blocks == want.blocks, case
+                assert got.block_count == want.block_count, case
+                assert Partition.from_blocks(space, got.blocks) == got, case
+                shuffled = [rng.sample(sorted(b), len(b)) for b in rng.sample(got.blocks, len(got.blocks))]
+                assert Partition.from_blocks(space, shuffled) == got, case
+            assert (dual == reversed_order) == (oracle_dual == oracle_reversed), case
+            verdict = is_fourier_reflexive(space, primal)
+            assert verdict == (_frozenset_dual_partition(space, oracle_dual) == oracle), case
+            compared += 1
+            reflexive += verdict
+        assert compared == 23 * 4 + 19 * 2 + 2
+        assert 0 < reflexive < compared
+
+    def test_ids_number_the_blocks_by_their_least_vectors(self):
+        space = AlphabetSpec.uniform(F3, ("a", "b"), 1)
+        vectors = list(space.vectors())
+        partition = Partition.from_blocks(space, [vectors[4:], vectors[1:4], vectors[:1]])
+        assert partition.ids == (0, 1, 1, 1, 2, 2, 2, 2, 2)
+        assert partition.blocks == (frozenset(vectors[:1]), frozenset(vectors[1:4]), frozenset(vectors[4:]))
+        assert partition.distribution([vectors[0], vectors[5], vectors[8]]) == (1, 0, 2)
+
+    def test_empty_block_is_refused(self):
+        space = AlphabetSpec.uniform(F2, ("a",), 1)
+        with pytest.raises(ValidationError, match="^partition blocks must be nonempty$"):
+            Partition.from_blocks(space, [[(0,), (1,)], []])
+
+    def test_overlapping_blocks_are_refused(self):
+        space = AlphabetSpec.uniform(F2, ("a",), 1)
+        with pytest.raises(ValidationError, match="^partition blocks must be disjoint$"):
+            Partition.from_blocks(space, [[(0,)], [(0,), (1,)]])
+
+    @pytest.mark.parametrize("vec", [(0, 1, 0), (2,), (-1,), (3,)], ids=["length", "q", "negative", "q+1"])
+    def test_vector_outside_the_space_is_refused(self, vec):
+        # entries are not reduced mod q: (2,) is not the vector (0,) of F_2
+        space = AlphabetSpec.uniform(F2, ("a",), 1)
+        message = f"^the vector {re.escape(str(vec))} is not in the space$"
+        with pytest.raises(ValidationError, match=message):
+            Partition.from_blocks(space, [[(0,)], [(1,), vec]])
+
+    def test_missing_vector_is_refused_naming_the_first(self):
+        space = AlphabetSpec.uniform(F3, ("a", "b"), 1)
+        blocks = [[(0, 0)], [(2, 2), (1, 1)]]
+        message = "^the partition lacks the vector \\(0, 1\\) of the space$"
+        with pytest.raises(ValidationError, match=message):
+            Partition.from_blocks(space, blocks)
+
+    def test_missing_vector_of_a_large_space_is_named_at_once(self):
+        # no table over the 2^40 vectors is built to find it
+        space = AlphabetSpec(F2, ("a",), (40,))
+        message = f"^the partition lacks the vector {re.escape(str((0,) * 39 + (1,)))} of the space$"
+        with pytest.raises(ValidationError, match=message):
+            Partition.from_blocks(space, [[space.zero()]])
+
+
 class TestDualPartition:
     def test_whole_space_partition_dualizes_to_zero_versus_rest(self):
-        whole = Partition.from_blocks([list(SP3.vectors())])
+        whole = Partition.from_blocks(SP3, [list(SP3.vectors())])
         dual = dual_partition(SP3, whole)
         assert {frozenset(b) for b in dual.blocks} == {
             frozenset({(0, 0, 0)}),
@@ -246,7 +392,7 @@ class TestDualPartition:
     def test_dual_reverses_refinement(self):
         fine = weight_partition(SP3, CHAIN3, ones(CHAIN3))
         blocks = list(fine.blocks)
-        merged = Partition.from_blocks([blocks[0] | blocks[1]] + blocks[2:])
+        merged = Partition.from_blocks(SP3, [blocks[0] | blocks[1]] + blocks[2:])
         assert refines(fine, merged)
         assert refines(dual_partition(SP3, merged), dual_partition(SP3, fine))
 
@@ -286,8 +432,8 @@ class TestSupportTransform:
     def test_equals_the_exact_dual_on_merged_and_whole_space_partitions(self):
         fine = weight_partition(SP3, CHAIN3, ones(CHAIN3))
         blocks = list(fine.blocks)
-        merged = Partition.from_blocks([blocks[0] | blocks[1]] + blocks[2:])
-        whole = Partition.from_blocks([list(SP3.vectors())])
+        merged = Partition.from_blocks(SP3, [blocks[0] | blocks[1]] + blocks[2:])
+        whole = Partition.from_blocks(SP3, [list(SP3.vectors())])
         for partition in (fine, merged, whole):
             dual = dual_partition(SP3, partition)
             assert _exact_dual_partition(SP3, partition) == dual
@@ -328,23 +474,30 @@ class TestSupportTransform:
     def test_partition_of_another_space_is_refused(self):
         chain2 = Poset.chain(("a", "b"))
         partition = weight_partition(AlphabetSpec.uniform(F2, chain2.elements, 1), chain2, ones(chain2))
-        message = "^the partition lacks the vector \\(0, 0, 0\\) of the space$"
+        message = "^the partition is of another space$"
         with pytest.raises(ValidationError, match=message):
             dual_partition(SP3, partition)
         with pytest.raises(ValidationError, match=message):
             is_fourier_reflexive(SP3, partition)
+        # the same vectors under other labels are another space
+        relabeled = AlphabetSpec.uniform(F2, ("x", "y", "z"), 1)
+        with pytest.raises(ValidationError, match=message):
+            dual_partition(relabeled, weight_partition(SP3, CHAIN3, ones(CHAIN3)))
 
     def test_partition_with_extra_vectors_is_refused(self):
         space = AlphabetSpec.uniform(F2, ("a",), 1)
-        partition = Partition.from_blocks([[(0,)], [(1,)], [(1, 1)]])
-        with pytest.raises(ValidationError, match="^the partition holds 3 vectors, the space 2$"):
+        with pytest.raises(ValidationError, match="^the vector \\(1, 1\\) is not in the space$"):
+            Partition.from_blocks(space, [[(0,)], [(1,)], [(1, 1)]])
+        wider = AlphabetSpec.uniform(F2, ("a", "b"), 1)
+        partition = Partition.from_blocks(wider, [[(0, 0)], [(0, 1), (1, 0), (1, 1)]])
+        with pytest.raises(ValidationError, match="^the partition is of another space$"):
             dual_partition(space, partition)
 
     def test_block_splitting_a_support_class_is_refused(self):
         # (0, 1) and (0, 2) both have support {b}
         space = AlphabetSpec.uniform(F3, ("a", "b"), 1)
         vectors = list(space.vectors())
-        partition = Partition.from_blocks([vectors[:2], vectors[2:]])
+        partition = Partition.from_blocks(space, [vectors[:2], vectors[2:]])
         message = "^the block of the vector \\(0, 2\\) splits its exact-support class$"
         with pytest.raises(ValidationError, match=message):
             dual_partition(space, partition)

@@ -190,7 +190,7 @@ class TestBruteForce:
 
 def _mat_vec_perm(si: SpaceIndex, matrix) -> tuple[int, ...]:
     """The index permutation of a matrix, one mat_vec per vector."""
-    return tuple(si.index[fields.mat_vec(si.q, matrix, v)] for v in si.vectors)
+    return tuple(fields.vec_index(si.q, fields.mat_vec(si.q, matrix, v)) for v in si.vectors)
 
 
 def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVerdict:
@@ -215,7 +215,7 @@ def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVer
             continue
         if count**d > map_bound:
             raise BoundExceeded(f"{count ** d} candidate maps at dimension {d}")
-        basis_idx = [si.index[b] for b in code.basis]
+        basis_idx = [fields.vec_index(si.q, b) for b in code.basis]
         cw_values = [values[t] for t in si.span_indices(basis_idx)]
         reachable = {tuple(p[b] for b in basis_idx) for p in perms}
         for images in itertools.product(*(classes[values[b]] for b in basis_idx)):
@@ -284,7 +284,7 @@ def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_b
             raise BoundExceeded(
                 f"{count ** d} candidate maps at dimension {d} exceed the bound {map_bound}"
             )
-        basis_idx = [si.index[b] for b in code.basis]
+        basis_idx = [fields.vec_index(si.q, b) for b in code.basis]
         reachable = set(zip(*(columns[b] for b in basis_idx)))
         images = _first_unreachable_map(si, basis_idx, reachable)
         if images is not None:
@@ -305,7 +305,7 @@ def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
     for code in enumerate_codes(space, max_dim=max_dim):
         if code.dim == 0:
             continue
-        span = frozenset(si.index[v] for v in code.codewords())
+        span = frozenset(fields.vec_index(si.q, v) for v in code.codewords())
         if span not in seen:
             orbits += 1
             seen |= {frozenset(p[t] for t in span) for p in perms}
@@ -381,7 +381,8 @@ class TestSpaceIndexTables:
     def test_digit_tables_match_the_vector_dict(self, q, dims):
         space = AlphabetSpec(FieldSpec(q), ANTI3.elements, dims)
         si = SpaceIndex(space, ANTI3, p_support_functional(ANTI3))
-        vectors, index = si.vectors, si.index
+        vectors = si.vectors
+        index = {v: t for t, v in enumerate(vectors)}
         assert si.scale_table == [
             [index[fields.vec_scale(q, c, v)] for v in vectors] for c in range(q)
         ]
@@ -496,7 +497,7 @@ class TestOrbitReducedScan:
         closure = set()
         for code in enumerate_codes(space, max_dim=max_dim):
             if code.dim:
-                span = frozenset(si.index[v] for v in code.codewords())
+                span = frozenset(fields.vec_index(si.q, v) for v in code.codewords())
                 closure |= {frozenset(p[t] for t in span) for p in perms}
         assert held == [closure]
 
@@ -535,7 +536,7 @@ class TestStabilizerDecision:
             for code in enumerate_codes(space):
                 if code.dim == 0:
                     continue
-                basis_idx = [si.index[b] for b in code.basis]
+                basis_idx = [fields.vec_index(si.q, b) for b in code.basis]
                 reachable = set(zip(*(columns[b] for b in basis_idx)))
                 expected = _first_unreachable_map(si, basis_idx, reachable) is None
                 assert _holds_on(si, basis_idx, columns) == expected

@@ -284,6 +284,15 @@ class TestCodes:
         assert c.contains((1, 1, 0)) and c.contains((0, 0, 0))
         assert not c.contains((1, 0, 0))
 
+    @pytest.mark.parametrize("q,dims", [(2, (1, 1, 1)), (3, (1, 1)), (2, (1, 2))])
+    def test_contains_equals_membership_in_the_codewords(self, q, dims):
+        space = AlphabetSpec(FieldSpec(q), tuple("abc"[: len(dims)]), dims)
+        for code in enumerate_codes(space):
+            codewords = set(code.codewords())
+            assert [code.contains(v) for v in space.vectors()] == [
+                v in codewords for v in space.vectors()
+            ]
+
     def test_self_dual_repetition(self):
         sp2 = AlphabetSpec.uniform(F2, ("1", "2"), 1)
         c = LinearCode.from_rows(sp2, [(1, 1)])
