@@ -161,7 +161,6 @@ def invertible_matrices(q: int, n: int, bound: int = 1 << 18) -> tuple[Matrix, .
     if n == 0:
         return ((),)
     vectors = list(itertools.product(range(q), repeat=n))
-    index = {v: t for t, v in enumerate(vectors)}
     out = []
 
     def extend(rows: tuple[Vector, ...], span: set[int]) -> None:  # span: indices of vectors
@@ -171,7 +170,7 @@ def invertible_matrices(q: int, n: int, bound: int = 1 << 18) -> tuple[Matrix, .
             return
         for row in free:
             multiples = [vec_scale(q, a, row) for a in range(1, q)]
-            grown = {index[vec_add(q, vectors[s], m)] for s in span for m in multiples}
+            grown = {vec_index(q, vec_add(q, vectors[s], m)) for s in span for m in multiples}
             extend((*rows, row), span | grown)
 
     extend((), {0})

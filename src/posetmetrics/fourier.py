@@ -177,23 +177,21 @@ def support_transforms(
     return supports, list(zip(*columns))
 
 
-def dual_partition(space: AlphabetSpec, partition: Partition, scale: int = 1) -> Partition:
+def dual_partition(space: AlphabetSpec, partition: Partition) -> Partition:
     """Group vectors by their tuple of character sums across the blocks.
 
     Over the vectors beta of exact support S, z^<alpha, beta> sums to the
     integer prod_{i in S} (q^{k_i} [alpha_i = 0] - 1) under every nontrivial
     character.  So with every block a union of exact-support classes, which
     is required, the sums are the integers of support_transforms, and the
-    result does not depend on scale, which is only checked to be nontrivial.
+    result is the same for every nontrivial character.
     """
-    if scale % space.q == 0:
-        raise ValidationError("the character must be nontrivial")
     supports, sums = support_transforms(space, partition)
     return Partition(space, _numbered(sums[s] for s in supports))
 
 
-def is_fourier_reflexive(space: AlphabetSpec, partition: Partition, scale: int = 1) -> bool:
-    return dual_partition(space, dual_partition(space, partition, scale), scale) == partition
+def is_fourier_reflexive(space: AlphabetSpec, partition: Partition) -> bool:
+    return dual_partition(space, dual_partition(space, partition)) == partition
 
 
 @dataclass(frozen=True)
@@ -291,9 +289,10 @@ def coding_property_audit(space: AlphabetSpec, poset: Poset, omega: WeightFuncti
     orbit_ok, _ = single_orbit_check(space, poset, omega)
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
-    dual_match = dual_partition(space, primal) == reversed_order
+    dual = dual_partition(space, primal)
+    dual_match = dual == reversed_order
     identity = macwilliams_identity_check(space, poset, omega).holds
-    reflexive = is_fourier_reflexive(space, primal)
+    reflexive = dual_partition(space, dual) == primal
     bound_ok, _ = level_class_bound(space, poset, omega)
     statements = {
         "mep": mep_verdict.holds,

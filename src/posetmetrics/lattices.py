@@ -521,18 +521,17 @@ def hamming_extension_via_solutions(
         raise ValidationError("equal block dimensions are required")
     q = space.q
     n = space.total_dim
-    codewords = []
-    image_of = {}
+    codewords, mapped = [], []  # mapped[c] is the image of codewords[c]
     for coeffs, vec in code.coefficient_pairs():
         codewords.append(vec)
-        image_of[vec] = combine(q, images, coeffs, n)
+        mapped.append(combine(q, images, coeffs, n))
     left = []
     right = []
     for label in space.labels:
         rng = space.block_range(label)
         left.append(frozenset(v for v in codewords if not any(v[t] for t in rng)))
         right.append(
-            frozenset(v for v in codewords if not any(image_of[v][t] for t in rng))
+            frozenset(v for v, w in zip(codewords, mapped) if not any(w[t] for t in rng))
         )
     record = Solution(tuple(left), tuple(right))
     return record, is_solution(record), is_trivial(record)

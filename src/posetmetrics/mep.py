@@ -42,7 +42,7 @@ from .isometries import (
     Isometry,
     SupportFunctional,
     admissible_lams,
-    decompose,
+    build_isometry,
     p_support_functional,
     enumerate_group,
     weight_sum_functional,
@@ -548,10 +548,10 @@ def canonical_decomposition(
     down (position order inside a level), shows the whole structure: every
     reduced row is t + l, with t on its pivot's level and l on lower levels.
     B_j is the span of the level-j tops, which is the level-j projection of
-    the codewords vanishing above level j, so the parts are unique.  sigma_j
-    is the identity minus each such l placed in its pivot's column: it sends
-    t + l to t and fixes every vector vanishing on level j.  phi is
-    sigma_1 ... sigma_r, replayed through `decompose`.
+    the codewords vanishing above level j, so the parts are unique.  phi is
+    the identity minus every tail l in its pivot's column: the product of the
+    per-level straightening maps, since a reduced row vanishes in every other
+    pivot column.  It is checked by replay on the code's basis.
     """
     if not poset.is_hierarchical:
         raise ValidationError("canonical decomposition needs a hierarchical poset")
@@ -559,30 +559,35 @@ def canonical_decomposition(
         return Isometry.identity(space, poset), []
     q = space.q
     n = space.total_dim
+    labels = poset.elements
+    ranges = [space.block_range(label) for label in labels]
+    label_of = [0] * n
     level_of = [0] * n
-    for label in poset.elements:
-        for t in space.block_range(label):
-            level_of[t] = poset.level(label)
+    for i, label in enumerate(labels):
+        for t in ranges[i]:
+            label_of[t], level_of[t] = i, poset.level(label)
     order = sorted(range(n), key=lambda t: -level_of[t])
     reduced, pivots = fields.rref(q, [[row[t] for t in order] for row in code.basis])
     r = level_of[order[pivots[0]]]
     tops: list[list[list[int]]] = [[] for _ in range(r)]
-    sigmas = [[list(row) for row in fields.identity_matrix(n)] for _ in range(r)]
+    strict: dict[tuple[int, int], list[list[int]]] = {}  # (i, k) -> block i -> k
     for reduced_row, pivot in zip(reduced, pivots):
         column = order[pivot]
-        j = level_of[column]
+        i, j = label_of[column], level_of[column]
         top = [0] * n
         for t, x in zip(order, reduced_row):
             if level_of[t] == j:
                 top[t] = x
-            else:  # zero above level j, so only the tail l lands in sigma_j
-                sigmas[j - 1][t][column] = -x % q
+            elif x:  # zero above level j, so x is an entry of the tail l
+                k = label_of[t]
+                block = strict.setdefault((i, k), [[0] * len(ranges[i]) for _ in ranges[k]])
+                block[t - ranges[k][0]][column - ranges[i][0]] = -x % q
         tops[j - 1].append(top)
+    identity = Isometry.identity(space, poset)
+    blocks = [(i, k, tuple(map(tuple, block))) for (i, k), block in strict.items()]
+    phi = build_isometry(space, poset, identity.lam, identity.diag, blocks)
     parts = [LinearCode.from_rows(space, rows) for rows in tops]
-    if sum(part.dim for part in parts) != code.dim:
-        raise PropertyViolation("decomposition did not exhaust the code")
-    phi_matrix = fields.identity_matrix(n)
-    for sigma in sigmas:  # phi = sigma_1 ... sigma_r
-        phi_matrix = fields.mat_mul(q, phi_matrix, sigma)
-    phi = decompose(space, poset, phi_matrix, p_support_functional(poset))
+    image = LinearCode.from_rows(space, map(phi.apply, code.basis))
+    if image != LinearCode.from_rows(space, itertools.chain.from_iterable(tops)):
+        raise PropertyViolation("phi does not map the code onto the sum of the parts")
     return phi, parts

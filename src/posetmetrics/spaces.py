@@ -23,8 +23,6 @@ from .posets import Poset, WeightFunction, derived
 # The most vectors a space may have where its vectors are enumerated one by
 # one: code enumeration, weight partitions and the dense MEP index.
 VECTOR_BOUND = 1 << 16
-# The most basis-image tuples linear_maps yields.
-LINEAR_MAP_BOUND = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -275,16 +273,3 @@ def enumerate_codes(
                 rows.append(row)
             for basis in itertools.product(*rows):
                 yield basis if indices else LinearCode(space, tuple(map(vectors.__getitem__, basis)))
-
-
-def linear_maps(code: LinearCode, space: AlphabetSpec) -> Iterator[tuple[Vector, ...]]:
-    """Every linear map from the code into the space, as basis-image tuples.
-
-    Images align with the code's RREF basis rows; the map sends
-    sum c_r basis_r to sum c_r images_r.
-    """
-    total = space.vector_count**code.dim
-    if total > LINEAR_MAP_BOUND:
-        raise BoundExceeded(f"{total} maps exceed the bound {LINEAR_MAP_BOUND}")
-    all_vecs = tuple(space.vectors())
-    return itertools.product(all_vecs, repeat=code.dim)

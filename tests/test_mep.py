@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from posetmetrics import fields, mep
+from posetmetrics import fields, isometries, mep, spaces
 from posetmetrics.acceptance import _group_grid, _labeled_posets, _omega_variants
 from posetmetrics.errors import (
     BoundExceeded,
@@ -17,7 +17,7 @@ from posetmetrics.errors import (
     PredicateUnavailable,
     ValidationError,
 )
-from posetmetrics.isometries import enumerate_group, p_support_functional
+from posetmetrics.isometries import decompose, enumerate_group, p_support_functional
 from posetmetrics.mep import (
     MepVerdict,
     SpaceIndex,
@@ -41,10 +41,11 @@ from posetmetrics.spaces import (
     FieldSpec,
     LinearCode,
     enumerate_codes,
-    linear_maps,
     p_support,
     weight,
 )
+
+from helpers import linear_maps
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -769,24 +770,52 @@ class TestCanonicalDecomposition:
 def parts_from_codewords(space, poset, code):
     """B_j spanned by the level-j projections of the codewords that vanish
     above level j, for j up to the highest level the code reaches."""
-    levels = poset.level_sets()
-    level_of = {label: poset.level(label) for label in poset.elements}
-    words = [(w, max((level_of[l] for l in space.support(w)), default=0)) for w in code.codewords()]
+    level_at = [0] * space.total_dim  # the level of each coordinate's label
+    for label in poset.elements:
+        for t in space.block_range(label):
+            level_at[t] = poset.level(label)
+    words = [
+        (w, max((level_at[t] for t, x in enumerate(w) if x), default=0)) for w in code.codewords()
+    ]
     parts = []
     for j in range(1, max(top for _w, top in words) + 1):
-        on_level = {t for label in levels[j - 1] for t in space.block_range(label)}
-        rows = [
-            tuple(x if t in on_level else 0 for t, x in enumerate(w)) for w, top in words if top <= j
-        ]
+        rows = {
+            tuple(x if level_at[t] == j else 0 for t, x in enumerate(w)) for w, top in words if top <= j
+        }
         parts.append(LinearCode.from_rows(space, rows))
     return parts
 
 
+def _sigma_product_decomposition(space, poset, code):
+    """phi as sigma_1 ... sigma_r, each level's straightening map built as
+    its own matrix and multiplied out: the oracle of identity minus tails."""
+    q = space.q
+    n = space.total_dim
+    level_of = [0] * n
+    for label in poset.elements:
+        for t in space.block_range(label):
+            level_of[t] = poset.level(label)
+    order = sorted(range(n), key=lambda t: -level_of[t])
+    reduced, pivots = fields.rref(q, [[row[t] for t in order] for row in code.basis])
+    r = level_of[order[pivots[0]]] if pivots else 0
+    sigmas = [[list(row) for row in fields.identity_matrix(n)] for _ in range(r)]
+    for reduced_row, pivot in zip(reduced, pivots):
+        column = order[pivot]
+        for t, x in zip(order, reduced_row):
+            if level_of[t] != level_of[column]:  # zero above, so only the tail l
+                sigmas[level_of[column] - 1][t][column] = -x % q
+    product = fields.identity_matrix(n)
+    for sigma in sigmas:  # phi = sigma_1 ... sigma_r
+        product = fields.mat_mul(q, product, sigma)
+    return product
+
+
 class TestCanonicalDecompositionOracle:
-    """The parts against codewords; phi keeps every label and maps the code
-    onto the sum of the parts.  Unit dims on every hierarchical poset of up
-    to 4 elements; mixed dims (1, 2, 1) on up to 3, since (1, 2, 1, 2) over
-    F_2 alone has 75 x 2825 codes."""
+    """The parts against codewords; phi keeps every label, maps the code
+    onto the sum of the parts, and equals the sigma product (and, where the
+    q^N replay is cheap, the product read back by `decompose`).  Unit dims
+    on every hierarchical poset of up to 4 elements; mixed dims (1, 2, 1) on
+    up to 3, since (1, 2, 1, 2) over F_2 alone has 75 x 2825 codes."""
 
     @pytest.mark.parametrize(
         "q,dims",
@@ -797,9 +826,35 @@ class TestCanonicalDecompositionOracle:
         n = len(dims)
         for poset in [p for p in _labeled_posets(n) if p.is_hierarchical]:
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+            sf = p_support_functional(poset)
             for code in enumerate_codes(space):
                 phi, parts = canonical_decomposition(space, poset, code)
                 assert parts == parts_from_codewords(space, poset, code)
                 assert phi.lam == tuple(range(n))
                 image = LinearCode.from_rows(space, [phi.apply(row) for row in code.basis])
                 assert image == LinearCode.from_rows(space, [r for p in parts for r in p.basis])
+                product = _sigma_product_decomposition(space, poset, code)
+                assert phi.matrix == product
+                if q == 2 or n <= 3:
+                    assert phi == decompose(space, poset, product, sf)
+
+    def test_no_matrix_product_or_space_replay(self, monkeypatch):
+        chain = Poset.chain(("a", "b", "c", "d"))
+        space = AlphabetSpec.uniform(FieldSpec(3), chain.elements, 1)
+        sf = p_support_functional(chain)
+        codes = list(enumerate_codes(space))
+        expected = []
+        for code in codes:
+            product = _sigma_product_decomposition(space, chain, code)
+            parts = parts_from_codewords(space, chain, code)
+            expected.append((decompose(space, chain, product, sf), parts))
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("canonical_decomposition reached a q^N or n x n path")
+
+        for module in (fields, spaces, isometries, mep):
+            for name in ("decompose", "mat_mul", "support_classes"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, unreachable)
+        assert [canonical_decomposition(space, chain, code) for code in codes] == expected
+        assert any(phi.strict for phi, _parts in expected)

@@ -46,7 +46,7 @@ EXPORTS = {
     "posets": ("Poset", "WeightFunction", "all_posets_on", "powers_of_two_weight", "udp_check"),
     "spaces": (
         "AlphabetSpec", "FieldSpec", "LinearCode", "delta_code", "distance", "enumerate_codes",
-        "gaussian_binomial", "linear_maps", "p_support", "p_weight", "weight",
+        "gaussian_binomial", "p_support", "p_weight", "weight",
     ),
 }
 NAMES = [(module, name) for module, names in EXPORTS.items() for name in names]
@@ -72,7 +72,7 @@ class TestExports:
 
     def test_all_and_dir_list_every_export(self):
         names = {name for _, name in NAMES}
-        assert len(names) == len(NAMES) == 70
+        assert len(names) == len(NAMES) == 69
         assert sorted(posetmetrics.__all__) == sorted(names)
         assert names <= set(dir(posetmetrics))
         assert {"fields", "mep", "cli"} <= set(dir(posetmetrics))

@@ -19,7 +19,6 @@ from posetmetrics.spaces import (
     distance,
     enumerate_codes,
     gaussian_binomial,
-    linear_maps,
     p_support,
     p_weight,
     subspace_count,
@@ -355,23 +354,3 @@ class TestEnumeration:
             ]
             assert list(enumerate_codes(space, max_dim)) == oracle
         assert len(oracle) == subspace_count(n, q)
-
-
-class TestMaps:
-    def test_zero_code_has_one_map(self):
-        assert sum(1 for _ in linear_maps(LinearCode.zero(SP3), SP3)) == 1
-
-    def test_line_has_q_to_n_maps(self):
-        sp2 = AlphabetSpec.uniform(F2, ("1", "2"), 1)
-        line = LinearCode.from_rows(sp2, [(1, 0)])
-        assert sum(1 for _ in linear_maps(line, sp2)) == 4
-
-    def test_count_is_exponential(self):
-        c = LinearCode.from_rows(SP3, [(1, 0, 0), (0, 1, 0)])
-        assert sum(1 for _ in linear_maps(c, SP3)) == 8**2
-
-    def test_map_bound(self):
-        sp6 = AlphabetSpec.uniform(F2, tuple(f"x{i}" for i in range(6)), 1)
-        full = LinearCode.full(sp6)
-        with pytest.raises(BoundExceeded):
-            linear_maps(full, sp6)
