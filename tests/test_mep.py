@@ -17,7 +17,7 @@ from posetmetrics.errors import (
     PredicateUnavailable,
     ValidationError,
 )
-from posetmetrics.isometries import decompose, enumerate_group, p_support_functional
+from posetmetrics.isometries import Isometry, decompose, enumerate_group, p_support_functional
 from posetmetrics.mep import (
     MepVerdict,
     SpaceIndex,
@@ -750,6 +750,60 @@ class TestCanonicalDecomposition:
         space = AlphabetSpec.uniform(F2, MIXED.elements, 1)
         with pytest.raises(ValidationError):
             canonical_decomposition(space, MIXED, LinearCode.zero(space))
+
+    def test_tail_entries_are_negated_into_the_pivot_column(self):
+        # chain a < b < c over F_3: the reduced row is e_c + (2 on a, 1 on b)
+        chain = Poset.chain(("a", "b", "c"))
+        space = AlphabetSpec.uniform(FieldSpec(3), chain.elements, 1)
+        code = LinearCode.from_rows(space, [(2, 1, 1)])
+        phi, parts = canonical_decomposition(space, chain, code)
+        assert phi.diag == (((1,),),) * 3
+        assert phi.strict == ((2, 0, ((1,),)), (2, 1, ((2,),)))
+        assert phi.matrix == ((1, 0, 1), (0, 1, 2), (0, 0, 1))
+        assert phi.apply((2, 1, 1)) == (0, 0, 1)
+        assert [p.dim for p in parts] == [0, 0, 1]
+
+    def test_two_pivots_share_a_tail_column(self):
+        # reduced rows e_c + 2 e_a and e_b + e_a: both tails land in row a
+        chain = Poset.chain(("a", "b", "c"))
+        space = AlphabetSpec.uniform(FieldSpec(3), chain.elements, 1)
+        code = LinearCode.from_rows(space, [(1, 0, 2), (0, 1, 1)])
+        phi, parts = canonical_decomposition(space, chain, code)
+        assert phi.matrix == ((1, 2, 1), (0, 1, 0), (0, 0, 1))
+        assert phi.matrix == _sigma_product_decomposition(space, chain, code)
+        # the reduced rows, back in position order, go to their tops
+        assert [phi.apply((2, 0, 1)), phi.apply((1, 1, 0))] == [(0, 0, 1), (0, 1, 0)]
+        assert [p.dim for p in parts] == [0, 1, 1]
+
+    def test_mixed_dims_tail_is_one_strict_block(self):
+        # chain a < b with dims (2, 1): the tail (1, 1) on a is a 2 x 1 block b -> a
+        space = AlphabetSpec(F2, CHAIN2.elements, (2, 1))
+        code = LinearCode.from_rows(space, [(1, 1, 1)])
+        phi, parts = canonical_decomposition(space, CHAIN2, code)
+        assert phi.strict == ((1, 0, ((1,), (1,))),)
+        assert phi.matrix == ((1, 0, 1), (0, 1, 1), (0, 0, 1))
+        assert parts == [LinearCode.zero(space), LinearCode.from_rows(space, [(0, 0, 1)])]
+
+    def test_tailless_code_keeps_the_identity(self):
+        chain = Poset.chain(("a", "b", "c"))
+        space = AlphabetSpec.uniform(FieldSpec(3), chain.elements, 1)
+        code = LinearCode.from_rows(space, [(1, 0, 0), (0, 0, 2)])
+        phi, parts = canonical_decomposition(space, chain, code)
+        assert phi == Isometry.identity(space, chain)
+        assert [p.basis for p in parts] == [((1, 0, 0),), (), ((0, 0, 1),)]
+
+    @pytest.mark.parametrize("q", [2, 3])
+    def test_phi_keeps_the_poset_support_of_every_vector(self, q):
+        wedge = Poset.from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")])
+        space = AlphabetSpec.uniform(FieldSpec(q), wedge.elements, 1)
+        vectors = list(space.vectors())
+        moved = 0
+        for code in enumerate_codes(space):
+            phi, _parts = canonical_decomposition(space, wedge, code)
+            for v in vectors:
+                assert p_support(space, wedge, phi.apply(v)) == p_support(space, wedge, v)
+            moved += bool(phi.strict)
+        assert moved > 0
 
     def test_full_replay_on_wedge(self):
         wedge = Poset.from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")])
