@@ -261,9 +261,8 @@ def cmd_lattice(args) -> tuple[dict, int]:
     table = moebius(lattice)
     results["member_count"] = len(lattice.members)
     results["bottom"] = sorted(lattice.bottom(), key=repr)
-    results["moebius_digest"] = hashlib.sha256(
-        canonical_json(sorted((i, j, v) for (i, j), v in table.entries.items())).encode()
-    ).hexdigest()[:32]
+    triples = sorted((i, j, v) for j, col in enumerate(table.columns) for i, v in zip(*col))
+    results["moebius_digest"] = hashlib.sha256(canonical_json(triples).encode()).hexdigest()[:32]
     witnesses: dict = {}
     try:
         length, top, solution = minimal_nontrivial_solution(lattice)

@@ -113,6 +113,13 @@ class FiniteLattice:
         member whose up-set is exactly those members."""
         return self._up_index[self._holding(set_bits(mask))]
 
+    def _index(self, member: frozenset) -> int:
+        """The member's index, or a ValidationError naming a non-member."""
+        try:
+            return self._member_index[member]
+        except KeyError:
+            raise ValidationError(f"not a lattice member: {sorted(member, key=repr)}") from None
+
     @cached_property
     def _point_closure_masks(self) -> tuple[int, ...]:
         """The closure mask of each ground point, in ground order."""
@@ -162,29 +169,33 @@ def _meet_irreducibles(masks: Sequence[int], ups: Sequence[int], full: int) -> l
 class MoebiusTable:
     """Sparse table of the lattice's Moebius values.
 
-    entries maps (below index, above index) to the nonzero value; by_above
-    groups the same data per upper member for interval scans, in the order
-    of entries.  The sieve passes both; from entries alone, by_above is
-    grouped from them.
+    columns[j] = (below, values): the members i with a nonzero value at (i, j)
+    and those values, two tuples in the sieve's order (size descending, then
+    index).  Built from an entries dict alone, they are grouped in its order.
     """
 
-    def __init__(self, lattice: FiniteLattice, entries: dict, by_above: Optional[dict] = None):
+    def __init__(self, lattice: FiniteLattice, entries: Optional[dict] = None, columns=None):
         self.lattice = lattice
-        self.entries = entries
-        if by_above is None:
-            by_above = {}
+        if columns is None:
+            grouped: list = [([], []) for _ in lattice.members]
             for (i, j), v in entries.items():
-                by_above.setdefault(j, []).append((i, v))
-        self.by_above = by_above
+                grouped[j][0].append(i)
+                grouped[j][1].append(v)
+            columns = [(tuple(below), tuple(values)) for below, values in grouped]
+        self.columns: list[tuple[tuple[int, ...], tuple[int, ...]]] = columns
+
+    @cached_property
+    def entries(self) -> dict:
+        """(i, j) -> nonzero value, in column order; built on first use only."""
+        return {(i, j): v for j, col in enumerate(self.columns) for i, v in zip(*col)}
 
     def of(self, below: frozenset, above: frozenset) -> int:
-        index = self.lattice._member_index
-        return self.entries.get((index[below], index[above]), 0)
+        return self.entries.get((self.lattice._index(below), self.lattice._index(above)), 0)
 
     def column(self, above: frozenset) -> list[tuple[frozenset, int]]:
-        j = self.lattice._member_index[above]
+        below, values = self.columns[self.lattice._index(above)]
         members = self.lattice.members
-        return [(members[i], v) for i, v in self.by_above.get(j, [])]
+        return [(members[i], v) for i, v in zip(below, values)]
 
 
 def moebius(lattice: FiniteLattice) -> MoebiusTable:
@@ -208,23 +219,23 @@ def _down_lists(lattice: FiniteLattice) -> list[list[int]]:
 
 def _moebius_table(lattice: FiniteLattice) -> MoebiusTable:
     down_lists = _down_lists(lattice)
-    strictly_below = [down[1:] for down in down_lists]
-    count = len(down_lists)
-    entries: dict[tuple[int, int], int] = {}
-    by_above: dict[int, list[tuple[int, int]]] = {}
+    # acc[i] is the value at i in column j: 1 at j minus the values strictly
+    # above i.  Pushing over down_lists[i] (i first) zeroes acc[i], and every
+    # slot pushed to lies in j's down-set, so acc ends each column all zeros.
+    acc = [0] * len(down_lists)
+    columns = []
     for j, down in enumerate(down_lists):
-        # acc[i] is minus the value at i: the sum of the values strictly above i
-        acc = [0] * count
-        acc[j] = -1
-        column = by_above[j] = []
+        acc[j] = 1
+        below, values = [], []
         for i in down:
-            value = -acc[i]
+            value = acc[i]
             if value:
-                entries[(i, j)] = value
-                column.append((i, value))
-                for w in strictly_below[i]:
-                    acc[w] += value
-    return MoebiusTable(lattice, entries, by_above)
+                below.append(i)
+                values.append(value)
+                for w in down_lists[i]:
+                    acc[w] -= value
+        columns.append((tuple(below), tuple(values)))
+    return MoebiusTable(lattice, columns=columns)
 
 
 def moebius_indicator_identity(
@@ -238,15 +249,15 @@ def moebius_indicator_identity(
     the positive/negative split equation must hold exactly when no point
     generates the member.
     """
-    table = moebius(lattice)
-    j = lattice._member_index[above]
+    j = lattice._index(above)
+    below, values = moebius(lattice).columns[j]
     target = lattice._masks[j]
     closures = lattice._point_closure_masks
     generators = frozenset(x for x, c in zip(lattice.ground, closures) if c == target)
     positive = [0] * len(closures)
     negative = [0] * len(closures)
     points = lattice._points
-    for i, coeff in table.by_above.get(j, []):
+    for i, coeff in zip(below, values):
         counts, weight = (positive, coeff) if coeff > 0 else (negative, -coeff)
         for t in points[i]:
             counts[t] += weight
@@ -296,22 +307,22 @@ def construct_minimal_solution(lattice: FiniteLattice, top: frozenset) -> Soluti
     side: members with positive value (the member itself once).  The output
     is validated as a nontrivial solution of the predicted length.
     """
+    j = lattice._index(top)
     if lattice.contains_empty():
         raise ValidationError("the family must not contain the empty set")
     if top not in lattice.non_point_closures():
         raise ValidationError("the chosen member is generated by a point")
-    table = moebius(lattice)
+    below, values = moebius(lattice).columns[j]
+    members = lattice.members
     left: list[frozenset] = []
     right: list[frozenset] = []
-    total_mass = 0
-    for member, value in table.column(top):
-        total_mass += abs(value)
+    for i, value in zip(below, values):
         if value < 0:
-            left.extend([member] * (-value))
+            left.extend([members[i]] * (-value))
         else:
-            right.extend([member] * value)
+            right.extend([members[i]] * value)
     out = Solution(tuple(left), tuple(right))
-    expected = total_mass // 2
+    expected = sum(map(abs, values)) // 2
     if len(out.left) != expected or len(out.right) != expected:
         raise PropertyViolation("signed masses did not split evenly")
     if not is_solution(out) or is_trivial(out):
@@ -328,40 +339,27 @@ def minimal_nontrivial_length(
     point generates); each candidate contributes half its total absolute
     Moebius mass.
     """
+    indices = None if tops is None else [lattice._index(top) for top in tops]
     if lattice.contains_empty():
         raise ValidationError("the family must not contain the empty set")
-    if tops is None:
-        tops = lattice.non_point_closures()
-    tops = tuple(tops)
-    if not tops:
+    if indices is None:
+        indices = [lattice._index(top) for top in lattice.non_point_closures()]
+    if not indices:
         raise AllSolutionsTrivial("every member is generated by a point")
-    table = moebius(lattice)
-    index = lattice._member_index
-    best: Optional[int] = None
-    for top in tops:
-        mass = sum(abs(v) for _i, v in table.by_above.get(index[top], []))
-        if mass % 2 != 0:
-            raise PropertyViolation("odd total Moebius mass")
-        half = mass // 2
-        if best is None or half < best:
-            best = half
-    assert best is not None
-    return best
+    columns = moebius(lattice).columns
+    masses = [sum(map(abs, columns[j][1])) for j in indices]
+    if any(mass % 2 for mass in masses):
+        raise PropertyViolation("odd total Moebius mass")
+    return min(masses) // 2
 
 
 def minimal_nontrivial_solution(lattice: FiniteLattice) -> tuple[int, frozenset, Solution]:
-    """Minimal length together with a minimizing top and a built solution."""
-    if lattice.contains_empty():
-        raise ValidationError("the family must not contain the empty set")
-    tops = lattice.non_point_closures()
-    if not tops:
-        raise AllSolutionsTrivial("every member is generated by a point")
-    table = moebius(lattice)
-    index = lattice._member_index
+    """Minimal length together with the first minimizing top and a built solution."""
+    best = minimal_nontrivial_length(lattice)
+    columns = moebius(lattice).columns
     best_top = min(
-        tops, key=lambda m: sum(abs(v) for _i, v in table.by_above.get(index[m], []))
+        lattice.non_point_closures(), key=lambda m: sum(map(abs, columns[lattice._index(m)][1]))
     )
-    best = minimal_nontrivial_length(lattice, tops=(best_top,))
     solution = construct_minimal_solution(lattice, best_top)
     if len(solution.left) != best:
         raise PropertyViolation("constructed solution length disagrees with the minimum")

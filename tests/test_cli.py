@@ -256,6 +256,19 @@ class TestCommands:
         assert payload["results"]["module_threshold"] == 15
         assert payload["results"]["minimal_nontrivial_length"] == 3
 
+    def test_lattice_digest_reads_the_columns(self, capsys, monkeypatch):
+        from posetmetrics.lattices import MoebiusTable
+
+        def refuse(table):
+            raise AssertionError("the lattice command built the entries dict")
+
+        monkeypatch.setattr(MoebiusTable, "entries", property(refuse))
+        code, payload = run_json(
+            capsys, "lattice", "subspace", "2", "3", "--module-rank", "2"
+        )
+        assert code == 0
+        assert len(payload["results"]["moebius_digest"]) == 32
+
     def test_lattice_boolean(self, capsys):
         code, payload = run_json(capsys, "lattice", "boolean", "2")
         assert code == 0

@@ -4,6 +4,7 @@ minimal solutions, module thresholds, and the kernel-tuple translation."""
 import gc
 import itertools
 import random
+import tracemalloc
 import weakref
 
 import pytest
@@ -122,8 +123,8 @@ def list_scan_moebius_oracle(lattice):
 
 def _oracle_lattices():
     yield from (boolean_lattice(n) for n in range(5))
-    yield from (pointed_boolean_lattice(n) for n in range(5))
-    yield from (subspace_lattice(2, k) for k in range(1, 5))
+    yield from (pointed_boolean_lattice(n) for n in (0, 1, 2, 3, 4, 6))
+    yield from (subspace_lattice(2, k) for k in range(1, 6))
     yield from (subspace_lattice(3, k) for k in range(1, 4))
     rng = random.Random(20260808)  # the criterion-9 families
     yield from (_random_intersection_family(rng) for _ in range(60))
@@ -135,8 +136,13 @@ class TestBitmaskCoreAgainstOracles:
             table = moebius(lattice)
             expected = list_scan_moebius_oracle(lattice)
             assert list(table.entries.items()) == list(expected.items())
-            oracle_table = MoebiusTable(lattice, expected)
-            assert list(table.by_above.items()) == list(oracle_table.by_above.items())
+            assert table.columns == MoebiusTable(lattice, expected).columns
+            members = lattice.members
+            for j, above in enumerate(members):
+                below, values = table.columns[j]
+                assert below[0] == j and values[0] == 1
+                assert list(below) == sorted(below, key=lambda i: (-len(members[i]), i))
+                assert table.column(above) == [(members[i], v) for i, v in zip(below, values)]
 
     def test_closures(self):
         for lattice in _oracle_lattices():
@@ -245,6 +251,24 @@ class TestBitmaskCoreAgainstOracles:
                 checked += 1
         assert checked > 100
 
+    def test_table_is_small_and_builds_no_entries_dict(self):
+        lattice = subspace_lattice(2, 6)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            table = moebius(lattice)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        # the 95,706 nonzero entries of the 2825 columns, as two int tuples each
+        assert sum(map(len, (below for below, _values in table.columns))) == 95706
+        assert grown < 6 * 2**20
+        for member in lattice.members:
+            assert moebius_indicator_identity(lattice, member)[:2] == (True, True)
+        assert minimal_nontrivial_solution(lattice)[0] == 3
+        assert _module_min_length(lattice, 2, 2, 6) == 15
+        assert "entries" not in vars(table)
+
     def test_moebius_table_is_kept_on_the_lattice_and_freed_with_it(self):
         lattice = subspace_lattice(2, 3)
         table = moebius(lattice)
@@ -254,6 +278,44 @@ class TestBitmaskCoreAgainstOracles:
         del lattice, table
         gc.collect()
         assert ref() is None
+
+
+class TestNonMembers:
+    """Each entry point names a set outside the lattice before any other test."""
+
+    LATTICE = pointed_boolean_lattice(2)
+    OUTSIDE = frozenset({9})
+    MESSAGE = r"^not a lattice member: \[9\]$"
+
+    def test_indicator_identity(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            moebius_indicator_identity(self.LATTICE, self.OUTSIDE)
+
+    def test_column(self):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            moebius(self.LATTICE).column(self.OUTSIDE)
+
+    @pytest.mark.parametrize("outside_first", [True, False])
+    def test_of(self, outside_first):
+        member = self.LATTICE.members[0]
+        pair = (self.OUTSIDE, member) if outside_first else (member, self.OUTSIDE)
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            moebius(self.LATTICE).of(*pair)
+
+    @pytest.mark.parametrize("lattice", [LATTICE, boolean_lattice(2)], ids=["pointed", "empty"])
+    def test_minimal_length_tops(self, lattice):
+        tops = [frozenset(lattice.ground), self.OUTSIDE]
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            minimal_nontrivial_length(lattice, tops=tops)
+
+    @pytest.mark.parametrize("lattice", [LATTICE, boolean_lattice(2)], ids=["pointed", "empty"])
+    def test_construction(self, lattice):
+        with pytest.raises(ValidationError, match=self.MESSAGE):
+            construct_minimal_solution(lattice, self.OUTSIDE)
+
+    def test_unorderable_points_are_named_by_repr(self):
+        with pytest.raises(ValidationError, match=r"^not a lattice member: \['a', 1\]$"):
+            moebius(self.LATTICE).column(frozenset({1, "a"}))
 
 
 class TestLattice:
