@@ -177,12 +177,12 @@ class MoebiusTable:
     def __init__(self, lattice: FiniteLattice, entries: Optional[dict] = None, columns=None):
         self.lattice = lattice
         if columns is None:
-            grouped: list = [([], []) for _ in lattice.members]
+            grouped = [([], []) for _ in lattice.members]
             for (i, j), v in entries.items():
                 grouped[j][0].append(i)
                 grouped[j][1].append(v)
             columns = [(tuple(below), tuple(values)) for below, values in grouped]
-        self.columns: list[tuple[tuple[int, ...], tuple[int, ...]]] = columns
+        self.columns = columns
 
     @cached_property
     def entries(self) -> dict:

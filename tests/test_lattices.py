@@ -260,7 +260,7 @@ class TestBitmaskCoreAgainstOracles:
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        # the 95,706 nonzero entries of the 2825 columns, as two int tuples each
+        # 95,706 nonzero entries in 2825 columns, each column two int tuples
         assert sum(map(len, (below for below, _values in table.columns))) == 95706
         assert grown < 6 * 2**20
         for member in lattice.members:
