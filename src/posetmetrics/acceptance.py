@@ -187,10 +187,10 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
     instances = _group_grid()
     for space, poset, omega in instances:
         q = space.q
-        sf = weight_sum_functional(poset, omega)
+        key = weight_sum_functional(poset, omega)
         structured = weight_isometry_group(space, poset, omega)
         struct_set = {iso.matrix for iso in structured}
-        brute = set(brute_force_isometries(space, poset, sf))
+        brute = set(brute_force_isometries(space, poset, key))
         if struct_set != brute:
             return False, (
                 f"group mismatch q={q} dims={space.dims} poset={poset.elements}"
@@ -198,7 +198,7 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
             )
         # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared,
         # composed and inverted as permutations of the indexed vectors
-        si = SpaceIndex(space, poset, sf)
+        si = SpaceIndex(space, poset, key)
         perm_of = si.perm_of_matrix
         pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
         to_lam = dict(pairs)
@@ -428,12 +428,7 @@ def criterion_moebius_identities(seed: int = 20260808) -> tuple[bool, str]:
 def criterion_support_weight_bridge(max_elements: int = 3) -> tuple[bool, str]:
     """Doubling weights make weight classes the closure classes and the two
     brute-force isometry groups coincide."""
-    from .isometries import (
-        brute_force_isometries,
-        p_support_functional,
-        weight_isometry_group,
-        weight_sum_functional,
-    )
+    from .isometries import brute_force_isometries, weight_isometry_group, weight_sum_functional
     from .posets import powers_of_two_weight
     from .spaces import AlphabetSpec, FieldSpec
 
@@ -452,9 +447,8 @@ def criterion_support_weight_bridge(max_elements: int = 3) -> tuple[bool, str]:
         weight_group = set(
             map(tuple, brute_force_isometries(space, poset, weight_sum_functional(poset, omega)))
         )
-        support_group = set(
-            map(tuple, brute_force_isometries(space, poset, p_support_functional(poset)))
-        )
+        # the support side keys each closure by its own mask, with no weights
+        support_group = set(map(tuple, brute_force_isometries(space, poset, lambda mask: mask)))
         if weight_group != support_group:
             return False, f"groups differ on {poset.leq}"
         structured = {iso.matrix for iso in weight_isometry_group(space, poset, omega)}

@@ -83,10 +83,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, instance=True):
+    def add_common(p):
         p.add_argument("--json", action="store_true", help="emit the JSON report")
-        if instance:
-            p.add_argument("--instance", required=True, help="path to an instance file")
+        p.add_argument("--instance", required=True, help="path to an instance file")
 
     p = sub.add_parser("poset", help="ideals, levels, hierarchy, automorphisms, UDP")
     add_common(p)

@@ -136,7 +136,7 @@ def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
             f"space too large to partition: {space.vector_count} vectors, "
             f"over the bound {VECTOR_BOUND}"
         )
-    ids = tuple(support_classes(space, poset, weight_sum_functional(poset, omega).key))
+    ids = tuple(support_classes(space, poset, weight_sum_functional(poset, omega)))
     if 0 in ids[1:]:
         raise PropertyViolation("a nonzero vector has weight zero")
     return Partition(space, ids)

@@ -104,6 +104,6 @@ def load_instance(path: str | Path) -> Instance:
         raise ValidationError(f"cannot read instance file: {exc}") from None
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an int past the digit limit
         raise ValidationError(f"instance file is not valid JSON: {exc}") from None
     return instance_from_dict(payload)

@@ -10,11 +10,12 @@ factors without any matrix (`mep._indexed_group`); criterion 4 turns
 matrices into permutations with `mep.SpaceIndex.perm_of_matrix`, and
 matrices serve reports and the oracles.
 
-The same machinery runs for any support functional: a function on label
-subsets that only sees the ideal closure, is monotone on ideals, and pins
-ideals that share a value with one of their points.  The exact-rational
-weight sum and the ideal-closure map itself are the two shipped instances.
-Each also has an integer key on ideal masks, which the scans compare.
+The same machinery runs for any integer key on ideal masks (bit t for
+poset.elements[t]).  `weight_sum_functional` gives the (P, omega)-weight of
+an ideal as an int, scaled by the LCM of the denominators, so two ideals
+share a key exactly when they share a weight.  Support closure is the case
+omega(t) = 2^t (`posets.powers_of_two_weight`): its key is the mask itself,
+so two ideals share it only when they are equal.
 """
 
 from __future__ import annotations
@@ -29,122 +30,43 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 from . import fields
 from .errors import BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError
 from .fields import Matrix, Vector
-from .posets import SCAN_BOUND, Perm, Poset, WeightFunction, derived, set_bits, weight_preserving_automorphisms
+from .posets import (
+    SCAN_BOUND, Perm, Poset, WeightFunction, derived, powers_of_two_weight, set_bits,
+    weight_preserving_automorphisms,
+)
 from .spaces import AlphabetSpec, support_classes
 
-
-@dataclass(frozen=True)
-class SupportFunctional:
-    """A closure-respecting functional on label subsets with a comparison.
-
-    key gives an int for each ideal mask of the poset (bit t for
-    poset.elements[t]); two ideals have equal keys exactly when evaluate gives
-    them equal values.  The scans compare keys; evaluate and leq serve the
-    condition check, preserves and reports.
-    """
-
-    name: str
-    evaluate: Callable[[frozenset[str]], object]
-    leq: Callable[[object, object], bool]
-    key: Callable[[int], int]
+# An int per ideal mask; the scans compare vectors by the keys of their closures.
+Key = Callable[[int], int]
 
 
-def weight_sum_functional(poset: Poset, omega: WeightFunction) -> SupportFunctional:
-    """Exact rational weight of the ideal closure, compared by <=.  Its key is
-    the weight sum scaled by the LCM of the denominators, so keys and values
-    are equal together."""
+def weight_sum_functional(poset: Poset, omega: WeightFunction) -> Key:
+    """The weight key: the weight sum over an ideal mask, scaled by the LCM
+    of the denominators, so keys are equal exactly when weights are."""
     weights = omega.scaled(poset.elements)
-
-    def evaluate(subset: frozenset[str]):
-        return omega.total(poset.ideal_closure(subset))
 
     def key(mask: int) -> int:
         return sum(map(weights.__getitem__, set_bits(mask)))
 
-    return SupportFunctional("weight-sum", evaluate, lambda a, b: a <= b, key)
-
-
-def p_support_functional(poset: Poset) -> SupportFunctional:
-    """The ideal closure itself, compared by inclusion; its key is the mask."""
-
-    def evaluate(subset: frozenset[str]):
-        return poset.ideal_closure(subset)
-
-    return SupportFunctional("support-closure", evaluate, lambda a, b: a <= b, lambda mask: mask)
-
-
-# check_support_functional walks all 2^n label subsets, so n is capped.
-FUNCTIONAL_CHECK_BOUND = 12
-
-
-def check_support_functional(
-    sf: SupportFunctional, poset: Poset
-) -> tuple[bool, dict[str, Optional[tuple]]]:
-    """Exhaustively check the three defining conditions over all subsets.
-
-    Returns (ok, violations) where violations maps each condition name to a
-    witness tuple or None:
-      closure_invariant:     value must not change under ideal closure;
-      monotone:              nested ideals must have comparable values;
-      singleton_determined:  an ideal sharing its value with a member point
-                             must be that point's principal ideal.
-    """
-    n = len(poset.elements)
-    if n > FUNCTIONAL_CHECK_BOUND:
-        raise BoundExceeded(
-            f"support functional check capped at {FUNCTIONAL_CHECK_BOUND} elements"
-        )
-    violations: dict[str, Optional[tuple]] = {
-        "closure_invariant": None,
-        "monotone": None,
-        "singleton_determined": None,
-    }
-    subsets = [
-        frozenset(poset.elements[i] for i in range(n) if mask >> i & 1)
-        for mask in range(1 << n)
-    ]
-    for subset in subsets:
-        closed = poset.ideal_closure(subset)
-        if sf.evaluate(subset) != sf.evaluate(closed):
-            violations["closure_invariant"] = (subset, closed)
-            break
-    ideals = poset.all_ideals()
-    for small in ideals:
-        for large in ideals:
-            if small <= large and not sf.leq(sf.evaluate(small), sf.evaluate(large)):
-                violations["monotone"] = (small, large)
-                break
-        if violations["monotone"]:
-            break
-    for ideal in ideals:
-        for u in ideal:
-            if sf.evaluate(ideal) == sf.evaluate(frozenset({u})):
-                if ideal != poset.ideal_closure({u}):
-                    violations["singleton_determined"] = (ideal, u)
-                    break
-        if violations["singleton_determined"]:
-            break
-    return all(v is None for v in violations.values()), violations
+    return key
 
 
 # -- admissible label permutations --------------------------------------------
 
 
-def admissible_automorphisms(
-    poset: Poset, space: AlphabetSpec, sf: SupportFunctional
-) -> tuple[Perm, ...]:
-    """Poset automorphisms preserving the functional on every ideal and all
+def admissible_automorphisms(poset: Poset, space: AlphabetSpec, key: Key) -> tuple[Perm, ...]:
+    """Poset automorphisms preserving the key of every ideal and all
     block dimensions (block isomorphism over a field is dimension equality)."""
     masks, autos = poset._ideal_masks, tuple(_keeping_dims(space, poset.automorphisms()))
     if len(autos) * len(masks) > SCAN_BOUND:  # before any key is computed
         scan = f"functional filter of {len(autos)} automorphisms over {len(masks)} ideals"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
-    keys = list(map(sf.key, masks))
+    keys = list(map(key, masks))
 
     def preserved(perm: Perm) -> bool:
         bits = [1 << t for t in perm]
         images = (sum(map(bits.__getitem__, set_bits(mask))) for mask in masks)
-        return all(map(operator.eq, map(sf.key, images), keys))
+        return all(map(operator.eq, map(key, images), keys))
 
     return tuple(filter(preserved, autos))
 
@@ -153,7 +75,7 @@ def weight_automorphisms(
     poset: Poset, space: AlphabetSpec, omega: WeightFunction
 ) -> tuple[Perm, ...]:
     """Pointwise filter: automorphisms fixing the weight of every label and
-    every block dimension.  Agrees with the weight-sum functional filter."""
+    every block dimension.  Agrees with the filter on weight keys."""
     return tuple(_keeping_dims(space, weight_preserving_automorphisms(poset, omega)))
 
 
@@ -294,27 +216,22 @@ def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) 
         raise GroupBoundExceeded(f"isometry group order reaches {reached}, over the bound {bound}")
 
 
-def admissible_lams(
-    space: AlphabetSpec, poset: Poset, sf: SupportFunctional, bound: int
-) -> tuple[Perm, ...]:
+def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
     """The group's label maps, with its order checked against the bound
-    before the functional filter and again after it."""
+    before the key filter and again after it."""
     if space.labels != poset.elements:  # blocks and dims are indexed by poset position
         raise ValidationError("the space's labels must be the poset's elements, in its order")
     _check_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
-    lams = admissible_automorphisms(poset, space, sf)
+    lams = admissible_automorphisms(poset, space, key)
     _check_order(space, poset, len(lams), bound)
     return lams
 
 
 def enumerate_group(
-    space: AlphabetSpec,
-    poset: Poset,
-    sf: SupportFunctional,
-    bound: int = GROUP_BOUND,
+    space: AlphabetSpec, poset: Poset, key: Key, bound: int = GROUP_BOUND
 ) -> Iterator[Isometry]:
-    """All isometries for the functional, in (lam, diag, strict) lexicographic order."""
-    lams = admissible_lams(space, poset, sf, bound)
+    """All isometries for the key, in (lam, diag, strict) lexicographic order."""
+    lams = admissible_lams(space, poset, key, bound)
     q = space.q
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
     for lam in lams:
@@ -348,7 +265,8 @@ def weight_isometry_group(
 def support_isometry_group(
     space: AlphabetSpec, poset: Poset, bound: int = GROUP_BOUND
 ) -> list[Isometry]:
-    return list(enumerate_group(space, poset, p_support_functional(poset), bound))
+    """The support-closure isometries: the weight group of the doubling weights."""
+    return weight_isometry_group(space, poset, powers_of_two_weight(poset), bound)
 
 
 # -- brute force & decomposition ------------------------------------------------
@@ -383,10 +301,8 @@ def _invertible_index_perms(q: int, n: int) -> tuple[tuple[Matrix, ...], tuple[t
     return matrices, tuple(perms)
 
 
-def brute_force_isometries(
-    space: AlphabetSpec, poset: Poset, sf: SupportFunctional
-) -> list[Matrix]:
-    """All invertible N x N matrices preserving the functional of the support.
+def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[Matrix]:
+    """All invertible N x N matrices preserving the key of the support closure.
 
     An oracle for small spaces only.  The |GL_N(F_q)| * q^N entries of the
     action table are checked against ACTION_TABLE_BOUND before any matrix is
@@ -401,7 +317,7 @@ def brute_force_isometries(
     if entries > ACTION_TABLE_BOUND:
         raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
     matrices, perms = _invertible_index_perms(q, n)
-    values = support_classes(space, poset, sf.key)
+    values = support_classes(space, poset, key)
     # perm[t] is the index of the image of vector t; the scan of a matrix
     # stops at the first vector whose class it moves
     return [
@@ -411,13 +327,11 @@ def brute_force_isometries(
     ]
 
 
-def decompose(
-    space: AlphabetSpec, poset: Poset, matrix: Matrix, sf: SupportFunctional
-) -> Isometry:
-    """Recover (lam, blocks) from a matrix that should preserve the functional.
+def decompose(space: AlphabetSpec, poset: Poset, matrix: Matrix, key: Key) -> Isometry:
+    """Recover (lam, blocks) from a matrix that should preserve the key.
 
     Raises PropertyViolation with the first witness vector (in index order) if
-    the matrix is not an isometry for the functional.  The structure is then
+    the matrix is not an isometry for the key.  The structure is then
     read off the block pattern: lam(i) is the one label whose block in block
     column i is invertible and lies above every other nonzero block of that
     column, and those other blocks are the strict ones.
@@ -426,7 +340,7 @@ def decompose(
     n = space.total_dim
     if len(matrix) != n or not fields.is_invertible(q, matrix):
         raise PropertyViolation("matrix is not an automorphism of the space")
-    values = support_classes(space, poset, sf.key)
+    values = support_classes(space, poset, key)
     for vec, value in zip(space.vectors(), values):
         if values[fields.vec_index(q, fields.mat_vec(q, matrix, vec))] != value:
             raise PropertyViolation(f"functional not preserved at {vec}")

@@ -171,17 +171,11 @@ class MoebiusTable:
 
     columns[j] = (below, values): the members i with a nonzero value at (i, j)
     and those values, two tuples in the sieve's order (size descending, then
-    index).  Built from an entries dict alone, they are grouped in its order.
+    index).
     """
 
-    def __init__(self, lattice: FiniteLattice, entries: Optional[dict] = None, columns=None):
+    def __init__(self, lattice: FiniteLattice, columns: list):
         self.lattice = lattice
-        if columns is None:
-            grouped = [([], []) for _ in lattice.members]
-            for (i, j), v in entries.items():
-                grouped[j][0].append(i)
-                grouped[j][1].append(v)
-            columns = [(tuple(below), tuple(values)) for below, values in grouped]
         self.columns = columns
 
     @cached_property
@@ -235,7 +229,7 @@ def _moebius_table(lattice: FiniteLattice) -> MoebiusTable:
                 for w in down_lists[i]:
                     acc[w] -= value
         columns.append((tuple(below), tuple(values)))
-    return MoebiusTable(lattice, columns=columns)
+    return MoebiusTable(lattice, columns)
 
 
 def moebius_indicator_identity(

@@ -5,7 +5,8 @@ Brute force quantifies over every code (skipping the isometry orbit of a code
 that held) and every linear map out of it, checks weight (or support-closure)
 preservation per codeword, and searches the structured isometry group for an
 extension.  Small spaces are indexed densely so the inner loops run on ints:
-vectors are classed by the functional's integer key on their closure masks,
+vectors are classed by the integer weight key of their closure masks (support
+closure is the weight with doubling weights, whose key is the mask itself),
 and the scan and the orbit check see each group element only as the
 permutation it induces on the indexed vectors.  `_indexed_group` composes
 those permutations from the group's semidirect factors, with no `Isometry`
@@ -40,15 +41,14 @@ from .fields import Matrix, Vector
 from .isometries import (
     GROUP_BOUND,
     Isometry,
-    SupportFunctional,
+    Key,
     admissible_lams,
     build_isometry,
-    p_support_functional,
     enumerate_group,
     weight_sum_functional,
 )
-from .posets import Poset, WeightFunction, set_bits, udp_check
-from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes
+from .posets import Poset, WeightFunction, powers_of_two_weight, set_bits, udp_check
+from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes, weight
 
 
 # The most entries of a q != 2 addition table (q = 2 adds by xor).
@@ -59,12 +59,12 @@ class SpaceIndex:
     """Dense int index of a small space: add/scale tables and per-vector value classes.
 
     values[t] is the class id of vector t: two vectors share an id exactly
-    when the functional gives their supports equal values, so preservation
+    when the key gives their closure masks equal ints, so preservation
     checks compare ints.  classes[i] lists the vectors of class i in index
     order.
     """
 
-    def __init__(self, space: AlphabetSpec, poset: Poset, sf: SupportFunctional):
+    def __init__(self, space: AlphabetSpec, poset: Poset, key: Key):
         q, count = space.q, space.vector_count
         if count > VECTOR_BOUND:
             raise BoundExceeded(f"space of {count} vectors exceeds {VECTOR_BOUND}")
@@ -74,7 +74,7 @@ class SpaceIndex:
             )
         self.q = q
         self.vectors = list(space.vectors())
-        self.values = support_classes(space, poset, sf.key)
+        self.values = support_classes(space, poset, key)
         self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
         for t, c in enumerate(self.values):
             self.classes[c].append(t)
@@ -132,19 +132,6 @@ class MepVerdict:
     predicate_trace: Optional[dict] = None
 
 
-def preserves(
-    space: AlphabetSpec, sf: SupportFunctional, code: LinearCode, images: Sequence[Vector]
-) -> bool:
-    """Does the map sending the code's basis rows to images keep the
-    functional's value on the support of every codeword?"""
-    n = space.total_dim
-    for coeffs, vec in code.coefficient_pairs():
-        image = fields.combine(space.q, images, coeffs, n)
-        if sf.evaluate(space.support(image)) != sf.evaluate(space.support(vec)):
-            return False
-    return True
-
-
 def preserves_weight(
     space: AlphabetSpec,
     poset: Poset,
@@ -152,15 +139,14 @@ def preserves_weight(
     code: LinearCode,
     images: Sequence[Vector],
 ) -> bool:
-    return preserves(space, weight_sum_functional(poset, omega), code, images)
-
-
-def _functional_for(poset: Poset, omega: Optional[WeightFunction], mode: str) -> SupportFunctional:
-    if mode == "support":
-        return p_support_functional(poset)
-    if omega is None:
-        raise ValidationError("weight mode needs a weight function")
-    return weight_sum_functional(poset, omega)
+    """Does the map sending the code's basis rows to images keep the exact
+    (Fraction) weight of every codeword?  Independent of the integer keys."""
+    n = space.total_dim
+    for coeffs, vec in code.coefficient_pairs():
+        image = fields.combine(space.q, images, coeffs, n)
+        if weight(space, poset, omega, image) != weight(space, poset, omega, vec):
+            return False
+    return True
 
 
 def extend_to_isometry(
@@ -211,7 +197,11 @@ def mep_brute_force(
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
-    si, perms = _indexed_group(space, poset, _functional_for(poset, omega, mode))
+    if mode == "support":  # support closure is the weight with doubling weights
+        omega = powers_of_two_weight(poset)
+    elif omega is None:
+        raise ValidationError("weight mode needs a weight function")
+    si, perms = _indexed_group(space, poset, weight_sum_functional(poset, omega))
     # columns[t][g] is the image of vector t under the g-th group element
     columns = list(zip(*perms))
     count = len(si.vectors)
@@ -247,7 +237,7 @@ def mep_brute_force(
 
 
 def _indexed_group(
-    space: AlphabetSpec, poset: Poset, sf: SupportFunctional
+    space: AlphabetSpec, poset: Poset, key: Key
 ) -> tuple[SpaceIndex, list[tuple[int, ...]]]:
     """The space's dense index and each group element's index permutation
     (perm[t] indexes the image of vector t); every bound fires before the work.
@@ -262,8 +252,8 @@ def _indexed_group(
     index is the plain sum of its blocks' base-q digit values, which is exact
     because the blocks fill disjoint digits.
     """
-    si = SpaceIndex(space, poset, sf)
-    lams = admissible_lams(space, poset, sf, GROUP_BOUND)
+    si = SpaceIndex(space, poset, key)
+    lams = admissible_lams(space, poset, key, GROUP_BOUND)
     q, n = space.q, space.total_dim
     bounds = [space._block_bounds[label] for label in poset.elements]
     # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere

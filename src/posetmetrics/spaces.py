@@ -25,11 +25,19 @@ from .posets import Poset, WeightFunction, derived
 VECTOR_BOUND = 1 << 16
 
 
+# The largest field size: trial division of q < 2^32 takes about 10 ms.
+FIELD_BOUND = 1 << 32
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     q: int
 
     def __post_init__(self) -> None:
+        if self.q > FIELD_BOUND:  # before the primality test, which is O(sqrt(q))
+            # a str of over 4300 digits raises, so a huge q is named by its bit length
+            size = self.q if self.q < 1 << 64 else f"at least 2^{self.q.bit_length() - 1}"
+            raise BoundExceeded(f"field size {size} exceeds the field bound {FIELD_BOUND}")
         if not fields.is_prime(self.q):
             raise ValidationError(f"field size {self.q} is not prime")
 

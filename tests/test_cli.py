@@ -470,6 +470,38 @@ class TestBoundsAtLoad:
         doc["poset"]["covers"] = doc["poset"]["covers"][: ELEMENT_BOUND - 1]
         assert len(instance_from_dict(doc).poset.elements) == ELEMENT_BOUND
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int digit limit"
+    )
+    @pytest.mark.parametrize("command", INSTANCE_COMMANDS, ids=" ".join)
+    def test_integer_past_the_digit_limit_exits_two(self, tmp_path, capsys, command):
+        # json.loads refuses an int of over 4300 digits with a bare ValueError
+        path = tmp_path / "huge.json"
+        path.write_text('{"q": ' + "1" * 4401 + ', "poset": {"elements": ["a"], "covers": []}}')
+        start = time.perf_counter()
+        assert main([*command, "--instance", str(path)]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: instance file is not valid JSON: Exceeds the limit")
+
+    @pytest.mark.parametrize(
+        "q, named",
+        [(2**61 - 1, "2305843009213693951"), (10**4299, "at least 2^14280")],
+        ids=["mersenne61", "4300-digits"],
+    )
+    @pytest.mark.parametrize("command", ["poset", "mep"])
+    def test_field_bound_exits_three_before_the_primality_test(
+        self, tmp_path, capsys, q, named, command
+    ):
+        # trial division of 2^61 - 1 ran for minutes
+        path = tmp_path / "huge_q.json"
+        path.write_text(json.dumps({"q": q, "poset": {"elements": ["a"], "covers": []}}))
+        start = time.perf_counter()
+        assert main([command, "--instance", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        message = f"bound exceeded: field size {named} exceeds the field bound 4294967296\n"
+        assert capsys.readouterr().err == message
+
     def test_oracle_action_table_exits_three_before_it_is_built(self, tmp_path, capsys):
         path = tmp_path / "q19.json"
         path.write_text(json.dumps({"q": 19, "poset": {"elements": ["a", "b"], "covers": []}}))

@@ -104,7 +104,7 @@ class FrozensetPartition:
 
 
 def _frozenset_weight_partition(space, poset, omega):
-    classes = support_classes(space, poset, weight_sum_functional(poset, omega).key)
+    classes = support_classes(space, poset, weight_sum_functional(poset, omega))
     blocks = [[] for _ in range(max(classes) + 1)]
     for vec, c in zip(space.vectors(), classes):
         blocks[c].append(vec)

@@ -1,4 +1,4 @@
-"""Structured isometries: functionals, enumeration, oracle agreement, decomposition."""
+"""Structured isometries: weight keys, enumeration, oracle agreement, decomposition."""
 
 import itertools
 from fractions import Fraction
@@ -12,27 +12,24 @@ from posetmetrics.errors import BoundExceeded, PropertyViolation, ValidationErro
 from posetmetrics.isometries import (
     ACTION_TABLE_BOUND,
     Isometry,
-    SupportFunctional,
     _invertible_index_perms,
     admissible_automorphisms,
     brute_force_isometries,
     build_isometry,
-    check_support_functional,
     decompose,
     enumerate_group,
     gl_order,
     group_order,
-    p_support_functional,
     support_isometry_group,
     weight_automorphisms,
     weight_isometry_group,
     weight_sum_functional,
 )
 from posetmetrics.mep import SpaceIndex, mep_brute_force
-from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm
+from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm, powers_of_two_weight
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
-from helpers import apply_perm
+from helpers import apply_perm, closure_key, key_for, value_for
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -42,7 +39,28 @@ SP21 = AlphabetSpec.uniform(F2, ("1", "2"), 1)
 ONES2 = WeightFunction.ones(("1", "2"))
 
 
-class TestSupportFunctionals:
+def _key_conditions_hold(poset, key):
+    """The three conditions of a key, on masks: nested ideals get nested
+    keys (strictly, since every weight is positive), and an ideal sharing
+    its key with the principal ideal of one of its points is that ideal."""
+    masks, down = poset._ideal_masks, poset._down
+    keys = dict(zip(masks, map(key, masks)))
+    monotone = all(
+        keys[small] < keys[large]
+        for small in masks
+        for large in masks
+        if small != large and small & large == small
+    )
+    determined = all(
+        keys[mask] != keys[down[u]] or mask == down[u]
+        for mask in masks
+        for u in range(len(poset.elements))
+        if mask >> u & 1
+    )
+    return monotone and determined
+
+
+class TestWeightKeys:
     @pytest.mark.parametrize(
         "poset,omega",
         [
@@ -51,30 +69,20 @@ class TestSupportFunctionals:
             (Poset.from_covers(("a", "b", "c"), [("a", "b")]), WeightFunction.ones(("a", "b", "c"))),
         ],
     )
-    def test_weight_sum_satisfies_all_conditions(self, poset, omega):
-        ok, violations = check_support_functional(weight_sum_functional(poset, omega), poset)
-        assert ok, violations
-
-    def test_support_closure_satisfies_all_conditions(self):
-        ok, _ = check_support_functional(p_support_functional(CHAIN2), CHAIN2)
-        assert ok
-
-    def test_raw_cardinality_breaks_closure_invariance(self):
-        raw = SupportFunctional("raw-size", len, lambda a, b: a <= b, int.bit_count)
-        ok, violations = check_support_functional(raw, CHAIN2)
-        assert not ok
-        assert violations["closure_invariant"] is not None
+    def test_monotone_and_singleton_determined(self, poset, omega):
+        assert _key_conditions_hold(poset, weight_sum_functional(poset, omega))
+        assert _key_conditions_hold(poset, key_for(poset, None, "support"))
 
     def test_negated_size_breaks_monotonicity(self):
-        neg = SupportFunctional(
-            "negated",
-            lambda s: -len(CHAIN2.ideal_closure(s)),
-            lambda a, b: a <= b,
-            lambda mask: -mask.bit_count(),
-        )
-        ok, violations = check_support_functional(neg, CHAIN2)
-        assert not ok
-        assert violations["monotone"] is not None
+        assert not _key_conditions_hold(CHAIN2, lambda mask: -mask.bit_count())
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+    def test_doubling_key_is_the_mask(self, size):
+        # the doubling weights' key on every ideal mask is the old
+        # support-closure key, the mask itself
+        for poset in _labeled_posets(size):
+            key = key_for(poset, None, "support")
+            assert [key(mask) for mask in poset._ideal_masks] == list(poset._ideal_masks)
 
 
 @st.composite
@@ -96,31 +104,31 @@ class TestFunctionalKeys:
     def test_keys_are_equal_exactly_when_values_are(self, drawn):
         # the weight key scales every weight by the same LCM, so it keeps equality
         poset, omega = drawn
-        for sf in (weight_sum_functional(poset, omega), p_support_functional(poset)):
-            ok, violations = check_support_functional(sf, poset)
-            assert ok, violations
+        for weights in (omega, powers_of_two_weight(poset)):
+            key = weight_sum_functional(poset, weights)
+            assert _key_conditions_hold(poset, key)
             ideals = zip(poset._ideal_masks, poset.all_ideals())
-            keyed = [(sf.key(mask), sf.evaluate(ideal)) for mask, ideal in ideals]
+            keyed = [(key(mask), weights.total(ideal)) for mask, ideal in ideals]
             for key_a, value_a in keyed:
                 for key_b, value_b in keyed:
                     assert (key_a == key_b) == (value_a == value_b)
 
     def test_weight_key_is_the_scaled_sum(self):
         omega = WeightFunction.from_map({"1": "1/2", "2": "3"})
-        key = weight_sum_functional(CHAIN2, omega).key
+        key = weight_sum_functional(CHAIN2, omega)
         assert [key(m) for m in CHAIN2._ideal_masks] == [0, 1, 7]
-        assert [p_support_functional(CHAIN2).key(m) for m in CHAIN2._ideal_masks] == [0, 1, 3]
+        assert [key_for(CHAIN2, None, "support")(m) for m in CHAIN2._ideal_masks] == [0, 1, 3]
 
 
-def _fraction_filter(poset, space, sf):
-    """The admissible label maps from frozenset ideals and evaluated values,
+def _fraction_filter(poset, space, value):
+    """The admissible label maps from frozenset ideals and their values,
     the path admissible_automorphisms replaced."""
     dims = space.dims
     return tuple(
         perm
         for perm in poset.automorphisms()
         if all(dims[perm[i]] == dims[i] for i in range(len(dims)))
-        and all(sf.evaluate(apply_perm(poset, perm, ideal)) == sf.evaluate(ideal)
+        and all(value(apply_perm(poset, perm, ideal)) == value(ideal)
                 for ideal in poset.all_ideals())
     )
 
@@ -143,12 +151,12 @@ class TestAdmissible:
     def test_functional_filter_agrees_with_pointwise(self):
         for poset in (CHAIN2, ANTI2):
             for omega in (ONES2, WeightFunction.from_map({"1": 1, "2": 2})):
-                sf = weight_sum_functional(poset, omega)
-                assert admissible_automorphisms(poset, SP21, sf) == weight_automorphisms(
+                key = weight_sum_functional(poset, omega)
+                assert admissible_automorphisms(poset, SP21, key) == weight_automorphisms(
                     poset, SP21, omega
                 )
         # every labeled 3-element poset and weighting, with unit and mixed
-        # blocks; the support functional admits the identity only
+        # blocks; the support-closure key admits the identity only
         identity = (tuple(range(3)),)
         swaps = 0
         for dims in ((1, 1, 1), (1, 2, 1)):
@@ -156,11 +164,11 @@ class TestAdmissible:
                 space = AlphabetSpec(F2, poset.elements, dims)
                 for omega in _omega_variants(poset):
                     pointwise = weight_automorphisms(poset, space, omega)
-                    sf = weight_sum_functional(poset, omega)
-                    assert admissible_automorphisms(poset, space, sf) == pointwise
+                    key = weight_sum_functional(poset, omega)
+                    assert admissible_automorphisms(poset, space, key) == pointwise
                     swaps += pointwise != identity
-                sf = p_support_functional(poset)
-                assert admissible_automorphisms(poset, space, sf) == identity
+                for key in (key_for(poset, None, "support"), closure_key):
+                    assert admissible_automorphisms(poset, space, key) == identity
         assert swaps > 0  # the grid has weightings with nontrivial label maps
 
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 1, 2)])
@@ -171,25 +179,25 @@ class TestAdmissible:
             omegas = _omega_variants(poset) + [
                 WeightFunction(poset.elements, tuple(Fraction(t % 2 + 1, 2) for t in range(4)))
             ]
-            functionals = [weight_sum_functional(poset, omega) for omega in omegas]
-            for sf in functionals + [p_support_functional(poset)]:
-                filtered = admissible_automorphisms(poset, space, sf)
-                assert filtered == _fraction_filter(poset, space, sf)
+            runs = [(omega, "weight") for omega in omegas] + [(None, "support")]
+            for omega, mode in runs:
+                filtered = admissible_automorphisms(poset, space, key_for(poset, omega, mode))
+                assert filtered == _fraction_filter(poset, space, value_for(poset, omega, mode))
                 swaps += len(filtered) > 1
         assert swaps > 0
 
-    def test_support_functional_forces_identity(self):
-        assert admissible_automorphisms(ANTI2, SP21, p_support_functional(ANTI2)) == ((0, 1),)
+    def test_support_key_forces_identity(self):
+        assert admissible_automorphisms(ANTI2, SP21, key_for(ANTI2, None, "support")) == ((0, 1),)
 
     def test_filter_is_refused_past_the_scan_bound(self, monkeypatch):
         # the identity and the swap, each over the four ideals of two unrelated labels
-        sf = p_support_functional(ANTI2)
+        key = key_for(ANTI2, None, "support")
         monkeypatch.setattr(isometries, "SCAN_BOUND", 8)
-        assert admissible_automorphisms(ANTI2, SP21, sf) == ((0, 1),)
+        assert admissible_automorphisms(ANTI2, SP21, key) == ((0, 1),)
         monkeypatch.setattr(isometries, "SCAN_BOUND", 7)
         message = "^functional filter of 2 automorphisms over 4 ideals exceeds the bound 7$"
         with pytest.raises(BoundExceeded, match=message):
-            admissible_automorphisms(ANTI2, SP21, sf)
+            admissible_automorphisms(ANTI2, SP21, key)
 
 
 def paste_matrix(iso):
@@ -271,7 +279,7 @@ class TestEnumeration:
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
         message = r"^isometry group order reaches 2, over the bound 1$"
         with pytest.raises(BoundExceeded, match=message):
-            next(enumerate_group(SP21, CHAIN2, p_support_functional(CHAIN2), bound=1))
+            next(enumerate_group(SP21, CHAIN2, key_for(CHAIN2, None, "support"), bound=1))
 
     def test_space_in_another_label_order_is_refused(self):
         # dims and blocks are read by poset position; this space once gave a
@@ -307,6 +315,15 @@ class TestEnumeration:
         support = {iso.matrix for iso in support_isometry_group(space, anti)}
         assert kernel == support
 
+    def test_support_group_equals_the_closure_key_group(self):
+        # the doubling weights' group against the group of the mask itself,
+        # on every shape of criterion 4 (q = 2 and 3, blocks up to dimension 3)
+        shapes = {(space, poset) for space, poset, _omega in _group_grid()}
+        for space, poset in shapes:
+            oracle = [iso.matrix for iso in enumerate_group(space, poset, closure_key)]
+            assert [iso.matrix for iso in support_isometry_group(space, poset)] == oracle
+        assert len(shapes) == 26
+
 
 def mat_vec_perms(q, n, matrices):
     """The action of each matrix on lexicographically indexed vectors, one mat_vec per vector."""
@@ -315,25 +332,25 @@ def mat_vec_perms(q, n, matrices):
     return tuple(tuple(index[fields.mat_vec(q, m, v)] for v in vectors) for m in matrices)
 
 
-def list_compare_isometries(space, poset, sf):
+def list_compare_isometries(space, poset, key):
     """The brute-force oracle comparing each matrix's whole list of image classes."""
     matrices, perms = _invertible_index_perms(space.q, space.total_dim)
-    values = support_classes(space, poset, sf.key)
+    values = support_classes(space, poset, key)
     return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
 
 
 class TestBruteForce:
     @pytest.mark.parametrize("space,poset,omega", _group_grid())
     def test_equals_the_list_comparison_on_the_group_grid(self, space, poset, omega):
-        for sf in (weight_sum_functional(poset, omega), p_support_functional(poset)):
-            assert brute_force_isometries(space, poset, sf) == list_compare_isometries(space, poset, sf)
+        for key in (weight_sum_functional(poset, omega), key_for(poset, None, "support")):
+            assert brute_force_isometries(space, poset, key) == list_compare_isometries(space, poset, key)
 
     def test_empty_space_keeps_its_one_isometry(self):
         empty = Poset.antichain(())
         space = AlphabetSpec(F2, (), ())
-        for sf in (weight_sum_functional(empty, WeightFunction.ones(())), p_support_functional(empty)):
-            assert brute_force_isometries(space, empty, sf) == [()]
-            assert list_compare_isometries(space, empty, sf) == [()]
+        for key in (weight_sum_functional(empty, WeightFunction.ones(())), closure_key):
+            assert brute_force_isometries(space, empty, key) == [()]
+            assert list_compare_isometries(space, empty, key) == [()]
 
     def test_action_table_bound_is_checked_before_any_matrix(self):
         # the largest oracle shapes the tests and the benchmark run stay admitted
@@ -349,21 +366,20 @@ class TestBruteForce:
             labels = tuple("ab"[: len(dims)])
             space, poset = AlphabetSpec(field, labels, dims), Poset.antichain(labels)
             with pytest.raises(BoundExceeded, match=f"{message}, over the bound 4194304"):
-                brute_force_isometries(space, poset, p_support_functional(poset))
+                brute_force_isometries(space, poset, closure_key)
 
     def test_the_table_bound_refuses_every_shape_over_the_matrix_scan_bound(self):
         # fields.invertible_matrices refuses over 2^18 candidates by itself; on
         # this path the action-table rule always refuses first, so that check
         # never decides a refusal of the oracle
         one = Poset.chain(("a",))
-        sf = p_support_functional(one)
         refused = 0
         for q in filter(fields.is_prime, range(4096)):
             for n in range(1, 23):
                 if q ** (n * n) > 1 << 18:
                     space = AlphabetSpec(FieldSpec(q), ("a",), (n,))
                     with pytest.raises(BoundExceeded, match=f"over the bound {ACTION_TABLE_BOUND}$"):
-                        brute_force_isometries(space, one, sf)
+                        brute_force_isometries(space, one, closure_key)
                     refused += 1
         assert refused == 11833  # of the 564 * 22 shapes, 575 have at most 2^18 candidates
 
@@ -378,12 +394,12 @@ class TestBruteForce:
     def test_single_coordinate(self):
         space = AlphabetSpec.uniform(F3, ("a",), 1)
         one = Poset.chain(("a",))
-        sf = weight_sum_functional(one, WeightFunction.ones(("a",)))
-        assert len(brute_force_isometries(space, one, sf)) == 2
+        key = weight_sum_functional(one, WeightFunction.ones(("a",)))
+        assert len(brute_force_isometries(space, one, key)) == 2
 
     def test_chain_two_matrices(self):
-        sf = weight_sum_functional(CHAIN2, ONES2)
-        matrices = brute_force_isometries(SP21, CHAIN2, sf)
+        key = weight_sum_functional(CHAIN2, ONES2)
+        matrices = brute_force_isometries(SP21, CHAIN2, key)
         assert sorted(matrices) == [((1, 0), (0, 1)), ((1, 1), (0, 1))]
 
     @pytest.mark.parametrize(
@@ -400,31 +416,28 @@ class TestBruteForce:
     def test_every_member_decomposes_and_rebuilds(self, q, dims, functional):
         vee = Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")])
         space = AlphabetSpec(FieldSpec(q), vee.elements, dims)
-        if functional == "weight":
-            sf = weight_sum_functional(vee, WeightFunction.ones(vee.elements))
-        else:
-            sf = p_support_functional(vee)
-        admissible = set(admissible_automorphisms(vee, space, sf))
+        key = key_for(vee, WeightFunction.ones(vee.elements), functional)
+        admissible = set(admissible_automorphisms(vee, space, key))
         if space.total_dim <= 3:
-            members = brute_force_isometries(space, vee, sf)
+            members = brute_force_isometries(space, vee, key)
         else:  # F_2^5 is over the oracle's bound, so the structured group stands in
-            members = [iso.matrix for iso in enumerate_group(space, vee, sf)]
+            members = [iso.matrix for iso in enumerate_group(space, vee, key)]
         for matrix in members:
-            iso = decompose(space, vee, matrix, sf)
+            iso = decompose(space, vee, matrix, key)
             assert iso.matrix == matrix
             assert iso.lam in admissible
 
 
 class TestDecompose:
     def test_identity_maps_to_identity_label_map(self):
-        sf = weight_sum_functional(CHAIN2, ONES2)
-        iso = decompose(SP21, CHAIN2, fields.identity_matrix(2), sf)
+        key = weight_sum_functional(CHAIN2, ONES2)
+        iso = decompose(SP21, CHAIN2, fields.identity_matrix(2), key)
         assert iso.lam == (0, 1)
 
     def test_swap_recovers_the_transposition(self):
-        sf = weight_sum_functional(ANTI2, ONES2)
+        key = weight_sum_functional(ANTI2, ONES2)
         swap = ((0, 1), (1, 0))
-        iso = decompose(SP21, ANTI2, swap, sf)
+        iso = decompose(SP21, ANTI2, swap, key)
         assert iso.lam == (1, 0)
 
     def test_label_map_respects_products_and_inverses(self):
@@ -439,11 +452,11 @@ class TestDecompose:
                 assert to_lam[product] == compose_perms(a.lam, b.lam)
 
     def test_rejects_non_isometry_with_witness(self):
-        sf = weight_sum_functional(CHAIN2, ONES2)
+        key = weight_sum_functional(CHAIN2, ONES2)
         bad = ((0, 1), (1, 0))  # swap is invertible but not a chain isometry
         # (0, 1) is the first vector in index order whose weight moves (2 -> 1)
         with pytest.raises(PropertyViolation, match=r"^functional not preserved at \(0, 1\)$"):
-            decompose(SP21, CHAIN2, bad, sf)
+            decompose(SP21, CHAIN2, bad, key)
 
 
 class TestPermutationAction:

@@ -17,12 +17,11 @@ from posetmetrics.errors import (
     PredicateUnavailable,
     ValidationError,
 )
-from posetmetrics.isometries import Isometry, decompose, enumerate_group, p_support_functional
+from posetmetrics.isometries import Isometry, decompose, enumerate_group, support_isometry_group
 from posetmetrics.mep import (
     MepVerdict,
     SpaceIndex,
     _first_unreachable_map,
-    _functional_for,
     _holds_on,
     canonical_decomposition,
     condition_report,
@@ -31,7 +30,6 @@ from posetmetrics.mep import (
     mep_brute_force,
     mep_p_support_predicate,
     mep_predicate,
-    preserves,
     preserves_weight,
     single_orbit_check,
 )
@@ -45,7 +43,7 @@ from posetmetrics.spaces import (
     weight,
 )
 
-from helpers import linear_maps
+from helpers import closure_key, key_for, linear_maps
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -60,7 +58,7 @@ class TestPreservation:
     def test_identity_preserves(self):
         code = LinearCode.from_rows(SP21, [(1, 1)])
         assert preserves_weight(SP21, CHAIN2, ONES2, code, code.basis)
-        assert preserves(SP21, p_support_functional(CHAIN2), code, code.basis)
+        assert preserves_weight(SP21, CHAIN2, powers_of_two_weight(CHAIN2), code, code.basis)
 
     def test_zero_map_on_nonzero_code_fails(self):
         code = LinearCode.from_rows(SP21, [(1, 1)])
@@ -73,9 +71,12 @@ class TestPreservation:
             if code.dim == 0:
                 continue
             for images in linear_maps(code, space):
-                assert preserves_weight(space, MIXED, omega, code, images) == (
-                    preserves(space, p_support_functional(MIXED), code, images)
+                closures_kept = all(
+                    p_support(space, MIXED, fields.combine(2, images, coeffs, 3))
+                    == p_support(space, MIXED, vec)
+                    for coeffs, vec in code.coefficient_pairs()
                 )
+                assert preserves_weight(space, MIXED, omega, code, images) == closures_kept
 
     def test_weight_preserving_maps_are_injective(self):
         # checked on the two smallest spaces rather than assumed
@@ -201,7 +202,7 @@ def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVer
     product with a full span per tuple, and reachable tuples from every group
     permutation.
     """
-    si = SpaceIndex(space, poset, _functional_for(poset, omega, mode))
+    si = SpaceIndex(space, poset, key_for(poset, omega, mode))
     values = [
         weight(space, poset, omega, v) if mode == "weight" else p_support(space, poset, v)
         for v in si.vectors
@@ -240,8 +241,8 @@ class TestBacktrackingScanOracle:
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
             runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
             for omega, mode in runs:
-                si = SpaceIndex(space, poset, _functional_for(poset, omega, mode))
-                group = enumerate_group(space, poset, _functional_for(poset, omega, mode))
+                si = SpaceIndex(space, poset, key_for(poset, omega, mode))
+                group = enumerate_group(space, poset, key_for(poset, omega, mode))
                 perms = []
                 for iso in group:
                     perms.append(si.perm_of_matrix(iso.matrix))
@@ -255,8 +256,8 @@ class TestBacktrackingScanOracle:
         chain = Poset.chain(("a", "b", "c"))
         space = AlphabetSpec.uniform(F2, chain.elements, 1)
         omega = WeightFunction.ones(chain.elements)
-        si = SpaceIndex(space, chain, _functional_for(chain, omega, "weight"))
-        group = enumerate_group(space, chain, _functional_for(chain, omega, "weight"))
+        si = SpaceIndex(space, chain, key_for(chain, omega, "weight"))
+        group = enumerate_group(space, chain, key_for(chain, omega, "weight"))
         perms = [si.perm_of_matrix(iso.matrix) for iso in group]
         with pytest.raises(BoundExceeded, match="^64 candidate maps at dimension 2"):
             _product_scan(space, chain, omega, "weight", perms, map_bound=63)
@@ -269,9 +270,9 @@ class TestBacktrackingScanOracle:
 
 def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_bound=1 << 19):
     """The backtracking scan of every code, without the orbit skip, kept as the oracle."""
-    sf = _functional_for(poset, omega, mode)
-    si = SpaceIndex(space, poset, sf)
-    group = enumerate_group(space, poset, sf)
+    key = key_for(poset, omega, mode)
+    si = SpaceIndex(space, poset, key)
+    group = enumerate_group(space, poset, key)
     # columns[t][g] is the image of vector t under the g-th group element
     columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
     count = len(si.vectors)
@@ -297,9 +298,9 @@ def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_b
 def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
     """Code orbits met up to the code the scan stops at, each code's span
     closed under every group permutation (from mat_vec, not the span tables)."""
-    sf = _functional_for(poset, omega, "weight")
-    si = SpaceIndex(space, poset, sf)
-    perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, sf)]
+    key = key_for(poset, omega, "weight")
+    si = SpaceIndex(space, poset, key)
+    perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, key)]
     stop = verdict.counterexample[0] if verdict.counterexample else None
     seen: set = set()
     orbits = 0
@@ -324,11 +325,11 @@ LARGE_SHAPES = [
 LARGE_IDS = ["chain5", "chain4-plane-on-top", "three-planes"]
 
 
-def _oracle_perms(space, poset, sf):
+def _oracle_perms(space, poset, key):
     """The group's index permutations from its matrices, the path that
     _indexed_group replaced."""
-    si = SpaceIndex(space, poset, sf)
-    return [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, sf)]
+    si = SpaceIndex(space, poset, key)
+    return [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, key)]
 
 
 class TestIndexedGroup:
@@ -337,26 +338,46 @@ class TestIndexedGroup:
 
     @staticmethod
     def _functionals(poset):
-        weights = [_functional_for(poset, omega, "weight") for omega in _omega_variants(poset)]
-        return weights + [_functional_for(poset, None, "support")]
+        weights = [key_for(poset, omega, "weight") for omega in _omega_variants(poset)]
+        return weights + [key_for(poset, None, "support")]
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_every_poset_over_f2_matches_the_matrix_oracle(self, size):
         compared = 0
         for poset in _labeled_posets(size):
             space = AlphabetSpec.uniform(F2, poset.elements, 1)
-            for sf in self._functionals(poset):
-                _, perms = mep._indexed_group(space, poset, sf)
-                assert Counter(perms) == Counter(_oracle_perms(space, poset, sf))
+            for key in self._functionals(poset):
+                _, perms = mep._indexed_group(space, poset, key)
+                assert Counter(perms) == Counter(_oracle_perms(space, poset, key))
                 compared += 1
         assert compared == 4 * {1: 1, 2: 3, 3: 19, 4: 219}[size]
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_support_mode_equals_the_closure_key(self, size, monkeypatch):
+        # the doubling weights' key against the mask itself, the key the
+        # support mode compared before it became a weight
+        runs = []
+        for poset in _labeled_posets(size):
+            space = AlphabetSpec.uniform(F2, poset.elements, 1)
+            doubling = SpaceIndex(space, poset, key_for(poset, None, "support"))
+            assert doubling.values == SpaceIndex(space, poset, closure_key).values
+            group = [iso.matrix for iso in support_isometry_group(space, poset)]
+            assert group == [iso.matrix for iso in enumerate_group(space, poset, closure_key)]
+            runs.append((space, poset, mep_brute_force(space, poset, mode="support")))
+        monkeypatch.setattr(mep, "weight_sum_functional", lambda poset, omega: closure_key)
+        for space, poset, verdict in runs:
+            assert mep_brute_force(space, poset, mode="support") == verdict
+
+    def test_weight_mode_needs_a_weight_function(self):
+        with pytest.raises(ValidationError, match="^weight mode needs a weight function$"):
+            mep_brute_force(SP21, CHAIN2)
 
     def test_criterion_four_shapes_match_the_matrix_oracle(self):
         compared = 0
         for space, poset, omega in _group_grid():  # q = 2 and 3, blocks up to dimension 3
-            for sf in (_functional_for(poset, omega, "weight"), p_support_functional(poset)):
-                _, perms = mep._indexed_group(space, poset, sf)
-                assert Counter(perms) == Counter(_oracle_perms(space, poset, sf))
+            for key in (key_for(poset, omega, "weight"), key_for(poset, None, "support")):
+                _, perms = mep._indexed_group(space, poset, key)
+                assert Counter(perms) == Counter(_oracle_perms(space, poset, key))
                 compared += 1
         assert compared == 156
 
@@ -370,7 +391,7 @@ class TestIndexedGroup:
         # no flag raises the bound of the scan, so the message names none
         message = r"^isometry group order reaches 2, over the bound 1$"
         with pytest.raises(GroupBoundExceeded, match=message):
-            mep._indexed_group(SP21, CHAIN2, p_support_functional(CHAIN2))
+            mep._indexed_group(SP21, CHAIN2, key_for(CHAIN2, None, "support"))
 
 
 class TestSpaceIndexTables:
@@ -381,7 +402,7 @@ class TestSpaceIndexTables:
     @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 2, 1)], ids=str)
     def test_digit_tables_match_the_vector_dict(self, q, dims):
         space = AlphabetSpec(FieldSpec(q), ANTI3.elements, dims)
-        si = SpaceIndex(space, ANTI3, p_support_functional(ANTI3))
+        si = SpaceIndex(space, ANTI3, key_for(ANTI3, None, "support"))
         vectors = si.vectors
         index = {v: t for t, v in enumerate(vectors)}
         assert si.scale_table == [
@@ -398,7 +419,9 @@ class TestSpaceIndexTables:
 class TestIntegerScan:
     def test_no_fraction_or_matrix_under_the_scan(self):
         # the scan compares integer keys and composes permutations, so nothing
-        # under it adds Fractions, builds a matrix or turns one back into a permutation
+        # under it adds Fractions, builds a matrix or turns one back into a
+        # permutation; the support mode's only Fraction work is building the
+        # doubling weights of its key, once, before the scan
         calls = []
 
         def hook(frame, event, arg):
@@ -406,18 +429,25 @@ class TestIntegerScan:
             if event == "call" and (
                 "fractions" in code.co_filename or code.co_name in ("matrix", "perm_of_matrix")
             ):
-                calls.append(code.co_name)
+                calls[-1].append(code.co_name)
+
+        def traced(fn, *args, **kwargs):
+            calls.append([])
+            sys.setprofile(hook)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sys.setprofile(None)
 
         omega = WeightFunction.from_map({"a": "1/2", "b": "3/2", "c": "1/2"})
         space = AlphabetSpec(F2, MIXED.elements, (1, 2, 1))
-        sys.setprofile(hook)
-        try:
-            weight_verdict = mep_brute_force(space, MIXED, omega)
-            support_verdict = mep_brute_force(space, MIXED, mode="support")
-            single_orbit_check(space, MIXED, omega)
-        finally:
-            sys.setprofile(None)
-        assert calls == []
+        weight_verdict = traced(mep_brute_force, space, MIXED, omega)
+        support_verdict = traced(mep_brute_force, space, MIXED, mode="support")
+        traced(single_orbit_check, space, MIXED, omega)
+        traced(powers_of_two_weight, MIXED)
+        weight_calls, support_calls, orbit_calls, doubling_calls = calls
+        assert weight_calls == orbit_calls == []
+        assert support_calls == doubling_calls and "__new__" in doubling_calls
         assert support_verdict.holds and weight_verdict.complete
 
 
@@ -492,9 +522,9 @@ class TestOrbitReducedScan:
         finally:
             sys.setprofile(None)
         assert verdict.holds
-        sf = _functional_for(poset, omega, "weight")
-        si = SpaceIndex(space, poset, sf)
-        perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, sf)]
+        key = key_for(poset, omega, "weight")
+        si = SpaceIndex(space, poset, key)
+        perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, key)]
         closure = set()
         for code in enumerate_codes(space, max_dim=max_dim):
             if code.dim:
@@ -532,7 +562,7 @@ class TestStabilizerDecision:
     def test_decision_equals_the_leaf_search_on_every_code(self):
         codes = rejected = 0
         for space, poset, omega, mode in _small_grid():
-            si, perms = mep._indexed_group(space, poset, _functional_for(poset, omega, mode))
+            si, perms = mep._indexed_group(space, poset, key_for(poset, omega, mode))
             columns = list(zip(*perms))
             for code in enumerate_codes(space):
                 if code.dim == 0:
@@ -669,7 +699,7 @@ class TestConditions:
 
 def _union_find_orbit_check(space, poset, omega):
     """single_orbit_check by union-find over every group permutation, kept as the oracle."""
-    si, perms = mep._indexed_group(space, poset, _functional_for(poset, omega, "weight"))
+    si, perms = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
     count = len(si.vectors)
     root = list(range(count))
 
@@ -880,7 +910,7 @@ class TestCanonicalDecompositionOracle:
         n = len(dims)
         for poset in [p for p in _labeled_posets(n) if p.is_hierarchical]:
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
-            sf = p_support_functional(poset)
+            key = key_for(poset, None, "support")
             for code in enumerate_codes(space):
                 phi, parts = canonical_decomposition(space, poset, code)
                 assert parts == parts_from_codewords(space, poset, code)
@@ -890,18 +920,18 @@ class TestCanonicalDecompositionOracle:
                 product = _sigma_product_decomposition(space, poset, code)
                 assert phi.matrix == product
                 if q == 2 or n <= 3:
-                    assert phi == decompose(space, poset, product, sf)
+                    assert phi == decompose(space, poset, product, key)
 
     def test_no_matrix_product_or_space_replay(self, monkeypatch):
         chain = Poset.chain(("a", "b", "c", "d"))
         space = AlphabetSpec.uniform(FieldSpec(3), chain.elements, 1)
-        sf = p_support_functional(chain)
+        key = key_for(chain, None, "support")
         codes = list(enumerate_codes(space))
         expected = []
         for code in codes:
             product = _sigma_product_decomposition(space, chain, code)
             parts = parts_from_codewords(space, chain, code)
-            expected.append((decompose(space, chain, product, sf), parts))
+            expected.append((decompose(space, chain, product, key), parts))
 
         def unreachable(*args, **kwargs):
             raise AssertionError("canonical_decomposition reached a q^N or n x n path")

@@ -27,8 +27,7 @@ EXPORTS = {
     ),
     "instances": ("Instance", "instance_from_dict", "load_instance"),
     "isometries": (
-        "Isometry", "SupportFunctional", "brute_force_isometries", "build_isometry",
-        "check_support_functional", "decompose", "enumerate_group", "p_support_functional",
+        "Isometry", "brute_force_isometries", "build_isometry", "decompose", "enumerate_group",
         "support_isometry_group", "weight_isometry_group", "weight_sum_functional",
     ),
     "lattices": (
@@ -41,7 +40,7 @@ EXPORTS = {
     "mep": (
         "ConditionReport", "MepVerdict", "canonical_decomposition", "condition_report",
         "extend_to_isometry", "level_class_bound", "mep_brute_force", "mep_p_support_predicate",
-        "mep_predicate", "preserves", "preserves_weight", "single_orbit_check",
+        "mep_predicate", "preserves_weight", "single_orbit_check",
     ),
     "posets": ("Poset", "WeightFunction", "all_posets_on", "powers_of_two_weight", "udp_check"),
     "spaces": (
@@ -72,7 +71,7 @@ class TestExports:
 
     def test_all_and_dir_list_every_export(self):
         names = {name for _, name in NAMES}
-        assert len(names) == len(NAMES) == 69
+        assert len(names) == len(NAMES) == 65
         assert sorted(posetmetrics.__all__) == sorted(names)
         assert names <= set(dir(posetmetrics))
         assert {"fields", "mep", "cli"} <= set(dir(posetmetrics))

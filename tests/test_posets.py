@@ -638,7 +638,7 @@ class TestTablesLiveOnThePoset:
         assert poset.automorphisms() is poset.automorphisms()
 
     def test_no_lru_cache_is_keyed_by_a_domain_object(self):
-        domain = {"Poset", "WeightFunction", "Partition", "AlphabetSpec", "SupportFunctional"}
+        domain = {"Poset", "WeightFunction", "Partition", "AlphabetSpec"}
         for info in pkgutil.iter_modules(posetmetrics.__path__):
             module = importlib.import_module(f"posetmetrics.{info.name}")
             for name, fn in vars(module).items():

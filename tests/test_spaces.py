@@ -8,9 +8,10 @@ import pytest
 from posetmetrics import fields
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, ValidationError
-from posetmetrics.isometries import p_support_functional, weight_sum_functional
+from posetmetrics.isometries import weight_sum_functional
 from posetmetrics.posets import Poset, WeightFunction
 from posetmetrics.spaces import (
+    FIELD_BOUND,
     AlphabetSpec,
     FieldSpec,
     VECTOR_BOUND,
@@ -25,6 +26,8 @@ from posetmetrics.spaces import (
     support_classes,
     weight,
 )
+
+from helpers import key_for, value_for
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -59,6 +62,13 @@ class TestFieldSpec:
     def test_prime_required(self):
         with pytest.raises(ValidationError):
             FieldSpec(4)
+
+    def test_field_bound_is_checked_before_the_primality_test(self, monkeypatch):
+        assert FieldSpec(FIELD_BOUND - 5).q == 4294967291  # the largest prime under it
+        monkeypatch.setattr(fields, "is_prime", lambda q: pytest.fail("primality was tested"))
+        message = f"^field size {FIELD_BOUND + 15} exceeds the field bound {FIELD_BOUND}$"
+        with pytest.raises(BoundExceeded, match=message):
+            FieldSpec(FIELD_BOUND + 15)  # 2^32 + 15 is prime
 
     def test_dims_positive(self):
         with pytest.raises(ValidationError):
@@ -138,7 +148,7 @@ class TestSupportClasses:
         space, poset = self.SPACE, self.MIXED
         vectors = list(space.vectors())
         calls = []
-        key = weight_sum_functional(poset, omega).key
+        key = weight_sum_functional(poset, omega)
 
         def counted_key(mask):
             calls.append(mask)
@@ -151,7 +161,7 @@ class TestSupportClasses:
         )
         closures = {p_support(space, poset, v) for v in vectors}
         assert sorted(calls) == sorted(sum(1 << poset.index(l) for l in c) for c in closures)
-        closure_ids = support_classes(space, poset, p_support_functional(poset).key)
+        closure_ids = support_classes(space, poset, key_for(poset, None, "support"))
         assert self._partition(closure_ids) == self._partition(
             [p_support(space, poset, v) for v in vectors]
         )
@@ -167,10 +177,10 @@ class TestSupportClasses:
         compared = 0
         for poset in _labeled_posets(3):
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
-            functionals = [weight_sum_functional(poset, omega) for omega in _omega_variants(poset)]
-            for sf in functionals + [p_support_functional(poset)]:
-                assert support_classes(space, poset, sf.key) == _support_classes_oracle(
-                    space, sf.evaluate
+            runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
+            for omega, mode in runs:
+                assert support_classes(space, poset, key_for(poset, omega, mode)) == (
+                    _support_classes_oracle(space, value_for(poset, omega, mode))
                 )
                 compared += 1
         assert compared == 19 * 4
@@ -178,10 +188,9 @@ class TestSupportClasses:
     def test_space_label_order_is_mapped_to_poset_positions(self):
         poset = self.MIXED
         space = AlphabetSpec(F2, ("c", "a", "b"), (1, 2, 1))
-        for sf in (weight_sum_functional(poset, WeightFunction.ones(poset.elements)),
-                   p_support_functional(poset)):
-            assert support_classes(space, poset, sf.key) == _support_classes_oracle(
-                space, sf.evaluate
+        for omega, mode in ((WeightFunction.ones(poset.elements), "weight"), (None, "support")):
+            assert support_classes(space, poset, key_for(poset, omega, mode)) == (
+                _support_classes_oracle(space, value_for(poset, omega, mode))
             )
 
 
