@@ -40,9 +40,10 @@ ONES2 = WeightFunction.ones(("1", "2"))
 
 
 def _key_conditions_hold(poset, key):
-    """The three conditions of a key, on masks: nested ideals get nested
-    keys (strictly, since every weight is positive), and an ideal sharing
-    its key with the principal ideal of one of its points is that ideal."""
+    """The conditions of a key, on ideal masks (closure invariance holds by
+    construction): nested ideals get nested keys (strictly, since every
+    weight is positive), and an ideal sharing its key with the principal
+    ideal of one of its points is that ideal."""
     masks, down = poset._ideal_masks, poset._down
     keys = dict(zip(masks, map(key, masks)))
     monotone = all(
