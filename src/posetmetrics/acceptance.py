@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -27,13 +26,13 @@ LABELS = ("a", "b", "c", "d", "e")
 POSET_COUNTS = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
 
 
-@dataclass
 class CriterionResult:
-    key: str
-    title: str
-    passed: bool
-    details: str
-    elapsed_s: float
+    def __init__(self, key: str, title: str, passed: bool, details: str, elapsed_s: float) -> None:
+        self.key = key
+        self.title = title
+        self.passed = passed
+        self.details = details
+        self.elapsed_s = elapsed_s
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"

@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+def count_text(count: int) -> str:
+    """A count as bound messages name it: in digits below 2^64, past that by
+    its bit length, since a str of over 4300 digits raises ValueError."""
+    return str(count) if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}"
+
+
 class PosetMetricsError(Exception):
     """Base class for all package errors."""
 

@@ -26,15 +26,14 @@ from __future__ import annotations
 
 import operator
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from . import fields
-from .errors import BoundExceeded, PropertyViolation, ValidationError
+from .errors import BoundExceeded, PropertyViolation, ValidationError, count_text
 from .fields import Vector
 from .isometries import weight_sum_functional
 from .mep import condition_report, level_class_bound, mep_brute_force, single_orbit_check
-from .posets import Poset, WeightFunction
+from .posets import Poset, Value, WeightFunction
 from .spaces import (
     VECTOR_BOUND,
     AlphabetSpec,
@@ -50,15 +49,15 @@ from .spaces import (
 CODE_BOUND = 1 << 16
 
 
-@dataclass(frozen=True)
-class CyclotomicInteger:
+class CyclotomicInteger(Value):
     """Element of Z[z], z a primitive p-th root of unity, p prime."""
 
-    prime: int
-    coeffs: tuple[int, ...]  # length prime - 1, basis 1, z, ..., z^(p-2)
+    __match_args__ = ("prime", "coeffs")
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.prime - 1:
+    def __init__(self, prime: int, coeffs: tuple[int, ...]) -> None:
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "coeffs", coeffs)  # length prime - 1, basis 1, z, ..., z^(p-2)
+        if len(coeffs) != prime - 1:
             raise ValidationError("coefficient vector must have length p - 1")
 
 
@@ -79,13 +78,15 @@ def character_sum(
     return CyclotomicInteger(q, tuple(c - counts[-1] for c in counts[:-1]))
 
 
-@dataclass(frozen=True)
-class Partition:
+class Partition(Value):
     """Partition of a space's vectors: ids[t] is the block of vector t in
     lexicographic order, blocks numbered by first appearance."""
 
-    space: AlphabetSpec
-    ids: tuple[int, ...]
+    __match_args__ = ("space", "ids")
+
+    def __init__(self, space: AlphabetSpec, ids: tuple[int, ...]) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "ids", ids)
 
     @classmethod
     def from_blocks(cls, space: AlphabetSpec, blocks: Iterable[Iterable[Vector]]) -> "Partition":
@@ -133,7 +134,7 @@ def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
     """Group vectors by exact weight; the zero vector always sits alone."""
     if space.vector_count > VECTOR_BOUND:
         raise BoundExceeded(
-            f"space too large to partition: {space.vector_count} vectors, "
+            f"space too large to partition: {count_text(space.vector_count)} vectors, "
             f"over the bound {VECTOR_BOUND}"
         )
     ids = tuple(support_classes(space, poset, weight_sum_functional(poset, omega)))
@@ -194,10 +195,12 @@ def is_fourier_reflexive(space: AlphabetSpec, partition: Partition) -> bool:
     return dual_partition(space, dual_partition(space, partition)) == partition
 
 
-@dataclass(frozen=True)
-class MacwilliamsResult:
-    holds: bool
-    witness: Optional[tuple[LinearCode, LinearCode]] = None
+class MacwilliamsResult(Value):
+    __match_args__ = ("holds", "witness")
+
+    def __init__(self, holds: bool, witness: Optional[tuple[LinearCode, LinearCode]] = None) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "witness", witness)
 
 
 def macwilliams_identity_check(
@@ -251,21 +254,30 @@ def _check_code_count(space: AlphabetSpec) -> None:
     count = subspace_count(space.total_dim, space.q)
     if count > CODE_BOUND:
         raise BoundExceeded(
-            f"F_{space.q}^{space.total_dim} has {count} subspaces, over the code bound {CODE_BOUND}"
+            f"F_{space.q}^{space.total_dim} has {count_text(count)} subspaces, "
+            f"over the code bound {CODE_BOUND}"
         )
 
 
 # -- the comparison audit ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditReport:
-    statements: dict
-    implication_failures: tuple[str, ...]
-    hierarchical: bool
-    integer_weights: bool
-    all_ones: bool
-    block_counts_match: bool
+class AuditReport(Value):
+    __match_args__ = (
+        "statements", "implication_failures", "hierarchical", "integer_weights", "all_ones",
+        "block_counts_match",
+    )
+
+    def __init__(
+        self, statements: dict, implication_failures: tuple[str, ...], hierarchical: bool,
+        integer_weights: bool, all_ones: bool, block_counts_match: bool,
+    ) -> None:
+        object.__setattr__(self, "statements", statements)
+        object.__setattr__(self, "implication_failures", implication_failures)
+        object.__setattr__(self, "hierarchical", hierarchical)
+        object.__setattr__(self, "integer_weights", integer_weights)
+        object.__setattr__(self, "all_ones", all_ones)
+        object.__setattr__(self, "block_counts_match", block_counts_match)
 
     @property
     def consistent(self) -> bool:

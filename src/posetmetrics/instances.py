@@ -16,22 +16,23 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
 
 from .errors import BoundExceeded, ValidationError
-from .posets import ELEMENT_BOUND, Poset, WeightFunction
+from .posets import ELEMENT_BOUND, Poset, Value, WeightFunction
 from .spaces import AlphabetSpec, FieldSpec
 
 
-@dataclass(frozen=True)
-class Instance:
-    poset: Poset
-    omega: WeightFunction
-    space: AlphabetSpec
-    digest: str
+class Instance(Value):
+    __match_args__ = ("poset", "omega", "space", "digest")
+
+    def __init__(self, poset: Poset, omega: WeightFunction, space: AlphabetSpec, digest: str) -> None:
+        object.__setattr__(self, "poset", poset)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "digest", digest)
 
 
 def _is_int(raw) -> bool:

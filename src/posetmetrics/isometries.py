@@ -23,15 +23,16 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from . import fields
-from .errors import BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError
+from .errors import (
+    BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError, count_text,
+)
 from .fields import Matrix, Vector
 from .posets import (
-    SCAN_BOUND, Perm, Poset, WeightFunction, derived, powers_of_two_weight, set_bits,
+    SCAN_BOUND, Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits,
     weight_preserving_automorphisms,
 )
 from .spaces import AlphabetSpec, support_classes
@@ -88,17 +89,26 @@ def _keeping_dims(space: AlphabetSpec, perms: Iterable[Perm]) -> Iterator[Perm]:
 # -- structured isometries -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Isometry:
+class Isometry(Value):
     """lam plus block maps; block (i -> j) may be nonzero only for j below lam(i)."""
 
-    space: AlphabetSpec
-    poset: Poset
-    lam: Perm
-    diag: tuple[Matrix, ...]  # diag[i] : block i -> block lam(i), invertible
-    strict: tuple[tuple[int, int, Matrix], ...]  # (i, j, M) with j strictly below lam(i)
-    # the full matrix, built on first use: derived, so out of eq, hash and repr
-    _matrix: Optional[Matrix] = derived(default=None)
+    __match_args__ = ("space", "poset", "lam", "diag", "strict")
+    _matrix: Optional[Matrix] = None  # the full matrix, set on first use
+
+    def __init__(
+        self,
+        space: AlphabetSpec,
+        poset: Poset,
+        lam: Perm,
+        diag: tuple[Matrix, ...],  # diag[i] : block i -> block lam(i), invertible
+        strict: tuple[tuple[int, int, Matrix], ...],  # (i, j, M) with j strictly below lam(i)
+    ) -> None:
+        set_field = object.__setattr__  # one lookup: a group enumeration builds every element
+        set_field(self, "space", space)
+        set_field(self, "poset", poset)
+        set_field(self, "lam", lam)
+        set_field(self, "diag", diag)
+        set_field(self, "strict", strict)
 
     @classmethod
     def identity(cls, space: AlphabetSpec, poset: Poset) -> "Isometry":
@@ -211,9 +221,9 @@ def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) 
     partial_orders = itertools.accumulate(_order_factors(space, poset, lam_count), operator.mul)
     order = next((order for order in partial_orders if order > bound), None)  # the first one over
     if order is not None:
-        # a str of over 4300 digits raises, so a huge order is named by its bit length
-        reached = order if order < 1 << 64 else f"at least 2^{order.bit_length() - 1}"
-        raise GroupBoundExceeded(f"isometry group order reaches {reached}, over the bound {bound}")
+        raise GroupBoundExceeded(
+            f"isometry group order reaches {count_text(order)}, over the bound {bound}"
+        )
 
 
 def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
@@ -315,7 +325,9 @@ def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[
         raise BoundExceeded(f"{table} has over 2^{n} entries, over the bound {ACTION_TABLE_BOUND}")
     entries = gl_order(q, n) * q**n
     if entries > ACTION_TABLE_BOUND:
-        raise BoundExceeded(f"{table} has {entries} entries, over the bound {ACTION_TABLE_BOUND}")
+        raise BoundExceeded(
+            f"{table} has {count_text(entries)} entries, over the bound {ACTION_TABLE_BOUND}"
+        )
     matrices, perms = _invertible_index_perms(q, n)
     values = support_classes(space, poset, key)
     # perm[t] is the index of the image of vector t; the scan of a matrix

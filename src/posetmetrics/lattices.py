@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -28,43 +27,38 @@ from .errors import (
     BoundExceeded,
     PropertyViolation,
     ValidationError,
+    count_text,
 )
 from .fields import Vector, combine
-from .posets import derived, set_bits
+from .posets import Value, set_bits
 from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
 
 
-@dataclass(frozen=True)
-class FiniteLattice:
-    ground: tuple
-    members: tuple[frozenset, ...]
-    # Point t is ground[t].  Member i holds the points _points[i], as a
-    # tuple and as the mask _masks[i] with bit t set for each; _holders[t]
-    # is the bitset of the members holding point t, and _ups[i] that of the
-    # members containing member i (itself included), indexed by _up_index.
-    _pos: dict = derived()
-    _points: tuple[tuple[int, ...], ...] = derived()
-    _masks: tuple[int, ...] = derived()
-    _holders: list[int] = derived()
-    _ups: tuple[int, ...] = derived()
-    _up_index: dict = derived()
-    _member_index: dict = derived()
+class FiniteLattice(Value):
+    # Point t is ground[t], and _pos maps ground[t] to t.  Member i holds the
+    # points _points[i], as a tuple and as the mask _masks[i] with bit t set
+    # for each; _holders[t] is the bitset of the members holding point t, and
+    # _ups[i] that of the members containing member i (itself included),
+    # indexed by _up_index.  _member_index maps each member to its index.
+    __match_args__ = ("ground", "members")
 
-    def __post_init__(self) -> None:
-        pos = {x: t for t, x in enumerate(self.ground)}
-        if len(pos) != len(self.ground):
+    def __init__(self, ground: tuple, members: tuple[frozenset, ...]) -> None:
+        object.__setattr__(self, "ground", ground)
+        object.__setattr__(self, "members", members)
+        pos = {x: t for t, x in enumerate(ground)}
+        if len(pos) != len(ground):
             raise ValidationError("ground points must be distinct")
-        member_index = {m: i for i, m in enumerate(self.members)}
-        if len(member_index) != len(self.members):
+        member_index = {m: i for i, m in enumerate(members)}
+        if len(member_index) != len(members):
             raise ValidationError("duplicate members")
-        if frozenset(self.ground) not in member_index:
+        if frozenset(ground) not in member_index:
             raise ValidationError("the ground set itself must be a member")
         try:
-            points = tuple(tuple(map(pos.__getitem__, m)) for m in self.members)
+            points = tuple(tuple(map(pos.__getitem__, m)) for m in members)
         except KeyError:
             raise ValidationError("member outside the ground set") from None
         masks = tuple(sum(1 << t for t in p) for p in points)
-        holders = [0] * len(self.ground)
+        holders = [0] * len(ground)
         for i, p in enumerate(points):
             for t in p:
                 holders[t] |= 1 << i
@@ -73,7 +67,7 @@ class FiniteLattice:
         mask_index = dict(zip(masks, range(len(masks))))
         # Every member is an intersection of meet-irreducible members, so
         # closure under intersection with each of them implies closure.
-        irreducibles = _meet_irreducibles(masks, ups, (1 << len(self.ground)) - 1)
+        irreducibles = _meet_irreducibles(masks, ups, (1 << len(ground)) - 1)
         if not all({a & m for a in masks} <= mask_index.keys() for m in irreducibles):
             # The pairs i <= j name the first failing pair of the whole
             # row-major square: (j, i) fails when (i, j) does.
@@ -81,8 +75,8 @@ class FiniteLattice:
                 if not {a & b for b in masks[i:]} <= mask_index.keys():
                     j = next(j for j in range(i, len(masks)) if a & masks[j] not in mask_index)
                     raise ValidationError(
-                        f"family is not intersection-closed at {sorted(self.members[i])} "
-                        f"and {sorted(self.members[j])}"
+                        f"family is not intersection-closed at {sorted(members[i])} "
+                        f"and {sorted(members[j])}"
                     )
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_points", points)
@@ -265,12 +259,14 @@ def moebius_indicator_identity(
 # -- solutions to the indicator equation ---------------------------------------
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Value):
     """Two multisets of sets; a solution when the indicator sums agree pointwise."""
 
-    left: tuple[frozenset, ...]
-    right: tuple[frozenset, ...]
+    __match_args__ = ("left", "right")
+
+    def __init__(self, left: tuple[frozenset, ...], right: tuple[frozenset, ...]) -> None:
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
 
     @property
     def length(self) -> tuple[int, int]:
@@ -406,7 +402,7 @@ def subspace_lattice(q: int, k: int) -> FiniteLattice:
     count = subspace_count(k, q)
     if count > MEMBER_BOUND:
         raise BoundExceeded(
-            f"F_{q}^{k} has {count} subspaces, over the member bound {MEMBER_BOUND}"
+            f"F_{q}^{k} has {count_text(count)} subspaces, over the member bound {MEMBER_BOUND}"
         )
     space = AlphabetSpec(field_spec, ("x",), (k,))
     members = [frozenset(code.codewords()) for code in enumerate_codes(space)]

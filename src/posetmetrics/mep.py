@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Optional, Sequence
 
@@ -36,6 +35,7 @@ from .errors import (
     PredicateUnavailable,
     PropertyViolation,
     ValidationError,
+    count_text,
 )
 from .fields import Matrix, Vector
 from .isometries import (
@@ -47,7 +47,7 @@ from .isometries import (
     enumerate_group,
     weight_sum_functional,
 )
-from .posets import Poset, WeightFunction, powers_of_two_weight, set_bits, udp_check
+from .posets import Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
 from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes, weight
 
 
@@ -67,10 +67,11 @@ class SpaceIndex:
     def __init__(self, space: AlphabetSpec, poset: Poset, key: Key):
         q, count = space.q, space.vector_count
         if count > VECTOR_BOUND:
-            raise BoundExceeded(f"space of {count} vectors exceeds {VECTOR_BOUND}")
+            raise BoundExceeded(f"space of {count_text(count)} vectors exceeds {VECTOR_BOUND}")
         if q != 2 and count * count > ADD_TABLE_BOUND:
             raise BoundExceeded(
-                f"addition table of {count * count} entries for q = {q} exceeds {ADD_TABLE_BOUND}"
+                f"addition table of {count_text(count * count)} entries for q = {q} "
+                f"exceeds {ADD_TABLE_BOUND}"
             )
         self.q = q
         self.vectors = list(space.vectors())
@@ -122,14 +123,20 @@ class SpaceIndex:
         return tuple(self.span_indices([fields.vec_index(self.q, col) for col in zip(*matrix)]))
 
 
-@dataclass(frozen=True)
-class MepVerdict:
-    holds: bool
-    mode: str  # "weight" | "support"
-    source: str  # "brute-force" | "predicate"
-    complete: bool = True
-    counterexample: Optional[tuple[LinearCode, tuple[Vector, ...]]] = None
-    predicate_trace: Optional[dict] = None
+class MepVerdict(Value):
+    __match_args__ = ("holds", "mode", "source", "complete", "counterexample", "predicate_trace")
+
+    def __init__(
+        self, holds: bool, mode: str, source: str, complete: bool = True,
+        counterexample: Optional[tuple[LinearCode, tuple[Vector, ...]]] = None,
+        predicate_trace: Optional[dict] = None,
+    ) -> None:
+        object.__setattr__(self, "holds", holds)
+        object.__setattr__(self, "mode", mode)  # "weight" | "support"
+        object.__setattr__(self, "source", source)  # "brute-force" | "predicate"
+        object.__setattr__(self, "complete", complete)
+        object.__setattr__(self, "counterexample", counterexample)
+        object.__setattr__(self, "predicate_trace", predicate_trace)
 
 
 def preserves_weight(
@@ -214,7 +221,7 @@ def mep_brute_force(
             continue
         if count**d > map_bound:
             raise MapBoundExceeded(
-                f"{count ** d} candidate maps at dimension {d} exceed the bound {map_bound}"
+                f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}"
             )
         span = frozenset(si.span_indices(basis_idx))
         if span in held:
@@ -392,8 +399,7 @@ def level_class_bound(
     return True, None
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(Value):
     """The five alphabet/poset conditions, with failure witnesses.
 
     The first three are decided by the instantiation: finite-dimensional
@@ -401,13 +407,23 @@ class ConditionReport:
     other, and the one-dimensional field embeds in every nonzero block.
     """
 
-    blocks_pseudo_injective: bool
-    cross_injective: bool
-    common_nonzero_block: bool
-    udp_matched_dims: bool
-    level_matched_dims: bool
-    witnesses: tuple[tuple[str, object], ...] = ()
-    notes: tuple[str, ...] = ()
+    __match_args__ = (
+        "blocks_pseudo_injective", "cross_injective", "common_nonzero_block",
+        "udp_matched_dims", "level_matched_dims", "witnesses", "notes",
+    )
+
+    def __init__(
+        self, blocks_pseudo_injective: bool, cross_injective: bool, common_nonzero_block: bool,
+        udp_matched_dims: bool, level_matched_dims: bool,
+        witnesses: tuple[tuple[str, object], ...] = (), notes: tuple[str, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "blocks_pseudo_injective", blocks_pseudo_injective)
+        object.__setattr__(self, "cross_injective", cross_injective)
+        object.__setattr__(self, "common_nonzero_block", common_nonzero_block)
+        object.__setattr__(self, "udp_matched_dims", udp_matched_dims)
+        object.__setattr__(self, "level_matched_dims", level_matched_dims)
+        object.__setattr__(self, "witnesses", witnesses)
+        object.__setattr__(self, "notes", notes)
 
 
 def condition_report(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> ConditionReport:

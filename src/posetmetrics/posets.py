@@ -16,12 +16,11 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .errors import BoundExceeded, ValidationError
+from .errors import BoundExceeded, ValidationError, count_text
 
 Perm = tuple[int, ...]  # perm[i] = index of the image of elements[i]
 
@@ -33,10 +32,46 @@ AUTOMORPHISM_BOUND = 40320
 SCAN_BOUND = AUTOMORPHISM_BOUND << 8
 
 
-def derived(**kwargs):
-    """An attribute computed from the fields: not an argument, and left out
-    of eq, hash and repr."""
-    return field(init=False, repr=False, compare=False, **kwargs)
+class Value:
+    """An immutable value.  The public fields, named in `__match_args__` in
+    declaration order, alone make its eq, hash and repr:
+
+    - eq holds only between objects of the same class with equal fields;
+    - hash is the hash of the field tuple (a 1-tuple for one field);
+    - repr reads `Name(field=value, ...)`.
+
+    A subclass sets its fields in `__init__` with `object.__setattr__`.
+    Names starting with an underscore are derived state, set there too or
+    by `cached_property`, and stay out of eq, hash and repr.  Assignment and
+    deletion raise AttributeError.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        names = cls.__match_args__
+        get = operator.attrgetter(*names)  # of one name, the bare value
+        cls._fields_of = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields_of(self) == other._fields_of(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields_of(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def set_bits(mask: int) -> Iterator[int]:
@@ -57,37 +92,36 @@ def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
-@dataclass(frozen=True)
-class Poset:
-    elements: tuple[str, ...]
-    leq: tuple[tuple[bool, ...], ...]
-    _pos: dict[str, int] = derived()
-    _down: tuple[int, ...] = derived()
-    _up: tuple[int, ...] = derived()
+class Poset(Value):
+    # _pos maps a label to its position; _down[j] and _up[j] are the masks of
+    # the elements below and above elements[j]
+    __match_args__ = ("elements", "leq")
 
-    def __post_init__(self) -> None:
-        n = len(self.elements)
-        pos = {e: i for i, e in enumerate(self.elements)}
+    def __init__(self, elements: tuple[str, ...], leq: tuple[tuple[bool, ...], ...]) -> None:
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "leq", leq)
+        n = len(elements)
+        pos = {e: i for i, e in enumerate(elements)}
         if len(pos) != n:
             raise ValidationError("poset labels must be distinct")
-        if len(self.leq) != n or any(len(row) != n for row in self.leq):
+        if len(leq) != n or any(len(row) != n for row in leq):
             raise ValidationError("relation matrix shape must match the label count")
         powers = [1 << j for j in range(n)]
-        rows = [sum(itertools.compress(powers, row)) for row in self.leq]
-        down = [sum(itertools.compress(powers, column)) for column in zip(*self.leq)]
+        rows = [sum(itertools.compress(powers, row)) for row in leq]
+        down = [sum(itertools.compress(powers, column)) for column in zip(*leq)]
         for i, row in enumerate(rows):
             if not row >> i & 1:
-                raise ValidationError(f"relation is not reflexive at {self.elements[i]!r}")
+                raise ValidationError(f"relation is not reflexive at {elements[i]!r}")
         for i, row in enumerate(rows):
             mutual = row & down[i] & ~(1 << i)
             if mutual:
                 raise ValidationError(
-                    f"relation is not antisymmetric: {self.elements[i]!r} and "
-                    f"{self.elements[next(set_bits(mutual))]!r} are mutually comparable"
+                    f"relation is not antisymmetric: {elements[i]!r} and "
+                    f"{elements[next(set_bits(mutual))]!r} are mutually comparable"
                 )
         triple = _intransitive_triple(rows)
         if triple is not None:
-            i, j, k = (repr(self.elements[t]) for t in triple)
+            i, j, k = (repr(elements[t]) for t in triple)
             raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
@@ -237,7 +271,7 @@ class Poset:
         signatures = [(d.bit_count(), u.bit_count(), l) for d, u, l in zip(down, up, self._levels)]
         estimate = math.prod(math.factorial(signatures.count(s)) for s in set(signatures))
         if estimate > AUTOMORPHISM_BOUND:
-            search = f"automorphism search over {estimate} candidate permutations"
+            search = f"automorphism search over {count_text(estimate)} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
         candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
 
@@ -295,26 +329,26 @@ def invert_perm(perm: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(Value):
     """Strictly positive rational weight per label, with exact sums."""
 
-    labels: tuple[str, ...]
-    values: tuple[Fraction, ...]
-    _pos: dict[str, int] = derived()
-    _scaled: tuple[int, ...] = derived()
+    # _pos maps a label to its position; _scaled holds the values times the
+    # LCM of their denominators
+    __match_args__ = ("labels", "values")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.values):
+    def __init__(self, labels: tuple[str, ...], values: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
+        if len(labels) != len(values):
             raise ValidationError("weight function shape mismatch")
-        pos = {label: i for i, label in enumerate(self.labels)}
-        if len(pos) != len(self.labels):
+        pos = {label: i for i, label in enumerate(labels)}
+        if len(pos) != len(labels):
             raise ValidationError("weight function labels must be distinct")
-        for label, value in zip(self.labels, self.values):
+        for label, value in zip(labels, values):
             if value <= 0:
                 raise ValidationError(f"weight of {label!r} must be strictly positive")
-        scale = math.lcm(*(v.denominator for v in self.values))
-        scaled = tuple(v.numerator * scale // v.denominator for v in self.values)
+        scale = math.lcm(*(v.denominator for v in values))
+        scaled = tuple(v.numerator * scale // v.denominator for v in values)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_scaled", scaled)
 

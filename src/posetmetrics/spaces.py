@@ -11,14 +11,13 @@ indices, which the MEP scan and the MacWilliams check read directly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import fields
-from .errors import BoundExceeded, ValidationError
+from .errors import BoundExceeded, ValidationError, count_text
 from .fields import Matrix, Vector
-from .posets import Poset, WeightFunction, derived
+from .posets import Poset, Value, WeightFunction
 
 # The most vectors a space may have where its vectors are enumerated one by
 # one: code enumeration, weight partitions and the dense MEP index.
@@ -29,36 +28,33 @@ VECTOR_BOUND = 1 << 16
 FIELD_BOUND = 1 << 32
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    q: int
+class FieldSpec(Value):
+    __match_args__ = ("q",)
 
-    def __post_init__(self) -> None:
-        if self.q > FIELD_BOUND:  # before the primality test, which is O(sqrt(q))
-            # a str of over 4300 digits raises, so a huge q is named by its bit length
-            size = self.q if self.q < 1 << 64 else f"at least 2^{self.q.bit_length() - 1}"
-            raise BoundExceeded(f"field size {size} exceeds the field bound {FIELD_BOUND}")
-        if not fields.is_prime(self.q):
-            raise ValidationError(f"field size {self.q} is not prime")
+    def __init__(self, q: int) -> None:
+        object.__setattr__(self, "q", q)
+        if q > FIELD_BOUND:  # before the primality test, which is O(sqrt(q))
+            raise BoundExceeded(f"field size {count_text(q)} exceeds the field bound {FIELD_BOUND}")
+        if not fields.is_prime(q):
+            raise ValidationError(f"field size {q} is not prime")
 
 
-@dataclass(frozen=True)
-class AlphabetSpec:
-    field: FieldSpec
-    labels: tuple[str, ...]
-    dims: tuple[int, ...]
-    # label -> (start, stop) of its block: derived, so out of eq, hash and repr
-    _block_bounds: dict[str, tuple[int, int]] = derived()
+class AlphabetSpec(Value):
+    # _block_bounds maps a label to the (start, stop) of its block
+    __match_args__ = ("field", "labels", "dims")
 
-    def __post_init__(self) -> None:
-        if len(self.labels) != len(self.dims):
+    def __init__(self, field: FieldSpec, labels: tuple[str, ...], dims: tuple[int, ...]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "dims", dims)
+        if len(labels) != len(dims):
             raise ValidationError("labels and dims must align")
-        if len(set(self.labels)) != len(self.labels):
+        if len(set(labels)) != len(labels):
             raise ValidationError("labels must be distinct")
-        if any(k < 1 for k in self.dims):
+        if any(k < 1 for k in dims):
             raise ValidationError("every block dimension must be at least 1")
         bounds, start = {}, 0
-        for label, k in zip(self.labels, self.dims):
+        for label, k in zip(labels, dims):
             bounds[label] = (start, start + k)
             start += k
         object.__setattr__(self, "_block_bounds", bounds)
@@ -175,10 +171,12 @@ def distance(
 # -- linear codes ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearCode:
-    space: AlphabetSpec
-    basis: Matrix  # RREF rows; empty tuple for the zero code
+class LinearCode(Value):
+    __match_args__ = ("space", "basis")
+
+    def __init__(self, space: AlphabetSpec, basis: Matrix) -> None:
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "basis", basis)  # RREF rows; empty tuple for the zero code
 
     @classmethod
     def from_rows(cls, space: AlphabetSpec, rows: Iterable[Sequence[int]]) -> "LinearCode":
@@ -264,7 +262,7 @@ def enumerate_codes(
     """
     if space.vector_count > VECTOR_BOUND:
         raise BoundExceeded(
-            f"space holds {space.vector_count} vectors, over the bound {VECTOR_BOUND}"
+            f"space holds {count_text(space.vector_count)} vectors, over the bound {VECTOR_BOUND}"
         )
     q = space.q
     n = space.total_dim

@@ -502,6 +502,34 @@ class TestBoundsAtLoad:
         message = f"bound exceeded: field size {named} exceeds the field bound 4294967296\n"
         assert capsys.readouterr().err == message
 
+    @pytest.mark.parametrize(
+        "command, code",
+        [
+            (["poset"], 0),
+            (["isometries"], 3),
+            (["isometries", "--brute-force"], 3),
+            (["mep"], 0),
+            (["mep", "--mode", "psupport"], 0),
+            (["mep", "--brute-force"], 3),
+            (["macwilliams"], 3),
+            (["audit"], 3),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else str(value),
+    )
+    def test_huge_dimension_keeps_the_exit_code_contract(self, tmp_path, capsys, command, code):
+        # 2^100000 vectors: a count of over 4300 digits is named by its bit length
+        path = tmp_path / "huge_dim.json"
+        doc = {"q": 2, "poset": {"elements": ["a"], "covers": []}, "omega": {"a": "1"},
+               "dims": {"a": 100000}}
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main([*command, "--instance", str(path)]) == code
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        if code == 3:
+            assert "at least 2^99999, " in err or "at least 2^100000 vectors" in err
+
     def test_oracle_action_table_exits_three_before_it_is_built(self, tmp_path, capsys):
         path = tmp_path / "q19.json"
         path.write_text(json.dumps({"q": 19, "poset": {"elements": ["a", "b"], "covers": []}}))

@@ -127,6 +127,20 @@ class TestImportBoundary:
     def test_cli_import_loads_no_engine_module(self):
         assert _loaded_after("import posetmetrics.cli").isdisjoint(ENGINE)
 
+    def test_no_module_imports_dataclasses_or_inspect(self):
+        # value classes are plain classes on posets.Value; dataclasses would
+        # pull in inspect, ast, dis and tokenize on every command
+        modules = (
+            "cli", "acceptance", "fourier", "instances", "isometries", "lattices", "mep",
+            "posets", "spaces", "reports", "fields", "errors",
+        )
+        loaded = run_fresh(
+            "import json, sys\n"
+            + "".join(f"import posetmetrics.{module}\n" for module in modules)
+            + "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))"
+        )
+        assert loaded == []
+
     def test_poset_command_loads_no_group_lattice_or_fourier_module(self):
         loaded = _loaded_after(_cli("poset", "--instance", str(CHAIN3)))
         assert {"instances", "posets"} <= loaded
