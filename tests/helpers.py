@@ -43,6 +43,7 @@ def closure_key(mask: int) -> int:
 # -- frozen-dataclass twins of the value classes ----------------------------------
 # Each has the class name, public fields, order and defaults of a class on
 # posets.Value, so its generated eq, hash and repr are the oracle of the base's.
+# The names shadow the package's, so this module reads posets.Poset.
 
 
 @dataclass(frozen=True)
