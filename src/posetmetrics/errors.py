@@ -7,6 +7,22 @@ def count_text(count: int) -> str:
     return str(count) if count < 1 << 64 else f"at least 2^{count.bit_length() - 1}"
 
 
+# q^e is at least 2^((q.bit_length() - 1) * e) for q >= 2, so a power whose
+# exponent passes a bound's bit length is known to pass the bound without
+# being formed: a block dimension of 10^12 would ask for a 10^12-bit int.
+def power_over(q: int, e: int, bound: int) -> bool:
+    """Whether q^e > bound, for q >= 2; q^e is formed only when it has under
+    twice as many bits as the bound."""
+    return (q.bit_length() - 1) * e >= bound.bit_length() or q**e > bound
+
+
+def power_text(q: int, e: int) -> str:
+    """q^e (q >= 2) as count_text names it; past 2^64 by the power of two it
+    reaches, without forming q^e."""
+    low = (q.bit_length() - 1) * e
+    return count_text(q**e) if low < 64 else f"at least 2^{low}"
+
+
 class PosetMetricsError(Exception):
     """Base class for all package errors."""
 

@@ -12,7 +12,7 @@ import operator
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import BoundExceeded, ValidationError
+from .errors import BoundExceeded, ValidationError, power_over
 
 Vector = tuple[int, ...]
 Matrix = tuple[Vector, ...]
@@ -66,6 +66,18 @@ def combine(q: int, rows: Sequence[Sequence[int]], coeffs: Sequence[int], n: int
             for t in range(n):
                 out[t] = (out[t] + c * row[t]) % q
     return tuple(out)
+
+
+def dot_values(q: int, column: Sequence[int]) -> list[int]:
+    """<x, column> mod q for every x in F_q^d, d = len(column), with x in
+    lexicographic order, grown one digit of x at a time.  Coordinate c of
+    the codeword sum_r x_r row_r is <x, column c>, so a code's codewords
+    come column by column with no table over the space."""
+    values = [0]
+    for a in column:
+        steps = [x * a % q for x in range(q)]
+        values = [(v + s) % q for v in values for s in steps]
+    return values
 
 
 def mat_vec(q: int, m: Matrix, v: Sequence[int]) -> Vector:
@@ -156,7 +168,7 @@ def invertible_matrices(q: int, n: int, bound: int = 1 << 18) -> tuple[Matrix, .
 
     Each row is picked outside the span of the rows above it, so no singular
     matrix is visited; the bound still counts all q^(n^2) candidates."""
-    if q ** (n * n) > bound:
+    if power_over(q, n * n, bound):
         raise BoundExceeded(f"cannot scan {q}^{n * n} matrices (bound {bound})")
     if n == 0:
         return ((),)

@@ -101,7 +101,7 @@ class Partition(Value):
                     raise ValidationError(f"the vector {tuple(vec)} is not in the space")
                 if block_of.setdefault(fields.vec_index(q, vec), b) != b:
                     raise ValidationError("partition blocks must be disjoint")
-        if len(block_of) < space.vector_count:
+        if space.vectors_over(len(block_of)):
             missing = next(v for t, v in enumerate(space.vectors()) if t not in block_of)
             raise ValidationError(f"the partition lacks the vector {missing} of the space")
         return cls(space, _numbered(map(block_of.__getitem__, range(space.vector_count))))
@@ -132,9 +132,9 @@ def _numbered(keys: Iterable) -> tuple[int, ...]:
 
 def weight_partition(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> Partition:
     """Group vectors by exact weight; the zero vector always sits alone."""
-    if space.vector_count > VECTOR_BOUND:
+    if space.vectors_over(VECTOR_BOUND):
         raise BoundExceeded(
-            f"space too large to partition: {count_text(space.vector_count)} vectors, "
+            f"space too large to partition: {space.vector_count_text} vectors, "
             f"over the bound {VECTOR_BOUND}"
         )
     ids = tuple(support_classes(space, poset, weight_sum_functional(poset, omega)))
@@ -221,14 +221,11 @@ def macwilliams_identity_check(
     groups: dict[tuple[int, ...], list] = {}  # key -> [first code, its dual key, first other]
     parts: dict[tuple[int, Vector], list[int]] = {}  # (label bit, column) -> its mask bits
     for basis in enumerate_codes(space, indices=True):
-        # coordinate c of the codeword sum_r x_r row_r is <x, column c>: no table over the space
+        # codeword x's block masks, one column of the basis at a time
         masks = [0] * q ** len(basis)
         for part in zip(label_bits, zip(*(vectors[t] for t in basis))):
-            if part not in parts:  # <x, column> for every x, one digit of x at a time
-                values = [0]
-                for a in part[1]:
-                    values = [(v + x * a) % q for v in values for x in range(q)]
-                parts[part] = [part[0] if v else 0 for v in values]
+            if part not in parts:
+                parts[part] = [part[0] if v else 0 for v in fields.dot_values(q, part[1])]
             masks = list(map(operator.or_, masks, parts[part]))
         # |C| times the dual code's distribution; the key fixes |C| within a group
         key, dual = [0] * key_width, [0] * dual_width
@@ -249,7 +246,7 @@ def macwilliams_identity_check(
 def _check_code_count(space: AlphabetSpec) -> None:
     """Refuse a space with more subspaces than CODE_BOUND.  Past the vector
     bound the count is not formed: the weight partition refuses such a space."""
-    if space.vector_count > VECTOR_BOUND:
+    if space.vectors_over(VECTOR_BOUND):
         return
     count = subspace_count(space.total_dim, space.q)
     if count > CODE_BOUND:

@@ -203,13 +203,32 @@ def gl_order(q: int, k: int) -> int:
     return order
 
 
-def _order_factors(space: AlphabetSpec, poset: Poset, lam_count: int) -> Iterator[int]:
+def _order_factors(
+    space: AlphabetSpec, poset: Poset, lam_count: int, bound: Optional[int] = None
+) -> Iterator[int]:
     """Factors of the closed-form order, each at least 1: the lam choices,
-    q^k - q^i (i < k) per diagonal block, q^(k k') per strict block."""
+    q^k - q^i (i < k) per diagonal block, q^(k k') per strict block.
+
+    With a bound, a factor is not formed once a power of two below it is past
+    both the bound and 2^64: GroupBoundExceeded names that power, 2^(low e)
+    with low the bits of q less one, since q^k - q^i >= q^(k-1) and
+    q^e >= 2^(low e).
+    """
     q, dims, identity = space.q, space.dims, tuple(range(len(poset.elements)))
+    low = q.bit_length() - 1  # q^e >= 2^(low e)
+
+    def power(e: int) -> int:
+        if bound is not None and low * e >= max(64, bound.bit_length()):
+            raise GroupBoundExceeded(
+                f"isometry group order reaches at least 2^{low * e}, over the bound {bound}"
+            )
+        return q**e
+
     yield lam_count
-    yield from (q**k - q**i for k in dims for i in range(k))
-    yield from (q ** (dims[i] * dims[j]) for i, j in _strict_pairs(poset, identity))
+    for k in dims:
+        top = power(k - 1) * q
+        yield from (top - q**i for i in range(k))
+    yield from (power(dims[i] * dims[j]) for i, j in _strict_pairs(poset, identity))
 
 
 def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
@@ -218,7 +237,8 @@ def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
 
 
 def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) -> None:
-    partial_orders = itertools.accumulate(_order_factors(space, poset, lam_count), operator.mul)
+    factors = _order_factors(space, poset, lam_count, bound)
+    partial_orders = itertools.accumulate(factors, operator.mul)
     order = next((order for order in partial_orders if order > bound), None)  # the first one over
     if order is not None:
         raise GroupBoundExceeded(

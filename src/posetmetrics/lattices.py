@@ -12,12 +12,15 @@ by intersection (Ganter & Wille, *Formal Concept Analysis*, 1999, ch. 1).
 The Moebius down-sets come from each member's up-set, the bitset of the
 members containing it, computed once.  The member index, the point
 closures and the Moebius table are built at most once per lattice and kept
-on it, so they are freed with it.
+on it, so they are freed with it.  Subspace lattices get their members from
+codeword indices, one column of each RREF basis at a time
+(fields.dot_values), with no code object and no vector arithmetic.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Sequence
@@ -28,8 +31,9 @@ from .errors import (
     PropertyViolation,
     ValidationError,
     count_text,
+    power_over,
 )
-from .fields import Vector, combine
+from .fields import Vector, combine, dot_values
 from .posets import Value, set_bits
 from .spaces import AlphabetSpec, FieldSpec, LinearCode, enumerate_codes, subspace_count
 
@@ -386,7 +390,8 @@ POINT_BOUND = 4096
 
 
 def subspace_lattice(q: int, k: int) -> FiniteLattice:
-    """All subspaces of F_q^k as sets of vector tuples.
+    """All subspaces of F_q^k as sets of vector tuples, built from codeword
+    indices and ordered as FiniteLattice.from_sets orders them.
 
     The point bound and MEMBER_BOUND are checked before anything is
     enumerated: F_q^k has q^k points and a sum of Gaussian binomials of
@@ -394,9 +399,7 @@ def subspace_lattice(q: int, k: int) -> FiniteLattice:
     """
     if k < 1:
         raise ValidationError("every block dimension must be at least 1")
-    # q^k >= 2^k passes the bound once k reaches the bound's bit length; the
-    # test comes first so that a huge k is never raised to a power
-    if q >= 2 and (k >= POINT_BOUND.bit_length() or q**k > POINT_BOUND):
+    if q >= 2 and power_over(q, k, POINT_BOUND):  # a huge k is never raised to a power
         raise BoundExceeded(f"F_{q}^{k} has {q}^{k} points, over the bound {POINT_BOUND}")
     field_spec = FieldSpec(q)
     count = subspace_count(k, q)
@@ -405,8 +408,24 @@ def subspace_lattice(q: int, k: int) -> FiniteLattice:
             f"F_{q}^{k} has {count_text(count)} subspaces, over the member bound {MEMBER_BOUND}"
         )
     space = AlphabetSpec(field_spec, ("x",), (k,))
-    members = [frozenset(code.codewords()) for code in enumerate_codes(space)]
-    return FiniteLattice.from_sets(list(space.vectors()), members)
+    vectors = tuple(space.vectors())
+    # Codeword x of a basis is sum_c q^(k-1-c) <x, column c> as a vector
+    # index; each column's scaled values are built once per position.
+    columns: dict[tuple[int, Vector], list[int]] = {}
+    index_lists = []
+    for basis in enumerate_codes(space, indices=True):
+        indices = [0] * q ** len(basis)
+        for part in enumerate(zip(*map(vectors.__getitem__, basis))):
+            if part not in columns:
+                place = q ** (k - 1 - part[0])
+                columns[part] = [place * v for v in dot_values(q, part[1])]
+            indices = list(map(operator.add, indices, columns[part]))
+        index_lists.append(sorted(indices))
+    # a point's ground position is its vector index, so this is from_sets' order
+    index_lists.sort(key=lambda indices: (len(indices), indices))
+    return FiniteLattice(
+        vectors, tuple(frozenset(map(vectors.__getitem__, s)) for s in index_lists)
+    )
 
 
 def pointed_boolean_lattice(n: int) -> FiniteLattice:

@@ -65,9 +65,9 @@ class SpaceIndex:
     """
 
     def __init__(self, space: AlphabetSpec, poset: Poset, key: Key):
+        if space.vectors_over(VECTOR_BOUND):
+            raise BoundExceeded(f"space of {space.vector_count_text} vectors exceeds {VECTOR_BOUND}")
         q, count = space.q, space.vector_count
-        if count > VECTOR_BOUND:
-            raise BoundExceeded(f"space of {count_text(count)} vectors exceeds {VECTOR_BOUND}")
         if q != 2 and count * count > ADD_TABLE_BOUND:
             raise BoundExceeded(
                 f"addition table of {count_text(count * count)} entries for q = {q} "

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import fields
-from .errors import BoundExceeded, ValidationError, count_text
+from .errors import BoundExceeded, ValidationError, count_text, power_over, power_text
 from .fields import Matrix, Vector
 from .posets import Poset, Value, WeightFunction
 
@@ -79,7 +79,17 @@ class AlphabetSpec(Value):
 
     @property
     def vector_count(self) -> int:
+        """q^N; form it only after vectors_over has bounded it."""
         return self.q**self.total_dim
+
+    def vectors_over(self, bound: int) -> bool:
+        """Whether the space has more than bound vectors, without forming a
+        q^N far past the bound."""
+        return power_over(self.q, self.total_dim, bound)
+
+    @property
+    def vector_count_text(self) -> str:
+        return power_text(self.q, self.total_dim)
 
     def block_range(self, label: str) -> range:
         return range(*self._block_bounds[label])
@@ -260,9 +270,9 @@ def enumerate_codes(
     lexicographic, so the stream is deterministic.  The free entries run row
     by row, so each pivot set's bases are a product of per-row index lists.
     """
-    if space.vector_count > VECTOR_BOUND:
+    if space.vectors_over(VECTOR_BOUND):
         raise BoundExceeded(
-            f"space holds {count_text(space.vector_count)} vectors, over the bound {VECTOR_BOUND}"
+            f"space holds {space.vector_count_text} vectors, over the bound {VECTOR_BOUND}"
         )
     q = space.q
     n = space.total_dim

@@ -4,7 +4,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from posetmetrics import posets
+from posetmetrics import lattices, posets, spaces
 from posetmetrics.isometries import weight_sum_functional
 from posetmetrics.posets import Perm, powers_of_two_weight
 
@@ -33,6 +33,16 @@ def value_for(poset: posets.Poset, omega, mode: str):
     if mode == "support":
         return poset.ideal_closure
     return lambda subset: omega.total(poset.ideal_closure(subset))
+
+
+def subspace_lattice_oracle(q: int, k: int) -> lattices.FiniteLattice:
+    """The subspace lattice of F_q^k built from each code's codewords as
+    vector tuples and ordered by FiniteLattice.from_sets: the oracle of
+    lattices.subspace_lattice, which builds its members from codeword
+    indices.  No bounds are checked."""
+    space = spaces.AlphabetSpec(spaces.FieldSpec(q), ("x",), (k,))
+    members = [frozenset(code.codewords()) for code in spaces.enumerate_codes(space)]
+    return lattices.FiniteLattice.from_sets(list(space.vectors()), members)
 
 
 def closure_key(mask: int) -> int:

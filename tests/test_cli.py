@@ -530,6 +530,59 @@ class TestBoundsAtLoad:
         if code == 3:
             assert "at least 2^99999, " in err or "at least 2^100000 vectors" in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"q": 2, "poset": {"elements": ["a"], "covers": []}, "omega": {"a": "1"},
+             "dims": {"a": 10**12}},
+            {"q": 3, "poset": {"elements": ["a", "b"], "covers": [["a", "b"]]},
+             "dims": {"a": 10**12, "b": 2}},
+            {"q": 4294967291, "poset": {"elements": ["a", "b"], "covers": []},
+             "dims": {"a": 1, "b": 10**12}},
+        ],
+        ids=["F2-one-label", "F3-chain", "largest-field"],
+    )
+    def test_hostile_dimension_exits_three_in_a_memory_capped_child(self, tmp_path, doc):
+        # q^(10^12) would be a 10^12-bit int; under the child's address-space
+        # cap a regression ends in MemoryError (exit 4), not a full machine
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "hostile.json"
+        path.write_text(json.dumps(doc))
+        expected = {
+            "poset": 0, "mep": 0, "mep --mode psupport": 0, "isometries": 3,
+            "isometries --brute-force": 3, "mep --brute-force": 3, "macwilliams": 3, "audit": 3,
+        }
+        child = (
+            "import contextlib, io, json, sys, time\n"
+            "from posetmetrics.cli import main\n"
+            "out = {}\n"
+            "for command in sys.argv[2:]:\n"
+            "    err = io.StringIO()\n"
+            "    start = time.perf_counter()\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+            "        code = main([*command.split(), '--instance', sys.argv[1]])\n"
+            "    out[command] = [code, time.perf_counter() - start, err.getvalue()]\n"
+            "print(json.dumps(out))\n"
+        )
+
+        def cap_memory():  # runs in the child only, before it starts Python
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        path_env = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", child, str(path), *expected],
+            capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+            env={**os.environ, "PYTHONPATH": path_env},
+        )
+        assert proc.returncode == 0, proc.stderr
+        results = json.loads(proc.stdout)
+        for command, code in expected.items():
+            got, elapsed, err = results[command]
+            assert (got, "internal error" in err) == (code, False), (command, err)
+            assert elapsed < 1, (command, elapsed)
+            if code == 3:
+                assert err.startswith("bound exceeded: "), (command, err)
+
     def test_oracle_action_table_exits_three_before_it_is_built(self, tmp_path, capsys):
         path = tmp_path / "q19.json"
         path.write_text(json.dumps({"q": 19, "poset": {"elements": ["a", "b"], "covers": []}}))

@@ -2,11 +2,12 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
 from posetmetrics import fields
-from posetmetrics.errors import BoundExceeded
+from posetmetrics.errors import BoundExceeded, count_text, power_over, power_text
 
 
 def scan_invertible(q, n):
@@ -79,3 +80,56 @@ class TestMatMul:
             assert fields.mat_mul(q, a, b) == oracle_mat_mul(q, a, b)
             assert fields.mat_mul(q, fields.identity_matrix(k), a) == a
             assert fields.mat_mul(q, a, fields.identity_matrix(m)) == a
+
+
+class TestDotValues:
+    @pytest.mark.parametrize("q", [2, 3, 5, 7])
+    def test_column_sums_index_every_combination(self, q):
+        # summed column by column with the place values, the kernel gives the
+        # vector index of every codeword sum_r x_r row_r, x in lexicographic order
+        rng = random.Random(q)
+        for _ in range(40):
+            d, n = rng.randint(0, 3), rng.randint(1, 4)
+            rows = [tuple(rng.randrange(q) for _ in range(n)) for _ in range(d)]
+            indices = [0] * q**d
+            for c, column in enumerate(zip(*rows)):
+                place = q ** (n - 1 - c)
+                indices = [t + place * v for t, v in zip(indices, fields.dot_values(q, column))]
+            if not rows:  # no columns: only the empty combination, the zero vector
+                assert indices == [0]
+                continue
+            expected = [
+                fields.vec_index(q, fields.combine(q, rows, x, n))
+                for x in itertools.product(range(q), repeat=d)
+            ]
+            assert indices == expected
+
+    def test_values_are_inner_products_in_lexicographic_order(self):
+        assert fields.dot_values(3, (1, 2)) == [
+            (x0 + 2 * x1) % 3 for x0 in range(3) for x1 in range(3)
+        ]
+        assert fields.dot_values(5, ()) == [0]
+
+
+class TestPowerBounds:
+    def test_power_over_agrees_with_the_formed_power(self):
+        for q in (2, 3, 5, 7, 61, 4294967291):
+            for e in range(0, 70):
+                for bound in (0, 1, q - 1, q, 1 << 16, (1 << 16) - 1, q**e - 1, q**e, q**e + 1):
+                    assert power_over(q, e, bound) == (q**e > bound), (q, e, bound)
+
+    def test_power_text_names_a_power_of_two_the_power_reaches(self):
+        for q in (2, 3, 5, 7, 61):
+            for e in range(0, 200):
+                text = power_text(q, e)
+                if q**e < 1 << 64:
+                    assert text == str(q**e)
+                else:
+                    assert q**e >= 2 ** int(text.removeprefix("at least 2^"))
+        assert power_text(2, 100000) == count_text(2**100000) == "at least 2^100000"
+
+    def test_huge_exponents_are_never_raised(self):
+        start = time.perf_counter()
+        assert power_over(2, 10**12, 1 << 16) and power_over(4294967291, 10**12, 1 << 20)
+        assert power_text(3, 10**12) == "at least 2^1000000000000"
+        assert time.perf_counter() - start < 0.1

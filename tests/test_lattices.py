@@ -9,6 +9,7 @@ import weakref
 
 import pytest
 
+from posetmetrics import lattices
 from posetmetrics.acceptance import _random_intersection_family
 from posetmetrics.errors import (
     AllSolutionsTrivial,
@@ -44,7 +45,7 @@ from posetmetrics.spaces import (
     subspace_count,
 )
 
-from helpers import linear_maps
+from helpers import linear_maps, subspace_lattice_oracle
 
 S22 = subspace_lattice(2, 2)
 FULL22 = frozenset(S22.ground)
@@ -349,6 +350,37 @@ class TestLattice:
     def test_boolean_rank_must_be_nonnegative(self):
         with pytest.raises(ValidationError, match="n must be >= 0"):
             pointed_boolean_lattice(-3)
+
+
+# every F_q^k of at most 81 points, as criterion 9 and the bench check them,
+# and three larger ones, among them the largest admitted plane
+ORACLE_SPACES = [
+    (q, k) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
+                     73, 79)
+    for k in range(1, 7) if q**k <= 81
+] + [(61, 2), (7, 3), (3, 5)]
+
+
+class TestSubspaceLatticeOracle:
+    @pytest.mark.parametrize("q,k", ORACLE_SPACES)
+    def test_members_from_indices_equal_the_codeword_oracle(self, q, k):
+        lattice, oracle = subspace_lattice(q, k), subspace_lattice_oracle(q, k)
+        assert lattice == oracle
+        assert lattice.ground == oracle.ground
+        assert lattice.members == oracle.members
+        # the members share the ground's vector tuples
+        ground = {id(v) for v in lattice.ground}
+        assert all(id(v) in ground for member in lattice.members for v in member)
+
+    @pytest.mark.parametrize("q,k", [(2, 7), (2, 13)])
+    def test_bounds_refuse_before_any_work(self, monkeypatch, q, k):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+
+        for name in ("enumerate_codes", "dot_values", "FiniteLattice"):
+            monkeypatch.setattr(lattices, name, no_work)
+        with pytest.raises(BoundExceeded):
+            subspace_lattice(q, k)
 
 
 class TestBoundsBeforeWork:
