@@ -207,13 +207,9 @@ def _order_factors(
     space: AlphabetSpec, poset: Poset, lam_count: int, bound: Optional[int] = None
 ) -> Iterator[int]:
     """Factors of the closed-form order, each at least 1: the lam choices,
-    q^k - q^i (i < k) per diagonal block, q^(k k') per strict block.
-
-    With a bound, a factor is not formed once a power of two below it is past
-    both the bound and 2^64: GroupBoundExceeded names that power, 2^(low e)
-    with low the bits of q less one, since q^k - q^i >= q^(k-1) and
-    q^e >= 2^(low e).
-    """
+    q^k - q^i (i < k) per diagonal block, q^(k k') per strict block.  With a
+    bound, a factor whose power of two 2^(low e) <= q^e (q^k - q^i >= q^(k-1))
+    is past the bound and 2^64 is not formed: GroupBoundExceeded names it."""
     q, dims, identity = space.q, space.dims, tuple(range(len(poset.elements)))
     low = q.bit_length() - 1  # q^e >= 2^(low e)
 

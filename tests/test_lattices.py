@@ -16,6 +16,7 @@ from posetmetrics.errors import (
     BoundExceeded,
     ValidationError,
 )
+from posetmetrics.fields import is_prime
 from posetmetrics.lattices import (
     FiniteLattice,
     Solution,
@@ -355,9 +356,7 @@ class TestLattice:
 # every F_q^k of at most 81 points, as criterion 9 and the bench check them,
 # and three larger ones, among them the largest admitted plane
 ORACLE_SPACES = [
-    (q, k) for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-                     73, 79)
-    for k in range(1, 7) if q**k <= 81
+    (q, k) for q in range(2, 82) if is_prime(q) for k in range(1, 7) if q**k <= 81
 ] + [(61, 2), (7, 3), (3, 5)]
 
 
