@@ -4,7 +4,8 @@ the canonical level decomposition for hierarchical posets.
 Brute force quantifies over every code (skipping the isometry orbit of a code
 that held) and every linear map out of it, checks weight (or support-closure)
 preservation per codeword, and searches the structured isometry group for an
-extension.  Small spaces are indexed densely so the inner loops run on ints:
+extension block by block, one output block's slots at a time, without
+listing it.  Small spaces are indexed densely so the inner loops run on ints:
 vectors are classed by the integer weight key of their closure masks (support
 closure is the weight with doubling weights, whose key is the mask itself),
 and the scan and the orbit check see each group element only as the
@@ -13,12 +14,13 @@ those permutations from the group's semidirect factors, with no `Isometry`
 and no matrix.
 
 A code is decided on the stabilizer chain of its basis (`_holds_on`): only
-the images of the identity prefix at each level are looked at, and the leaf
-search that names the first counterexample runs only on a code that fails.
-A held code's orbit is marked with one group element per basis-image tuple,
-since an element's image of the code follows from its images of the basis.
-Codes come from `enumerate_codes` as tuples of vector indices, the scan's
-own currency; only a counterexample's code is built as a `LinearCode`.
+the images of the identity prefix at each level are looked at, a level whose
+class is its basis vector's orbit is skipped before its tables are built, and
+the leaf search that names the first counterexample runs only on a code that
+fails.  A held code's orbit is marked with one group element per basis-image
+tuple, since an element's image of the code follows from its images of the
+basis.  Codes come from `enumerate_codes` as tuples of vector indices, the
+scan's own currency; only a counterexample's code is built as a `LinearCode`.
 """
 
 from __future__ import annotations
@@ -42,9 +44,10 @@ from .isometries import (
     GROUP_BOUND,
     Isometry,
     Key,
+    _all_blocks,
+    _strict_pairs,
     admissible_lams,
     build_isometry,
-    enumerate_group,
     weight_sum_functional,
 )
 from .posets import Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
@@ -139,6 +142,16 @@ class MepVerdict(Value):
         object.__setattr__(self, "predicate_trace", predicate_trace)
 
 
+def _check_images(space: AlphabetSpec, code: LinearCode, images: Sequence[Vector]) -> None:
+    """Refuse a map that is not one vector of the space per basis row."""
+    if len(images) != code.dim:
+        raise ValidationError(f"{len(images)} images for a code of dimension {code.dim}")
+    n, q = space.total_dim, space.q
+    for image in images:
+        if len(image) != n or not all(isinstance(x, int) and 0 <= x < q for x in image):
+            raise ValidationError(f"image {tuple(image)} is not a vector of F_{q}^{n}")
+
+
 def preserves_weight(
     space: AlphabetSpec,
     poset: Poset,
@@ -148,6 +161,7 @@ def preserves_weight(
 ) -> bool:
     """Does the map sending the code's basis rows to images keep the exact
     (Fraction) weight of every codeword?  Independent of the integer keys."""
+    _check_images(space, code, images)
     n = space.total_dim
     for coeffs, vec in code.coefficient_pairs():
         image = fields.combine(space.q, images, coeffs, n)
@@ -163,16 +177,44 @@ def extend_to_isometry(
     code: LinearCode,
     images: Sequence[Vector],
 ) -> Optional[Isometry]:
-    """Search the weight isometry group for an isometry restricting to the map.
+    """The first weight isometry in `enumerate_group` order restricting to the map.
 
-    A hit is replayed on every codeword before being returned.
+    Searched block by block, never listed: output block j of an element
+    reads only its slots D_i (lam(i) = j) and the strict blocks (a, j).  Per
+    lam, block j takes the first product of its slots that maps block j of
+    each basis vector onto block j of its image; the first element of a
+    product of independent slot groups is each group's first, so these picks
+    are the full scan's first hit.  Only that hit becomes an `Isometry`,
+    replayed on every codeword.
     """
-    basis = code.basis
-    for iso in enumerate_group(space, poset, weight_sum_functional(poset, omega)):
-        if all(iso.apply(b) == tuple(img) for b, img in zip(basis, images)):
-            n = space.total_dim
+    _check_images(space, code, images)
+    lams = admissible_lams(space, poset, weight_sum_functional(poset, omega), GROUP_BOUND)
+    q, dims = space.q, space.dims
+    blocks = [slice(*space._block_bounds[label]) for label in poset.elements]
+    invertibles = [fields.invertible_matrices(q, k) for k in dims]
+    for lam in lams:
+        pairs = _strict_pairs(poset, lam)
+        diag, chosen = [None] * len(lam), {}
+        for j, out in enumerate(blocks):
+            i = lam.index(j)
+            feeders = [a for a, target in pairs if target == j]
+            slots = [invertibles[i], *(_all_blocks(q, (dims[j], dims[a])) for a in feeders)]
+            # block row j of the element, [D_i | strict blocks], meets the inputs it reads
+            parts = [sum((b[blocks[a]] for a in (i, *feeders)), ()) for b in code.basis]
+            wanted = [tuple(image[out]) for image in images]
+            pick = next((choice for choice in itertools.product(*slots) if all(
+                fields.mat_vec(q, [sum(rows, ()) for rows in zip(*choice)], part) == w
+                for part, w in zip(parts, wanted)
+            )), None)
+            if pick is None:
+                break
+            diag[i] = pick[0]
+            chosen.update(zip(((a, j) for a in feeders), pick[1:]))
+        else:
+            strict = tuple((a, j, chosen[a, j]) for a, j in pairs)
+            iso = Isometry(space, poset, lam, tuple(diag), strict)
             for coeffs, vec in code.coefficient_pairs():
-                if iso.apply(vec) != fields.combine(space.q, images, coeffs, n):
+                if iso.apply(vec) != fields.combine(q, images, coeffs, space.total_dim):
                     raise PropertyViolation("extension replay failed on a codeword")
             return iso
     return None
@@ -358,15 +400,23 @@ def _holds_on(si: SpaceIndex, basis_idx: Sequence[int], columns: Sequence[Sequen
     child outside O_k is unreachable with its whole subtree, which is bad
     exactly when it has a class-preserving completion.  So the code holds iff
     no level k has such a child; levels are looked at from the bottom up.
+    Isometries keep classes, so O_k lies in b_{k+1}'s class: a level whose
+    class is O_k (a singleton class included) is skipped, and the level
+    tables are built only at the first level whose class is wider.
     """
-    spans, targets, allowed = _levels(si, basis_idx)
-    values = si.values
+    values, classes = si.values, si.classes
     fixers = [range(len(columns[0]))]  # fixers[k]: the elements fixing b_1..b_k
     for b in basis_idx[:-1]:
         column = columns[b]
         fixers.append([g for g in fixers[-1] if column[g] == b])
+    levels = None
     for k in reversed(range(len(basis_idx))):
-        orbit = set(map(columns[basis_idx[k]].__getitem__, fixers[k]))
+        b, width = basis_idx[k], len(classes[values[basis_idx[k]]])
+        orbit = {b} if width == 1 else set(map(columns[b].__getitem__, fixers[k]))
+        if len(orbit) == width:
+            continue
+        levels = levels or _levels(si, basis_idx)
+        spans, targets, allowed = levels
         prefix = tuple(basis_idx[:k])
         for x in allowed[k]:
             if x in orbit:

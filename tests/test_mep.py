@@ -2,6 +2,7 @@
 and the canonical level decomposition."""
 
 import itertools
+import random
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -15,14 +16,23 @@ from posetmetrics.errors import (
     GroupBoundExceeded,
     MapBoundExceeded,
     PredicateUnavailable,
+    PropertyViolation,
     ValidationError,
 )
-from posetmetrics.isometries import Isometry, decompose, enumerate_group, support_isometry_group
+from posetmetrics.isometries import (
+    Isometry,
+    decompose,
+    enumerate_group,
+    support_isometry_group,
+    weight_sum_functional,
+)
 from posetmetrics.mep import (
     MepVerdict,
     SpaceIndex,
+    _first_leaf_outside,
     _first_unreachable_map,
     _holds_on,
+    _levels,
     canonical_decomposition,
     condition_report,
     extend_to_isometry,
@@ -571,9 +581,153 @@ class TestStabilizerDecision:
                 reachable = set(zip(*(columns[b] for b in basis_idx)))
                 expected = _first_unreachable_map(si, basis_idx, reachable) is None
                 assert _holds_on(si, basis_idx, columns) == expected
+                assert _eager_holds_on(si, basis_idx, columns) == expected
                 codes += 1
                 rejected += not expected
         assert codes > rejected > 0
+
+    @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
+    def test_lazy_levels_equal_the_eager_tables_on_large_shapes(self, poset, dims, max_dim, orbits):
+        space = AlphabetSpec(F2, poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        si, perms = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
+        columns = list(zip(*perms))
+        verdicts = Counter()
+        for basis_idx in enumerate_codes(space, max_dim=2, indices=True):
+            if basis_idx:
+                verdict = _holds_on(si, basis_idx, columns)
+                assert verdict == _eager_holds_on(si, basis_idx, columns)
+                verdicts[verdict] += 1
+        assert verdicts == {True: 186} if orbits != 7 else {True: 669, False: 45}
+
+    def test_singleton_classes_build_no_level_tables(self, monkeypatch):
+        # doubling weights on an antichain over F_2: every class is one vector
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return _levels(*args)
+
+        monkeypatch.setattr(mep, "_levels", counting)
+        anti4 = Poset.antichain(tuple("abcd"))
+        space = AlphabetSpec.uniform(F2, anti4.elements, 1)
+        verdict = mep_brute_force(space, anti4, powers_of_two_weight(anti4))
+        assert verdict.holds and verdict.complete and calls == []
+
+
+def _eager_holds_on(si, basis_idx, columns) -> bool:
+    """The stabilizer-chain decision with every level's tables built up front,
+    kept as the oracle of the lazy one."""
+    spans, targets, allowed = _levels(si, basis_idx)
+    values = si.values
+    fixers = [range(len(columns[0]))]  # fixers[k]: the elements fixing b_1..b_k
+    for b in basis_idx[:-1]:
+        column = columns[b]
+        fixers.append([g for g in fixers[-1] if column[g] == b])
+    for k in reversed(range(len(basis_idx))):
+        orbit = set(map(columns[basis_idx[k]].__getitem__, fixers[k]))
+        prefix = tuple(basis_idx[:k])
+        for x in allowed[k]:
+            if x in orbit:
+                continue
+            x_span = si.span_indices((x,), spans[k])
+            if list(map(values.__getitem__, x_span)) == targets[k] and (
+                _first_leaf_outside(si, allowed, targets, prefix + (x,), x_span, ()) is not None
+            ):
+                return False
+    return True
+
+
+def _listing_extension(space, poset, omega, code, images, group=None):
+    """The extension search over the listed group, one matrix per element,
+    kept as the oracle of the block-by-block search.  group, when given, is
+    that list, so its matrices are built once across calls."""
+    if group is None:
+        group = enumerate_group(space, poset, weight_sum_functional(poset, omega))
+    basis = code.basis
+    for iso in group:
+        if all(iso.apply(b) == tuple(img) for b, img in zip(basis, images)):
+            n = space.total_dim
+            for coeffs, vec in code.coefficient_pairs():
+                if iso.apply(vec) != fields.combine(space.q, images, coeffs, n):
+                    raise PropertyViolation("extension replay failed on a codeword")
+            return iso
+    return None
+
+
+def _extension_grid():
+    """The small grid's weighted cases (support mode is the doubling weights),
+    then mep_grid's large shapes with unit weights."""
+    for space, poset, omega, mode in _small_grid():
+        if mode == "weight":
+            yield space, poset, omega
+    for poset, dims, _, _ in LARGE_SHAPES:
+        yield AlphabetSpec(F2, poset.elements, dims), poset, WeightFunction.ones(poset.elements)
+
+
+class TestBlockExtensionOracle:
+    def test_block_search_equals_the_listing_scan(self):
+        # per code of dimension at most 2, the images of one random group
+        # element (a hit, so both must return the same element); on every
+        # other code also one random image tuple (almost always a miss)
+        rng = random.Random(23)
+        hits = misses = 0
+        for space, poset, omega in _extension_grid():
+            group = list(enumerate_group(space, poset, weight_sum_functional(poset, omega)))
+            codes = list(enumerate_codes(space, max_dim=2))
+            if len(group) > 100:  # the large shapes: a sample of their codes
+                codes = rng.sample(codes, 12)
+            n, q = space.total_dim, space.q
+            for t, code in enumerate(codes):
+                tries = [tuple(map(rng.choice(group).apply, code.basis))]
+                if t % 2:
+                    tries.append(tuple(tuple(rng.randrange(q) for _ in range(n)) for _ in code.basis))
+                found = [extend_to_isometry(space, poset, omega, code, im) for im in tries]
+                assert found == [
+                    _listing_extension(space, poset, omega, code, im, group) for im in tries
+                ]
+                hits += found[0] is not None
+                misses += found[1:] == [None]
+        assert hits == 4428 and misses == 1763  # 4428 codes, each hit by its element
+
+    def test_counterexample_lists_no_group_and_builds_no_matrix(self, monkeypatch):
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
+        omega = WeightFunction.ones(ANTI3.elements)
+        code, images = mep_brute_force(space, ANTI3, omega, max_dim=3).counterexample
+
+        def unreachable(*args):
+            raise AssertionError("the extension search listed the group or built a matrix")
+
+        monkeypatch.setattr(isometries, "enumerate_group", unreachable)
+        monkeypatch.setattr(mep, "enumerate_group", unreachable, raising=False)
+        monkeypatch.setattr(Isometry, "matrix", property(unreachable))
+        assert extend_to_isometry(space, ANTI3, omega, code, images) is None
+
+
+# F_2^2 with a < b and unit weights, the code the whole space: maps of the
+# wrong count, length or alphabet
+WHOLE_PLANE = LinearCode.from_rows(SP21, [(1, 0), (0, 1)])
+MALFORMED_IMAGES = {
+    "one image": ((1, 0),),
+    "three images": ((1, 0), (0, 1), (1, 1)),
+    "long images": ((1, 0, 0), (0, 1, 1)),
+    "entry out of range": ((3, 0), (0, 1)),
+    "short images": ((1,), (0,)),
+}
+
+
+class TestMalformedImages:
+    @pytest.mark.parametrize("images", MALFORMED_IMAGES.values(), ids=MALFORMED_IMAGES.keys())
+    @pytest.mark.parametrize("check", [preserves_weight, extend_to_isometry])
+    def test_rejected_before_any_work(self, check, images, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a malformed map was checked")
+
+        monkeypatch.setattr(mep, "admissible_lams", unreachable)
+        monkeypatch.setattr(mep, "weight", unreachable)
+        message = r"^(\d images for a code of dimension 2|image \(.*\) is not a vector of F_2\^2)$"
+        with pytest.raises(ValidationError, match=message):
+            check(SP21, CHAIN2, ONES2, WHOLE_PLANE, images)
 
 
 class TestClosedFormCrossCheck:
