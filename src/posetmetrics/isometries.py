@@ -38,6 +38,9 @@ from .posets import (
 from .spaces import AlphabetSpec, support_classes
 
 # An int per ideal mask; the scans compare vectors by the keys of their closures.
+# Every key is an additive weight sum over the mask's labels (the closure key
+# is the sum of 2^t), so the keys of the principal ideals fix the weight of
+# every label, and they alone decide which label maps keep the key.
 Key = Callable[[int], int]
 
 
@@ -57,19 +60,18 @@ def weight_sum_functional(poset: Poset, omega: WeightFunction) -> Key:
 
 def admissible_automorphisms(poset: Poset, space: AlphabetSpec, key: Key) -> tuple[Perm, ...]:
     """Poset automorphisms preserving the key of every ideal and all
-    block dimensions (block isomorphism over a field is dimension equality)."""
+    block dimensions (block isomorphism over a field is dimension equality).
+
+    The key is additive, so the principal ideals decide it: an automorphism
+    sends the down-set of i onto that of perm[i], and keeping the key of
+    every principal ideal keeps omega at every label (by induction along a
+    linear extension), hence the key of every ideal."""
     masks, autos = poset._ideal_masks, tuple(_keeping_dims(space, poset.automorphisms()))
     if len(autos) * len(masks) > SCAN_BOUND:  # before any key is computed
         scan = f"functional filter of {len(autos)} automorphisms over {len(masks)} ideals"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
-    keys = list(map(key, masks))
-
-    def preserved(perm: Perm) -> bool:
-        bits = [1 << t for t in perm]
-        images = (sum(map(bits.__getitem__, set_bits(mask))) for mask in masks)
-        return all(map(operator.eq, map(key, images), keys))
-
-    return tuple(filter(preserved, autos))
+    keys = tuple(map(key, poset._down))  # keys[perm[i]] is the key of the image of down-set i
+    return tuple(perm for perm in autos if tuple(map(keys.__getitem__, perm)) == keys)
 
 
 def weight_automorphisms(
@@ -232,24 +234,42 @@ def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
     return math.prod(_order_factors(space, poset, lam_count))
 
 
-def _check_order(space: AlphabetSpec, poset: Poset, lam_count: int, bound: int) -> None:
-    factors = _order_factors(space, poset, lam_count, bound)
-    partial_orders = itertools.accumulate(factors, operator.mul)
-    order = next((order for order in partial_orders if order > bound), None)  # the first one over
-    if order is not None:
+def _refuse_order(order: int, bound: int) -> None:
+    if order > bound:
         raise GroupBoundExceeded(
             f"isometry group order reaches {count_text(order)}, over the bound {bound}"
         )
 
 
+def _label_free_orders(space: AlphabetSpec, poset: Poset, bound: int) -> list[int]:
+    """The prefix products of the order factors with one label map, each
+    refused as it is formed: the first one over the bound raises."""
+    orders = []
+    for order in itertools.accumulate(_order_factors(space, poset, 1, bound), operator.mul):
+        _refuse_order(order, bound)
+        orders.append(order)
+    return orders
+
+
 def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
     """The group's label maps, with its order checked against the bound
-    before the key filter and again after it."""
+    before the key filter and again after it.
+
+    A result is kept on the poset with the group order, keyed by the space
+    and the keys of the principal ideals, which decide the filter; a later
+    call within its bound reuses it.  Refusals are not kept."""
     if space.labels != poset.elements:  # blocks and dims are indexed by poset position
         raise ValidationError("the space's labels must be the poset's elements, in its order")
-    _check_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
+    memo_key = (space, tuple(map(key, poset._down)))
+    kept = poset._label_maps.get(memo_key)
+    if kept is not None and kept[1] <= bound:
+        return kept[0]
+    # the identity is admissible: refuse before the filter
+    orders = _label_free_orders(space, poset, bound)
     lams = admissible_automorphisms(poset, space, key)
-    _check_order(space, poset, len(lams), bound)
+    for order in map(len(lams).__mul__, orders):
+        _refuse_order(order, bound)
+    poset._label_maps[memo_key] = lams, order
     return lams
 
 

@@ -17,10 +17,13 @@ A code is decided on the stabilizer chain of its basis (`_holds_on`): only
 the images of the identity prefix at each level are looked at, a level whose
 class is its basis vector's orbit is skipped before its tables are built, and
 the leaf search that names the first counterexample runs only on a code that
-fails.  A held code's orbit is marked with one group element per basis-image
-tuple, since an element's image of the code follows from its images of the
-basis.  Codes come from `enumerate_codes` as tuples of vector indices, the
-scan's own currency; only a counterexample's code is built as a `LinearCode`.
+fails.  A held code's orbit is marked in one pass over the group's columns
+at the code's vectors: each element's image of the code is a row of them,
+deduplicated as a tuple before it is made a set.  The label maps are
+filtered once per (poset, space, weights) and shared by the scan, the
+extension search and the orbit check (`isometries.admissible_lams`).
+Codes come from `enumerate_codes` as tuples of vector indices, the scan's
+own currency; only a counterexample's code is built as a `LinearCode`.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import itertools
 import operator
 from fractions import Fraction
-from typing import Container, Optional, Sequence
+from typing import Container, Iterator, Optional, Sequence
 
 from . import fields
 from .errors import (
@@ -241,7 +244,8 @@ def mep_brute_force(
     Each scanned code is decided by `_holds_on` on the stabilizer chain of its
     basis; only a code it rejects gets the reachable tuples and the leaf
     search for the first unreachable map.  The orbit of a held code is marked
-    with one element per distinct basis-image tuple, not with all of G.
+    by `_orbit_spans`: every element's image of the span, read off the
+    group's columns at the span's vectors and made a set once per distinct row.
 
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
@@ -279,10 +283,17 @@ def mep_brute_force(
                 complete=True,
                 counterexample=(code, tuple(si.vectors[t] for t in images)),
             )
-        # g's image of the span follows from g's basis images: one g per image tuple
-        movers = dict(zip(zip(*(columns[b] for b in basis_idx)), perms))
-        held.update(frozenset(map(p.__getitem__, span)) for p in movers.values())
+        held.update(_orbit_spans(columns, span))
     return MepVerdict(holds=True, mode=mode, source="brute-force", complete=(top >= n))
+
+
+def _orbit_spans(
+    columns: Sequence[Sequence[int]], span: frozenset[int]
+) -> Iterator[frozenset[int]]:
+    """The span's images under the group.  Row g of the span's columns
+    spells g's image of the span, and elements that agree on the span give
+    equal rows, so each row is made a set once."""
+    return map(frozenset, set(zip(*map(columns.__getitem__, span))))
 
 
 def _indexed_group(
@@ -435,17 +446,20 @@ def _holds_on(si: SpaceIndex, basis_idx: Sequence[int], columns: Sequence[Sequen
 def level_class_bound(
     space: AlphabetSpec, poset: Poset, omega: WeightFunction
 ) -> tuple[bool, Optional[tuple[int, Fraction, tuple[str, ...]]]]:
-    """Per level and weight value: blocks are lines, or the class has at most q labels."""
-    q = space.q
-    for r, level in enumerate(poset.level_sets(), start=1):
-        classes: dict[Fraction, list[str]] = {}
-        for label in level:
-            classes.setdefault(omega.of(label), []).append(label)
-        for b, labels in classes.items():
-            if all(space.dim_of(l) == 1 for l in labels):
+    """Per level and weight value: blocks are lines, or the class has at most q labels.
+
+    Levels are walked in position order, so the witness is the first failing
+    class in the order of its first label."""
+    q, labels, weights = space.q, poset.elements, omega.scaled(poset.elements)
+    for r, level in enumerate(poset._level_masks, start=1):
+        classes: dict[int, list[str]] = {}
+        for i in set_bits(level):
+            classes.setdefault(weights[i], []).append(labels[i])
+        for members in classes.values():
+            if all(space.dim_of(l) == 1 for l in members):
                 continue
-            if len(labels) > q:
-                return False, (r, b, tuple(sorted(labels)))
+            if len(members) > q:
+                return False, (r, omega.of(members[0]), tuple(sorted(members)))
     return True, None
 
 
@@ -506,21 +520,21 @@ def condition_report(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
 
 def _matched_dims(space: AlphabetSpec, poset: Poset, omega: WeightFunction):
     """Equal (level, weight) pairs must carry equal block dimensions."""
-    seen: dict[tuple[int, Fraction], tuple[str, int]] = {}
-    for label in poset.elements:
-        key = (poset.level(label), omega.of(label))
+    weights = omega.scaled(poset.elements)
+    seen: dict[tuple[int, int], tuple[str, int]] = {}
+    for label, level, w in zip(poset.elements, poset._levels, weights):
         k = space.dim_of(label)
-        if key in seen and seen[key][1] != k:
-            return False, (seen[key][0], label)
-        seen.setdefault(key, (label, k))
+        first, dim = seen.setdefault((level, w), (label, k))
+        if dim != k:
+            return False, (first, label)
     return True, None
 
 
 def _level_dims(space: AlphabetSpec, poset: Poset):
-    for level in poset.level_sets():
-        dims = {space.dim_of(l) for l in level}
-        if len(dims) > 1:
-            return False, tuple(sorted(level))
+    for level in poset._level_masks:
+        labels = [poset.elements[i] for i in set_bits(level)]
+        if len({space.dim_of(l) for l in labels}) > 1:
+            return False, tuple(sorted(labels))
     return True, None
 
 

@@ -212,6 +212,11 @@ class Poset(Value):
         return tuple(masks)
 
     @cached_property
+    def _label_maps(self) -> dict:
+        """isometries.admissible_lams' results, kept with the poset."""
+        return {}
+
+    @cached_property
     def _ideals(self) -> tuple[frozenset[str], ...]:
         return tuple(map(self._labels, self._ideal_masks))
 
@@ -226,25 +231,29 @@ class Poset(Value):
         """Largest size of a chain having this label as its greatest element."""
         return self._levels[self.index(label)]
 
+    @cached_property
+    def _level_masks(self) -> tuple[int, ...]:
+        """The mask of each level, bottom level first."""
+        masks = [0] * max(self._levels, default=0)
+        for i, l in enumerate(self._levels):
+            masks[l - 1] |= 1 << i
+        return tuple(masks)
+
     def level_sets(self) -> tuple[frozenset[str], ...]:
         """Partition of the labels by level, bottom level first."""
-        levels = self._levels
-        return tuple(
-            frozenset(e for e, l in zip(self.elements, levels) if l == r)
-            for r in range(1, max(levels) + 1)
-        )
+        return tuple(map(self._labels, self._level_masks))
 
     def hierarchy_violation(self) -> Optional[tuple[str, str]]:
         """The first pair (u, v) in row-major order with level(u)+1 <= level(v)
         but u not below v, or None."""
-        levels = self._levels
-        level_masks = [0] * (max(levels) + 1)
-        for i, l in enumerate(levels):
-            level_masks[l] |= 1 << i
-        # lower[r]: the elements on a level below r; missing[j]: the elements
-        # on a lower level than j that are not below j
-        lower = list(itertools.accumulate(level_masks, operator.or_, initial=0))
-        missing = [lower[l] & ~down for l, down in zip(levels, self._down)]
+        return self._hierarchy_violation
+
+    @cached_property
+    def _hierarchy_violation(self) -> Optional[tuple[str, str]]:
+        # lower[k]: the elements on the lowest k levels; missing[j]: the
+        # elements on a lower level than j that are not below j
+        lower = list(itertools.accumulate(self._level_masks, operator.or_, initial=0))
+        missing = [lower[l - 1] & ~down for l, down in zip(self._levels, self._down)]
         if not any(missing):
             return None
         i = min(next(set_bits(m)) for m in missing if m)

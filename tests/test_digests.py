@@ -14,6 +14,8 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -88,6 +90,33 @@ def test_baseline_covers_every_command():
 @pytest.mark.parametrize("argv", command_lines(), ids=" ".join)
 def test_report_digest_unchanged(argv):
     assert run_command(argv) == _baseline()[" ".join(argv)]
+
+
+# Six unrelated planes over F_2, weights 1 on a-c and 2 on d-f: both weight
+# classes of the one level break the level class bound, and the witness is
+# the class of the first label in position order.
+TWO_CLASS_LEVEL = {
+    "q": 2,
+    "poset": {"elements": list("abcdef"), "covers": []},
+    "omega": {label: "1" if label in "abc" else "2" for label in "abcdef"},
+    "dims": {label: 2 for label in "abcdef"},
+}
+
+
+def test_report_digest_is_independent_of_the_hash_seed(tmp_path):
+    path = tmp_path / "two_class_level.json"
+    path.write_text(json.dumps(TWO_CLASS_LEVEL))
+    reports = []
+    for seed in ("0", "2"):  # seed 2 once named the weight-2 class
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(ROOT / "src")}
+        run = subprocess.run(
+            [sys.executable, "-m", "posetmetrics.cli", "mep", "--instance", str(path), "--json"],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        reports.append(json.loads(run.stdout))
+    first, second = reports
+    assert first["results"]["predicate"]["trace"]["bound_witness"] == [1, "1", ["a", "b", "c"]]
+    assert first["report_digest"] == second["report_digest"]
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Structured isometries: weight keys, enumeration, oracle agreement, decomposition."""
 
 import itertools
+import operator
 from fractions import Fraction
 
 import pytest
@@ -8,12 +9,17 @@ from hypothesis import given, settings, strategies as st
 
 from posetmetrics import fields, isometries
 from posetmetrics.acceptance import _group_grid, _labeled_posets, _omega_variants
-from posetmetrics.errors import BoundExceeded, PropertyViolation, ValidationError
+from posetmetrics.errors import (
+    BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError, count_text,
+)
 from posetmetrics.isometries import (
     ACTION_TABLE_BOUND,
+    GROUP_BOUND,
     Isometry,
     _invertible_index_perms,
+    _order_factors,
     admissible_automorphisms,
+    admissible_lams,
     brute_force_isometries,
     build_isometry,
     decompose,
@@ -25,8 +31,10 @@ from posetmetrics.isometries import (
     weight_isometry_group,
     weight_sum_functional,
 )
-from posetmetrics.mep import SpaceIndex, mep_brute_force
-from posetmetrics.posets import Poset, WeightFunction, compose_perms, invert_perm, powers_of_two_weight
+from posetmetrics.mep import SpaceIndex, extend_to_isometry, mep_brute_force
+from posetmetrics.posets import (
+    Poset, WeightFunction, compose_perms, invert_perm, powers_of_two_weight, set_bits,
+)
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
 from helpers import apply_perm, closure_key, key_for, value_for
@@ -199,6 +207,141 @@ class TestAdmissible:
         message = "^functional filter of 2 automorphisms over 4 ideals exceeds the bound 7$"
         with pytest.raises(BoundExceeded, match=message):
             admissible_automorphisms(ANTI2, SP21, key)
+
+
+def _ideal_filter(poset, space, key):
+    """The admissible label maps with the key compared on every ideal mask,
+    the path the principal-ideal filter of admissible_automorphisms replaced."""
+    masks, dims = poset._ideal_masks, space.dims
+    keys = list(map(key, masks))
+
+    def preserved(perm):
+        bits = [1 << t for t in perm]
+        images = (sum(map(bits.__getitem__, set_bits(mask))) for mask in masks)
+        return all(map(operator.eq, map(key, images), keys))
+
+    autos = (p for p in poset.automorphisms() if all(dims[p[i]] == dims[i] for i in range(len(p))))
+    return tuple(filter(preserved, autos))
+
+
+def _two_walk_lams(space, poset, key, bound):
+    """admissible_lams with no memo: the order factors walked once before the
+    ideal filter and once after it, kept as the oracle of the memoized path."""
+
+    def check(lam_count):
+        orders = itertools.accumulate(_order_factors(space, poset, lam_count, bound), operator.mul)
+        order = next((order for order in orders if order > bound), None)
+        if order is not None:
+            raise GroupBoundExceeded(
+                f"isometry group order reaches {count_text(order)}, over the bound {bound}"
+            )
+
+    check(1)
+    lams = _ideal_filter(poset, space, key)
+    check(len(lams))
+    return lams
+
+
+def _outcome(call, *args):
+    """A call's result, or its exception's class and message."""
+    try:
+        return call(*args)
+    except BoundExceeded as error:
+        return type(error), str(error)
+
+
+def _fresh(poset):
+    """An equal poset with no cached tables."""
+    return Poset(poset.elements, poset.leq)
+
+
+class TestPrincipalIdealFilter:
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 1, 2)])
+    def test_equal_to_the_ideal_filter(self, dims):
+        # every labeled poset up to 4 elements: unit, doubling and rational
+        # weights, two rational weightings with ties, and the closure key
+        swaps = 0
+        for size in (1, 2, 3, 4):
+            for poset in _labeled_posets(size):
+                space = AlphabetSpec(F2, poset.elements, dims[:size])
+                halves = tuple(Fraction(t % 2 * 2 + 1, 2) for t in range(size))
+                omegas = _omega_variants(poset) + [WeightFunction(poset.elements, halves)]
+                keys = [weight_sum_functional(poset, omega) for omega in omegas] + [closure_key]
+                for key in keys:
+                    filtered = admissible_automorphisms(poset, space, key)
+                    assert filtered == _ideal_filter(poset, space, key)
+                    swaps += len(filtered) > 1
+        assert swaps > 0
+
+
+class TestLabelMapMemo:
+    def test_weightings_and_dims_get_their_own_label_maps(self):
+        anti = _fresh(ANTI2)
+        swap = ((0, 1), (1, 0))
+        distinct = WeightFunction.from_map({"1": 1, "2": 2})
+        mixed = AlphabetSpec(F2, ("1", "2"), (1, 2))
+        runs = [(SP21, ONES2, swap), (SP21, distinct, ((0, 1),)), (mixed, ONES2, ((0, 1),))]
+        for _ in range(2):  # the second round reads the memo
+            for space, omega, lams in runs:
+                key = weight_sum_functional(anti, omega)
+                assert admissible_lams(space, anti, key, GROUP_BOUND) == lams
+        assert len(anti._label_maps) == 3
+
+    def test_a_refusal_is_not_kept(self):
+        chain = _fresh(CHAIN2)
+        key = key_for(chain, None, "support")
+        message = r"^isometry group order reaches 2, over the bound 1$"
+        with pytest.raises(GroupBoundExceeded, match=message):
+            admissible_lams(SP21, chain, key, 1)
+        assert chain._label_maps == {}
+        assert admissible_lams(SP21, chain, key, GROUP_BOUND) == ((0, 1),)
+        with pytest.raises(GroupBoundExceeded, match=message):
+            admissible_lams(SP21, chain, key, 1)
+
+    @pytest.mark.parametrize("shape", ["anti3", "vee-f3", "plane-below-line"])
+    def test_every_bound_answers_as_the_two_walks(self, shape):
+        # each bound from 0 past the order: the label maps or the same
+        # refusal, from a fresh poset and from one whose memo holds the maps
+        anti3 = Poset.antichain(tuple("abc"))
+        vee = Poset.from_covers(tuple("abc"), [("a", "b"), ("a", "c")])
+        poset, space = {
+            "anti3": (anti3, AlphabetSpec.uniform(F2, anti3.elements, 1)),
+            "vee-f3": (vee, AlphabetSpec.uniform(F3, vee.elements, 1)),
+            "plane-below-line": (CHAIN2, AlphabetSpec(F2, CHAIN2.elements, (2, 1))),
+        }[shape]
+        key = weight_sum_functional(poset, WeightFunction.ones(poset.elements))
+        order = group_order(space, poset, len(_two_walk_lams(space, poset, key, GROUP_BOUND)))
+        memoized = _fresh(poset)
+        admissible_lams(space, memoized, key, GROUP_BOUND)
+        for bound in range(order + 2):
+            expected = _outcome(_two_walk_lams, space, poset, key, bound)
+            assert _outcome(admissible_lams, space, _fresh(poset), key, bound) == expected
+            assert _outcome(admissible_lams, space, memoized, key, bound) == expected
+
+    def test_refusals_before_a_power_is_formed_answer_as_the_two_walks(self):
+        # a 65-dim block over F_2: GL_65 has a factor 2^65 - 2^64, so under
+        # 2^64 the power is refused before it is formed
+        space = AlphabetSpec(F2, CHAIN2.elements, (65, 1))
+        key = key_for(CHAIN2, None, "support")
+        memoized = _fresh(CHAIN2)
+        admissible_lams(space, memoized, key, 1 << 5000)
+        for bound in (1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 4500, 1 << 5000):
+            expected = _outcome(_two_walk_lams, space, CHAIN2, key, bound)
+            assert _outcome(admissible_lams, space, _fresh(CHAIN2), key, bound) == expected
+            assert _outcome(admissible_lams, space, memoized, key, bound) == expected
+
+    def test_extension_after_the_scan_runs_no_filter(self, monkeypatch):
+        anti3 = Poset.antichain(tuple("abc"))
+        space = AlphabetSpec.uniform(F2, anti3.elements, 2)
+        omega = WeightFunction.ones(anti3.elements)
+        code, images = mep_brute_force(space, anti3, omega, max_dim=2).counterexample
+
+        def unreachable(*args):
+            raise AssertionError("the automorphism filter ran again")
+
+        monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
+        assert extend_to_isometry(space, anti3, omega, code, images) is None
+        assert extend_to_isometry(space, anti3, omega, code, code.basis) is not None
 
 
 def paste_matrix(iso):

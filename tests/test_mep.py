@@ -33,6 +33,7 @@ from posetmetrics.mep import (
     _first_unreachable_map,
     _holds_on,
     _levels,
+    _orbit_spans,
     canonical_decomposition,
     condition_report,
     extend_to_isometry,
@@ -566,6 +567,53 @@ class TestOrbitReducedScan:
         monkeypatch.setattr(mep, "_holds_on", leaf_search)
         assert mep_brute_force(space, poset, omega, max_dim=max_dim) == verdict
         assert 2 * pruned <= len(calls)  # 427 against 2396 when this test was written
+
+
+def _movers_marking(columns, basis_idx, span):
+    """A held code's orbit marked with one group element per distinct
+    basis-image tuple, kept as the oracle of _orbit_spans."""
+    movers = dict(zip(zip(*(columns[b] for b in basis_idx)), zip(*columns)))
+    return {frozenset(map(p.__getitem__, span)) for p in movers.values()}
+
+
+class TestHeldOrbitOracle:
+    @staticmethod
+    def _marked_codes(monkeypatch, space, poset, omega, mode="weight", max_dim=None) -> int:
+        """Scan with every held code's marking checked against the movers
+        oracle: equal spans per code, so equal held sets after every code."""
+        bases, held, oracle = [], set(), set()
+
+        def deciding(si, basis_idx, columns):
+            bases.append(basis_idx)
+            return _holds_on(si, basis_idx, columns)
+
+        def marking(columns, span):
+            spans = set(_orbit_spans(columns, span))
+            held.update(spans)
+            oracle.update(_movers_marking(columns, bases[-1], span))
+            assert held == oracle
+            return spans
+
+        monkeypatch.setattr(mep, "_holds_on", deciding)
+        monkeypatch.setattr(mep, "_orbit_spans", marking)
+        verdict = mep_brute_force(space, poset, omega, mode=mode, max_dim=max_dim)
+        monkeypatch.undo()
+        assert verdict == mep_brute_force(space, poset, omega, mode=mode, max_dim=max_dim)
+        return len(bases) - (not verdict.holds)
+
+    def test_small_grid(self, monkeypatch):
+        marked = sum(
+            self._marked_codes(monkeypatch, space, poset, omega, mode)
+            for space, poset, omega, mode in _small_grid()
+        )
+        assert marked == 2038  # held codes over the 276 scans
+
+    @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
+    def test_large_shapes(self, monkeypatch, poset, dims, max_dim, orbits):
+        space = AlphabetSpec(F2, poset.elements, dims)
+        omega = WeightFunction.ones(poset.elements)
+        marked = self._marked_codes(monkeypatch, space, poset, omega, max_dim=max_dim)
+        assert marked == (orbits if dims != (2, 2, 2) else orbits - 1)
 
 
 class TestStabilizerDecision:
