@@ -258,8 +258,8 @@ def _fresh(poset):
 class TestPrincipalIdealFilter:
     @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (1, 2, 1, 2)])
     def test_equal_to_the_ideal_filter(self, dims):
-        # every labeled poset up to 4 elements: unit, doubling and rational
-        # weights, two rational weightings with ties, and the closure key
+        # every labeled poset up to 4 elements: unit, doubling and two
+        # rational weightings, and the closure key
         swaps = 0
         for size in (1, 2, 3, 4):
             for poset in _labeled_posets(size):
