@@ -173,6 +173,7 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
     """Structured enumeration equals the brute-force group; the label-map
     projection is a homomorphism with the support group as kernel."""
     from .isometries import (
+        _invertible_index_perms,
         brute_force_isometries,
         support_isometry_group,
         weight_automorphisms,
@@ -180,7 +181,6 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
         weight_sum_functional,
     )
     from .fields import vec_index
-    from .mep import SpaceIndex
     from .posets import compose_perms, invert_perm
 
     instances = _group_grid()
@@ -196,9 +196,11 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
                 f" ({len(struct_set)} structured vs {len(brute)} brute)"
             )
         # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared,
-        # composed and inverted as permutations of the indexed vectors
-        si = SpaceIndex(space, poset, key)
-        perm_of = si.perm_of_matrix
+        # composed and inverted as permutations of the indexed vectors, read
+        # off the action table the oracle has just built; a matrix outside it
+        # reads None and fails a comparison below
+        n = space.total_dim
+        perm_of = dict(zip(*_invertible_index_perms(q, n))).get
         pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
         to_lam = dict(pairs)
         admissible = set(weight_automorphisms(poset, space, omega))
@@ -220,9 +222,8 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
                     return False, "label map is not multiplicative"
         # composing both sides in the wrong order would still pass the loop
         # above, so products with one fixed b != 1 are replayed on unit vectors
-        n = space.total_dim
         units = [tuple(int(s == t) for s in range(n)) for t in range(n)]
-        fixed = tuple(range(len(si.vectors)))
+        fixed = tuple(range(q**n))
         moved = [(iso, p) for iso, (p, _) in zip(structured, pairs) if p != fixed]
         if moved:
             b, perm_b = moved[0]

@@ -6,9 +6,9 @@ square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The structured form is stored; the full
 N x N matrix is built on first use and kept on the isometry.  The MEP layer
 builds the group's permutations of the indexed vectors from its semidirect
-factors without any matrix (`mep._indexed_group`); criterion 4 turns
-matrices into permutations with `mep.SpaceIndex.perm_of_matrix`, and
-matrices serve reports and the oracles.
+factors without any matrix (`mep._indexed_group`); criterion 4 reads the
+permutations of matrices off the brute-force oracle's action table
+(`_invertible_index_perms`), and matrices serve reports and the oracles.
 
 The same machinery runs for any integer key on ideal masks (bit t for
 poset.elements[t]).  `weight_sum_functional` gives the (P, omega)-weight of
@@ -35,7 +35,7 @@ from .posets import (
     SCAN_BOUND, Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits,
     weight_preserving_automorphisms,
 )
-from .spaces import AlphabetSpec, support_classes
+from .spaces import VECTOR_BOUND, AlphabetSpec, support_classes
 
 # An int per ideal mask; the scans compare vectors by the keys of their closures.
 # Every key is an additive weight sum over the mask's labels (the closure key
@@ -128,7 +128,8 @@ class Isometry(Value):
         if self._matrix is None:
             bounds = self.space._block_bounds
             starts = [bounds[label][0] for label in self.poset.elements]
-            rows = [[0] * self.space.total_dim for _ in range(self.space.total_dim)]
+            n = self.space.total_dim
+            rows = [[0] * n for _ in range(n)]
             for i, block in enumerate(self.diag):
                 c0 = starts[i]
                 for r, row in enumerate(block, starts[self.lam[i]]):
@@ -388,6 +389,8 @@ def decompose(space: AlphabetSpec, poset: Poset, matrix: Matrix, key: Key) -> Is
     n = space.total_dim
     if len(matrix) != n or not fields.is_invertible(q, matrix):
         raise PropertyViolation("matrix is not an automorphism of the space")
+    if space.vectors_over(VECTOR_BOUND):  # the replay below visits every vector
+        raise BoundExceeded(f"space of {space.vector_count_text} vectors exceeds {VECTOR_BOUND}")
     values = support_classes(space, poset, key)
     for vec, value in zip(space.vectors(), values):
         if values[fields.vec_index(q, fields.mat_vec(q, matrix, vec))] != value:

@@ -11,7 +11,8 @@ closure is the weight with doubling weights, whose key is the mask itself),
 and the scan and the orbit check see each group element only as the
 permutation it induces on the indexed vectors.  `_indexed_group` composes
 those permutations from the group's semidirect factors, with no `Isometry`
-and no matrix.
+and no matrix.  Spans read one addition table (xor at q = 2), and the
+multiples c b of a basis vector are b added c times.
 
 A code is decided on the stabilizer chain of its basis (`_holds_on`): only
 the images of the identity prefix at each level are looked at, a level whose
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
     count_text,
 )
-from .fields import Matrix, Vector
+from .fields import Vector
 from .isometries import (
     GROUP_BOUND,
     Isometry,
@@ -62,7 +63,7 @@ ADD_TABLE_BOUND = 1 << 20
 
 
 class SpaceIndex:
-    """Dense int index of a small space: add/scale tables and per-vector value classes.
+    """Dense int index of a small space: an addition table and per-vector value classes.
 
     values[t] is the class id of vector t: two vectors share an id exactly
     when the key gives their closure masks equal ints, so preservation
@@ -86,21 +87,13 @@ class SpaceIndex:
         for t, c in enumerate(self.values):
             self.classes[c].append(t)
         # Index t spells vector t in base-q digits, most significant first, and
-        # scaling and adding act digit by digit, so the tables grow one digit
-        # at a time: prefix index p and digit d make index p * q + d.
-        n = space.total_dim
+        # adding acts digit by digit, so the table grows one digit at a time:
+        # prefix index p and digit d make index p * q + d.
         if q == 2:
-            self.scale_table = [[0] * count, list(range(count))]  # c v is 0 or v
             self._add_table = None  # add is xor of the digit strings
         else:
-            self.scale_table = []
-            for c in range(q):
-                row = [0]
-                for _ in range(n):
-                    row = [s * q + c * d % q for s in row for d in range(q)]
-                self.scale_table.append(row)
             table = [[0]]
-            for _ in range(n):
+            for _ in range(space.total_dim):
                 table = [[s * q + (x + y) % q for s in row for y in range(q)]
                          for row in table for x in range(q)]
             self._add_table = table
@@ -113,20 +106,14 @@ class SpaceIndex:
         """
         add_table = self._add_table
         for b in basis:
-            scaled = [row[b] for row in self.scale_table]
             if add_table is None:
-                spans = [s ^ sc for s in spans for sc in scaled]
+                spans = [s ^ sc for s in spans for sc in (0, b)]
             else:
+                plus_b, scaled = add_table[b], [0]  # the multiples c b, c = 0..q-1
+                for _ in range(self.q - 1):
+                    scaled.append(plus_b[scaled[-1]])
                 spans = [row[sc] for row in map(add_table.__getitem__, spans) for sc in scaled]
         return list(spans)
-
-    def perm_of_matrix(self, matrix: Matrix) -> tuple[int, ...]:
-        """Index permutation of a matrix, spanned from its column images.
-
-        Vector t has coordinates equal to its base-q digits, most significant
-        first, so its image is the span entry of the columns at t.
-        """
-        return tuple(self.span_indices([fields.vec_index(self.q, col) for col in zip(*matrix)]))
 
 
 class MepVerdict(Value):

@@ -4,7 +4,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from posetmetrics import lattices, posets, spaces
+from posetmetrics import fields, lattices, posets, spaces
 from posetmetrics.isometries import weight_sum_functional
 from posetmetrics.posets import Perm, powers_of_two_weight
 
@@ -43,6 +43,17 @@ def subspace_lattice_oracle(q: int, k: int) -> lattices.FiniteLattice:
     space = spaces.AlphabetSpec(spaces.FieldSpec(q), ("x",), (k,))
     members = [frozenset(code.codewords()) for code in spaces.enumerate_codes(space)]
     return lattices.FiniteLattice.from_sets(list(space.vectors()), members)
+
+
+def perm_of_matrix(si, matrix) -> tuple:
+    """Index permutation of a matrix under a mep.SpaceIndex, spanned from its
+    column images: the matrix oracle of the permutations the scan composes
+    and of the action table criterion 4 reads.
+
+    Vector t has coordinates equal to its base-q digits, most significant
+    first, so its image is the span entry of the columns at t.
+    """
+    return tuple(si.span_indices([fields.vec_index(si.q, col) for col in zip(*matrix)]))
 
 
 def closure_key(mask: int) -> int:

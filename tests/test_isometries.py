@@ -3,6 +3,7 @@
 import itertools
 import operator
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,7 +38,7 @@ from posetmetrics.posets import (
 )
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
-from helpers import apply_perm, closure_key, key_for, value_for
+from helpers import apply_perm, closure_key, key_for, perm_of_matrix, value_for
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -602,6 +603,22 @@ class TestDecompose:
         with pytest.raises(PropertyViolation, match=r"^functional not preserved at \(0, 1\)$"):
             decompose(SP21, CHAIN2, bad, key)
 
+    def test_space_over_the_vector_bound_is_refused_before_the_replay(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("the replay started")
+
+        monkeypatch.setattr(isometries, "support_classes", unreachable)
+        one = Poset.chain(("a",))
+        key = weight_sum_functional(one, WeightFunction.ones(("a",)))
+        big = AlphabetSpec(F2, ("a",), (17,))
+        with pytest.raises(PropertyViolation, match="^matrix is not an automorphism"):
+            decompose(big, one, fields.identity_matrix(16), key)  # the shape check comes first
+        with pytest.raises(BoundExceeded, match=r"^space of 131072 vectors exceeds 65536$"):
+            decompose(big, one, fields.identity_matrix(17), key)
+        at_bound = AlphabetSpec(F2, ("a",), (16,))
+        with pytest.raises(AssertionError, match="^the replay started$"):
+            decompose(at_bound, one, fields.identity_matrix(16), key)
+
 
 class TestPermutationAction:
     """The index permutation of a product is the composite and that of an
@@ -619,7 +636,7 @@ class TestPermutationAction:
     def test_products_and_inverses_match_mat_mul_and_mat_inv(self, q, poset, dims, order):
         space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        perm_of = SpaceIndex(space, poset, weight_sum_functional(poset, omega)).perm_of_matrix
+        perm_of = partial(perm_of_matrix, SpaceIndex(space, poset, weight_sum_functional(poset, omega)))
         group = weight_isometry_group(space, poset, omega)
         perms = {iso.matrix: perm_of(iso.matrix) for iso in group}
         assert len(perms) == len(set(perms.values())) == order  # the action is faithful
