@@ -173,8 +173,8 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
     """Structured enumeration equals the brute-force group; the label-map
     projection is a homomorphism with the support group as kernel."""
     from .isometries import (
-        _invertible_index_perms,
         brute_force_isometries,
+        invertible_index_perms,
         support_isometry_group,
         weight_automorphisms,
         weight_isometry_group,
@@ -196,11 +196,10 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
                 f" ({len(struct_set)} structured vs {len(brute)} brute)"
             )
         # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared,
-        # composed and inverted as permutations of the indexed vectors, read
-        # off the action table the oracle has just built; a matrix outside it
-        # reads None and fails a comparison below
+        # composed and inverted as permutations of the indexed vectors (None
+        # for a matrix outside the oracle's cached table fails a check below)
         n = space.total_dim
-        perm_of = dict(zip(*_invertible_index_perms(q, n))).get
+        perm_of = invertible_index_perms(q, n).get
         pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
         to_lam = dict(pairs)
         admissible = set(weight_automorphisms(poset, space, omega))

@@ -8,7 +8,7 @@ N x N matrix is built on first use and kept on the isometry.  The MEP layer
 builds the group's permutations of the indexed vectors from its semidirect
 factors without any matrix (`mep._indexed_group`); criterion 4 reads the
 permutations of matrices off the brute-force oracle's action table
-(`_invertible_index_perms`), and matrices serve reports and the oracles.
+(`invertible_index_perms`), and matrices serve reports and the oracles.
 
 The same machinery runs for any integer key on ideal masks (bit t for
 poset.elements[t]).  `weight_sum_functional` gives the (P, omega)-weight of
@@ -324,14 +324,14 @@ ACTION_TABLE_BOUND = 1 << 22
 
 
 @lru_cache(maxsize=8)
-def _invertible_index_perms(q: int, n: int) -> tuple[tuple[Matrix, ...], tuple[tuple[int, ...], ...]]:
-    """Invertible matrices with their action on lexicographically indexed vectors.
+def invertible_index_perms(q: int, n: int) -> dict[Matrix, tuple[int, ...]]:
+    """Each invertible matrix, in `fields` order, mapped to its action on indexed vectors.
 
     The image of v has index sum_r q^(n-1-r) (row_r . v mod q), summed row by
     row from one dot table per row; matrices sharing leading rows share those sums."""
     matrices = fields.invertible_matrices(q, n)
     if n == 0:
-        return matrices, ((0,),)
+        return dict.fromkeys(matrices, (0,))
     vectors = list(itertools.product(range(q), repeat=n))
     dots = {w: [sum(map(operator.mul, w, v)) % q for v in vectors] for w in vectors}
     perms: list[tuple[int, ...]] = []
@@ -345,7 +345,7 @@ def _invertible_index_perms(q: int, n: int) -> tuple[tuple[Matrix, ...], tuple[t
             walk(sub, r + 1, [(s + d) * q for s, d in zip(scaled, dots[row])])
 
     walk(matrices, 0, [0] * len(vectors))
-    return matrices, tuple(perms)
+    return dict(zip(matrices, perms))
 
 
 def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[Matrix]:
@@ -365,13 +365,13 @@ def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[
         raise BoundExceeded(
             f"{table} has {count_text(entries)} entries, over the bound {ACTION_TABLE_BOUND}"
         )
-    matrices, perms = _invertible_index_perms(q, n)
+    perms = invertible_index_perms(q, n)
     values = support_classes(space, poset, key)
     # perm[t] is the index of the image of vector t; the scan of a matrix
     # stops at the first vector whose class it moves
     return [
         m
-        for m, perm in zip(matrices, perms)
+        for m, perm in perms.items()
         if all(map(operator.eq, map(values.__getitem__, perm), values))
     ]
 

@@ -43,7 +43,7 @@ from .errors import (
     ValidationError,
     count_text,
 )
-from .fields import Vector
+from .fields import Matrix, Vector
 from .isometries import (
     GROUP_BOUND,
     Isometry,
@@ -114,6 +114,10 @@ class SpaceIndex:
                     scaled.append(plus_b[scaled[-1]])
                 spans = [row[sc] for row in map(add_table.__getitem__, spans) for sc in scaled]
         return list(spans)
+
+    def perm_of_matrix(self, matrix: Matrix) -> tuple[int, ...]:
+        """Index permutation of a matrix, the span of its column images: the tests' matrix oracle."""
+        return tuple(self.span_indices([fields.vec_index(self.q, col) for col in zip(*matrix)]))
 
 
 class MepVerdict(Value):

@@ -17,7 +17,7 @@ from posetmetrics.isometries import (
     ACTION_TABLE_BOUND,
     GROUP_BOUND,
     Isometry,
-    _invertible_index_perms,
+    invertible_index_perms,
     _order_factors,
     admissible_automorphisms,
     admissible_lams,
@@ -479,9 +479,9 @@ def mat_vec_perms(q, n, matrices):
 
 def list_compare_isometries(space, poset, key):
     """The brute-force oracle comparing each matrix's whole list of image classes."""
-    matrices, perms = _invertible_index_perms(space.q, space.total_dim)
+    perms = invertible_index_perms(space.q, space.total_dim)
     values = support_classes(space, poset, key)
-    return [m for m, perm in zip(matrices, perms) if [values[p] for p in perm] == values]
+    return [m for m, perm in perms.items() if [values[p] for p in perm] == values]
 
 
 class TestBruteForce:
@@ -532,9 +532,10 @@ class TestBruteForce:
         "q,n", [(q, n) for q in (2, 3, 5, 7) for n in range(5) if q ** (n * n) <= 1 << 16]
     )
     def test_index_perms_equal_mat_vec_action(self, q, n):
-        matrices, perms = _invertible_index_perms(q, n)
-        assert matrices == fields.invertible_matrices(q, n)
-        assert perms == mat_vec_perms(q, n, matrices)
+        perms = invertible_index_perms(q, n)
+        matrices = fields.invertible_matrices(q, n)
+        assert tuple(perms) == matrices
+        assert tuple(perms.values()) == mat_vec_perms(q, n, matrices)
 
     def test_single_coordinate(self):
         space = AlphabetSpec.uniform(F3, ("a",), 1)
