@@ -116,7 +116,11 @@ class SpaceIndex:
         return list(spans)
 
     def perm_of_matrix(self, matrix: Matrix) -> tuple[int, ...]:
-        """Index permutation of a matrix, the span of its column images: the tests' matrix oracle."""
+        """Index permutation of a matrix, spanned from its column images.
+
+        Vector t has coordinates equal to its base-q digits, most significant
+        first, so its image is the span entry of the columns at t.
+        """
         return tuple(self.span_indices([fields.vec_index(self.q, col) for col in zip(*matrix)]))
 
 

@@ -45,19 +45,6 @@ def subspace_lattice_oracle(q: int, k: int) -> lattices.FiniteLattice:
     return lattices.FiniteLattice.from_sets(list(space.vectors()), members)
 
 
-def perm_of_matrix(si, matrix) -> tuple:
-    """Index permutation of a matrix under a mep.SpaceIndex, spanned from its
-    column images: the matrix oracle of the permutations the scan composes
-    and of the action table criterion 4 reads.
-
-    Vector t has coordinates equal to its base-q digits, most significant
-    first, so its image is the span entry of the columns at t.  The span is
-    `SpaceIndex.perm_of_matrix`, which stays in the package while
-    bench/tracing.py traces it; its body moves here when that target goes.
-    """
-    return si.perm_of_matrix(matrix)
-
-
 def closure_key(mask: int) -> int:
     """The support-closure key with no weights: each ideal mask is its own key."""
     return mask

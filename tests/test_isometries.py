@@ -3,7 +3,6 @@
 import itertools
 import operator
 from fractions import Fraction
-from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -38,7 +37,7 @@ from posetmetrics.posets import (
 )
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
-from helpers import apply_perm, closure_key, key_for, perm_of_matrix, value_for
+from helpers import apply_perm, closure_key, key_for, value_for
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -637,7 +636,7 @@ class TestPermutationAction:
     def test_products_and_inverses_match_mat_mul_and_mat_inv(self, q, poset, dims, order):
         space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        perm_of = partial(perm_of_matrix, SpaceIndex(space, poset, weight_sum_functional(poset, omega)))
+        perm_of = SpaceIndex(space, poset, weight_sum_functional(poset, omega)).perm_of_matrix
         group = weight_isometry_group(space, poset, omega)
         perms = {iso.matrix: perm_of(iso.matrix) for iso in group}
         assert len(perms) == len(set(perms.values())) == order  # the action is faithful

@@ -54,7 +54,7 @@ from posetmetrics.spaces import (
     weight,
 )
 
-from helpers import closure_key, key_for, linear_maps, perm_of_matrix
+from helpers import closure_key, key_for, linear_maps
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -256,7 +256,7 @@ class TestBacktrackingScanOracle:
                 group = enumerate_group(space, poset, key_for(poset, omega, mode))
                 perms = []
                 for iso in group:
-                    perms.append(perm_of_matrix(si, iso.matrix))
+                    perms.append(si.perm_of_matrix(iso.matrix))
                     assert perms[-1] == _mat_vec_perm(si, iso.matrix)
                 verdict = mep_brute_force(space, poset, omega, mode=mode)
                 assert verdict == _product_scan(space, poset, omega, mode, perms)
@@ -269,7 +269,7 @@ class TestBacktrackingScanOracle:
         omega = WeightFunction.ones(chain.elements)
         si = SpaceIndex(space, chain, key_for(chain, omega, "weight"))
         group = enumerate_group(space, chain, key_for(chain, omega, "weight"))
-        perms = [perm_of_matrix(si, iso.matrix) for iso in group]
+        perms = [si.perm_of_matrix(iso.matrix) for iso in group]
         with pytest.raises(BoundExceeded, match="^64 candidate maps at dimension 2"):
             _product_scan(space, chain, omega, "weight", perms, map_bound=63)
         with pytest.raises(
@@ -285,7 +285,7 @@ def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_b
     si = SpaceIndex(space, poset, key)
     group = enumerate_group(space, poset, key)
     # columns[t][g] is the image of vector t under the g-th group element
-    columns = list(zip(*(perm_of_matrix(si, iso.matrix) for iso in group)))
+    columns = list(zip(*(si.perm_of_matrix(iso.matrix) for iso in group)))
     count = len(si.vectors)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
@@ -340,7 +340,7 @@ def _oracle_perms(space, poset, key):
     """The group's index permutations from its matrices, the path that
     _indexed_group replaced."""
     si = SpaceIndex(space, poset, key)
-    return [perm_of_matrix(si, iso.matrix) for iso in enumerate_group(space, poset, key)]
+    return [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, key)]
 
 
 class TestIndexedGroup:
