@@ -167,6 +167,7 @@ def cmd_isometries(args) -> tuple[dict, int]:
     from .isometries import (
         GROUP_BOUND,
         brute_force_isometries,
+        check_action_table,
         support_isometry_group,
         weight_automorphisms,
         weight_isometry_group,
@@ -175,6 +176,8 @@ def cmd_isometries(args) -> tuple[dict, int]:
 
     inst = load_instance(args.instance)
     bound = GROUP_BOUND if args.bound is None else args.bound
+    if args.brute_force:  # the oracle's refusal comes before the group is listed
+        check_action_table(inst.space)
     try:
         group = weight_isometry_group(inst.space, inst.poset, inst.omega, bound=bound)
         admissible = weight_automorphisms(inst.poset, inst.space, inst.omega)

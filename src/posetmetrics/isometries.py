@@ -348,15 +348,9 @@ def invertible_index_perms(q: int, n: int) -> dict[Matrix, tuple[int, ...]]:
     return dict(zip(matrices, perms))
 
 
-def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[Matrix]:
-    """All invertible N x N matrices preserving the key of the support closure.
-
-    An oracle for small spaces only.  The |GL_N(F_q)| * q^N entries of the
-    action table are checked against ACTION_TABLE_BOUND before any matrix is
-    built.  The matrix actions on indexed vectors are cached.
-    """
-    q = space.q
-    n = space.total_dim
+def check_action_table(space: AlphabetSpec) -> None:
+    """Refuse an oracle action table of over ACTION_TABLE_BOUND entries."""
+    q, n = space.q, space.total_dim
     table = f"the action table of GL_{n}(F_{q}) on F_{q}^{n}"
     if n >= ACTION_TABLE_BOUND.bit_length():  # q^N alone is over the bound
         raise BoundExceeded(f"{table} has over 2^{n} entries, over the bound {ACTION_TABLE_BOUND}")
@@ -365,7 +359,16 @@ def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[
         raise BoundExceeded(
             f"{table} has {count_text(entries)} entries, over the bound {ACTION_TABLE_BOUND}"
         )
-    perms = invertible_index_perms(q, n)
+
+
+def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[Matrix]:
+    """All invertible N x N matrices preserving the key of the support closure.
+
+    An oracle for small spaces only: `check_action_table` runs first.  The
+    matrix actions on indexed vectors are cached.
+    """
+    check_action_table(space)
+    perms = invertible_index_perms(space.q, space.total_dim)
     values = support_classes(space, poset, key)
     # perm[t] is the index of the image of vector t; the scan of a matrix
     # stops at the first vector whose class it moves

@@ -52,6 +52,7 @@ from .isometries import (
     _strict_pairs,
     admissible_lams,
     build_isometry,
+    group_order,
     weight_sum_functional,
 )
 from .posets import Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
@@ -60,6 +61,8 @@ from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, sup
 
 # The most entries of a q != 2 addition table (q = 2 adds by xor).
 ADD_TABLE_BOUND = 1 << 20
+# The most entries |G| x q^N of the group's listed index permutations.
+GROUP_TABLE_BOUND = 1 << 27
 
 
 class SpaceIndex:
@@ -309,6 +312,9 @@ def _indexed_group(
     """
     si = SpaceIndex(space, poset, key)
     lams = admissible_lams(space, poset, key, GROUP_BOUND)
+    entries = group_order(space, poset, len(lams)) * len(si.vectors)
+    if entries > GROUP_TABLE_BOUND:
+        raise BoundExceeded(f"group index table of {entries} entries exceeds {GROUP_TABLE_BOUND}")
     q, n = space.q, space.total_dim
     bounds = [space._block_bounds[label] for label in poset.elements]
     # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere

@@ -1,14 +1,15 @@
 """Finite posets on a labeled coordinate set, with exact rational weights.
 
-A poset's value is a tuple of distinct labels plus the full order relation
-as a boolean matrix (row i, column j means elements[i] is below elements[j]);
-those two fields alone make its eq, hash and repr.  Construction also keeps a
-label -> position dict and a down-set and an up-set mask per element (bit i
-of down-set j is set when elements[i] <= elements[j]).  Validation, closure,
-ideals, levels, UDP and automorphisms by refinement (McKay & Piperno, J. Symb.
-Comput. 2014) run on those masks (Knuth, TAOCP 4A, 7.1.3) and on integer-scaled
-weights.  Tables are cached on the poset at first use, so they are freed with
-it.  Label sets cross the interface as frozensets, weights as Fractions.
+A poset stores a tuple of distinct labels, a label -> position dict and a
+down-set and an up-set mask per element (bit i of down-set j is set when
+elements[i] <= elements[j]): every constructor builds the masks once and
+validates them once.  Its value is still the labels plus the order as a
+boolean matrix, `leq`, derived from the masks on first read, so eq, hash and
+repr are unchanged.  Closure, ideals, levels, UDP and automorphisms by
+refinement (McKay & Piperno, J. Symb. Comput. 2014) run on the masks (Knuth,
+TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on the
+poset at first use, so they are freed with it.  Label sets cross the
+interface as frozensets, weights as Fractions.
 """
 
 from __future__ import annotations
@@ -94,12 +95,10 @@ def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
 
 class Poset(Value):
     # _pos maps a label to its position; _down[j] and _up[j] are the masks of
-    # the elements below and above elements[j]
+    # the elements below and above elements[j], the only stored relation
     __match_args__ = ("elements", "leq")
 
     def __init__(self, elements: tuple[str, ...], leq: tuple[tuple[bool, ...], ...]) -> None:
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "leq", leq)
         n = len(elements)
         pos = {e: i for i, e in enumerate(elements)}
         if len(pos) != n:
@@ -107,25 +106,42 @@ class Poset(Value):
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValidationError("relation matrix shape must match the label count")
         powers = [1 << j for j in range(n)]
-        rows = [sum(itertools.compress(powers, row)) for row in leq]
-        down = [sum(itertools.compress(powers, column)) for column in zip(*leq)]
-        for i, row in enumerate(rows):
+        self._relate(elements, pos, [sum(itertools.compress(powers, row)) for row in leq])
+
+    def _relate(self, elements: tuple, pos: dict, up: list[int], adjacency=None) -> "Poset":
+        """Check the relation with row masks `up`, the one validation behind every
+        constructor, and keep it; given the cover digraph, a cycle of it is named."""
+        down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1) for j in range(len(up))]
+        for i, row in enumerate(up):
             if not row >> i & 1:
                 raise ValidationError(f"relation is not reflexive at {elements[i]!r}")
-        for i, row in enumerate(rows):
+        for i, row in enumerate(up):
             mutual = row & down[i] & ~(1 << i)
+            if mutual and adjacency is not None:
+                names = " < ".join(elements[t] for t in _find_cycle(adjacency))
+                raise ValidationError(f"cover relation contains a cycle: {names}")
             if mutual:
                 raise ValidationError(
                     f"relation is not antisymmetric: {elements[i]!r} and "
                     f"{elements[next(set_bits(mutual))]!r} are mutually comparable"
                 )
-        triple = _intransitive_triple(rows)
+        triple = _intransitive_triple(up)
         if triple is not None:
             i, j, k = (repr(elements[t]) for t in triple)
             raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
+        if len(pos) != len(elements):  # the matrix constructor checks this first
+            raise ValidationError("poset labels must be distinct")
+        object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
-        object.__setattr__(self, "_up", tuple(rows))
+        object.__setattr__(self, "_up", tuple(up))
+        return self
+
+    @cached_property
+    def leq(self) -> tuple[tuple[bool, ...], ...]:
+        """The order as a boolean matrix, built from the masks on first read."""
+        powers = [1 << j for j in range(len(self.elements))]
+        return tuple(tuple([row & p != 0 for p in powers]) for row in self._up)
 
     # -- constructors ------------------------------------------------------
 
@@ -140,24 +156,20 @@ class Poset(Value):
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        rows = [1 << i for i in range(n)]
+        up = [1 << i for i in range(n)]
         for a, b in covers:
             if a not in index or b not in index:
                 raise ValidationError(f"cover ({a!r}, {b!r}) uses an unknown label")
             if a == b:
                 raise ValidationError(f"cover ({a!r}, {b!r}) is reflexive")
             adjacency[index[a]].append(index[b])
-            rows[index[a]] |= 1 << index[b]
-        cycle = _find_cycle(adjacency)
-        if cycle is not None:
-            names = " < ".join(elements[t] for t in cycle)
-            raise ValidationError(f"cover relation contains a cycle: {names}")
-        # Warshall closure, one row mask at a time
+            up[index[a]] |= 1 << index[b]
+        # Warshall closure, one row mask at a time (a cycle becomes a mutual pair)
         for k in range(n):
             for i in range(n):
-                if rows[i] >> k & 1:
-                    rows[i] |= rows[k]
-        return cls(elements, _matrix(rows, n))
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+        return object.__new__(cls)._relate(elements, index, up, adjacency)
 
     @classmethod
     def chain(cls, elements: Sequence[str]) -> "Poset":
@@ -265,7 +277,7 @@ class Poset(Value):
         return self.hierarchy_violation() is None
 
     def dual(self) -> "Poset":
-        return Poset(self.elements, tuple(zip(*self.leq)))
+        return object.__new__(Poset)._relate(self.elements, self._pos, list(self._down))
 
     def automorphisms(self) -> tuple[Perm, ...]:
         """All order automorphisms in lexicographic order, by backtracking.  perm[i]
@@ -283,25 +295,27 @@ class Poset(Value):
             search = f"automorphism search over {count_text(estimate)} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
         candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
+        found: list[Perm] = []
 
-        def extend(perm: Perm, used: int) -> Iterator[Perm]:
+        def extend(perm: Perm, used: int, img: list[int]) -> None:
+            # img[t], img[n + t]: the images of the prefix's elements below, above t;
+            # placing perm[i] = j adds j's bit there for the later t above, below i
             i = len(perm)
             if i == n:
-                yield perm
+                found.append(perm)
                 return
-            below = sum(1 << p for k, p in enumerate(perm) if down[i] >> k & 1)
-            above = sum(1 << p for k, p in enumerate(perm) if up[i] >> k & 1)
+            later = (up[i] >> i + 1) | (down[i] >> i + 1 << n)
             for j in candidates[i]:
-                if not used >> j & 1 and down[j] & used == below and up[j] & used == above:
-                    yield from extend(perm + (j,), used | 1 << j)
+                if not used >> j & 1 and down[j] & used == img[i] and up[j] & used == img[n + i]:
+                    bit, grown = 1 << j, img
+                    if later:
+                        grown = img[:]
+                        for t in set_bits(later):
+                            grown[i + 1 + t] |= bit
+                    extend(perm + (j,), used | bit, grown)
 
-        return tuple(extend((), 0))
-
-
-def _matrix(rows: Sequence[int], n: int) -> tuple[tuple[bool, ...], ...]:
-    """The boolean matrix of a relation given by row masks."""
-    powers = [1 << j for j in range(n)]
-    return tuple(tuple([row & p != 0 for p in powers]) for row in rows)
+        extend((), 0, [0] * 2 * n)
+        return tuple(found)
 
 
 def _find_cycle(adjacency: list[list[int]]) -> Optional[list[int]]:
@@ -354,7 +368,7 @@ class WeightFunction(Value):
         if len(pos) != len(labels):
             raise ValidationError("weight function labels must be distinct")
         for label, value in zip(labels, values):
-            if value <= 0:
+            if value.numerator <= 0:  # a Fraction's denominator is positive
                 raise ValidationError(f"weight of {label!r} must be strictly positive")
         scale = math.lcm(*(v.denominator for v in values))
         scaled = tuple(v.numerator * scale // v.denominator for v in values)
@@ -368,7 +382,7 @@ class WeightFunction(Value):
 
     @classmethod
     def ones(cls, labels: Sequence[str]) -> "WeightFunction":
-        return cls(tuple(labels), tuple(Fraction(1) for _ in labels))
+        return cls(tuple(labels), (Fraction(1),) * len(labels))
 
     def _index(self, label: str) -> int:
         try:
@@ -448,6 +462,7 @@ def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
     """
     labels = tuple(labels)
     n = len(labels)
+    pos = {e: i for i, e in enumerate(labels)}
     pairs = list(itertools.combinations(range(n), 2))
     for states in itertools.product((0, 1, 2), repeat=len(pairs)):
         rows = [1 << i for i in range(n)]
@@ -457,4 +472,4 @@ def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
             elif state == 2:
                 rows[j] |= 1 << i
         if _intransitive_triple(rows) is None:
-            yield Poset(labels, _matrix(rows, n))
+            yield object.__new__(Poset)._relate(labels, pos, rows)

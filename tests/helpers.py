@@ -1,12 +1,22 @@
 """Small helpers shared by the test modules."""
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, NamedTuple, Optional
 
 from posetmetrics import lattices, posets, spaces
+from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.isometries import weight_sum_functional
-from posetmetrics.posets import Perm, powers_of_two_weight
+from posetmetrics.posets import (
+    AUTOMORPHISM_BOUND,
+    Perm,
+    _find_cycle,
+    _intransitive_triple,
+    count_text,
+    powers_of_two_weight,
+    set_bits,
+)
 
 
 def apply_perm(poset: posets.Poset, perm: Perm, subset) -> frozenset:
@@ -48,6 +58,137 @@ def subspace_lattice_oracle(q: int, k: int) -> lattices.FiniteLattice:
 def closure_key(mask: int) -> int:
     """The support-closure key with no weights: each ideal mask is its own key."""
     return mask
+
+
+# -- the boolean-matrix poset core, kept as the oracle of the mask core ------------
+
+
+class MatrixPoset(NamedTuple):
+    """What the boolean-matrix constructor kept: the labels and the matrix
+    as given, and the down-set and up-set masks it read off the matrix."""
+
+    elements: tuple
+    leq: tuple
+    down: tuple
+    up: tuple
+
+
+def matrix_poset(elements, leq) -> MatrixPoset:
+    """`Poset(elements, leq)` as it was: the matrix kept as given, turned into
+    masks and checked on them, raising the first failed check's error."""
+    n = len(elements)
+    pos = {e: i for i, e in enumerate(elements)}
+    if len(pos) != n:
+        raise ValidationError("poset labels must be distinct")
+    if len(leq) != n or any(len(row) != n for row in leq):
+        raise ValidationError("relation matrix shape must match the label count")
+    powers = [1 << j for j in range(n)]
+    rows = [sum(itertools.compress(powers, row)) for row in leq]
+    down = [sum(itertools.compress(powers, column)) for column in zip(*leq)]
+    for i, row in enumerate(rows):
+        if not row >> i & 1:
+            raise ValidationError(f"relation is not reflexive at {elements[i]!r}")
+    for i, row in enumerate(rows):
+        mutual = row & down[i] & ~(1 << i)
+        if mutual:
+            raise ValidationError(
+                f"relation is not antisymmetric: {elements[i]!r} and "
+                f"{elements[next(set_bits(mutual))]!r} are mutually comparable"
+            )
+    triple = _intransitive_triple(rows)
+    if triple is not None:
+        i, j, k = (repr(elements[t]) for t in triple)
+        raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
+    return MatrixPoset(elements, leq, tuple(down), tuple(rows))
+
+
+def rows_matrix(rows, n: int) -> tuple:
+    """The boolean matrix of a relation given by row masks."""
+    powers = [1 << j for j in range(n)]
+    return tuple(tuple([row & p != 0 for p in powers]) for row in rows)
+
+
+def matrix_from_covers(elements, covers) -> MatrixPoset:
+    """`Poset.from_covers` as it was: the cover checks, then the cycle search,
+    then the Warshall closure handed to the matrix constructor as a matrix."""
+    elements = tuple(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    adjacency = [[] for _ in range(n)]
+    rows = [1 << i for i in range(n)]
+    for a, b in covers:
+        if a not in index or b not in index:
+            raise ValidationError(f"cover ({a!r}, {b!r}) uses an unknown label")
+        if a == b:
+            raise ValidationError(f"cover ({a!r}, {b!r}) is reflexive")
+        adjacency[index[a]].append(index[b])
+        rows[index[a]] |= 1 << index[b]
+    cycle = _find_cycle(adjacency)
+    if cycle is not None:
+        names = " < ".join(elements[t] for t in cycle)
+        raise ValidationError(f"cover relation contains a cycle: {names}")
+    for k in range(n):
+        for i in range(n):
+            if rows[i] >> k & 1:
+                rows[i] |= rows[k]
+    return matrix_poset(elements, rows_matrix(rows, n))
+
+
+def matrix_posets_on(labels) -> Iterator[MatrixPoset]:
+    """`all_posets_on` as it was: every relation choice, filtered by
+    transitivity, through the matrix constructor."""
+    labels = tuple(labels)
+    n = len(labels)
+    pairs = list(itertools.combinations(range(n), 2))
+    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
+        rows = [1 << i for i in range(n)]
+        for (i, j), state in zip(pairs, states):
+            if state == 1:
+                rows[i] |= 1 << j
+            elif state == 2:
+                rows[j] |= 1 << i
+        if _intransitive_triple(rows) is None:
+            yield matrix_poset(labels, rows_matrix(rows, n))
+
+
+def prefix_sum_automorphisms(poset: posets.Poset) -> tuple:
+    """The automorphism search as it was: the same candidates and bound, with
+    the images of the prefix summed again at every node."""
+    down, up, n = poset._down, poset._up, len(poset.elements)
+    signatures = [(d.bit_count(), u.bit_count(), l) for d, u, l in zip(down, up, poset._levels)]
+    estimate = math.prod(math.factorial(signatures.count(s)) for s in set(signatures))
+    if estimate > AUTOMORPHISM_BOUND:
+        search = f"automorphism search over {count_text(estimate)} candidate permutations"
+        raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
+    candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
+
+    def extend(perm: Perm, used: int) -> Iterator[Perm]:
+        i = len(perm)
+        if i == n:
+            yield perm
+            return
+        below = sum(1 << p for k, p in enumerate(perm) if down[i] >> k & 1)
+        above = sum(1 << p for k, p in enumerate(perm) if up[i] >> k & 1)
+        for j in candidates[i]:
+            if not used >> j & 1 and down[j] & used == below and up[j] & used == above:
+                yield from extend(perm + (j,), used | 1 << j)
+
+    return tuple(extend((), 0))
+
+
+def fraction_weight_fields(labels, values) -> tuple[dict, tuple]:
+    """`WeightFunction`'s checks as they were, comparing each value with 0 as a
+    Fraction: its label positions and scaled values, or its first error."""
+    if len(labels) != len(values):
+        raise ValidationError("weight function shape mismatch")
+    pos = {label: i for i, label in enumerate(labels)}
+    if len(pos) != len(labels):
+        raise ValidationError("weight function labels must be distinct")
+    for label, value in zip(labels, values):
+        if value <= 0:
+            raise ValidationError(f"weight of {label!r} must be strictly positive")
+    scale = math.lcm(*(v.denominator for v in values))
+    return pos, tuple(v.numerator * scale // v.denominator for v in values)
 
 
 # -- frozen-dataclass twins of the value classes ----------------------------------

@@ -45,6 +45,38 @@ def run_json(capsys, *argv):
     return code, json.loads(out)
 
 
+CAPPED_CHILD = (
+    "import contextlib, io, json, sys, time\n"
+    "from posetmetrics.cli import main\n"
+    "out = {}\n"
+    "for command in sys.argv[2:]:\n"
+    "    err = io.StringIO()\n"
+    "    start = time.perf_counter()\n"
+    "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
+    "        code = main([*command.split(), '--instance', sys.argv[1]])\n"
+    "    out[command] = [code, time.perf_counter() - start, err.getvalue()]\n"
+    "print(json.dumps(out))\n"
+)
+
+
+def run_capped(resource, path, commands) -> dict:
+    """Run each instance command on the file in one child whose address space
+    is capped at 1 GB, so a regression ends in MemoryError (exit 4), not a
+    full machine: {command: [exit code, seconds in main, stderr]}."""
+
+    def cap_memory():  # runs in the child only, before it starts Python
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    path_env = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", CAPPED_CHILD, str(path), *commands],
+        capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
+        env={**os.environ, "PYTHONPATH": path_env},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 class TestInstances:
     def test_float_weight_rejected(self):
         with pytest.raises(ValidationError, match="float"):
@@ -527,7 +559,10 @@ class TestBoundsAtLoad:
         assert time.perf_counter() - start < 1
         err = capsys.readouterr().err
         assert "internal error" not in err
-        if code == 3:
+        if command == ["isometries", "--brute-force"]:  # the oracle's bound is checked first
+            table = "the action table of GL_100000(F_2) on F_2^100000 has over 2^100000 entries"
+            assert err == f"bound exceeded: {table}, over the bound 4194304\n"
+        elif code == 3:
             assert "at least 2^99999, " in err or "at least 2^100000 vectors" in err
 
     @pytest.mark.parametrize(
@@ -552,36 +587,37 @@ class TestBoundsAtLoad:
             "poset": 0, "mep": 0, "mep --mode psupport": 0, "isometries": 3,
             "isometries --brute-force": 3, "mep --brute-force": 3, "macwilliams": 3, "audit": 3,
         }
-        child = (
-            "import contextlib, io, json, sys, time\n"
-            "from posetmetrics.cli import main\n"
-            "out = {}\n"
-            "for command in sys.argv[2:]:\n"
-            "    err = io.StringIO()\n"
-            "    start = time.perf_counter()\n"
-            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-            "        code = main([*command.split(), '--instance', sys.argv[1]])\n"
-            "    out[command] = [code, time.perf_counter() - start, err.getvalue()]\n"
-            "print(json.dumps(out))\n"
-        )
-
-        def cap_memory():  # runs in the child only, before it starts Python
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-        path_env = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", child, str(path), *expected],
-            capture_output=True, text=True, timeout=120, preexec_fn=cap_memory,
-            env={**os.environ, "PYTHONPATH": path_env},
-        )
-        assert proc.returncode == 0, proc.stderr
-        results = json.loads(proc.stdout)
+        results = run_capped(resource, path, list(expected))
         for command, code in expected.items():
             got, elapsed, err = results[command]
             assert (got, "internal error" in err) == (code, False), (command, err)
             assert elapsed < 1, (command, elapsed)
             if code == 3:
                 assert err.startswith("bound exceeded: "), (command, err)
+
+    @pytest.mark.parametrize("command", ["mep --brute-force", "audit"])
+    def test_three_f3_planes_refuse_the_listed_group_in_a_memory_capped_child(
+        self, tmp_path, command
+    ):
+        # 663,552 elements over 729 vectors, 484M index entries: they used to
+        # be listed until MemoryError (exit 4); the entry bound refuses first
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "planes3_f3.json"
+        doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": []},
+               "dims": {"a": 2, "b": 2, "c": 2}}
+        path.write_text(json.dumps(doc))
+        code, elapsed, err = run_capped(resource, path, [command])[command]
+        assert code == 3 and elapsed < 1, (code, elapsed, err)
+        assert err == "bound exceeded: group index table of 483729408 entries exceeds 134217728\n"
+
+    def test_oracle_refusal_comes_before_the_structured_group(self, capsys, monkeypatch):
+        def listed(*args, **kwargs):
+            raise AssertionError("the structured group was listed")
+
+        monkeypatch.setattr(isometries, "weight_isometry_group", listed)
+        path = INSTANCES / "antichain3_k2.json"
+        assert main(["isometries", "--brute-force", "--instance", str(path)]) == 3
+        assert "the action table of GL_6(F_2) on F_2^6 has" in capsys.readouterr().err
 
     def test_oracle_action_table_exits_three_before_it_is_built(self, tmp_path, capsys):
         path = tmp_path / "q19.json"

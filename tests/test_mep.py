@@ -404,6 +404,29 @@ class TestIndexedGroup:
         with pytest.raises(GroupBoundExceeded, match=message):
             mep._indexed_group(SP21, CHAIN2, key_for(CHAIN2, None, "support"))
 
+    def test_entry_bound_fires_before_any_permutation(self, monkeypatch):
+        # |G| x q^N index entries: 2^27 admits F_3^5's 90.7M and refuses three
+        # F_3 planes' 484M (the command-level test runs those)
+        assert mep.GROUP_TABLE_BOUND == 1 << 27
+        ones = WeightFunction.ones(CHAIN2.elements)
+        key = weight_sum_functional(CHAIN2, ones)
+        _, perms = mep._indexed_group(SP21, CHAIN2, key)
+        entries = len(perms) * SP21.vector_count
+        assert len(perms) == len(list(enumerate_group(SP21, CHAIN2, key))) > 1
+        monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries)
+        assert mep._indexed_group(SP21, CHAIN2, key)[1] == perms
+
+        def unreachable(*args):
+            raise AssertionError("a permutation was spanned")
+
+        monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
+        monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries - 1)
+        message = rf"^group index table of {entries} entries exceeds {entries - 1}$"
+        with pytest.raises(BoundExceeded, match=message):
+            mep_brute_force(SP21, CHAIN2, ones)
+        with pytest.raises(BoundExceeded, match=message):
+            single_orbit_check(SP21, CHAIN2, ones)
+
 
 class TestSpaceIndexTables:
     """The add table grown from base-q digits, and the multiples spanned from

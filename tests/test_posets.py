@@ -27,11 +27,20 @@ from posetmetrics.posets import (
     compose_perms,
     invert_perm,
     powers_of_two_weight,
+    set_bits,
     udp_check,
     weight_preserving_automorphisms,
 )
 
-from helpers import apply_perm
+from helpers import (
+    DATACLASS_TWINS,
+    apply_perm,
+    fraction_weight_fields,
+    matrix_from_covers,
+    matrix_poset,
+    matrix_posets_on,
+    prefix_sum_automorphisms,
+)
 
 CHAIN3 = Poset.chain(("1", "2", "3"))
 ANTI2 = Poset.antichain(("1", "2"))
@@ -519,6 +528,25 @@ LABELS = tuple("abcdefgh")
 UP_TO_FIVE = [p for n in range(1, 6) for p in all_posets_on(LABELS[:n])]
 
 
+def six_to_eight():
+    """24 random posets of 6 to 8 elements, sparse to dense."""
+    rng = random.Random(20261020)
+    for trial in range(24):
+        n = 6 + trial % 3
+        order = rng.sample(range(n), n)  # a hidden linear extension
+        density = (0.05, 0.15, 0.3, 0.6)[trial % 4]
+        strict = [
+            (order[a], order[b])
+            for a in range(n)
+            for b in range(a + 1, n)
+            if rng.random() < density
+        ]
+        yield Poset(LABELS[:n], oracle_warshall(n, strict))
+
+
+SIX_TO_EIGHT = list(six_to_eight())
+
+
 class TestBitmaskCoreAgainstOracles:
     def test_generator_matches_the_transitivity_filter(self):
         for n in range(6):
@@ -581,19 +609,8 @@ class TestBitmaskCoreAgainstOracles:
         assert pairs == 22365 and 1000 < failing < pairs
 
     def test_refinement_matches_the_permutation_scan_on_six_to_eight(self):
-        rng = random.Random(20261020)
         symmetric = 0
-        for trial in range(24):
-            n = 6 + trial % 3
-            order = rng.sample(range(n), n)  # a hidden linear extension
-            density = (0.05, 0.15, 0.3, 0.6)[trial % 4]
-            strict = [
-                (order[a], order[b])
-                for a in range(n)
-                for b in range(a + 1, n)
-                if rng.random() < density
-            ]
-            poset = Poset(LABELS[:n], oracle_warshall(n, strict))
+        for poset in SIX_TO_EIGHT:
             assert poset.automorphisms() == oracle_automorphisms(poset)
             symmetric += len(poset.automorphisms()) > 1
         assert symmetric >= 6
@@ -653,3 +670,175 @@ class TestElementBound:
         big = Poset.antichain([f"e{t}" for t in range(ELEMENT_BOUND + 1)])
         with pytest.raises(BoundExceeded, match=f"capped at {ELEMENT_BOUND} elements"):
             big.all_ideals()
+
+
+# -- the mask core against the boolean-matrix path it replaced --------------------
+
+
+def fields_of(value):
+    """A poset's labels, matrix and masks, or a weight function's positions
+    and scaled values, in the order of the oracle's record."""
+    if isinstance(value, Poset):
+        return value.elements, value.leq, value._down, value._up
+    if isinstance(value, WeightFunction):
+        return value._pos, value._scaled
+    return tuple(value)
+
+
+def outcome(build, *args):
+    """The fields of what build(*args) returns, or the type and message of what it raises."""
+    try:
+        return fields_of(build(*args))
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def hasse_covers(record):
+    """The cover pairs of a relation: i strictly below j with nothing between."""
+    n = len(record.elements)
+    return [
+        (record.elements[i], record.elements[j])
+        for i in range(n)
+        for j in set_bits(record.up[i] & ~(1 << i))
+        if record.up[i] & record.down[j] == 1 << i | 1 << j
+    ]
+
+
+def assert_same_poset(poset, record):
+    """The poset has the record's masks, its matrix on first read, and the
+    value, hash and repr of the record's dataclass twin."""
+    assert "leq" not in vars(poset)
+    assert (poset.elements, poset._down, poset._up) == (record.elements, record.down, record.up)
+    twin = DATACLASS_TWINS["Poset"](record.elements, record.leq)
+    assert repr(poset) == repr(twin) and hash(poset) == hash(twin)
+    assert poset.leq == record.leq and "leq" in vars(poset)
+    assert poset == Poset(record.elements, record.leq)
+
+
+POOL = tuple("abcde")
+
+
+@st.composite
+def labels_drawn(draw):
+    """Up to five distinct labels; one time in four the last repeats the first."""
+    labels = list(draw(st.permutations(POOL))[: draw(st.integers(0, 5))])
+    if len(labels) > 1 and draw(st.integers(0, 3)) == 0:
+        labels[-1] = labels[0]
+    return tuple(labels)
+
+
+@st.composite
+def cover_lists(draw):
+    """Cover pairs over the labels, with unknown labels, reflexive covers and
+    cycles among them."""
+    labels = draw(labels_drawn())
+    names = list(labels) + (["z"] if draw(st.integers(0, 3)) == 0 else [])
+    if not names:
+        return labels, []
+    pairs = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return labels, draw(st.lists(pairs, max_size=7))
+
+
+@st.composite
+def relation_matrices(draw):
+    """A closed relation with up to three entries flipped (breaking
+    reflexivity, antisymmetry or transitivity), its shape sometimes wrong."""
+    labels = draw(labels_drawn())
+    n = len(labels)
+    positions = st.integers(0, max(n - 1, 0))
+    strict = [(i, j) for i, j in draw(st.lists(st.tuples(positions, positions))) if i < j]
+    leq = [list(row) for row in oracle_warshall(n, strict)]
+    for i, j in draw(st.lists(st.tuples(positions, positions), max_size=3)) if n else []:
+        leq[i][j] = not leq[i][j]
+    shape = draw(st.sampled_from(("kept", "kept", "kept", "short row", "extra row")))
+    if shape == "short row" and n:
+        leq[-1].pop()
+    elif shape == "extra row":
+        leq.append([True] * n)
+    return labels, tuple(tuple(row) for row in leq)
+
+
+class TestMaskCoreAgainstTheMatrixPath:
+    def test_every_labeled_poset_up_to_five_through_each_constructor(self):
+        records = [r for n in range(6) for r in matrix_posets_on(LABELS[:n])]
+        built = [p for n in range(6) for p in all_posets_on(LABELS[:n])]
+        assert len(records) == len(built) == 1 + 1 + 3 + 19 + 219 + 4231
+        for poset, record in zip(built, records):
+            covers = hasse_covers(record)
+            assert matrix_from_covers(record.elements, covers) == record
+            assert_same_poset(poset, record)
+            assert_same_poset(Poset.from_covers(record.elements, covers), record)
+            assert_same_poset(Poset(record.elements, record.leq), record)
+            transposed = tuple(zip(*record.leq))
+            assert_same_poset(poset.dual(), matrix_poset(record.elements, transposed))
+
+    @settings(max_examples=400, deadline=None)
+    @given(cover_lists())
+    def test_cover_lists_raise_what_the_matrix_path_raised(self, drawn):
+        labels, covers = drawn
+        assert outcome(Poset.from_covers, labels, covers) == outcome(matrix_from_covers, *drawn)
+
+    @settings(max_examples=400, deadline=None)
+    @given(relation_matrices())
+    def test_matrices_raise_what_the_matrix_path_raised(self, drawn):
+        assert outcome(Poset, *drawn) == outcome(matrix_poset, *drawn)
+
+    def test_each_kind_of_error_is_drawn(self):
+        messages = {
+            "distinct": (("a", "a"), ((True, False), (False, True))),
+            "shape": (("a", "b"), ((True,),)),
+            "reflexive": (("a",), ((False,),)),
+            "antisymmetric": (("a", "b"), ((True, True), (True, True))),
+            "transitive": (("a", "b", "c"), ((1, 1, 0), (0, 1, 1), (0, 0, 1))),
+        }
+        for word, (labels, leq) in messages.items():
+            expected = outcome(matrix_poset, labels, leq)
+            assert expected[0] is ValidationError and word in expected[1]
+            assert outcome(Poset, labels, leq) == expected
+        for labels, covers, word in [
+            (("a", "b"), [("a", "z")], "unknown"),
+            (("a", "b"), [("b", "b")], "is reflexive"),
+            (("a", "b", "a"), [("a", "b"), ("b", "a")], "cycle: b < a < b"),
+            (("a", "a"), [], "distinct"),
+        ]:
+            expected = outcome(matrix_from_covers, labels, covers)
+            assert expected[0] is ValidationError and word in expected[1]
+            assert outcome(Poset.from_covers, labels, covers) == expected
+
+    def test_duplicate_labels_raise_on_the_first_generated_poset(self):
+        with pytest.raises(ValidationError, match="^poset labels must be distinct$"):
+            next(all_posets_on(("a", "a")))
+        with pytest.raises(ValidationError, match="^poset labels must be distinct$"):
+            next(matrix_posets_on(("a", "a")))
+
+    def test_automorphisms_match_the_prefix_sum_search(self):
+        for poset in UP_TO_FIVE + SIX_TO_EIGHT:
+            assert poset.automorphisms() == prefix_sum_automorphisms(poset)
+        big = Poset.antichain(tuple("abcdefghi"))
+        assert outcome(Poset.automorphisms, big) == outcome(prefix_sum_automorphisms, big)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.sampled_from(POOL), max_size=5),
+        st.lists(
+            st.one_of(st.fractions(min_value=-3, max_value=6, max_denominator=12),
+                      st.integers(-3, 6)),
+            max_size=5,
+        ),
+    )
+    def test_weight_fields_and_errors_match_the_fraction_checks(self, labels, values):
+        labels, values = tuple(labels), tuple(values)
+        assert outcome(WeightFunction, labels, values) == outcome(
+            fraction_weight_fields, labels, values
+        )
+
+    def test_unit_weights_share_one_value(self):
+        for n in range(6):
+            ones = WeightFunction.ones(POOL[:n])
+            assert fields_of(ones) == fraction_weight_fields(POOL[:n], (Fraction(1),) * n)
+            assert ones == WeightFunction(POOL[:n], tuple(Fraction(1) for _ in range(n)))
+            assert len(set(map(id, ones.values))) == min(n, 1)
+        for bad in (0, -1, Fraction(-1, 3)):
+            expected = outcome(fraction_weight_fields, ("a", "b"), (Fraction(1), bad))
+            assert expected == (ValidationError, "weight of 'b' must be strictly positive")
+            assert outcome(WeightFunction, ("a", "b"), (Fraction(1), bad)) == expected

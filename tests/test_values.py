@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import DATACLASS_TWINS
+from helpers import DATACLASS_TWINS, matrix_from_covers
 from posetmetrics import fourier, instances, isometries, lattices, mep, posets, spaces
 
 F2, F3 = spaces.FieldSpec(2), spaces.FieldSpec(3)
@@ -146,34 +146,40 @@ def test_assignment_and_deletion_raise(call):
 
 
 # each class with derived state: a factory, the derived names set at
-# construction, and the names a first use adds (cached_property or the matrix)
+# construction, the names a first use adds (cached_property or the matrix),
+# and the value each derived field (one named in __match_args__) must read
+VEE_COVERS = (("a", "b", "c"), [("b", "a"), ("b", "c")])
 DERIVED = [
-    (lambda: posets.Poset(VEE.elements, VEE.leq), {"_pos", "_down", "_up"},
-     ("_ideal_masks", "_ideals", "_levels", "_automorphisms")),
+    (lambda: posets.Poset.from_covers(*VEE_COVERS), {"_pos", "_down", "_up"},
+     ("leq", "_ideal_masks", "_ideals", "_levels", "_automorphisms"),
+     {"leq": matrix_from_covers(*VEE_COVERS).leq}),
     (lambda: posets.WeightFunction(("a", "b"), (Fraction(1, 3), Fraction(3, 4))),
-     {"_pos", "_scaled"}, ()),
-    (lambda: spaces.AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1)), {"_block_bounds"}, ()),
+     {"_pos", "_scaled"}, (), {}),
+    (lambda: spaces.AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1)), {"_block_bounds"}, (), {}),
     (lambda: lattices.FiniteLattice(("x", "y"), BOOLEAN),
      {"_pos", "_points", "_masks", "_holders", "_ups", "_up_index", "_member_index"},
-     ("_point_closure_masks", "_moebius")),
+     ("_point_closure_masks", "_moebius"), {}),
     (lambda: isometries.Isometry(SPACE, CHAIN, (0, 1), DIAG, ((1, 0, ((1, 1),)),)), set(),
-     ("_matrix",)),
+     ("_matrix",), {}),
 ]
 
 
 @pytest.mark.parametrize(
-    "make, at_init, on_use", DERIVED,
+    "make, at_init, on_use, derived_fields", DERIVED,
     ids=["Poset", "WeightFunction", "AlphabetSpec", "FiniteLattice", "Isometry"],
 )
-def test_derived_state_stays_out_of_eq_hash_and_repr(make, at_init, on_use):
+def test_derived_state_stays_out_of_eq_hash_and_repr(make, at_init, on_use, derived_fields):
     value, fresh = make(), make()
-    assert set(vars(value)) == set(value.__match_args__) | at_init
+    fields = set(value.__match_args__)
+    assert set(vars(value)) == (fields - set(derived_fields)) | at_init
     for name in on_use:  # a first use keeps its result on the object
         first = getattr(value, "matrix" if name == "_matrix" else name)
         assert getattr(value, name) is first
-    assert set(vars(value)) == set(value.__match_args__) | at_init | set(on_use)
+    for name, expected in derived_fields.items():
+        assert getattr(value, name) == expected
+    assert set(vars(value)) == fields | at_init | set(on_use)
     assert value == fresh and hash(value) == hash(fresh) and repr(value) == repr(fresh)
-    assert not any(name in repr(value) for name in at_init | set(on_use))
+    assert not any(name in repr(value) for name in (at_init | set(on_use)) - fields)
     for name in at_init | set(on_use):
         with pytest.raises(AttributeError):
             setattr(value, name, None)
