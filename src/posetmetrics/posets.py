@@ -41,10 +41,10 @@ class Value:
     - hash is the hash of the field tuple (a 1-tuple for one field);
     - repr reads `Name(field=value, ...)`.
 
-    A subclass sets its fields in `__init__` with `object.__setattr__`.
-    Names starting with an underscore are derived state, set there too or
-    by `cached_property`, and stay out of eq, hash and repr.  Assignment and
-    deletion raise AttributeError.
+    A subclass sets its fields in `__init__` with `object.__setattr__`, or
+    derives one on first read by `cached_property` (`Poset.leq`).  Names
+    starting with an underscore are derived state, set either way, and stay
+    out of eq, hash and repr.  Assignment and deletion raise AttributeError.
     """
 
     __slots__ = ()
@@ -108,7 +108,7 @@ class Poset(Value):
         powers = [1 << j for j in range(n)]
         self._relate(elements, pos, [sum(itertools.compress(powers, row)) for row in leq])
 
-    def _relate(self, elements: tuple, pos: dict, up: list[int], adjacency=None) -> "Poset":
+    def _relate(self, elements: tuple, pos: dict, up: Sequence[int], adjacency=None) -> "Poset":
         """Check the relation with row masks `up`, the one validation behind every
         constructor, and keep it; given the cover digraph, a cycle of it is named."""
         down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1) for j in range(len(up))]
@@ -277,7 +277,7 @@ class Poset(Value):
         return self.hierarchy_violation() is None
 
     def dual(self) -> "Poset":
-        return object.__new__(Poset)._relate(self.elements, self._pos, list(self._down))
+        return object.__new__(Poset)._relate(self.elements, self._pos, self._down)
 
     def automorphisms(self) -> tuple[Perm, ...]:
         """All order automorphisms in lexicographic order, by backtracking.  perm[i]
