@@ -170,66 +170,50 @@ def _group_grid() -> list[tuple[AlphabetSpec, Poset, WeightFunction]]:
 
 
 def criterion_isometry_group_structure() -> tuple[bool, str]:
-    """Structured enumeration equals the brute-force group; the label-map
-    projection is a homomorphism with the support group as kernel."""
+    """Structured enumeration equals the brute-force group; every element
+    moves closures by its label map, so the label-map projection is a
+    homomorphism, with the closure-preserving elements as kernel."""
     from .isometries import (
         brute_force_isometries,
         invertible_index_perms,
-        support_isometry_group,
         weight_automorphisms,
         weight_isometry_group,
         weight_sum_functional,
     )
-    from .fields import vec_index
-    from .posets import compose_perms, invert_perm
+    from .posets import set_bits
+    from .spaces import vector_masks
 
     instances = _group_grid()
     for space, poset, omega in instances:
         q = space.q
+        # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared
+        # as permutations of the indexed vectors (None for a matrix outside
+        # the oracle's cached table fails the comparison)
+        perm_of = invertible_index_perms(q, space.total_dim).get
+        pairs = [(perm_of(iso.matrix), iso.lam) for iso in weight_isometry_group(space, poset, omega)]
         key = weight_sum_functional(poset, omega)
-        structured = weight_isometry_group(space, poset, omega)
-        struct_set = {iso.matrix for iso in structured}
-        brute = set(brute_force_isometries(space, poset, key))
-        if struct_set != brute:
+        brute = set(map(perm_of, brute_force_isometries(space, poset, key)))
+        structured = {perm for perm, _ in pairs}
+        if len(structured) != len(pairs) or structured != brute:
             return False, (
                 f"group mismatch q={q} dims={space.dims} poset={poset.elements}"
-                f" ({len(struct_set)} structured vs {len(brute)} brute)"
+                f" ({len(pairs)} structured vs {len(brute)} brute)"
             )
-        # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared,
-        # composed and inverted as permutations of the indexed vectors (None
-        # for a matrix outside the oracle's cached table fails a check below)
-        n = space.total_dim
-        perm_of = invertible_index_perms(q, n).get
-        pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
-        to_lam = dict(pairs)
         admissible = set(weight_automorphisms(poset, space, omega))
-        if {iso.lam for iso in structured} != admissible:
+        if {lam for _, lam in pairs} != admissible:
             return False, f"label-map image mismatch for dims={space.dims}"
-        identity_perm = tuple(range(len(poset.elements)))
-        kernel = {p for p, lam in to_lam.items() if lam == identity_perm}
-        support_set = {perm_of(iso.matrix) for iso in support_isometry_group(space, poset)}
-        if kernel != support_set:
+        masks = vector_masks(space, poset._down)  # the closure mask of each vector
+        kernel = {perm for perm, lam in pairs if lam == tuple(range(len(lam)))}
+        if kernel != {perm for perm in brute if list(map(masks.__getitem__, perm)) == masks}:
             return False, f"kernel mismatch for dims={space.dims}"
-        if len(struct_set) != len(support_set) * len(admissible):
+        if len(pairs) != len(kernel) * len(admissible):
             return False, f"order != kernel * image for dims={space.dims}"
-        sample = pairs if len(pairs) <= 120 else pairs[:60]
-        for a, lam_a in sample:
-            if to_lam.get(invert_perm(a)) != invert_perm(lam_a):
-                return False, "label map of an inverse disagrees"
-            for b, lam_b in sample:
-                if to_lam.get(compose_perms(a, b)) != compose_perms(lam_a, lam_b):
-                    return False, "label map is not multiplicative"
-        # composing both sides in the wrong order would still pass the loop
-        # above, so products with one fixed b != 1 are replayed on unit vectors
-        units = [tuple(int(s == t) for s in range(n)) for t in range(n)]
-        fixed = tuple(range(q**n))
-        moved = [(iso, p) for iso, (p, _) in zip(structured, pairs) if p != fixed]
-        if moved:
-            b, perm_b = moved[0]
-            for a, (perm_a, _) in zip(structured, sample):
-                product = compose_perms(perm_a, perm_b)
-                if any(product[vec_index(q, e)] != vec_index(q, a.apply(b.apply(e))) for e in units):
-                    return False, "composite permutation disagrees with the action"
+        # g sends closure(v) to lam_g(closure(v)) for every v; on the principal
+        # ideals this gives lam_gh = lam_g lam_h over the whole group
+        moved = {lam: [sum(1 << lam[i] for i in set_bits(m)) for m in masks] for lam in admissible}
+        for perm, lam in pairs:
+            if list(map(masks.__getitem__, perm)) != moved[lam]:
+                return False, "label map disagrees with the action on closures"
     return True, f"{len(instances)} instances, sets equal and projection multiplicative"
 
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 import time
+from itertools import islice
 from typing import TYPE_CHECKING, Optional, Sequence
 
 # Each command imports the engine modules it runs, so a command pays only
@@ -166,36 +167,40 @@ def cmd_isometries(args) -> tuple[dict, int]:
     from .instances import load_instance
     from .isometries import (
         GROUP_BOUND,
+        admissible_lams,
         brute_force_isometries,
         check_action_table,
-        support_isometry_group,
+        enumerate_group,
+        group_order,
         weight_automorphisms,
         weight_isometry_group,
         weight_sum_functional,
     )
 
     inst = load_instance(args.instance)
+    space, poset = inst.space, inst.poset
     bound = GROUP_BOUND if args.bound is None else args.bound
-    if args.brute_force:  # the oracle's refusal comes before the group is listed
-        check_action_table(inst.space)
-    try:
-        group = weight_isometry_group(inst.space, inst.poset, inst.omega, bound=bound)
-        admissible = weight_automorphisms(inst.poset, inst.space, inst.omega)
-        kernel_size = len(support_isometry_group(inst.space, inst.poset, bound=bound))
+    if args.brute_force:  # the oracle's refusal comes before the group is touched
+        check_action_table(space)
+    key = weight_sum_functional(poset, inst.omega)
+    try:  # the orders are closed forms; only the sample is enumerated
+        order = group_order(space, poset, len(admissible_lams(space, poset, key, bound)))
+        sample = [iso.serialize() for iso in islice(enumerate_group(space, poset, key, bound), 3)]
     except GroupBoundExceeded as exc:
         raise GroupBoundExceeded(f"{exc}; raise it with --bound") from None
+    admissible = weight_automorphisms(poset, space, inst.omega)
+    kernel_size = group_order(space, poset, 1)  # the doubling weights admit only the identity
     results = {
-        "group_order": len(group),
+        "group_order": order,
         "label_map_image_size": len(admissible),
         "support_group_order": kernel_size,
-        "order_splits": len(group) == kernel_size * len(admissible),
-        "sample": [iso.serialize() for iso in group[:3]],
+        "order_splits": order == kernel_size * len(admissible),
+        "sample": sample,
     }
     code = 0
     if args.brute_force:
-        brute = brute_force_isometries(
-            inst.space, inst.poset, weight_sum_functional(inst.poset, inst.omega)
-        )
+        group = weight_isometry_group(space, poset, inst.omega, bound=bound)
+        brute = brute_force_isometries(space, poset, key)
         agrees = {iso.matrix for iso in group} == set(brute)
         results["brute_force_order"] = len(brute)
         results["oracle_agrees"] = agrees

@@ -5,8 +5,8 @@ Every weight isometry of the ambient space factors as a label permutation
 square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The structured form is stored; the full
 N x N matrix is built on first use and kept on the isometry.  The MEP layer
-builds the group's permutations of the indexed vectors from its semidirect
-factors without any matrix (`mep._indexed_group`); criterion 4 reads the
+builds the permutations of the indexed vectors for the group's factors
+without any matrix (`mep._group_factors`); criterion 4 reads the
 permutations of matrices off the brute-force oracle's action table
 (`invertible_index_perms`), and matrices serve reports and the oracles.
 
@@ -332,8 +332,7 @@ def invertible_index_perms(q: int, n: int) -> dict[Matrix, tuple[int, ...]]:
     matrices = fields.invertible_matrices(q, n)
     if n == 0:
         return dict.fromkeys(matrices, (0,))
-    vectors = list(itertools.product(range(q), repeat=n))
-    dots = {w: [sum(map(operator.mul, w, v)) % q for v in vectors] for w in vectors}
+    dots = {w: fields.dot_values(q, w) for w in itertools.product(range(q), repeat=n)}
     perms: list[tuple[int, ...]] = []
 
     def walk(group: Iterable[Matrix], r: int, scaled: list[int]) -> None:
@@ -344,7 +343,7 @@ def invertible_index_perms(q: int, n: int) -> dict[Matrix, tuple[int, ...]]:
         for row, sub in itertools.groupby(group, key=operator.itemgetter(r)):
             walk(sub, r + 1, [(s + d) * q for s, d in zip(scaled, dots[row])])
 
-    walk(matrices, 0, [0] * len(vectors))
+    walk(matrices, 0, [0] * q**n)
     return dict(zip(matrices, perms))
 
 

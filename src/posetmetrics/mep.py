@@ -9,9 +9,9 @@ listing it.  Small spaces are indexed densely so the inner loops run on ints:
 vectors are classed by the integer weight key of their closure masks (support
 closure is the weight with doubling weights, whose key is the mask itself),
 and the scan and the orbit check see each group element only as the
-permutation it induces on the indexed vectors.  `_indexed_group` composes
-those permutations from the group's semidirect factors, with no `Isometry`
-and no matrix.  Spans read one addition table (xor at q = 2), and the
+permutation it induces on the indexed vectors, spanned for the group's
+factors with no `Isometry` and no matrix (`_group_factors`); only the scan
+lists the group.  Spans read one addition table (xor at q = 2), and the
 multiples c b of a basis vector are b added c times.
 
 A code is decided on the stabilizer chain of its basis (`_holds_on`): only
@@ -30,6 +30,7 @@ own currency; only a counterexample's code is built as a `LinearCode`.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from fractions import Fraction
 from typing import Container, Iterator, Optional, Sequence
@@ -52,10 +53,10 @@ from .isometries import (
     _strict_pairs,
     admissible_lams,
     build_isometry,
-    group_order,
+    gl_order,
     weight_sum_functional,
 )
-from .posets import Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
+from .posets import Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
 from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes, weight
 
 
@@ -63,6 +64,8 @@ from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, sup
 ADD_TABLE_BOUND = 1 << 20
 # The most entries |G| x q^N of the group's listed index permutations.
 GROUP_TABLE_BOUND = 1 << 27
+# The most entries of the group's factor lists: their summed lengths x q^N.
+FACTOR_TABLE_BOUND = 1 << 27
 
 
 class SpaceIndex:
@@ -294,58 +297,72 @@ def _orbit_spans(
     return map(frozenset, set(zip(*map(columns.__getitem__, span))))
 
 
-def _indexed_group(
-    space: AlphabetSpec, poset: Poset, key: Key
-) -> tuple[SpaceIndex, list[tuple[int, ...]]]:
-    """The space's dense index and each group element's index permutation
-    (perm[t] indexes the image of vector t); every bound fires before the work.
+def _group_factors(
+    space: AlphabetSpec, poset: Poset, key: Key, listed: bool = False
+) -> tuple[SpaceIndex, list[list[Perm]]]:
+    """The space's dense index and the group's factors as lists of index
+    permutations (perm[t] indexes the image of vector t): the label maps
+    P(lam, I), a GL_{k_i} on block i per block, then the unipotent factors
+    C_i top-down.  Each element is f_1 o f_2 o ... for one pick per list, once.
+    The entries of the listing (listed) or of the lists are bounded first.
 
-    Every element is P u.  P = P(lam, D) sends block i into block lam(i) by
-    the invertible D_i.  u = I + X lies in the unipotent group U of strict
-    blocks (k, i), k strictly below i.  With X_i the part of X in block column
-    i, X_a X_b = 0 unless a is strictly below b, so taking the factors
-    C_i = {I + X_i} top-down gives U = C_top ... C_bottom with no cross terms.
-    Each P and each factor element is spanned once from its column indices;
-    every other element is a composite of those permutations.  A column's
-    index is the plain sum of its blocks' base-q digit values, which is exact
-    because the blocks fill disjoint digits.
+    P(lam, D) = P(lam, I) diag(D_i) sends block i into block lam(i) by D_i.
+    u = I + X lies in the unipotent group U of strict blocks (k, i), k
+    strictly below i.  With X_i the part of X in block column i, X_a X_b = 0
+    unless a is strictly below b, so the C_i = {I + X_i} top-down give U with
+    no cross terms.  Each element is spanned from its column indices.
     """
     si = SpaceIndex(space, poset, key)
     lams = admissible_lams(space, poset, key, GROUP_BOUND)
-    entries = group_order(space, poset, len(lams)) * len(si.vectors)
-    if entries > GROUP_TABLE_BOUND:
-        raise BoundExceeded(f"group index table of {entries} entries exceeds {GROUP_TABLE_BOUND}")
-    q, n = space.q, space.total_dim
+    q, n, dims = space.q, space.total_dim, space.dims
+    under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
+    sizes = [len(lams), *(gl_order(q, k) for k in dims), *(q ** (k * d) for k, d in zip(dims, under))]
+    entries = (math.prod(sizes) if listed else sum(sizes)) * len(si.vectors)
+    bound = GROUP_TABLE_BOUND if listed else FACTOR_TABLE_BOUND
+    if entries > bound:
+        raise BoundExceeded(f"group index table of {entries} entries exceeds {bound}")
     bounds = [space._block_bounds[label] for label in poset.elements]
     # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere
     place = [[t * q ** (n - stop) for t in range(q ** (stop - start))] for start, stop in bounds]
     units = [q ** (n - 1 - c) for c in range(n)]  # index of the c-th unit vector
-    diag_columns = []  # the columns of each invertible block, as block vector indices
-    for start, stop in bounds:
-        matrices = fields.invertible_matrices(q, stop - start)
-        diag_columns.append([tuple(fields.vec_index(q, c) for c in zip(*m)) for m in matrices])
-    outer = []  # the permutations of P(lam, D)
-    for lam in lams:
-        for diag in itertools.product(*diag_columns):
-            columns = [0] * n
-            for (start, stop), image, block_columns in zip(bounds, lam, diag):
-                columns[start:stop] = map(place[image].__getitem__, block_columns)
-            outer.append(tuple(si.span_indices(columns)))
-    inner = [tuple(range(len(si.vectors)))]  # the permutations of U
+    # each factor element's columns: block i of P(lam, I) takes the units of block lam(i)
+    factors = [[[c for image in lam for c in units[slice(*bounds[image])]] for lam in lams]]
+    factors += (
+        [units[:start] + [block[fields.vec_index(q, c)] for c in zip(*m)] + units[stop:]
+         for m in fields.invertible_matrices(q, stop - start)]
+        for (start, stop), block in zip(bounds, place)
+    )
     for i in reversed(poset._linear_extension()):
-        below = [0]  # indices of the vectors supported strictly below block i
+        lows = [0]  # indices of the vectors supported strictly below block i
         for k in set_bits(poset.strictly_below(i)):
-            below = [a + b for a in below for b in place[k]]
-        if len(below) == 1:
-            continue
+            lows = [a + b for a in lows for b in place[k]]
         start, stop = bounds[i]
-        factor = []
-        for lows in itertools.product(below, repeat=stop - start):
-            columns = units[:]
-            columns[start:stop] = map(operator.add, units[start:stop], lows)
-            factor.append(tuple(si.span_indices(columns)))
-        inner = [tuple(map(a.__getitem__, c)) for a in inner for c in factor]
-    return si, [tuple(map(p.__getitem__, u)) for p in outer for u in inner]
+        if len(lows) > 1:
+            factors.append([
+                units[:start] + list(map(operator.add, units[start:stop], low)) + units[stop:]
+                for low in itertools.product(lows, repeat=stop - start)
+            ])
+    return si, [[tuple(si.span_indices(columns)) for columns in factor] for factor in factors]
+
+
+def _composites(listing: list[Perm], factors: Sequence[list[Perm]]) -> list[Perm]:
+    """a o f_1 o f_2 ... for each a of listing and one pick per factor, in
+    lexicographic order; a one-element factor is the identity and is skipped."""
+    for factor in factors:
+        if len(factor) > 1:
+            listing = [tuple(map(a.__getitem__, f)) for a in listing for f in factor]
+    return listing
+
+
+def _indexed_group(space: AlphabetSpec, poset: Poset, key: Key) -> tuple[SpaceIndex, list[Perm]]:
+    """The space's dense index and every group element's index permutation,
+    in (lam, D, u) order: the P(lam, D) and the u of U are each folded from
+    `_group_factors`' lists, and then composed pairwise."""
+    si, factors = _group_factors(space, poset, key, listed=True)
+    head = 1 + len(poset.elements)  # the label maps and the GL factors
+    outer = _composites(factors[0], factors[1:head])
+    inner = _composites([tuple(range(len(si.vectors)))], factors[head:])
+    return si, _composites(outer, [inner])
 
 
 def _levels(
@@ -592,10 +609,16 @@ def mep_p_support_predicate(space: AlphabetSpec, poset: Poset) -> MepVerdict:
 def single_orbit_check(
     space: AlphabetSpec, poset: Poset, omega: WeightFunction
 ) -> tuple[bool, Optional[tuple[Vector, Vector]]]:
-    """Does the isometry group act transitively on each equal-weight class?"""
-    si, perms = _indexed_group(space, poset, weight_sum_functional(poset, omega))
-    # perms is the whole group, so the orbit of a vector is the set of its images
-    orbits = [set(map(operator.itemgetter(members[0]), perms)) for members in si.classes]
+    """Does the isometry group act transitively on each equal-weight class?
+    A class's first vector x has the orbit G x = F_1 (F_2 (... F_m x)), so x
+    goes through the group's factors from the last to the first, unlisted."""
+    si, factors = _group_factors(space, poset, weight_sum_functional(poset, omega))
+    orbits = []
+    for members in si.classes:
+        orbit = {members[0]}
+        for factor in reversed(factors):
+            orbit = set().union(*(map(perm.__getitem__, orbit) for perm in factor))
+        orbits.append(orbit)
     for t, value in enumerate(si.values):
         if t not in orbits[value]:
             return False, (si.vectors[si.classes[value][0]], si.vectors[t])

@@ -340,18 +340,6 @@ def _find_cycle(adjacency: list[list[int]]) -> Optional[list[int]]:
     return None
 
 
-def compose_perms(outer: Perm, inner: Perm) -> Perm:
-    """Permutation sending i to outer[inner[i]]."""
-    return tuple(map(outer.__getitem__, inner))
-
-
-def invert_perm(perm: Perm) -> Perm:
-    out = [0] * len(perm)
-    for i, j in enumerate(perm):
-        out[j] = i
-    return tuple(out)
-
-
 class WeightFunction(Value):
     """Strictly positive rational weight per label, with exact sums."""
 

@@ -60,6 +60,80 @@ def closure_key(mask: int) -> int:
     return mask
 
 
+def compose_perms(outer: Perm, inner: Perm) -> Perm:
+    """Permutation sending i to outer[inner[i]]."""
+    return tuple(map(outer.__getitem__, inner))
+
+
+def invert_perm(perm: Perm) -> Perm:
+    out = [0] * len(perm)
+    for i, j in enumerate(perm):
+        out[j] = i
+    return tuple(out)
+
+
+def criterion_four_oracle() -> tuple[bool, str]:
+    """Criterion 4 as it was, kept as the oracle of the closure-action check:
+    the structured group equals brute force as a matrix set, the kernel is
+    the listed support group, and the label map is checked multiplicative on
+    a sample of up to 60 x 60 products, with one fixed b replayed on unit
+    vectors.  Reads the isometries module's functions at call time."""
+    from posetmetrics.acceptance import _group_grid
+    from posetmetrics.fields import vec_index
+    from posetmetrics.isometries import (
+        brute_force_isometries,
+        invertible_index_perms,
+        support_isometry_group,
+        weight_automorphisms,
+        weight_isometry_group,
+        weight_sum_functional,
+    )
+
+    instances = _group_grid()
+    for space, poset, omega in instances:
+        q = space.q
+        key = weight_sum_functional(poset, omega)
+        structured = weight_isometry_group(space, poset, omega)
+        struct_set = {iso.matrix for iso in structured}
+        brute = set(brute_force_isometries(space, poset, key))
+        if struct_set != brute:
+            return False, (
+                f"group mismatch q={q} dims={space.dims} poset={poset.elements}"
+                f" ({len(struct_set)} structured vs {len(brute)} brute)"
+            )
+        n = space.total_dim
+        perm_of = invertible_index_perms(q, n).get
+        pairs = [(perm_of(iso.matrix), iso.lam) for iso in structured]
+        to_lam = dict(pairs)
+        admissible = set(weight_automorphisms(poset, space, omega))
+        if {iso.lam for iso in structured} != admissible:
+            return False, f"label-map image mismatch for dims={space.dims}"
+        identity_perm = tuple(range(len(poset.elements)))
+        kernel = {p for p, lam in to_lam.items() if lam == identity_perm}
+        support_set = {perm_of(iso.matrix) for iso in support_isometry_group(space, poset)}
+        if kernel != support_set:
+            return False, f"kernel mismatch for dims={space.dims}"
+        if len(struct_set) != len(support_set) * len(admissible):
+            return False, f"order != kernel * image for dims={space.dims}"
+        sample = pairs if len(pairs) <= 120 else pairs[:60]
+        for a, lam_a in sample:
+            if to_lam.get(invert_perm(a)) != invert_perm(lam_a):
+                return False, "label map of an inverse disagrees"
+            for b, lam_b in sample:
+                if to_lam.get(compose_perms(a, b)) != compose_perms(lam_a, lam_b):
+                    return False, "label map is not multiplicative"
+        units = [tuple(int(s == t) for s in range(n)) for t in range(n)]
+        fixed = tuple(range(q**n))
+        moved = [(iso, p) for iso, (p, _) in zip(structured, pairs) if p != fixed]
+        if moved:
+            b, perm_b = moved[0]
+            for a, (perm_a, _) in zip(structured, sample):
+                product = compose_perms(perm_a, perm_b)
+                if any(product[vec_index(q, e)] != vec_index(q, a.apply(b.apply(e))) for e in units):
+                    return False, "composite permutation disagrees with the action"
+    return True, f"{len(instances)} instances, sets equal and projection multiplicative"
+
+
 # -- the boolean-matrix poset core, kept as the oracle of the mask core ------------
 
 

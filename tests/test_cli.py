@@ -50,11 +50,12 @@ CAPPED_CHILD = (
     "from posetmetrics.cli import main\n"
     "out = {}\n"
     "for command in sys.argv[2:]:\n"
-    "    err = io.StringIO()\n"
+    "    report, err = io.StringIO(), io.StringIO()\n"
     "    start = time.perf_counter()\n"
-    "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):\n"
-    "        code = main([*command.split(), '--instance', sys.argv[1]])\n"
-    "    out[command] = [code, time.perf_counter() - start, err.getvalue()]\n"
+    "    with contextlib.redirect_stdout(report), contextlib.redirect_stderr(err):\n"
+    "        code = main([*command.split(), '--instance', sys.argv[1], '--json'])\n"
+    "    digest = report.getvalue() and json.loads(report.getvalue())['report_digest']\n"
+    "    out[command] = [code, time.perf_counter() - start, err.getvalue(), digest or None]\n"
     "print(json.dumps(out))\n"
 )
 
@@ -62,7 +63,8 @@ CAPPED_CHILD = (
 def run_capped(resource, path, commands) -> dict:
     """Run each instance command on the file in one child whose address space
     is capped at 1 GB, so a regression ends in MemoryError (exit 4), not a
-    full machine: {command: [exit code, seconds in main, stderr]}."""
+    full machine: {command: [exit code, seconds in main, stderr, report
+    digest or None]}."""
 
     def cap_memory():  # runs in the child only, before it starts Python
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
@@ -589,7 +591,7 @@ class TestBoundsAtLoad:
         }
         results = run_capped(resource, path, list(expected))
         for command, code in expected.items():
-            got, elapsed, err = results[command]
+            got, elapsed, err, _ = results[command]
             assert (got, "internal error" in err) == (code, False), (command, err)
             assert elapsed < 1, (command, elapsed)
             if code == 3:
@@ -606,15 +608,38 @@ class TestBoundsAtLoad:
         doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": []},
                "dims": {"a": 2, "b": 2, "c": 2}}
         path.write_text(json.dumps(doc))
-        code, elapsed, err = run_capped(resource, path, [command])[command]
+        code, elapsed, err, _ = run_capped(resource, path, [command])[command]
         assert code == 3 and elapsed < 1, (code, elapsed, err)
         assert err == "bound exceeded: group index table of 483729408 entries exceeds 134217728\n"
+
+    @pytest.mark.parametrize(
+        "dims, covers, digest",
+        [
+            ({"a": 2, "b": 2, "c": 1}, [["a", "b"]],
+             "6c71356560bfee530ec2e9d240ee6bc472615f3b7f862d2bc4059a21d585ce5b"),
+            ({"a": 2, "b": 2, "c": 2}, [],
+             "4e6a9fba0af1d8b9488b0119ffe7a6a7db60dfd0fe0dbab4b325ba43dd5a1d15"),
+        ],
+        ids=["f3-five", "three-f3-planes"],
+    )
+    def test_isometries_counts_f3_groups_in_a_memory_capped_child(
+        self, tmp_path, dims, covers, digest
+    ):
+        # 373,248 and 663,552 elements: the orders are closed forms and only
+        # the three sample elements are built, so neither group is listed
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "f3.json"
+        doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": covers}, "dims": dims}
+        path.write_text(json.dumps(doc))
+        code, elapsed, err, got = run_capped(resource, path, ["isometries"])["isometries"]
+        assert (code, err, got) == (0, "", digest) and elapsed < 1, (code, elapsed, err)
 
     def test_oracle_refusal_comes_before_the_structured_group(self, capsys, monkeypatch):
         def listed(*args, **kwargs):
             raise AssertionError("the structured group was listed")
 
-        monkeypatch.setattr(isometries, "weight_isometry_group", listed)
+        for name in ("weight_isometry_group", "enumerate_group", "admissible_lams"):
+            monkeypatch.setattr(isometries, name, listed)
         path = INSTANCES / "antichain3_k2.json"
         assert main(["isometries", "--brute-force", "--instance", str(path)]) == 3
         assert "the action table of GL_6(F_2) on F_2^6 has" in capsys.readouterr().err

@@ -32,12 +32,10 @@ from posetmetrics.isometries import (
     weight_sum_functional,
 )
 from posetmetrics.mep import SpaceIndex, extend_to_isometry, mep_brute_force
-from posetmetrics.posets import (
-    Poset, WeightFunction, compose_perms, invert_perm, powers_of_two_weight, set_bits,
-)
+from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight, set_bits
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
-from helpers import apply_perm, closure_key, key_for, value_for
+from helpers import apply_perm, closure_key, compose_perms, invert_perm, key_for, value_for
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -535,6 +533,13 @@ class TestBruteForce:
         matrices = fields.invertible_matrices(q, n)
         assert tuple(perms) == matrices
         assert tuple(perms.values()) == mat_vec_perms(q, n, matrices)
+
+    @pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 4), (5, 2)])
+    def test_dot_tables_equal_the_rowwise_sums(self, q, n):
+        # the per-row tables of invertible_index_perms come from fields.dot_values
+        vectors = list(itertools.product(range(q), repeat=n))
+        for w in vectors:
+            assert fields.dot_values(q, w) == [sum(map(operator.mul, w, v)) % q for v in vectors]
 
     def test_single_coordinate(self):
         space = AlphabetSpec.uniform(F3, ("a",), 1)

@@ -4,6 +4,7 @@ and the canonical level decomposition."""
 import itertools
 import random
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -416,15 +417,33 @@ class TestIndexedGroup:
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries)
         assert mep._indexed_group(SP21, CHAIN2, key)[1] == perms
 
+        verdict = _union_find_orbit_check(SP21, CHAIN2, ones)
+
         def unreachable(*args):
             raise AssertionError("a permutation was spanned")
 
-        monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
+        def unfolded(*args):
+            raise AssertionError("the listing was folded")
+
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries - 1)
+        # the orbit check reads the factors, whose own bound the listing's does not lower
+        monkeypatch.setattr(mep, "_composites", unfolded)
+        assert single_orbit_check(SP21, CHAIN2, ones) == verdict == (True, None)
+        monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
         message = rf"^group index table of {entries} entries exceeds {entries - 1}$"
         with pytest.raises(BoundExceeded, match=message):
             mep_brute_force(SP21, CHAIN2, ones)
-        with pytest.raises(BoundExceeded, match=message):
+
+    def test_factor_bound_fires_before_any_permutation(self, monkeypatch):
+        # the orbit check's tables: 1 label map, GL_1(F_2) twice, C_1 and C_2
+        # of 1 and 2 elements, over 4 vectors
+        def unreachable(*args):
+            raise AssertionError("a permutation was spanned")
+
+        ones = WeightFunction.ones(CHAIN2.elements)
+        monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
+        monkeypatch.setattr(mep, "FACTOR_TABLE_BOUND", 23)
+        with pytest.raises(BoundExceeded, match=r"^group index table of 24 entries exceeds 23$"):
             single_orbit_check(SP21, CHAIN2, ones)
 
 
@@ -934,9 +953,9 @@ def _union_find_orbit_check(space, poset, omega):
             a = root[a]
         return a
 
-    for perm in perms:
-        for t in range(count):
-            ra, rb = find(t), find(perm[t])
+    for t, column in enumerate(zip(*perms)):  # t joins its image under every permutation
+        for image in set(column):
+            ra, rb = find(t), find(image)
             if ra != rb:
                 root[ra] = rb
     first = [members[0] for members in si.classes]
@@ -958,6 +977,28 @@ class TestSingleOrbit:
                 cases += 1
                 failures += not result[0]
         assert cases == 207 and failures > 0
+
+    def test_f3_five_matches_the_union_find(self):
+        # a < b, c apart, dims (2, 2, 1): 373,248 listed elements for the oracle
+        space = AlphabetSpec(FieldSpec(3), MIXED.elements, (2, 2, 1))
+        omega = WeightFunction.ones(MIXED.elements)
+        result = single_orbit_check(space, MIXED, omega)
+        assert result == _union_find_orbit_check(space, MIXED, omega)
+        assert result == (False, ((0, 0, 0, 0, 1), (0, 1, 0, 0, 0)))
+
+    def test_three_f3_planes_hold_without_the_listing(self, monkeypatch):
+        # 663,552 elements, over the listing's entry bound: the factors decide
+        def unfolded(*args):
+            raise AssertionError("the listing was folded")
+
+        monkeypatch.setattr(mep, "_composites", unfolded)
+        space = AlphabetSpec.uniform(FieldSpec(3), ANTI3.elements, 2)
+        omega = WeightFunction.ones(ANTI3.elements)
+        start = time.perf_counter()
+        ok, witness = single_orbit_check(space, ANTI3, omega)
+        assert time.perf_counter() - start < 1
+        assert (ok, witness) == (True, None)
+        assert ok == condition_report(space, ANTI3, omega).udp_matched_dims
 
     def test_single_coordinate_transitive(self):
         one = Poset.chain(("a",))

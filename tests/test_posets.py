@@ -24,8 +24,6 @@ from posetmetrics.posets import (
     Poset,
     WeightFunction,
     all_posets_on,
-    compose_perms,
-    invert_perm,
     powers_of_two_weight,
     set_bits,
     udp_check,
@@ -35,7 +33,9 @@ from posetmetrics.posets import (
 from helpers import (
     DATACLASS_TWINS,
     apply_perm,
+    compose_perms,
     fraction_weight_fields,
+    invert_perm,
     matrix_from_covers,
     matrix_poset,
     matrix_posets_on,
