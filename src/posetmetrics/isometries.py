@@ -4,7 +4,11 @@ Every weight isometry of the ambient space factors as a label permutation
 (constrained to preserve weights and block dimensions), one invertible
 square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The structured form is stored; the full
-N x N matrix is built on first use and kept on the isometry.  The MEP layer
+N x N matrix is built on first use and kept on the isometry.  The elements
+with a given label map depend on the space, the poset and the map alone, so
+`enumerate_group` keeps each map's completed slice on the poset, keyed by
+the space and the map, and replays it, with every matrix already built, on
+the next listing for any key.  The MEP layer
 builds the permutations of the indexed vectors for the group's factors
 without any matrix (`mep._group_factors`); criterion 4 reads the
 permutations of matrices off the brute-force oracle's action table
@@ -65,8 +69,10 @@ def admissible_automorphisms(poset: Poset, space: AlphabetSpec, key: Key) -> tup
     The key is additive, so the principal ideals decide it: an automorphism
     sends the down-set of i onto that of perm[i], and keeping the key of
     every principal ideal keeps omega at every label (by induction along a
-    linear extension), hence the key of every ideal."""
-    masks, autos = poset._ideal_masks, tuple(_keeping_dims(space, poset.automorphisms()))
+    linear extension), hence the key of every ideal.  The automorphism
+    search and its bound come before the ideals are enumerated."""
+    autos = tuple(_keeping_dims(space, poset.automorphisms()))
+    masks = poset._ideal_masks
     if len(autos) * len(masks) > SCAN_BOUND:  # before any key is computed
         scan = f"functional filter of {len(autos)} automorphisms over {len(masks)} ideals"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
@@ -96,6 +102,9 @@ class Isometry(Value):
 
     __match_args__ = ("space", "poset", "lam", "diag", "strict")
     _matrix: Optional[Matrix] = None  # the full matrix, set on first use
+    # a listed element's [diag, strict, matrix] entry in its poset's group
+    # slices: the first build of the matrix fills it in for later listings
+    _entry: Optional[list] = None
 
     def __init__(
         self,
@@ -126,19 +135,25 @@ class Isometry(Value):
     @property
     def matrix(self) -> Matrix:
         if self._matrix is None:
-            bounds = self.space._block_bounds
-            starts = [bounds[label][0] for label in self.poset.elements]
-            n = self.space.total_dim
-            rows = [[0] * n for _ in range(n)]
-            for i, block in enumerate(self.diag):
-                c0 = starts[i]
-                for r, row in enumerate(block, starts[self.lam[i]]):
-                    rows[r][c0 : c0 + len(row)] = row
-            for i, j, block in self.strict:
-                c0 = starts[i]
-                for r, row in enumerate(block, starts[j]):
-                    rows[r][c0 : c0 + len(row)] = row
-            object.__setattr__(self, "_matrix", tuple(map(tuple, rows)))
+            entry = self._entry
+            matrix = None if entry is None else entry[2]
+            if matrix is None:
+                bounds = self.space._block_bounds
+                starts = [bounds[label][0] for label in self.poset.elements]
+                n = self.space.total_dim
+                rows = [[0] * n for _ in range(n)]
+                for i, block in enumerate(self.diag):
+                    c0 = starts[i]
+                    for r, row in enumerate(block, starts[self.lam[i]]):
+                        rows[r][c0 : c0 + len(row)] = row
+                for i, j, block in self.strict:
+                    c0 = starts[i]
+                    for r, row in enumerate(block, starts[j]):
+                        rows[r][c0 : c0 + len(row)] = row
+                matrix = tuple(map(tuple, rows))
+                if entry is not None:
+                    entry[2] = matrix
+            object.__setattr__(self, "_matrix", matrix)
         return self._matrix
 
     def apply(self, vec: Sequence[int]) -> Vector:
@@ -277,21 +292,44 @@ def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> 
 def enumerate_group(
     space: AlphabetSpec, poset: Poset, key: Key, bound: int = GROUP_BOUND
 ) -> Iterator[Isometry]:
-    """All isometries for the key, in (lam, diag, strict) lexicographic order."""
+    """All isometries for the key, in (lam, diag, strict) lexicographic order.
+
+    The elements with a given lam depend on the space, the poset and lam
+    alone, never on the key.  A lam's slice listed to its end is kept on the
+    poset (`Poset._group_slices`, keyed by the space and lam) as one
+    [diag, strict, matrix] entry per element, and a later listing replays it
+    as fresh isometries; an entry's matrix stays None until one of its
+    isometries builds it.  A slice cut short is not kept."""
     lams = admissible_lams(space, poset, key, bound)
-    q = space.q
+    q, slices = space.q, poset._group_slices
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
+    new, set_field = object.__new__, object.__setattr__
+
+    def listed(lam: Perm, entry: list) -> Isometry:
+        iso = new(Isometry)
+        set_field(iso, "space", space)
+        set_field(iso, "poset", poset)
+        set_field(iso, "lam", lam)
+        set_field(iso, "diag", entry[0])
+        set_field(iso, "strict", entry[1])
+        set_field(iso, "_entry", entry)
+        return iso
+
     for lam in lams:
+        kept = slices.get((space, lam))
+        if kept is not None:
+            for entry in kept:
+                yield listed(lam, entry)
+            continue
+        kept = []
         pairs = _strict_pairs(poset, lam)
-        block_shapes = [(space.dims[j], space.dims[i]) for i, j in pairs]
+        blocks = [_all_blocks(q, (space.dims[j], space.dims[i])) for i, j in pairs]
         for diag in itertools.product(*invertibles):
-            for strict_choice in itertools.product(
-                *(_all_blocks(q, shape) for shape in block_shapes)
-            ):
-                strict = tuple(
-                    (i, j, m) for (i, j), m in zip(pairs, strict_choice)
-                )
-                yield Isometry(space, poset, lam, diag, strict)
+            for strict_choice in itertools.product(*blocks):
+                entry = [diag, tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice)), None]
+                kept.append(entry)
+                yield listed(lam, entry)
+        slices[space, lam] = kept
 
 
 @lru_cache(maxsize=None)

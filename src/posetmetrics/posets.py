@@ -8,8 +8,11 @@ boolean matrix, `leq`, derived from the masks on first read, so eq, hash and
 repr are unchanged.  Closure, ideals, levels, UDP and automorphisms by
 refinement (McKay & Piperno, J. Symb. Comput. 2014) run on the masks (Knuth,
 TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on the
-poset at first use, so they are freed with it.  Label sets cross the
-interface as frozensets, weights as Fractions.
+poset at first use, so they are freed with it: the order matrix, the ideals,
+the levels, the automorphisms, the admissible label maps of each space and
+key (`isometries.admissible_lams`) and each completed slice of an isometry
+group, per space and label map (`isometries.enumerate_group`).  Label sets
+cross the interface as frozensets, weights as Fractions.
 """
 
 from __future__ import annotations
@@ -229,6 +232,11 @@ class Poset(Value):
         return {}
 
     @cached_property
+    def _group_slices(self) -> dict:
+        """isometries.enumerate_group's completed slices, kept with the poset."""
+        return {}
+
+    @cached_property
     def _ideals(self) -> tuple[frozenset[str], ...]:
         return tuple(map(self._labels, self._ideal_masks))
 
@@ -417,8 +425,17 @@ def udp_check(
     """Do equal-weight ideals always differ by a weight-preserving automorphism?
 
     Returns (True, None) or (False, witness pair of ideals with equal weight
-    sums lying in different orbits).
+    sums lying in different orbits).  Two principal ideals of equal weight
+    make a shared class, so the automorphism search runs; where its bound can
+    refuse (n! over AUTOMORPHISM_BOUND), it runs before the ideals are
+    enumerated.
     """
+    n = len(poset.elements)
+    if math.factorial(n) > AUTOMORPHISM_BOUND:  # the search can refuse
+        weights = omega.scaled(poset.elements)
+        principal = {sum(map(weights.__getitem__, set_bits(down))) for down in poset._down}
+        if len(principal) < n:
+            poset.automorphisms()
     masks, weights = poset._ideal_masks, omega.scaled(poset.elements)  # bound checked first
     powers = [1 << t for t in range(len(weights))]
     by_sum: dict[int, list[int]] = {}

@@ -5,9 +5,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from posetmetrics import lattices, posets, spaces
+from posetmetrics import fields, isometries, lattices, posets, spaces
 from posetmetrics.errors import BoundExceeded, ValidationError
-from posetmetrics.isometries import weight_sum_functional
+from posetmetrics.isometries import GROUP_BOUND, weight_sum_functional
 from posetmetrics.posets import (
     AUTOMORPHISM_BOUND,
     Perm,
@@ -132,6 +132,25 @@ def criterion_four_oracle() -> tuple[bool, str]:
                 if any(product[vec_index(q, e)] != vec_index(q, a.apply(b.apply(e))) for e in units):
                     return False, "composite permutation disagrees with the action"
     return True, f"{len(instances)} instances, sets equal and projection multiplicative"
+
+
+def enumerate_group_oracle(space, poset, key, bound: int = GROUP_BOUND) -> Iterator:
+    """isometries.enumerate_group as it was before completed slices were kept
+    on the poset: every call lists every element afresh with the Isometry
+    constructor, so every matrix is built from the element's own blocks.  The
+    oracle of the slice memo."""
+    lams = isometries.admissible_lams(space, poset, key, bound)
+    q = space.q
+    invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
+    for lam in lams:
+        pairs = isometries._strict_pairs(poset, lam)
+        block_shapes = [(space.dims[j], space.dims[i]) for i, j in pairs]
+        for diag in itertools.product(*invertibles):
+            for strict_choice in itertools.product(
+                *(isometries._all_blocks(q, shape) for shape in block_shapes)
+            ):
+                strict = tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice))
+                yield isometries.Isometry(space, poset, lam, diag, strict)
 
 
 # -- the boolean-matrix poset core, kept as the oracle of the mask core ------------

@@ -16,7 +16,7 @@ from posetmetrics import cli, isometries
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import BoundExceeded, ValidationError
-from posetmetrics.posets import ELEMENT_BOUND
+from posetmetrics.posets import ELEMENT_BOUND, Poset
 from posetmetrics.reports import build_report
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -163,6 +163,34 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["poset", "--instance", str(path)]) == 3
         assert "362880 candidate permutations exceeds the bound 40320" in capsys.readouterr().err
+
+    ANTICHAIN_COMMANDS = ("isometries", "mep", "mep --brute-force", "mep --mode psupport")
+
+    @staticmethod
+    def antichain20(tmp_path):
+        """Twenty unrelated labels over F_2: 2^20 ideals, 20! candidate automorphisms."""
+        path = tmp_path / "anti20.json"
+        doc = {"q": 2, "poset": {"elements": [f"x{t}" for t in range(20)], "covers": []}}
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_antichain_of_twenty_refuses_before_its_ideals(self, tmp_path, capsys, monkeypatch):
+        def unreachable(self):
+            raise AssertionError("the ideals were enumerated")
+
+        monkeypatch.setattr(Poset, "_ideal_masks", property(unreachable))
+        path = self.antichain20(tmp_path)
+        search = "automorphism search over 2432902008176640000 candidate permutations"
+        for command in self.ANTICHAIN_COMMANDS:
+            assert main([*command.split(), "--instance", str(path)]) == 3, command
+            assert capsys.readouterr().err == f"bound exceeded: {search} exceeds the bound 40320\n"
+
+    def test_antichain_of_twenty_exits_three_at_once_in_a_memory_capped_child(self, tmp_path):
+        # the refusal used to come after all 2^20 ideals: about 5 s and 270 MB
+        resource = pytest.importorskip("resource")
+        results = run_capped(resource, self.antichain20(tmp_path), list(self.ANTICHAIN_COMMANDS))
+        for command, (code, elapsed, err, _) in results.items():
+            assert code == 3 and elapsed < 0.5 and "automorphism search" in err, (command, elapsed)
 
     @staticmethod
     def antichain_beside_chains(tmp_path, lengths):

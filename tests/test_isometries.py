@@ -1,7 +1,10 @@
 """Structured isometries: weight keys, enumeration, oracle agreement, decomposition."""
 
+import gc
 import itertools
 import operator
+import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -35,7 +38,9 @@ from posetmetrics.mep import SpaceIndex, extend_to_isometry, mep_brute_force
 from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight, set_bits
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
-from helpers import apply_perm, closure_key, compose_perms, invert_perm, key_for, value_for
+from helpers import (
+    apply_perm, closure_key, compose_perms, enumerate_group_oracle, invert_perm, key_for, value_for,
+)
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -192,6 +197,16 @@ class TestAdmissible:
                 assert filtered == _fraction_filter(poset, space, value_for(poset, omega, mode))
                 swaps += len(filtered) > 1
         assert swaps > 0
+
+    def test_the_automorphism_search_comes_before_the_ideals(self, monkeypatch):
+        def unreachable(self):
+            raise AssertionError("the ideals were enumerated")
+
+        monkeypatch.setattr(Poset, "_ideal_masks", property(unreachable))
+        labels = tuple(f"e{t}" for t in range(20))
+        anti, space = Poset.antichain(labels), AlphabetSpec.uniform(F2, labels, 1)
+        with pytest.raises(BoundExceeded, match="^automorphism search over 2432902008176640000 "):
+            admissible_automorphisms(anti, space, closure_key)
 
     def test_support_key_forces_identity(self):
         assert admissible_automorphisms(ANTI2, SP21, key_for(ANTI2, None, "support")) == ((0, 1),)
@@ -465,6 +480,134 @@ class TestEnumeration:
             oracle = [iso.matrix for iso in enumerate_group(space, poset, closure_key)]
             assert [iso.matrix for iso in support_isometry_group(space, poset)] == oracle
         assert len(shapes) == 26
+
+
+def _listing(group):
+    """Each element with its matrix, the matrices read after the listing ends,
+    as the callers read them."""
+    group = list(group)
+    return [(iso, iso.matrix) for iso in group]
+
+
+def _support_key(poset):
+    return weight_sum_functional(poset, powers_of_two_weight(poset))
+
+
+class TestGroupSlices:
+    """enumerate_group keeps each label map's completed slice on the poset and
+    replays it; the listing oracle builds every element afresh."""
+
+    def assert_groups_equal_the_oracle(self, space, poset, omega):
+        key = weight_sum_functional(poset, omega)
+        expected = _listing(enumerate_group_oracle(space, poset, key))
+        assert _listing(weight_isometry_group(space, poset, omega)) == expected
+        expected = _listing(enumerate_group_oracle(space, poset, _support_key(poset)))
+        assert _listing(support_isometry_group(space, poset)) == expected
+
+    def test_the_group_grid_in_grid_order(self):
+        # the grid shares each poset across its dims and weightings, so later
+        # listings replay the slices that earlier ones kept
+        grid = _group_grid()
+        for space, poset, omega in grid:
+            self.assert_groups_equal_the_oracle(space, poset, omega)
+        replayed = {id(poset) for _space, poset, _omega in grid if poset._group_slices}
+        assert len(replayed) == len({id(poset) for _space, poset, _omega in grid})
+
+    @pytest.mark.parametrize("q, wide", [(2, False), (2, True), (3, False)],
+                             ids=["F2-unit", "F2-one-plane", "F3-unit"])
+    def test_every_labeled_poset_up_to_three(self, q, wide):
+        for size in (1, 2, 3):
+            for poset in _labeled_posets(size):
+                dims = (2 if wide else 1,) + (1,) * (size - 1)
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for omega in _omega_variants(poset):
+                    self.assert_groups_equal_the_oracle(space, poset, omega)
+
+    def test_a_slice_kept_under_the_wrong_label_map_fails_the_comparison(self):
+        # the test above must see a replay under the wrong lam: keep the
+        # identity's slice, matrices built, under the swap of a 2-antichain
+        anti = _fresh(ANTI2)
+        space = AlphabetSpec.uniform(F3, anti.elements, 1)
+        key = weight_sum_functional(anti, ONES2)
+        _listing(enumerate_group(space, anti, key))
+        anti._group_slices[space, (1, 0)] = anti._group_slices[space, (0, 1)]
+        assert _listing(enumerate_group(space, anti, key)) != _listing(
+            enumerate_group_oracle(space, anti, key)
+        )
+
+    def test_the_kernel_is_replayed_with_its_matrices(self, monkeypatch):
+        # one F_3^3 block: the support group after the weight group lists no
+        # element afresh and builds no matrix
+        one = Poset.chain(("a",))
+        space = AlphabetSpec(F3, one.elements, (3,))
+        weight = _listing(weight_isometry_group(space, one, WeightFunction.ones(one.elements)))
+
+        def unreachable(*args):
+            raise AssertionError("a slice was listed afresh")
+
+        monkeypatch.setattr(isometries, "_strict_pairs", unreachable)
+        support = support_isometry_group(space, one)
+        assert len(support) == len(weight) == gl_order(3, 3)
+        assert all(iso.matrix is matrix for iso, (_, matrix) in zip(support, weight))
+
+    def test_a_cut_listing_keeps_nothing_and_lists_no_further(self):
+        # three F_3 planes: 663,552 elements, of which the sample reads three
+        anti = Poset.antichain(tuple("abc"))
+        space = AlphabetSpec.uniform(F3, anti.elements, 2)
+        key = weight_sum_functional(anti, WeightFunction.ones(anti.elements))
+        start = time.perf_counter()
+        sample = list(itertools.islice(enumerate_group(space, anti, key), 3))
+        assert time.perf_counter() - start < 1
+        assert anti._group_slices == {}
+        assert sample == list(itertools.islice(enumerate_group_oracle(space, anti, key), 3))
+        small = _fresh(ANTI2)
+        small_space = AlphabetSpec.uniform(F3, small.elements, 1)
+        key = weight_sum_functional(small, ONES2)
+        assert len(list(itertools.islice(enumerate_group(small_space, small, key), 3))) == 3
+        assert small._group_slices == {}
+        assert _listing(enumerate_group(small_space, small, key)) == _listing(
+            enumerate_group_oracle(small_space, small, key)
+        )
+
+    def test_a_refusal_keeps_nothing(self):
+        chain = _fresh(CHAIN2)
+        message = r"^isometry group order reaches 2, over the bound 1$"
+        with pytest.raises(GroupBoundExceeded, match=message):
+            weight_isometry_group(SP21, chain, ONES2, bound=1)
+        assert chain._group_slices == {}
+        assert _listing(weight_isometry_group(SP21, chain, ONES2)) == _listing(
+            enumerate_group_oracle(SP21, chain, weight_sum_functional(chain, ONES2))
+        )
+        with pytest.raises(GroupBoundExceeded, match=message):  # kept slices answer no bound
+            weight_isometry_group(SP21, chain, ONES2, bound=1)
+
+    def test_a_mutated_result_leaves_the_next_call_unchanged(self):
+        vee = Poset.from_covers(("a", "b", "c"), [("a", "b"), ("a", "c")])
+        space = AlphabetSpec(F2, vee.elements, (1, 2, 2))
+        omega = WeightFunction.ones(vee.elements)
+        expected = _listing(enumerate_group_oracle(space, vee, weight_sum_functional(vee, omega)))
+        first = weight_isometry_group(space, vee, omega)
+        first.reverse()
+        del first[1:]
+        first.append(build_isometry(space, vee, (0, 1, 2), [((1,),), IDENTITY2, IDENTITY2]))
+        assert _listing(weight_isometry_group(space, vee, omega)) == expected
+
+    def test_the_slices_are_freed_with_the_poset_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            anti = Poset.antichain(tuple("abc"))
+            space = AlphabetSpec.uniform(F2, anti.elements, 1)
+            group = _listing(weight_isometry_group(space, anti, WeightFunction.ones(anti.elements)))
+            group += _listing(support_isometry_group(space, anti))
+            assert len(anti._group_slices) == 6
+            poset_ref = weakref.ref(anti)  # the slices are freed with the poset's dict
+            del anti, group
+            assert poset_ref() is None
+        finally:
+            gc.enable()
+
+
+IDENTITY2 = ((1, 0), (0, 1))
 
 
 def mat_vec_perms(q, n, matrices):

@@ -671,6 +671,35 @@ class TestElementBound:
         with pytest.raises(BoundExceeded, match=f"capped at {ELEMENT_BOUND} elements"):
             big.all_ideals()
 
+    SEARCH_21 = "^automorphism search over at least 2\\^65 candidate permutations "
+
+    def test_udp_check_runs_a_search_that_can_refuse_before_the_ideals(self, monkeypatch):
+        # twenty unit-weight labels: equal principal ideals and 20! candidates
+        def unreachable(self):
+            raise AssertionError("the ideals were enumerated")
+
+        monkeypatch.setattr(Poset, "_ideal_masks", property(unreachable))
+        labels = [f"e{t}" for t in range(ELEMENT_BOUND)]
+        with pytest.raises(BoundExceeded, match="^automorphism search over 2432902008176640000 "):
+            udp_check(Poset.antichain(labels), WeightFunction.ones(labels))
+
+    def test_past_both_bounds_the_automorphism_bound_is_named(self):
+        labels = [f"e{t}" for t in range(ELEMENT_BOUND + 1)]
+        with pytest.raises(BoundExceeded, match=self.SEARCH_21):
+            udp_check(Poset.antichain(labels), WeightFunction.ones(labels))
+
+    @pytest.mark.parametrize("shape", ["chain", "distinct-weights"])
+    def test_the_ideal_bound_stays_where_the_search_cannot_refuse_first(self, shape):
+        # a chain needs one candidate; distinct weights give no two principal
+        # ideals one weight, so no class is shared through them
+        labels = [f"e{t}" for t in range(ELEMENT_BOUND + 1)]
+        poset = Poset.chain(labels) if shape == "chain" else Poset.antichain(labels)
+        omega = WeightFunction.ones(labels)
+        if shape == "distinct-weights":
+            omega = WeightFunction(tuple(labels), tuple(Fraction(2**t) for t in range(len(labels))))
+        with pytest.raises(BoundExceeded, match=f"capped at {ELEMENT_BOUND} elements"):
+            udp_check(poset, omega)
+
 
 # -- the mask core against the boolean-matrix path it replaced --------------------
 
