@@ -306,6 +306,8 @@ def enumerate_group(
     new, set_field = object.__new__, object.__setattr__
 
     def listed(lam: Perm, entry: list) -> Isometry:
+        # fields set here, not through the constructor: a replay does no other
+        # work per element, so the extra call would show in its time
         iso = new(Isometry)
         set_field(iso, "space", space)
         set_field(iso, "poset", poset)

@@ -510,8 +510,9 @@ class TestGroupSlices:
         grid = _group_grid()
         for space, poset, omega in grid:
             self.assert_groups_equal_the_oracle(space, poset, omega)
-        replayed = {id(poset) for _space, poset, _omega in grid if poset._group_slices}
-        assert len(replayed) == len({id(poset) for _space, poset, _omega in grid})
+        for space, poset, omega in grid:  # one slice kept per space and label map
+            for lam in weight_automorphisms(poset, space, omega):
+                assert (space, lam) in poset._group_slices
 
     @pytest.mark.parametrize("q, wide", [(2, False), (2, True), (3, False)],
                              ids=["F2-unit", "F2-one-plane", "F3-unit"])
@@ -589,7 +590,8 @@ class TestGroupSlices:
         first = weight_isometry_group(space, vee, omega)
         first.reverse()
         del first[1:]
-        first.append(build_isometry(space, vee, (0, 1, 2), [((1,),), IDENTITY2, IDENTITY2]))
+        plane = ((1, 0), (0, 1))
+        first.append(build_isometry(space, vee, (0, 1, 2), [((1,),), plane, plane]))
         assert _listing(weight_isometry_group(space, vee, omega)) == expected
 
     def test_the_slices_are_freed_with_the_poset_without_the_cycle_collector(self):
@@ -605,9 +607,6 @@ class TestGroupSlices:
             assert poset_ref() is None
         finally:
             gc.enable()
-
-
-IDENTITY2 = ((1, 0), (0, 1))
 
 
 def mat_vec_perms(q, n, matrices):
