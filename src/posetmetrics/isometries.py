@@ -9,9 +9,11 @@ with a given label map depend on the space, the poset and the map alone, so
 `enumerate_group` keeps each map's completed slice on the poset, keyed by
 the space and the map, and replays it, with every matrix already built, on
 the next listing for any key.  The MEP layer
-builds the permutations of the indexed vectors for the group's factors
-without any matrix (`mep._group_factors`); criterion 4 reads the
-permutations of matrices off the brute-force oracle's action table
+builds the permutations of the indexed vectors for the group's nontrivial
+factors without any matrix (`mep._group_factors`), and the MEP scan joins
+them into a table of packed 16-bit image columns with no element built on
+its own (`mep._indexed_group`); criterion 4 reads the permutations of
+matrices off the brute-force oracle's action table
 (`invertible_index_perms`), and matrices serve reports and the oracles.
 
 The same machinery runs for any integer key on ideal masks (bit t for

@@ -10,18 +10,22 @@ vectors are classed by the integer weight key of their closure masks (support
 closure is the weight with doubling weights, whose key is the mask itself),
 and the scan and the orbit check see each group element only as the
 permutation it induces on the indexed vectors, spanned for the group's
-factors with no `Isometry` and no matrix (`_group_factors`); only the scan
-lists the group.  Spans read one addition table (xor at q = 2), and the
+factors with no `Isometry` and no matrix (`_group_factors`).  Only the scan
+lists the group, as a table of columns: column t holds the image of vector
+t under every element, packed as 16-bit indices and joined from the
+factors' columns one factor at a time, so no element is built on its own
+(`_indexed_group`).  Spans read one addition table (xor at q = 2), and the
 multiples c b of a basis vector are b added c times.
 
 A code is decided on the stabilizer chain of its basis (`_holds_on`): only
 the images of the identity prefix at each level are looked at, a level whose
 class is its basis vector's orbit is skipped before its tables are built, and
 the leaf search that names the first counterexample runs only on a code that
-fails.  A held code's orbit is marked in one pass over the group's columns
+fails.  A held code's orbit is marked in one pass over the table's columns
 at the code's vectors: each element's image of the code is a row of them,
-deduplicated as a tuple before it is made a set.  The label maps are
-filtered once per (poset, space, weights) and shared by the scan, the
+deduplicated as a tuple before it is made a set.  Every reader of the table
+reads sets of images, so the order of its elements is free.  The label maps
+are filtered once per (poset, space, weights) and shared by the scan, the
 extension search and the orbit check (`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
 own currency; only a counterexample's code is built as a `LinearCode`.
@@ -32,6 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import sys
 from fractions import Fraction
 from typing import Container, Iterator, Optional, Sequence
 
@@ -247,6 +252,9 @@ def mep_brute_force(
     search for the first unreachable map.  The orbit of a held code is marked
     by `_orbit_spans`: every element's image of the span, read off the
     group's columns at the span's vectors and made a set once per distinct row.
+    The columns are `_indexed_group`'s packed table, in its factor-outer
+    order; the decision, the reachable tuples and the marking read only sets
+    of images, so the verdict and counterexample do not depend on that order.
 
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
@@ -255,9 +263,7 @@ def mep_brute_force(
         omega = powers_of_two_weight(poset)
     elif omega is None:
         raise ValidationError("weight mode needs a weight function")
-    si, perms = _indexed_group(space, poset, weight_sum_functional(poset, omega))
-    # columns[t][g] is the image of vector t under the g-th group element
-    columns = list(zip(*perms))
+    si, columns = _indexed_group(space, poset, weight_sum_functional(poset, omega))
     count = len(si.vectors)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
@@ -304,7 +310,10 @@ def _group_factors(
     permutations (perm[t] indexes the image of vector t): the label maps
     P(lam, I), a GL_{k_i} on block i per block, then the unipotent factors
     C_i top-down.  Each element is f_1 o f_2 o ... for one pick per list, once.
-    The entries of the listing (listed) or of the lists are bounded first.
+    A one-element factor is the identity (a lone label map, GL_1(F_2)) and
+    is dropped before it is spanned.  The entries of the group table
+    (listed: |G| q^N) or of the lists (their summed lengths, identities
+    included, times q^N) are bounded first.
 
     P(lam, D) = P(lam, I) diag(D_i) sends block i into block lam(i) by D_i.
     u = I + X lies in the unipotent group U of strict blocks (k, i), k
@@ -342,27 +351,34 @@ def _group_factors(
                 units[:start] + list(map(operator.add, units[start:stop], low)) + units[stop:]
                 for low in itertools.product(lows, repeat=stop - start)
             ])
-    return si, [[tuple(si.span_indices(columns)) for columns in factor] for factor in factors]
+    return si, [[tuple(si.span_indices(columns)) for columns in factor]
+                for factor in factors if len(factor) > 1]
 
 
-def _composites(listing: list[Perm], factors: Sequence[list[Perm]]) -> list[Perm]:
-    """a o f_1 o f_2 ... for each a of listing and one pick per factor, in
-    lexicographic order; a one-element factor is the identity and is skipped."""
-    for factor in factors:
-        if len(factor) > 1:
-            listing = [tuple(map(a.__getitem__, f)) for a in listing for f in factor]
-    return listing
+def _indexed_group(
+    space: AlphabetSpec, poset: Poset, key: Key
+) -> tuple[SpaceIndex, list[memoryview]]:
+    """The space's dense index and the group's column table: columns[t][g]
+    is the index of the image of vector t under the g-th group element,
+    packed as native unsigned 16-bit entries (indices stay below
+    VECTOR_BOUND = 2^16).  No element is built as a permutation.
 
-
-def _indexed_group(space: AlphabetSpec, poset: Poset, key: Key) -> tuple[SpaceIndex, list[Perm]]:
-    """The space's dense index and every group element's index permutation,
-    in (lam, D, u) order: the P(lam, D) and the u of U are each folded from
-    `_group_factors`' lists, and then composed pairwise."""
+    The table starts as the identity and takes `_group_factors`' lists one
+    factor at a time, the factor's element f as the outer index over the
+    elements g so far: g o f sends t to g(f(t)), so the new column t is the
+    old columns at f[t] joined over the factor's column t, one byte join per
+    column with no entry unpacked.  Raw bytes are kept between factors and
+    each column is cast once at the end.  The table ends as f_1 o f_2 o ...
+    for one pick per list, the last list's pick varying slowest.  Every
+    reader (`_holds_on`, the reachable tuples, `_orbit_spans`) reads only
+    sets of images, so no verdict, counterexample or digest depends on the
+    order.
+    """
     si, factors = _group_factors(space, poset, key, listed=True)
-    head = 1 + len(poset.elements)  # the label maps and the GL factors
-    outer = _composites(factors[0], factors[1:head])
-    inner = _composites([tuple(range(len(si.vectors)))], factors[head:])
-    return si, _composites(outer, [inner])
+    table = [t.to_bytes(2, sys.byteorder) for t in range(len(si.vectors))]
+    for factor in factors:
+        table = [b"".join(map(table.__getitem__, column)) for column in zip(*factor)]
+    return si, [memoryview(column).cast("H") for column in table]
 
 
 def _levels(

@@ -5,7 +5,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from posetmetrics import fields, isometries, lattices, posets, spaces
+from posetmetrics import fields, isometries, lattices, mep, posets, spaces
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.isometries import GROUP_BOUND, weight_sum_functional
 from posetmetrics.posets import (
@@ -151,6 +151,18 @@ def enumerate_group_oracle(space, poset, key, bound: int = GROUP_BOUND) -> Itera
             ):
                 strict = tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice))
                 yield isometries.Isometry(space, poset, lam, diag, strict)
+
+
+def indexed_group_oracle(space, poset, key) -> tuple:
+    """mep._indexed_group as it was before the column table: the space's
+    index and every element's index permutation as a tuple, f_1 o f_2 o ...
+    folded from mep._group_factors' lists in (lam, D, u) order, the first
+    factor's pick varying slowest.  The oracle of the packed columns."""
+    si, factors = mep._group_factors(space, poset, key, listed=True)
+    listing = [tuple(range(len(si.vectors)))]
+    for factor in factors:
+        listing = [tuple(map(a.__getitem__, f)) for a in listing for f in factor]
+    return si, listing
 
 
 # -- the boolean-matrix poset core, kept as the oracle of the mask core ------------

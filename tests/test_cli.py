@@ -641,6 +641,45 @@ class TestBoundsAtLoad:
         assert err == "bound exceeded: group index table of 483729408 entries exceeds 134217728\n"
 
     @pytest.mark.parametrize(
+        "command, digest",
+        [
+            ("audit", "6ec29d4cd8c6e25a9a74e7c60457ec587f533a0dca351c57ec835f30ee37bd2a"),
+            ("mep --brute-force",
+             "0283c54b0167284110c31f6f5f3723ef469f70c5ee503eb7a39f76cc2ffba5f8"),
+        ],
+    )
+    def test_f3_five_scans_in_a_memory_capped_child(self, tmp_path, command, digest):
+        # a < b, c apart, dims (2, 2, 1): 373,248 elements over 243 vectors,
+        # 90.7M table entries of 2 bytes each; as tuples they took 1.45 GB
+        # and 12-14 s, which the child's 1 GB cap ends in MemoryError (exit 4)
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "f3_five.json"
+        doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": [["a", "b"]]},
+               "dims": {"a": 2, "b": 2, "c": 1}}
+        path.write_text(json.dumps(doc))
+        code, elapsed, err, got = run_capped(resource, path, [command])[command]
+        assert (code, err, got) == (0, "", digest) and elapsed < 5, (code, elapsed, err)
+
+    def test_three_f3_planes_psupport_scan_meets_the_map_bound_in_a_memory_capped_child(
+        self, tmp_path
+    ):
+        # the doubling weights admit no label map but the identity: 110,592
+        # elements and 80.6M table entries, under the entry bound, so the
+        # table is built and the candidate-map bound stops the scan
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "planes3_f3.json"
+        doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": []},
+               "dims": {"a": 2, "b": 2, "c": 2}}
+        path.write_text(json.dumps(doc))
+        command = "mep --mode psupport --brute-force"
+        code, elapsed, err, _ = run_capped(resource, path, [command])[command]
+        assert code == 3 and elapsed < 3, (code, elapsed, err)
+        assert err == (
+            "bound exceeded: 531441 candidate maps at dimension 2 exceed the bound 524288; "
+            "raise it with --bound\n"
+        )
+
+    @pytest.mark.parametrize(
         "dims, covers, digest",
         [
             ({"a": 2, "b": 2, "c": 1}, [["a", "b"]],

@@ -55,7 +55,7 @@ from posetmetrics.spaces import (
     weight,
 )
 
-from helpers import closure_key, key_for, linear_maps
+from helpers import closure_key, indexed_group_oracle, key_for, linear_maps
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -64,6 +64,7 @@ ANTI3 = Poset.antichain(("a", "b", "c"))
 MIXED = Poset.from_covers(("a", "b", "c"), [("a", "b")])
 SP21 = AlphabetSpec.uniform(F2, CHAIN2.elements, 1)
 ONES2 = WeightFunction.ones(CHAIN2.elements)
+ONES3 = WeightFunction.ones(MIXED.elements)
 
 
 class TestPreservation:
@@ -344,6 +345,29 @@ def _oracle_perms(space, poset, key):
     return [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, key)]
 
 
+def _factor_outer(listing, sizes):
+    """A listing lexicographic in the factor picks (i_1, ..., i_m), reordered
+    as the column table lists it: the last factor's pick varies slowest."""
+    reordered = []
+    for picks in itertools.product(*map(range, reversed(sizes))):
+        lex = 0
+        for size, pick in zip(sizes, reversed(picks)):
+            lex = lex * size + pick
+        reordered.append(listing[lex])
+    return reordered
+
+
+def _assert_table_matches_the_oracles(space, poset, key):
+    """The column table's rows are the folded listing's permutations in the
+    factor-outer order, and the matrix oracle's as a multiset."""
+    _, columns = mep._indexed_group(space, poset, key)
+    rows = list(zip(*columns))
+    _, listing = indexed_group_oracle(space, poset, key)
+    sizes = [len(factor) for factor in mep._group_factors(space, poset, key)[1]]
+    assert rows == _factor_outer(listing, sizes)
+    assert Counter(rows) == Counter(listing) == Counter(_oracle_perms(space, poset, key))
+
+
 class TestIndexedGroup:
     """The permutations composed from the semidirect factors are the group's
     permutations built from its matrices: the same multiset, in another order."""
@@ -359,10 +383,33 @@ class TestIndexedGroup:
         for poset in _labeled_posets(size):
             space = AlphabetSpec.uniform(F2, poset.elements, 1)
             for key in self._functionals(poset):
-                _, perms = mep._indexed_group(space, poset, key)
-                assert Counter(perms) == Counter(_oracle_perms(space, poset, key))
+                _assert_table_matches_the_oracles(space, poset, key)
                 compared += 1
         assert compared == 4 * {1: 1, 2: 3, 3: 19, 4: 219}[size]
+
+    @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
+    def test_large_shapes_match_the_matrix_oracle(self, poset, dims, max_dim, orbits):
+        space = AlphabetSpec(F2, poset.elements, dims)
+        for key in self._functionals(poset):
+            _assert_table_matches_the_oracles(space, poset, key)
+
+    def test_columns_are_packed_16_bit_indices(self):
+        # a < b, c apart over F_3 with dims (1, 2, 1): 81 vectors, and the
+        # group's 2 x 48 x 2 diagonal blocks times 9 strict blocks (a, b)
+        space = AlphabetSpec(FieldSpec(3), MIXED.elements, (1, 2, 1))
+        si, columns = mep._indexed_group(space, MIXED, key_for(MIXED, ONES3, "weight"))
+        assert len(columns) == len(si.vectors) == 81
+        for column in columns:
+            assert (type(column), column.format, column.itemsize) == (memoryview, "H", 2)
+            assert len(column) == 1728 == column.nbytes // 2
+        assert set(columns[0]) == {0}  # every element fixes the zero vector
+
+    def test_one_element_factors_are_not_spanned(self):
+        # the 2-chain over F_2: one label map and GL_1(F_2) twice are identities,
+        # so the strict block's two elements are the only factor spanned
+        _, factors = mep._group_factors(SP21, CHAIN2, key_for(CHAIN2, ONES2, "weight"))
+        assert [len(factor) for factor in factors] == [2]
+        assert sorted(factors[0]) == [(0, 1, 2, 3), (0, 3, 2, 1)]  # (0, 1) -> (1, 1)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_support_mode_equals_the_closure_key(self, size, monkeypatch):
@@ -388,8 +435,7 @@ class TestIndexedGroup:
         compared = 0
         for space, poset, omega in _group_grid():  # q = 2 and 3, blocks up to dimension 3
             for key in (key_for(poset, omega, "weight"), key_for(poset, None, "support")):
-                _, perms = mep._indexed_group(space, poset, key)
-                assert Counter(perms) == Counter(_oracle_perms(space, poset, key))
+                _assert_table_matches_the_oracles(space, poset, key)
                 compared += 1
         assert compared == 156
 
@@ -411,11 +457,11 @@ class TestIndexedGroup:
         assert mep.GROUP_TABLE_BOUND == 1 << 27
         ones = WeightFunction.ones(CHAIN2.elements)
         key = weight_sum_functional(CHAIN2, ones)
-        _, perms = mep._indexed_group(SP21, CHAIN2, key)
-        entries = len(perms) * SP21.vector_count
-        assert len(perms) == len(list(enumerate_group(SP21, CHAIN2, key))) > 1
+        _, columns = mep._indexed_group(SP21, CHAIN2, key)
+        entries = len(columns[0]) * SP21.vector_count
+        assert len(columns[0]) == len(list(enumerate_group(SP21, CHAIN2, key))) > 1
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries)
-        assert mep._indexed_group(SP21, CHAIN2, key)[1] == perms
+        assert mep._indexed_group(SP21, CHAIN2, key)[1] == columns
 
         verdict = _union_find_orbit_check(SP21, CHAIN2, ones)
 
@@ -423,12 +469,14 @@ class TestIndexedGroup:
             raise AssertionError("a permutation was spanned")
 
         def unfolded(*args):
-            raise AssertionError("the listing was folded")
+            raise AssertionError("the group table was built")
 
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries - 1)
-        # the orbit check reads the factors, whose own bound the listing's does not lower
-        monkeypatch.setattr(mep, "_composites", unfolded)
+        # the orbit check reads the factors, whose own bound the table's does not lower
+        indexed_group = mep._indexed_group
+        monkeypatch.setattr(mep, "_indexed_group", unfolded)
         assert single_orbit_check(SP21, CHAIN2, ones) == verdict == (True, None)
+        monkeypatch.setattr(mep, "_indexed_group", indexed_group)
         monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
         message = rf"^group index table of {entries} entries exceeds {entries - 1}$"
         with pytest.raises(BoundExceeded, match=message):
@@ -661,26 +709,44 @@ class TestStabilizerDecision:
     def test_decision_equals_the_leaf_search_on_every_code(self):
         codes = rejected = 0
         for space, poset, omega, mode in _small_grid():
-            si, perms = mep._indexed_group(space, poset, key_for(poset, omega, mode))
-            columns = list(zip(*perms))
+            key = key_for(poset, omega, mode)
+            si, columns = mep._indexed_group(space, poset, key)
+            listed = list(zip(*indexed_group_oracle(space, poset, key)[1]))
             for code in enumerate_codes(space):
                 if code.dim == 0:
                     continue
                 basis_idx = [fields.vec_index(si.q, b) for b in code.basis]
                 reachable = set(zip(*(columns[b] for b in basis_idx)))
+                assert reachable == set(zip(*(listed[b] for b in basis_idx)))
                 expected = _first_unreachable_map(si, basis_idx, reachable) is None
                 assert _holds_on(si, basis_idx, columns) == expected
+                assert _holds_on(si, basis_idx, listed) == expected
                 assert _eager_holds_on(si, basis_idx, columns) == expected
                 codes += 1
                 rejected += not expected
         assert codes > rejected > 0
 
+    def test_scan_reads_the_listing_and_the_table_alike(self, monkeypatch):
+        # the folded listing's columns, in (lam, D, u) order, against the table
+        verdicts = [
+            (space, poset, omega, mode, mep_brute_force(space, poset, omega, mode=mode))
+            for space, poset, omega, mode in _small_grid()
+        ]
+
+        def listed(space, poset, key):
+            si, listing = indexed_group_oracle(space, poset, key)
+            return si, list(zip(*listing))
+
+        monkeypatch.setattr(mep, "_indexed_group", listed)
+        for space, poset, omega, mode, verdict in verdicts:
+            assert mep_brute_force(space, poset, omega, mode=mode) == verdict
+        assert sum(not verdict.holds for *_, verdict in verdicts) > 0
+
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
     def test_lazy_levels_equal_the_eager_tables_on_large_shapes(self, poset, dims, max_dim, orbits):
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        si, perms = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
-        columns = list(zip(*perms))
+        si, columns = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
         verdicts = Counter()
         for basis_idx in enumerate_codes(space, max_dim=2, indices=True):
             if basis_idx:
@@ -943,7 +1009,7 @@ class TestConditions:
 
 def _union_find_orbit_check(space, poset, omega):
     """single_orbit_check by union-find over every group permutation, kept as the oracle."""
-    si, perms = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
+    si, columns = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
     count = len(si.vectors)
     root = list(range(count))
 
@@ -953,7 +1019,7 @@ def _union_find_orbit_check(space, poset, omega):
             a = root[a]
         return a
 
-    for t, column in enumerate(zip(*perms)):  # t joins its image under every permutation
+    for t, column in enumerate(columns):  # t joins its image under every group element
         for image in set(column):
             ra, rb = find(t), find(image)
             if ra != rb:
@@ -987,11 +1053,11 @@ class TestSingleOrbit:
         assert result == (False, ((0, 0, 0, 0, 1), (0, 1, 0, 0, 0)))
 
     def test_three_f3_planes_hold_without_the_listing(self, monkeypatch):
-        # 663,552 elements, over the listing's entry bound: the factors decide
+        # 663,552 elements, over the table's entry bound: the factors decide
         def unfolded(*args):
-            raise AssertionError("the listing was folded")
+            raise AssertionError("the group table was built")
 
-        monkeypatch.setattr(mep, "_composites", unfolded)
+        monkeypatch.setattr(mep, "_indexed_group", unfolded)
         space = AlphabetSpec.uniform(FieldSpec(3), ANTI3.elements, 2)
         omega = WeightFunction.ones(ANTI3.elements)
         start = time.perf_counter()
