@@ -651,7 +651,7 @@ class TestBoundsAtLoad:
     def test_f3_five_scans_in_a_memory_capped_child(self, tmp_path, command, digest):
         # a < b, c apart, dims (2, 2, 1): 373,248 elements over 243 vectors,
         # 90.7M table entries of 2 bytes each; as tuples they took 1.45 GB
-        # and 12-14 s, which the child's 1 GB cap ends in MemoryError (exit 4)
+        # and 12-17 s, which the child's 1 GB cap ends in MemoryError (exit 4)
         resource = pytest.importorskip("resource")
         path = tmp_path / "f3_five.json"
         doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": [["a", "b"]]},
