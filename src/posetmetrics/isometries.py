@@ -3,17 +3,17 @@
 Every weight isometry of the ambient space factors as a label permutation
 (constrained to preserve weights and block dimensions), one invertible
 square block per label, and arbitrary "strict" blocks feeding a label from
-labels strictly above its image.  The structured form is stored; the full
-N x N matrix is built on first use and kept on the isometry.  The elements
-with a given label map depend on the space, the poset and the map alone, so
-`enumerate_group` keeps each map's completed slice on the poset, keyed by
-the space and the map, and replays it, with every matrix already built, on
-the next listing for any key.  The MEP layer
-builds the permutations of the indexed vectors for the group's nontrivial
-factors without any matrix (`mep._group_factors`), and the MEP scan joins
-them into a table of packed 16-bit image columns with no element built on
-its own (`mep._indexed_group`); criterion 4 reads the permutations of
-matrices off the brute-force oracle's action table
+labels strictly above its image.  An isometry is built whole: its
+constructor pastes the blocks into the full N x N matrix (`_block_matrix`)
+and keeps it.  The elements with a given label map depend on the space, the
+poset and the map alone, so `enumerate_group` keeps each map's completed
+slice on the poset, keyed by the space and the map, as immutable
+(diag, strict, matrix) tuples, and replays it on the next listing for any
+key.  The MEP layer builds the permutations of the indexed vectors for the
+group's nontrivial factors without any matrix (`mep._group_factors`), and
+the MEP scan joins them into a table of packed 16-bit image columns with no
+element built on its own (`mep._indexed_group`); criterion 4 reads the
+permutations of matrices off the brute-force oracle's action table
 (`invertible_index_perms`), and matrices serve reports and the oracles.
 
 The same machinery runs for any integer key on ideal masks (bit t for
@@ -27,7 +27,6 @@ so two ideals share it only when they are equal.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -103,10 +102,6 @@ class Isometry(Value):
     """lam plus block maps; block (i -> j) may be nonzero only for j below lam(i)."""
 
     __match_args__ = ("space", "poset", "lam", "diag", "strict")
-    _matrix: Optional[Matrix] = None  # the full matrix, set on first use
-    # a listed element's [diag, strict, matrix] entry in its poset's group
-    # slices: the first build of the matrix fills it in for later listings
-    _entry: Optional[list] = None
 
     def __init__(
         self,
@@ -116,12 +111,13 @@ class Isometry(Value):
         diag: tuple[Matrix, ...],  # diag[i] : block i -> block lam(i), invertible
         strict: tuple[tuple[int, int, Matrix], ...],  # (i, j, M) with j strictly below lam(i)
     ) -> None:
-        set_field = object.__setattr__  # one lookup: a group enumeration builds every element
+        set_field = object.__setattr__
         set_field(self, "space", space)
         set_field(self, "poset", poset)
         set_field(self, "lam", lam)
         set_field(self, "diag", diag)
         set_field(self, "strict", strict)
+        set_field(self, "_matrix", _block_matrix(space, poset, lam, diag, strict))
 
     @classmethod
     def identity(cls, space: AlphabetSpec, poset: Poset) -> "Isometry":
@@ -136,26 +132,6 @@ class Isometry(Value):
 
     @property
     def matrix(self) -> Matrix:
-        if self._matrix is None:
-            entry = self._entry
-            matrix = None if entry is None else entry[2]
-            if matrix is None:
-                bounds = self.space._block_bounds
-                starts = [bounds[label][0] for label in self.poset.elements]
-                n = self.space.total_dim
-                rows = [[0] * n for _ in range(n)]
-                for i, block in enumerate(self.diag):
-                    c0 = starts[i]
-                    for r, row in enumerate(block, starts[self.lam[i]]):
-                        rows[r][c0 : c0 + len(row)] = row
-                for i, j, block in self.strict:
-                    c0 = starts[i]
-                    for r, row in enumerate(block, starts[j]):
-                        rows[r][c0 : c0 + len(row)] = row
-                matrix = tuple(map(tuple, rows))
-                if entry is not None:
-                    entry[2] = matrix
-            object.__setattr__(self, "_matrix", matrix)
         return self._matrix
 
     def apply(self, vec: Sequence[int]) -> Vector:
@@ -171,6 +147,27 @@ class Isometry(Value):
             [labels[i], labels[j], [list(row) for row in m]] for i, j, m in self.strict
         ]
         return {"lambda": list(self.lam), "blocks": blocks}
+
+
+def _block_matrix(
+    space: AlphabetSpec, poset: Poset, lam: Perm, diag: Sequence[Matrix],
+    strict: Iterable[tuple[int, int, Matrix]],
+) -> Matrix:
+    """The full N x N matrix: diag[i] at block rows lam(i), block columns i,
+    and each strict block (i, j, M) at block rows j, block columns i."""
+    bounds = space._block_bounds
+    starts = [bounds[label][0] for label in poset.elements]
+    n = space.total_dim
+    rows = [[0] * n for _ in range(n)]
+    for i, block in enumerate(diag):
+        c0 = starts[i]
+        for r, row in enumerate(block, starts[lam[i]]):
+            rows[r][c0 : c0 + len(row)] = row
+    for i, j, block in strict:
+        c0 = starts[i]
+        for r, row in enumerate(block, starts[j]):
+            rows[r][c0 : c0 + len(row)] = row
+    return tuple(map(tuple, rows))
 
 
 def build_isometry(
@@ -223,50 +220,38 @@ def gl_order(q: int, k: int) -> int:
     return order
 
 
-def _order_factors(
+def group_order(
     space: AlphabetSpec, poset: Poset, lam_count: int, bound: Optional[int] = None
-) -> Iterator[int]:
-    """Factors of the closed-form order, each at least 1: the lam choices,
-    q^k - q^i (i < k) per diagonal block, q^(k k') per strict block.  With a
-    bound, a factor whose power of two 2^(low e) <= q^e (q^k - q^i >= q^(k-1))
-    is past the bound and 2^64 is not formed: GroupBoundExceeded names it."""
-    q, dims, identity = space.q, space.dims, tuple(range(len(poset.elements)))
+) -> int:
+    """Closed-form order, walked as prefix products of its factors: the lam
+    choices, q^k - q^i (i < k) per diagonal block, q^(k k') per strict block.
+    With a bound, the first prefix product over it raises GroupBoundExceeded,
+    as does a power q^e whose lower bound 2^(low e) (q^k - q^i >= q^(k-1))
+    is past the bound and 2^64: it is named "at least 2^(low e)", unformed."""
+    q, dims = space.q, space.dims
     low = q.bit_length() - 1  # q^e >= 2^(low e)
+
+    def refuse(reached: str) -> None:
+        raise GroupBoundExceeded(f"isometry group order reaches {reached}, over the bound {bound}")
+
+    def checked(order: int) -> int:
+        if bound is not None and order > bound:
+            refuse(count_text(order))
+        return order
 
     def power(e: int) -> int:
         if bound is not None and low * e >= max(64, bound.bit_length()):
-            raise GroupBoundExceeded(
-                f"isometry group order reaches at least 2^{low * e}, over the bound {bound}"
-            )
+            refuse(f"at least 2^{low * e}")
         return q**e
 
-    yield lam_count
+    order = checked(lam_count)
     for k in dims:
         top = power(k - 1) * q
-        yield from (top - q**i for i in range(k))
-    yield from (power(dims[i] * dims[j]) for i, j in _strict_pairs(poset, identity))
-
-
-def group_order(space: AlphabetSpec, poset: Poset, lam_count: int) -> int:
-    """Closed-form order: lam choices x invertible diagonals x strict entries."""
-    return math.prod(_order_factors(space, poset, lam_count))
-
-
-def _refuse_order(order: int, bound: int) -> None:
-    if order > bound:
-        raise GroupBoundExceeded(
-            f"isometry group order reaches {count_text(order)}, over the bound {bound}"
-        )
-
-
-def _label_free_orders(space: AlphabetSpec, poset: Poset, bound: int) -> list[int]:
-    """The prefix products of the order factors with one label map, each
-    refused as it is formed: the first one over the bound raises."""
-    orders = []
-    for order in itertools.accumulate(_order_factors(space, poset, 1, bound), operator.mul):
-        _refuse_order(order, bound)
-        orders.append(order)
-    return orders
+        for i in range(k):
+            order = checked(order * (top - q**i))
+    for i, j in _strict_pairs(poset, tuple(range(len(dims)))):
+        order = checked(order * power(dims[i] * dims[j]))
+    return order
 
 
 def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
@@ -282,12 +267,9 @@ def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> 
     kept = poset._label_maps.get(memo_key)
     if kept is not None and kept[1] <= bound:
         return kept[0]
-    # the identity is admissible: refuse before the filter
-    orders = _label_free_orders(space, poset, bound)
+    group_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
     lams = admissible_automorphisms(poset, space, key)
-    for order in map(len(lams).__mul__, orders):
-        _refuse_order(order, bound)
-    poset._label_maps[memo_key] = lams, order
+    poset._label_maps[memo_key] = lams, group_order(space, poset, len(lams), bound)
     return lams
 
 
@@ -297,26 +279,25 @@ def enumerate_group(
     """All isometries for the key, in (lam, diag, strict) lexicographic order.
 
     The elements with a given lam depend on the space, the poset and lam
-    alone, never on the key.  A lam's slice listed to its end is kept on the
-    poset (`Poset._group_slices`, keyed by the space and lam) as one
-    [diag, strict, matrix] entry per element, and a later listing replays it
-    as fresh isometries; an entry's matrix stays None until one of its
-    isometries builds it.  A slice cut short is not kept."""
+    alone, never on the key.  Each element is built whole, its matrix with
+    it.  A lam's slice listed to its end is kept on the poset
+    (`Poset._group_slices`, keyed by the space and lam) as a tuple of
+    immutable (diag, strict, matrix) tuples, and a later listing replays it
+    as fresh isometries sharing those values.  A slice cut short is not kept."""
     lams = admissible_lams(space, poset, key, bound)
     q, slices = space.q, poset._group_slices
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
     new, set_field = object.__new__, object.__setattr__
 
-    def listed(lam: Perm, entry: list) -> Isometry:
-        # fields set here, not through the constructor: a replay does no other
-        # work per element, so the extra call would show in its time
+    def listed(lam: Perm, entry: tuple) -> Isometry:
+        # fields set here, not through the constructor, which would paste the matrix again
         iso = new(Isometry)
         set_field(iso, "space", space)
         set_field(iso, "poset", poset)
         set_field(iso, "lam", lam)
         set_field(iso, "diag", entry[0])
         set_field(iso, "strict", entry[1])
-        set_field(iso, "_entry", entry)
+        set_field(iso, "_matrix", entry[2])
         return iso
 
     for lam in lams:
@@ -330,10 +311,11 @@ def enumerate_group(
         blocks = [_all_blocks(q, (space.dims[j], space.dims[i])) for i, j in pairs]
         for diag in itertools.product(*invertibles):
             for strict_choice in itertools.product(*blocks):
-                entry = [diag, tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice)), None]
+                strict = tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice))
+                entry = diag, strict, _block_matrix(space, poset, lam, diag, strict)
                 kept.append(entry)
                 yield listed(lam, entry)
-        slices[space, lam] = kept
+        slices[space, lam] = tuple(kept)
 
 
 @lru_cache(maxsize=None)

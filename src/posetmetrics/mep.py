@@ -693,9 +693,9 @@ def canonical_decomposition(
                 block = strict.setdefault((i, k), [[0] * len(ranges[i]) for _ in ranges[k]])
                 block[t - ranges[k][0]][column - ranges[i][0]] = -x % q
         tops[j - 1].append(top)
-    identity = Isometry.identity(space, poset)
     blocks = [(i, k, tuple(map(tuple, block))) for (i, k), block in strict.items()]
-    phi = build_isometry(space, poset, identity.lam, identity.diag, blocks)
+    diag = tuple(map(fields.identity_matrix, space.dims))
+    phi = build_isometry(space, poset, tuple(range(len(labels))), diag, blocks)
     parts = [LinearCode.from_rows(space, rows) for rows in tops]
     image = LinearCode.from_rows(space, map(phi.apply, code.basis))
     if image != LinearCode.from_rows(space, itertools.chain.from_iterable(tops)):

@@ -11,8 +11,9 @@ TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on the
 poset at first use, so they are freed with it: the order matrix, the ideals,
 the levels, the automorphisms, the admissible label maps of each space and
 key (`isometries.admissible_lams`) and each completed slice of an isometry
-group, per space and label map (`isometries.enumerate_group`).  Label sets
-cross the interface as frozensets, weights as Fractions.
+group, per space and label map, as immutable (diag, strict, matrix) tuples
+(`isometries.enumerate_group`).  Label sets cross the interface as
+frozensets, weights as Fractions.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from posetmetrics import fields, isometries, lattices, mep, posets, spaces
-from posetmetrics.errors import BoundExceeded, ValidationError
+from posetmetrics.errors import BoundExceeded, GroupBoundExceeded, ValidationError
 from posetmetrics.isometries import GROUP_BOUND, weight_sum_functional
 from posetmetrics.posets import (
     AUTOMORPHISM_BOUND,
@@ -137,8 +138,9 @@ def criterion_four_oracle() -> tuple[bool, str]:
 def enumerate_group_oracle(space, poset, key, bound: int = GROUP_BOUND) -> Iterator:
     """isometries.enumerate_group as it was before completed slices were kept
     on the poset: every call lists every element afresh with the Isometry
-    constructor, so every matrix is built from the element's own blocks.  The
-    oracle of the slice memo."""
+    constructor.  The oracle of the slice memo.  The constructor builds each
+    matrix with isometries._block_matrix, as the listing does, so this is
+    not an oracle of the matrices: block_matrix_oracle is."""
     lams = isometries.admissible_lams(space, poset, key, bound)
     q = space.q
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
@@ -151,6 +153,65 @@ def enumerate_group_oracle(space, poset, key, bound: int = GROUP_BOUND) -> Itera
             ):
                 strict = tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice))
                 yield isometries.Isometry(space, poset, lam, diag, strict)
+
+
+def block_matrix_oracle(iso) -> tuple:
+    """An isometry's full matrix as Isometry.matrix built it on first use,
+    before the constructor built it: each block's rows pasted into rows of
+    zeros at the block offsets of the space.  The oracle of
+    isometries._block_matrix."""
+    bounds = iso.space._block_bounds
+    starts = [bounds[label][0] for label in iso.poset.elements]
+    n = iso.space.total_dim
+    rows = [[0] * n for _ in range(n)]
+    for i, block in enumerate(iso.diag):
+        c0 = starts[i]
+        for r, row in enumerate(block, starts[iso.lam[i]]):
+            rows[r][c0 : c0 + len(row)] = row
+    for i, j, block in iso.strict:
+        c0 = starts[i]
+        for r, row in enumerate(block, starts[j]):
+            rows[r][c0 : c0 + len(row)] = row
+    return tuple(map(tuple, rows))
+
+
+def order_factors_oracle(space, poset, lam_count: int, bound: Optional[int] = None) -> Iterator[int]:
+    """The factors of the closed-form group order as isometries yielded them
+    before isometries.group_order walked them itself, each at least 1: the
+    lam choices, q^k - q^i (i < k) per diagonal block, q^(k k') per strict
+    block.  With a bound, a factor whose power of two 2^(low e) <= q^e is
+    past the bound and 2^64 is not formed: GroupBoundExceeded names it.  The
+    oracle of group_order."""
+    q, dims, identity = space.q, space.dims, tuple(range(len(poset.elements)))
+    low = q.bit_length() - 1  # q^e >= 2^(low e)
+
+    def power(e: int) -> int:
+        if bound is not None and low * e >= max(64, bound.bit_length()):
+            raise GroupBoundExceeded(
+                f"isometry group order reaches at least 2^{low * e}, over the bound {bound}"
+            )
+        return q**e
+
+    yield lam_count
+    for k in dims:
+        top = power(k - 1) * q
+        yield from (top - q**i for i in range(k))
+    yield from (power(dims[i] * dims[j]) for i, j in isometries._strict_pairs(poset, identity))
+
+
+def order_walk_oracle(space, poset, lam_count: int, bound: Optional[int] = None) -> int:
+    """The group order accumulated from order_factors_oracle, refused at the
+    first prefix product over the bound, as the walks before
+    isometries.group_order refused it."""
+    order = None
+    for order in itertools.accumulate(
+        order_factors_oracle(space, poset, lam_count, bound), operator.mul
+    ):
+        if bound is not None and order > bound:
+            raise GroupBoundExceeded(
+                f"isometry group order reaches {count_text(order)}, over the bound {bound}"
+            )
+    return order
 
 
 def indexed_group_oracle(space, poset, key) -> tuple:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import math
 import operator
 import time
 import weakref
@@ -13,14 +14,13 @@ from hypothesis import given, settings, strategies as st
 from posetmetrics import fields, isometries
 from posetmetrics.acceptance import _group_grid, _labeled_posets, _omega_variants
 from posetmetrics.errors import (
-    BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError, count_text,
+    BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError,
 )
 from posetmetrics.isometries import (
     ACTION_TABLE_BOUND,
     GROUP_BOUND,
     Isometry,
     invertible_index_perms,
-    _order_factors,
     admissible_automorphisms,
     admissible_lams,
     brute_force_isometries,
@@ -39,7 +39,8 @@ from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight, set
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
 from helpers import (
-    apply_perm, closure_key, compose_perms, enumerate_group_oracle, invert_perm, key_for, value_for,
+    apply_perm, block_matrix_oracle, closure_key, compose_perms, enumerate_group_oracle,
+    invert_perm, key_for, order_factors_oracle, order_walk_oracle, value_for,
 )
 
 F2 = FieldSpec(2)
@@ -48,6 +49,14 @@ CHAIN2 = Poset.chain(("1", "2"))
 ANTI2 = Poset.antichain(("1", "2"))
 SP21 = AlphabetSpec.uniform(F2, ("1", "2"), 1)
 ONES2 = WeightFunction.ones(("1", "2"))
+ANTI3 = Poset.antichain(tuple("abc"))
+VEE3 = Poset.from_covers(tuple("abc"), [("a", "b"), ("a", "c")])
+# the label-map memo's shapes: three F_2 points, an F_3 vee, an F_2 plane below a point
+MEMO_SHAPES = {
+    "anti3": (ANTI3, AlphabetSpec.uniform(F2, ANTI3.elements, 1)),
+    "vee-f3": (VEE3, AlphabetSpec.uniform(F3, VEE3.elements, 1)),
+    "plane-below-line": (CHAIN2, AlphabetSpec(F2, CHAIN2.elements, (2, 1))),
+}
 
 
 def _key_conditions_hold(poset, key):
@@ -238,20 +247,12 @@ def _ideal_filter(poset, space, key):
 
 
 def _two_walk_lams(space, poset, key, bound):
-    """admissible_lams with no memo: the order factors walked once before the
-    ideal filter and once after it, kept as the oracle of the memoized path."""
-
-    def check(lam_count):
-        orders = itertools.accumulate(_order_factors(space, poset, lam_count, bound), operator.mul)
-        order = next((order for order in orders if order > bound), None)
-        if order is not None:
-            raise GroupBoundExceeded(
-                f"isometry group order reaches {count_text(order)}, over the bound {bound}"
-            )
-
-    check(1)
+    """admissible_lams with no memo: the oracle's order factors walked once
+    before the ideal filter and once after it, kept as the oracle of the
+    memoized path."""
+    order_walk_oracle(space, poset, 1, bound)
     lams = _ideal_filter(poset, space, key)
-    check(len(lams))
+    order_walk_oracle(space, poset, len(lams), bound)
     return lams
 
 
@@ -311,17 +312,11 @@ class TestLabelMapMemo:
         with pytest.raises(GroupBoundExceeded, match=message):
             admissible_lams(SP21, chain, key, 1)
 
-    @pytest.mark.parametrize("shape", ["anti3", "vee-f3", "plane-below-line"])
+    @pytest.mark.parametrize("shape", list(MEMO_SHAPES))
     def test_every_bound_answers_as_the_two_walks(self, shape):
         # each bound from 0 past the order: the label maps or the same
         # refusal, from a fresh poset and from one whose memo holds the maps
-        anti3 = Poset.antichain(tuple("abc"))
-        vee = Poset.from_covers(tuple("abc"), [("a", "b"), ("a", "c")])
-        poset, space = {
-            "anti3": (anti3, AlphabetSpec.uniform(F2, anti3.elements, 1)),
-            "vee-f3": (vee, AlphabetSpec.uniform(F3, vee.elements, 1)),
-            "plane-below-line": (CHAIN2, AlphabetSpec(F2, CHAIN2.elements, (2, 1))),
-        }[shape]
+        poset, space = MEMO_SHAPES[shape]
         key = weight_sum_functional(poset, WeightFunction.ones(poset.elements))
         order = group_order(space, poset, len(_two_walk_lams(space, poset, key, GROUP_BOUND)))
         memoized = _fresh(poset)
@@ -355,6 +350,39 @@ class TestLabelMapMemo:
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
         assert extend_to_isometry(space, anti3, omega, code, images) is None
         assert extend_to_isometry(space, anti3, omega, code, code.basis) is not None
+
+
+class TestGroupOrder:
+    """group_order's one walk against the oracle's factors, accumulated and
+    refused at the first prefix product over the bound."""
+
+    @pytest.mark.parametrize("lam_count", [1, 6])
+    @pytest.mark.parametrize("shape", list(MEMO_SHAPES))
+    def test_every_bound_answers_as_the_oracle_walk(self, shape, lam_count):
+        poset, space = MEMO_SHAPES[shape]
+        order = group_order(space, poset, lam_count)
+        assert order == math.prod(order_factors_oracle(space, poset, lam_count))
+        for bound in range(order + 2):
+            expected = _outcome(order_walk_oracle, space, poset, lam_count, bound)
+            assert _outcome(group_order, space, poset, lam_count, bound) == expected
+            assert (expected == order) == (bound >= order)  # refused exactly under the order
+
+    @pytest.mark.parametrize("lam_count", [1, 6])
+    @pytest.mark.parametrize(
+        "field, dims", [(F2, (10**12,)), (F3, (3, 10**6))], ids=["f2-block", "f3-chain"]
+    )
+    def test_unformed_powers_answer_as_the_oracle_walk(self, field, dims, lam_count):
+        # orders past 2^(10^6): each refusal comes before the power is formed,
+        # named "at least 2^k" or by the first prefix product over the bound
+        poset = Poset.chain(tuple("ab"[: len(dims)]))
+        space = AlphabetSpec(field, poset.elements, dims)
+        unformed = 0
+        for bound in (1, GROUP_BOUND, 1 << 64, 1 << 200):
+            expected = _outcome(order_walk_oracle, space, poset, lam_count, bound)
+            assert _outcome(group_order, space, poset, lam_count, bound) == expected
+            assert expected[0] is GroupBoundExceeded
+            unformed += expected[1].startswith("isometry group order reaches at least 2^")
+        assert unformed >= 3
 
 
 def paste_matrix(iso):
@@ -504,12 +532,24 @@ class TestGroupSlices:
         expected = _listing(enumerate_group_oracle(space, poset, _support_key(poset)))
         assert _listing(support_isometry_group(space, poset)) == expected
 
+    def assert_matrices_equal_the_block_oracle(self, space, poset, omega):
+        # on a fresh poset the first round lists the weight group afresh and
+        # the support group from the kept kernel; the second replays both
+        poset = _fresh(poset)
+        for _ in range(2):
+            weight = weight_isometry_group(space, poset, omega)
+            support = support_isometry_group(space, poset)
+            for group in (weight, support):
+                assert [iso.matrix for iso in group] == list(map(block_matrix_oracle, group))
+        assert len(poset._group_slices) == len(weight_automorphisms(poset, space, omega))
+
     def test_the_group_grid_in_grid_order(self):
         # the grid shares each poset across its dims and weightings, so later
         # listings replay the slices that earlier ones kept
         grid = _group_grid()
         for space, poset, omega in grid:
             self.assert_groups_equal_the_oracle(space, poset, omega)
+            self.assert_matrices_equal_the_block_oracle(space, poset, omega)
         for space, poset, omega in grid:  # one slice kept per space and label map
             for lam in weight_automorphisms(poset, space, omega):
                 assert (space, lam) in poset._group_slices
@@ -523,6 +563,20 @@ class TestGroupSlices:
                 space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
                 for omega in _omega_variants(poset):
                     self.assert_groups_equal_the_oracle(space, poset, omega)
+                    self.assert_matrices_equal_the_block_oracle(space, poset, omega)
+
+    @pytest.mark.parametrize("q, dims, covers", [
+        (3, (3,), []),  # one F_3^3 block
+        (3, (1, 1), []),  # two F_3 points
+        (2, (1, 1), [("1", "2")]),  # an F_2 2-chain
+        (2, (1, 2, 2), [("1", "2"), ("1", "3")]),  # an F_2 vee of planes
+        (2, (1, 1, 1), []),  # three F_2 points
+    ], ids=["F3-cube", "F3-anti2", "F2-chain2", "F2-vee-planes", "F2-anti3"])
+    def test_matrices_equal_the_block_oracle_on_the_slice_shapes(self, q, dims, covers):
+        labels = tuple("123"[: len(dims)])
+        poset = Poset.from_covers(labels, covers)
+        space = AlphabetSpec(FieldSpec(q), labels, dims)
+        self.assert_matrices_equal_the_block_oracle(space, poset, WeightFunction.ones(labels))
 
     def test_a_slice_kept_under_the_wrong_label_map_fails_the_comparison(self):
         # the test above must see a replay under the wrong lam: keep the
@@ -547,6 +601,7 @@ class TestGroupSlices:
             raise AssertionError("a slice was listed afresh")
 
         monkeypatch.setattr(isometries, "_strict_pairs", unreachable)
+        monkeypatch.setattr(isometries, "_block_matrix", unreachable)
         support = support_isometry_group(space, one)
         assert len(support) == len(weight) == gl_order(3, 3)
         assert all(iso.matrix is matrix for iso, (_, matrix) in zip(support, weight))
@@ -561,6 +616,7 @@ class TestGroupSlices:
         assert time.perf_counter() - start < 1
         assert anti._group_slices == {}
         assert sample == list(itertools.islice(enumerate_group_oracle(space, anti, key), 3))
+        assert [iso.matrix for iso in sample] == list(map(block_matrix_oracle, sample))
         small = _fresh(ANTI2)
         small_space = AlphabetSpec.uniform(F3, small.elements, 1)
         key = weight_sum_functional(small, ONES2)

@@ -1,5 +1,6 @@
-"""The package's export surface and what each entry point imports."""
+"""The package's export surface, what each entry point imports, and its unused imports."""
 
+import ast
 import importlib
 import json
 import os
@@ -150,3 +151,59 @@ class TestImportBoundary:
         loaded = _loaded_after(_cli("lattice", "boolean", "3"))
         assert "lattices" in loaded
         assert loaded.isdisjoint({"instances", "isometries", "mep", "fourier"})
+
+
+def _module_imports(tree: ast.Module):
+    """The import statements outside every function and class body."""
+    nodes = list(tree.body)
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            nodes.extend(ast.iter_child_nodes(node))
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Every name the module loads, in code or in a string annotation."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.returns for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    annotations += [node.annotation for node in ast.walk(tree) if isinstance(node, ast.arg)]
+    annotations += [node.annotation for node in ast.walk(tree) if isinstance(node, ast.AnnAssign)]
+    for annotation in filter(None, annotations):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names |= _names_read(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def _unused_imports(source: str) -> list[str]:
+    """The names a module imports at module level and never reads;
+    `from __future__` imports are exempt."""
+    tree = ast.parse(source)
+    bound = []
+    for node in _module_imports(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            bound.append(alias.asname or alias.name.split(".")[0])
+    read = _names_read(tree)
+    return sorted(name for name in bound if name not in read)
+
+
+class TestUnusedImports:
+    @pytest.mark.parametrize("path", sorted((SRC / "posetmetrics").glob("*.py")),
+                             ids=lambda path: path.name)
+    def test_every_module_level_import_is_read(self, path):
+        assert _unused_imports(path.read_text()) == []
+
+    def test_an_unread_import_is_found(self):
+        source = (
+            "from __future__ import annotations\n"
+            "import math\nimport os.path\nimport itertools as it\n"
+            "from typing import Optional, Sequence\nfrom . import fields\n"
+            "def f(x: 'Optional[int]') -> Sequence:\n"
+            "    import json\n"
+            "    return fields.identity_matrix(os.path.sep)\n"
+        )
+        assert _unused_imports(source) == ["it", "math"]

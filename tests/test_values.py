@@ -146,8 +146,9 @@ def test_assignment_and_deletion_raise(call):
 
 
 # each class with derived state: a factory, the derived names set at
-# construction, the names a first use adds (cached_property or the matrix),
-# and the value each derived field (one named in __match_args__) must read
+# construction (the isometry's matrix among them), the names a first use adds
+# (by cached_property), and the value each derived field (one named in
+# __match_args__) must read
 VEE_COVERS = (("a", "b", "c"), [("b", "a"), ("b", "c")])
 DERIVED = [
     (lambda: posets.Poset.from_covers(*VEE_COVERS), {"_pos", "_down", "_up"},
@@ -159,8 +160,8 @@ DERIVED = [
     (lambda: lattices.FiniteLattice(("x", "y"), BOOLEAN),
      {"_pos", "_points", "_masks", "_holders", "_ups", "_up_index", "_member_index"},
      ("_point_closure_masks", "_moebius"), {}),
-    (lambda: isometries.Isometry(SPACE, CHAIN, (0, 1), DIAG, ((1, 0, ((1, 1),)),)), set(),
-     ("_matrix",), {}),
+    (lambda: isometries.Isometry(SPACE, CHAIN, (0, 1), DIAG, ((1, 0, ((1, 1),)),)), {"_matrix"},
+     (), {}),
 ]
 
 
@@ -173,7 +174,7 @@ def test_derived_state_stays_out_of_eq_hash_and_repr(make, at_init, on_use, deri
     fields = set(value.__match_args__)
     assert set(vars(value)) == (fields - set(derived_fields)) | at_init
     for name in on_use:  # a first use keeps its result on the object
-        first = getattr(value, "matrix" if name == "_matrix" else name)
+        first = getattr(value, name)
         assert getattr(value, name) is first
     for name, expected in derived_fields.items():
         assert getattr(value, name) == expected
