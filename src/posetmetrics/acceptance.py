@@ -176,7 +176,6 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
     from .isometries import (
         brute_force_isometries,
         invertible_index_perms,
-        weight_automorphisms,
         weight_isometry_group,
         weight_sum_functional,
     )
@@ -199,7 +198,9 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
                 f"group mismatch q={q} dims={space.dims} poset={poset.elements}"
                 f" ({len(pairs)} structured vs {len(brute)} brute)"
             )
-        admissible = set(weight_automorphisms(poset, space, omega))
+        # the label maps apart from the group's coloured search: the plain one, filtered
+        colours = list(zip(omega.scaled(poset.elements), space.dims))
+        admissible = {lam for lam in poset.automorphisms() if [colours[j] for j in lam] == colours}
         if {lam for _, lam in pairs} != admissible:
             return False, f"label-map image mismatch for dims={space.dims}"
         masks = vector_masks(space, poset._down)  # the closure mask of each vector

@@ -172,7 +172,6 @@ def cmd_isometries(args) -> tuple[dict, int]:
         check_action_table,
         enumerate_group,
         group_order,
-        weight_automorphisms,
         weight_isometry_group,
         weight_sum_functional,
     )
@@ -184,11 +183,11 @@ def cmd_isometries(args) -> tuple[dict, int]:
         check_action_table(space)
     key = weight_sum_functional(poset, inst.omega)
     try:  # the orders are closed forms; only the sample is enumerated
-        order = group_order(space, poset, len(admissible_lams(space, poset, key, bound)))
+        admissible = admissible_lams(space, poset, key, bound)
+        order = group_order(space, poset, len(admissible))
         sample = [iso.serialize() for iso in islice(enumerate_group(space, poset, key, bound), 3)]
     except GroupBoundExceeded as exc:
         raise GroupBoundExceeded(f"{exc}; raise it with --bound") from None
-    admissible = weight_automorphisms(poset, space, inst.omega)
     kernel_size = group_order(space, poset, 1)  # the doubling weights admit only the identity
     results = {
         "group_order": order,

@@ -3,18 +3,20 @@
 Every weight isometry of the ambient space factors as a label permutation
 (constrained to preserve weights and block dimensions), one invertible
 square block per label, and arbitrary "strict" blocks feeding a label from
-labels strictly above its image.  An isometry is built whole: its
-constructor pastes the blocks into the full N x N matrix (`_block_matrix`)
-and keeps it.  The elements with a given label map depend on the space, the
-poset and the map alone, so `enumerate_group` keeps each map's completed
-slice on the poset, keyed by the space and the map, as immutable
-(diag, strict, matrix) tuples, and replays it on the next listing for any
-key.  The MEP layer builds the permutations of the indexed vectors for the
-group's nontrivial factors without any matrix (`mep._group_factors`), and
-the MEP scan joins them into a table of packed 16-bit image columns with no
-element built on its own (`mep._indexed_group`); criterion 4 reads the
-permutations of matrices off the brute-force oracle's action table
-(`invertible_index_perms`), and matrices serve reports and the oracles.
+labels strictly above its image.  The label permutations come from one
+automorphism search coloured by block dimension and principal-ideal key.  An
+isometry is built whole: its constructor checks the label order, pastes the
+blocks into the full N x N matrix (`_block_matrix`) and keeps it.  The
+elements with a given label map depend on the space, the poset and the map
+alone, so `enumerate_group` keeps each map's completed slice on the poset,
+keyed by the space and the map, as immutable (diag, strict, matrix) tuples,
+and replays it on the next listing for any key.  The MEP layer builds the
+permutations of the indexed vectors for the group's nontrivial factors
+without any matrix (`mep._group_factors`), and the MEP scan joins them into
+a table of packed 16-bit image columns with no element built on its own
+(`mep._indexed_group`); criterion 4 reads the permutations of matrices off
+the brute-force oracle's action table (`invertible_index_perms`), and
+matrices serve reports and the oracles.
 
 The same machinery runs for any integer key on ideal masks (bit t for
 poset.elements[t]).  `weight_sum_functional` gives the (P, omega)-weight of
@@ -36,10 +38,7 @@ from .errors import (
     BoundExceeded, GroupBoundExceeded, PropertyViolation, ValidationError, count_text,
 )
 from .fields import Matrix, Vector
-from .posets import (
-    SCAN_BOUND, Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits,
-    weight_preserving_automorphisms,
-)
+from .posets import Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits
 from .spaces import VECTOR_BOUND, AlphabetSpec, support_classes
 
 # An int per ideal mask; the scans compare vectors by the keys of their closures.
@@ -65,34 +64,22 @@ def weight_sum_functional(poset: Poset, omega: WeightFunction) -> Key:
 
 def admissible_automorphisms(poset: Poset, space: AlphabetSpec, key: Key) -> tuple[Perm, ...]:
     """Poset automorphisms preserving the key of every ideal and all
-    block dimensions (block isomorphism over a field is dimension equality).
+    block dimensions (block isomorphism over a field is dimension equality):
+    the search coloured by each label's block dim and principal-ideal key.
 
     The key is additive, so the principal ideals decide it: an automorphism
     sends the down-set of i onto that of perm[i], and keeping the key of
     every principal ideal keeps omega at every label (by induction along a
-    linear extension), hence the key of every ideal.  The automorphism
-    search and its bound come before the ideals are enumerated."""
-    autos = tuple(_keeping_dims(space, poset.automorphisms()))
-    masks = poset._ideal_masks
-    if len(autos) * len(masks) > SCAN_BOUND:  # before any key is computed
-        scan = f"functional filter of {len(autos)} automorphisms over {len(masks)} ideals"
-        raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
-    keys = tuple(map(key, poset._down))  # keys[perm[i]] is the key of the image of down-set i
-    return tuple(perm for perm in autos if tuple(map(keys.__getitem__, perm)) == keys)
+    linear extension), hence the key of every ideal.  No ideal is enumerated."""
+    return poset.automorphisms(tuple(zip(space.dims, map(key, poset._down))))
 
 
 def weight_automorphisms(
     poset: Poset, space: AlphabetSpec, omega: WeightFunction
 ) -> tuple[Perm, ...]:
-    """Pointwise filter: automorphisms fixing the weight of every label and
-    every block dimension.  Agrees with the filter on weight keys."""
-    return tuple(_keeping_dims(space, weight_preserving_automorphisms(poset, omega)))
-
-
-def _keeping_dims(space: AlphabetSpec, perms: Iterable[Perm]) -> Iterator[Perm]:
-    """The label permutations that send every block to one of its dimension."""
-    dims = space.dims
-    return (perm for perm in perms if all(dims[perm[i]] == dims[i] for i in range(len(dims))))
+    """Automorphisms fixing the weight of every label and every block
+    dimension, coloured pointwise.  Agrees with the colouring by weight keys."""
+    return poset.automorphisms(tuple(zip(space.dims, omega.scaled(poset.elements))))
 
 
 # -- structured isometries -----------------------------------------------------
@@ -111,6 +98,7 @@ class Isometry(Value):
         diag: tuple[Matrix, ...],  # diag[i] : block i -> block lam(i), invertible
         strict: tuple[tuple[int, int, Matrix], ...],  # (i, j, M) with j strictly below lam(i)
     ) -> None:
+        _check_label_order(space, poset)
         set_field = object.__setattr__
         set_field(self, "space", space)
         set_field(self, "poset", poset)
@@ -149,6 +137,12 @@ class Isometry(Value):
         return {"lambda": list(self.lam), "blocks": blocks}
 
 
+def _check_label_order(space: AlphabetSpec, poset: Poset) -> None:
+    """Blocks and dims are indexed by poset position, so the labels must agree."""
+    if space.labels != poset.elements:
+        raise ValidationError("the space's labels must be the poset's elements, in its order")
+
+
 def _block_matrix(
     space: AlphabetSpec, poset: Poset, lam: Perm, diag: Sequence[Matrix],
     strict: Iterable[tuple[int, int, Matrix]],
@@ -177,7 +171,8 @@ def build_isometry(
     diag: Sequence[Matrix],
     strict: Sequence[tuple[int, int, Matrix]] = (),
 ) -> Isometry:
-    """Validate shapes, invertibility, and the zero-block constraint."""
+    """Validate the label order, shapes, invertibility, and the zero-block constraint."""
+    _check_label_order(space, poset)
     q = space.q
     n = len(poset.elements)
     if sorted(lam) != list(range(n)):
@@ -256,18 +251,17 @@ def group_order(
 
 def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
     """The group's label maps, with its order checked against the bound
-    before the key filter and again after it.
+    before the coloured search and again after it.
 
     A result is kept on the poset with the group order, keyed by the space
-    and the keys of the principal ideals, which decide the filter; a later
+    and the keys of the principal ideals, which colour the search; a later
     call within its bound reuses it.  Refusals are not kept."""
-    if space.labels != poset.elements:  # blocks and dims are indexed by poset position
-        raise ValidationError("the space's labels must be the poset's elements, in its order")
+    _check_label_order(space, poset)
     memo_key = (space, tuple(map(key, poset._down)))
     kept = poset._label_maps.get(memo_key)
     if kept is not None and kept[1] <= bound:
         return kept[0]
-    group_order(space, poset, 1, bound)  # the identity is admissible: refuse before the filter
+    group_order(space, poset, 1, bound)  # the identity is admissible: refuse before the search
     lams = admissible_automorphisms(poset, space, key)
     poset._label_maps[memo_key] = lams, group_order(space, poset, len(lams), bound)
     return lams

@@ -25,7 +25,7 @@ fails.  A held code's orbit is marked in one pass over the table's columns
 at the code's vectors: each element's image of the code is a row of them,
 deduplicated as a tuple before it is made a set.  Every reader of the table
 reads sets of images, so the order of its elements is free.  The label maps
-are filtered once per (poset, space, weights) and shared by the scan, the
+are searched once per (poset, space, weights) and shared by the scan, the
 extension search and the orbit check (`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
 own currency; only a counterexample's code is built as a `LinearCode`.
@@ -37,6 +37,7 @@ import itertools
 import math
 import operator
 import sys
+from array import array
 from fractions import Fraction
 from typing import Container, Iterator, Optional, Sequence
 
@@ -61,7 +62,7 @@ from .isometries import (
     gl_order,
     weight_sum_functional,
 )
-from .posets import Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
+from .posets import Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
 from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes, weight
 
 
@@ -305,14 +306,14 @@ def _orbit_spans(
 
 def _group_factors(
     space: AlphabetSpec, poset: Poset, key: Key, listed: bool = False
-) -> tuple[SpaceIndex, list[list[Perm]]]:
+) -> tuple[SpaceIndex, list[list[array]]]:
     """The space's dense index and the group's factors as lists of index
-    permutations (perm[t] indexes the image of vector t): the label maps
-    P(lam, I), a GL_{k_i} on block i per block, then the unipotent factors
-    C_i top-down.  Each element is f_1 o f_2 o ... for one pick per list, once.
-    A one-element factor is the identity (a lone label map, GL_1(F_2)) and
-    is dropped before it is spanned.  The entries of the group table
-    (listed: |G| q^N) or of the lists (their summed lengths, identities
+    permutations (perm[t] indexes the image of vector t; 16-bit entries): the
+    label maps P(lam, I), a GL_{k_i} on block i per block, then the unipotent
+    factors C_i top-down.  Each element is f_1 o f_2 o ... for one pick per
+    list, once.  A one-element factor is the identity (a lone label map,
+    GL_1(F_2)) and is dropped before it is spanned.  The entries of the group
+    table (listed: |G| q^N) or of the lists (their summed lengths, identities
     included, times q^N) are bounded first.
 
     P(lam, D) = P(lam, I) diag(D_i) sends block i into block lam(i) by D_i.
@@ -351,7 +352,7 @@ def _group_factors(
                 units[:start] + list(map(operator.add, units[start:stop], low)) + units[stop:]
                 for low in itertools.product(lows, repeat=stop - start)
             ])
-    return si, [[tuple(si.span_indices(columns)) for columns in factor]
+    return si, [[array("H", si.span_indices(columns)) for columns in factor]
                 for factor in factors if len(factor) > 1]
 
 

@@ -5,15 +5,15 @@ down-set and an up-set mask per element (bit i of down-set j is set when
 elements[i] <= elements[j]): every constructor builds the masks once and
 validates them once.  Its value is still the labels plus the order as a
 boolean matrix, `leq`, derived from the masks on first read, so eq, hash and
-repr are unchanged.  Closure, ideals, levels, UDP and automorphisms by
-refinement (McKay & Piperno, J. Symb. Comput. 2014) run on the masks (Knuth,
-TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on the
-poset at first use, so they are freed with it: the order matrix, the ideals,
-the levels, the automorphisms, the admissible label maps of each space and
-key (`isometries.admissible_lams`) and each completed slice of an isometry
-group, per space and label map, as immutable (diag, strict, matrix) tuples
-(`isometries.enumerate_group`).  Label sets cross the interface as
-frozensets, weights as Fractions.
+repr are unchanged.  Closure, ideals, levels, UDP and automorphisms (from the
+question's colours: McKay & Piperno, J. Symb. Comput. 2014) run on the masks
+(Knuth, TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on
+the poset at first use, so they are freed with it: the order matrix, the
+ideals, the levels, the automorphisms of each class partition, the admissible
+label maps of each space and key (`isometries.admissible_lams`) and each
+completed slice of an isometry group, per space and label map, as immutable
+(diag, strict, matrix) tuples (`isometries.enumerate_group`).  Label sets
+cross the interface as frozensets, weights as Fractions.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ Perm = tuple[int, ...]  # perm[i] = index of the image of elements[i]
 ELEMENT_BOUND = 20
 # Cap on the automorphism search's candidates (Poset.automorphisms); 8! admits 8 elements.
 AUTOMORPHISM_BOUND = 40320
-# Cap on automorphisms x ideals or weight classes in one scan; 8! * 2^8 admits 8 elements.
+# Cap on automorphisms x weight classes in udp_check's orbit scan; 8! * 2^8 admits 8 elements.
 SCAN_BOUND = AUTOMORPHISM_BOUND << 8
 
 
@@ -288,30 +288,36 @@ class Poset(Value):
     def dual(self) -> "Poset":
         return object.__new__(Poset)._relate(self.elements, self._pos, self._down)
 
-    def automorphisms(self) -> tuple[Perm, ...]:
-        """All order automorphisms in lexicographic order, by backtracking.  perm[i]
-        runs over the elements with i's (down-set size, up-set size, level), so
-        prod(c!) over those classes c bounds the search, and keeps k <= i iff
-        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i."""
-        return self._automorphisms
-
-    @cached_property
-    def _automorphisms(self) -> tuple[Perm, ...]:
+    def automorphisms(self, colours: Optional[Sequence] = None) -> tuple[Perm, ...]:
+        """The order automorphisms keeping the colours (one hashable per element;
+        None colours all alike), in lexicographic order, by backtracking.  perm[i]
+        runs over the elements with i's (down-set size, up-set size, level, colour),
+        so prod(c!) over those classes c bounds the search, and keeps k <= i iff
+        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i.
+        Results are kept per class partition, its classes numbered by first
+        appearance, so colourings that split the elements alike share a search."""
         down, up, n = self._down, self._up, len(self.elements)
-        signatures = [(d.bit_count(), u.bit_count(), l) for d, u, l in zip(down, up, self._levels)]
-        estimate = math.prod(math.factorial(signatures.count(s)) for s in set(signatures))
+        if colours is not None and len(colours) != n:
+            raise ValidationError(f"{len(colours)} colours given for {n} elements")
+        numbers: dict = {}
+        keyed = zip(map(int.bit_count, down), map(int.bit_count, up), self._levels)
+        keyed = keyed if colours is None else zip(keyed, colours)
+        classes = tuple(numbers.setdefault(s, len(numbers)) for s in keyed)
+        if classes in self._automorphisms:
+            return self._automorphisms[classes]
+        estimate = math.prod(math.factorial(classes.count(c)) for c in range(len(numbers)))
         if estimate > AUTOMORPHISM_BOUND:
             search = f"automorphism search over {count_text(estimate)} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
-        candidates = [[j for j, s in enumerate(signatures) if s == t] for t in signatures]
-        found: list[Perm] = []
+        candidates = [[j for j, c in enumerate(classes) if c == t] for t in classes]
+        listed: list[Perm] = []
 
         def extend(perm: Perm, used: int, img: list[int]) -> None:
             # img[t], img[n + t]: the images of the prefix's elements below, above t;
             # placing perm[i] = j adds j's bit there for the later t above, below i
             i = len(perm)
             if i == n:
-                found.append(perm)
+                listed.append(perm)
                 return
             later = (up[i] >> i + 1) | (down[i] >> i + 1 << n)
             for j in candidates[i]:
@@ -324,7 +330,13 @@ class Poset(Value):
                     extend(perm + (j,), used | bit, grown)
 
         extend((), 0, [0] * 2 * n)
-        return tuple(found)
+        self._automorphisms[classes] = found = tuple(listed)
+        return found
+
+    @cached_property
+    def _automorphisms(self) -> dict:
+        """automorphisms' results, keyed by class partition."""
+        return {}
 
 
 def _find_cycle(adjacency: list[list[int]]) -> Optional[list[int]]:
@@ -416,8 +428,7 @@ def powers_of_two_weight(poset: Poset) -> WeightFunction:
 
 
 def weight_preserving_automorphisms(poset: Poset, omega: WeightFunction) -> tuple[Perm, ...]:
-    weights = omega.scaled(poset.elements)
-    return tuple(p for p in poset.automorphisms() if tuple(map(weights.__getitem__, p)) == weights)
+    return poset.automorphisms(omega.scaled(poset.elements))
 
 
 def udp_check(
@@ -426,27 +437,20 @@ def udp_check(
     """Do equal-weight ideals always differ by a weight-preserving automorphism?
 
     Returns (True, None) or (False, witness pair of ideals with equal weight
-    sums lying in different orbits).  Two principal ideals of equal weight
-    make a shared class, so the automorphism search runs; where its bound can
-    refuse (n! over AUTOMORPHISM_BOUND), it runs before the ideals are
-    enumerated.
+    sums lying in different orbits).  The search keeping the weights runs
+    first; it refuses only on a class of two elements i, j, and then U + i and
+    U + j (U the union of their strict down-sets) are ideals of equal weight.
     """
-    n = len(poset.elements)
-    if math.factorial(n) > AUTOMORPHISM_BOUND:  # the search can refuse
-        weights = omega.scaled(poset.elements)
-        principal = {sum(map(weights.__getitem__, set_bits(down))) for down in poset._down}
-        if len(principal) < n:
-            poset.automorphisms()
-    masks, weights = poset._ideal_masks, omega.scaled(poset.elements)  # bound checked first
+    weights = omega.scaled(poset.elements)
+    images = [[1 << t for t in perm] for perm in poset.automorphisms(weights)]
     powers = [1 << t for t in range(len(weights))]
     by_sum: dict[int, list[int]] = {}
-    for mask in masks:
+    for mask in poset._ideal_masks:
         total = sum(itertools.compress(weights, map(mask.__and__, powers)))
         by_sum.setdefault(total, []).append(mask)
     shared = [by_sum[total] for total in sorted(by_sum) if len(by_sum[total]) > 1]
     if not shared:
         return True, None
-    images = [[1 << t for t in perm] for perm in weight_preserving_automorphisms(poset, omega)]
     if len(images) * len(shared) > SCAN_BOUND:
         scan = f"orbit scan of {len(images)} automorphisms over {len(shared)} weight classes"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")

@@ -342,6 +342,32 @@ def prefix_sum_automorphisms(poset: posets.Poset) -> tuple:
     return tuple(extend((), 0))
 
 
+def filtered_automorphisms(poset: posets.Poset, *colourings, plain=None) -> tuple:
+    """The label-map search as it was: every order automorphism from the
+    search with no colours (`prefix_sum_automorphisms`, or the given `plain`
+    result of it), then one pointwise filter per colouring, keeping perm when
+    colouring[perm[i]] == colouring[i] at every i.  The oracle of
+    `Poset.automorphisms(colours)`."""
+    return tuple(
+        perm
+        for perm in (prefix_sum_automorphisms(poset) if plain is None else plain)
+        if all([colouring[j] for j in perm] == list(colouring) for colouring in colourings)
+    )
+
+
+def admissible_automorphisms_oracle(poset: posets.Poset, space, key, plain=None) -> tuple:
+    """`isometries.admissible_automorphisms` as it was: the plain search, then
+    the block-dim filter (`_keeping_dims`) and the principal-ideal key filter."""
+    keys = tuple(map(key, poset._down))
+    return filtered_automorphisms(poset, space.dims, keys, plain=plain)
+
+
+def weight_automorphisms_oracle(poset: posets.Poset, space, omega, plain=None) -> tuple:
+    """`isometries.weight_automorphisms` as it was: the plain search, then the
+    weight filter (`weight_preserving_automorphisms`) and the block-dim filter."""
+    return filtered_automorphisms(poset, omega.scaled(poset.elements), space.dims, plain=plain)
+
+
 def fraction_weight_fields(labels, values) -> tuple[dict, tuple]:
     """`WeightFunction`'s checks as they were, comparing each value with 0 as a
     Fraction: its label positions and scaled values, or its first error."""

@@ -206,9 +206,9 @@ class TestCommands:
 
     def test_isometries_refuse_before_the_functional_filter(self, tmp_path, capsys, monkeypatch):
         # 8! automorphisms over 26,880 ideals, but the 22 strict blocks alone
-        # give 2^22 isometries, so the filter never runs
+        # give 2^22 isometries, so the label-map search never runs
         def unreachable(*args):
-            raise AssertionError("the functional filter ran")
+            raise AssertionError("the label-map search ran")
 
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
         path = self.antichain_beside_chains(tmp_path, (2, 4, 6))
@@ -216,12 +216,46 @@ class TestCommands:
         message = "isometry group order reaches 2097152, over the bound 1048576"
         assert f"{message}; raise it with --bound\n" in capsys.readouterr().err
 
-    def test_isometries_refuse_a_large_functional_filter(self, tmp_path, capsys):
-        # 8! automorphisms over 256 * 3 * 4 ideals, with a group of 8! * 2^4
+    def test_isometries_list_a_large_label_map_image(self, tmp_path, capsys):
+        # 8! label maps, with a group of 8! * 2^4; the search-then-filter
+        # refused its 8! automorphisms over 256 * 3 * 4 ideals
         path = self.antichain_beside_chains(tmp_path, (2, 3))
-        assert main(["isometries", "--instance", path]) == 3
-        message = "functional filter of 40320 automorphisms over 3072 ideals exceeds the bound 10321920"
-        assert message in capsys.readouterr().err
+        code, payload = run_json(capsys, "isometries", "--instance", path)
+        assert code == 0
+        assert payload["results"]["group_order"] == 645120
+        assert payload["results"]["label_map_image_size"] == 40320
+
+    @staticmethod
+    def weighted_antichain16(tmp_path):
+        """Sixteen unrelated labels over F_2 with weights 1..16: 2^16 ideals, and
+        every colour class of the weighted search is a single label."""
+        path = tmp_path / "weighted_anti16.json"
+        labels = [f"x{t}" for t in range(16)]
+        doc = {"q": 2, "poset": {"elements": labels, "covers": []},
+               "omega": {label: str(t + 1) for t, label in enumerate(labels)}}
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_weighted_antichain_of_sixteen_is_answered(self, tmp_path, capsys):
+        path = self.weighted_antichain16(tmp_path)
+        code, payload = run_json(capsys, "mep", "--instance", path)
+        assert code == 0
+        assert payload["results"]["conditions"]["udp_matched_dims"] is False  # 1 + 4 = 2 + 3
+        assert payload["results"]["predicate"]["holds"] is False
+        code, payload = run_json(capsys, "isometries", "--instance", path)
+        assert code == 0
+        assert payload["results"]["group_order"] == 1
+        assert payload["results"]["label_map_image_size"] == 1
+        # the poset command counts the unweighted automorphisms: 16! candidates
+        assert main(["poset", "--instance", path]) == 3
+        assert "20922789888000 candidate permutations" in capsys.readouterr().err
+
+    def test_weighted_antichain_of_sixteen_answers_in_a_memory_capped_child(self, tmp_path):
+        # both commands exited 3 on the 16! search; mep now spends its time on the ideals
+        resource = pytest.importorskip("resource")
+        results = run_capped(resource, self.weighted_antichain16(tmp_path), ["mep", "isometries"])
+        for command, (code, elapsed, err, _) in results.items():
+            assert code == 0 and elapsed < 2 and not err, (command, elapsed, err)
 
     def test_poset_reports_hierarchy_witness(self, capsys):
         code, payload = run_json(capsys, "poset", "--instance", str(INSTANCES / "mixed3.json"))

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import operator
+import random
 import time
 import weakref
 from fractions import Fraction
@@ -35,12 +36,17 @@ from posetmetrics.isometries import (
     weight_sum_functional,
 )
 from posetmetrics.mep import SpaceIndex, extend_to_isometry, mep_brute_force
-from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight, set_bits
+from posetmetrics.posets import (
+    Poset, WeightFunction, powers_of_two_weight, set_bits, udp_check,
+    weight_preserving_automorphisms,
+)
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
 from helpers import (
-    apply_perm, block_matrix_oracle, closure_key, compose_perms, enumerate_group_oracle,
-    invert_perm, key_for, order_factors_oracle, order_walk_oracle, value_for,
+    admissible_automorphisms_oracle, apply_perm, block_matrix_oracle, closure_key,
+    compose_perms, enumerate_group_oracle, filtered_automorphisms, invert_perm, key_for,
+    order_factors_oracle, order_walk_oracle, prefix_sum_automorphisms, value_for,
+    weight_automorphisms_oracle,
 )
 
 F2 = FieldSpec(2)
@@ -214,21 +220,23 @@ class TestAdmissible:
         monkeypatch.setattr(Poset, "_ideal_masks", property(unreachable))
         labels = tuple(f"e{t}" for t in range(20))
         anti, space = Poset.antichain(labels), AlphabetSpec.uniform(F2, labels, 1)
-        with pytest.raises(BoundExceeded, match="^automorphism search over 2432902008176640000 "):
-            admissible_automorphisms(anti, space, closure_key)
+        ones = WeightFunction.ones(labels)
+        search = "^automorphism search over 2432902008176640000 "
+        for call in (
+            lambda: admissible_automorphisms(anti, space, weight_sum_functional(anti, ones)),
+            lambda: weight_automorphisms(anti, space, ones),
+            lambda: udp_check(anti, ones),
+        ):
+            with pytest.raises(BoundExceeded, match=search):
+                call()
+        # keys or weights that tell every label apart leave one candidate each
+        identity = (tuple(range(20)),)
+        assert admissible_automorphisms(anti, space, closure_key) == identity
+        distinct = WeightFunction(labels, tuple(Fraction(t + 1) for t in range(20)))
+        assert weight_automorphisms(anti, space, distinct) == identity
 
     def test_support_key_forces_identity(self):
         assert admissible_automorphisms(ANTI2, SP21, key_for(ANTI2, None, "support")) == ((0, 1),)
-
-    def test_filter_is_refused_past_the_scan_bound(self, monkeypatch):
-        # the identity and the swap, each over the four ideals of two unrelated labels
-        key = key_for(ANTI2, None, "support")
-        monkeypatch.setattr(isometries, "SCAN_BOUND", 8)
-        assert admissible_automorphisms(ANTI2, SP21, key) == ((0, 1),)
-        monkeypatch.setattr(isometries, "SCAN_BOUND", 7)
-        message = "^functional filter of 2 automorphisms over 4 ideals exceeds the bound 7$"
-        with pytest.raises(BoundExceeded, match=message):
-            admissible_automorphisms(ANTI2, SP21, key)
 
 
 def _ideal_filter(poset, space, key):
@@ -288,6 +296,64 @@ class TestPrincipalIdealFilter:
         assert swaps > 0
 
 
+def _coloured_cases(poset, space, omega, plain):
+    """Each label-map search of the isometries and posets modules on a case,
+    with the search-then-filter oracle of its result, given the poset's
+    automorphisms from the plain oracle search."""
+    key = weight_sum_functional(poset, omega)
+    return [
+        (admissible_automorphisms(poset, space, key),
+         admissible_automorphisms_oracle(poset, space, key, plain)),
+        (weight_automorphisms(poset, space, omega),
+         weight_automorphisms_oracle(poset, space, omega, plain)),
+        (weight_preserving_automorphisms(poset, omega),
+         filtered_automorphisms(poset, omega.scaled(poset.elements), plain=plain)),
+    ]
+
+
+class TestColouredSearch:
+    """The coloured automorphism search against the plain search filtered
+    pointwise, the path it replaced: equal tuples in equal order."""
+
+    def test_every_poset_up_to_five_with_three_weightings_and_two_dims(self):
+        cases = swaps = 0
+        for n in range(1, 6):
+            posets = _labeled_posets(n)
+            labels = posets[0].elements
+            alternating = WeightFunction(labels, tuple(Fraction(t % 2 + 1) for t in range(n)))
+            spaces = [AlphabetSpec(F2, labels, (1,) * n),
+                      AlphabetSpec(F2, labels, tuple(t % 2 + 1 for t in range(n)))]
+            for poset in posets:
+                plain = prefix_sum_automorphisms(poset)
+                for omega in (WeightFunction.ones(labels), powers_of_two_weight(poset), alternating):
+                    for space in spaces:
+                        results = _coloured_cases(poset, space, omega, plain)
+                        for found, expected in results:
+                            assert found == expected, (poset, omega, space)
+                        cases += 1
+                        swaps += len(results[0][0]) > 1
+        assert cases == 26838 and swaps > 1000
+
+    def test_random_posets_of_six_to_eight(self):
+        rng = random.Random(20261020)
+        swaps = 0
+        for trial in range(60):
+            n = 6 + trial % 3
+            labels = tuple(f"e{t}" for t in range(n))
+            order = rng.sample(labels, n)  # a hidden linear extension
+            density = (0.05, 0.15, 0.3, 0.6)[trial % 4]
+            covers = [(a, b) for k, a in enumerate(order) for b in order[k + 1 :]
+                      if rng.random() < density]
+            poset = Poset.from_covers(labels, covers)
+            space = AlphabetSpec(F2, labels, tuple(rng.choice((1, 1, 2)) for _ in labels))
+            omega = WeightFunction(labels, tuple(Fraction(rng.choice((1, 1, 2))) for _ in labels))
+            results = _coloured_cases(poset, space, omega, prefix_sum_automorphisms(poset))
+            for found, expected in results:
+                assert found == expected, (poset, omega, space)
+            swaps += len(results[0][0]) > 1
+        assert swaps >= 10
+
+
 class TestLabelMapMemo:
     def test_weightings_and_dims_get_their_own_label_maps(self):
         anti = _fresh(ANTI2)
@@ -345,7 +411,7 @@ class TestLabelMapMemo:
         code, images = mep_brute_force(space, anti3, omega, max_dim=2).counterexample
 
         def unreachable(*args):
-            raise AssertionError("the automorphism filter ran again")
+            raise AssertionError("the label-map search ran again")
 
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
         assert extend_to_isometry(space, anti3, omega, code, images) is None
@@ -445,6 +511,18 @@ class TestBuildApply:
         with pytest.raises(ValidationError, match="below"):
             build_isometry(SP21, CHAIN2, (0, 1), (((1,),), ((1,),)), [(0, 1, ((1,),))])
 
+    def test_space_labels_out_of_the_poset_order_are_rejected(self):
+        # blocks are indexed by poset position, so a space over ("b", "a") used
+        # to fail the paste with IndexError, or a shape check by position
+        space, chain = AlphabetSpec(F2, ("b", "a"), (2, 1)), Poset.chain(("a", "b"))
+        order = "^the space's labels must be the poset's elements, in its order$"
+        plane, line = ((1, 0), (0, 1)), ((1,),)
+        for diag in ((plane, line), (line, plane)):
+            with pytest.raises(ValidationError, match=order):
+                build_isometry(space, chain, (0, 1), diag)
+            with pytest.raises(ValidationError, match=order):
+                Isometry(space, chain, (0, 1), diag, ())
+
 
 class TestEnumeration:
     def test_chain_group_order_two(self):
@@ -458,7 +536,7 @@ class TestEnumeration:
 
     def test_label_free_factors_are_checked_before_the_filter(self, monkeypatch):
         def unreachable(*args):
-            raise AssertionError("the functional filter ran")
+            raise AssertionError("the label-map search ran")
 
         # the strict block of a 2-chain over F_2 alone gives 2 isometries
         monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)

@@ -5,6 +5,7 @@ import itertools
 import random
 import sys
 import time
+from array import array
 from collections import Counter
 from fractions import Fraction
 
@@ -409,7 +410,19 @@ class TestIndexedGroup:
         # so the strict block's two elements are the only factor spanned
         _, factors = mep._group_factors(SP21, CHAIN2, key_for(CHAIN2, ONES2, "weight"))
         assert [len(factor) for factor in factors] == [2]
-        assert sorted(factors[0]) == [(0, 1, 2, 3), (0, 3, 2, 1)]  # (0, 1) -> (1, 1)
+        assert sorted(map(tuple, factors[0])) == [(0, 1, 2, 3), (0, 3, 2, 1)]  # (0, 1) -> (1, 1)
+
+    def test_factor_elements_take_two_bytes_an_entry(self):
+        # with 8! label maps over the 1024 vectors of eight F_2 points beside
+        # a 2-chain, `mep --brute-force` peaked at 1.5 GB with the factors as
+        # tuples of fresh ints, and at 354 MB packed
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
+        key = key_for(ANTI3, WeightFunction.ones(ANTI3.elements), "weight")
+        _, factors = mep._group_factors(space, ANTI3, key)
+        assert [len(factor) for factor in factors] == [6, 6, 6, 6]  # S_3, then GL_2(F_2) thrice
+        assert {(type(f), f.typecode, len(f)) for factor in factors for f in factor} == {
+            (array, "H", 64)
+        }
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_support_mode_equals_the_closure_key(self, size, monkeypatch):

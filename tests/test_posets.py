@@ -4,6 +4,7 @@ import gc
 import importlib
 import inspect
 import itertools
+import math
 import pkgutil
 import random
 import sys
@@ -206,6 +207,37 @@ class TestAutomorphisms:
         covers = list(zip(left, left[1:])) + list(zip(right, right[1:]))
         twins = Poset.from_covers(left + right, covers)
         assert twins.automorphisms() == (tuple(range(12)), tuple(range(6, 12)) + tuple(range(6)))
+
+    def test_colours_split_the_candidates_and_the_bound(self):
+        # nine unrelated labels: 4! * 5! candidates with two weights, 1 with nine
+        anti9 = Poset.antichain(tuple("abcdefghi"))
+        two = anti9.automorphisms((1,) * 4 + (2,) * 5)
+        assert len(two) == math.factorial(4) * math.factorial(5)
+        low = {0, 1, 2, 3}
+        assert two == tuple(p for p in itertools.permutations(range(9)) if set(p[:4]) == low)
+        assert anti9.automorphisms(tuple(range(9))) == (tuple(range(9)),)
+        # the refusal names the coloured estimate: ten labels, nine of one weight
+        anti10 = Poset.antichain(tuple("abcdefghij"))
+        with pytest.raises(BoundExceeded) as info:
+            anti10.automorphisms((1,) * 9 + (2,))
+        assert str(info.value) == (
+            "automorphism search over 362880 candidate permutations exceeds the bound 40320"
+        )
+
+    def test_colourings_that_split_alike_share_one_search(self):
+        vee = Poset.from_covers(tuple("abcd"), [("a", "b"), ("a", "c")])
+        plain = vee.automorphisms()
+        assert plain == ((0, 1, 2, 3), (0, 2, 1, 3))
+        assert vee.automorphisms((5, 5, 5, 5)) is plain  # unit weights keep the plain search
+        assert vee.automorphisms(("x", "y", "y", "z")) is plain  # as do colours that split alike
+        pinned = vee.automorphisms((1, 1, 2, 1))
+        assert pinned == ((0, 1, 2, 3),)
+        assert vee.automorphisms((7, 3, 4, 7)) is pinned
+        assert list(vars(vee)["_automorphisms"]) == [(0, 1, 1, 2), (0, 1, 2, 3)]
+
+    def test_one_colour_per_element(self):
+        with pytest.raises(ValidationError, match="^2 colours given for 3 elements$"):
+            CHAIN3.automorphisms((1, 1))
 
     @pytest.mark.parametrize("poset", THREE, ids=lambda p: repr(p.leq))
     def test_group_axioms_and_level_preservation(self, poset):
@@ -641,7 +673,10 @@ class TestTablesLiveOnThePoset:
         poset = Poset.from_covers(tuple("abcd"), [("a", "b"), ("a", "c")])
         ideals, autos = poset.all_ideals(), poset.automorphisms()
         assert not poset.is_hierarchical
-        assert vars(poset)["_ideals"] is ideals and vars(poset)["_automorphisms"] is autos
+        assert vars(poset)["_ideals"] is ideals
+        # one search per class partition: a, then b and c, then d
+        assert vars(poset)["_automorphisms"] == {(0, 1, 1, 2): autos}
+        assert vars(poset)["_automorphisms"][0, 1, 1, 2] is autos
         held = sys.getrefcount(ideals)
         ref = weakref.ref(poset)
         del poset
