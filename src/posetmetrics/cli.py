@@ -104,7 +104,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("weight", "psupport"), default="weight")
     p.add_argument("--brute-force", action="store_true")
     p.add_argument("--max-dim", type=_at_least_one, default=None, help="cap the code dimension scanned")
-    p.add_argument("--bound", type=_at_least_one, default=1 << 19, help="candidate-map bound")
+    p.add_argument("--bound", type=_at_least_one, default=None,
+                   help="candidate-map bound (default: mep.MAP_BOUND)")
     p.set_defaults(handler=cmd_mep)
 
     p = sub.add_parser("lattice", help="Moebius data and minimal solutions")
@@ -210,10 +211,14 @@ def cmd_isometries(args) -> tuple[dict, int]:
 
 def cmd_mep(args) -> tuple[dict, int]:
     from .instances import load_instance
-    from .mep import condition_report, mep_brute_force, mep_p_support_predicate, mep_predicate
+    from .mep import (
+        MAP_BOUND, condition_report, mep_brute_force, mep_p_support_predicate, mep_predicate,
+    )
+    from .posets import powers_of_two_weight
 
     inst = load_instance(args.instance)
     space, poset, omega = inst.space, inst.poset, inst.omega
+    bound = MAP_BOUND if args.bound is None else args.bound
     results: dict = {"mode": args.mode}
     witnesses: dict = {}
     conditions = condition_report(space, poset, omega)
@@ -224,9 +229,9 @@ def cmd_mep(args) -> tuple[dict, int]:
         "udp_matched_dims": conditions.udp_matched_dims,
         "level_matched_dims": conditions.level_matched_dims,
     }
-    mode = "support" if args.mode == "psupport" else "weight"
+    support = args.mode == "psupport"
     try:
-        if mode == "support":
+        if support:
             predicate = mep_p_support_predicate(space, poset)
         else:
             predicate = mep_predicate(space, poset, omega)
@@ -236,28 +241,22 @@ def cmd_mep(args) -> tuple[dict, int]:
             raise
         results["predicate"] = "unavailable"
         predicate = None
-    if args.brute_force or predicate is None:
+    if args.brute_force:  # without it, an unavailable predicate was raised above
         try:
-            brute = mep_brute_force(
-                space, poset, omega, mode=mode, max_dim=args.max_dim, map_bound=args.bound
-            )
+            scanned = powers_of_two_weight(poset) if support else omega
+            brute = mep_brute_force(space, poset, scanned, max_dim=args.max_dim, map_bound=bound)
         except MapBoundExceeded as exc:
             raise MapBoundExceeded(f"{exc}; raise it with --bound") from None
-        results["brute_force"] = _verdict_payload(brute, witnesses)
+        results["brute_force"] = {"holds": brute.holds, "complete": brute.complete}
+        if brute.counterexample is not None:
+            code, images = brute.counterexample
+            witnesses["counterexample"] = {
+                "code_basis": [list(r) for r in code.basis],
+                "images": [list(v) for v in images],
+            }
         if predicate is not None:
             results["agreement"] = brute.holds == predicate.holds or not brute.complete
     return build_report("mep", inst.digest, results, witnesses), 0
-
-
-def _verdict_payload(verdict, witnesses: dict) -> dict:
-    payload = {"holds": verdict.holds, "complete": verdict.complete}
-    if verdict.counterexample is not None:
-        code, images = verdict.counterexample
-        witnesses["counterexample"] = {
-            "code_basis": [list(r) for r in code.basis],
-            "images": [list(v) for v in images],
-        }
-    return payload
 
 
 def cmd_lattice(args) -> tuple[dict, int]:

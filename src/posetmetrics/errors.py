@@ -42,7 +42,7 @@ class GroupBoundExceeded(BoundExceeded):
 
 class MapBoundExceeded(BoundExceeded):
     """An MEP scan's candidate maps are over the map bound; only the `mep`
-    command sets that bound (`--bound`), `audit` uses the default."""
+    command sets that bound (`--bound`), `audit` uses `mep.MAP_BOUND`."""
 
 
 class PropertyViolation(PosetMetricsError):

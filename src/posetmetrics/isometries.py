@@ -251,19 +251,12 @@ def group_order(
 
 def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
     """The group's label maps, with its order checked against the bound
-    before the coloured search and again after it.
-
-    A result is kept on the poset with the group order, keyed by the space
-    and the keys of the principal ideals, which colour the search; a later
-    call within its bound reuses it.  Refusals are not kept."""
+    before the coloured search and again after it.  A repeat call finds its
+    search kept on the poset (`Poset.automorphisms`)."""
     _check_label_order(space, poset)
-    memo_key = (space, tuple(map(key, poset._down)))
-    kept = poset._label_maps.get(memo_key)
-    if kept is not None and kept[1] <= bound:
-        return kept[0]
     group_order(space, poset, 1, bound)  # the identity is admissible: refuse before the search
     lams = admissible_automorphisms(poset, space, key)
-    poset._label_maps[memo_key] = lams, group_order(space, poset, len(lams), bound)
+    group_order(space, poset, len(lams), bound)
     return lams
 
 

@@ -25,8 +25,9 @@ fails.  A held code's orbit is marked in one pass over the table's columns
 at the code's vectors: each element's image of the code is a row of them,
 deduplicated as a tuple before it is made a set.  Every reader of the table
 reads sets of images, so the order of its elements is free.  The label maps
-are searched once per (poset, space, weights) and shared by the scan, the
-extension search and the orbit check (`isometries.admissible_lams`).
+are searched once per class partition of the poset (`Poset.automorphisms`)
+and shared by the scan, the extension search and the orbit check
+(`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
 own currency; only a counterexample's code is built as a `LinearCode`.
 """
@@ -62,7 +63,7 @@ from .isometries import (
     gl_order,
     weight_sum_functional,
 )
-from .posets import Poset, Value, WeightFunction, powers_of_two_weight, set_bits, udp_check
+from .posets import Poset, Value, WeightFunction, set_bits, udp_check
 from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes, weight
 
 
@@ -72,6 +73,8 @@ ADD_TABLE_BOUND = 1 << 20
 GROUP_TABLE_BOUND = 1 << 27
 # The most entries of the group's factor lists: their summed lengths x q^N.
 FACTOR_TABLE_BOUND = 1 << 27
+# The default bound on a code dimension d's candidate maps, (q^N)^d (`mep --bound`).
+MAP_BOUND = 1 << 19
 
 
 class SpaceIndex:
@@ -137,16 +140,14 @@ class SpaceIndex:
 
 
 class MepVerdict(Value):
-    __match_args__ = ("holds", "mode", "source", "complete", "counterexample", "predicate_trace")
+    __match_args__ = ("holds", "complete", "counterexample", "predicate_trace")
 
     def __init__(
-        self, holds: bool, mode: str, source: str, complete: bool = True,
+        self, holds: bool, complete: bool = True,
         counterexample: Optional[tuple[LinearCode, tuple[Vector, ...]]] = None,
         predicate_trace: Optional[dict] = None,
     ) -> None:
         object.__setattr__(self, "holds", holds)
-        object.__setattr__(self, "mode", mode)  # "weight" | "support"
-        object.__setattr__(self, "source", source)  # "brute-force" | "predicate"
         object.__setattr__(self, "complete", complete)
         object.__setattr__(self, "counterexample", counterexample)
         object.__setattr__(self, "predicate_trace", predicate_trace)
@@ -233,12 +234,12 @@ def extend_to_isometry(
 def mep_brute_force(
     space: AlphabetSpec,
     poset: Poset,
-    omega: Optional[WeightFunction] = None,
-    mode: str = "weight",
+    omega: WeightFunction,
     max_dim: Optional[int] = None,
-    map_bound: int = 1 << 19,
+    map_bound: int = MAP_BOUND,
 ) -> MepVerdict:
-    """Quantify over codes (by ascending dimension) and all linear maps.
+    """Quantify over codes (by ascending dimension) and all linear maps that
+    keep the omega-weight; support closure is omega = powers_of_two_weight(poset).
 
     Returns the first counterexample in (code dimension, code RREF, image
     tuple) order, so failures are deterministic regression artifacts.  When
@@ -260,10 +261,6 @@ def mep_brute_force(
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
-    if mode == "support":  # support closure is the weight with doubling weights
-        omega = powers_of_two_weight(poset)
-    elif omega is None:
-        raise ValidationError("weight mode needs a weight function")
     si, columns = _indexed_group(space, poset, weight_sum_functional(poset, omega))
     count = len(si.vectors)
     n = space.total_dim
@@ -285,14 +282,10 @@ def mep_brute_force(
             images = _first_unreachable_map(si, basis_idx, reachable)
             code = LinearCode(space, tuple(si.vectors[t] for t in basis_idx))
             return MepVerdict(
-                holds=False,
-                mode=mode,
-                source="brute-force",
-                complete=True,
-                counterexample=(code, tuple(si.vectors[t] for t in images)),
+                holds=False, counterexample=(code, tuple(si.vectors[t] for t in images))
             )
         held.update(_orbit_spans(columns, span))
-    return MepVerdict(holds=True, mode=mode, source="brute-force", complete=(top >= n))
+    return MepVerdict(holds=True, complete=(top >= n))
 
 
 def _orbit_spans(
@@ -604,17 +597,13 @@ def mep_predicate(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> M
             "no closed form for a non-hierarchical poset with non-constant weights; "
             "run the brute-force check instead"
         )
-    return MepVerdict(
-        holds=holds, mode="weight", source="predicate", predicate_trace=trace
-    )
+    return MepVerdict(holds=holds, predicate_trace=trace)
 
 
 def mep_p_support_predicate(space: AlphabetSpec, poset: Poset) -> MepVerdict:
     """Support-closure MEP always holds over a prime field alphabet."""
     return MepVerdict(
         holds=True,
-        mode="support",
-        source="predicate",
         predicate_trace={
             "route": "division-ring alphabet",
             "note": "finite-dimensional blocks over a field always extend "

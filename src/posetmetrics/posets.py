@@ -9,8 +9,8 @@ repr are unchanged.  Closure, ideals, levels, UDP and automorphisms (from the
 question's colours: McKay & Piperno, J. Symb. Comput. 2014) run on the masks
 (Knuth, TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on
 the poset at first use, so they are freed with it: the order matrix, the
-ideals, the levels, the automorphisms of each class partition, the admissible
-label maps of each space and key (`isometries.admissible_lams`) and each
+ideals, the levels, the automorphisms of each class partition (which also
+serve as the admissible label maps of `isometries.admissible_lams`) and each
 completed slice of an isometry group, per space and label map, as immutable
 (diag, strict, matrix) tuples (`isometries.enumerate_group`).  Label sets
 cross the interface as frozensets, weights as Fractions.
@@ -226,11 +226,6 @@ class Poset(Value):
             masks += [m | bit for m in masks if m & below == below]
         masks.sort(key=lambda m: (m.bit_count(), tuple(set_bits(m))))
         return tuple(masks)
-
-    @cached_property
-    def _label_maps(self) -> dict:
-        """isometries.admissible_lams' results, kept with the poset."""
-        return {}
 
     @cached_property
     def _group_slices(self) -> dict:

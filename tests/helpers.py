@@ -32,8 +32,8 @@ def linear_maps(code, space):
 
 
 def key_for(poset: posets.Poset, omega, mode: str):
-    """The integer key mep_brute_force compares in a mode: the weight key, of
-    the doubling weights in support mode."""
+    """The integer key of a question: the weight key of omega, or of the
+    doubling weights in support mode (omega is then unread)."""
     return weight_sum_functional(poset, powers_of_two_weight(poset) if mode == "support" else omega)
 
 
@@ -443,8 +443,6 @@ class Solution:
 @dataclass(frozen=True)
 class MepVerdict:
     holds: bool
-    mode: str
-    source: str
     complete: bool = True
     counterexample: Optional[tuple] = None
     predicate_trace: Optional[dict] = None

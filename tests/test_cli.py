@@ -16,7 +16,7 @@ from posetmetrics import cli, isometries
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import BoundExceeded, ValidationError
-from posetmetrics.posets import ELEMENT_BOUND, Poset
+from posetmetrics.posets import ELEMENT_BOUND, Poset, powers_of_two_weight
 from posetmetrics.reports import build_report
 
 INSTANCES = Path(__file__).resolve().parents[1] / "instances"
@@ -327,6 +327,27 @@ class TestCommands:
         assert code == 0
         assert payload["results"]["predicate"]["holds"] is True
         assert payload["results"]["brute_force"]["holds"] is True
+
+    @pytest.mark.parametrize("options", [[], ["--max-dim", "3"]], ids=["full", "max-dim-3"])
+    @pytest.mark.parametrize("name", sorted(path.stem for path in INSTANCES.glob("*.json")))
+    def test_mep_psupport_scan_is_the_doubling_weight_scan(self, tmp_path, capsys, name, options):
+        # psupport mode scans the doubling weights: the same scan, witnesses
+        # and exit as weight mode on the document with omega(t) = 2^t written out
+        path = INSTANCES / f"{name}.json"
+        doc = json.loads(path.read_text())
+        doubling = powers_of_two_weight(load_instance(path).poset)
+        doc["omega"] = {label: str(doubling.of(label)) for label in doubling.labels}
+        doubled = tmp_path / "doubled.json"
+        doubled.write_text(json.dumps(doc))
+        runs = []
+        for argv in (["--mode", "psupport", "--instance", str(path)], ["--instance", str(doubled)]):
+            code = main(["mep", *argv, "--brute-force", *options, "--json"])
+            out, err = capsys.readouterr()
+            report = json.loads(out) if code == 0 else {}
+            runs.append((code, err, report.get("results", {}).get("brute_force"),
+                         report.get("witnesses")))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 or "candidate maps" in runs[0][1]
 
     def test_mep_unavailable_predicate_without_brute_force(self, tmp_path, capsys):
         doc = {

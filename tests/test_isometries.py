@@ -255,9 +255,9 @@ def _ideal_filter(poset, space, key):
 
 
 def _two_walk_lams(space, poset, key, bound):
-    """admissible_lams with no memo: the oracle's order factors walked once
-    before the ideal filter and once after it, kept as the oracle of the
-    memoized path."""
+    """admissible_lams on the ideal filter: the oracle's order factors walked
+    once before the filter and once after it, kept as the oracle of the
+    cached coloured search."""
     order_walk_oracle(space, poset, 1, bound)
     lams = _ideal_filter(poset, space, key)
     order_walk_oracle(space, poset, len(lams), bound)
@@ -354,68 +354,90 @@ class TestColouredSearch:
         assert swaps >= 10
 
 
-class TestLabelMapMemo:
-    def test_weightings_and_dims_get_their_own_label_maps(self):
+class TestLabelMapCache:
+    """admissible_lams keeps nothing of its own: its coloured search is kept
+    once per class partition in Poset._automorphisms."""
+
+    def test_each_class_partition_is_searched_once(self):
         anti = _fresh(ANTI2)
         swap = ((0, 1), (1, 0))
         distinct = WeightFunction.from_map({"1": 1, "2": 2})
         mixed = AlphabetSpec(F2, ("1", "2"), (1, 2))
+        # equal weights and dims keep the two labels in one class; a distinct
+        # weight or dim splits them, and those two colourings split them alike
         runs = [(SP21, ONES2, swap), (SP21, distinct, ((0, 1),)), (mixed, ONES2, ((0, 1),))]
-        for _ in range(2):  # the second round reads the memo
+        kept = []
+        for _ in range(2):  # the second round finds every search kept
             for space, omega, lams in runs:
                 key = weight_sum_functional(anti, omega)
                 assert admissible_lams(space, anti, key, GROUP_BOUND) == lams
-        assert len(anti._label_maps) == 3
+                kept.append(dict(anti._automorphisms))
+        assert [len(entries) for entries in kept] == [1, 2, 2, 2, 2, 2]
+        assert all(entries == kept[2] for entries in kept[2:])
+        assert all(a is b for a, b in zip(kept[2].values(), anti._automorphisms.values()))
 
-    def test_a_refusal_is_not_kept(self):
+    def test_a_refusal_at_one_label_map_searches_nothing(self):
         chain = _fresh(CHAIN2)
         key = key_for(chain, None, "support")
         message = r"^isometry group order reaches 2, over the bound 1$"
         with pytest.raises(GroupBoundExceeded, match=message):
             admissible_lams(SP21, chain, key, 1)
-        assert chain._label_maps == {}
+        assert chain._automorphisms == {}
         assert admissible_lams(SP21, chain, key, GROUP_BOUND) == ((0, 1),)
+        assert len(chain._automorphisms) == 1
         with pytest.raises(GroupBoundExceeded, match=message):
             admissible_lams(SP21, chain, key, 1)
 
     @pytest.mark.parametrize("shape", list(MEMO_SHAPES))
     def test_every_bound_answers_as_the_two_walks(self, shape):
         # each bound from 0 past the order: the label maps or the same
-        # refusal, from a fresh poset and from one whose memo holds the maps
+        # refusal, from a fresh poset and from one that keeps the search
         poset, space = MEMO_SHAPES[shape]
         key = weight_sum_functional(poset, WeightFunction.ones(poset.elements))
         order = group_order(space, poset, len(_two_walk_lams(space, poset, key, GROUP_BOUND)))
-        memoized = _fresh(poset)
-        admissible_lams(space, memoized, key, GROUP_BOUND)
+        searched = _fresh(poset)
+        admissible_lams(space, searched, key, GROUP_BOUND)
         for bound in range(order + 2):
             expected = _outcome(_two_walk_lams, space, poset, key, bound)
             assert _outcome(admissible_lams, space, _fresh(poset), key, bound) == expected
-            assert _outcome(admissible_lams, space, memoized, key, bound) == expected
+            assert _outcome(admissible_lams, space, searched, key, bound) == expected
 
     def test_refusals_before_a_power_is_formed_answer_as_the_two_walks(self):
         # a 65-dim block over F_2: GL_65 has a factor 2^65 - 2^64, so under
         # 2^64 the power is refused before it is formed
         space = AlphabetSpec(F2, CHAIN2.elements, (65, 1))
         key = key_for(CHAIN2, None, "support")
-        memoized = _fresh(CHAIN2)
-        admissible_lams(space, memoized, key, 1 << 5000)
+        searched = _fresh(CHAIN2)
+        admissible_lams(space, searched, key, 1 << 5000)
         for bound in (1, 1 << 63, (1 << 64) - 1, 1 << 64, 1 << 4500, 1 << 5000):
             expected = _outcome(_two_walk_lams, space, CHAIN2, key, bound)
             assert _outcome(admissible_lams, space, _fresh(CHAIN2), key, bound) == expected
-            assert _outcome(admissible_lams, space, memoized, key, bound) == expected
+            assert _outcome(admissible_lams, space, searched, key, bound) == expected
 
-    def test_extension_after_the_scan_runs_no_filter(self, monkeypatch):
+    def test_extension_after_the_scan_runs_no_search(self, monkeypatch):
+        # the scan and both extensions ask for the label maps; the coloured
+        # search runs for the first ask only, and the others find it kept
         anti3 = Poset.antichain(tuple("abc"))
         space = AlphabetSpec.uniform(F2, anti3.elements, 2)
         omega = WeightFunction.ones(anti3.elements)
+        asks, searches = [], []
+
+        def asked(*args):
+            asks.append(args)
+            return admissible_automorphisms(*args)
+
+        class Kept(dict):
+            def __setitem__(self, classes, found):
+                searches.append(classes)
+                super().__setitem__(classes, found)
+
+        anti3.__dict__["_automorphisms"] = Kept()
+        monkeypatch.setattr(isometries, "admissible_automorphisms", asked)
         code, images = mep_brute_force(space, anti3, omega, max_dim=2).counterexample
-
-        def unreachable(*args):
-            raise AssertionError("the label-map search ran again")
-
-        monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
         assert extend_to_isometry(space, anti3, omega, code, images) is None
         assert extend_to_isometry(space, anti3, omega, code, code.basis) is not None
+        assert len(asks) == 3 and len(searches) == 1
+        assert list(anti3._automorphisms) == searches
 
 
 class TestGroupOrder:
@@ -678,7 +700,7 @@ class TestGroupSlices:
         def unreachable(*args):
             raise AssertionError("a slice was listed afresh")
 
-        monkeypatch.setattr(isometries, "_strict_pairs", unreachable)
+        # a fresh listing builds each element's matrix; a replay builds none
         monkeypatch.setattr(isometries, "_block_matrix", unreachable)
         support = support_isometry_group(space, one)
         assert len(support) == len(weight) == gl_order(3, 3)

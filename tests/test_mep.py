@@ -1,6 +1,7 @@
 """Extension property: brute force, closed forms, conditions, orbit checks,
 and the canonical level decomposition."""
 
+import inspect
 import itertools
 import random
 import sys
@@ -209,18 +210,15 @@ def _mat_vec_perm(si: SpaceIndex, matrix) -> tuple[int, ...]:
     return tuple(fields.vec_index(si.q, fields.mat_vec(si.q, matrix, v)) for v in si.vectors)
 
 
-def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVerdict:
+def _product_scan(space, poset, omega, perms, map_bound=mep.MAP_BOUND) -> MepVerdict:
     """The brute-force scan without backtracking, kept as the oracle.
 
-    Raw weights or closures instead of class ids, every tuple of the class
+    Raw Fraction weights instead of class ids, every tuple of the class
     product with a full span per tuple, and reachable tuples from every group
     permutation.
     """
-    si = SpaceIndex(space, poset, key_for(poset, omega, mode))
-    values = [
-        weight(space, poset, omega, v) if mode == "weight" else p_support(space, poset, v)
-        for v in si.vectors
-    ]
+    si = SpaceIndex(space, poset, weight_sum_functional(poset, omega))
+    values = [weight(space, poset, omega, v) for v in si.vectors]
     classes: dict = {}
     for t, value in enumerate(values):
         classes.setdefault(value, []).append(t)
@@ -239,8 +237,8 @@ def _product_scan(space, poset, omega, mode, perms, map_bound=1 << 19) -> MepVer
             if all(values[s] == w for s, w in zip(img_span, cw_values)):
                 if images not in reachable:
                     found = (code, tuple(si.vectors[t] for t in images))
-                    return MepVerdict(False, mode, "brute-force", True, found)
-    return MepVerdict(True, mode, "brute-force", True)
+                    return MepVerdict(False, True, found)
+    return MepVerdict(True, True)
 
 
 # (q, poset size, block dims): the 4-element grid, q=3, and mixed block dimensions
@@ -253,16 +251,20 @@ class TestBacktrackingScanOracle:
         failures = 0
         for poset in _labeled_posets(size):
             space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
-            runs = [(omega, "weight") for omega in _omega_variants(poset)] + [(None, "support")]
-            for omega, mode in runs:
-                si = SpaceIndex(space, poset, key_for(poset, omega, mode))
-                group = enumerate_group(space, poset, key_for(poset, omega, mode))
+            doubling = powers_of_two_weight(poset)
+            # support closure is the doubling weight: both split the vectors alike
+            closures = [p_support(space, poset, v) for v in space.vectors()]
+            doubled = [weight(space, poset, doubling, v) for v in space.vectors()]
+            assert len(set(zip(closures, doubled))) == len(set(closures)) == len(set(doubled))
+            for omega in [*_omega_variants(poset), doubling]:
+                si = SpaceIndex(space, poset, weight_sum_functional(poset, omega))
+                group = enumerate_group(space, poset, weight_sum_functional(poset, omega))
                 perms = []
                 for iso in group:
                     perms.append(si.perm_of_matrix(iso.matrix))
                     assert perms[-1] == _mat_vec_perm(si, iso.matrix)
-                verdict = mep_brute_force(space, poset, omega, mode=mode)
-                assert verdict == _product_scan(space, poset, omega, mode, perms)
+                verdict = mep_brute_force(space, poset, omega)
+                assert verdict == _product_scan(space, poset, omega, perms)
                 failures += not verdict.holds
         assert failures > 0  # the grid exercises counterexamples, not only passes
 
@@ -274,7 +276,7 @@ class TestBacktrackingScanOracle:
         group = enumerate_group(space, chain, key_for(chain, omega, "weight"))
         perms = [si.perm_of_matrix(iso.matrix) for iso in group]
         with pytest.raises(BoundExceeded, match="^64 candidate maps at dimension 2"):
-            _product_scan(space, chain, omega, "weight", perms, map_bound=63)
+            _product_scan(space, chain, omega, perms, map_bound=63)
         with pytest.raises(
             MapBoundExceeded,
             match="^64 candidate maps at dimension 2 exceed the bound 63$",
@@ -282,9 +284,9 @@ class TestBacktrackingScanOracle:
             mep_brute_force(space, chain, omega, map_bound=63)
 
 
-def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_bound=1 << 19):
+def _unreduced_scan(space, poset, omega, max_dim=None, map_bound=mep.MAP_BOUND):
     """The backtracking scan of every code, without the orbit skip, kept as the oracle."""
-    key = key_for(poset, omega, mode)
+    key = weight_sum_functional(poset, omega)
     si = SpaceIndex(space, poset, key)
     group = enumerate_group(space, poset, key)
     # columns[t][g] is the image of vector t under the g-th group element
@@ -305,8 +307,8 @@ def _unreduced_scan(space, poset, omega=None, mode="weight", max_dim=None, map_b
         images = _first_unreachable_map(si, basis_idx, reachable)
         if images is not None:
             image_vectors = tuple(si.vectors[t] for t in images)
-            return MepVerdict(False, mode, "brute-force", True, (code, image_vectors))
-    return MepVerdict(True, mode, "brute-force", complete=(top >= n))
+            return MepVerdict(False, True, (code, image_vectors))
+    return MepVerdict(True, complete=(top >= n))
 
 
 def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
@@ -426,8 +428,8 @@ class TestIndexedGroup:
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_support_mode_equals_the_closure_key(self, size, monkeypatch):
-        # the doubling weights' key against the mask itself, the key the
-        # support mode compared before it became a weight
+        # the doubling weights' key against the mask itself, the key support
+        # closure compared before it became a weight
         runs = []
         for poset in _labeled_posets(size):
             space = AlphabetSpec.uniform(F2, poset.elements, 1)
@@ -435,14 +437,21 @@ class TestIndexedGroup:
             assert doubling.values == SpaceIndex(space, poset, closure_key).values
             group = [iso.matrix for iso in support_isometry_group(space, poset)]
             assert group == [iso.matrix for iso in enumerate_group(space, poset, closure_key)]
-            runs.append((space, poset, mep_brute_force(space, poset, mode="support")))
+            runs.append((space, poset, mep_brute_force(space, poset, powers_of_two_weight(poset))))
         monkeypatch.setattr(mep, "weight_sum_functional", lambda poset, omega: closure_key)
         for space, poset, verdict in runs:
-            assert mep_brute_force(space, poset, mode="support") == verdict
+            assert mep_brute_force(space, poset, powers_of_two_weight(poset)) == verdict
 
-    def test_weight_mode_needs_a_weight_function(self):
-        with pytest.raises(ValidationError, match="^weight mode needs a weight function$"):
+    def test_the_weight_is_the_one_way_to_ask(self):
+        # support closure is asked as the doubling weights; no mode switch is left
+        parameters = inspect.signature(mep_brute_force).parameters
+        assert list(parameters) == ["space", "poset", "omega", "max_dim", "map_bound"]
+        assert parameters["omega"].default is inspect.Parameter.empty
+        assert parameters["map_bound"].default == mep.MAP_BOUND == 1 << 19
+        with pytest.raises(TypeError):
             mep_brute_force(SP21, CHAIN2)
+        names = ("holds", "complete", "counterexample", "predicate_trace")
+        assert MepVerdict.__match_args__ == names
 
     def test_criterion_four_shapes_match_the_matrix_oracle(self):
         compared = 0
@@ -533,8 +542,8 @@ class TestIntegerScan:
     def test_no_fraction_or_matrix_under_the_scan(self):
         # the scan compares integer keys and composes permutations, so nothing
         # under it adds Fractions, builds a matrix or turns one back into a
-        # permutation; the support mode's only Fraction work is building the
-        # doubling weights of its key, once, before the scan
+        # permutation; the doubling weights of support closure are built with
+        # Fractions, once, before the scan
         calls = []
 
         def hook(frame, event, arg):
@@ -555,26 +564,26 @@ class TestIntegerScan:
         omega = WeightFunction.from_map({"a": "1/2", "b": "3/2", "c": "1/2"})
         space = AlphabetSpec(F2, MIXED.elements, (1, 2, 1))
         weight_verdict = traced(mep_brute_force, space, MIXED, omega)
-        support_verdict = traced(mep_brute_force, space, MIXED, mode="support")
+        doubling = traced(powers_of_two_weight, MIXED)
+        support_verdict = traced(mep_brute_force, space, MIXED, doubling)
         traced(single_orbit_check, space, MIXED, omega)
-        traced(powers_of_two_weight, MIXED)
-        weight_calls, support_calls, orbit_calls, doubling_calls = calls
-        assert weight_calls == orbit_calls == []
-        assert support_calls == doubling_calls and "__new__" in doubling_calls
+        weight_calls, doubling_calls, support_calls, orbit_calls = calls
+        assert weight_calls == support_calls == orbit_calls == []
+        assert "__new__" in doubling_calls  # the hook sees Fraction work
         assert support_verdict.holds and weight_verdict.complete
 
 
 def _small_grid():
     """Every labeled poset on up to 3 elements at q=2 with unit dims and with a
-    2-dim first block, and at q=3 with unit dims; three weightings and support."""
+    2-dim first block, and at q=3 with unit dims; three weightings and the
+    doubling weights of support closure."""
     for size in (1, 2, 3):
         for poset in _labeled_posets(size):
             units = (1,) * size
             for q, dims in ((2, units), (2, (2,) + units[1:]), (3, units)):
                 space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
-                for omega in _omega_variants(poset):
-                    yield space, poset, omega, "weight"
-                yield space, poset, None, "support"
+                for omega in [*_omega_variants(poset), powers_of_two_weight(poset)]:
+                    yield space, poset, omega
 
 
 class TestOrbitReducedScan:
@@ -587,9 +596,9 @@ class TestOrbitReducedScan:
 
     def test_small_grid_matches_the_unreduced_scan(self):
         scans = failures = 0
-        for space, poset, omega, mode in _small_grid():
-            verdict = mep_brute_force(space, poset, omega, mode=mode)
-            assert verdict == _unreduced_scan(space, poset, omega, mode=mode)
+        for space, poset, omega in _small_grid():
+            verdict = mep_brute_force(space, poset, omega)
+            assert verdict == _unreduced_scan(space, poset, omega)
             scans += 1
             failures += not verdict.holds
         assert scans == 276 and failures > 0
@@ -680,7 +689,7 @@ def _movers_marking(columns, basis_idx, span):
 
 class TestHeldOrbitOracle:
     @staticmethod
-    def _marked_codes(monkeypatch, space, poset, omega, mode="weight", max_dim=None) -> int:
+    def _marked_codes(monkeypatch, space, poset, omega, max_dim=None) -> int:
         """Scan with every held code's marking checked against the movers
         oracle: equal spans per code, so equal held sets after every code."""
         bases, held, oracle = [], set(), set()
@@ -698,15 +707,15 @@ class TestHeldOrbitOracle:
 
         monkeypatch.setattr(mep, "_holds_on", deciding)
         monkeypatch.setattr(mep, "_orbit_spans", marking)
-        verdict = mep_brute_force(space, poset, omega, mode=mode, max_dim=max_dim)
+        verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
         monkeypatch.undo()
-        assert verdict == mep_brute_force(space, poset, omega, mode=mode, max_dim=max_dim)
+        assert verdict == mep_brute_force(space, poset, omega, max_dim=max_dim)
         return len(bases) - (not verdict.holds)
 
     def test_small_grid(self, monkeypatch):
         marked = sum(
-            self._marked_codes(monkeypatch, space, poset, omega, mode)
-            for space, poset, omega, mode in _small_grid()
+            self._marked_codes(monkeypatch, space, poset, omega)
+            for space, poset, omega in _small_grid()
         )
         assert marked == 2038  # held codes over the 276 scans
 
@@ -721,8 +730,8 @@ class TestHeldOrbitOracle:
 class TestStabilizerDecision:
     def test_decision_equals_the_leaf_search_on_every_code(self):
         codes = rejected = 0
-        for space, poset, omega, mode in _small_grid():
-            key = key_for(poset, omega, mode)
+        for space, poset, omega in _small_grid():
+            key = weight_sum_functional(poset, omega)
             si, columns = mep._indexed_group(space, poset, key)
             listed = list(zip(*indexed_group_oracle(space, poset, key)[1]))
             for code in enumerate_codes(space):
@@ -742,8 +751,8 @@ class TestStabilizerDecision:
     def test_scan_reads_the_listing_and_the_table_alike(self, monkeypatch):
         # the folded listing's columns, in (lam, D, u) order, against the table
         verdicts = [
-            (space, poset, omega, mode, mep_brute_force(space, poset, omega, mode=mode))
-            for space, poset, omega, mode in _small_grid()
+            (space, poset, omega, mep_brute_force(space, poset, omega))
+            for space, poset, omega in _small_grid()
         ]
 
         def listed(space, poset, key):
@@ -751,8 +760,8 @@ class TestStabilizerDecision:
             return si, list(zip(*listing))
 
         monkeypatch.setattr(mep, "_indexed_group", listed)
-        for space, poset, omega, mode, verdict in verdicts:
-            assert mep_brute_force(space, poset, omega, mode=mode) == verdict
+        for space, poset, omega, verdict in verdicts:
+            assert mep_brute_force(space, poset, omega) == verdict
         assert sum(not verdict.holds for *_, verdict in verdicts) > 0
 
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
@@ -825,11 +834,8 @@ def _listing_extension(space, poset, omega, code, images, group=None):
 
 
 def _extension_grid():
-    """The small grid's weighted cases (support mode is the doubling weights),
-    then mep_grid's large shapes with unit weights."""
-    for space, poset, omega, mode in _small_grid():
-        if mode == "weight":
-            yield space, poset, omega
+    """The small grid's cases, then mep_grid's large shapes with unit weights."""
+    yield from _small_grid()
     for poset, dims, _, _ in LARGE_SHAPES:
         yield AlphabetSpec(F2, poset.elements, dims), poset, WeightFunction.ones(poset.elements)
 
@@ -857,7 +863,7 @@ class TestBlockExtensionOracle:
                 ]
                 hits += found[0] is not None
                 misses += found[1:] == [None]
-        assert hits == 4428 and misses == 1763  # 4428 codes, each hit by its element
+        assert hits == 5958 and misses == 2354  # 5958 codes, each hit by its element
 
     def test_counterexample_lists_no_group_and_builds_no_matrix(self, monkeypatch):
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
@@ -995,7 +1001,7 @@ class TestPredicates:
         for poset in (CHAIN2, ANTI2, MIXED):
             space = AlphabetSpec.uniform(F2, poset.elements, 1)
             assert mep_p_support_predicate(space, poset).holds
-            assert mep_brute_force(space, poset, mode="support").holds
+            assert mep_brute_force(space, poset, powers_of_two_weight(poset)).holds
 
 
 class TestConditions:
@@ -1047,15 +1053,14 @@ def _union_find_orbit_check(space, poset, omega):
 class TestSingleOrbit:
     def test_orbit_sets_match_the_union_find(self):
         # every labeled poset on up to 3 elements, q in {2, 3}, unit dims and a
-        # 2-dim first block, three weightings
+        # 2-dim first block, three weightings and the doubling weights
         cases = failures = 0
-        for space, poset, omega, mode in _small_grid():
-            if mode == "weight":
-                result = single_orbit_check(space, poset, omega)
-                assert result == _union_find_orbit_check(space, poset, omega)
-                cases += 1
-                failures += not result[0]
-        assert cases == 207 and failures > 0
+        for space, poset, omega in _small_grid():
+            result = single_orbit_check(space, poset, omega)
+            assert result == _union_find_orbit_check(space, poset, omega)
+            cases += 1
+            failures += not result[0]
+        assert cases == 276 and failures > 0
 
     def test_f3_five_matches_the_union_find(self):
         # a < b, c apart, dims (2, 2, 1): 373,248 listed elements for the oracle

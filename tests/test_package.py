@@ -1,4 +1,5 @@
-"""The package's export surface, what each entry point imports, and its unused imports."""
+"""The package's export surface, what each entry point imports, its unused
+imports and its unread definitions."""
 
 import ast
 import importlib
@@ -6,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +15,7 @@ import pytest
 import posetmetrics
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 CHAIN3 = Path(__file__).resolve().parents[1] / "instances" / "chain3.json"
 
 # The exported names, by the module that defines them, as of the lazy package.
@@ -207,3 +210,85 @@ class TestUnusedImports:
             "    return fields.identity_matrix(os.path.sep)\n"
         )
         assert _unused_imports(source) == ["it", "math"]
+
+
+def _reads(node: ast.stmt) -> set[str]:
+    """The names a statement reads: loaded, read as an attribute, imported
+    by name, or named in a string annotation."""
+    reads = _names_read(ast.Module(body=[node], type_ignores=[]))
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Attribute):
+            reads.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            reads.update(alias.name for alias in sub.names)
+    return reads
+
+
+def _readers(statements) -> Counter:
+    """For each name, how many of the statements read it."""
+    return Counter(name for statement in statements for name in _reads(statement))
+
+
+def _bench_reads() -> set[str]:
+    """The names bench/ reads, and the dotted parts of the strings in
+    bench/tracing.py's TARGETS, which name what its tracer wraps."""
+    names = set()
+    for path in BENCH.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        names |= set(_readers(tree.body))
+        names |= {
+            part
+            for node in tree.body
+            if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", "") == "TARGETS"
+            for sub in ast.walk(node.value) if isinstance(sub, ast.Constant)
+            for part in str(sub.value).split(".")
+        }
+    return names
+
+
+def _unread_definitions(trees: dict, bench: set[str]) -> tuple[set[str], set[str]]:
+    """The module-level functions and classes that are not exported, not
+    dunders and read by no other statement of the modules (a read in their
+    own body does not count), split into (read by bench, read by neither)."""
+    readers = _readers(node for tree in trees.values() for node in tree.body)
+    by_bench, unread = set(), set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            name = node.name
+            if name in posetmetrics.__all__ or (name.startswith("__") and name.endswith("__")):
+                continue
+            if readers[name] > (name in _reads(node)):
+                continue
+            (by_bench if name in bench else unread).add(f"{module}.{name}")
+    return by_bench, unread
+
+
+class TestUnreadDefinitions:
+    def test_every_definition_has_a_reader(self):
+        # the four read only by bench/ are deletions that wait on a benchmark change
+        trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "posetmetrics").glob("*.py")}
+        by_bench, unread = _unread_definitions(trees, _bench_reads())
+        assert unread == set()
+        assert by_bench == {
+            "fields.mat_mul", "fields.mat_inv", "isometries.weight_automorphisms",
+            "posets.weight_preserving_automorphisms",
+        }
+        assert {"rref", "Poset", "automorphisms"} <= _bench_reads()  # TARGETS strings
+
+    def test_an_unread_definition_is_found(self):
+        source = (
+            "def walk(n):\n    return walk(n - 1) if n else 0\n"
+            "def spin(n):\n    return spin(n - 1) if n else 0\n"
+            "def used():\n    return 1\n"
+            "def timed():\n    return used()\n"
+            "class Kept:\n    value: 'Optional[walk]'\n"
+            "def __getattr__(name):\n    return name\n"
+            "def udp_check():\n    return 0\n"
+        )
+        trees = {"m": ast.parse(source), "n": ast.parse("def late():\n    return 2\n")}
+        # walk is read in Kept's string annotation, spin only in its own body
+        assert _unread_definitions(trees, {"timed", "Kept"}) == (
+            {"m.timed", "m.Kept"}, {"m.spin", "n.late"},
+        )

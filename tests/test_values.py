@@ -58,10 +58,10 @@ CALLS = [
     ("FiniteLattice", (), {"ground": ("x", "y"), "members": (frozenset("x"), frozenset("xy"))}),
     ("Solution", ((frozenset("a"),), (frozenset("b"),)), {}),
     ("Solution", (), {"left": (), "right": (frozenset("a"),)}),
-    ("MepVerdict", (True, "weight", "brute-force"), {}),
-    ("MepVerdict", (), {"holds": False, "mode": "support", "source": "predicate", "complete": False}),
-    ("MepVerdict", (False, "weight", "brute-force", True, (CODE, ((0, 1, 0),))), {}),
-    ("MepVerdict", (True, "weight", "predicate"), {"predicate_trace": {"udp": True}}),
+    ("MepVerdict", (True,), {}),
+    ("MepVerdict", (), {"holds": False, "complete": False}),
+    ("MepVerdict", (False, True, (CODE, ((0, 1, 0),))), {}),
+    ("MepVerdict", (True,), {"predicate_trace": {"udp": True}}),
     ("ConditionReport", (True, True, True, True, True), {}),
     (
         "ConditionReport",
