@@ -11,10 +11,14 @@ member with the meet-irreducible members only, which generate every member
 by intersection (Ganter & Wille, *Formal Concept Analysis*, 1999, ch. 1).
 The Moebius down-sets come from each member's up-set, the bitset of the
 members containing it, computed once.  The member index, the point
-closures and the Moebius table are built at most once per lattice and kept
-on it, so they are freed with it.  Subspace lattices get their members from
-codeword indices, one column of each RREF basis at a time
-(fields.dot_values), with no code object and no vector arithmetic.
+closures, the generator table (the points whose closure is each member)
+and the Moebius table are built at most once per lattice and kept on it, so
+they are freed with it.  Subspace lattices get their members from codeword
+indices, one column of each RREF basis at a time (fields.dot_values), with
+no code object and no vector arithmetic.  They and the pointed boolean
+lattices are intersection-closed by construction, so they hand their point
+positions to a trusted entry that builds the same tables with no
+validation; families given by users are validated.
 """
 
 from __future__ import annotations
@@ -44,6 +48,8 @@ class FiniteLattice(Value):
     # for each; _holders[t] is the bitset of the members holding point t, and
     # _ups[i] that of the members containing member i (itself included),
     # indexed by _up_index.  _member_index maps each member to its index.
+    # The constructor validates the family and _from_points trusts it; both
+    # set these tables by _build.
     __match_args__ = ("ground", "members")
 
     def __init__(self, ground: tuple, members: tuple[frozenset, ...]) -> None:
@@ -61,17 +67,12 @@ class FiniteLattice(Value):
             points = tuple(tuple(map(pos.__getitem__, m)) for m in members)
         except KeyError:
             raise ValidationError("member outside the ground set") from None
-        masks = tuple(sum(1 << t for t in p) for p in points)
-        holders = [0] * len(ground)
-        for i, p in enumerate(points):
-            for t in p:
-                holders[t] |= 1 << i
-        object.__setattr__(self, "_holders", holders)
-        ups = tuple(map(self._holding, points))
+        self._build(pos, points, member_index)
+        masks = self._masks
         mask_index = dict(zip(masks, range(len(masks))))
         # Every member is an intersection of meet-irreducible members, so
         # closure under intersection with each of them implies closure.
-        irreducibles = _meet_irreducibles(masks, ups, (1 << len(ground)) - 1)
+        irreducibles = _meet_irreducibles(masks, self._ups, (1 << len(ground)) - 1)
         if not all({a & m for a in masks} <= mask_index.keys() for m in irreducibles):
             # The pairs i <= j name the first failing pair of the whole
             # row-major square: (j, i) fails when (i, j) does.
@@ -82,18 +83,53 @@ class FiniteLattice(Value):
                         f"family is not intersection-closed at {sorted(members[i])} "
                         f"and {sorted(members[j])}"
                     )
+
+    @classmethod
+    def _from_points(cls, ground: tuple, points: Sequence[Sequence[int]]) -> "FiniteLattice":
+        """The lattice whose member i holds the ground points at the sorted
+        positions points[i], built from the ground's own objects with no
+        validation.  The caller guarantees what the constructor would check:
+        the members are distinct, in from_sets' order, closed under
+        intersection, and the ground set is one of them."""
+        lattice = cls.__new__(cls)
+        members = tuple(frozenset(map(ground.__getitem__, p)) for p in points)
+        object.__setattr__(lattice, "ground", ground)
+        object.__setattr__(lattice, "members", members)
+        lattice._build(
+            {x: t for t, x in enumerate(ground)},
+            tuple(map(tuple, points)),
+            dict(zip(members, range(len(members)))),
+        )
+        return lattice
+
+    def _build(self, pos: dict, points: tuple[tuple[int, ...], ...], member_index: dict) -> None:
+        """Set the index tables from each member's point positions."""
+        holders = [0] * len(self.ground)
+        for i, p in enumerate(points):
+            for t in p:
+                holders[t] |= 1 << i
+        object.__setattr__(self, "_holders", holders)
+        ups = tuple(map(self._holding, points))
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_points", points)
-        object.__setattr__(self, "_masks", masks)
+        object.__setattr__(self, "_masks", tuple(sum(1 << t for t in p) for p in points))
         object.__setattr__(self, "_ups", ups)
         object.__setattr__(self, "_up_index", dict(zip(ups, range(len(ups)))))
         object.__setattr__(self, "_member_index", member_index)
 
     @classmethod
     def from_sets(cls, ground: Iterable, members: Iterable[Iterable]) -> "FiniteLattice":
+        """The lattice of the distinct members, validated, in the order by
+        size, then sorted ground positions.  More than MEMBER_BOUND distinct
+        members are refused before they are sorted."""
         ground = tuple(ground)
         pos = {x: i for i, x in enumerate(ground)}
         frozen = {frozenset(m) for m in members}
+        if len(frozen) > MEMBER_BOUND:
+            raise BoundExceeded(
+                f"the family has {len(frozen)} distinct members, over the member bound "
+                f"{MEMBER_BOUND}"
+            )
         # points outside the ground sort first; the constructor rejects them
         ordered = sorted(frozen, key=lambda s: (len(s), sorted(pos.get(x, -1) for x in s)))
         return cls(ground, tuple(ordered))
@@ -122,6 +158,15 @@ class FiniteLattice(Value):
     def _point_closure_masks(self) -> tuple[int, ...]:
         """The closure mask of each ground point, in ground order."""
         return tuple(self._masks[self._closure_index(1 << t)] for t in range(len(self.ground)))
+
+    @cached_property
+    def _generators(self) -> dict[int, frozenset]:
+        """The generator table: each point closure mask, mapped to the points
+        whose closure it is."""
+        points: dict[int, list] = {}
+        for x, mask in zip(self.ground, self._point_closure_masks):
+            points.setdefault(mask, []).append(x)
+        return {mask: frozenset(xs) for mask, xs in points.items()}
 
     @cached_property
     def _moebius(self) -> MoebiusTable:
@@ -244,19 +289,16 @@ def moebius_indicator_identity(
     j = lattice._index(above)
     below, values = moebius(lattice).columns[j]
     target = lattice._masks[j]
-    closures = lattice._point_closure_masks
-    generators = frozenset(x for x, c in zip(lattice.ground, closures) if c == target)
-    positive = [0] * len(closures)
-    negative = [0] * len(closures)
+    generators = lattice._generators.get(target, frozenset())
+    # counts[t] is the positive minus the negative mass at point t, so the
+    # two sides of the split equation agree exactly where it is 0
+    counts = [0] * len(lattice.ground)
     points = lattice._points
     for i, coeff in zip(below, values):
-        counts, weight = (positive, coeff) if coeff > 0 else (negative, -coeff)
         for t in points[i]:
-            counts[t] += weight
-    identity_ok = all(
-        p - n == (c == target) for p, n, c in zip(positive, negative, closures)
-    )
-    split_ok = (positive == negative) == (not generators)
+            counts[t] += coeff
+    identity_ok = counts == [mask == target for mask in lattice._point_closure_masks]
+    split_ok = (not any(counts)) == (not generators)
     return identity_ok, split_ok, generators
 
 
@@ -383,7 +425,8 @@ def nontrivial_solutions_up_to(
 # -- concrete lattices -----------------------------------------------------------
 
 
-# The most members a built-in lattice may have; F_2^6 has 2825 subspaces.
+# The most members a built-in lattice or a from_sets family may have; F_2^6
+# has 2825 subspaces.
 MEMBER_BOUND = 4096
 # The most points F_q^k may have for subspace_lattice.
 POINT_BOUND = 4096
@@ -423,9 +466,7 @@ def subspace_lattice(q: int, k: int) -> FiniteLattice:
         index_lists.append(sorted(indices))
     # a point's ground position is its vector index, so this is from_sets' order
     index_lists.sort(key=lambda indices: (len(indices), indices))
-    return FiniteLattice(
-        vectors, tuple(frozenset(map(vectors.__getitem__, s)) for s in index_lists)
-    )
+    return FiniteLattice._from_points(vectors, index_lists)
 
 
 def pointed_boolean_lattice(n: int) -> FiniteLattice:
@@ -440,13 +481,10 @@ def pointed_boolean_lattice(n: int) -> FiniteLattice:
     # 2^n exceeds the bound exactly when n reaches the bound's bit length
     if n >= MEMBER_BOUND.bit_length():
         raise BoundExceeded(f"2^{n} members exceed the member bound {MEMBER_BOUND}")
-    ground = tuple(range(0, n + 1))
-    members = [
-        frozenset(c) | {0}
-        for r in range(n + 1)
-        for c in itertools.combinations(range(1, n + 1), r)
-    ]
-    return FiniteLattice.from_sets(ground, members)
+    # point t sits at position t, and combinations come in lexicographic
+    # order, so this is from_sets' order
+    points = [(0, *c) for r in range(n + 1) for c in itertools.combinations(range(1, n + 1), r)]
+    return FiniteLattice._from_points(tuple(range(n + 1)), points)
 
 
 def _vector_set_dim(q: int, member: frozenset) -> int:

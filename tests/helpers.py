@@ -56,6 +56,32 @@ def subspace_lattice_oracle(q: int, k: int) -> lattices.FiniteLattice:
     return lattices.FiniteLattice.from_sets(list(space.vectors()), members)
 
 
+def moebius_indicator_identity_oracle(
+    lattice: lattices.FiniteLattice, above: frozenset
+) -> tuple[bool, bool, frozenset]:
+    """lattices.moebius_indicator_identity as it was before the generator
+    table, kept as its oracle: the generators come from a scan of the ground,
+    the positive and negative masses are counted apart, and the identity is
+    checked point by point."""
+    j = lattice._index(above)
+    below, values = lattices.moebius(lattice).columns[j]
+    target = lattice._masks[j]
+    closures = lattice._point_closure_masks
+    generators = frozenset(x for x, c in zip(lattice.ground, closures) if c == target)
+    positive = [0] * len(closures)
+    negative = [0] * len(closures)
+    points = lattice._points
+    for i, coeff in zip(below, values):
+        counts, weight = (positive, coeff) if coeff > 0 else (negative, -coeff)
+        for t in points[i]:
+            counts[t] += weight
+    identity_ok = all(
+        p - n == (c == target) for p, n, c in zip(positive, negative, closures)
+    )
+    split_ok = (positive == negative) == (not generators)
+    return identity_ok, split_ok, generators
+
+
 def closure_key(mask: int) -> int:
     """The support-closure key with no weights: each ideal mask is its own key."""
     return mask

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -420,6 +421,17 @@ class TestCommands:
         assert main(["lattice", *spec]) == 3
         assert time.perf_counter() - start < 1
         assert "bound" in capsys.readouterr().err
+
+    def test_lattice_file_member_bound_exits_three_before_work(self, tmp_path, capsys):
+        # the pointed boolean family over 12 points, under a ground of one
+        # more point: a lattice of 4097 members that exited 0 after 3.5 s
+        members = [[0, *c] for r in range(13) for c in itertools.combinations(range(1, 13), r)]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps({"ground": list(range(14)), "members": [*members, list(range(14))]}))
+        start = time.perf_counter()
+        assert main(["lattice", "file", str(path)]) == 3
+        assert time.perf_counter() - start < 1
+        assert "4097 distinct members, over the member bound 4096" in capsys.readouterr().err
 
     def test_lattice_bad_files_exit_two(self, tmp_path, capsys):
         docs = [

@@ -53,6 +53,9 @@ LATTICE_COMMANDS = (
     ("lattice", "subspace", "3", "2"),
     ("lattice", "subspace", "2", "3", "--module-rank", "2"),
     ("lattice", "boolean", "3"),
+    ("lattice", "subspace", "2", "6"),
+    ("lattice", "subspace", "2", "5", "--module-rank", "1"),
+    ("lattice", "boolean", "6"),
 )
 # The acceptance grid runs every criterion; its times live under `trace`.
 ACCEPT_COMMANDS = (("accept",),)

@@ -46,7 +46,7 @@ from posetmetrics.spaces import (
     subspace_count,
 )
 
-from helpers import linear_maps, subspace_lattice_oracle
+from helpers import linear_maps, moebius_indicator_identity_oracle, subspace_lattice_oracle
 
 S22 = subspace_lattice(2, 2)
 FULL22 = frozenset(S22.ground)
@@ -376,10 +376,59 @@ class TestSubspaceLatticeOracle:
         def no_work(*args, **kwargs):
             raise AssertionError("work started before the bound check")
 
+        monkeypatch.setattr(FiniteLattice, "_build", no_work)
         for name in ("enumerate_codes", "dot_values", "FiniteLattice"):
             monkeypatch.setattr(lattices, name, no_work)
         with pytest.raises(BoundExceeded):
             subspace_lattice(q, k)
+
+
+def derived_tables(lattice):
+    """Every table the lattice derives, those built on first use included,
+    with each member's points as a set: the trusted entry takes them sorted,
+    the constructor in the member's iteration order."""
+    names = ("_pos", "_masks", "_holders", "_ups", "_up_index", "_member_index",
+             "_point_closure_masks", "_generators")
+    return {
+        "_points": [frozenset(p) for p in lattice._points],
+        "columns": moebius(lattice).columns,
+        **{name: getattr(lattice, name) for name in names},
+    }
+
+
+BUILT_LATTICES = [
+    pytest.param(subspace_lattice, (q, k), id=f"subspace-{q}-{k}") for q, k in ORACLE_SPACES
+] + [pytest.param(pointed_boolean_lattice, (n,), id=f"boolean-{n}") for n in range(7)]
+
+
+class TestTrustedEntryAgainstTheConstructor:
+    """The validating constructor, reached through from_sets so that the
+    member order is checked too, is the oracle of FiniteLattice._from_points."""
+
+    @pytest.mark.parametrize("build, args", BUILT_LATTICES)
+    def test_equal_in_value_and_in_every_table(self, build, args):
+        trusted = build(*args)
+        validated = FiniteLattice.from_sets(trusted.ground, trusted.members)
+        assert trusted == validated
+        assert derived_tables(trusted) == derived_tables(validated)
+
+
+class TestFromSetsMemberBound:
+    def test_refused_before_sorting_or_validating(self, monkeypatch):
+        family = pointed_boolean_lattice(3)
+        monkeypatch.setattr(lattices, "MEMBER_BOUND", 8)
+        # nine listed members, eight distinct
+        listed = [*family.members, set(family.members[0])]
+        assert FiniteLattice.from_sets(family.ground, listed) == family
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the member bound check")
+
+        monkeypatch.setattr(FiniteLattice, "__init__", no_work)
+        monkeypatch.setattr(lattices, "sorted", no_work, raising=False)
+        # the empty set keeps the family intersection-closed
+        with pytest.raises(BoundExceeded, match="9 distinct members, over the member bound 8"):
+            FiniteLattice.from_sets(family.ground, [*family.members, ()])
 
 
 class TestBoundsBeforeWork:
@@ -404,7 +453,11 @@ class TestBoundsBeforeWork:
         with pytest.raises(ValidationError, match="not prime"):
             subspace_lattice(4, 2)
 
-    def test_pointed_boolean_member_bound(self):
+    def test_pointed_boolean_member_bound(self, monkeypatch):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the bound check")
+
+        monkeypatch.setattr(FiniteLattice, "_build", no_work)
         with pytest.raises(BoundExceeded, match="2\\^30 members"):
             pointed_boolean_lattice(30)
 
@@ -487,6 +540,49 @@ class TestMoebius:
                 positive = sum(v for v in values if v > 0)
                 negative = -sum(v for v in values if v < 0)
                 assert positive == negative == sum(map(abs, values)) // 2
+
+
+def _perturbed(lattice, columns):
+    """The lattice with its Moebius table replaced by the given columns."""
+    out = FiniteLattice(lattice.ground, lattice.members)
+    object.__setattr__(out, "_moebius", lattices.MoebiusTable(out, columns))
+    return out
+
+
+# each perturbation of a column (below, values) breaks the identity or the
+# split equation somewhere, so both checks' failing sides are compared too
+PERTURBATIONS = [
+    lambda below, values: (below[:-1], values[:-1]),
+    lambda below, values: (below, tuple(-v for v in values)),
+    lambda below, values: tuple(zip(*[(i, v) for i, v in zip(below, values) if v > 0])),
+    lambda below, values: (below, tuple(2 * v for v in values)),
+]
+
+
+class TestIndicatorIdentityAgainstTheGroundScan:
+    def test_every_member_of_the_grid(self):
+        rng = random.Random(20261020)
+        grid = [*_oracle_lattices(), *(_random_intersection_family(rng) for _ in range(20))]
+        for lattice in grid:
+            for member in lattice.members:
+                assert moebius_indicator_identity(lattice, member) == (
+                    moebius_indicator_identity_oracle(lattice, member)
+                )
+
+    @pytest.mark.parametrize("perturb", range(len(PERTURBATIONS)))
+    def test_perturbed_tables(self, perturb):
+        rng = random.Random(perturb)
+        grid = [S22, subspace_lattice(3, 2), pointed_boolean_lattice(3),
+                *(_random_intersection_family(rng) for _ in range(20))]
+        outcomes = set()
+        for lattice in grid:
+            columns = [PERTURBATIONS[perturb](*column) for column in moebius(lattice).columns]
+            broken = _perturbed(lattice, [c if c else ((), ()) for c in columns])
+            for member in broken.members:
+                result = moebius_indicator_identity(broken, member)
+                assert result == moebius_indicator_identity_oracle(broken, member)
+                outcomes.add(result[:2])
+        assert outcomes - {(True, True)}
 
 
 class TestIndicatorIdentity:

@@ -150,6 +150,8 @@ def test_assignment_and_deletion_raise(call):
 # (by cached_property), and the value each derived field (one named in
 # __match_args__) must read
 VEE_COVERS = (("a", "b", "c"), [("b", "a"), ("b", "c")])
+LATTICE_TABLES = {"_pos", "_points", "_masks", "_holders", "_ups", "_up_index", "_member_index"}
+LATTICE_ON_USE = ("_point_closure_masks", "_generators", "_moebius")
 DERIVED = [
     (lambda: posets.Poset.from_covers(*VEE_COVERS), {"_pos", "_down", "_up"},
      ("leq", "_ideal_masks", "_ideals", "_levels", "_automorphisms"),
@@ -157,9 +159,9 @@ DERIVED = [
     (lambda: posets.WeightFunction(("a", "b"), (Fraction(1, 3), Fraction(3, 4))),
      {"_pos", "_scaled"}, (), {}),
     (lambda: spaces.AlphabetSpec(F3, ("a", "b", "c"), (1, 2, 1)), {"_block_bounds"}, (), {}),
-    (lambda: lattices.FiniteLattice(("x", "y"), BOOLEAN),
-     {"_pos", "_points", "_masks", "_holders", "_ups", "_up_index", "_member_index"},
-     ("_point_closure_masks", "_moebius"), {}),
+    (lambda: lattices.FiniteLattice(("x", "y"), BOOLEAN), LATTICE_TABLES, LATTICE_ON_USE, {}),
+    # built by the trusted entry, with no validation
+    (lambda: lattices.subspace_lattice(2, 2), LATTICE_TABLES, LATTICE_ON_USE, {}),
     (lambda: isometries.Isometry(SPACE, CHAIN, (0, 1), DIAG, ((1, 0, ((1, 1),)),)), {"_matrix"},
      (), {}),
 ]
@@ -167,7 +169,8 @@ DERIVED = [
 
 @pytest.mark.parametrize(
     "make, at_init, on_use, derived_fields", DERIVED,
-    ids=["Poset", "WeightFunction", "AlphabetSpec", "FiniteLattice", "Isometry"],
+    ids=["Poset", "WeightFunction", "AlphabetSpec", "FiniteLattice", "subspace_lattice",
+         "Isometry"],
 )
 def test_derived_state_stays_out_of_eq_hash_and_repr(make, at_init, on_use, derived_fields):
     value, fresh = make(), make()
