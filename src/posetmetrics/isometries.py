@@ -171,7 +171,8 @@ def build_isometry(
     diag: Sequence[Matrix],
     strict: Sequence[tuple[int, int, Matrix]] = (),
 ) -> Isometry:
-    """Validate the label order, shapes, invertibility, and the zero-block constraint."""
+    """Validate the label order, shapes, invertibility (an identity block is
+    invertible with no rank), and the zero-block constraint."""
     _check_label_order(space, poset)
     q = space.q
     n = len(poset.elements)
@@ -183,7 +184,7 @@ def build_isometry(
         m = diag[i]
         if len(m) != space.dims[lam[i]] or any(len(row) != space.dims[i] for row in m):
             raise ValidationError(f"diagonal block {i} has the wrong shape")
-        if not fields.is_invertible(q, m):
+        if m != fields.identity_matrix(len(m)) and not fields.is_invertible(q, m):
             raise ValidationError(f"diagonal block {i} is not invertible")
     seen = set()
     for i, j, m in strict:

@@ -2,18 +2,25 @@
 
 A poset stores a tuple of distinct labels, a label -> position dict and a
 down-set and an up-set mask per element (bit i of down-set j is set when
-elements[i] <= elements[j]): every constructor builds the masks once and
-validates them once.  Its value is still the labels plus the order as a
-boolean matrix, `leq`, derived from the masks on first read, so eq, hash and
-repr are unchanged.  Closure, ideals, levels, UDP and automorphisms (from the
+elements[i] <= elements[j]).  `Poset._keep` is the one builder of those
+fields and validates nothing: the matrix constructor calls it after its
+checks, and the relations that are transitive by construction (the closure
+in `from_covers` once its cover and cycle checks pass, `dual`, and the
+one-point extensions of `all_posets_on`) are kept through it unchecked.  Its
+value is still the labels plus the order as a boolean matrix, `leq`, derived
+from the masks on first read, so eq, hash and repr are unchanged.  Closure,
+ideals, levels (minimal elements peeled off), UDP and automorphisms (from the
 question's colours: McKay & Piperno, J. Symb. Comput. 2014) run on the masks
-(Knuth, TAOCP 4A, 7.1.3) and on integer-scaled weights.  Tables are cached on
-the poset at first use, so they are freed with it: the order matrix, the
-ideals, the levels, the automorphisms of each class partition (which also
-serve as the admissible label maps of `isometries.admissible_lams`) and each
-completed slice of an isometry group, per space and label map, as immutable
-(diag, strict, matrix) tuples (`isometries.enumerate_group`).  Label sets
-cross the interface as frozensets, weights as Fractions.
+(Knuth, TAOCP 4A, 7.1.3) and on integer-scaled weights.  The ideals come in
+canonical (size, index) order, sorted as integers: an ideal of size k is
+keyed k * 2^n - rev(mask), rev reversing its n bits, so among ideals of equal
+size A comes first exactly when the lowest bit of A ^ B is in A.  Tables are
+cached on the poset at first use, so they are freed with it: the order
+matrix, the ideals, the levels, the automorphisms of each class partition
+(which also serve as the admissible label maps of `isometries.admissible_lams`)
+and each completed slice of an isometry group, per space and label map, as
+immutable (diag, strict, matrix) tuples (`isometries.enumerate_group`).  Label
+sets cross the interface as frozensets, weights as Fractions.
 """
 
 from __future__ import annotations
@@ -21,8 +28,9 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import BoundExceeded, ValidationError, count_text
@@ -97,6 +105,18 @@ def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _transpose(rows: Sequence[int]) -> list[int]:
+    """The column masks of a relation given by its row masks."""
+    columns = [0] * len(rows)
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        while row:
+            low = row & -row
+            columns[low.bit_length() - 1] |= bit
+            row ^= low
+    return columns
+
+
 class Poset(Value):
     # _pos maps a label to its position; _down[j] and _up[j] are the masks of
     # the elements below and above elements[j], the only stored relation
@@ -110,20 +130,13 @@ class Poset(Value):
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValidationError("relation matrix shape must match the label count")
         powers = [1 << j for j in range(n)]
-        self._relate(elements, pos, [sum(itertools.compress(powers, row)) for row in leq])
-
-    def _relate(self, elements: tuple, pos: dict, up: Sequence[int], adjacency=None) -> "Poset":
-        """Check the relation with row masks `up`, the one validation behind every
-        constructor, and keep it; given the cover digraph, a cycle of it is named."""
-        down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1) for j in range(len(up))]
+        up = [sum(itertools.compress(powers, row)) for row in leq]
+        down = _transpose(up)
         for i, row in enumerate(up):
             if not row >> i & 1:
                 raise ValidationError(f"relation is not reflexive at {elements[i]!r}")
         for i, row in enumerate(up):
             mutual = row & down[i] & ~(1 << i)
-            if mutual and adjacency is not None:
-                names = " < ".join(elements[t] for t in _find_cycle(adjacency))
-                raise ValidationError(f"cover relation contains a cycle: {names}")
             if mutual:
                 raise ValidationError(
                     f"relation is not antisymmetric: {elements[i]!r} and "
@@ -133,8 +146,14 @@ class Poset(Value):
         if triple is not None:
             i, j, k = (repr(elements[t]) for t in triple)
             raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
-        if len(pos) != len(elements):  # the matrix constructor checks this first
-            raise ValidationError("poset labels must be distinct")
+        self._keep(elements, pos, up, down)
+
+    def _keep(self, elements: tuple, pos: dict, up: Sequence[int], down: Sequence[int]) -> "Poset":
+        """Keep the relation with row masks `up` and column masks `down`, with
+        no validation: the one builder, and on `object.__new__(Poset)` the
+        trusted entry.  The caller guarantees what the constructor checks:
+        the labels are distinct and `pos` maps each to its position, `up` is
+        reflexive, antisymmetric and transitive, and `down` is its transpose."""
         object.__setattr__(self, "elements", elements)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
@@ -160,20 +179,30 @@ class Poset(Value):
         index = {e: i for i, e in enumerate(elements)}
         n = len(elements)
         adjacency: list[list[int]] = [[] for _ in range(n)]
-        up = [1 << i for i in range(n)]
+        powers = [1 << i for i in range(n)]
+        up = powers[:]
         for a, b in covers:
-            if a not in index or b not in index:
+            i, j = index.get(a), index.get(b)
+            if i is None or j is None:
                 raise ValidationError(f"cover ({a!r}, {b!r}) uses an unknown label")
             if a == b:
                 raise ValidationError(f"cover ({a!r}, {b!r}) is reflexive")
-            adjacency[index[a]].append(index[b])
-            up[index[a]] |= 1 << index[b]
-        # Warshall closure, one row mask at a time (a cycle becomes a mutual pair)
-        for k in range(n):
-            for i in range(n):
-                if up[i] >> k & 1:
-                    up[i] |= up[k]
-        return object.__new__(cls)._relate(elements, index, up, adjacency)
+            adjacency[i].append(j)
+            up[i] |= powers[j]
+        # Warshall closure, one row mask at a time (a cycle becomes a mutual
+        # pair); the closure of covers is reflexive and transitive, so the
+        # cycle and the duplicate labels are all that is left to check
+        for k, bit in enumerate(powers):
+            row = up[k]
+            if row != bit:  # nothing to add below a maximal element
+                up = [u | row if u & bit else u for u in up]
+        down = _transpose(up)
+        if list(map(operator.and_, up, down)) != powers:
+            names = " < ".join(elements[t] for t in _find_cycle(adjacency))
+            raise ValidationError(f"cover relation contains a cycle: {names}")
+        if len(index) != n:
+            raise ValidationError("poset labels must be distinct")
+        return object.__new__(cls)._keep(elements, index, up, down)
 
     @classmethod
     def chain(cls, elements: Sequence[str]) -> "Poset":
@@ -208,7 +237,8 @@ class Poset(Value):
 
     def _linear_extension(self) -> list[int]:
         """Positions ordered so that every element follows those below it."""
-        return sorted(range(len(self.elements)), key=lambda j: self._down[j].bit_count())
+        sizes = list(map(int.bit_count, self._down))
+        return sorted(range(len(sizes)), key=sizes.__getitem__)
 
     def all_ideals(self) -> tuple[frozenset[str], ...]:
         """Exact enumeration of all ideals, in canonical (size, index) order."""
@@ -219,13 +249,18 @@ class Poset(Value):
         if len(self.elements) > ELEMENT_BOUND:
             raise BoundExceeded(f"ideal enumeration is capped at {ELEMENT_BOUND} elements")
         # adding the elements in a linear extension order, the ideals so far
-        # are extended by the new element wherever they hold its down-set
-        masks = [0]
+        # are extended by the new element wherever they hold its down-set;
+        # each is held as key * 2^n + mask, its key |mask| * 2^n - rev(mask)
+        # summed over its elements as 2^n - 2^(n-1-j), so one integer sort
+        # puts the ideals in (size, index) order
+        n = len(self.elements)
+        held = [0]
         for j in self._linear_extension():
             below, bit = self.strictly_below(j), 1 << j
-            masks += [m | bit for m in masks if m & below == below]
-        masks.sort(key=lambda m: (m.bit_count(), tuple(set_bits(m))))
-        return tuple(masks)
+            step = ((1 << n) - (1 << n - 1 - j) << n) + bit
+            held += [h + step for h in held if h & below == below]
+        held.sort()
+        return tuple(map(((1 << n) - 1).__and__, held))
 
     @cached_property
     def _group_slices(self) -> dict:
@@ -238,9 +273,19 @@ class Poset(Value):
 
     @cached_property
     def _levels(self) -> tuple[int, ...]:
-        levels = [0] * len(self.elements)
-        for j in self._linear_extension():
-            levels[j] = 1 + max((levels[i] for i in set_bits(self.strictly_below(j))), default=0)
+        # level l holds the minimal elements of what the lower levels leave
+        down, levels = self._down, [0] * len(self.elements)
+        rest, level = (1 << len(levels)) - 1, 0
+        while rest:
+            level += 1
+            peeled, left = 0, rest
+            while left:
+                low = left & -left
+                left ^= low
+                if down[low.bit_length() - 1] & rest == low:
+                    peeled |= low
+                    levels[low.bit_length() - 1] = level
+            rest ^= peeled
         return tuple(levels)
 
     def level(self, label: str) -> int:
@@ -272,8 +317,9 @@ class Poset(Value):
         missing = [lower[l - 1] & ~down for l, down in zip(self._levels, self._down)]
         if not any(missing):
             return None
-        i = min(next(set_bits(m)) for m in missing if m)
-        j = next(j for j, m in enumerate(missing) if m >> i & 1)
+        spread = reduce(operator.or_, missing)  # its lowest bit is the least i
+        i = (spread & -spread).bit_length() - 1
+        j = [m >> i & 1 for m in missing].index(1)
         return (self.elements[i], self.elements[j])
 
     @property
@@ -281,14 +327,15 @@ class Poset(Value):
         return self.hierarchy_violation() is None
 
     def dual(self) -> "Poset":
-        return object.__new__(Poset)._relate(self.elements, self._pos, self._down)
+        return object.__new__(Poset)._keep(self.elements, self._pos, self._down, self._up)
 
     def automorphisms(self, colours: Optional[Sequence] = None) -> tuple[Perm, ...]:
         """The order automorphisms keeping the colours (one hashable per element;
         None colours all alike), in lexicographic order, by backtracking.  perm[i]
         runs over the elements with i's (down-set size, up-set size, level, colour),
         so prod(c!) over those classes c bounds the search, and keeps k <= i iff
-        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i.
+        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i and
+        every k alone in its class, which is fixed.
         Results are kept per class partition, its classes numbered by first
         appearance, so colourings that split the elements alike share a search."""
         down, up, n = self._down, self._up, len(self.elements)
@@ -297,34 +344,49 @@ class Poset(Value):
         numbers: dict = {}
         keyed = zip(map(int.bit_count, down), map(int.bit_count, up), self._levels)
         keyed = keyed if colours is None else zip(keyed, colours)
-        classes = tuple(numbers.setdefault(s, len(numbers)) for s in keyed)
+        classes = tuple([numbers.setdefault(s, len(numbers)) for s in keyed])
         if classes in self._automorphisms:
             return self._automorphisms[classes]
-        estimate = math.prod(math.factorial(classes.count(c)) for c in range(len(numbers)))
+        if len(numbers) == n:  # every class one element: the identity alone
+            self._automorphisms[classes] = found = (tuple(range(n)),)
+            return found
+        members: list[list[int]] = [[] for _ in numbers]
+        for j, c in enumerate(classes):
+            members[c].append(j)
+        estimate = math.prod(map(math.factorial, map(len, members)))
         if estimate > AUTOMORPHISM_BOUND:
             search = f"automorphism search over {count_text(estimate)} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
-        candidates = [[j for j, c in enumerate(classes) if c == t] for t in classes]
-        listed: list[Perm] = []
+        candidates = [members[c] for c in classes]
+        # an element alone in its class is fixed, so the search places the
+        # others in index order (the perms come out in lexicographic order);
+        # img[t], img[n + t]: the images of the fixed and placed elements
+        # below, above t, and placing perm[i] = j adds j's bit at the slots
+        # of the later moving t above, below i
+        fixed = sum([1 << m[0] for m in members if len(m) == 1])
+        moving = [i for i in range(n) if not fixed >> i & 1]
+        free = ~fixed
+        slots = [
+            [i + 1 + t for t in set_bits((up[i] & free) >> i + 1 | (down[i] & free) >> i + 1 << n)]
+            for i in moving
+        ]
+        perm, listed = list(range(n)), []
 
-        def extend(perm: Perm, used: int, img: list[int]) -> None:
-            # img[t], img[n + t]: the images of the prefix's elements below, above t;
-            # placing perm[i] = j adds j's bit there for the later t above, below i
-            i = len(perm)
-            if i == n:
-                listed.append(perm)
+        def extend(k: int, used: int, img: list[int]) -> None:
+            if k == len(moving):
+                listed.append(tuple(perm))
                 return
-            later = (up[i] >> i + 1) | (down[i] >> i + 1 << n)
+            i = moving[k]
             for j in candidates[i]:
                 if not used >> j & 1 and down[j] & used == img[i] and up[j] & used == img[n + i]:
-                    bit, grown = 1 << j, img
-                    if later:
+                    perm[i], bit, grown = j, 1 << j, img
+                    if slots[k]:
                         grown = img[:]
-                        for t in set_bits(later):
-                            grown[i + 1 + t] |= bit
-                    extend(perm + (j,), used | bit, grown)
+                        for t in slots[k]:
+                            grown[t] |= bit
+                    extend(k + 1, used | bit, grown)
 
-        extend((), 0, [0] * 2 * n)
+        extend(0, fixed, [d & fixed for d in down] + [u & fixed for u in up])
         self._automorphisms[classes] = found = tuple(listed)
         return found
 
@@ -364,8 +426,6 @@ class WeightFunction(Value):
     __match_args__ = ("labels", "values")
 
     def __init__(self, labels: tuple[str, ...], values: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "values", values)
         if len(labels) != len(values):
             raise ValidationError("weight function shape mismatch")
         pos = {label: i for i, label in enumerate(labels)}
@@ -376,8 +436,15 @@ class WeightFunction(Value):
                 raise ValidationError(f"weight of {label!r} must be strictly positive")
         scale = math.lcm(*(v.denominator for v in values))
         scaled = tuple(v.numerator * scale // v.denominator for v in values)
+        self._keep(labels, values, pos, scaled)
+
+    def _keep(self, labels: tuple, values: tuple, pos: dict, scaled: tuple) -> "WeightFunction":
+        """Set the fields, with no validation: the one builder."""
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_scaled", scaled)
+        return self
 
     @classmethod
     def from_map(cls, values: Mapping[str, Fraction | int | str]) -> "WeightFunction":
@@ -386,7 +453,13 @@ class WeightFunction(Value):
 
     @classmethod
     def ones(cls, labels: Sequence[str]) -> "WeightFunction":
-        return cls(tuple(labels), (Fraction(1),) * len(labels))
+        """Weight 1 at every label: one shared Fraction, scaled values all 1."""
+        labels = tuple(labels)
+        pos = {label: i for i, label in enumerate(labels)}
+        if len(pos) != len(labels):
+            raise ValidationError("weight function labels must be distinct")
+        n = len(labels)
+        return object.__new__(cls)._keep(labels, (Fraction(1),) * n, pos, (1,) * n)
 
     def _index(self, label: str) -> int:
         try:
@@ -399,7 +472,9 @@ class WeightFunction(Value):
 
     def scaled(self, labels: Iterable[str]) -> tuple[int, ...]:
         """The weights of the labels times the LCM of all denominators: exact, same order."""
-        return tuple(self._scaled[self._index(l)] for l in labels)
+        if labels == self.labels:
+            return self._scaled
+        return tuple([self._scaled[self._index(l)] for l in labels])
 
     def total(self, subset: Iterable[str]) -> Fraction:
         return sum((self.of(x) for x in subset), Fraction(0))
@@ -437,44 +512,101 @@ def udp_check(
     U + j (U the union of their strict down-sets) are ideals of equal weight.
     """
     weights = omega.scaled(poset.elements)
-    images = [[1 << t for t in perm] for perm in poset.automorphisms(weights)]
-    powers = [1 << t for t in range(len(weights))]
-    by_sum: dict[int, list[int]] = {}
-    for mask in poset._ideal_masks:
-        total = sum(itertools.compress(weights, map(mask.__and__, powers)))
-        by_sum.setdefault(total, []).append(mask)
-    shared = [by_sum[total] for total in sorted(by_sum) if len(by_sum[total]) > 1]
+    perms = poset.automorphisms(weights)
+    # an ideal's weight is the sum of a low-half and a high-half subset sum
+    half = len(weights) // 2
+    low_sums, high_sums = _subset_sums(weights[:half]), _subset_sums(weights[half:])
+    low, masks = (1 << half) - 1, poset._ideal_masks
+    totals = [low_sums[mask & low] + high_sums[mask >> half] for mask in masks]
+    shared = sorted([total for total, count in Counter(totals).items() if count > 1])
     if not shared:
         return True, None
-    if len(images) * len(shared) > SCAN_BOUND:
-        scan = f"orbit scan of {len(images)} automorphisms over {len(shared)} weight classes"
+    if len(perms) * len(shared) > SCAN_BOUND:
+        scan = f"orbit scan of {len(perms)} automorphisms over {len(shared)} weight classes"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
-    for base, *others in shared:
+    if len(perms) == 1:  # the identity alone: every ideal is its own orbit
+        first = totals.index(shared[0])
+        other = totals.index(shared[0], first + 1)
+        return False, (poset._labels(masks[first]), poset._labels(masks[other]))
+    by_sum: dict[int, list[int]] = {}
+    for total, mask in zip(totals, masks):
+        by_sum.setdefault(total, []).append(mask)
+    # columns[t][a]: the bit of perms[a][t], so an ideal's images under all
+    # the perms are the OR of the columns of its elements
+    bits = [1 << t for t in range(len(weights))]
+    columns = [list(map(bits.__getitem__, column)) for column in zip(*perms)]
+    for total in shared:
+        base, *others = by_sum[total]
         # weight-preserving automorphisms form a group, so orbits partition
         # the equal-sum class; one orbit computation settles the whole class
-        orbit = {sum(itertools.compress(bits, map(base.__and__, powers))) for bits in images}
+        images = [0] * len(perms)
+        for t in set_bits(base):
+            images = list(map(operator.or_, images, columns[t]))
+        orbit = set(images)
         for other in others:
             if other not in orbit:
                 return False, (poset._labels(base), poset._labels(other))
     return True, None
 
 
+def _subset_sums(weights: Sequence[int]) -> list[int]:
+    """sums[m]: the sum of the weights at the set bits of m."""
+    sums = [0]
+    for w in weights:
+        sums += [s + w for s in sums]
+    return sums
+
+
 def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
     """Every labeled poset on the given labels.
 
-    Each unordered pair is independently incomparable, <, or >; transitivity
-    is then filtered.  Antisymmetry and reflexivity hold by construction.
+    Each unordered pair is independently incomparable, <, or > (the pairs in
+    itertools.combinations order, the last varying fastest), and the
+    transitive choices are yielded in that order.  They are built by
+    one-point extension (`_one_point_extensions`), each first label added to
+    the posets on the labels after it, so no relation is checked.
     """
     labels = tuple(labels)
     n = len(labels)
     pos = {e: i for i, e in enumerate(labels)}
-    pairs = list(itertools.combinations(range(n), 2))
-    for states in itertools.product((0, 1, 2), repeat=len(pairs)):
-        rows = [1 << i for i in range(n)]
-        for (i, j), state in zip(pairs, states):
-            if state == 1:
-                rows[i] |= 1 << j
-            elif state == 2:
-                rows[j] |= 1 << i
-        if _intransitive_triple(rows) is None:
-            yield object.__new__(Poset)._relate(labels, pos, rows)
+    if len(pos) != n:
+        raise ValidationError("poset labels must be distinct")
+    relations = [((), ())]  # the one poset on no labels
+    for m in range(1, n + 1):
+        relations = _one_point_extensions(list(relations), m)
+    for up, down in relations:
+        yield object.__new__(Poset)._keep(labels, pos, up, down)
+
+
+def _one_point_extensions(relations: list, m: int) -> Iterator[tuple[tuple, tuple]]:
+    """The (up, down) masks of the posets on m points, from those on points
+    1..m-1, in the order of the choices for the pairs (0, j), j = 1..m-1, the
+    last varying fastest, and then of the given relations: point 0 goes above
+    a down-set D and below an up-set U, disjoint, with every element of D
+    below every element of U, which is exactly when the choice is transitive."""
+    choices = [(0, 0)]  # (D, U), as pair (0, j) is incomparable, 0 < j or j < 0
+    for j in range(1, m):
+        bit = 1 << j
+        choices = [c for d, u in choices for c in ((d, u), (d, u | bit), (d | bit, u))]
+    shifted = []
+    for up, down in relations:
+        up, down = [u << 1 for u in up], [d << 1 for d in down]
+        order = sorted(range(m - 1), key=list(map(int.bit_count, down)).__getitem__)
+        # above[D]: for each down-set D, the elements above all of D
+        above = {0: (1 << m) - 2}
+        for k in order:
+            bit, below = 2 << k, down[k] ^ 2 << k
+            above.update([(s | bit, a & up[k]) for s, a in above.items() if s & below == below])
+        filters = [0]
+        for k in reversed(order):
+            bit, over = 2 << k, up[k] ^ 2 << k
+            filters += [s | bit for s in filters if s & over == over]
+        shifted.append((up, down, above, set(filters)))
+    for d, u in choices:
+        for up, down, above, filters in shifted:
+            a = above.get(d)
+            if a is not None and u & a == u and u in filters:
+                yield (
+                    (1 | u, *[x | (d >> j & 1) for j, x in enumerate(up, 1)]),
+                    (1 | d, *[x | (u >> j & 1) for j, x in enumerate(down, 1)]),
+                )

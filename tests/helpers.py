@@ -368,6 +368,125 @@ def prefix_sum_automorphisms(poset: posets.Poset) -> tuple:
     return tuple(extend((), 0))
 
 
+# -- the per-poset kernel before it moved to integer keys, peeling and tables --
+
+
+def relate_from_covers(elements, covers) -> tuple:
+    """`Poset.from_covers` as it was: the cover checks, the Warshall closure,
+    then the full relation check every constructor ran (reflexivity, then
+    antisymmetry naming a cycle of the covers, then transitivity, then
+    distinct labels).  Returns (elements, pos, down, up) or raises."""
+    elements = tuple(elements)
+    index = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    adjacency = [[] for _ in range(n)]
+    up = [1 << i for i in range(n)]
+    for a, b in covers:
+        if a not in index or b not in index:
+            raise ValidationError(f"cover ({a!r}, {b!r}) uses an unknown label")
+        if a == b:
+            raise ValidationError(f"cover ({a!r}, {b!r}) is reflexive")
+        adjacency[index[a]].append(index[b])
+        up[index[a]] |= 1 << index[b]
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                up[i] |= up[k]
+    down = [sum(1 << i for i, row in enumerate(up) if row >> j & 1) for j in range(n)]
+    for i, row in enumerate(up):
+        if not row >> i & 1:
+            raise ValidationError(f"relation is not reflexive at {elements[i]!r}")
+    for i, row in enumerate(up):
+        if row & down[i] & ~(1 << i):
+            names = " < ".join(elements[t] for t in _find_cycle(adjacency))
+            raise ValidationError(f"cover relation contains a cycle: {names}")
+    triple = _intransitive_triple(up)
+    if triple is not None:
+        i, j, k = (repr(elements[t]) for t in triple)
+        raise ValidationError(f"relation is not transitive at ({i}, {j}, {k})")
+    if len(index) != n:
+        raise ValidationError("poset labels must be distinct")
+    return elements, index, tuple(down), tuple(up)
+
+
+def linear_extension_levels(poset: posets.Poset) -> tuple:
+    """`Poset._levels` as it was: one more than the largest level below, in a
+    linear extension order."""
+    levels = [0] * len(poset.elements)
+    for j in sorted(range(len(levels)), key=lambda j: poset._down[j].bit_count()):
+        levels[j] = 1 + max((levels[i] for i in set_bits(poset.strictly_below(j))), default=0)
+    return tuple(levels)
+
+
+def tuple_keyed_ideal_masks(poset: posets.Poset) -> tuple:
+    """`Poset._ideal_masks` as it was: the ideals sorted by (size, the tuple of
+    their bit positions)."""
+    masks = [0]
+    for j in poset._linear_extension():
+        below, bit = poset.strictly_below(j), 1 << j
+        masks += [m | bit for m in masks if m & below == below]
+    masks.sort(key=lambda m: (m.bit_count(), tuple(set_bits(m))))
+    return tuple(masks)
+
+
+def unshortcut_automorphisms(poset: posets.Poset, colours=None) -> tuple:
+    """`Poset.automorphisms` as it was: the same classes, bound and search,
+    run even when every class is one element, and not cached."""
+    down, up, n = poset._down, poset._up, len(poset.elements)
+    numbers: dict = {}
+    keyed = zip(map(int.bit_count, down), map(int.bit_count, up), poset._levels)
+    keyed = keyed if colours is None else zip(keyed, colours)
+    classes = tuple(numbers.setdefault(s, len(numbers)) for s in keyed)
+    estimate = math.prod(math.factorial(classes.count(c)) for c in range(len(numbers)))
+    if estimate > AUTOMORPHISM_BOUND:
+        search = f"automorphism search over {count_text(estimate)} candidate permutations"
+        raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
+    candidates = [[j for j, c in enumerate(classes) if c == t] for t in classes]
+    listed: list = []
+
+    def extend(perm: Perm, used: int, img: list) -> None:
+        i = len(perm)
+        if i == n:
+            listed.append(perm)
+            return
+        later = (up[i] >> i + 1) | (down[i] >> i + 1 << n)
+        for j in candidates[i]:
+            if not used >> j & 1 and down[j] & used == img[i] and up[j] & used == img[n + i]:
+                bit, grown = 1 << j, img
+                if later:
+                    grown = img[:]
+                    for t in set_bits(later):
+                        grown[i + 1 + t] |= bit
+                extend(perm + (j,), used | bit, grown)
+
+    extend((), 0, [0] * 2 * n)
+    return tuple(listed)
+
+
+def compress_udp_check(poset: posets.Poset, omega) -> tuple:
+    """`posets.udp_check` as it was: one `compress` sum per ideal for its
+    weight and one per automorphism for each image of a class's first ideal."""
+    weights = omega.scaled(poset.elements)
+    images = [[1 << t for t in perm] for perm in poset.automorphisms(weights)]
+    powers = [1 << t for t in range(len(weights))]
+    by_sum: dict = {}
+    for mask in poset._ideal_masks:
+        total = sum(itertools.compress(weights, map(mask.__and__, powers)))
+        by_sum.setdefault(total, []).append(mask)
+    shared = [by_sum[total] for total in sorted(by_sum) if len(by_sum[total]) > 1]
+    if not shared:
+        return True, None
+    if len(images) * len(shared) > posets.SCAN_BOUND:
+        scan = f"orbit scan of {len(images)} automorphisms over {len(shared)} weight classes"
+        raise BoundExceeded(f"{scan} exceeds the bound {posets.SCAN_BOUND}")
+    for base, *others in shared:
+        orbit = {sum(itertools.compress(bits, map(base.__and__, powers))) for bits in images}
+        for other in others:
+            if other not in orbit:
+                return False, (poset._labels(base), poset._labels(other))
+    return True, None
+
+
 def filtered_automorphisms(poset: posets.Poset, *colourings, plain=None) -> tuple:
     """The label-map search as it was: every order automorphism from the
     search with no colours (`prefix_sum_automorphisms`, or the given `plain`

@@ -529,6 +529,20 @@ class TestBuildApply:
         with pytest.raises(ValidationError, match="invertible"):
             build_isometry(SP21, CHAIN2, (0, 1), (((0,),), ((1,),)))
 
+    def test_identity_blocks_are_not_ranked(self, monkeypatch):
+        ranked = []
+        rank = fields.rank
+        monkeypatch.setattr(fields, "rank", lambda q, rows: ranked.append(rows) or rank(q, rows))
+        space = AlphabetSpec(F2, CHAIN2.elements, (2, 1))
+        plane, swap, line = ((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1,),)
+        identity = build_isometry(space, CHAIN2, (0, 1), (plane, line), [(1, 0, ((1,), (0,)))])
+        assert ranked == [] and identity.matrix == ((1, 0, 1), (0, 1, 0), (0, 0, 1))
+        assert build_isometry(space, CHAIN2, (0, 1), (swap, line)).matrix[0] == (0, 1, 0)
+        assert ranked == [swap]
+        with pytest.raises(ValidationError, match="^diagonal block 0 is not invertible$"):
+            build_isometry(space, CHAIN2, (0, 1), (((1, 1), (1, 1)), line))
+        assert ranked == [swap, ((1, 1), (1, 1))]
+
     def test_strict_block_must_sit_below(self):
         with pytest.raises(ValidationError, match="below"):
             build_isometry(SP21, CHAIN2, (0, 1), (((1,),), ((1,),)), [(0, 1, ((1,),))])

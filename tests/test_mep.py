@@ -1172,6 +1172,22 @@ class TestCanonicalDecomposition:
         assert phi == Isometry.identity(space, chain)
         assert [p.basis for p in parts] == [((1, 0, 0),), (), ((0, 0, 1),)]
 
+    def test_identity_blocks_are_not_ranked(self, monkeypatch):
+        # every diagonal block of the decomposition is an identity, so the
+        # only ranks computed are of non-identity matrices
+        ranked = []
+        rank = fields.rank
+        monkeypatch.setattr(fields, "rank", lambda q, rows: ranked.append(rows) or rank(q, rows))
+        chain = Poset.chain(("a", "b", "c"))
+        space = AlphabetSpec(FieldSpec(3), chain.elements, (1, 2, 1))
+        decomposed = 0
+        for code in enumerate_codes(space, max_dim=2):
+            phi, _parts = canonical_decomposition(space, chain, code)
+            assert all(m == fields.identity_matrix(len(m)) for m in phi.diag)
+            decomposed += 1
+        assert decomposed > 100
+        assert not any(rows == fields.identity_matrix(len(rows)) for rows in ranked)
+
     @pytest.mark.parametrize("q", [2, 3])
     def test_phi_keeps_the_poset_support_of_every_vector(self, q):
         wedge = Poset.from_covers(("a", "b", "c"), [("a", "c"), ("b", "c")])

@@ -35,12 +35,17 @@ from helpers import (
     DATACLASS_TWINS,
     apply_perm,
     compose_perms,
+    compress_udp_check,
     fraction_weight_fields,
     invert_perm,
+    linear_extension_levels,
     matrix_from_covers,
     matrix_poset,
     matrix_posets_on,
     prefix_sum_automorphisms,
+    relate_from_covers,
+    tuple_keyed_ideal_masks,
+    unshortcut_automorphisms,
 )
 
 CHAIN3 = Poset.chain(("1", "2", "3"))
@@ -906,3 +911,119 @@ class TestMaskCoreAgainstTheMatrixPath:
             expected = outcome(fraction_weight_fields, ("a", "b"), (Fraction(1), bad))
             assert expected == (ValidationError, "weight of 'b' must be strictly positive")
             assert outcome(WeightFunction, ("a", "b"), (Fraction(1), bad)) == expected
+
+
+def kernel_weightings(poset, rng):
+    """Unit, doubling and repeated-rational weights on the poset."""
+    thirds = [Fraction(k, 3) for k in (1, 2, 3)]
+    return [
+        WeightFunction.ones(poset.elements),
+        powers_of_two_weight(poset),
+        WeightFunction(poset.elements, tuple(rng.choice(thirds) for _ in poset.elements)),
+    ]
+
+
+def covers_outcome(build, labels, covers):
+    """(elements, pos, down, up) of what build returns, or its error's type and message."""
+    try:
+        built = build(labels, covers)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(built, Poset):
+        return built.elements, built._pos, built._down, built._up
+    return built
+
+
+def assert_kernel_agrees(poset, weightings):
+    """Every rewritten step of the kernel against its old body, through outcome,
+    so a refusal must match too; the orbit scan is compared where the group
+    keeping the weights has at most 720 elements, to keep the oracle's
+    per-image sums short."""
+    covers = hasse_covers(matrix_poset(poset.elements, poset.leq))
+    assert covers_outcome(Poset.from_covers, poset.elements, covers) == (
+        covers_outcome(relate_from_covers, poset.elements, covers)
+    )
+    assert poset._levels == linear_extension_levels(poset)
+    assert poset._ideal_masks == tuple_keyed_ideal_masks(poset)
+    assert outcome(poset.automorphisms) == outcome(unshortcut_automorphisms, poset)
+    for omega in weightings:
+        weights = omega.scaled(poset.elements)
+        found = outcome(poset.automorphisms, weights)
+        assert found == outcome(unshortcut_automorphisms, poset, weights)
+        if found[0] is not BoundExceeded and len(found) <= 720:
+            assert outcome(udp_check, poset, omega) == outcome(compress_udp_check, poset, omega)
+
+
+@st.composite
+def posets_to_ten(draw):
+    """A poset of up to ten elements: strict pairs along a hidden linear
+    extension, closed by from_covers."""
+    n = draw(st.integers(0, 10))
+    order = draw(st.permutations(range(n)))
+    density = draw(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.8)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    covers = [
+        (LABELS10[order[a]], LABELS10[order[b]])
+        for a in range(n)
+        for b in range(a + 1, n)
+        if rng.random() < density
+    ]
+    return Poset.from_covers(LABELS10[:n], covers), rng
+
+
+LABELS10 = tuple("abcdefghij")
+
+
+class TestKernelAgainstItsOldBodies:
+    """The trusted construction, peeled levels, integer-keyed ideals, the
+    singleton shortcut and the half-table sums against the bodies they
+    replaced (tests/helpers.py)."""
+
+    def test_every_labeled_poset_up_to_five(self):
+        rng = random.Random(20261020)
+        shortcut = 0
+        for poset in UP_TO_FIVE:
+            assert_kernel_agrees(poset, kernel_weightings(poset, rng))
+            shortcut += poset.automorphisms() == (tuple(range(len(poset.elements))),)
+        assert shortcut > 2000
+
+    @settings(max_examples=150, deadline=None)
+    @given(posets_to_ten())
+    def test_drawn_posets_up_to_ten(self, drawn):
+        poset, rng = drawn
+        assert_kernel_agrees(poset, kernel_weightings(poset, rng))
+        assert Poset(poset.elements, poset.leq)._up == poset._up
+
+    @settings(max_examples=300, deadline=None)
+    @given(cover_lists())
+    def test_cover_lists_raise_what_the_full_check_raised(self, drawn):
+        assert covers_outcome(Poset.from_covers, *drawn) == covers_outcome(relate_from_covers, *drawn)
+
+    def test_each_bad_cover_raises_what_it_raised(self):
+        for labels, covers, message in [
+            (("a", "b", "c"), [("a", "b"), ("b", "c"), ("c", "a")],
+             "cover relation contains a cycle: a < b < c < a"),
+            (("a", "b"), [("a", "b"), ("b", "z")], "cover ('b', 'z') uses an unknown label"),
+            (("a", "b"), [("a", "b"), ("b", "b")], "cover ('b', 'b') is reflexive"),
+            (("a", "b", "a"), [("a", "b")], "poset labels must be distinct"),
+            (("a", "b", "a"), [("a", "b"), ("b", "a")], "cover relation contains a cycle: b < a < b"),
+        ]:
+            expected = (ValidationError, message)
+            assert covers_outcome(relate_from_covers, labels, covers) == expected
+            assert covers_outcome(Poset.from_covers, labels, covers) == expected
+
+    def test_ideal_order_key_on_a_ten_label_antichain(self):
+        """Equal-size ideals A, B: A first exactly when the lowest bit of A ^ B is in A."""
+        masks = Poset.antichain(LABELS10)._ideal_masks
+        assert len(masks) == 1024
+        for a, b in zip(masks, masks[1:]):
+            low = (a ^ b) & -(a ^ b)
+            assert a.bit_count() < b.bit_count() or (a.bit_count() == b.bit_count() and a & low)
+
+    def test_scaled_reads_any_label_order(self):
+        omega = WeightFunction(("a", "b", "c"), (Fraction(1, 2), Fraction(3), Fraction(5, 4)))
+        assert omega.scaled(("a", "b", "c")) == (2, 12, 5)
+        assert omega.scaled(["c", "a"]) == (5, 2)
+        assert omega.scaled(iter(("b",))) == (12,)
+        with pytest.raises(ValidationError, match="^unknown label 'z'$"):
+            omega.scaled(("a", "z"))
