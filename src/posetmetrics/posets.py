@@ -105,6 +105,14 @@ def _intransitive_triple(rows: Sequence[int]) -> Optional[tuple[int, int, int]]:
     return None
 
 
+def _positions(labels: tuple, owner: str) -> dict:
+    """Each label's position, once the labels are found distinct."""
+    pos = {label: i for i, label in enumerate(labels)}
+    if len(pos) != len(labels):
+        raise ValidationError(f"{owner} labels must be distinct")
+    return pos
+
+
 def _transpose(rows: Sequence[int]) -> list[int]:
     """The column masks of a relation given by its row masks."""
     columns = [0] * len(rows)
@@ -123,10 +131,7 @@ class Poset(Value):
     __match_args__ = ("elements", "leq")
 
     def __init__(self, elements: tuple[str, ...], leq: tuple[tuple[bool, ...], ...]) -> None:
-        n = len(elements)
-        pos = {e: i for i, e in enumerate(elements)}
-        if len(pos) != n:
-            raise ValidationError("poset labels must be distinct")
+        n, pos = len(elements), _positions(elements, "poset")
         if len(leq) != n or any(len(row) != n for row in leq):
             raise ValidationError("relation matrix shape must match the label count")
         powers = [1 << j for j in range(n)]
@@ -334,8 +339,7 @@ class Poset(Value):
         None colours all alike), in lexicographic order, by backtracking.  perm[i]
         runs over the elements with i's (down-set size, up-set size, level, colour),
         so prod(c!) over those classes c bounds the search, and keeps k <= i iff
-        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i and
-        every k alone in its class, which is fixed.
+        perm[k] <= perm[i] and i <= k iff perm[i] <= perm[k] for every k < i.
         Results are kept per class partition, its classes numbered by first
         appearance, so colourings that split the elements alike share a search."""
         down, up, n = self._down, self._up, len(self.elements)
@@ -358,35 +362,26 @@ class Poset(Value):
             search = f"automorphism search over {count_text(estimate)} candidate permutations"
             raise BoundExceeded(f"{search} exceeds the bound {AUTOMORPHISM_BOUND}")
         candidates = [members[c] for c in classes]
-        # an element alone in its class is fixed, so the search places the
-        # others in index order (the perms come out in lexicographic order);
-        # img[t], img[n + t]: the images of the fixed and placed elements
-        # below, above t, and placing perm[i] = j adds j's bit at the slots
-        # of the later moving t above, below i
-        fixed = sum([1 << m[0] for m in members if len(m) == 1])
-        moving = [i for i in range(n) if not fixed >> i & 1]
-        free = ~fixed
-        slots = [
-            [i + 1 + t for t in set_bits((up[i] & free) >> i + 1 | (down[i] & free) >> i + 1 << n)]
-            for i in moving
-        ]
-        perm, listed = list(range(n)), []
+        listed: list[Perm] = []
 
-        def extend(k: int, used: int, img: list[int]) -> None:
-            if k == len(moving):
-                listed.append(tuple(perm))
+        def extend(perm: Perm, used: int, img: list[int]) -> None:
+            # img[t], img[n + t]: the images of the prefix's elements below, above t;
+            # placing perm[i] = j adds j's bit there for the later t above, below i
+            i = len(perm)
+            if i == n:
+                listed.append(perm)
                 return
-            i = moving[k]
+            later = (up[i] >> i + 1) | (down[i] >> i + 1 << n)
             for j in candidates[i]:
                 if not used >> j & 1 and down[j] & used == img[i] and up[j] & used == img[n + i]:
-                    perm[i], bit, grown = j, 1 << j, img
-                    if slots[k]:
+                    bit, grown = 1 << j, img
+                    if later:
                         grown = img[:]
-                        for t in slots[k]:
-                            grown[t] |= bit
-                    extend(k + 1, used | bit, grown)
+                        for t in set_bits(later):
+                            grown[i + 1 + t] |= bit
+                    extend(perm + (j,), used | bit, grown)
 
-        extend(0, fixed, [d & fixed for d in down] + [u & fixed for u in up])
+        extend((), 0, [0] * 2 * n)
         self._automorphisms[classes] = found = tuple(listed)
         return found
 
@@ -428,9 +423,7 @@ class WeightFunction(Value):
     def __init__(self, labels: tuple[str, ...], values: tuple[Fraction, ...]) -> None:
         if len(labels) != len(values):
             raise ValidationError("weight function shape mismatch")
-        pos = {label: i for i, label in enumerate(labels)}
-        if len(pos) != len(labels):
-            raise ValidationError("weight function labels must be distinct")
+        pos = _positions(labels, "weight function")
         for label, value in zip(labels, values):
             if value.numerator <= 0:  # a Fraction's denominator is positive
                 raise ValidationError(f"weight of {label!r} must be strictly positive")
@@ -455,10 +448,7 @@ class WeightFunction(Value):
     def ones(cls, labels: Sequence[str]) -> "WeightFunction":
         """Weight 1 at every label: one shared Fraction, scaled values all 1."""
         labels = tuple(labels)
-        pos = {label: i for i, label in enumerate(labels)}
-        if len(pos) != len(labels):
-            raise ValidationError("weight function labels must be distinct")
-        n = len(labels)
+        pos, n = _positions(labels, "weight function"), len(labels)
         return object.__new__(cls)._keep(labels, (Fraction(1),) * n, pos, (1,) * n)
 
     def _index(self, label: str) -> int:
@@ -472,8 +462,6 @@ class WeightFunction(Value):
 
     def scaled(self, labels: Iterable[str]) -> tuple[int, ...]:
         """The weights of the labels times the LCM of all denominators: exact, same order."""
-        if labels == self.labels:
-            return self._scaled
         return tuple([self._scaled[self._index(l)] for l in labels])
 
     def total(self, subset: Iterable[str]) -> Fraction:
@@ -513,10 +501,11 @@ def udp_check(
     """
     weights = omega.scaled(poset.elements)
     perms = poset.automorphisms(weights)
+    masks = poset._ideal_masks  # first, as it holds the element bound
     # an ideal's weight is the sum of a low-half and a high-half subset sum
     half = len(weights) // 2
     low_sums, high_sums = _subset_sums(weights[:half]), _subset_sums(weights[half:])
-    low, masks = (1 << half) - 1, poset._ideal_masks
+    low = (1 << half) - 1
     totals = [low_sums[mask & low] + high_sums[mask >> half] for mask in masks]
     shared = sorted([total for total, count in Counter(totals).items() if count > 1])
     if not shared:
@@ -524,10 +513,6 @@ def udp_check(
     if len(perms) * len(shared) > SCAN_BOUND:
         scan = f"orbit scan of {len(perms)} automorphisms over {len(shared)} weight classes"
         raise BoundExceeded(f"{scan} exceeds the bound {SCAN_BOUND}")
-    if len(perms) == 1:  # the identity alone: every ideal is its own orbit
-        first = totals.index(shared[0])
-        other = totals.index(shared[0], first + 1)
-        return False, (poset._labels(masks[first]), poset._labels(masks[other]))
     by_sum: dict[int, list[int]] = {}
     for total, mask in zip(totals, masks):
         by_sum.setdefault(total, []).append(mask)
@@ -567,10 +552,7 @@ def all_posets_on(labels: Sequence[str]) -> Iterator[Poset]:
     the posets on the labels after it, so no relation is checked.
     """
     labels = tuple(labels)
-    n = len(labels)
-    pos = {e: i for i, e in enumerate(labels)}
-    if len(pos) != n:
-        raise ValidationError("poset labels must be distinct")
+    n, pos = len(labels), _positions(labels, "poset")
     relations = [((), ())]  # the one poset on no labels
     for m in range(1, n + 1):
         relations = _one_point_extensions(list(relations), m)

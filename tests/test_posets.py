@@ -740,6 +740,21 @@ class TestElementBound:
         with pytest.raises(BoundExceeded, match=f"capped at {ELEMENT_BOUND} elements"):
             udp_check(poset, omega)
 
+    @pytest.mark.parametrize("shape", ["chain", "distinct-weights"])
+    def test_far_past_the_bound_no_subset_sum_table_is_built(self, shape, monkeypatch):
+        # 60 elements: the half tables would hold 2^30 sums each
+        def unreachable(weights):
+            raise AssertionError("a subset-sum table was built")
+
+        monkeypatch.setattr(posetmetrics.posets, "_subset_sums", unreachable)
+        labels = [f"e{t}" for t in range(60)]
+        poset = Poset.chain(labels) if shape == "chain" else Poset.antichain(labels)
+        omega = WeightFunction.ones(labels)
+        if shape == "distinct-weights":
+            omega = WeightFunction(tuple(labels), tuple(Fraction(2**t) for t in range(len(labels))))
+        with pytest.raises(BoundExceeded, match=f"capped at {ELEMENT_BOUND} elements"):
+            udp_check(poset, omega)
+
 
 # -- the mask core against the boolean-matrix path it replaced --------------------
 
