@@ -30,6 +30,10 @@ and shared by the scan, the extension search and the orbit check
 (`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
 own currency; only a counterexample's code is built as a `LinearCode`.
+
+The closed form (`mep_predicate`) picks its route, all-ones weights or a
+hierarchical poset, before it computes any condition, and refuses any other
+question; the route reads its condition from one `condition_report`.
 """
 
 from __future__ import annotations
@@ -519,26 +523,17 @@ class ConditionReport(Value):
 
 
 def condition_report(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> ConditionReport:
-    witnesses: list[tuple[str, object]] = []
-    udp_ok, udp_witness = udp_check(poset, omega)
-    if not udp_ok:
-        witnesses.append(("udp_matched_dims", udp_witness))
-    dims_ok, dims_witness = _matched_dims(space, poset, omega)
-    if udp_ok and not dims_ok:
-        witnesses.append(("udp_matched_dims", dims_witness))
-    level_ok = poset.is_hierarchical
-    if not level_ok:
-        witnesses.append(("level_matched_dims", poset.hierarchy_violation()))
-    level_dims_ok, level_dims_witness = _level_dims(space, poset)
-    if level_ok and not level_dims_ok:
-        witnesses.append(("level_matched_dims", level_dims_witness))
+    """The conditions, each computed once; a failing one adds its witness."""
+    udp = _udp_matched_dims(space, poset, omega)
+    level = _level_matched_dims(space, poset)
+    named = (("udp_matched_dims", udp), ("level_matched_dims", level))
     return ConditionReport(
         blocks_pseudo_injective=True,
         cross_injective=True,
         common_nonzero_block=all(k >= 1 for k in space.dims),
-        udp_matched_dims=udp_ok and dims_ok,
-        level_matched_dims=level_ok and level_dims_ok,
-        witnesses=tuple(witnesses),
+        udp_matched_dims=udp[0],
+        level_matched_dims=level[0],
+        witnesses=tuple((name, witness) for name, (ok, witness) in named if not ok),
         notes=(
             "blocks_pseudo_injective, cross_injective: true by instantiation "
             "(finite-dimensional blocks over a prime field)",
@@ -546,11 +541,14 @@ def condition_report(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -
     )
 
 
-def _matched_dims(space: AlphabetSpec, poset: Poset, omega: WeightFunction):
-    """Equal (level, weight) pairs must carry equal block dimensions."""
-    weights = omega.scaled(poset.elements)
+def _udp_matched_dims(space: AlphabetSpec, poset: Poset, omega: WeightFunction):
+    """UDP, then equal block dims on equal (level, weight) pairs; the witness
+    is UDP's, else the first label pair sharing both with unequal dims."""
+    ok, witness = udp_check(poset, omega)
+    if not ok:
+        return ok, witness
     seen: dict[tuple[int, int], tuple[str, int]] = {}
-    for label, level, w in zip(poset.elements, poset._levels, weights):
+    for label, level, w in zip(poset.elements, poset._levels, omega.scaled(poset.elements)):
         k = space.dim_of(label)
         first, dim = seen.setdefault((level, w), (label, k))
         if dim != k:
@@ -558,7 +556,11 @@ def _matched_dims(space: AlphabetSpec, poset: Poset, omega: WeightFunction):
     return True, None
 
 
-def _level_dims(space: AlphabetSpec, poset: Poset):
+def _level_matched_dims(space: AlphabetSpec, poset: Poset):
+    """Hierarchical, then one block dim per level; the witness is the hierarchy
+    violation, else the sorted labels of the first level with mixed dims."""
+    if not poset.is_hierarchical:
+        return False, poset.hierarchy_violation()
     for level in poset._level_masks:
         labels = [poset.elements[i] for i in set_bits(level)]
         if len({space.dim_of(l) for l in labels}) > 1:
@@ -572,32 +574,34 @@ def mep_predicate(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> M
     For all-ones weights: hierarchical with matched level dims, plus the per
     level class bound.  For hierarchical posets and general weights: UDP with
     matched dims, plus the class bound.  Otherwise no closed form is known
-    and the call refuses rather than guessing.
+    and the call refuses, before any condition is computed, rather than
+    guessing.
     """
-    bound_ok, bound_witness = level_class_bound(space, poset, omega)
-    report = condition_report(space, poset, omega)
+    return _closed_form(space, poset, omega)
+
+
+def _closed_form(
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction,
+    report: Optional[ConditionReport] = None,
+) -> MepVerdict:
+    """mep_predicate, reading its route's condition from the given report, or
+    from one built once the route is known."""
     if omega.is_all_ones:
-        holds = report.level_matched_dims and bound_ok
-        trace = {
-            "route": "unweighted",
-            "level_matched_dims": report.level_matched_dims,
-            "level_class_bound": bound_ok,
-            "bound_witness": bound_witness,
-        }
+        route, condition = "unweighted", "level_matched_dims"
     elif poset.is_hierarchical:
-        holds = report.udp_matched_dims and bound_ok
-        trace = {
-            "route": "hierarchical",
-            "udp_matched_dims": report.udp_matched_dims,
-            "level_class_bound": bound_ok,
-            "bound_witness": bound_witness,
-        }
+        route, condition = "hierarchical", "udp_matched_dims"
     else:
         raise PredicateUnavailable(
             "no closed form for a non-hierarchical poset with non-constant weights; "
             "run the brute-force check instead"
         )
-    return MepVerdict(holds=holds, predicate_trace=trace)
+    if report is None:
+        report = condition_report(space, poset, omega)
+    matched = getattr(report, condition)
+    bound_ok, bound_witness = level_class_bound(space, poset, omega)
+    trace = {"route": route, condition: matched,
+             "level_class_bound": bound_ok, "bound_witness": bound_witness}
+    return MepVerdict(holds=matched and bound_ok, predicate_trace=trace)
 
 
 def mep_p_support_predicate(space: AlphabetSpec, poset: Poset) -> MepVerdict:

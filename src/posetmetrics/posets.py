@@ -127,7 +127,9 @@ def _transpose(rows: Sequence[int]) -> list[int]:
 
 class Poset(Value):
     # _pos maps a label to its position; _down[j] and _up[j] are the masks of
-    # the elements below and above elements[j], the only stored relation
+    # the elements below and above elements[j], the only stored relation;
+    # _automorphisms keeps automorphisms' results by class partition and
+    # _group_slices the completed slices of isometries.enumerate_group
     __match_args__ = ("elements", "leq")
 
     def __init__(self, elements: tuple[str, ...], leq: tuple[tuple[bool, ...], ...]) -> None:
@@ -163,6 +165,8 @@ class Poset(Value):
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
         object.__setattr__(self, "_up", tuple(up))
+        object.__setattr__(self, "_automorphisms", {})
+        object.__setattr__(self, "_group_slices", {})
         return self
 
     @cached_property
@@ -266,11 +270,6 @@ class Poset(Value):
             held += [h + step for h in held if h & below == below]
         held.sort()
         return tuple(map(((1 << n) - 1).__and__, held))
-
-    @cached_property
-    def _group_slices(self) -> dict:
-        """isometries.enumerate_group's completed slices, kept with the poset."""
-        return {}
 
     @cached_property
     def _ideals(self) -> tuple[frozenset[str], ...]:
@@ -384,11 +383,6 @@ class Poset(Value):
         extend((), 0, [0] * 2 * n)
         self._automorphisms[classes] = found = tuple(listed)
         return found
-
-    @cached_property
-    def _automorphisms(self) -> dict:
-        """automorphisms' results, keyed by class partition."""
-        return {}
 
 
 def _find_cycle(adjacency: list[list[int]]) -> Optional[list[int]]:

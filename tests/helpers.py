@@ -7,7 +7,9 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from posetmetrics import fields, isometries, lattices, mep, posets, spaces
-from posetmetrics.errors import BoundExceeded, GroupBoundExceeded, ValidationError
+from posetmetrics.errors import (
+    BoundExceeded, GroupBoundExceeded, PredicateUnavailable, ValidationError,
+)
 from posetmetrics.isometries import GROUP_BOUND, weight_sum_functional
 from posetmetrics.posets import (
     AUTOMORPHISM_BOUND,
@@ -511,6 +513,89 @@ def weight_automorphisms_oracle(poset: posets.Poset, space, omega, plain=None) -
     """`isometries.weight_automorphisms` as it was: the plain search, then the
     weight filter (`weight_preserving_automorphisms`) and the block-dim filter."""
     return filtered_automorphisms(poset, omega.scaled(poset.elements), space.dims, plain=plain)
+
+
+def condition_report_oracle(space, poset: posets.Poset, omega) -> "mep.ConditionReport":
+    """`mep.condition_report` as it was, kept as its oracle: each condition's
+    two halves are computed apart, both always, and a failing second half adds
+    its witness only when the first half held."""
+    witnesses: list[tuple[str, object]] = []
+    udp_ok, udp_witness = posets.udp_check(poset, omega)
+    if not udp_ok:
+        witnesses.append(("udp_matched_dims", udp_witness))
+    dims_ok, dims_witness = matched_dims_oracle(space, poset, omega)
+    if udp_ok and not dims_ok:
+        witnesses.append(("udp_matched_dims", dims_witness))
+    level_ok = poset.is_hierarchical
+    if not level_ok:
+        witnesses.append(("level_matched_dims", poset.hierarchy_violation()))
+    level_dims_ok, level_dims_witness = level_dims_oracle(space, poset)
+    if level_ok and not level_dims_ok:
+        witnesses.append(("level_matched_dims", level_dims_witness))
+    return mep.ConditionReport(
+        blocks_pseudo_injective=True,
+        cross_injective=True,
+        common_nonzero_block=all(k >= 1 for k in space.dims),
+        udp_matched_dims=udp_ok and dims_ok,
+        level_matched_dims=level_ok and level_dims_ok,
+        witnesses=tuple(witnesses),
+        notes=(
+            "blocks_pseudo_injective, cross_injective: true by instantiation "
+            "(finite-dimensional blocks over a prime field)",
+        ),
+    )
+
+
+def matched_dims_oracle(space, poset: posets.Poset, omega) -> tuple:
+    """`mep._matched_dims` as it was: equal (level, weight) pairs must carry
+    equal block dimensions."""
+    weights = omega.scaled(poset.elements)
+    seen: dict[tuple[int, int], tuple[str, int]] = {}
+    for label, level, w in zip(poset.elements, poset._levels, weights):
+        k = space.dim_of(label)
+        first, dim = seen.setdefault((level, w), (label, k))
+        if dim != k:
+            return False, (first, label)
+    return True, None
+
+
+def level_dims_oracle(space, poset: posets.Poset) -> tuple:
+    """`mep._level_dims` as it was: each level's blocks share one dimension."""
+    for level in poset._level_masks:
+        labels = [poset.elements[i] for i in set_bits(level)]
+        if len({space.dim_of(l) for l in labels}) > 1:
+            return False, tuple(sorted(labels))
+    return True, None
+
+
+def mep_predicate_oracle(space, poset: posets.Poset, omega) -> "mep.MepVerdict":
+    """`mep.mep_predicate` as it was: the level class bound and the whole
+    condition report are built before the route is chosen, and each route
+    writes its own trace."""
+    bound_ok, bound_witness = mep.level_class_bound(space, poset, omega)
+    report = condition_report_oracle(space, poset, omega)
+    if omega.is_all_ones:
+        holds = report.level_matched_dims and bound_ok
+        trace = {
+            "route": "unweighted",
+            "level_matched_dims": report.level_matched_dims,
+            "level_class_bound": bound_ok,
+            "bound_witness": bound_witness,
+        }
+    elif poset.is_hierarchical:
+        holds = report.udp_matched_dims and bound_ok
+        trace = {
+            "route": "hierarchical",
+            "udp_matched_dims": report.udp_matched_dims,
+            "level_class_bound": bound_ok,
+            "bound_witness": bound_witness,
+        }
+    else:
+        raise PredicateUnavailable(
+            "no closed form for a non-hierarchical poset with non-constant weights; "
+            "run the brute-force check instead"
+        )
+    return mep.MepVerdict(holds=holds, predicate_trace=trace)
 
 
 def fraction_weight_fields(labels, values) -> tuple[dict, tuple]:

@@ -8,12 +8,13 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetmetrics import cli, isometries
+from posetmetrics import cli, isometries, mep
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import BoundExceeded, ValidationError
@@ -360,6 +361,42 @@ class TestCommands:
         path.write_text(json.dumps(doc))
         assert main(["mep", "--instance", str(path)]) == 2
         assert main(["mep", "--instance", str(path), "--brute-force"]) == 0
+
+    @pytest.mark.parametrize("options", [[], ["--brute-force"]], ids=["closed", "brute-force"])
+    @pytest.mark.parametrize("name", ["weighted_vee", "chain3"])
+    def test_mep_computes_each_condition_once(self, capsys, monkeypatch, name, options):
+        # the closed form reads the condition report the command prints
+        calls = Counter()
+
+        def counted(module, attr):
+            inner = getattr(module, attr)
+
+            def call(*args):
+                calls[attr] += 1
+                return inner(*args)
+
+            monkeypatch.setattr(module, attr, call)
+
+        counted(mep, "condition_report")
+        counted(mep, "udp_check")
+        assert main(["mep", "--instance", str(INSTANCES / f"{name}.json"), *options]) == 0
+        assert calls == {"condition_report": 1, "udp_check": 1}
+
+    @pytest.mark.parametrize("options", [[], ["--brute-force"]], ids=["closed", "brute-force"])
+    def test_mep_meets_the_automorphism_bound_in_its_report(self, tmp_path, capsys, options):
+        # nine unrelated labels of weight 1 beside a < b of weights 1 and 2:
+        # mep_predicate refuses this question, but the command builds its
+        # condition report first, whose UDP check meets the bound
+        elements = ["a", "b", *(f"x{t}" for t in range(9))]
+        doc = {"q": 2, "poset": {"elements": elements, "covers": [["a", "b"]]},
+               "omega": {label: "2" if label == "b" else "1" for label in elements}}
+        path = tmp_path / "beside.json"
+        path.write_text(json.dumps(doc))
+        assert main(["mep", "--instance", str(path), *options]) == 3
+        assert capsys.readouterr().err == (
+            "bound exceeded: automorphism search over 362880 candidate permutations "
+            "exceeds the bound 40320\n"
+        )
 
     def test_lattice_subspace(self, capsys):
         code, payload = run_json(capsys, "lattice", "subspace", "2", "2")

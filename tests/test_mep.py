@@ -47,7 +47,7 @@ from posetmetrics.mep import (
     preserves_weight,
     single_orbit_check,
 )
-from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight
+from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight, udp_check
 from posetmetrics.spaces import (
     AlphabetSpec,
     FieldSpec,
@@ -57,7 +57,10 @@ from posetmetrics.spaces import (
     weight,
 )
 
-from helpers import closure_key, indexed_group_oracle, key_for, linear_maps
+from helpers import (
+    closure_key, condition_report_oracle, indexed_group_oracle, key_for, linear_maps,
+    mep_predicate_oracle,
+)
 
 F2 = FieldSpec(2)
 CHAIN2 = Poset.chain(("1", "2"))
@@ -997,6 +1000,31 @@ class TestPredicates:
                 space, vee, omega
             ).holds
 
+    def test_refuses_before_any_condition_is_computed(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("a condition was computed")
+
+        for name in ("udp_check", "condition_report", "level_class_bound"):
+            monkeypatch.setattr(mep, name, unreachable)
+        space = AlphabetSpec.uniform(F2, MIXED.elements, 1)
+        omega = WeightFunction.from_map({"a": 1, "b": "1/2", "c": 2})
+        with pytest.raises(PredicateUnavailable, match="^no closed form for a non-hierarchical"):
+            mep_predicate(space, MIXED, omega)
+
+    def test_refuses_past_the_automorphism_bound_with_no_route(self):
+        # nine unrelated labels of weight 1 beside a < b of weights 1 and 2:
+        # non-hierarchical with non-constant weights, so the predicate refuses
+        # where building the report first met udp_check's automorphism search
+        # over 9! candidates (posetmetrics mep still builds it and exits 3)
+        elements = ("a", "b", *(f"x{t}" for t in range(9)))
+        poset = Poset.from_covers(elements, [("a", "b")])
+        omega = WeightFunction.from_map({label: 2 if label == "b" else 1 for label in elements})
+        space = AlphabetSpec.uniform(F2, elements, 1)
+        with pytest.raises(PredicateUnavailable):
+            mep_predicate(space, poset, omega)
+        with pytest.raises(BoundExceeded, match="over 362880 candidate permutations"):
+            mep_predicate_oracle(space, poset, omega)
+
     def test_support_mode_always_holds(self):
         for poset in (CHAIN2, ANTI2, MIXED):
             space = AlphabetSpec.uniform(F2, poset.elements, 1)
@@ -1024,6 +1052,56 @@ class TestConditions:
         assert not report.level_matched_dims
         assert not report.udp_matched_dims
         assert report.common_nonzero_block
+
+
+def _closed_form_grid():
+    """Every labeled poset on up to 4 elements at q = 2 and on up to 3 at
+    q = 3, with unit, doubling and alternating 1/2, 1 weights, and with unit
+    dims or a 2-dim first block."""
+    for q, most in ((2, 4), (3, 3)):
+        for size in range(1, most + 1):
+            for poset in _labeled_posets(size):
+                for first in (1, 2):
+                    space = AlphabetSpec(FieldSpec(q), poset.elements, (first,) + (1,) * (size - 1))
+                    for omega in _omega_variants(poset):
+                        yield space, poset, omega
+
+
+def _closed_form_outcome(predicate, space, poset, omega):
+    """A predicate's verdict with its trace's key order, or its refusal."""
+    try:
+        verdict = predicate(space, poset, omega)
+    except PredicateUnavailable as exc:
+        return "unavailable", str(exc)
+    return verdict, list(verdict.predicate_trace)
+
+
+class TestClosedFormOracle:
+    def test_report_and_predicate_match_the_oracles(self):
+        # every report field (witnesses in order) and every verdict, trace
+        # and refusal message; the grid meets each route, both answers and
+        # both conditions' witnesses
+        outcomes = Counter()
+        for space, poset, omega in _closed_form_grid():
+            report = condition_report(space, poset, omega)
+            assert report == condition_report_oracle(space, poset, omega), (poset.leq, omega)
+            outcome = _closed_form_outcome(mep_predicate, space, poset, omega)
+            assert outcome == _closed_form_outcome(mep_predicate_oracle, space, poset, omega)
+            verdict = outcome[0]
+            if verdict == "unavailable":
+                outcomes["unavailable"] += 1
+            else:
+                outcomes[verdict.predicate_trace["route"], verdict.holds] += 1
+            for name, _ in report.witnesses:  # which half of the condition failed
+                if name == "udp_matched_dims":
+                    outcomes["udp dims" if udp_check(poset, omega)[0] else "udp"] += 1
+                else:
+                    outcomes["level dims" if poset.is_hierarchical else "hierarchy"] += 1
+        assert outcomes == {
+            "unavailable": 624, ("unweighted", True): 179, ("unweighted", False): 355,
+            ("hierarchical", True): 406, ("hierarchical", False): 26,
+            "udp": 614, "udp dims": 59, "hierarchy": 936, "level dims": 129,
+        }
 
 
 def _union_find_orbit_check(space, poset, omega):

@@ -153,8 +153,9 @@ VEE_COVERS = (("a", "b", "c"), [("b", "a"), ("b", "c")])
 LATTICE_TABLES = {"_pos", "_points", "_masks", "_holders", "_ups", "_up_index", "_member_index"}
 LATTICE_ON_USE = ("_point_closure_masks", "_generators", "_moebius")
 DERIVED = [
-    (lambda: posets.Poset.from_covers(*VEE_COVERS), {"_pos", "_down", "_up"},
-     ("leq", "_ideal_masks", "_ideals", "_levels", "_automorphisms"),
+    (lambda: posets.Poset.from_covers(*VEE_COVERS),
+     {"_pos", "_down", "_up", "_automorphisms", "_group_slices"},
+     ("leq", "_ideal_masks", "_ideals", "_levels"),
      {"leq": matrix_from_covers(*VEE_COVERS).leq}),
     (lambda: posets.WeightFunction(("a", "b"), (Fraction(1, 3), Fraction(3, 4))),
      {"_pos", "_scaled"}, (), {}),
