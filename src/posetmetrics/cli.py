@@ -173,7 +173,6 @@ def cmd_isometries(args) -> tuple[dict, int]:
         check_action_table,
         enumerate_group,
         group_order,
-        weight_isometry_group,
         weight_sum_functional,
     )
 
@@ -183,10 +182,13 @@ def cmd_isometries(args) -> tuple[dict, int]:
     if args.brute_force:  # the oracle's refusal comes before the group is touched
         check_action_table(space)
     key = weight_sum_functional(poset, inst.omega)
-    try:  # the orders are closed forms; only the sample is enumerated
+    try:  # the orders are closed forms; the group is listed whole only for the oracle
         admissible = admissible_lams(space, poset, key, bound)
         order = group_order(space, poset, len(admissible))
-        sample = [iso.serialize() for iso in islice(enumerate_group(space, poset, key, bound), 3)]
+        group = enumerate_group(space, poset, key, bound)
+        if args.brute_force:
+            group = list(group)
+        sample = [iso.serialize() for iso in islice(group, 3)]
     except GroupBoundExceeded as exc:
         raise GroupBoundExceeded(f"{exc}; raise it with --bound") from None
     kernel_size = group_order(space, poset, 1)  # the doubling weights admit only the identity
@@ -199,7 +201,6 @@ def cmd_isometries(args) -> tuple[dict, int]:
     }
     code = 0
     if args.brute_force:
-        group = weight_isometry_group(space, poset, inst.omega, bound=bound)
         brute = brute_force_isometries(space, poset, key)
         agrees = {iso.matrix for iso in group} == set(brute)
         results["brute_force_order"] = len(brute)

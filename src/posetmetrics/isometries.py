@@ -5,8 +5,10 @@ Every weight isometry of the ambient space factors as a label permutation
 square block per label, and arbitrary "strict" blocks feeding a label from
 labels strictly above its image.  The label permutations come from one
 automorphism search coloured by block dimension and principal-ideal key.  An
-isometry is built whole: its constructor checks the label order, pastes the
-blocks into the full N x N matrix (`_block_matrix`) and keeps it.  The
+isometry is built whole: its constructor checks the label order and takes
+its N x N matrix from the label map's one block-row builder (`_row_builder`),
+which joins each row's entries left and right of its diagonal piece once per
+choice of strict blocks, so a listed element costs only concatenations.  The
 elements with a given label map depend on the space, the poset and the map
 alone, so `enumerate_group` keeps each map's completed slice on the poset,
 keyed by the space and the map, as immutable (diag, strict, matrix) tuples,
@@ -99,13 +101,9 @@ class Isometry(Value):
         strict: tuple[tuple[int, int, Matrix], ...],  # (i, j, M) with j strictly below lam(i)
     ) -> None:
         _check_label_order(space, poset)
-        set_field = object.__setattr__
-        set_field(self, "space", space)
-        set_field(self, "poset", poset)
-        set_field(self, "lam", lam)
-        set_field(self, "diag", diag)
-        set_field(self, "strict", strict)
-        set_field(self, "_matrix", _block_matrix(space, poset, lam, diag, strict))
+        pieces, matrix = _row_builder(space, lam)
+        vars(self).update(space=space, poset=poset, lam=lam, diag=diag, strict=strict,
+                          _matrix=matrix(diag, pieces(strict)))
 
     @classmethod
     def identity(cls, space: AlphabetSpec, poset: Poset) -> "Isometry":
@@ -143,25 +141,37 @@ def _check_label_order(space: AlphabetSpec, poset: Poset) -> None:
         raise ValidationError("the space's labels must be the poset's elements, in its order")
 
 
-def _block_matrix(
-    space: AlphabetSpec, poset: Poset, lam: Perm, diag: Sequence[Matrix],
-    strict: Iterable[tuple[int, int, Matrix]],
-) -> Matrix:
-    """The full N x N matrix: diag[i] at block rows lam(i), block columns i,
-    and each strict block (i, j, M) at block rows j, block columns i."""
-    bounds = space._block_bounds
-    starts = [bounds[label][0] for label in poset.elements]
-    n = space.total_dim
-    rows = [[0] * n for _ in range(n)]
-    for i, block in enumerate(diag):
-        c0 = starts[i]
-        for r, row in enumerate(block, starts[lam[i]]):
-            rows[r][c0 : c0 + len(row)] = row
-    for i, j, block in strict:
-        c0 = starts[i]
-        for r, row in enumerate(block, starts[j]):
-            rows[r][c0 : c0 + len(row)] = row
-    return tuple(map(tuple, rows))
+def _row_builder(space: AlphabetSpec, lam: Perm) -> tuple[Callable, Callable]:
+    """The one matrix builder, made once per label map.  Block row lam(i)
+    holds diag[i] in block column i, block row j holds each strict (i, j, M)
+    in block column i, and every other block is zero.  `pieces(strict)`
+    gives each output row's entries left and right of its diagonal piece,
+    once per choice of strict blocks; `matrix(diag, pieces)` then only
+    concatenates.  A one-block space has no other piece: its matrices are
+    its diagonal blocks themselves."""
+    dims, n = space.dims, len(lam)
+    starts = [0, *itertools.accumulate(dims)]
+    inverse = sorted(range(n), key=lam.__getitem__)  # the diagonal's block column per block row
+    lows, highs = [], []  # per output row, the columns its diagonal piece spans
+    for j, i in enumerate(inverse):
+        lows += [starts[i]] * dims[j]
+        highs += [starts[i + 1]] * dims[j]
+
+    def pieces(strict: Iterable[tuple[int, int, Matrix]]) -> tuple[list[Vector], list[Vector]]:
+        rows = [[0] * starts[n] for _ in lows]
+        for i, j, m in strict:
+            for row, piece in zip(rows[starts[j] :], m):
+                row[starts[i] : starts[i + 1]] = piece
+        return ([tuple(row[:a]) for row, a in zip(rows, lows)],
+                [tuple(row[b:]) for row, b in zip(rows, highs)])
+
+    def matrix(diag: Sequence[Matrix], pieces: tuple[list[Vector], list[Vector]]) -> Matrix:
+        if n == 1:
+            return diag[0]
+        rows = itertools.chain.from_iterable(map(diag.__getitem__, inverse))
+        return tuple(map(operator.add, map(operator.add, pieces[0], rows), pieces[1]))
+
+    return pieces, matrix
 
 
 def build_isometry(
@@ -178,6 +188,7 @@ def build_isometry(
     n = len(poset.elements)
     if sorted(lam) != list(range(n)):
         raise ValidationError("lam is not a permutation")
+    diag = [tuple(map(tuple, m)) for m in diag]  # the matrix rows are joined from block rows
     for i in range(n):
         if space.dims[lam[i]] != space.dims[i]:
             raise ValidationError("lam must preserve block dimensions")
@@ -195,7 +206,7 @@ def build_isometry(
         seen.add((i, j))
         if len(m) != space.dims[j] or any(len(row) != space.dims[i] for row in m):
             raise ValidationError(f"strict block ({i}->{j}) has the wrong shape")
-    ordered = tuple(sorted(((i, j, m) for i, j, m in strict), key=lambda t: (t[0], t[1])))
+    ordered = tuple(sorted((i, j, tuple(map(tuple, m))) for i, j, m in strict))
     return Isometry(space, poset, tuple(lam), tuple(diag), ordered)
 
 
@@ -267,43 +278,44 @@ def enumerate_group(
     """All isometries for the key, in (lam, diag, strict) lexicographic order.
 
     The elements with a given lam depend on the space, the poset and lam
-    alone, never on the key.  Each element is built whole, its matrix with
-    it.  A lam's slice listed to its end is kept on the poset
+    alone, never on the key.  Each element is built whole, its matrix from
+    the lam's row builder, with the strict choices (varying fastest) and
+    their row pieces made in the first diag's pass and reused by the rest.
+    A lam's slice listed to its end is kept on the poset
     (`Poset._group_slices`, keyed by the space and lam) as a tuple of
     immutable (diag, strict, matrix) tuples, and a later listing replays it
     as fresh isometries sharing those values.  A slice cut short is not kept."""
     lams = admissible_lams(space, poset, key, bound)
     q, slices = space.q, poset._group_slices
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
-    new, set_field = object.__new__, object.__setattr__
+    new = object.__new__
 
-    def listed(lam: Perm, entry: tuple) -> Isometry:
-        # fields set here, not through the constructor, which would paste the matrix again
-        iso = new(Isometry)
-        set_field(iso, "space", space)
-        set_field(iso, "poset", poset)
-        set_field(iso, "lam", lam)
-        set_field(iso, "diag", entry[0])
-        set_field(iso, "strict", entry[1])
-        set_field(iso, "_matrix", entry[2])
-        return iso
-
-    for lam in lams:
-        kept = slices.get((space, lam))
-        if kept is not None:
-            for entry in kept:
-                yield listed(lam, entry)
-            continue
-        kept = []
+    def fresh(lam: Perm) -> Iterator[tuple]:
+        kept, made = [], []  # made: each strict choice with its row pieces, in the first pass
+        pieces, matrix = _row_builder(space, lam)
         pairs = _strict_pairs(poset, lam)
         blocks = [_all_blocks(q, (space.dims[j], space.dims[i])) for i, j in pairs]
+
+        def strict_choices() -> Iterator[tuple]:
+            for choice in itertools.product(*blocks):
+                strict = tuple((i, j, m) for (i, j), m in zip(pairs, choice))
+                made.append((strict, pieces(strict)))
+                yield made[-1]
+
+        choices = strict_choices()
         for diag in itertools.product(*invertibles):
-            for strict_choice in itertools.product(*blocks):
-                strict = tuple((i, j, m) for (i, j), m in zip(pairs, strict_choice))
-                entry = diag, strict, _block_matrix(space, poset, lam, diag, strict)
-                kept.append(entry)
-                yield listed(lam, entry)
+            for strict, row_pieces in choices:
+                kept.append((diag, strict, matrix(diag, row_pieces)))
+                yield kept[-1]
+            choices = made
         slices[space, lam] = tuple(kept)
+
+    for lam in lams:
+        for diag, strict, matrix in slices.get((space, lam)) or fresh(lam):
+            iso = new(Isometry)  # not the constructor, which would build the matrix again
+            vars(iso).update(space=space, poset=poset, lam=lam, diag=diag, strict=strict,
+                             _matrix=matrix)
+            yield iso
 
 
 @lru_cache(maxsize=None)

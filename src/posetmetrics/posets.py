@@ -19,7 +19,8 @@ cached on the poset at first use, so they are freed with it: the order
 matrix, the ideals, the levels, the automorphisms of each class partition
 (which also serve as the admissible label maps of `isometries.admissible_lams`)
 and each completed slice of an isometry group, per space and label map, as
-immutable (diag, strict, matrix) tuples (`isometries.enumerate_group`).  Label
+immutable (diag, strict, matrix) tuples, each matrix made by the label map's
+block-row builder (`isometries.enumerate_group`).  Label
 sets cross the interface as frozensets, weights as Fractions.
 """
 
@@ -53,8 +54,9 @@ class Value:
     - hash is the hash of the field tuple (a 1-tuple for one field);
     - repr reads `Name(field=value, ...)`.
 
-    A subclass sets its fields in `__init__` with `object.__setattr__`, or
-    derives one on first read by `cached_property` (`Poset.leq`).  Names
+    A subclass sets its fields in `__init__` with `object.__setattr__` or
+    `vars(self).update`, or derives one on first read by `cached_property`
+    (`Poset.leq`).  Names
     starting with an underscore are derived state, set either way, and stay
     out of eq, hash and repr.  Assignment and deletion raise AttributeError.
     """

@@ -167,8 +167,8 @@ def enumerate_group_oracle(space, poset, key, bound: int = GROUP_BOUND) -> Itera
     """isometries.enumerate_group as it was before completed slices were kept
     on the poset: every call lists every element afresh with the Isometry
     constructor.  The oracle of the slice memo.  The constructor builds each
-    matrix with isometries._block_matrix, as the listing does, so this is
-    not an oracle of the matrices: block_matrix_oracle is."""
+    matrix with the listing's block-row builder (isometries._row_builder), so
+    this is not an oracle of the matrices: block_matrix_oracle is."""
     lams = isometries.admissible_lams(space, poset, key, bound)
     q = space.q
     invertibles = [fields.invertible_matrices(q, k) for k in space.dims]
@@ -186,8 +186,8 @@ def enumerate_group_oracle(space, poset, key, bound: int = GROUP_BOUND) -> Itera
 def block_matrix_oracle(iso) -> tuple:
     """An isometry's full matrix as Isometry.matrix built it on first use,
     before the constructor built it: each block's rows pasted into rows of
-    zeros at the block offsets of the space.  The oracle of
-    isometries._block_matrix."""
+    zeros at the block offsets of the space.  The oracle of the block-row
+    builder, isometries._row_builder."""
     bounds = iso.space._block_bounds
     starts = [bounds[label][0] for label in iso.poset.elements]
     n = iso.space.total_dim

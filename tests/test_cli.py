@@ -281,6 +281,37 @@ class TestCommands:
         assert payload["results"]["group_order"] == 144
         assert payload["results"]["oracle_agrees"] is True
 
+    def test_isometries_with_oracle_list_the_group_once(self, capsys, monkeypatch):
+        # the sample is the first three elements of the one listing
+        listed = []
+        enumerate_group = isometries.enumerate_group
+
+        def counted(*args, **kwargs):
+            listed.append(0)
+            for iso in enumerate_group(*args, **kwargs):
+                listed[-1] += 1
+                yield iso
+
+        monkeypatch.setattr(isometries, "enumerate_group", counted)
+        path = str(INSTANCES / "weighted_vee.json")
+        code, payload = run_json(capsys, "isometries", "--instance", path, "--brute-force")
+        assert code == 0 and listed == [144] and payload["results"]["oracle_agrees"] is True
+        inst = load_instance(path)
+        group = list(enumerate_group(
+            inst.space, inst.poset, isometries.weight_sum_functional(inst.poset, inst.omega)
+        ))
+        assert payload["results"]["sample"] == [iso.serialize() for iso in group[:3]]
+        listed.clear()
+        code, payload = run_json(capsys, "isometries", "--instance", path)
+        assert code == 0 and listed == [3]
+
+    def test_isometries_with_oracle_refuse_the_group_bound_after_the_oracle_bound(self, capsys):
+        path = str(INSTANCES / "weighted_vee.json")
+        assert main(["isometries", "--instance", path, "--brute-force", "--bound", "143"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("bound exceeded: isometry group order reaches ")
+        assert err.endswith(", over the bound 143; raise it with --bound\n")
+
     def test_mep_threshold_instance(self, capsys):
         code, payload = run_json(
             capsys, "mep", "--instance", str(INSTANCES / "antichain3_k2.json"), "--brute-force"

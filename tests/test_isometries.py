@@ -525,6 +525,19 @@ class TestBuildApply:
         assert iso == fresh and hash(iso) == hash(fresh) and repr(iso) == repr(fresh)
         assert "_matrix" not in repr(iso)
 
+    def test_list_blocks_build_the_tuple_isometry(self):
+        # the matrix rows are joined from the block rows, so lists become tuples first
+        space = AlphabetSpec(F2, CHAIN2.elements, (2, 1))
+        swap, line = ((0, 1), (1, 0)), ((1,),)
+        lists = [[[0, 1], [1, 0]], [[1]]]
+        listed = build_isometry(space, CHAIN2, [0, 1], lists, [(1, 0, [[1], [0]])])
+        built = build_isometry(space, CHAIN2, (0, 1), (swap, line), [(1, 0, ((1,), (0,)))])
+        assert listed == built and hash(listed) == hash(built)
+        assert listed.matrix == built.matrix == block_matrix_oracle(built)
+        one = Poset.chain(("a",))
+        plane = AlphabetSpec(F2, one.elements, (2,))
+        assert build_isometry(plane, one, (0,), lists[:1]) == build_isometry(plane, one, (0,), (swap,))
+
     def test_non_invertible_diagonal_rejected(self):
         with pytest.raises(ValidationError, match="invertible"):
             build_isometry(SP21, CHAIN2, (0, 1), (((0,),), ((1,),)))
@@ -624,6 +637,10 @@ class TestEnumeration:
         assert len(shapes) == 26
 
 
+# The largest group the differential tests list with both oracles.
+DIFFERENTIAL_GROUP_CAP = 1 << 12
+
+
 def _listing(group):
     """Each element with its matrix, the matrices read after the listing ends,
     as the callers read them."""
@@ -656,6 +673,95 @@ class TestGroupSlices:
             for group in (weight, support):
                 assert [iso.matrix for iso in group] == list(map(block_matrix_oracle, group))
         assert len(poset._group_slices) == len(weight_automorphisms(poset, space, omega))
+
+    def assert_every_builder_equals_the_oracles(self, space, poset, omega):
+        # the first listing against the listing oracle (order and fields) and
+        # the block oracle, its replay against it, and the constructor's
+        # matrices on a sample (decompose replays every vector)
+        poset = _fresh(poset)
+        key = weight_sum_functional(poset, omega)
+        first = _listing(enumerate_group(space, poset, key))
+        assert first == _listing(enumerate_group_oracle(space, poset, key))
+        assert [matrix for _, matrix in first] == [block_matrix_oracle(iso) for iso, _ in first]
+        replay = _listing(enumerate_group(space, poset, key))
+        assert replay == first
+        assert all(a is b for (_, a), (_, b) in zip(replay, first))
+        identity = Isometry.identity(space, poset)
+        assert identity.matrix == block_matrix_oracle(identity)
+        for iso, matrix in first[:: max(1, len(first) // 4)]:
+            built = build_isometry(space, poset, iso.lam, iso.diag, iso.strict)
+            assert built == iso and built.matrix == block_matrix_oracle(built) == matrix
+            recovered = decompose(space, poset, matrix, key)
+            assert recovered.lam == iso.lam
+            assert recovered.matrix == block_matrix_oracle(recovered) == matrix
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_every_labeled_poset_up_to_three_with_dims_one_or_two(self, size):
+        # F_2, unit weights; the 30 shapes over DIFFERENTIAL_GROUP_CAP have
+        # three labels, two or three of them planes (9,216 to 884,736 elements)
+        over = 0
+        for poset in _labeled_posets(size):
+            ones = WeightFunction.ones(poset.elements)
+            key = weight_sum_functional(poset, ones)
+            for dims in itertools.product((1, 2), repeat=size):
+                space = AlphabetSpec(F2, poset.elements, dims)
+                lams = admissible_lams(space, poset, key, GROUP_BOUND)
+                if group_order(space, poset, len(lams)) > DIFFERENTIAL_GROUP_CAP:
+                    over += 1
+                    continue
+                self.assert_every_builder_equals_the_oracles(space, poset, ones)
+        assert over == (30 if size == 3 else 0)
+
+    def test_every_labeled_poset_up_to_three_over_f3(self):
+        for size in (1, 2, 3):
+            for poset in _labeled_posets(size):
+                space = AlphabetSpec.uniform(F3, poset.elements, 1)
+                for omega in _omega_variants(poset):
+                    self.assert_every_builder_equals_the_oracles(space, poset, omega)
+
+    @pytest.mark.parametrize("q, dims, covers", [
+        (2, (1, 3, 1), [("a", "b"), ("b", "c")]),
+        (2, (1, 3, 1), [("a", "b"), ("a", "c")]),
+        (2, (2, 1, 2), [("a", "b"), ("a", "c")]),
+        (3, (1, 2, 1), [("a", "b"), ("b", "c")]),
+        (3, (1, 2, 1), [("a", "b"), ("a", "c")]),
+        (3, (1, 2, 1), [("a", "c"), ("b", "c")]),
+    ], ids=["F2-chain-131", "F2-vee-131", "F2-vee-212", "F3-chain-121", "F3-vee-121",
+            "F3-wedge-121"])
+    def test_mixed_dims_with_non_square_strict_blocks(self, q, dims, covers):
+        poset = Poset.from_covers(tuple("abc"), covers)
+        space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+        assert any(dims[i] != dims[j] for i, j in isometries._strict_pairs(poset, (0, 1, 2)))
+        ones = WeightFunction.ones(poset.elements)
+        self.assert_every_builder_equals_the_oracles(space, poset, ones)
+
+    def test_listed_and_replayed_isometries_are_values(self):
+        vee = _fresh(VEE3)
+        space = AlphabetSpec(F2, vee.elements, (1, 2, 1))
+        key = weight_sum_functional(vee, WeightFunction.ones(vee.elements))
+        names = {"space", "poset", "lam", "diag", "strict", "_matrix"}
+        for _ in range(2):  # listed, then replayed
+            group = list(enumerate_group(space, vee, key))
+            for iso in group:
+                built = Isometry(space, vee, iso.lam, iso.diag, iso.strict)
+                assert iso == built and hash(iso) == hash(built) and repr(iso) == repr(built)
+                assert set(vars(iso)) == names and iso.matrix == built.matrix
+        for name in names:
+            with pytest.raises(AttributeError):
+                setattr(iso, name, None)
+            with pytest.raises(AttributeError):
+                delattr(iso, name)
+        assert set(vars(iso)) == names and iso == built
+
+    def test_a_one_block_slice_shares_the_invertible_matrices(self):
+        one = Poset.chain(("a",))
+        space = AlphabetSpec(F3, one.elements, (3,))
+        key = weight_sum_functional(one, WeightFunction.ones(one.elements))
+        invertibles = fields.invertible_matrices(3, 3)
+        for _ in range(2):  # listed, then replayed
+            group = list(enumerate_group(space, one, key))
+            assert len(group) == len(invertibles)
+            assert all(iso.matrix is m for iso, m in zip(group, invertibles))
 
     def test_the_group_grid_in_grid_order(self):
         # the grid shares each poset across its dims and weightings, so later
@@ -714,8 +820,8 @@ class TestGroupSlices:
         def unreachable(*args):
             raise AssertionError("a slice was listed afresh")
 
-        # a fresh listing builds each element's matrix; a replay builds none
-        monkeypatch.setattr(isometries, "_block_matrix", unreachable)
+        # a fresh listing builds each label map's row builder; a replay builds none
+        monkeypatch.setattr(isometries, "_row_builder", unreachable)
         support = support_isometry_group(space, one)
         assert len(support) == len(weight) == gl_order(3, 3)
         assert all(iso.matrix is matrix for iso, (_, matrix) in zip(support, weight))
