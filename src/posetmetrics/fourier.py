@@ -19,13 +19,18 @@ and comes from one transform over the 2^n label subsets (MacWilliams and
 Sloane, The Theory of Error-Correcting Codes, ch. 5).  Criterion 7 replays
 character_sum against that transform.  The MacWilliams check keys each code
 by its exact-support enumerator A_C and gets its dual code's distribution
-from A_C and that transform (Kim and Oh, 2005), building no dual code.
+from A_C and that transform (Kim and Oh, 2005), building no dual code.  A_C
+depends only on the space's shape (q, dims), not on the poset or weights, so
+the distinct enumerators are listed once per shape, each with the first code
+that has it, and kept for the last CLASS_CACHE_SHAPES shapes; a check folds
+each enumerator, not each code.
 """
 
 from __future__ import annotations
 
 import operator
 from collections import Counter
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from . import fields
@@ -37,6 +42,7 @@ from .posets import Poset, Value, WeightFunction
 from .spaces import (
     VECTOR_BOUND,
     AlphabetSpec,
+    FieldSpec,
     LinearCode,
     enumerate_codes,
     subspace_count,
@@ -209,38 +215,78 @@ def macwilliams_identity_check(
     """Equal dual-order weight distributions must force equal weight
     distributions of the dual codes; codes are grouped by distribution first.
     Primal block B holds (sum_S A_C(S) H_B(S)) / |C| dual codewords, H_B(S)
-    being B's character sum at a vector of support S (support_transforms)."""
+    being B's character sum at a vector of support S (support_transforms).
+
+    Both distributions read only A_C, so each class of _code_classes is folded
+    once; its first code is the first of its codes in enumeration order, so
+    the witness is the pair of codes a scan of every code would name."""
     _check_code_count(space)
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
     supports, sums = support_transforms(space, primal)
-    q, vectors = space.q, list(space.vectors())
-    block_of = dict(zip(supports, reversed_order.ids))
-    key_width, dual_width = reversed_order.block_count, primal.block_count
-    label_bits = [1 << i for i, k in enumerate(space.dims) for _ in range(k)]
-    groups: dict[tuple[int, ...], list] = {}  # key -> [first code, its dual key, first other]
+    # A class's key (its reversed-order distribution) and |C| times its dual
+    # code's distribution (the key fixes |C| within a group), each packed in
+    # one integer with entry b at bit width * b: every entry is in 0..q^N,
+    # which width bits hold, so equal integers are equal distributions,
+    # whatever negative partial sums carry
+    width = space.vector_count.bit_length()
+    key_of = [0] * (1 << len(space.labels))  # per exact support, its reversed-order block
+    for s, b in zip(supports, reversed_order.ids):
+        key_of[s] = 1 << width * b
+    dual_of = [sum(h << width * b for b, h in enumerate(row)) for row in sums]
+    groups: dict[int, list] = {}  # key -> [first basis, its dual, first other]
+    for masks, counts, basis in _code_classes(space.q, space.dims):
+        key = sum(map(operator.mul, counts, map(key_of.__getitem__, masks)))
+        dual = sum(map(operator.mul, counts, map(dual_of.__getitem__, masks)))
+        group = groups.setdefault(key, [basis, dual, None])
+        if group[2] is None and dual != group[1]:
+            group[2] = basis
+    for first, _, other in groups.values():
+        if other is not None:
+            vectors = list(space.vectors())
+            witness = (LinearCode(space, tuple(vectors[t] for t in first)),
+                       LinearCode(space, tuple(vectors[t] for t in other)))
+            return MacwilliamsResult(False, witness)
+    return MacwilliamsResult(True)
+
+
+# The most space shapes whose code classes are kept; the largest table the code
+# bound admits, F_2^7 with unit blocks (29,212 classes), takes about 6 MB.
+CLASS_CACHE_SHAPES = 4
+
+
+@lru_cache(maxsize=CLASS_CACHE_SHAPES)
+def _code_classes(
+    q: int, dims: tuple[int, ...]
+) -> tuple[tuple[bytes, tuple[int, ...], tuple[int, ...]], ...]:
+    """The distinct exact-support enumerators A_C over the codes of F_q^N
+    with blocks of dims, in order of first appearance in enumerate_codes,
+    each as (supports, counts, basis): the label masks S with A_C(S) > 0 in
+    increasing order as bytes, their A_C(S), and the basis indices of the
+    class's first code.  Masks and indices are positional, so spaces of one
+    shape share the table whatever their labels.  The caller checks the code
+    bound first, which admits at most 7 labels, so every mask fits a byte.
+    """
+    space = AlphabetSpec(FieldSpec(q), tuple(map(str, range(len(dims)))), dims)
+    vectors = list(space.vectors())
+    label_bits = [1 << i for i, k in enumerate(dims) for _ in range(k)]
+    classes: dict[bytes, tuple[int, ...]] = {}  # sorted codeword masks -> first basis
     parts: dict[tuple[int, Vector], list[int]] = {}  # (label bit, column) -> its mask bits
     for basis in enumerate_codes(space, indices=True):
-        # codeword x's block masks, one column of the basis at a time
+        # codeword x's exact support, one column of the basis at a time
         masks = [0] * q ** len(basis)
         for part in zip(label_bits, zip(*(vectors[t] for t in basis))):
             if part not in parts:
                 parts[part] = [part[0] if v else 0 for v in fields.dot_values(q, part[1])]
             masks = list(map(operator.or_, masks, parts[part]))
-        # |C| times the dual code's distribution; the key fixes |C| within a group
-        key, dual = [0] * key_width, [0] * dual_width
-        for s, c in Counter(masks).items():  # the exact-support enumerator A_C
-            key[block_of[s]] += c
-            dual = [d + c * h for d, h in zip(dual, sums[s])]
-        group = groups.setdefault(tuple(key), [basis, dual, None])
-        if group[2] is None and dual != group[1]:
-            group[2] = basis
-    for first, _, other in groups.values():
-        if other is not None:
-            witness = (LinearCode(space, tuple(vectors[t] for t in first)),
-                       LinearCode(space, tuple(vectors[t] for t in other)))
-            return MacwilliamsResult(False, witness)
-    return MacwilliamsResult(True)
+        masks.sort()
+        classes.setdefault(bytes(masks), basis)
+    table, shared = [], {}  # classes share equal count tuples: F_2^7 has 8 distinct ones
+    for masks, basis in classes.items():
+        enumerator = Counter(masks)  # in increasing mask order, as masks is sorted
+        counts = tuple(enumerator.values())
+        table.append((bytes(enumerator), shared.setdefault(counts, counts), basis))
+    return tuple(table)
 
 
 def _check_code_count(space: AlphabetSpec) -> None:

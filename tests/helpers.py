@@ -3,10 +3,11 @@
 import itertools
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
-from posetmetrics import fields, isometries, lattices, mep, posets, spaces
+from posetmetrics import fields, fourier, isometries, lattices, mep, posets, spaces
 from posetmetrics.errors import (
     BoundExceeded, GroupBoundExceeded, PredicateUnavailable, ValidationError,
 )
@@ -596,6 +597,41 @@ def mep_predicate_oracle(space, poset: posets.Poset, omega) -> "mep.MepVerdict":
             "run the brute-force check instead"
         )
     return mep.MepVerdict(holds=holds, predicate_trace=trace)
+
+
+def macwilliams_identity_check_oracle(space, poset: posets.Poset, omega) -> "fourier.MacwilliamsResult":
+    """fourier.macwilliams_identity_check as it was before the per-shape class
+    table, kept as its oracle: every code's exact-support enumerator A_C is
+    counted afresh, per call, and folded into its key and dual as tuples."""
+    fourier._check_code_count(space)
+    primal = fourier.weight_partition(space, poset, omega)
+    reversed_order = fourier.weight_partition(space, poset.dual(), omega)
+    supports, sums = fourier.support_transforms(space, primal)
+    q, vectors = space.q, list(space.vectors())
+    block_of = dict(zip(supports, reversed_order.ids))
+    key_width, dual_width = reversed_order.block_count, primal.block_count
+    label_bits = [1 << i for i, k in enumerate(space.dims) for _ in range(k)]
+    groups: dict = {}  # key -> [first code, its dual key, first other]
+    parts: dict = {}  # (label bit, column) -> its mask bits
+    for basis in spaces.enumerate_codes(space, indices=True):
+        masks = [0] * q ** len(basis)
+        for part in zip(label_bits, zip(*(vectors[t] for t in basis))):
+            if part not in parts:
+                parts[part] = [part[0] if v else 0 for v in fields.dot_values(q, part[1])]
+            masks = list(map(operator.or_, masks, parts[part]))
+        key, dual = [0] * key_width, [0] * dual_width
+        for s, c in Counter(masks).items():
+            key[block_of[s]] += c
+            dual = [d + c * h for d, h in zip(dual, sums[s])]
+        group = groups.setdefault(tuple(key), [basis, dual, None])
+        if group[2] is None and dual != group[1]:
+            group[2] = basis
+    for first, _, other in groups.values():
+        if other is not None:
+            witness = (spaces.LinearCode(space, tuple(vectors[t] for t in first)),
+                       spaces.LinearCode(space, tuple(vectors[t] for t in other)))
+            return fourier.MacwilliamsResult(False, witness)
+    return fourier.MacwilliamsResult(True)
 
 
 def fraction_weight_fields(labels, values) -> tuple[dict, tuple]:

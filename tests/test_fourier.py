@@ -24,7 +24,7 @@ from posetmetrics.fourier import (
     weight_partition,
 )
 from posetmetrics.instances import load_instance
-from posetmetrics.posets import Poset, WeightFunction
+from posetmetrics.posets import Poset, WeightFunction, powers_of_two_weight
 from posetmetrics.spaces import (
     AlphabetSpec,
     FieldSpec,
@@ -34,6 +34,8 @@ from posetmetrics.spaces import (
     support_classes,
     vector_masks,
 )
+
+from helpers import macwilliams_identity_check_oracle
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -581,11 +583,92 @@ class TestMacwilliams:
             raise AssertionError("a code was enumerated")
 
         monkeypatch.setattr(fourier, "enumerate_codes", unreachable)
+        fourier._code_classes.cache_clear()
         chain = Poset.chain(tuple("abcdefghi"[:n]))
         space = AlphabetSpec.uniform(FieldSpec(q), chain.elements, 1)
         message = f"^F_{q}\\^{n} has {count} subspaces, over the code bound 65536$"
         with pytest.raises(BoundExceeded, match=message):
             macwilliams_identity_check(space, chain, ones(chain))
+        # and no class table was started
+        assert fourier._code_classes.cache_info().misses == 0
+
+
+class TestCodeClasses:
+    """The per-shape class table against the per-call oracle, and its cache."""
+
+    def _grid(self):
+        """(id, space, poset, omega): every labeled poset on up to 4 elements
+        at q = 2 and on up to 3 at q = 3, unit blocks, and the 3-element ones
+        with blocks (1, 2, 1) at q = 2 and (2, 2, 1) at q = 3, whose codes
+        share classes; each with unit, doubling and random rational weights."""
+        rng = random.Random(37)
+        for n in (1, 2, 3, 4):
+            for poset in _labeled_posets(n):
+                shapes = [(2, (1,) * n)] + [(3, (1,) * n)] * (n <= 3)
+                shapes += [(2, (1, 2, 1)), (3, (2, 2, 1))] * (n == 3)
+                for q, dims in shapes:
+                    space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                    weights = (ones(poset), powers_of_two_weight(poset),
+                               random_rational_weights(poset, rng))
+                    for w, omega in enumerate(weights):
+                        case = f"{order_id(poset)}-q{q}-{''.join(map(str, dims))}-w{w}"
+                        yield case, space, poset, omega
+
+    def test_equals_the_per_call_oracle(self):
+        compared, failed = 0, set()
+        for case, space, poset, omega in self._grid():
+            result = macwilliams_identity_check(space, poset, omega)
+            assert result == macwilliams_identity_check_oracle(space, poset, omega), case
+            compared += 1
+            if not result.holds:
+                failed.add((space.q, space.dims))
+                assert all(code.space == space for code in result.witness), case
+        assert compared == 3 * (242 + 23 + 2 * 19)
+        # witnesses on every 3- and 4-label shape, the merging ones included
+        assert failed == {(2, (1, 1, 1)), (2, (1, 1, 1, 1)), (3, (1, 1, 1)), (2, (1, 2, 1)),
+                          (3, (2, 2, 1))}
+
+    def test_alternating_shapes_evict_and_rebuild(self):
+        """More shapes than the cache keeps, in turn, so each is rebuilt."""
+        cases = [(AlphabetSpec(FieldSpec(q), MIXED.elements, dims), omega)
+                 for q, dims in [(2, (1, 1, 1)), (2, (1, 2, 1)), (3, (1, 1, 1)), (2, (2, 1, 1)),
+                                 (2, (1, 1, 2)), (3, (1, 2, 1))]
+                 for omega in (ones(MIXED), WeightFunction.from_map({"a": 2, "b": 1, "c": 1}))]
+        shapes = len(cases) // 2
+        assert shapes > fourier.CLASS_CACHE_SHAPES
+        fourier._code_classes.cache_clear()
+        for _ in range(2):
+            for space, omega in cases:
+                expected = macwilliams_identity_check_oracle(space, MIXED, omega)
+                assert macwilliams_identity_check(space, MIXED, omega) == expected
+        info = fourier._code_classes.cache_info()
+        # least recently used: each shape is gone before its turn comes again
+        assert info.misses == info.hits == 2 * shapes
+        assert info.currsize == fourier.CLASS_CACHE_SHAPES
+
+    def test_one_table_for_spaces_of_one_shape(self, monkeypatch):
+        built = []
+
+        def counted(*args, **kwargs):
+            built.append(args)
+            return enumerate_codes(*args, **kwargs)
+
+        monkeypatch.setattr(fourier, "enumerate_codes", counted)
+        fourier._code_classes.cache_clear()
+        relabeled = Poset.from_covers(("x", "y", "z"), [("x", "y")])
+        results = []
+        for poset in (MIXED, relabeled):
+            space = AlphabetSpec(F3, poset.elements, (2, 2, 1))
+            result = macwilliams_identity_check(space, poset, ones(poset))
+            assert not result.holds
+            # the witness codes live on the space asked about, not the table's
+            assert [code.space for code in result.witness] == [space, space]
+            results.append([code.basis for code in result.witness])
+        assert len(built) == 1
+        assert results[0] == results[1]
+
+    def test_cache_bound_is_a_fixed_constant(self):
+        assert fourier._code_classes.cache_info().maxsize == fourier.CLASS_CACHE_SHAPES == 4
 
 
 class TestAudit:
