@@ -338,7 +338,8 @@ def cmd_macwilliams(args) -> tuple[dict, int]:
     from .instances import load_instance
 
     inst = load_instance(args.instance)
-    result = macwilliams_identity_check(inst.space, inst.poset, inst.omega)
+    trace: dict = {}  # the class table's work and times, outside the digest
+    result = macwilliams_identity_check(inst.space, inst.poset, inst.omega, trace)
     results = {"identity_holds": result.holds}
     witnesses = {}
     if result.witness is not None:
@@ -347,7 +348,7 @@ def cmd_macwilliams(args) -> tuple[dict, int]:
             "first_basis": [list(r) for r in first.basis],
             "second_basis": [list(r) for r in second.basis],
         }
-    return build_report("macwilliams", inst.digest, results, witnesses), 0
+    return build_report("macwilliams", inst.digest, results, witnesses, trace=trace), 0
 
 
 def cmd_audit(args) -> tuple[dict, int]:
@@ -355,7 +356,8 @@ def cmd_audit(args) -> tuple[dict, int]:
     from .instances import load_instance
 
     inst = load_instance(args.instance)
-    audit = coding_property_audit(inst.space, inst.poset, inst.omega)
+    trace: dict = {}
+    audit = coding_property_audit(inst.space, inst.poset, inst.omega, trace)
     results = {
         "statements": audit.statements,
         "hierarchical": audit.hierarchical,
@@ -364,7 +366,7 @@ def cmd_audit(args) -> tuple[dict, int]:
         "consistent": audit.consistent,
         "implication_failures": list(audit.implication_failures),
     }
-    return build_report("audit", inst.digest, results), 0 if audit.consistent else 1
+    return build_report("audit", inst.digest, results, trace=trace), 0 if audit.consistent else 1
 
 
 def cmd_accept(args) -> tuple[dict, int]:

@@ -22,13 +22,14 @@ by its exact-support enumerator A_C and gets its dual code's distribution
 from A_C and that transform (Kim and Oh, 2005), building no dual code.  A_C
 depends only on the space's shape (q, dims), not on the poset or weights, so
 the distinct enumerators are listed once per shape, each with the first code
-that has it, and kept for the last CLASS_CACHE_SHAPES shapes; a check folds
+that has it, and kept for the last CACHED_SHAPES shapes; a check folds
 each enumerator, not each code.
 """
 
 from __future__ import annotations
 
 import operator
+import time
 from collections import Counter
 from functools import lru_cache
 from typing import Iterable, Optional
@@ -40,6 +41,8 @@ from .isometries import weight_sum_functional
 from .mep import condition_report, level_class_bound, mep_brute_force, single_orbit_check
 from .posets import Poset, Value, WeightFunction
 from .spaces import (
+    CACHED_SHAPES,
+    CODE_BOUND,
     VECTOR_BOUND,
     AlphabetSpec,
     FieldSpec,
@@ -49,10 +52,6 @@ from .spaces import (
     support_classes,
     vector_masks,
 )
-
-# The most codes macwilliams_identity_check enumerates: F_2^7 has 29,212
-# subspaces and is admitted, F_2^8 has 417,199 and is refused.
-CODE_BOUND = 1 << 16
 
 
 class CyclotomicInteger(Value):
@@ -210,7 +209,7 @@ class MacwilliamsResult(Value):
 
 
 def macwilliams_identity_check(
-    space: AlphabetSpec, poset: Poset, omega: WeightFunction
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction, trace: Optional[dict] = None
 ) -> MacwilliamsResult:
     """Equal dual-order weight distributions must force equal weight
     distributions of the dual codes; codes are grouped by distribution first.
@@ -219,7 +218,8 @@ def macwilliams_identity_check(
 
     Both distributions read only A_C, so each class of _code_classes is folded
     once; its first code is the first of its codes in enumeration order, so
-    the witness is the pair of codes a scan of every code would name."""
+    the witness is the pair of codes a scan of every code would name.  A
+    given trace dict gets the class table's work and times in milliseconds."""
     _check_code_count(space)
     primal = weight_partition(space, poset, omega)
     reversed_order = weight_partition(space, poset.dual(), omega)
@@ -235,27 +235,32 @@ def macwilliams_identity_check(
         key_of[s] = 1 << width * b
     dual_of = [sum(h << width * b for b, h in enumerate(row)) for row in sums]
     groups: dict[int, list] = {}  # key -> [first basis, its dual, first other]
-    for masks, counts, basis in _code_classes(space.q, space.dims):
+    start, misses = time.perf_counter(), _code_classes.cache_info().misses
+    classes = _code_classes(space.q, space.dims)
+    built, fold_start = _code_classes.cache_info().misses > misses, time.perf_counter()
+    for masks, counts, basis in classes:
         key = sum(map(operator.mul, counts, map(key_of.__getitem__, masks)))
         dual = sum(map(operator.mul, counts, map(dual_of.__getitem__, masks)))
         group = groups.setdefault(key, [basis, dual, None])
         if group[2] is None and dual != group[1]:
             group[2] = basis
-    for first, _, other in groups.values():
-        if other is not None:
-            vectors = list(space.vectors())
-            witness = (LinearCode(space, tuple(vectors[t] for t in first)),
-                       LinearCode(space, tuple(vectors[t] for t in other)))
-            return MacwilliamsResult(False, witness)
-    return MacwilliamsResult(True)
+    witness = next(((first, other) for first, _, other in groups.values() if other is not None),
+                   None)
+    if trace is not None:
+        codes = subspace_count(space.total_dim, space.q) if built else 0
+        trace.update(class_table="built" if built else "reused", codes_enumerated=codes,
+                     classes_folded=len(classes), build_ms=round((fold_start - start) * 1000, 3),
+                     fold_ms=round((time.perf_counter() - fold_start) * 1000, 3))
+    if witness is None:
+        return MacwilliamsResult(True)
+    vectors = list(space.vectors())
+    return MacwilliamsResult(False, tuple(
+        LinearCode(space, tuple(map(vectors.__getitem__, basis))) for basis in witness))
 
 
-# The most space shapes whose code classes are kept; the largest table the code
-# bound admits, F_2^7 with unit blocks (29,212 classes), takes about 6 MB.
-CLASS_CACHE_SHAPES = 4
-
-
-@lru_cache(maxsize=CLASS_CACHE_SHAPES)
+# The largest class table the code bound admits, F_2^7 with unit blocks (29,212
+# classes), takes about 6 MB.
+@lru_cache(maxsize=CACHED_SHAPES)
 def _code_classes(
     q: int, dims: tuple[int, ...]
 ) -> tuple[tuple[bytes, tuple[int, ...], tuple[int, ...]], ...]:
@@ -327,7 +332,9 @@ class AuditReport(Value):
         return not self.implication_failures and self.block_counts_match
 
 
-def coding_property_audit(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> AuditReport:
+def coding_property_audit(
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction, trace: Optional[dict] = None
+) -> AuditReport:
     """Evaluate the seven comparison statements and check their implication web.
 
     One-directional: extension property forces orbit transitivity; matched
@@ -336,7 +343,8 @@ def coding_property_audit(space: AlphabetSpec, poset: Poset, omega: WeightFuncti
     the identity.  With a hierarchical order the extension property equals
     matched UDP plus the level class bound, and with integer (or all-ones)
     weights the middle five statements collapse into one.  The code bound
-    of the identity check is checked before the first statement runs.
+    of the identity check is checked before the first statement runs.  A
+    given trace dict gets the identity check's under "macwilliams_identity".
     """
     _check_code_count(space)
     mep_verdict = mep_brute_force(space, poset, omega)
@@ -346,7 +354,8 @@ def coding_property_audit(space: AlphabetSpec, poset: Poset, omega: WeightFuncti
     reversed_order = weight_partition(space, poset.dual(), omega)
     dual = dual_partition(space, primal)
     dual_match = dual == reversed_order
-    identity = macwilliams_identity_check(space, poset, omega).holds
+    identity_trace = None if trace is None else trace.setdefault("macwilliams_identity", {})
+    identity = macwilliams_identity_check(space, poset, omega, identity_trace).holds
     reflexive = dual_partition(space, dual) == primal
     bound_ok, _ = level_class_bound(space, poset, omega)
     statements = {

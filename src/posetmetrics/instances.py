@@ -45,7 +45,9 @@ def _parse_fraction(raw, where: str) -> Fraction:
         raise ValidationError(f"{where}: floats are not accepted, use strings like '1/3'")
     try:
         return Fraction(raw)
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except ZeroDivisionError:
+        raise ValidationError(f"{where}: {raw!r} has a zero denominator") from None
+    except (ValueError, TypeError) as exc:
         raise ValidationError(f"{where}: {exc}") from None
 
 

@@ -441,7 +441,7 @@ def subspace_lattice(q: int, k: int) -> FiniteLattice:
     subspaces.
     """
     if k < 1:
-        raise ValidationError("every block dimension must be at least 1")
+        raise ValidationError(f"k must be >= 1, got {k}")
     if q >= 2 and power_over(q, k, POINT_BOUND):  # a huge k is never raised to a power
         raise BoundExceeded(f"F_{q}^{k} has {q}^{k} points, over the bound {POINT_BOUND}")
     field_spec = FieldSpec(q)

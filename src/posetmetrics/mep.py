@@ -29,7 +29,11 @@ are searched once per class partition of the poset (`Poset.automorphisms`)
 and shared by the scan, the extension search and the orbit check
 (`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
-own currency; only a counterexample's code is built as a `LinearCode`.
+own currency; only a counterexample's code is built as a `LinearCode`.  That
+still holds where `enumerate_codes` replays its shape's recorded stream.  A
+code's span is read from the span table of its shape (q, N) in
+`spaces.shape_tables`, under the same bounds, and spanned by
+`SpaceIndex.span_indices` only on a miss.
 
 The closed form (`mep_predicate`) picks its route, all-ones weights or a
 hierarchical poset, before it computes any condition, and refuses any other
@@ -68,7 +72,9 @@ from .isometries import (
     weight_sum_functional,
 )
 from .posets import Poset, Value, WeightFunction, set_bits, udp_check
-from .spaces import VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, support_classes, weight
+from .spaces import (
+    VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, shape_tables, support_classes, weight,
+)
 
 
 # The most entries of a q != 2 addition table (q = 2 adds by xor).
@@ -270,6 +276,8 @@ def mep_brute_force(
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
     held: set[frozenset[int]] = set()  # spans of the orbits of codes that held
+    tables = shape_tables(space.q, n)
+    spans = {} if tables is None else tables[2]  # a shape past the code bound keeps none
     for basis_idx in enumerate_codes(space, max_dim=top, indices=True):
         d = len(basis_idx)
         if d == 0:
@@ -278,7 +286,11 @@ def mep_brute_force(
             raise MapBoundExceeded(
                 f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}"
             )
-        span = frozenset(si.span_indices(basis_idx))
+        span = spans.get(basis_idx)
+        if span is None:
+            span = frozenset(si.span_indices(basis_idx))
+            if tables is not None:
+                spans[basis_idx] = span
         if span in held:
             continue
         if not _holds_on(si, basis_idx, columns):

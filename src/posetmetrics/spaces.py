@@ -5,13 +5,18 @@ label.  Vectors are flat int tuples of length N = sum k_i; the space knows
 each block's slice.  Codes are kept in reduced row echelon form, which is
 the unique canonical basis, so code equality and hashing are structural.
 enumerate_codes also yields the codes as their rows' lexicographic vector
-indices, which the MEP scan and the MacWilliams check read directly.
+indices, which the MEP scan and the MacWilliams check read directly.  These
+depend only on the shape (q, N): for the last CACHED_SHAPES shapes read with
+at most CODE_BOUND subspaces, the stream is recorded lazily as it is read and
+replayed, with the code spans of the MEP scan beside it (shape_tables).
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import fields
@@ -259,16 +264,34 @@ def subspace_count(n: int, q: int) -> int:
     return sum(gaussian_binomial(n, k, q) for k in range(n + 1))
 
 
+# The most subspaces a shape (q, N) may have for its tables to be kept (F_2^7
+# has 29,212, F_2^8 417,199), and the most shapes kept, here and in fourier.
+CODE_BOUND = 1 << 16
+CACHED_SHAPES = 4
+_pulling = threading.Lock()
+
+
+def shape_tables(q: int, n: int) -> Optional[tuple[list, Iterator, dict]]:
+    """The kept tables of F_q^n, or None past CODE_BOUND, which keeps nothing."""
+    return _shape_tables(q, n) if subspace_count(n, q) <= CODE_BOUND else None
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _shape_tables(q: int, n: int) -> tuple[list, Iterator, dict]:
+    """Per shape, made empty on first use: its codes recorded so far, the
+    stream that records the rest, and the code spans the MEP scan has read."""
+    return [], _code_stream(q, n), {}
+
+
 def enumerate_codes(
     space: AlphabetSpec, max_dim: Optional[int] = None, indices: bool = False
 ) -> Iterator[LinearCode | tuple[int, ...]]:
     """Every subspace exactly once via its RREF, ordered by dimension; with
     indices, as its basis rows' lexicographic vector indices, which the
-    scans read directly.
+    scans read directly.  The LinearCode form is built from the same indices.
 
-    Within one dimension the order is (pivot columns, free entries), both
-    lexicographic, so the stream is deterministic.  The free entries run row
-    by row, so each pivot set's bases are a product of per-row index lists.
+    A kept shape (shape_tables) replays its recorded stream, pulling a code
+    from the stream only past the end of the record and never past max_dim.
     """
     if space.vectors_over(VECTOR_BOUND):
         raise BoundExceeded(
@@ -276,10 +299,40 @@ def enumerate_codes(
         )
     q = space.q
     n = space.total_dim
-    top = n if max_dim is None else min(max_dim, n)
-    yield () if indices else LinearCode.zero(space)
-    vectors = None if indices else list(space.vectors())
-    for d in range(1, top + 1):
+    top = n if max_dim is None else max(0, min(max_dim, n))
+    stop = sum(gaussian_binomial(n, d, q) for d in range(top + 1))  # the codes up to top
+    tables = shape_tables(q, n)
+    codes = _replay(*tables[:2], stop) if tables else itertools.islice(_code_stream(q, n), stop)
+    if not indices:
+        vectors = list(space.vectors())
+        codes = (LinearCode(space, tuple(map(vectors.__getitem__, basis))) for basis in codes)
+    yield from codes
+
+
+def _replay(record: list, stream: Iterator, stop: int) -> Iterator[tuple[int, ...]]:
+    """The first stop codes of a record, extended from its stream one code at
+    a time where no reader has been."""
+    done = 0
+    while done < stop:
+        if done < len(record):
+            chunk = record[done:stop]  # a copy: readers interleaved here do not move it
+            done += len(chunk)
+            yield from chunk
+            continue
+        with _pulling:  # a stream runs in one thread at a time
+            if done == len(record):
+                record.append(next(stream))
+        yield record[done]
+        done += 1
+
+
+def _code_stream(q: int, n: int) -> Iterator[tuple[int, ...]]:
+    """The bases of F_q^n's subspaces as tuples of vector indices.  Within one
+    dimension the order is (pivot columns, free entries), both lexicographic,
+    so the stream is deterministic.  The free entries run row by row, so each
+    pivot set's bases are a product of per-row index lists."""
+    yield ()
+    for d in range(1, n + 1):
         for pivots in itertools.combinations(range(n), d):
             rows = []
             for p in pivots:
@@ -287,5 +340,4 @@ def enumerate_codes(
                 for place in (q ** (n - 1 - c) for c in range(p + 1, n) if c not in pivots):
                     row = [t + v * place for t in row for v in range(q)]
                 rows.append(row)
-            for basis in itertools.product(*rows):
-                yield basis if indices else LinearCode(space, tuple(map(vectors.__getitem__, basis)))
+            yield from itertools.product(*rows)

@@ -55,7 +55,7 @@ def subspace_lattice_oracle(q: int, k: int) -> lattices.FiniteLattice:
     lattices.subspace_lattice, which builds its members from codeword
     indices.  No bounds are checked."""
     space = spaces.AlphabetSpec(spaces.FieldSpec(q), ("x",), (k,))
-    members = [frozenset(code.codewords()) for code in spaces.enumerate_codes(space)]
+    members = [frozenset(code.codewords()) for code in enumerate_codes_oracle(space)]
     return lattices.FiniteLattice.from_sets(list(space.vectors()), members)
 
 
@@ -613,7 +613,7 @@ def macwilliams_identity_check_oracle(space, poset: posets.Poset, omega) -> "fou
     label_bits = [1 << i for i, k in enumerate(space.dims) for _ in range(k)]
     groups: dict = {}  # key -> [first code, its dual key, first other]
     parts: dict = {}  # (label bit, column) -> its mask bits
-    for basis in spaces.enumerate_codes(space, indices=True):
+    for basis in enumerate_codes_oracle(space, indices=True):
         masks = [0] * q ** len(basis)
         for part in zip(label_bits, zip(*(vectors[t] for t in basis))):
             if part not in parts:
@@ -632,6 +632,32 @@ def macwilliams_identity_check_oracle(space, poset: posets.Poset, omega) -> "fou
                        spaces.LinearCode(space, tuple(vectors[t] for t in other)))
             return fourier.MacwilliamsResult(False, witness)
     return fourier.MacwilliamsResult(True)
+
+
+def enumerate_codes_oracle(space, max_dim: Optional[int] = None, indices: bool = False) -> Iterator:
+    """spaces.enumerate_codes as it was before the recorded per-shape
+    streams, kept as its oracle: every call enumerates afresh."""
+    if space.vectors_over(spaces.VECTOR_BOUND):
+        raise BoundExceeded(
+            f"space holds {space.vector_count_text} vectors, over the bound {spaces.VECTOR_BOUND}"
+        )
+    q = space.q
+    n = space.total_dim
+    top = n if max_dim is None else min(max_dim, n)
+    yield () if indices else spaces.LinearCode.zero(space)
+    vectors = None if indices else list(space.vectors())
+    for d in range(1, top + 1):
+        for pivots in itertools.combinations(range(n), d):
+            rows = []
+            for p in pivots:
+                row = [q ** (n - 1 - p)]
+                for place in (q ** (n - 1 - c) for c in range(p + 1, n) if c not in pivots):
+                    row = [t + v * place for t in row for v in range(q)]
+                rows.append(row)
+            for basis in itertools.product(*rows):
+                yield basis if indices else spaces.LinearCode(
+                    space, tuple(map(vectors.__getitem__, basis))
+                )
 
 
 def fraction_weight_fields(labels, values) -> tuple[dict, tuple]:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from posetmetrics import cli, isometries, mep
+from posetmetrics import cli, fourier, isometries, mep
 from posetmetrics.cli import main
 from posetmetrics.instances import instance_from_dict, load_instance
 from posetmetrics.errors import BoundExceeded, ValidationError
@@ -475,6 +475,8 @@ class TestCommands:
             (("subspace", "2"), "usage: lattice subspace <q> <k>"),
             (("boolean", "2.5"), "usage: lattice boolean <n>"),
             (("boolean", "-3"), "n must be >= 0"),
+            (("subspace", "2", "0"), "validation error: k must be >= 1, got 0\n"),
+            (("subspace", "3", "-2"), "validation error: k must be >= 1, got -2\n"),
             (("subspace", "4", "2"), "not prime"),
             (("subspace", "2", "3", "--module-rank", "0"), "rank e must be at least 1"),
         ],
@@ -482,6 +484,14 @@ class TestCommands:
     def test_lattice_bad_arguments_exit_two(self, capsys, spec, message):
         assert main(["lattice", *spec]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw", ["1/0", "-3/0", "0/0"])
+    def test_zero_denominator_weight_is_named(self, tmp_path, capsys, raw):
+        path = tmp_path / "zero_denominator.json"
+        doc = {"q": 2, "poset": {"elements": ["a", "b"], "covers": []}, "omega": {"a": "1", "b": raw}}
+        path.write_text(json.dumps(doc))
+        assert main(["poset", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err == f"validation error: omega[b]: {raw!r} has a zero denominator\n"
 
     @pytest.mark.parametrize("spec", [("boolean", "30"), ("subspace", "2", "7"), ("subspace", "2", "13")])
     def test_lattice_bounds_exit_three_before_work(self, capsys, spec):
@@ -514,6 +524,27 @@ class TestCommands:
             assert main(["lattice", "file", str(path)]) == 2
         (tmp_path / "latin1.json").write_bytes(b"\xff")
         assert main(["lattice", "file", str(tmp_path / "latin1.json")]) == 2
+
+    def test_macwilliams_and_audit_trace_the_class_table(self, capsys):
+        # the trace says what the identity check did and stays out of the digest
+        fourier._code_classes.cache_clear()
+        path = str(INSTANCES / "mixed3.json")  # F_2^3: 16 codes, each its own class
+        reports = [run_json(capsys, "macwilliams", "--instance", path)[1] for _ in range(2)]
+        traces = [report.pop("trace") for report in reports]
+        assert [list(trace) for trace in traces] == [
+            ["class_table", "codes_enumerated", "classes_folded", "build_ms", "fold_ms"]] * 2
+        assert [(t["class_table"], t["codes_enumerated"], t["classes_folded"]) for t in traces] == [
+            ("built", 16, 16), ("reused", 0, 16)]
+        assert all(t["build_ms"] >= 0 and t["fold_ms"] >= 0 for t in traces)
+        fourier._code_classes.cache_clear()
+        _, audit = run_json(capsys, "audit", "--instance", path)
+        (name, identity), = audit.pop("trace").items()
+        assert (name, identity["class_table"], identity["codes_enumerated"]) == (
+            "macwilliams_identity", "built", 16)
+        assert reports[0]["report_digest"] == reports[1]["report_digest"]
+        for report in (reports[0], audit):
+            body = {key: report[key] for key in ("command", "instance_digest", "results", "witnesses")}
+            assert build_report(**body)["report_digest"] == report["report_digest"]
 
     def test_macwilliams_refutation(self, capsys):
         code, payload = run_json(

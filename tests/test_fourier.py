@@ -635,7 +635,7 @@ class TestCodeClasses:
                                  (2, (1, 1, 2)), (3, (1, 2, 1))]
                  for omega in (ones(MIXED), WeightFunction.from_map({"a": 2, "b": 1, "c": 1}))]
         shapes = len(cases) // 2
-        assert shapes > fourier.CLASS_CACHE_SHAPES
+        assert shapes > fourier.CACHED_SHAPES
         fourier._code_classes.cache_clear()
         for _ in range(2):
             for space, omega in cases:
@@ -644,7 +644,7 @@ class TestCodeClasses:
         info = fourier._code_classes.cache_info()
         # least recently used: each shape is gone before its turn comes again
         assert info.misses == info.hits == 2 * shapes
-        assert info.currsize == fourier.CLASS_CACHE_SHAPES
+        assert info.currsize == fourier.CACHED_SHAPES
 
     def test_one_table_for_spaces_of_one_shape(self, monkeypatch):
         built = []
@@ -668,7 +668,7 @@ class TestCodeClasses:
         assert results[0] == results[1]
 
     def test_cache_bound_is_a_fixed_constant(self):
-        assert fourier._code_classes.cache_info().maxsize == fourier.CLASS_CACHE_SHAPES == 4
+        assert fourier._code_classes.cache_info().maxsize == fourier.CACHED_SHAPES == 4
 
 
 class TestAudit:

@@ -448,7 +448,7 @@ class TestBoundsBeforeWork:
             subspace_lattice(3, 10**15)
 
     def test_subspace_dimension_and_field(self):
-        with pytest.raises(ValidationError, match="at least 1"):
+        with pytest.raises(ValidationError, match=r"^k must be >= 1, got -1$"):
             subspace_lattice(0, -1)
         with pytest.raises(ValidationError, match="not prime"):
             subspace_lattice(4, 2)

@@ -58,8 +58,8 @@ from posetmetrics.spaces import (
 )
 
 from helpers import (
-    closure_key, condition_report_oracle, indexed_group_oracle, key_for, linear_maps,
-    mep_predicate_oracle,
+    closure_key, condition_report_oracle, enumerate_codes_oracle, indexed_group_oracle, key_for,
+    linear_maps, mep_predicate_oracle,
 )
 
 F2 = FieldSpec(2)
@@ -688,6 +688,94 @@ def _movers_marking(columns, basis_idx, span):
     basis-image tuple, kept as the oracle of _orbit_spans."""
     movers = dict(zip(zip(*(columns[b] for b in basis_idx)), zip(*columns)))
     return {frozenset(map(p.__getitem__, span)) for p in movers.values()}
+
+
+def _scan_grid():
+    """Every labeled poset on up to 4 elements at q = 2 and on up to 3 at
+    q = 3, unit blocks, with unit, doubling and alternating 1/2, 1 weights."""
+    for q, most in ((2, 4), (3, 3)):
+        for size in range(1, most + 1):
+            for poset in _labeled_posets(size):
+                space = AlphabetSpec.uniform(FieldSpec(q), poset.elements, 1)
+                for omega in _omega_variants(poset):
+                    yield space, poset, omega
+
+
+class TestRecordedScan:
+    """The scan on the kept code streams and span tables of spaces.shape_tables."""
+
+    @pytest.fixture(autouse=True)
+    def _no_kept_shapes(self):
+        spaces._shape_tables.cache_clear()
+        yield
+        spaces._shape_tables.cache_clear()
+
+    def test_cold_and_warm_equal_the_scan_that_keeps_nothing(self, monkeypatch):
+        with monkeypatch.context() as patched:
+            for module in (spaces, mep):
+                patched.setattr(module, "shape_tables", lambda q, n: None)
+            unkept = [mep_brute_force(*case) for case in _scan_grid()]
+        assert spaces._shape_tables.cache_info().misses == 0
+        cold = []
+        for case in _scan_grid():
+            spaces._shape_tables.cache_clear()
+            cold.append(mep_brute_force(*case))
+        warm = [mep_brute_force(*case) for case in _scan_grid()]  # tables shared by every case
+        assert cold == warm == unkept
+        assert Counter((v.holds, v.counterexample is not None) for v in unkept) == {
+            (True, False): 488, (False, True): 307,
+        }
+
+    def test_a_scan_failing_at_dimension_one_pulls_no_dimension_two_code(self):
+        space = AlphabetSpec(F2, ANTI2.elements, (2, 1))
+        verdict = mep_brute_force(space, ANTI2, WeightFunction.ones(ANTI2.elements))
+        code, _ = verdict.counterexample
+        assert code.dim == 1
+        oracle = list(enumerate_codes_oracle(space, indices=True))
+        record, _, spans = spaces._shape_tables(2, 3)
+        failing = oracle.index(tuple(fields.vec_index(2, row) for row in code.basis))
+        assert record == oracle[: failing + 1]
+        assert set(spans) <= set(record[1:])
+
+    def test_span_tables_hold_their_own_shapes_spans(self):
+        # two shapes of one q in turn, so a table keyed by q alone would
+        # hold the second shape's spans under the first
+        for n in (3, 4):
+            poset = Poset.chain(tuple("abcd"[:n]))
+            space = AlphabetSpec.uniform(F2, poset.elements, 1)
+            assert mep_brute_force(space, poset, WeightFunction.ones(poset.elements)).holds
+            si = SpaceIndex(space, poset, closure_key)
+            bases = set(enumerate_codes_oracle(space, indices=True))
+            spans = spaces._shape_tables(2, n)[2]
+            assert spans and set(spans) <= bases
+            assert all(span == frozenset(si.span_indices(b)) for b, span in spans.items())
+
+    def test_a_warm_scan_spans_no_code(self, monkeypatch):
+        calls = []
+        span_indices = SpaceIndex.span_indices
+
+        def counting(self, basis, *prefix):
+            calls.append(bool(prefix))  # a code's span starts from no prefix
+            return span_indices(self, basis, *prefix)
+
+        monkeypatch.setattr(SpaceIndex, "span_indices", counting)
+        space = AlphabetSpec.uniform(F2, MIXED.elements, 1)
+        verdict = mep_brute_force(space, MIXED, ONES3)
+        cold = calls.count(False)
+        calls.clear()
+        assert mep_brute_force(space, MIXED, ONES3) == verdict
+        warm = calls.count(False)
+        calls.clear()
+        mep._indexed_group(space, MIXED, key_for(MIXED, ONES3, "weight"))
+        assert cold > warm == calls.count(False) > 0  # the group's own spans, and no code's
+
+    def test_a_shape_past_the_code_bound_keeps_no_span(self):
+        anti = Poset.antichain(tuple(f"x{t}" for t in range(8)))
+        space = AlphabetSpec.uniform(F2, anti.elements, 1)
+        verdict = mep_brute_force(space, anti, powers_of_two_weight(anti), max_dim=1)
+        assert verdict == MepVerdict(holds=True, complete=False)
+        assert spaces.shape_tables(2, 8) is None
+        assert spaces._shape_tables.cache_info().misses == 0
 
 
 class TestHeldOrbitOracle:

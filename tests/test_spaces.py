@@ -1,11 +1,13 @@
 """Ambient spaces: supports, weights, metric axioms, codes and duals."""
 
 import itertools
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from posetmetrics import fields
+from posetmetrics import fields, spaces
 from posetmetrics.acceptance import _labeled_posets, _omega_variants
 from posetmetrics.errors import BoundExceeded, ValidationError
 from posetmetrics.isometries import weight_sum_functional
@@ -27,7 +29,7 @@ from posetmetrics.spaces import (
     weight,
 )
 
-from helpers import key_for, value_for
+from helpers import enumerate_codes_oracle, key_for, value_for
 
 F2 = FieldSpec(2)
 F3 = FieldSpec(3)
@@ -363,3 +365,122 @@ class TestEnumeration:
             ]
             assert list(enumerate_codes(space, max_dim)) == oracle
         assert len(oracle) == subspace_count(n, q)
+
+
+# The shapes (q, N) of the recorded-stream differential: q = 2 with N <= 6,
+# q = 3 with N <= 4 and q = 5 with N <= 3, in that order.
+STREAM_SHAPES = [(q, n) for q, most in ((2, 6), (3, 4), (5, 3)) for n in range(1, most + 1)]
+
+
+def _unit_space(q: int, n: int) -> AlphabetSpec:
+    return AlphabetSpec.uniform(FieldSpec(q), tuple(f"x{t}" for t in range(n)), 1)
+
+
+class TestRecordedStream:
+    """The per-shape recorded code stream against the per-call oracle."""
+
+    @pytest.fixture(autouse=True)
+    def _no_kept_shapes(self):
+        spaces._shape_tables.cache_clear()
+        yield
+        spaces._shape_tables.cache_clear()
+
+    def test_equals_the_oracle_cold_and_warm(self):
+        for q, n in STREAM_SHAPES:
+            unit = _unit_space(q, n)
+            block = AlphabetSpec(FieldSpec(q), ("y",), (n,))  # one shape, other labels and dims
+            for max_dim in [None, *range(-1, n + 2)]:
+                oracle = list(enumerate_codes_oracle(unit, max_dim, indices=True))
+                for space in (unit, block):
+                    spaces._shape_tables.cache_clear()
+                    cold = list(enumerate_codes(space, max_dim, indices=True))
+                    # recorded exactly as far as the reader went
+                    assert spaces._shape_tables(q, n)[0] == oracle, (q, n, max_dim)
+                    assert cold == list(enumerate_codes(space, max_dim, indices=True)) == oracle
+                    codes = list(enumerate_codes_oracle(space, max_dim))
+                    spaces._shape_tables.cache_clear()
+                    assert list(enumerate_codes(space, max_dim)) == codes, (q, n, max_dim)
+                    assert list(enumerate_codes(space, max_dim)) == codes
+        assert len(oracle) == subspace_count(n, q)
+
+    def test_warm_reads_with_other_shapes_kept(self):
+        # shapes of one q follow each other, so a stream keyed by q alone
+        # would replay another dimension's record
+        for q, n in STREAM_SHAPES * 2:
+            space = _unit_space(q, n)
+            for max_dim in [None, *range(n + 1)]:
+                oracle = list(enumerate_codes_oracle(space, max_dim, indices=True))
+                assert list(enumerate_codes(space, max_dim, indices=True)) == oracle, (q, n, max_dim)
+            assert spaces._shape_tables.cache_info().currsize <= spaces.CACHED_SHAPES
+
+    def test_interleaved_readers_share_one_record(self):
+        space = _unit_space(3, 4)  # 212 codes
+        bases = list(enumerate_codes_oracle(space, indices=True))
+        codes = list(enumerate_codes_oracle(space))
+        first = enumerate_codes(space, indices=True)
+        head = list(itertools.islice(first, 10))
+        record = spaces._shape_tables(3, 4)[0]
+        assert record == bases[:10]
+        second = enumerate_codes(space)
+        assert list(itertools.islice(second, 50)) == codes[:50]
+        assert record == bases[:50]
+        third = enumerate_codes(space, indices=True)
+        middle = list(itertools.islice(third, 20))  # inside the 50 recorded codes
+        assert list(itertools.islice(second, 50)) == codes[50:100]
+        assert record == bases[:100]
+        assert head + list(first) == bases  # the first reader resumes at its 11th code
+        assert middle + list(third) == bases
+        assert list(second) == codes[100:]
+        assert record == bases
+
+    def test_threads_reading_one_cold_shape_agree(self):
+        # one stream pulled by four threads at once, switching as often as
+        # the interpreter allows: without the pull lock a thread met
+        # "generator already executing" or a record out of order
+        space = _unit_space(2, 6)
+        oracle = list(enumerate_codes_oracle(space, indices=True))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                spaces._shape_tables.cache_clear()
+                results, errors = [], []
+
+                def read():
+                    try:
+                        results.append(list(enumerate_codes(space, indices=True)))
+                    except Exception as exc:  # reported by the assertion below
+                        errors.append(repr(exc))
+
+                threads = [threading.Thread(target=read) for _ in range(4)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in threads)
+                assert errors == [] and results == [oracle] * 4
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_shape_past_the_code_bound_keeps_nothing(self):
+        big = _unit_space(2, 8)
+        assert subspace_count(8, 2) == 417199 > spaces.CODE_BOUND
+        head = list(itertools.islice(enumerate_codes(big, indices=True), 300))
+        assert head == list(itertools.islice(enumerate_codes_oracle(big, indices=True), 300))
+        assert spaces.shape_tables(2, 8) is None
+        assert spaces._shape_tables.cache_info().misses == 0
+
+    def test_the_least_recently_read_shape_is_evicted(self):
+        assert spaces.CACHED_SHAPES == spaces._shape_tables.cache_info().maxsize == 4
+        shapes = [(2, n) for n in range(1, spaces.CACHED_SHAPES + 2)]
+        for q, n in shapes:
+            list(enumerate_codes(_unit_space(q, n), indices=True))
+        assert spaces._shape_tables.cache_info()[:2] == (0, 5)  # (hits, misses)
+        list(enumerate_codes(_unit_space(*shapes[1]), max_dim=0))  # a read makes its shape newest
+        list(enumerate_codes(_unit_space(3, 1)))  # and the next new shape evicts shapes[2]
+        for q, n in [*shapes[3:], shapes[1], (3, 1)]:
+            record, _, _ = spaces._shape_tables(q, n)
+            assert record == list(enumerate_codes_oracle(_unit_space(q, n), indices=True))
+        assert spaces._shape_tables.cache_info()[:2] == (1 + 4, 6)
+        spaces._shape_tables(*shapes[2])
+        assert spaces._shape_tables.cache_info()[:2] == (5, 7)
