@@ -49,7 +49,7 @@ def _labeled_posets(n: int) -> list[Poset]:
     return posets
 
 
-def criterion_mep_closed_form(max_elements: int = 3) -> tuple[bool, str]:
+def criterion_mep_predicate(max_elements: int = 3) -> tuple[bool, str]:
     """Brute-force extension verdicts match the closed form on every small poset."""
     from .mep import condition_report, level_class_bound, mep_brute_force, mep_predicate
     from .posets import WeightFunction
@@ -299,7 +299,7 @@ def criterion_macwilliams_dichotomy() -> tuple[bool, str]:
     return True, "identity holds on chain/antichain, refuted with replayable witness"
 
 
-def _transform_replays(space: AlphabetSpec, partition: Partition) -> bool:
+def _transform_matches(space: AlphabetSpec, partition: Partition) -> bool:
     """Every exact character sum over a block, at every alpha and nontrivial
     scale, equals the integer the dual partition's support transform gives."""
     from .fourier import CyclotomicInteger, character_sum, support_transforms
@@ -326,14 +326,14 @@ def criterion_fourier_reflexivity() -> tuple[bool, str]:
         poset = make(("a", "b", "c"))
         space = AlphabetSpec.uniform(field, poset.elements, 1)
         partition = weight_partition(space, poset, WeightFunction.ones(poset.elements))
-        if not _transform_replays(space, partition):
+        if not _transform_matches(space, partition):
             return False, f"character sums differ from the support transform on {make.__name__}"
         if not is_fourier_reflexive(space, partition):
             return False, f"reflexivity failed on {make.__name__}"
     poset = _nonhierarchical_example()
     space = AlphabetSpec.uniform(field, poset.elements, 1)
     partition = weight_partition(space, poset, WeightFunction.ones(poset.elements))
-    if not _transform_replays(space, partition):
+    if not _transform_matches(space, partition):
         return False, "character sums differ from the support transform on the mixed poset"
     if is_fourier_reflexive(space, partition):
         return False, "reflexivity unexpectedly held on the non-hierarchical poset"
@@ -341,7 +341,7 @@ def criterion_fourier_reflexivity() -> tuple[bool, str]:
     triple = Poset.antichain(("a", "b"))
     space3 = AlphabetSpec.uniform(field3, triple.elements, 1)
     partition3 = weight_partition(space3, triple, WeightFunction.ones(triple.elements))
-    if not _transform_replays(space3, partition3):
+    if not _transform_matches(space3, partition3):
         return False, "character sums differ from the support transform over F_3"
     if not is_fourier_reflexive(space3, partition3):
         return False, "reflexivity failed over F_3"
@@ -442,7 +442,7 @@ def criterion_support_weight_bridge(max_elements: int = 3) -> tuple[bool, str]:
 
 
 CRITERIA: tuple[tuple[str, str, Callable], ...] = (
-    ("1", "extension property equals its closed form on all 3-element posets", criterion_mep_closed_form),
+    ("1", "extension property equals its closed form on all 3-element posets", criterion_mep_predicate),
     ("2", "two equal planes extend, three do not (sharp threshold)", criterion_threshold_sharpness),
     ("3", "minimal nontrivial solution lengths match the product formula", criterion_module_threshold),
     ("4", "structured isometry groups equal brute force with multiplicative label maps", criterion_isometry_group_structure),

@@ -213,7 +213,7 @@ def cmd_isometries(args) -> tuple[dict, int]:
 def cmd_mep(args) -> tuple[dict, int]:
     from .instances import load_instance
     from .mep import (
-        MAP_BOUND, _closed_form, condition_report, mep_brute_force, mep_p_support_predicate,
+        MAP_BOUND, condition_report, mep_brute_force, mep_p_support_predicate, mep_predicate,
     )
     from .posets import powers_of_two_weight
 
@@ -234,8 +234,8 @@ def cmd_mep(args) -> tuple[dict, int]:
     try:
         if support:
             predicate = mep_p_support_predicate(space, poset)
-        else:  # mep_predicate on the report above, which it would build again
-            predicate = _closed_form(space, poset, omega, conditions)
+        else:  # on the report above, so mep_predicate builds none
+            predicate = mep_predicate(space, poset, omega, conditions)
         results["predicate"] = {"holds": predicate.holds, "trace": predicate.predicate_trace}
     except PredicateUnavailable:
         if not args.brute_force:

@@ -30,7 +30,7 @@ and shared by the scan, the extension search and the orbit check
 (`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
 own currency; only a counterexample's code is built as a `LinearCode`.  That
-still holds where `enumerate_codes` replays its shape's recorded stream.  A
+still holds where `enumerate_codes` reads its shape's kept tuple of codes.  A
 code's span is read from the span table of its shape (q, N) in
 `spaces.shape_tables`, under the same bounds, and spanned by
 `SpaceIndex.span_indices` only on a miss.
@@ -277,7 +277,7 @@ def mep_brute_force(
     top = n if max_dim is None else min(max_dim, n)
     held: set[frozenset[int]] = set()  # spans of the orbits of codes that held
     tables = shape_tables(space.q, n)
-    spans = {} if tables is None else tables[2]  # a shape past the code bound keeps none
+    spans = {} if tables is None else tables[1]  # a shape past the code bound keeps none
     for basis_idx in enumerate_codes(space, max_dim=top, indices=True):
         d = len(basis_idx)
         if d == 0:
@@ -580,24 +580,19 @@ def _level_matched_dims(space: AlphabetSpec, poset: Poset):
     return True, None
 
 
-def mep_predicate(space: AlphabetSpec, poset: Poset, omega: WeightFunction) -> MepVerdict:
+def mep_predicate(
+    space: AlphabetSpec, poset: Poset, omega: WeightFunction,
+    report: Optional[ConditionReport] = None,
+) -> MepVerdict:
     """Closed-form verdict where one exists.
 
     For all-ones weights: hierarchical with matched level dims, plus the per
     level class bound.  For hierarchical posets and general weights: UDP with
     matched dims, plus the class bound.  Otherwise no closed form is known
     and the call refuses, before any condition is computed, rather than
-    guessing.
+    guessing.  The route's condition is read from the given report, or from
+    one built once the route is known.
     """
-    return _closed_form(space, poset, omega)
-
-
-def _closed_form(
-    space: AlphabetSpec, poset: Poset, omega: WeightFunction,
-    report: Optional[ConditionReport] = None,
-) -> MepVerdict:
-    """mep_predicate, reading its route's condition from the given report, or
-    from one built once the route is known."""
     if omega.is_all_ones:
         route, condition = "unweighted", "level_matched_dims"
     elif poset.is_hierarchical:
@@ -702,8 +697,9 @@ def canonical_decomposition(
     blocks = [(i, k, tuple(map(tuple, block))) for (i, k), block in strict.items()]
     diag = tuple(map(fields.identity_matrix, space.dims))
     phi = build_isometry(space, poset, tuple(range(len(labels))), diag, blocks)
-    parts = [LinearCode.from_rows(space, rows) for rows in tops]
-    image = LinearCode.from_rows(space, map(phi.apply, code.basis))
-    if image != LinearCode.from_rows(space, itertools.chain.from_iterable(tops)):
+    # every row here already has length N and entries in 0..q-1: no check_vector
+    parts = [LinearCode(space, fields.rref(q, rows)[0]) for rows in tops]
+    image = LinearCode(space, fields.rref(q, [phi.apply(row) for row in code.basis])[0])
+    if image != LinearCode(space, fields.rref(q, [row for rows in tops for row in rows])[0]):
         raise PropertyViolation("phi does not map the code onto the sum of the parts")
     return phi, parts

@@ -7,14 +7,14 @@ the unique canonical basis, so code equality and hashing are structural.
 enumerate_codes also yields the codes as their rows' lexicographic vector
 indices, which the MEP scan and the MacWilliams check read directly.  These
 depend only on the shape (q, N): for the last CACHED_SHAPES shapes read with
-at most CODE_BOUND subspaces, the stream is recorded lazily as it is read and
-replayed, with the code spans of the MEP scan beside it (shape_tables).
+at most CODE_BOUND subspaces, the whole list is built on the first read and
+kept as one tuple, with the code spans of the MEP scan beside it
+(shape_tables).
 """
 
 from __future__ import annotations
 
 import itertools
-import threading
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
@@ -268,19 +268,18 @@ def subspace_count(n: int, q: int) -> int:
 # has 29,212, F_2^8 417,199), and the most shapes kept, here and in fourier.
 CODE_BOUND = 1 << 16
 CACHED_SHAPES = 4
-_pulling = threading.Lock()
 
 
-def shape_tables(q: int, n: int) -> Optional[tuple[list, Iterator, dict]]:
+def shape_tables(q: int, n: int) -> Optional[tuple[tuple, dict]]:
     """The kept tables of F_q^n, or None past CODE_BOUND, which keeps nothing."""
     return _shape_tables(q, n) if subspace_count(n, q) <= CODE_BOUND else None
 
 
 @lru_cache(maxsize=CACHED_SHAPES)
-def _shape_tables(q: int, n: int) -> tuple[list, Iterator, dict]:
-    """Per shape, made empty on first use: its codes recorded so far, the
-    stream that records the rest, and the code spans the MEP scan has read."""
-    return [], _code_stream(q, n), {}
+def _shape_tables(q: int, n: int) -> tuple[tuple, dict]:
+    """Per shape, made on first use: all its codes, and the code spans the
+    MEP scan has read."""
+    return tuple(_code_stream(q, n)), {}
 
 
 def enumerate_codes(
@@ -290,8 +289,9 @@ def enumerate_codes(
     indices, as its basis rows' lexicographic vector indices, which the
     scans read directly.  The LinearCode form is built from the same indices.
 
-    A kept shape (shape_tables) replays its recorded stream, pulling a code
-    from the stream only past the end of the record and never past max_dim.
+    A kept shape (shape_tables) is read from its tuple, built whole on the
+    shape's first read, whatever max_dim; any other shape is enumerated
+    afresh and only up to max_dim.
     """
     if space.vectors_over(VECTOR_BOUND):
         raise BoundExceeded(
@@ -302,28 +302,11 @@ def enumerate_codes(
     top = n if max_dim is None else max(0, min(max_dim, n))
     stop = sum(gaussian_binomial(n, d, q) for d in range(top + 1))  # the codes up to top
     tables = shape_tables(q, n)
-    codes = _replay(*tables[:2], stop) if tables else itertools.islice(_code_stream(q, n), stop)
+    codes = itertools.islice(tables[0] if tables else _code_stream(q, n), stop)
     if not indices:
         vectors = list(space.vectors())
         codes = (LinearCode(space, tuple(map(vectors.__getitem__, basis))) for basis in codes)
     yield from codes
-
-
-def _replay(record: list, stream: Iterator, stop: int) -> Iterator[tuple[int, ...]]:
-    """The first stop codes of a record, extended from its stream one code at
-    a time where no reader has been."""
-    done = 0
-    while done < stop:
-        if done < len(record):
-            chunk = record[done:stop]  # a copy: readers interleaved here do not move it
-            done += len(chunk)
-            yield from chunk
-            continue
-        with _pulling:  # a stream runs in one thread at a time
-            if done == len(record):
-                record.append(next(stream))
-        yield record[done]
-        done += 1
 
 
 def _code_stream(q: int, n: int) -> Iterator[tuple[int, ...]]:

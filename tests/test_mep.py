@@ -702,7 +702,7 @@ def _scan_grid():
 
 
 class TestRecordedScan:
-    """The scan on the kept code streams and span tables of spaces.shape_tables."""
+    """The scan on the kept codes and span tables of spaces.shape_tables."""
 
     @pytest.fixture(autouse=True)
     def _no_kept_shapes(self):
@@ -726,28 +726,31 @@ class TestRecordedScan:
             (True, False): 488, (False, True): 307,
         }
 
-    def test_a_scan_failing_at_dimension_one_pulls_no_dimension_two_code(self):
+    def test_a_scan_failing_at_dimension_one_spans_no_later_code(self):
         space = AlphabetSpec(F2, ANTI2.elements, (2, 1))
         verdict = mep_brute_force(space, ANTI2, WeightFunction.ones(ANTI2.elements))
         code, _ = verdict.counterexample
         assert code.dim == 1
         oracle = list(enumerate_codes_oracle(space, indices=True))
-        record, _, spans = spaces._shape_tables(2, 3)
+        kept, spans = spaces._shape_tables(2, 3)
         failing = oracle.index(tuple(fields.vec_index(2, row) for row in code.basis))
-        assert record == oracle[: failing + 1]
-        assert set(spans) <= set(record[1:])
+        assert kept == tuple(oracle)
+        # every nonzero code up to the counterexample, held, skipped or failing,
+        # all of dimension one
+        assert set(spans) == set(oracle[1 : failing + 1])
 
     def test_span_tables_hold_their_own_shapes_spans(self):
         # two shapes of one q in turn, so a table keyed by q alone would
-        # hold the second shape's spans under the first
+        # hold the second shape's spans under the first; F_2^3's index tuples
+        # are also codes of F_2^4, so only the full set of spans tells them apart
         for n in (3, 4):
             poset = Poset.chain(tuple("abcd"[:n]))
             space = AlphabetSpec.uniform(F2, poset.elements, 1)
             assert mep_brute_force(space, poset, WeightFunction.ones(poset.elements)).holds
             si = SpaceIndex(space, poset, closure_key)
             bases = set(enumerate_codes_oracle(space, indices=True))
-            spans = spaces._shape_tables(2, n)[2]
-            assert spans and set(spans) <= bases
+            spans = spaces._shape_tables(2, n)[1]
+            assert set(spans) == bases - {()}  # a scan that holds spans every nonzero code
             assert all(span == frozenset(si.span_indices(b)) for b, span in spans.items())
 
     def test_a_warm_scan_spans_no_code(self, monkeypatch):

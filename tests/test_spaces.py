@@ -367,7 +367,7 @@ class TestEnumeration:
         assert len(oracle) == subspace_count(n, q)
 
 
-# The shapes (q, N) of the recorded-stream differential: q = 2 with N <= 6,
+# The shapes (q, N) of the kept-codes differential: q = 2 with N <= 6,
 # q = 3 with N <= 4 and q = 5 with N <= 3, in that order.
 STREAM_SHAPES = [(q, n) for q, most in ((2, 6), (3, 4), (5, 3)) for n in range(1, most + 1)]
 
@@ -377,7 +377,7 @@ def _unit_space(q: int, n: int) -> AlphabetSpec:
 
 
 class TestRecordedStream:
-    """The per-shape recorded code stream against the per-call oracle."""
+    """The per-shape kept tuple of codes against the per-call oracle."""
 
     @pytest.fixture(autouse=True)
     def _no_kept_shapes(self):
@@ -389,19 +389,22 @@ class TestRecordedStream:
         for q, n in STREAM_SHAPES:
             unit = _unit_space(q, n)
             block = AlphabetSpec(FieldSpec(q), ("y",), (n,))  # one shape, other labels and dims
+            whole = tuple(enumerate_codes_oracle(unit, indices=True))
             for max_dim in [None, *range(-1, n + 2)]:
                 oracle = list(enumerate_codes_oracle(unit, max_dim, indices=True))
                 for space in (unit, block):
                     spaces._shape_tables.cache_clear()
                     cold = list(enumerate_codes(space, max_dim, indices=True))
-                    # recorded exactly as far as the reader went
-                    assert spaces._shape_tables(q, n)[0] == oracle, (q, n, max_dim)
+                    # kept whole however far the reader went
+                    kept = spaces._shape_tables(q, n)[0]
+                    assert type(kept) is tuple and kept == whole, (q, n, max_dim)
                     assert cold == list(enumerate_codes(space, max_dim, indices=True)) == oracle
                     codes = list(enumerate_codes_oracle(space, max_dim))
                     spaces._shape_tables.cache_clear()
                     assert list(enumerate_codes(space, max_dim)) == codes, (q, n, max_dim)
+                    assert spaces._shape_tables(q, n)[0] == whole, (q, n, max_dim)
                     assert list(enumerate_codes(space, max_dim)) == codes
-        assert len(oracle) == subspace_count(n, q)
+        assert len(whole) == subspace_count(n, q)
 
     def test_warm_reads_with_other_shapes_kept(self):
         # shapes of one q follow each other, so a stream keyed by q alone
@@ -419,19 +422,18 @@ class TestRecordedStream:
         codes = list(enumerate_codes_oracle(space))
         first = enumerate_codes(space, indices=True)
         head = list(itertools.islice(first, 10))
-        record = spaces._shape_tables(3, 4)[0]
-        assert record == bases[:10]
+        kept = spaces._shape_tables(3, 4)[0]
+        assert kept == tuple(bases)  # built whole by the first read
         second = enumerate_codes(space)
         assert list(itertools.islice(second, 50)) == codes[:50]
-        assert record == bases[:50]
         third = enumerate_codes(space, indices=True)
-        middle = list(itertools.islice(third, 20))  # inside the 50 recorded codes
+        middle = list(itertools.islice(third, 20))
         assert list(itertools.islice(second, 50)) == codes[50:100]
-        assert record == bases[:100]
         assert head + list(first) == bases  # the first reader resumes at its 11th code
         assert middle + list(third) == bases
         assert list(second) == codes[100:]
-        assert record == bases
+        assert spaces._shape_tables(3, 4)[0] is kept  # one tuple, read by all three
+        assert spaces._shape_tables.cache_info().misses == 1
 
     def test_threads_reading_one_cold_shape_agree(self):
         # one stream pulled by four threads at once, switching as often as
@@ -477,10 +479,10 @@ class TestRecordedStream:
             list(enumerate_codes(_unit_space(q, n), indices=True))
         assert spaces._shape_tables.cache_info()[:2] == (0, 5)  # (hits, misses)
         list(enumerate_codes(_unit_space(*shapes[1]), max_dim=0))  # a read makes its shape newest
-        list(enumerate_codes(_unit_space(3, 1)))  # and the next new shape evicts shapes[2]
+        list(enumerate_codes(_unit_space(3, 1), max_dim=0))  # and the next new shape evicts shapes[2]
         for q, n in [*shapes[3:], shapes[1], (3, 1)]:
-            record, _, _ = spaces._shape_tables(q, n)
-            assert record == list(enumerate_codes_oracle(_unit_space(q, n), indices=True))
+            kept, _ = spaces._shape_tables(q, n)
+            assert kept == tuple(enumerate_codes_oracle(_unit_space(q, n), indices=True))
         assert spaces._shape_tables.cache_info()[:2] == (1 + 4, 6)
         spaces._shape_tables(*shapes[2])
         assert spaces._shape_tables.cache_info()[:2] == (5, 7)
