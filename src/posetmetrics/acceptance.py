@@ -73,7 +73,10 @@ def criterion_mep_predicate(max_elements: int = 3) -> tuple[bool, str]:
 
 
 def criterion_threshold_sharpness() -> tuple[bool, str]:
-    """Two equal planes extend; three do not, with a replayable counterexample."""
+    """Two equal planes extend; three do not, with a replayable counterexample,
+    while every weaker statement holds on them with no implication failure:
+    the MEP is strictly stronger."""
+    from .fourier import coding_property_audit
     from .mep import extend_to_isometry, mep_brute_force, preserves_weight
     from .posets import Poset, WeightFunction
     from .spaces import AlphabetSpec, FieldSpec
@@ -95,8 +98,16 @@ def criterion_threshold_sharpness() -> tuple[bool, str]:
         return False, "counterexample does not preserve weight"
     if extend_to_isometry(space3, triple, omega3, code, images) is not None:
         return False, "counterexample unexpectedly extends"
+    weaker = ("single_orbit", "udp_matched_dims", "dual_partition_match",
+              "macwilliams_identity", "fourier_reflexive")
+    audit = coding_property_audit(space3, triple, omega3)
+    failing = [name for name in weaker if not audit.statements[name]]
+    if audit.statements["mep"] or failing or audit.implication_failures:
+        return False, (f"audit at n=3: mep {audit.statements['mep']}, failing {failing}, "
+                       f"implication failures {list(audit.implication_failures)}")
     return True, (
-        f"holds at n=2; fails at n=3 with a dim-{code.dim} code counterexample"
+        f"holds at n=2; fails at n=3 with a dim-{code.dim} code counterexample, "
+        f"where all {len(weaker)} weaker statements hold"
     )
 
 

@@ -222,6 +222,7 @@ def cmd_mep(args) -> tuple[dict, int]:
     bound = MAP_BOUND if args.bound is None else args.bound
     results: dict = {"mode": args.mode}
     witnesses: dict = {}
+    trace: dict = {}  # the brute-force scan's work, outside the digest
     conditions = condition_report(space, poset, omega)
     results["conditions"] = {
         "blocks_pseudo_injective": conditions.blocks_pseudo_injective,
@@ -245,7 +246,8 @@ def cmd_mep(args) -> tuple[dict, int]:
     if args.brute_force:  # without it, an unavailable predicate was raised above
         try:
             scanned = powers_of_two_weight(poset) if support else omega
-            brute = mep_brute_force(space, poset, scanned, max_dim=args.max_dim, map_bound=bound)
+            brute = mep_brute_force(space, poset, scanned, max_dim=args.max_dim, map_bound=bound,
+                                    trace=trace.setdefault("brute_force", {}))
         except MapBoundExceeded as exc:
             raise MapBoundExceeded(f"{exc}; raise it with --bound") from None
         results["brute_force"] = {"holds": brute.holds, "complete": brute.complete}
@@ -257,7 +259,7 @@ def cmd_mep(args) -> tuple[dict, int]:
             }
         if predicate is not None:
             results["agreement"] = brute.holds == predicate.holds or not brute.complete
-    return build_report("mep", inst.digest, results, witnesses), 0
+    return build_report("mep", inst.digest, results, witnesses, trace=trace or None), 0
 
 
 def cmd_lattice(args) -> tuple[dict, int]:

@@ -16,7 +16,11 @@ and replays it on the next listing for any key.  The MEP layer builds the
 permutations of the indexed vectors for the group's nontrivial factors
 without any matrix (`mep._group_factors`), and the MEP scan joins them into
 a table of packed 16-bit image columns with no element built on its own
-(`mep._indexed_group`); criterion 4 reads the permutations of matrices off
+(`mep._scan_group`).  The diagonal and strict blocks make the kernel K(P),
+the same for every weight, and the label maps act on it (the semidirect
+splitting), so the scan keeps the kernel's table per order and block dims
+and joins only the label maps over it for a new weight; criterion 4 reads
+the permutations of matrices off
 the brute-force oracle's action table (`invertible_index_perms`), and
 matrices serve reports and the oracles.
 

@@ -14,8 +14,15 @@ factors with no `Isometry` and no matrix (`_group_factors`).  Only the scan
 lists the group, as a table of columns: column t holds the image of vector
 t under every element, packed as 16-bit indices and joined from the
 factors' columns one factor at a time, so no element is built on its own
-(`_indexed_group`).  Spans read one addition table (xor at q = 2), and the
-multiples c b of a basis vector are b added c times.
+(`_scan_group`).  The group is the label maps acting on a kernel K(P) of
+block maps that depends only on the order and the block dims, never on the
+weight, so the kernel's table is kept per (q, dims, strictly-below masks)
+and the group's table, the label maps joined over the kernel's columns,
+per (q, dims, below, label maps), for the last `spaces.CACHED_SHAPES` of
+each, up to KEPT_TABLE_BOUND entries (2 MB).  Weightings with the same
+label maps share one table and one held-orbit memo.  Spans read one
+addition table (xor at q = 2), and the multiples c b of a basis vector are
+b added c times.
 
 A code is decided on the stabilizer chain of its basis (`_holds_on`): only
 the images of the identity prefix at each level are looked at, a level whose
@@ -23,11 +30,15 @@ class is its basis vector's orbit is skipped before its tables are built, and
 the leaf search that names the first counterexample runs only on a code that
 fails.  A held code's orbit is marked in one pass over the table's columns
 at the code's vectors: each element's image of the code is a row of them,
-deduplicated as a tuple before it is made a set.  Every reader of the table
-reads sets of images, so the order of its elements is free.  The label maps
-are searched once per class partition of the poset (`Poset.automorphisms`)
-and shared by the scan, the extension search and the orbit check
-(`isometries.admissible_lams`).
+deduplicated as a tuple before it is made a set.  The marks go to the
+group's memo, which sends each span of the orbit to the orbit's first span
+in scan order, so a later scan of the group under another weight skips an
+orbit once its first code held there too, and marks nothing again; a shape
+past the code bound keeps no memo, as it keeps no span.  Every reader of
+the table reads sets of images, so the order of its elements is free.  The
+label maps are searched once per class partition of the poset
+(`Poset.automorphisms`) and shared by the scan, the extension search and
+the orbit check (`isometries.admissible_lams`).
 Codes come from `enumerate_codes` as tuples of vector indices, the scan's
 own currency; only a counterexample's code is built as a `LinearCode`.  That
 still holds where `enumerate_codes` reads its shape's kept tuple of codes.  A
@@ -48,6 +59,7 @@ import operator
 import sys
 from array import array
 from fractions import Fraction
+from functools import lru_cache
 from typing import Container, Iterator, Optional, Sequence
 
 from . import fields
@@ -71,9 +83,10 @@ from .isometries import (
     gl_order,
     weight_sum_functional,
 )
-from .posets import Poset, Value, WeightFunction, set_bits, udp_check
+from .posets import Perm, Poset, Value, WeightFunction, set_bits, udp_check
 from .spaces import (
-    VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, shape_tables, support_classes, weight,
+    CACHED_SHAPES, VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, shape_tables,
+    support_classes, weight,
 )
 
 
@@ -83,6 +96,9 @@ ADD_TABLE_BOUND = 1 << 20
 GROUP_TABLE_BOUND = 1 << 27
 # The most entries of the group's factor lists: their summed lengths x q^N.
 FACTOR_TABLE_BOUND = 1 << 27
+# The most entries |G| x q^N of a group table kept across scans (2 MB of
+# 16-bit entries); a larger one, F_3^5's 90.7M, is built, read and dropped.
+KEPT_TABLE_BOUND = 1 << 20
 # The default bound on a code dimension d's candidate maps, (q^N)^d (`mep --bound`).
 MAP_BOUND = 1 << 19
 
@@ -247,6 +263,7 @@ def mep_brute_force(
     omega: WeightFunction,
     max_dim: Optional[int] = None,
     map_bound: int = MAP_BOUND,
+    trace: Optional[dict] = None,
 ) -> MepVerdict:
     """Quantify over codes (by ascending dimension) and all linear maps that
     keep the omega-weight; support closure is omega = powers_of_two_weight(poset).
@@ -261,24 +278,38 @@ def mep_brute_force(
     marked, so the first failing code and its counterexample are unchanged.
     Each scanned code is decided by `_holds_on` on the stabilizer chain of its
     basis; only a code it rejects gets the reachable tuples and the leaf
-    search for the first unreachable map.  The orbit of a held code is marked
-    by `_orbit_spans`: every element's image of the span, read off the
-    group's columns at the span's vectors and made a set once per distinct row.
-    The columns are `_indexed_group`'s packed table, in its factor-outer
-    order; the decision, the reachable tuples and the marking read only sets
-    of images, so the verdict and counterexample do not depend on that order.
+    search for the first unreachable map.  The group's columns and its orbit
+    memo come from `_scan_group`: the memo maps a span to the first span of
+    its orbit in scan order, and a code is skipped when that first span held
+    in this scan.  Every scan of one group reads the codes in one order, so an
+    orbit's first code is the same for every weighting; a held code with no
+    memo entry writes its orbit, read off the columns by `_orbit_spans`.  The
+    decision, the reachable tuples and the marking read only sets of images,
+    so the verdict and counterexample do not depend on the table's order.
+
+    A given trace dict gets the group's order, whether its kernel and its
+    table were built or kept, the nonzero codes read and the codes decided;
+    with no trace nothing is counted per code.
 
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
-    si, columns = _indexed_group(space, poset, weight_sum_functional(poset, omega))
+    si, columns, first_of = _scan_group(space, poset, weight_sum_functional(poset, omega), trace)
     count = len(si.vectors)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
-    held: set[frozenset[int]] = set()  # spans of the orbits of codes that held
+    held: set[frozenset[int]] = set()  # the first spans of the orbits that held in this scan
     tables = shape_tables(space.q, n)
-    spans = {} if tables is None else tables[1]  # a shape past the code bound keeps none
-    for basis_idx in enumerate_codes(space, max_dim=top, indices=True):
+    if tables is None:  # a shape past the code bound keeps no span and no orbit memo
+        spans, first_of = {}, {}
+    else:
+        spans = tables[1]
+    codes = enumerate_codes(space, max_dim=top, indices=True)
+    if trace is not None:
+        read = itertools.count()
+        codes = map(operator.itemgetter(0), zip(codes, read))
+    failing = None
+    for basis_idx in codes:
         d = len(basis_idx)
         if d == 0:
             continue
@@ -291,17 +322,23 @@ def mep_brute_force(
             span = frozenset(si.span_indices(basis_idx))
             if tables is not None:
                 spans[basis_idx] = span
-        if span in held:
+        first = first_of.get(span)
+        if first in held:
             continue
         if not _holds_on(si, basis_idx, columns):
-            reachable = set(zip(*(columns[b] for b in basis_idx)))
-            images = _first_unreachable_map(si, basis_idx, reachable)
-            code = LinearCode(space, tuple(si.vectors[t] for t in basis_idx))
-            return MepVerdict(
-                holds=False, counterexample=(code, tuple(si.vectors[t] for t in images))
-            )
-        held.update(_orbit_spans(columns, span))
-    return MepVerdict(holds=True, complete=(top >= n))
+            failing = basis_idx
+            break
+        held.add(span)
+        if first is None:
+            first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
+    if trace is not None:  # the zero code is read first and never decided
+        trace.update(codes_read=next(read) - 1, codes_decided=len(held) + (failing is not None))
+    if failing is None:
+        return MepVerdict(holds=True, complete=(top >= n))
+    reachable = set(zip(*(columns[b] for b in failing)))
+    images = _first_unreachable_map(si, failing, reachable)
+    code = LinearCode(space, tuple(si.vectors[t] for t in failing))
+    return MepVerdict(holds=False, counterexample=(code, tuple(si.vectors[t] for t in images)))
 
 
 def _orbit_spans(
@@ -311,6 +348,69 @@ def _orbit_spans(
     spells g's image of the span, and elements that agree on the span give
     equal rows, so each row is made a set once."""
     return map(frozenset, set(zip(*map(columns.__getitem__, span))))
+
+
+def _checked_entries(
+    space: AlphabetSpec, poset: Poset, lam_count: int, count: int, listed: bool
+) -> int:
+    """The entries of the group table (listed: |G| x count) or of the factor
+    lists (their summed sizes, identities included, times count), refused
+    over their bound.  The factors are the label maps, GL_{k_i} per block
+    and the strict blocks below each block."""
+    q, dims = space.q, space.dims
+    under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
+    sizes = [lam_count, *(gl_order(q, k) for k in dims), *(q ** (k * d) for k, d in zip(dims, under))]
+    entries = (math.prod(sizes) if listed else sum(sizes)) * count
+    bound = GROUP_TABLE_BOUND if listed else FACTOR_TABLE_BOUND
+    if entries > bound:
+        raise BoundExceeded(f"group index table of {entries} entries exceeds {bound}")
+    return entries
+
+
+def _coordinates(space: AlphabetSpec, poset: Poset) -> tuple[list[tuple[int, int]], list[int]]:
+    """Each block's coordinate bounds, and the index of the c-th unit vector."""
+    n = space.total_dim
+    return ([space._block_bounds[label] for label in poset.elements],
+            [space.q ** (n - 1 - c) for c in range(n)])
+
+
+def _label_map_columns(space: AlphabetSpec, poset: Poset, lams: Sequence[Perm]) -> list[list[int]]:
+    """Each P(lam, I)'s columns: block i takes the units of block lam(i)."""
+    bounds, units = _coordinates(space, poset)
+    return [[c for image in lam for c in units[slice(*bounds[image])]] for lam in lams]
+
+
+def _kernel_columns(space: AlphabetSpec, poset: Poset) -> list[list[list[int]]]:
+    """The kernel's factors as column lists: a GL_{k_i} on block i per block,
+    then the unipotent factors C_i top-down."""
+    q, n = space.q, space.total_dim
+    bounds, units = _coordinates(space, poset)
+    # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere
+    place = [[t * q ** (n - stop) for t in range(q ** (stop - start))] for start, stop in bounds]
+    factors = [
+        [units[:start] + [block[fields.vec_index(q, c)] for c in zip(*m)] + units[stop:]
+         for m in fields.invertible_matrices(q, stop - start)]
+        for (start, stop), block in zip(bounds, place)
+    ]
+    for i in reversed(poset._linear_extension()):
+        lows = [0]  # indices of the vectors supported strictly below block i
+        for k in set_bits(poset.strictly_below(i)):
+            lows = [a + b for a in lows for b in place[k]]
+        start, stop = bounds[i]
+        if len(lows) > 1:
+            factors.append([
+                units[:start] + list(map(operator.add, units[start:stop], low)) + units[stop:]
+                for low in itertools.product(lows, repeat=stop - start)
+            ])
+    return factors
+
+
+def _spanned(si: SpaceIndex, factors: Sequence[Sequence[list[int]]]) -> list[list[array]]:
+    """The factors' elements as index permutations (16-bit entries), spanned
+    from their columns; a one-element factor is the identity and is dropped
+    before it is spanned."""
+    return [[array("H", si.span_indices(columns)) for columns in factor]
+            for factor in factors if len(factor) > 1]
 
 
 def _group_factors(
@@ -329,66 +429,95 @@ def _group_factors(
     u = I + X lies in the unipotent group U of strict blocks (k, i), k
     strictly below i.  With X_i the part of X in block column i, X_a X_b = 0
     unless a is strictly below b, so the C_i = {I + X_i} top-down give U with
-    no cross terms.  Each element is spanned from its column indices.
+    no cross terms: the diagonal blocks and U make the kernel K(P), which
+    depends on P and the dims alone, and the label maps act on it.  Each
+    element is spanned from its column indices.
     """
     si = SpaceIndex(space, poset, key)
     lams = admissible_lams(space, poset, key, GROUP_BOUND)
-    q, n, dims = space.q, space.total_dim, space.dims
-    under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
-    sizes = [len(lams), *(gl_order(q, k) for k in dims), *(q ** (k * d) for k, d in zip(dims, under))]
-    entries = (math.prod(sizes) if listed else sum(sizes)) * len(si.vectors)
-    bound = GROUP_TABLE_BOUND if listed else FACTOR_TABLE_BOUND
-    if entries > bound:
-        raise BoundExceeded(f"group index table of {entries} entries exceeds {bound}")
-    bounds = [space._block_bounds[label] for label in poset.elements]
-    # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere
-    place = [[t * q ** (n - stop) for t in range(q ** (stop - start))] for start, stop in bounds]
-    units = [q ** (n - 1 - c) for c in range(n)]  # index of the c-th unit vector
-    # each factor element's columns: block i of P(lam, I) takes the units of block lam(i)
-    factors = [[[c for image in lam for c in units[slice(*bounds[image])]] for lam in lams]]
-    factors += (
-        [units[:start] + [block[fields.vec_index(q, c)] for c in zip(*m)] + units[stop:]
-         for m in fields.invertible_matrices(q, stop - start)]
-        for (start, stop), block in zip(bounds, place)
-    )
-    for i in reversed(poset._linear_extension()):
-        lows = [0]  # indices of the vectors supported strictly below block i
-        for k in set_bits(poset.strictly_below(i)):
-            lows = [a + b for a in lows for b in place[k]]
-        start, stop = bounds[i]
-        if len(lows) > 1:
-            factors.append([
-                units[:start] + list(map(operator.add, units[start:stop], low)) + units[stop:]
-                for low in itertools.product(lows, repeat=stop - start)
-            ])
-    return si, [[array("H", si.span_indices(columns)) for columns in factor]
-                for factor in factors if len(factor) > 1]
+    _checked_entries(space, poset, len(lams), len(si.vectors), listed)
+    factors = [_label_map_columns(space, poset, lams), *_kernel_columns(space, poset)]
+    return si, _spanned(si, factors)
 
 
-def _indexed_group(
-    space: AlphabetSpec, poset: Poset, key: Key
-) -> tuple[SpaceIndex, list[memoryview]]:
-    """The space's dense index and the group's column table: columns[t][g]
-    is the index of the image of vector t under the g-th group element,
-    packed as native unsigned 16-bit entries (indices stay below
-    VECTOR_BOUND = 2^16).  No element is built as a permutation.
-
-    The table starts as the identity and takes `_group_factors`' lists one
-    factor at a time, the factor's element f as the outer index over the
-    elements g so far: g o f sends t to g(f(t)), so the new column t is the
-    old columns at f[t] joined over the factor's column t, one byte join per
-    column with no entry unpacked.  Raw bytes are kept between factors and
-    each column is cast once at the end.  The table ends as f_1 o f_2 o ...
-    for one pick per list, the last list's pick varying slowest.  Every
-    reader (`_holds_on`, the reachable tuples, `_orbit_spans`) reads only
-    sets of images, so no verdict, counterexample or digest depends on the
-    order.
-    """
-    si, factors = _group_factors(space, poset, key, listed=True)
-    table = [t.to_bytes(2, sys.byteorder) for t in range(len(si.vectors))]
+def _joined(count: int, factors: Sequence[Sequence[array]]) -> list[bytes]:
+    """The raw columns of the factors' products over count vectors.  The
+    table starts as the identity (column t holds t as a native 16-bit entry)
+    and takes each factor in turn, the factor's element f as the outer index
+    over the elements g so far: g o f sends t to g(f(t)), so the new column t
+    is the old columns at f[t] joined over the factor's column t, one byte
+    join per column with no entry unpacked."""
+    table = [t.to_bytes(2, sys.byteorder) for t in range(count)]
     for factor in factors:
         table = [b"".join(map(table.__getitem__, column)) for column in zip(*factor)]
-    return si, [memoryview(column).cast("H") for column in table]
+    return table
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _kept_kernel(q: int, dims: tuple[int, ...], below: tuple[int, ...]) -> list:
+    """The holder of the kernel table of one order and block dims, filled by
+    its first reader: the kernel K(P) depends on neither the weight nor the
+    labels' names."""
+    return []
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _kept_group(
+    q: int, dims: tuple[int, ...], below: tuple[int, ...], lams: tuple[Perm, ...]
+) -> list:
+    """The holder of one group's table and held-orbit memo, filled by its
+    first reader; weightings with the same label maps share it."""
+    return []
+
+
+def _scan_group(
+    space: AlphabetSpec, poset: Poset, key: Key, trace: Optional[dict] = None
+) -> tuple[SpaceIndex, list[memoryview], dict]:
+    """The space's dense index, the group's column table and its held-orbit
+    memo (span -> first span of its orbit in scan order).
+
+    columns[t][g] is the index of the image of vector t under the g-th group
+    element, as native unsigned 16-bit entries (indices stay below
+    VECTOR_BOUND = 2^16).  The table is the label maps joined over the
+    kernel's columns: for each entry x of the kernel's column t, in order,
+    the images of x under every label map, so the label map varies fastest
+    and element g is p o k.  The kernel table starts as the identity and
+    takes its factors one at a time (`_joined`), the last factor's pick
+    varying slowest, so the table is f_1 o f_2 o ... with `_group_factors`'
+    lists in their order.  Every reader (`_holds_on`, the reachable tuples,
+    `_orbit_spans`) reads only sets of images, so no verdict,
+    counterexample or digest depends on the order.
+
+    The kernel is kept per (q, dims, strictly-below masks) and the table
+    with its memo per (q, dims, below, label maps), the last
+    `spaces.CACHED_SHAPES` of each, and only the missing piece is built.  A
+    table of more than KEPT_TABLE_BOUND entries is built into a throwaway
+    holder, so nothing of it is kept; the kernel divides the group, so a
+    kept table has its kernel kept.  The label maps' permutations are
+    folded into one packed row per vector, and freed, before the table is
+    joined; one label map leaves the kernel's columns as they are.
+    """
+    si = SpaceIndex(space, poset, key)
+    lams = admissible_lams(space, poset, key, GROUP_BOUND)
+    count = len(si.vectors)
+    entries = _checked_entries(space, poset, len(lams), count, listed=True)
+    shape = (space.q, space.dims, tuple(map(poset.strictly_below, range(len(space.dims)))))
+    kernel = _kept_kernel(*shape) if entries // len(lams) <= KEPT_TABLE_BOUND else []
+    group = _kept_group(*shape, lams) if entries <= KEPT_TABLE_BOUND else []
+    if trace is not None:
+        trace.update(group_order=entries // count, kernel="kept" if kernel else "built",
+                     group_table="kept" if group else "built")
+    if not group:
+        if not kernel:
+            table = _joined(count, _spanned(si, _kernel_columns(space, poset)))
+            kernel.append([memoryview(column).cast("H") for column in table])
+        columns = kernel[0]
+        if len(lams) > 1:  # row x: x's images under every label map
+            rows = _joined(count, _spanned(si, [_label_map_columns(space, poset, lams)]))
+            columns = [memoryview(b"".join(map(rows.__getitem__, kernel_column))).cast("H")
+                       for kernel_column in columns]
+        group += columns, {}
+    return si, group[0], group[1]
 
 
 def _levels(

@@ -3,13 +3,14 @@
 import itertools
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 from posetmetrics import fields, fourier, isometries, lattices, mep, posets, spaces
 from posetmetrics.errors import (
-    BoundExceeded, GroupBoundExceeded, PredicateUnavailable, ValidationError,
+    BoundExceeded, GroupBoundExceeded, MapBoundExceeded, PredicateUnavailable, ValidationError,
 )
 from posetmetrics.isometries import GROUP_BOUND, weight_sum_functional
 from posetmetrics.posets import (
@@ -244,7 +245,7 @@ def order_walk_oracle(space, poset, lam_count: int, bound: Optional[int] = None)
 
 
 def indexed_group_oracle(space, poset, key) -> tuple:
-    """mep._indexed_group as it was before the column table: the space's
+    """The MEP scan's group as it was before the column table: the space's
     index and every element's index permutation as a tuple, f_1 o f_2 o ...
     folded from mep._group_factors' lists in (lam, D, u) order, the first
     factor's pick varying slowest.  The oracle of the packed columns."""
@@ -253,6 +254,54 @@ def indexed_group_oracle(space, poset, key) -> tuple:
     for factor in factors:
         listing = [tuple(map(a.__getitem__, f)) for a in listing for f in factor]
     return si, listing
+
+
+def indexed_group(space, poset, key) -> tuple:
+    """The space's index and the group's column table as the MEP scan reads
+    them, kept or built (mep._scan_group, without its orbit memo)."""
+    return mep._scan_group(space, poset, key)[:2]
+
+
+def column_table_oracle(space, poset, key) -> tuple:
+    """The MEP scan's table as it was before the kept kernel: the space's index
+    and the column table joined from all of mep._group_factors' lists, label
+    maps first, built afresh on every call.  The oracle of the kept tables."""
+    si, factors = mep._group_factors(space, poset, key, listed=True)
+    table = [t.to_bytes(2, sys.byteorder) for t in range(len(si.vectors))]
+    for factor in factors:
+        table = [b"".join(map(table.__getitem__, column)) for column in zip(*factor)]
+    return si, [memoryview(column).cast("H") for column in table]
+
+
+def held_set_scan_oracle(space, poset, omega, max_dim=None, map_bound=mep.MAP_BOUND):
+    """mep.mep_brute_force as it was before the kept group: the oracle's
+    table, a held set of every held code's orbit spans, no orbit memo and no
+    kept span or code.  The oracle of verdicts, counterexamples and refusals."""
+    si, columns = column_table_oracle(space, poset, weight_sum_functional(poset, omega))
+    count = len(si.vectors)
+    n = space.total_dim
+    top = n if max_dim is None else min(max_dim, n)
+    held: set = set()
+    for basis_idx in enumerate_codes_oracle(space, max_dim=top, indices=True):
+        d = len(basis_idx)
+        if d == 0:
+            continue
+        if count**d > map_bound:
+            raise MapBoundExceeded(
+                f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}"
+            )
+        span = frozenset(si.span_indices(basis_idx))
+        if span in held:
+            continue
+        if not mep._holds_on(si, basis_idx, columns):
+            reachable = set(zip(*(columns[b] for b in basis_idx)))
+            images = mep._first_unreachable_map(si, basis_idx, reachable)
+            code = spaces.LinearCode(space, tuple(si.vectors[t] for t in basis_idx))
+            return mep.MepVerdict(
+                holds=False, counterexample=(code, tuple(si.vectors[t] for t in images))
+            )
+        held.update(mep._orbit_spans(columns, span))
+    return mep.MepVerdict(holds=True, complete=(top >= n))
 
 
 # -- the boolean-matrix poset core, kept as the oracle of the mask core ------------

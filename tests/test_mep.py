@@ -5,6 +5,7 @@ import inspect
 import itertools
 import random
 import sys
+import threading
 import time
 from array import array
 from collections import Counter
@@ -58,8 +59,9 @@ from posetmetrics.spaces import (
 )
 
 from helpers import (
-    closure_key, condition_report_oracle, enumerate_codes_oracle, indexed_group_oracle, key_for,
-    linear_maps, mep_predicate_oracle,
+    closure_key, column_table_oracle, condition_report_oracle, enumerate_codes_oracle,
+    held_set_scan_oracle, indexed_group, indexed_group_oracle, key_for, linear_maps,
+    mep_predicate_oracle,
 )
 
 F2 = FieldSpec(2)
@@ -346,7 +348,7 @@ LARGE_IDS = ["chain5", "chain4-plane-on-top", "three-planes"]
 
 def _oracle_perms(space, poset, key):
     """The group's index permutations from its matrices, the path that
-    _indexed_group replaced."""
+    the column table replaced."""
     si = SpaceIndex(space, poset, key)
     return [si.perm_of_matrix(iso.matrix) for iso in enumerate_group(space, poset, key)]
 
@@ -366,7 +368,7 @@ def _factor_outer(listing, sizes):
 def _assert_table_matches_the_oracles(space, poset, key):
     """The column table's rows are the folded listing's permutations in the
     factor-outer order, and the matrix oracle's as a multiset."""
-    _, columns = mep._indexed_group(space, poset, key)
+    _, columns = indexed_group(space, poset, key)
     rows = list(zip(*columns))
     _, listing = indexed_group_oracle(space, poset, key)
     sizes = [len(factor) for factor in mep._group_factors(space, poset, key)[1]]
@@ -403,7 +405,7 @@ class TestIndexedGroup:
         # a < b, c apart over F_3 with dims (1, 2, 1): 81 vectors, and the
         # group's 2 x 48 x 2 diagonal blocks times 9 strict blocks (a, b)
         space = AlphabetSpec(FieldSpec(3), MIXED.elements, (1, 2, 1))
-        si, columns = mep._indexed_group(space, MIXED, key_for(MIXED, ONES3, "weight"))
+        si, columns = indexed_group(space, MIXED, key_for(MIXED, ONES3, "weight"))
         assert len(columns) == len(si.vectors) == 81
         for column in columns:
             assert (type(column), column.format, column.itemsize) == (memoryview, "H", 2)
@@ -448,8 +450,9 @@ class TestIndexedGroup:
     def test_the_weight_is_the_one_way_to_ask(self):
         # support closure is asked as the doubling weights; no mode switch is left
         parameters = inspect.signature(mep_brute_force).parameters
-        assert list(parameters) == ["space", "poset", "omega", "max_dim", "map_bound"]
+        assert list(parameters) == ["space", "poset", "omega", "max_dim", "map_bound", "trace"]
         assert parameters["omega"].default is inspect.Parameter.empty
+        assert parameters["trace"].default is None
         assert parameters["map_bound"].default == mep.MAP_BOUND == 1 << 19
         with pytest.raises(TypeError):
             mep_brute_force(SP21, CHAIN2)
@@ -474,7 +477,7 @@ class TestIndexedGroup:
         # no flag raises the bound of the scan, so the message names none
         message = r"^isometry group order reaches 2, over the bound 1$"
         with pytest.raises(GroupBoundExceeded, match=message):
-            mep._indexed_group(SP21, CHAIN2, key_for(CHAIN2, None, "support"))
+            indexed_group(SP21, CHAIN2, key_for(CHAIN2, None, "support"))
 
     def test_entry_bound_fires_before_any_permutation(self, monkeypatch):
         # |G| x q^N index entries: 2^27 admits F_3^5's 90.7M and refuses three
@@ -482,11 +485,11 @@ class TestIndexedGroup:
         assert mep.GROUP_TABLE_BOUND == 1 << 27
         ones = WeightFunction.ones(CHAIN2.elements)
         key = weight_sum_functional(CHAIN2, ones)
-        _, columns = mep._indexed_group(SP21, CHAIN2, key)
+        _, columns = indexed_group(SP21, CHAIN2, key)
         entries = len(columns[0]) * SP21.vector_count
         assert len(columns[0]) == len(list(enumerate_group(SP21, CHAIN2, key))) > 1
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries)
-        assert mep._indexed_group(SP21, CHAIN2, key)[1] == columns
+        assert indexed_group(SP21, CHAIN2, key)[1] == columns
 
         verdict = _union_find_orbit_check(SP21, CHAIN2, ones)
 
@@ -498,10 +501,10 @@ class TestIndexedGroup:
 
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries - 1)
         # the orbit check reads the factors, whose own bound the table's does not lower
-        indexed_group = mep._indexed_group
-        monkeypatch.setattr(mep, "_indexed_group", unfolded)
+        scan_group = mep._scan_group
+        monkeypatch.setattr(mep, "_scan_group", unfolded)
         assert single_orbit_check(SP21, CHAIN2, ones) == verdict == (True, None)
-        monkeypatch.setattr(mep, "_indexed_group", indexed_group)
+        monkeypatch.setattr(mep, "_scan_group", scan_group)
         monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
         message = rf"^group index table of {entries} entries exceeds {entries - 1}$"
         with pytest.raises(BoundExceeded, match=message):
@@ -632,21 +635,25 @@ class TestOrbitReducedScan:
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES[:2], ids=LARGE_IDS[:2])
     def test_held_spans_are_the_full_orbit_closure(self, poset, dims, max_dim, orbits):
         # marking one element per basis-image tuple leaves the same spans held
-        # as marking with every element; read the scan's set as it returns
-        held = []
+        # as marking with every element: the memo's spans whose first span
+        # held are the closure, when the scan writes the memo and when a
+        # second scan reads it; read the scan's held set and memo as it returns
+        states = []
 
         def hook(frame, event, arg):
             if event == "return" and frame.f_code is mep.mep_brute_force.__code__:
-                held.append(frame.f_locals["held"])
+                local = frame.f_locals
+                states.append((set(local["held"]), dict(local["first_of"])))
 
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
+        mep._kept_group.cache_clear()
         sys.setprofile(hook)
         try:
-            verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
+            verdicts = [mep_brute_force(space, poset, omega, max_dim=max_dim) for _ in range(2)]
         finally:
             sys.setprofile(None)
-        assert verdict.holds
+        assert verdicts[0] == verdicts[1] and verdicts[0].holds
         key = key_for(poset, omega, "weight")
         si = SpaceIndex(space, poset, key)
         perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, key)]
@@ -655,7 +662,10 @@ class TestOrbitReducedScan:
             if code.dim:
                 span = frozenset(fields.vec_index(si.q, v) for v in code.codewords())
                 closure |= {frozenset(p[t] for t in span) for p in perms}
-        assert held == [closure]
+        assert len(states) == 2 and states[0][1] == states[1][1]  # the warm scan wrote nothing
+        for held, first_of in states:
+            assert {span for span, first in first_of.items() if first in held} == closure
+            assert len(held) == orbits and held <= closure  # one first span per orbit decided
 
     def test_stabilizer_decision_prunes_the_leaf_search(self, monkeypatch):
         # a timing-free work count on chain5: spans under the stabilizer-chain
@@ -706,7 +716,8 @@ class TestRecordedScan:
 
     @pytest.fixture(autouse=True)
     def _no_kept_shapes(self):
-        spaces._shape_tables.cache_clear()
+        for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group):
+            cache.cache_clear()
         yield
         spaces._shape_tables.cache_clear()
 
@@ -718,7 +729,8 @@ class TestRecordedScan:
         assert spaces._shape_tables.cache_info().misses == 0
         cold = []
         for case in _scan_grid():
-            spaces._shape_tables.cache_clear()
+            for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group):
+                cache.cache_clear()
             cold.append(mep_brute_force(*case))
         warm = [mep_brute_force(*case) for case in _scan_grid()]  # tables shared by every case
         assert cold == warm == unkept
@@ -754,23 +766,31 @@ class TestRecordedScan:
             assert all(span == frozenset(si.span_indices(b)) for b, span in spans.items())
 
     def test_a_warm_scan_spans_no_code(self, monkeypatch):
+        # a cold scan spans every code it reads and every factor element of
+        # the group; a warm one spans neither, and builds nothing
         calls = []
         span_indices = SpaceIndex.span_indices
 
         def counting(self, basis, *prefix):
-            calls.append(bool(prefix))  # a code's span starts from no prefix
+            calls.append(bool(prefix))  # code and element spans start from no prefix
             return span_indices(self, basis, *prefix)
 
-        monkeypatch.setattr(SpaceIndex, "span_indices", counting)
-        space = AlphabetSpec.uniform(F2, MIXED.elements, 1)
-        verdict = mep_brute_force(space, MIXED, ONES3)
-        cold = calls.count(False)
-        calls.clear()
-        assert mep_brute_force(space, MIXED, ONES3) == verdict
-        warm = calls.count(False)
-        calls.clear()
-        mep._indexed_group(space, MIXED, key_for(MIXED, ONES3, "weight"))
-        assert cold > warm == calls.count(False) > 0  # the group's own spans, and no code's
+        key = key_for(MIXED, ONES3, "weight")
+        for dims in ((1, 1, 1), (1, 2, 1)):
+            space = AlphabetSpec(F2, MIXED.elements, dims)
+            elements = sum(map(len, mep._group_factors(space, MIXED, key, listed=True)[1]))
+            monkeypatch.setattr(SpaceIndex, "span_indices", counting)
+            cold_trace, warm_trace = {}, {}
+            verdict = mep_brute_force(space, MIXED, ONES3, trace=cold_trace)
+            assert calls.count(False) == cold_trace["codes_read"] + elements
+            assert elements > 0 and cold_trace["kernel"] == cold_trace["group_table"] == "built"
+            calls.clear()
+            assert mep_brute_force(space, MIXED, ONES3, trace=warm_trace) == verdict
+            assert calls.count(False) == 0 and warm_trace["codes_read"] == cold_trace["codes_read"]
+            assert warm_trace["kernel"] == warm_trace["group_table"] == "kept"
+            indexed_group(space, MIXED, key)
+            assert calls.count(False) == 0
+            monkeypatch.undo()
 
     def test_a_shape_past_the_code_bound_keeps_no_span(self):
         anti = Poset.antichain(tuple(f"x{t}" for t in range(8)))
@@ -801,6 +821,7 @@ class TestHeldOrbitOracle:
 
         monkeypatch.setattr(mep, "_holds_on", deciding)
         monkeypatch.setattr(mep, "_orbit_spans", marking)
+        mep._kept_group.cache_clear()  # a kept memo would leave held orbits unmarked
         verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
         monkeypatch.undo()
         assert verdict == mep_brute_force(space, poset, omega, max_dim=max_dim)
@@ -821,12 +842,248 @@ class TestHeldOrbitOracle:
         assert marked == (orbits if dims != (2, 2, 2) else orbits - 1)
 
 
+def _clear_kept():
+    for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group):
+        cache.cache_clear()
+
+
+def _kept_grid(most_q2=4, blocks_q3=True):
+    """Per (poset, dims), its four questions: every labeled poset on up to 4
+    elements at q = 2 and on up to 3 at q = 3, with unit dims, and up to 3
+    elements with a 2-dim second block, (1, 2, 1) (at q = 3 only when
+    blocks_q3: its groups are over the keep bound); unit, doubling and
+    alternating 1/2, 1 weights, then support closure, asked as the doubling
+    weights once more."""
+    for q, most in ((2, most_q2), (3, 3)):
+        for size in range(1, most + 1):
+            for poset in _labeled_posets(size):
+                wide = size <= 3 and (q == 2 or blocks_q3)
+                for dims in dict.fromkeys([(1,) * size, (1, 2, 1)[:size] if wide else (1,) * size]):
+                    space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                    omegas = [*_omega_variants(poset), powers_of_two_weight(poset)]
+                    yield [(space, poset, omega) for omega in omegas]
+
+
+def _interleaved(groups, chunk=6):
+    """Each (poset, dims)'s questions back to back, which keeps its kernel
+    and repeats the doubling group; then the same cases one question per
+    (poset, dims) across chunks of six, which evicts both (4 kept)."""
+    for group in groups:
+        yield from group
+    for start in range(0, len(groups), chunk):
+        for cases in zip(*groups[start:start + chunk]):
+            yield from cases
+
+
+def _outcome(scan, space, poset, omega, **kwargs):
+    """A scan's verdict, or its refusal's type and message."""
+    try:
+        return scan(space, poset, omega, **kwargs)
+    except BoundExceeded as exc:
+        return type(exc), str(exc)
+
+
+def _table_bytes(columns):
+    return [column.tobytes() for column in columns]
+
+
+class TestKeptGroupOracle:
+    """The kept kernel, table and orbit memo against the table built afresh
+    and the held-set scan (helpers.column_table_oracle, held_set_scan_oracle)."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_kept(self):
+        _clear_kept()
+        yield
+        _clear_kept()
+
+    def test_kept_tables_equal_the_oracle_cold_warm_and_evicted(self):
+        # two orders with equal dims and two label-map sets on one order meet
+        # in turn, so a kernel keyed without its below masks or a group keyed
+        # without its label maps would return another group's table
+        # (F_3 with a 2-dim block has tables over the keep bound, built each time)
+        groups = list(_kept_grid(most_q2=3))
+        statuses = Counter()
+        for cases in groups:
+            for space, poset, omega in cases:
+                key = weight_sum_functional(poset, omega)
+                expected = _table_bytes(column_table_oracle(space, poset, key)[1])
+                for read in ("cold or kept", "warm"):
+                    trace = {}
+                    columns = mep._scan_group(space, poset, key, trace)[1]
+                    assert _table_bytes(columns) == expected, (poset.leq, space.dims, omega)
+                    assert trace["group_order"] == len(columns[0])
+                    kept = len(columns[0]) * len(columns) <= mep.KEPT_TABLE_BOUND
+                    statuses[read, kept, trace["group_table"]] += 1
+        assert statuses["warm", True, "built"] == statuses["cold or kept", False, "kept"] == 0
+        assert statuses["warm", False, "built"] > 0
+        for space, poset, omega in (cases[0] for cases in groups[:2 * spaces.CACHED_SHAPES]):
+            key = weight_sum_functional(poset, omega)
+            trace = {}
+            columns = mep._scan_group(space, poset, key, trace)[1]  # evicted by the later groups
+            assert trace["kernel"] == trace["group_table"] == "built"
+            assert _table_bytes(columns) == _table_bytes(column_table_oracle(space, poset, key)[1])
+        assert statuses["cold or kept", True, "built"] > 0
+        assert statuses["cold or kept", True, "kept"] > 0  # the support question, at least
+
+    def test_large_shapes_keep_tables_equal_to_the_oracle(self):
+        for poset, dims, _, _ in LARGE_SHAPES:
+            space = AlphabetSpec(F2, poset.elements, dims)
+            for omega in _omega_variants(poset):
+                key = weight_sum_functional(poset, omega)
+                expected = _table_bytes(column_table_oracle(space, poset, key)[1])
+                assert _table_bytes(indexed_group(space, poset, key)[1]) == expected
+                assert _table_bytes(indexed_group(space, poset, key)[1]) == expected
+
+    def test_interleaved_scans_equal_the_held_set_oracle(self):
+        groups = list(_kept_grid())
+        cases = list(_interleaved(groups))
+        expected = {}
+        for case in cases:
+            if id(case) not in expected:
+                expected[id(case)] = _outcome(held_set_scan_oracle, *case)
+        kernels, tables, seen = Counter(), Counter(), set()
+        for case in cases:
+            trace = {}
+            outcome = _outcome(mep_brute_force, *case, trace=trace)
+            assert outcome == expected[id(case)], (case[1].leq, case[0].dims, case[2])
+            kernels[trace["kernel"]] += 1
+            tables[trace["group_table"]] += 1
+            key = (case[0].q, case[0].dims, case[1].leq)
+            seen_before = key in seen
+            seen.add(key)
+            tables["rebuilt"] += seen_before and trace["kernel"] == "built"  # evicted
+        assert len(cases) == 2 * sum(map(len, groups)) == 2 * 4 * 309
+        assert kernels["kept"] > 0 and tables["kept"] > 0 and tables["built"] > 0
+        assert tables["rebuilt"] > 0
+        outcomes = Counter(getattr(v, "holds", "refused") for v in expected.values())
+        assert outcomes[True] > 0 and outcomes[False] > 0 and outcomes["refused"] > 0
+
+    def test_two_threads_scan_alike(self):
+        groups = list(_kept_grid(most_q2=3, blocks_q3=False))
+        cases = list(_interleaved(groups))
+        expected = [_outcome(held_set_scan_oracle, *case) for case in cases]
+        results = [None, None]
+
+        def run(slot, order):
+            results[slot] = [(t, _outcome(mep_brute_force, *cases[t])) for t in order]
+
+        threads = [
+            threading.Thread(target=run, args=(0, range(len(cases)))),
+            threading.Thread(target=run, args=(1, reversed(range(len(cases))))),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # switch threads often, mid-scan
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        for scanned in results:
+            assert len(scanned) == len(cases)
+            assert all(verdict == expected[t] for t, verdict in scanned)
+
+    def test_skips_only_orbits_that_held_in_this_scan(self):
+        # an antichain of three points with weights 1, 2, 3 admits only the
+        # identity label map, as the doubling weights 1, 2, 4 do, so the two
+        # share one group and its memo; the doubling scan holds on every
+        # code, and then the first code fails under 1, 2, 3 (1 + 2 = 3)
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 1)
+        doubling = powers_of_two_weight(ANTI3)
+        summing = WeightFunction(ANTI3.elements, (Fraction(1), Fraction(2), Fraction(3)))
+        traces = [{}, {}]
+        assert mep_brute_force(space, ANTI3, doubling, trace=traces[0]).holds
+        verdict = mep_brute_force(space, ANTI3, summing, trace=traces[1])
+        assert traces[1]["group_table"] == "kept" and traces[1]["group_order"] == 1
+        assert verdict == held_set_scan_oracle(space, ANTI3, summing)
+        assert not verdict.holds and traces[1]["codes_decided"] == traces[1]["codes_read"]
+
+    def test_a_table_over_the_keep_bound_is_built_and_not_kept(self, monkeypatch):
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)  # 6 x 216 elements, 64 vectors
+        omega = WeightFunction.ones(ANTI3.elements)
+        key = weight_sum_functional(ANTI3, omega)
+        entries = 1296 * 64
+        expected = _table_bytes(column_table_oracle(space, ANTI3, key)[1])
+        verdict = held_set_scan_oracle(space, ANTI3, omega, max_dim=3)
+        assert mep.KEPT_TABLE_BOUND == 1 << 20 >= entries
+        monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", entries - 1)
+        statuses = []
+        for _ in range(2):  # over the bound: each call builds the table afresh
+            trace = {}
+            assert mep_brute_force(space, ANTI3, omega, max_dim=3, trace=trace) == verdict
+            statuses.append((trace["kernel"], trace["group_table"]))
+            assert _table_bytes(indexed_group(space, ANTI3, key)[1]) == expected
+        assert statuses == [("built", "built"), ("kept", "built")]
+        assert mep._kept_group.cache_info().currsize == 0
+        monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", entries)
+        statuses = []
+        for _ in range(2):
+            trace = {}
+            assert mep_brute_force(space, ANTI3, omega, max_dim=3, trace=trace) == verdict
+            statuses.append(trace["group_table"])
+        assert statuses == ["built", "kept"] and mep._kept_group.cache_info().currsize == 1
+
+    def test_a_kernel_over_the_keep_bound_is_not_kept(self, monkeypatch):
+        # the kernel of three F_2 planes, GL_2(F_2)^3: 216 elements over 64 vectors
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
+        omega = WeightFunction.ones(ANTI3.elements)
+        monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", 216 * 64 - 1)
+        for _ in range(2):
+            trace = {}
+            mep_brute_force(space, ANTI3, omega, max_dim=1, trace=trace)
+            assert (trace["kernel"], trace["group_table"]) == ("built", "built")
+        assert mep._kept_kernel.cache_info().currsize == mep._kept_group.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_refusals_keep_their_messages(self, monkeypatch, warm):
+        # each refusal of the scan, on a kept group too: the map bound per
+        # code (the 5-chain at dimension 4, after a scan to dimension 3 kept
+        # its group and memo), the table's entry bound, the group's order
+        # bound, and the space's vector and addition-table bounds
+        chain5 = Poset.chain(tuple("abcde"))
+        space5 = AlphabetSpec.uniform(F2, chain5.elements, 1)
+        ones5 = WeightFunction.ones(chain5.elements)
+        if warm:
+            assert mep_brute_force(space5, chain5, ones5, max_dim=3).holds
+            assert mep_brute_force(SP21, CHAIN2, ONES2).holds
+        refusals = [
+            ((space5, chain5, ones5), {},
+             "^1048576 candidate maps at dimension 4 exceed the bound 524288$"),
+            ((SP21, CHAIN2, ONES2), {"map_bound": 15},
+             "^16 candidate maps at dimension 2 exceed the bound 15$"),
+        ]
+        for args, kwargs, message in refusals:
+            for scan in (mep_brute_force, held_set_scan_oracle):
+                with pytest.raises(MapBoundExceeded, match=message):
+                    scan(*args, **kwargs)
+        monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", 7)
+        for scan in (mep_brute_force, held_set_scan_oracle):
+            with pytest.raises(BoundExceeded, match="^group index table of 8 entries exceeds 7$"):
+                scan(SP21, CHAIN2, ONES2)
+        monkeypatch.undo()
+        monkeypatch.setattr(mep, "GROUP_BOUND", 1)
+        for scan in (mep_brute_force, held_set_scan_oracle):
+            with pytest.raises(GroupBoundExceeded,
+                               match="^isometry group order reaches 2, over the bound 1$"):
+                scan(SP21, CHAIN2, ONES2)
+        monkeypatch.undo()
+        one = Poset.chain(("a",))
+        for q, dim, message in ((2, 17, "^space of 131072 vectors exceeds 65536$"),
+                                (3, 7, "^addition table of 4782969 entries for q = 3 exceeds")):
+            space = AlphabetSpec(FieldSpec(q), ("a",), (dim,))
+            for scan in (mep_brute_force, held_set_scan_oracle):
+                with pytest.raises(BoundExceeded, match=message):
+                    scan(space, one, WeightFunction.ones(("a",)))
+
+
 class TestStabilizerDecision:
     def test_decision_equals_the_leaf_search_on_every_code(self):
         codes = rejected = 0
         for space, poset, omega in _small_grid():
             key = weight_sum_functional(poset, omega)
-            si, columns = mep._indexed_group(space, poset, key)
+            si, columns = indexed_group(space, poset, key)
             listed = list(zip(*indexed_group_oracle(space, poset, key)[1]))
             for code in enumerate_codes(space):
                 if code.dim == 0:
@@ -849,11 +1106,11 @@ class TestStabilizerDecision:
             for space, poset, omega in _small_grid()
         ]
 
-        def listed(space, poset, key):
+        def listed(space, poset, key, trace=None):
             si, listing = indexed_group_oracle(space, poset, key)
-            return si, list(zip(*listing))
+            return si, list(zip(*listing)), {}
 
-        monkeypatch.setattr(mep, "_indexed_group", listed)
+        monkeypatch.setattr(mep, "_scan_group", listed)
         for space, poset, omega, verdict in verdicts:
             assert mep_brute_force(space, poset, omega) == verdict
         assert sum(not verdict.holds for *_, verdict in verdicts) > 0
@@ -862,7 +1119,7 @@ class TestStabilizerDecision:
     def test_lazy_levels_equal_the_eager_tables_on_large_shapes(self, poset, dims, max_dim, orbits):
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        si, columns = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
+        si, columns = indexed_group(space, poset, key_for(poset, omega, "weight"))
         verdicts = Counter()
         for basis_idx in enumerate_codes(space, max_dim=2, indices=True):
             if basis_idx:
@@ -1197,7 +1454,7 @@ class TestClosedFormOracle:
 
 def _union_find_orbit_check(space, poset, omega):
     """single_orbit_check by union-find over every group permutation, kept as the oracle."""
-    si, columns = mep._indexed_group(space, poset, key_for(poset, omega, "weight"))
+    si, columns = indexed_group(space, poset, key_for(poset, omega, "weight"))
     count = len(si.vectors)
     root = list(range(count))
 
@@ -1244,7 +1501,7 @@ class TestSingleOrbit:
         def unfolded(*args):
             raise AssertionError("the group table was built")
 
-        monkeypatch.setattr(mep, "_indexed_group", unfolded)
+        monkeypatch.setattr(mep, "_scan_group", unfolded)
         space = AlphabetSpec.uniform(FieldSpec(3), ANTI3.elements, 2)
         omega = WeightFunction.ones(ANTI3.elements)
         start = time.perf_counter()
