@@ -344,10 +344,12 @@ def coding_property_audit(
     matched UDP plus the level class bound, and with integer (or all-ones)
     weights the middle five statements collapse into one.  The code bound
     of the identity check is checked before the first statement runs.  A
-    given trace dict gets the identity check's under "macwilliams_identity".
+    given trace dict gets the MEP scan's under "brute_force" and the
+    identity check's under "macwilliams_identity".
     """
     _check_code_count(space)
-    mep_verdict = mep_brute_force(space, poset, omega)
+    scan_trace = None if trace is None else trace.setdefault("brute_force", {})
+    mep_verdict = mep_brute_force(space, poset, omega, trace=scan_trace)
     report = condition_report(space, poset, omega)
     orbit_ok, _ = single_orbit_check(space, poset, omega)
     primal = weight_partition(space, poset, omega)

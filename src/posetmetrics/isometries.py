@@ -45,7 +45,7 @@ from .errors import (
 )
 from .fields import Matrix, Vector
 from .posets import Perm, Poset, Value, WeightFunction, powers_of_two_weight, set_bits
-from .spaces import VECTOR_BOUND, AlphabetSpec, support_classes
+from .spaces import CACHED_SHAPES, VECTOR_BOUND, AlphabetSpec, support_classes
 
 # An int per ideal mask; the scans compare vectors by the keys of their closures.
 # Every key is an additive weight sum over the mask's labels (the closure key
@@ -238,8 +238,14 @@ def group_order(
     choices, q^k - q^i (i < k) per diagonal block, q^(k k') per strict block.
     With a bound, the first prefix product over it raises GroupBoundExceeded,
     as does a power q^e whose lower bound 2^(low e) (q^k - q^i >= q^(k-1))
-    is past the bound and 2^64: it is named "at least 2^(low e)", unformed."""
-    q, dims = space.q, space.dims
+    is past the bound and 2^64: it is named "at least 2^(low e)", unformed.
+    The walk reads q, the dims and the down-set masks alone and is kept
+    (CACHED_SHAPES), so an order's kernel order (lam_count 1) is walked once."""
+    return _group_order(space.q, space.dims, poset._down, lam_count, bound)
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _group_order(q: int, dims: tuple, down: tuple, lam_count: int, bound: Optional[int]) -> int:
     low = q.bit_length() - 1  # q^e >= 2^(low e)
 
     def refuse(reached: str) -> None:
@@ -260,19 +266,22 @@ def group_order(
         top = power(k - 1) * q
         for i in range(k):
             order = checked(order * (top - q**i))
-    for i, j in _strict_pairs(poset, tuple(range(len(dims)))):
-        order = checked(order * power(dims[i] * dims[j]))
+    for i, k in enumerate(dims):  # the strict blocks (i, j), j strictly below i
+        for j in set_bits(down[i] ^ 1 << i):
+            order = checked(order * power(k * dims[j]))
     return order
 
 
 def admissible_lams(space: AlphabetSpec, poset: Poset, key: Key, bound: int) -> tuple[Perm, ...]:
     """The group's label maps, with its order checked against the bound
-    before the coloured search and again after it.  A repeat call finds its
-    search kept on the poset (`Poset.automorphisms`)."""
+    before the coloured search, as the kept kernel order, and after it, as
+    that times the label maps (walked again only to word a refusal).  A
+    repeat call finds its search kept on the poset (`Poset.automorphisms`)."""
     _check_label_order(space, poset)
-    group_order(space, poset, 1, bound)  # the identity is admissible: refuse before the search
+    order = group_order(space, poset, 1, bound)  # the identity is admissible: refuse first
     lams = admissible_automorphisms(poset, space, key)
-    group_order(space, poset, len(lams), bound)
+    if order * len(lams) > bound:
+        group_order(space, poset, len(lams), bound)
     return lams
 
 

@@ -4,47 +4,48 @@ the canonical level decomposition for hierarchical posets.
 Brute force quantifies over every code (skipping the isometry orbit of a code
 that held) and every linear map out of it, checks weight (or support-closure)
 preservation per codeword, and searches the structured isometry group for an
-extension block by block, one output block's slots at a time, without
-listing it.  Small spaces are indexed densely so the inner loops run on ints:
-vectors are classed by the integer weight key of their closure masks (support
-closure is the weight with doubling weights, whose key is the mask itself),
-and the scan and the orbit check see each group element only as the
-permutation it induces on the indexed vectors, spanned for the group's
-factors with no `Isometry` and no matrix (`_group_factors`).  Only the scan
-lists the group, as a table of columns: column t holds the image of vector
-t under every element, packed as 16-bit indices and joined from the
-factors' columns one factor at a time, so no element is built on its own
+extension block by block, without listing it.  Vectors are indexed densely
+and classed by the integer weight key of their closure masks (support
+closure is the weight with doubling weights, whose key is the mask itself).
+A linear map keeps the weight exactly when it keeps every vector's class,
+so the scan depends on the weighting only through its class partition of
+the closure masks (`spaces.mask_classes`), computed first: with dims >= 1
+every principal ideal is the closure of a unit vector, so the partition
+fixes the label maps, the group, the held sets, the verdict and its counts.
+The verdict (failing basis and images by vector index, or None; codes read
+and decided; group order) is kept per (q, dims, down-set masks, partition,
+top dimension, map bound, group bounds) for the last `spaces.CACHED_SHAPES`
+questions and rebuilt on the caller's space with no group, index or table
+work (trace "verdict": "kept"); a scan that raises keeps nothing.
+
+The scan and the orbit check see each group element only as the permutation
+it induces on the indexed vectors, spanned for the group's factors with no
+`Isometry` and no matrix (`_group_factors`).  Only the scan lists the group,
+as a table of columns: column t holds the image of vector t under every
+element, packed as 16-bit indices and joined one factor at a time
 (`_scan_group`).  The group is the label maps acting on a kernel K(P) of
-block maps that depends only on the order and the block dims, never on the
-weight, so the kernel's table is kept per (q, dims, strictly-below masks)
-and the group's table, the label maps joined over the kernel's columns,
-per (q, dims, below, label maps), for the last `spaces.CACHED_SHAPES` of
-each, up to KEPT_TABLE_BOUND entries (2 MB).  Weightings with the same
-label maps share one table and one held-orbit memo.  Spans read one
-addition table (xor at q = 2), and the multiples c b of a basis vector are
-b added c times.
+block maps that depends only on the order and the block dims, so the
+kernel's table is kept per (q, dims, down sets) and the group's table per
+(q, dims, down sets, label maps), for the last `spaces.CACHED_SHAPES` of
+each, up to KEPT_TABLE_BOUND entries (2 MB); weightings with the same label
+maps share one table and one held-orbit memo.  Spans read one addition
+table (xor at q = 2).
 
 A code is decided on the stabilizer chain of its basis (`_holds_on`): only
 the images of the identity prefix at each level are looked at, a level whose
 class is its basis vector's orbit is skipped before its tables are built, and
 the leaf search that names the first counterexample runs only on a code that
 fails.  A held code's orbit is marked in one pass over the table's columns
-at the code's vectors: each element's image of the code is a row of them,
-deduplicated as a tuple before it is made a set.  The marks go to the
-group's memo, which sends each span of the orbit to the orbit's first span
-in scan order, so a later scan of the group under another weight skips an
-orbit once its first code held there too, and marks nothing again; a shape
-past the code bound keeps no memo, as it keeps no span.  Every reader of
-the table reads sets of images, so the order of its elements is free.  The
-label maps are searched once per class partition of the poset
+at the code's vectors, into the group's memo, which sends each span of the
+orbit to the orbit's first span in scan order, so a later scan of the group
+under another weight skips an orbit once its first code held there too; a
+shape past the code bound keeps no memo, as it keeps no span.  The label
+maps are searched once per class partition of the poset
 (`Poset.automorphisms`) and shared by the scan, the extension search and
-the orbit check (`isometries.admissible_lams`).
-Codes come from `enumerate_codes` as tuples of vector indices, the scan's
-own currency; only a counterexample's code is built as a `LinearCode`.  That
-still holds where `enumerate_codes` reads its shape's kept tuple of codes.  A
-code's span is read from the span table of its shape (q, N) in
-`spaces.shape_tables`, under the same bounds, and spanned by
-`SpaceIndex.span_indices` only on a miss.
+the orbit check (`isometries.admissible_lams`).  Codes come from
+`enumerate_codes` as tuples of vector indices, and a code's span is read
+from the span table of its shape (q, N) in `spaces.shape_tables`, spanned
+only on a miss.
 
 The closed form (`mep_predicate`) picks its route, all-ones weights or a
 hierarchical poset, before it computes any condition, and refuses any other
@@ -54,7 +55,6 @@ question; the route reads its condition from one `condition_report`.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import sys
 from array import array
@@ -77,16 +77,18 @@ from .isometries import (
     Isometry,
     Key,
     _all_blocks,
+    _check_label_order,
     _strict_pairs,
     admissible_lams,
     build_isometry,
     gl_order,
+    group_order,
     weight_sum_functional,
 )
 from .posets import Perm, Poset, Value, WeightFunction, set_bits, udp_check
 from .spaces import (
-    CACHED_SHAPES, VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, shape_tables,
-    support_classes, weight,
+    CACHED_SHAPES, VECTOR_BOUND, AlphabetSpec, LinearCode, enumerate_codes, mask_classes,
+    shape_tables, support_classes, weight,
 )
 
 
@@ -109,21 +111,14 @@ class SpaceIndex:
     values[t] is the class id of vector t: two vectors share an id exactly
     when the key gives their closure masks equal ints, so preservation
     checks compare ints.  classes[i] lists the vectors of class i in index
-    order.
+    order; given values, they are taken as the class ids already computed.
     """
 
-    def __init__(self, space: AlphabetSpec, poset: Poset, key: Key):
-        if space.vectors_over(VECTOR_BOUND):
-            raise BoundExceeded(f"space of {space.vector_count_text} vectors exceeds {VECTOR_BOUND}")
-        q, count = space.q, space.vector_count
-        if q != 2 and count * count > ADD_TABLE_BOUND:
-            raise BoundExceeded(
-                f"addition table of {count_text(count * count)} entries for q = {q} "
-                f"exceeds {ADD_TABLE_BOUND}"
-            )
-        self.q = q
+    def __init__(self, space: AlphabetSpec, poset: Poset, key: Key, values: Optional[list] = None):
+        SpaceIndex.check_bounds(space)
+        self.q = q = space.q
         self.vectors = list(space.vectors())
-        self.values = support_classes(space, poset, key)
+        self.values = support_classes(space, poset, key) if values is None else values
         self.classes: list[list[int]] = [[] for _ in range(max(self.values) + 1)]
         for t, c in enumerate(self.values):
             self.classes[c].append(t)
@@ -138,6 +133,18 @@ class SpaceIndex:
                 table = [[s * q + (x + y) % q for s in row for y in range(q)]
                          for row in table for x in range(q)]
             self._add_table = table
+
+    @staticmethod
+    def check_bounds(space: AlphabetSpec) -> None:
+        """Refuse a space over the vector bound, or over the addition table's."""
+        if space.vectors_over(VECTOR_BOUND):
+            raise BoundExceeded(f"space of {space.vector_count_text} vectors exceeds {VECTOR_BOUND}")
+        q, count = space.q, space.vector_count
+        if q != 2 and count * count > ADD_TABLE_BOUND:
+            raise BoundExceeded(
+                f"addition table of {count_text(count * count)} entries for q = {q} "
+                f"exceeds {ADD_TABLE_BOUND}"
+            )
 
     def span_indices(self, basis: Sequence[int], spans: Sequence[int] = (0,)) -> list[int]:
         """Indices of all combinations, aligned with lexicographic coefficients.
@@ -274,71 +281,88 @@ def mep_brute_force(
     is marked complete=False.
 
     A code gC in the orbit of a code C that held is skipped (f on gC extends
-    to F iff f o g on C extends to F o g).  Only orbits of codes that held are
-    marked, so the first failing code and its counterexample are unchanged.
-    Each scanned code is decided by `_holds_on` on the stabilizer chain of its
-    basis; only a code it rejects gets the reachable tuples and the leaf
-    search for the first unreachable map.  The group's columns and its orbit
-    memo come from `_scan_group`: the memo maps a span to the first span of
-    its orbit in scan order, and a code is skipped when that first span held
-    in this scan.  Every scan of one group reads the codes in one order, so an
-    orbit's first code is the same for every weighting; a held code with no
-    memo entry writes its orbit, read off the columns by `_orbit_spans`.  The
-    decision, the reachable tuples and the marking read only sets of images,
-    so the verdict and counterexample do not depend on the table's order.
+    to F iff f o g on C extends to F o g), so the first failing code and its
+    counterexample are unchanged.  Each scanned code is decided by `_holds_on`
+    on the stabilizer chain of its basis; only a code it rejects gets the
+    leaf search for the first unreachable map.  The group's columns and its
+    orbit memo come from `_scan_group`: the memo maps a span to the first
+    span of its orbit in scan order, the same for every weighting, and a code
+    is skipped when that first span held in this scan; a held code with no
+    memo entry writes its orbit (`_orbit_spans`).  Only sets of images are
+    read, so nothing depends on the table's order.  After the space and
+    label checks the class partition comes first, and a question whose
+    verdict is kept by it (module notes) is answered from it.
 
     A given trace dict gets the group's order, whether its kernel and its
-    table were built or kept, the nonzero codes read and the codes decided;
-    with no trace nothing is counted per code.
+    table were built or kept ("none" when the verdict was kept), the nonzero
+    codes read, the codes decided and whether the verdict was "scanned" or
+    "kept"; a map-bound refusal writes the two counts before it raises.
 
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
     """
-    si, columns, first_of = _scan_group(space, poset, weight_sum_functional(poset, omega), trace)
-    count = len(si.vectors)
+    key = weight_sum_functional(poset, omega)
+    SpaceIndex.check_bounds(space)
+    _check_label_order(space, poset)
+    masks, class_of_mask = mask_classes(space, poset, key)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
-    held: set[frozenset[int]] = set()  # the first spans of the orbits that held in this scan
-    tables = shape_tables(space.q, n)
-    if tables is None:  # a shape past the code bound keeps no span and no orbit memo
-        spans, first_of = {}, {}
-    else:
-        spans = tables[1]
-    codes = enumerate_codes(space, max_dim=top, indices=True)
+    kept = _kept_verdict(space.q, space.dims, poset._down, tuple(class_of_mask.values()), top,
+                         map_bound, GROUP_BOUND, GROUP_TABLE_BOUND)
+    status = "kept" if kept else "scanned"
+    if not kept:
+        values = list(map(class_of_mask.__getitem__, masks))
+        si, columns, first_of = _scan_group(space, poset, key, trace, values)
+        count = len(si.vectors)
+        held: set[frozenset[int]] = set()  # the first spans of the orbits that held in this scan
+        tables = shape_tables(space.q, n)
+        if tables is None:  # a shape past the code bound keeps no span and no orbit memo
+            spans, first_of = {}, {}
+        else:
+            spans = tables[1]
+        failing = images = None
+        for read, basis_idx in enumerate(enumerate_codes(space, max_dim=top, indices=True)):
+            d = len(basis_idx)  # the zero code is read first and never decided
+            if d == 0:
+                continue
+            if count**d > map_bound:
+                if trace is not None:
+                    trace.update(codes_read=read, codes_decided=len(held))
+                raise MapBoundExceeded(f"{count_text(count**d)} candidate maps at dimension {d} "
+                                       f"exceed the bound {map_bound}")
+            span = spans.get(basis_idx)
+            if span is None:
+                span = frozenset(si.span_indices(basis_idx))
+                if tables is not None:
+                    spans[basis_idx] = span
+            first = first_of.get(span)
+            if first in held:
+                continue
+            if not _holds_on(si, basis_idx, columns):
+                reachable = set(zip(*map(columns.__getitem__, basis_idx)))
+                failing, images = basis_idx, _first_unreachable_map(si, basis_idx, reachable)
+                break
+            held.add(span)
+            if first is None:
+                first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
+        kept.append((failing, images, read, len(held) + (failing is not None), len(columns[0])))
+    elif trace is not None:  # a kept verdict does no group work
+        trace.update(group_order=kept[0][4], kernel="none", group_table="none")
+    failing, images, read, decided, _ = kept[0]
     if trace is not None:
-        read = itertools.count()
-        codes = map(operator.itemgetter(0), zip(codes, read))
-    failing = None
-    for basis_idx in codes:
-        d = len(basis_idx)
-        if d == 0:
-            continue
-        if count**d > map_bound:
-            raise MapBoundExceeded(
-                f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}"
-            )
-        span = spans.get(basis_idx)
-        if span is None:
-            span = frozenset(si.span_indices(basis_idx))
-            if tables is not None:
-                spans[basis_idx] = span
-        first = first_of.get(span)
-        if first in held:
-            continue
-        if not _holds_on(si, basis_idx, columns):
-            failing = basis_idx
-            break
-        held.add(span)
-        if first is None:
-            first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
-    if trace is not None:  # the zero code is read first and never decided
-        trace.update(codes_read=next(read) - 1, codes_decided=len(held) + (failing is not None))
+        trace.update(codes_read=read, codes_decided=decided, verdict=status)
     if failing is None:
         return MepVerdict(holds=True, complete=(top >= n))
-    reachable = set(zip(*(columns[b] for b in failing)))
-    images = _first_unreachable_map(si, failing, reachable)
-    code = LinearCode(space, tuple(si.vectors[t] for t in failing))
-    return MepVerdict(holds=False, counterexample=(code, tuple(si.vectors[t] for t in images)))
+    q = space.q  # vector t spells its base-q digits
+    vectors = [tuple(t // q ** (n - 1 - c) % q for c in range(n)) for t in (*failing, *images)]
+    code = LinearCode(space, tuple(vectors[:len(failing)]))
+    return MepVerdict(holds=False, counterexample=(code, tuple(vectors[len(failing):])))
+
+
+@lru_cache(maxsize=CACHED_SHAPES)
+def _kept_verdict(*key) -> list:
+    """The holder of one question's verdict, filled when its scan returns."""
+    return []
 
 
 def _orbit_spans(
@@ -358,9 +382,12 @@ def _checked_entries(
     over their bound.  The factors are the label maps, GL_{k_i} per block
     and the strict blocks below each block."""
     q, dims = space.q, space.dims
-    under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
-    sizes = [lam_count, *(gl_order(q, k) for k in dims), *(q ** (k * d) for k, d in zip(dims, under))]
-    entries = (math.prod(sizes) if listed else sum(sizes)) * count
+    if listed:  # |G| is the kept kernel order times the label maps
+        entries = group_order(space, poset, 1, GROUP_BOUND) * lam_count * count
+    else:
+        under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
+        sizes = [lam_count, *(gl_order(q, k) for k in dims), *(q ** (k * d) for k, d in zip(dims, under))]
+        entries = sum(sizes) * count
     bound = GROUP_TABLE_BOUND if listed else FACTOR_TABLE_BOUND
     if entries > bound:
         raise BoundExceeded(f"group index table of {entries} entries exceeds {bound}")
@@ -454,7 +481,7 @@ def _joined(count: int, factors: Sequence[Sequence[array]]) -> list[bytes]:
 
 
 @lru_cache(maxsize=CACHED_SHAPES)
-def _kept_kernel(q: int, dims: tuple[int, ...], below: tuple[int, ...]) -> list:
+def _kept_kernel(q: int, dims: tuple[int, ...], down: tuple[int, ...]) -> list:
     """The holder of the kernel table of one order and block dims, filled by
     its first reader: the kernel K(P) depends on neither the weight nor the
     labels' names."""
@@ -463,7 +490,7 @@ def _kept_kernel(q: int, dims: tuple[int, ...], below: tuple[int, ...]) -> list:
 
 @lru_cache(maxsize=CACHED_SHAPES)
 def _kept_group(
-    q: int, dims: tuple[int, ...], below: tuple[int, ...], lams: tuple[Perm, ...]
+    q: int, dims: tuple[int, ...], down: tuple[int, ...], lams: tuple[Perm, ...]
 ) -> list:
     """The holder of one group's table and held-orbit memo, filled by its
     first reader; weightings with the same label maps share it."""
@@ -471,37 +498,35 @@ def _kept_group(
 
 
 def _scan_group(
-    space: AlphabetSpec, poset: Poset, key: Key, trace: Optional[dict] = None
-) -> tuple[SpaceIndex, list[memoryview], dict]:
-    """The space's dense index, the group's column table and its held-orbit
-    memo (span -> first span of its orbit in scan order).
+    space: AlphabetSpec, poset: Poset, key: Key, trace: Optional[dict] = None, values: Optional[list] = None
+) ->tuple[SpaceIndex, list[memoryview], dict]:
+    """The space's dense index (on the given class ids, if any), the group's
+    column table and its held-orbit memo (span -> first span of its orbit in
+    scan order).
 
     columns[t][g] is the index of the image of vector t under the g-th group
     element, as native unsigned 16-bit entries (indices stay below
     VECTOR_BOUND = 2^16).  The table is the label maps joined over the
     kernel's columns: for each entry x of the kernel's column t, in order,
-    the images of x under every label map, so the label map varies fastest
-    and element g is p o k.  The kernel table starts as the identity and
-    takes its factors one at a time (`_joined`), the last factor's pick
-    varying slowest, so the table is f_1 o f_2 o ... with `_group_factors`'
-    lists in their order.  Every reader (`_holds_on`, the reachable tuples,
-    `_orbit_spans`) reads only sets of images, so no verdict,
+    the images of x under every label map, so element g is p o k.  The
+    kernel table starts as the identity and takes its factors one at a time
+    (`_joined`), so it is f_1 o f_2 o ... with `_group_factors`' lists in
+    their order.  Every reader reads only sets of images, so no verdict,
     counterexample or digest depends on the order.
 
-    The kernel is kept per (q, dims, strictly-below masks) and the table
-    with its memo per (q, dims, below, label maps), the last
+    The kernel is kept per (q, dims, down-set masks) and the table with its
+    memo per (q, dims, down sets, label maps), the last
     `spaces.CACHED_SHAPES` of each, and only the missing piece is built.  A
-    table of more than KEPT_TABLE_BOUND entries is built into a throwaway
-    holder, so nothing of it is kept; the kernel divides the group, so a
-    kept table has its kernel kept.  The label maps' permutations are
-    folded into one packed row per vector, and freed, before the table is
-    joined; one label map leaves the kernel's columns as they are.
+    table of more than KEPT_TABLE_BOUND entries goes to a throwaway holder;
+    the kernel divides the group, so a kept table has its kernel kept.  The
+    label maps' permutations are folded into one packed row per vector
+    before the table is joined; one label map leaves the kernel as it is.
     """
-    si = SpaceIndex(space, poset, key)
+    si = SpaceIndex(space, poset, key, values)
     lams = admissible_lams(space, poset, key, GROUP_BOUND)
     count = len(si.vectors)
     entries = _checked_entries(space, poset, len(lams), count, listed=True)
-    shape = (space.q, space.dims, tuple(map(poset.strictly_below, range(len(space.dims)))))
+    shape = (space.q, space.dims, poset._down)
     kernel = _kept_kernel(*shape) if entries // len(lams) <= KEPT_TABLE_BOUND else []
     group = _kept_group(*shape, lams) if entries <= KEPT_TABLE_BOUND else []
     if trace is not None:

@@ -140,17 +140,21 @@ def vector_masks(space: AlphabetSpec, label_masks: Sequence[int]) -> list[int]:
     return masks
 
 
-def support_classes(space: AlphabetSpec, poset: Poset, key: Callable[[int], object]) -> list[int]:
-    """One class id per vector, in lexicographic order.
-
-    A vector's closure mask is the OR of the poset's down-set masks over its
-    nonzero blocks (vector_masks).  Two vectors share an id exactly when key
-    gives their closure masks equal results.  Ids are numbered by first
-    appearance, and key runs once per distinct mask.
-    """
+def mask_classes(
+    space: AlphabetSpec, poset: Poset, key: Callable[[int], object]
+) -> tuple[list[int], dict[int, int]]:
+    """Each vector's closure mask in lexicographic order (the OR of the down
+    sets of its nonzero blocks, vector_masks), and each distinct mask's class
+    id, numbered by first appearance: equal ids for equal key results, key
+    run once per mask.  The ids are the weighting's class partition."""
     masks = vector_masks(space, [poset._down[poset.index(label)] for label in space.labels])
     ids: dict[object, int] = {}
-    class_of_mask = {mask: ids.setdefault(key(mask), len(ids)) for mask in dict.fromkeys(masks)}
+    return masks, {mask: ids.setdefault(key(mask), len(ids)) for mask in dict.fromkeys(masks)}
+
+
+def support_classes(space: AlphabetSpec, poset: Poset, key: Callable[[int], object]) -> list[int]:
+    """One class id per vector, in lexicographic order (mask_classes)."""
+    masks, class_of_mask = mask_classes(space, poset, key)
     return list(map(class_of_mask.__getitem__, masks))
 
 

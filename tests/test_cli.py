@@ -538,9 +538,13 @@ class TestCommands:
         assert all(t["build_ms"] >= 0 and t["fold_ms"] >= 0 for t in traces)
         fourier._code_classes.cache_clear()
         _, audit = run_json(capsys, "audit", "--instance", path)
-        (name, identity), = audit.pop("trace").items()
-        assert (name, identity["class_table"], identity["codes_enumerated"]) == (
-            "macwilliams_identity", "built", 16)
+        audit_trace = audit.pop("trace")
+        assert list(audit_trace) == ["brute_force", "macwilliams_identity"]
+        identity = audit_trace["macwilliams_identity"]
+        assert (identity["class_table"], identity["codes_enumerated"]) == ("built", 16)
+        assert list(audit_trace["brute_force"]) == [
+            "group_order", "kernel", "group_table", "codes_read", "codes_decided", "verdict"]
+        assert audit_trace["brute_force"]["verdict"] == "scanned"
         assert reports[0]["report_digest"] == reports[1]["report_digest"]
         for report in (reports[0], audit):
             body = {key: report[key] for key in ("command", "instance_digest", "results", "witnesses")}

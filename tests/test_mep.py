@@ -187,8 +187,10 @@ class TestBruteForce:
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
         omega = WeightFunction.ones(ANTI3.elements)
         first = mep_brute_force(space, ANTI3, omega, max_dim=2)
+        mep._kept_verdict.cache_clear()  # the second scan runs, on the kept group
         second = mep_brute_force(space, ANTI3, omega, max_dim=2)
-        assert first.counterexample == second.counterexample
+        kept = mep_brute_force(space, ANTI3, omega, max_dim=2)
+        assert first.counterexample == second.counterexample == kept.counterexample
 
     def test_antichain_reduces_to_weight_classes(self):
         # extension holds exactly when UDP does and each class extends alone
@@ -445,6 +447,7 @@ class TestIndexedGroup:
             runs.append((space, poset, mep_brute_force(space, poset, powers_of_two_weight(poset))))
         monkeypatch.setattr(mep, "weight_sum_functional", lambda poset, omega: closure_key)
         for space, poset, verdict in runs:
+            mep._kept_verdict.cache_clear()  # the closure key's partition is the doubling one
             assert mep_brute_force(space, poset, powers_of_two_weight(poset)) == verdict
 
     def test_the_weight_is_the_one_way_to_ask(self):
@@ -648,9 +651,12 @@ class TestOrbitReducedScan:
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
         mep._kept_group.cache_clear()
+        verdicts = []
         sys.setprofile(hook)
         try:
-            verdicts = [mep_brute_force(space, poset, omega, max_dim=max_dim) for _ in range(2)]
+            for _ in range(2):  # the second scan meets the memo, not the kept verdict
+                mep._kept_verdict.cache_clear()
+                verdicts.append(mep_brute_force(space, poset, omega, max_dim=max_dim))
         finally:
             sys.setprofile(None)
         assert verdicts[0] == verdicts[1] and verdicts[0].holds
@@ -689,6 +695,7 @@ class TestOrbitReducedScan:
         pruned = len(calls)
         calls.clear()
         monkeypatch.setattr(mep, "_holds_on", leaf_search)
+        mep._kept_verdict.cache_clear()  # the leaf-search scan runs, not the kept verdict
         assert mep_brute_force(space, poset, omega, max_dim=max_dim) == verdict
         assert 2 * pruned <= len(calls)  # 427 against 2396 when this test was written
 
@@ -716,8 +723,7 @@ class TestRecordedScan:
 
     @pytest.fixture(autouse=True)
     def _no_kept_shapes(self):
-        for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group):
-            cache.cache_clear()
+        _clear_kept()
         yield
         spaces._shape_tables.cache_clear()
 
@@ -725,12 +731,14 @@ class TestRecordedScan:
         with monkeypatch.context() as patched:
             for module in (spaces, mep):
                 patched.setattr(module, "shape_tables", lambda q, n: None)
-            unkept = [mep_brute_force(*case) for case in _scan_grid()]
+            unkept = []
+            for case in _scan_grid():
+                mep._kept_verdict.cache_clear()
+                unkept.append(mep_brute_force(*case))
         assert spaces._shape_tables.cache_info().misses == 0
         cold = []
         for case in _scan_grid():
-            for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group):
-                cache.cache_clear()
+            _clear_kept()
             cold.append(mep_brute_force(*case))
         warm = [mep_brute_force(*case) for case in _scan_grid()]  # tables shared by every case
         assert cold == warm == unkept
@@ -767,7 +775,9 @@ class TestRecordedScan:
 
     def test_a_warm_scan_spans_no_code(self, monkeypatch):
         # a cold scan spans every code it reads and every factor element of
-        # the group; a warm one spans neither, and builds nothing
+        # the group; a warm one, under another weighting with the same label
+        # maps (MIXED has only the identity) and another class partition,
+        # spans neither and builds nothing; the kept verdict reads nothing
         calls = []
         span_indices = SpaceIndex.span_indices
 
@@ -776,21 +786,28 @@ class TestRecordedScan:
             return span_indices(self, basis, *prefix)
 
         key = key_for(MIXED, ONES3, "weight")
+        doubling = powers_of_two_weight(MIXED)
         for dims in ((1, 1, 1), (1, 2, 1)):
             space = AlphabetSpec(F2, MIXED.elements, dims)
             elements = sum(map(len, mep._group_factors(space, MIXED, key, listed=True)[1]))
             monkeypatch.setattr(SpaceIndex, "span_indices", counting)
-            cold_trace, warm_trace = {}, {}
-            verdict = mep_brute_force(space, MIXED, ONES3, trace=cold_trace)
+            cold_trace, warm_trace, kept_trace = {}, {}, {}
+            # the doubling scan holds, so it reads and spans every code
+            assert mep_brute_force(space, MIXED, doubling, trace=cold_trace).holds
             assert calls.count(False) == cold_trace["codes_read"] + elements
             assert elements > 0 and cold_trace["kernel"] == cold_trace["group_table"] == "built"
             calls.clear()
-            assert mep_brute_force(space, MIXED, ONES3, trace=warm_trace) == verdict
-            assert calls.count(False) == 0 and warm_trace["codes_read"] == cold_trace["codes_read"]
+            verdict = mep_brute_force(space, MIXED, ONES3, trace=warm_trace)
+            assert calls.count(False) == 0 and warm_trace["verdict"] == "scanned"
             assert warm_trace["kernel"] == warm_trace["group_table"] == "kept"
+            calls.clear()
+            assert mep_brute_force(space, MIXED, ONES3, trace=kept_trace) == verdict
+            assert calls == [] and kept_trace["verdict"] == "kept"
+            assert kept_trace["codes_read"] == warm_trace["codes_read"]
             indexed_group(space, MIXED, key)
             assert calls.count(False) == 0
             monkeypatch.undo()
+            assert verdict == held_set_scan_oracle(space, MIXED, ONES3)
 
     def test_a_shape_past_the_code_bound_keeps_no_span(self):
         anti = Poset.antichain(tuple(f"x{t}" for t in range(8)))
@@ -821,9 +838,12 @@ class TestHeldOrbitOracle:
 
         monkeypatch.setattr(mep, "_holds_on", deciding)
         monkeypatch.setattr(mep, "_orbit_spans", marking)
-        mep._kept_group.cache_clear()  # a kept memo would leave held orbits unmarked
+        # a kept memo or a kept verdict would leave held orbits unmarked
+        for cache in (mep._kept_group, mep._kept_verdict):
+            cache.cache_clear()
         verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
         monkeypatch.undo()
+        mep._kept_verdict.cache_clear()  # the rerun reads the memo the patched scan wrote
         assert verdict == mep_brute_force(space, poset, omega, max_dim=max_dim)
         return len(bases) - (not verdict.holds)
 
@@ -843,7 +863,7 @@ class TestHeldOrbitOracle:
 
 
 def _clear_kept():
-    for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group):
+    for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group, mep._kept_verdict):
         cache.cache_clear()
 
 
@@ -942,11 +962,14 @@ class TestKeptGroupOracle:
         for case in cases:
             if id(case) not in expected:
                 expected[id(case)] = _outcome(held_set_scan_oracle, *case)
-        kernels, tables, seen = Counter(), Counter(), set()
+        kernels, tables, seen, verdicts = Counter(), Counter(), set(), []
         for case in cases:
             trace = {}
             outcome = _outcome(mep_brute_force, *case, trace=trace)
             assert outcome == expected[id(case)], (case[1].leq, case[0].dims, case[2])
+            verdicts.append(trace.get("verdict", "refused"))
+            if verdicts[-1] == "kept":  # no group work at all
+                assert trace["kernel"] == trace["group_table"] == "none"
             kernels[trace["kernel"]] += 1
             tables[trace["group_table"]] += 1
             key = (case[0].q, case[0].dims, case[1].leq)
@@ -956,6 +979,10 @@ class TestKeptGroupOracle:
         assert len(cases) == 2 * sum(map(len, groups)) == 2 * 4 * 309
         assert kernels["kept"] > 0 and tables["kept"] > 0 and tables["built"] > 0
         assert tables["rebuilt"] > 0
+        # back to back, each (poset, dims)'s repeated support question meets
+        # the kept verdict of its first ask, unless that ask was refused
+        repeats = verdicts[3:len(cases) // 2:4]
+        assert set(repeats) == {"kept", "refused"} and Counter(verdicts)["scanned"] > 0
         outcomes = Counter(getattr(v, "holds", "refused") for v in expected.values())
         assert outcomes[True] > 0 and outcomes[False] > 0 and outcomes["refused"] > 0
 
@@ -997,6 +1024,7 @@ class TestKeptGroupOracle:
         assert mep_brute_force(space, ANTI3, doubling, trace=traces[0]).holds
         verdict = mep_brute_force(space, ANTI3, summing, trace=traces[1])
         assert traces[1]["group_table"] == "kept" and traces[1]["group_order"] == 1
+        assert [trace["verdict"] for trace in traces] == ["scanned", "scanned"]
         assert verdict == held_set_scan_oracle(space, ANTI3, summing)
         assert not verdict.holds and traces[1]["codes_decided"] == traces[1]["codes_read"]
 
@@ -1008,32 +1036,40 @@ class TestKeptGroupOracle:
         expected = _table_bytes(column_table_oracle(space, ANTI3, key)[1])
         verdict = held_set_scan_oracle(space, ANTI3, omega, max_dim=3)
         assert mep.KEPT_TABLE_BOUND == 1 << 20 >= entries
+        # every weighting of three planes with these label maps has this
+        # class partition, so the second question of each pair asks another
+        # top dimension, which the kept verdict does not answer
+        verdicts = {top: held_set_scan_oracle(space, ANTI3, omega, max_dim=top) for top in (2, 3)}
+        assert verdicts[2] == verdicts[3] == verdict
         monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", entries - 1)
         statuses = []
-        for _ in range(2):  # over the bound: each call builds the table afresh
+        for top in (3, 2):  # over the bound: each call builds the table afresh
             trace = {}
-            assert mep_brute_force(space, ANTI3, omega, max_dim=3, trace=trace) == verdict
-            statuses.append((trace["kernel"], trace["group_table"]))
+            assert mep_brute_force(space, ANTI3, omega, max_dim=top, trace=trace) == verdicts[top]
+            statuses.append((trace["verdict"], trace["kernel"], trace["group_table"]))
             assert _table_bytes(indexed_group(space, ANTI3, key)[1]) == expected
-        assert statuses == [("built", "built"), ("kept", "built")]
+        assert statuses == [("scanned", "built", "built"), ("scanned", "kept", "built")]
         assert mep._kept_group.cache_info().currsize == 0
         monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", entries)
+        mep._kept_verdict.cache_clear()
         statuses = []
-        for _ in range(2):
+        for top in (3, 2, 3):
             trace = {}
-            assert mep_brute_force(space, ANTI3, omega, max_dim=3, trace=trace) == verdict
-            statuses.append(trace["group_table"])
-        assert statuses == ["built", "kept"] and mep._kept_group.cache_info().currsize == 1
+            assert mep_brute_force(space, ANTI3, omega, max_dim=top, trace=trace) == verdicts[top]
+            statuses.append((trace["verdict"], trace["group_table"]))
+        assert statuses == [("scanned", "built"), ("scanned", "kept"), ("kept", "none")]
+        assert mep._kept_group.cache_info().currsize == 1
 
     def test_a_kernel_over_the_keep_bound_is_not_kept(self, monkeypatch):
         # the kernel of three F_2 planes, GL_2(F_2)^3: 216 elements over 64 vectors
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
         omega = WeightFunction.ones(ANTI3.elements)
         monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", 216 * 64 - 1)
-        for _ in range(2):
+        for weights in (omega, powers_of_two_weight(ANTI3)):  # two partitions, one kernel
             trace = {}
-            mep_brute_force(space, ANTI3, omega, max_dim=1, trace=trace)
-            assert (trace["kernel"], trace["group_table"]) == ("built", "built")
+            mep_brute_force(space, ANTI3, weights, max_dim=1, trace=trace)
+            assert (trace["verdict"], trace["kernel"], trace["group_table"]) == (
+                "scanned", "built", "built")
         assert mep._kept_kernel.cache_info().currsize == mep._kept_group.cache_info().currsize == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -1078,6 +1114,131 @@ class TestKeptGroupOracle:
                     scan(space, one, WeightFunction.ones(("a",)))
 
 
+def _verdict_grid():
+    """Per (poset, dims), its questions back to back: every labeled poset on
+    up to 3 elements, at q = 2 with unit dims and with a 2-dim first block,
+    and at q = 3 with unit dims; unit, doubling and alternating 1/2, 1
+    weights and weights 1, 2, 3, each scanned to dimension 1 and in full."""
+    for size in (1, 2, 3):
+        for poset in _labeled_posets(size):
+            units = (1,) * size
+            counting = WeightFunction(poset.elements, tuple(map(Fraction, range(1, size + 1))))
+            for q, dims in ((2, units), (2, (2,) + units[1:]), (3, units)):
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                omegas = [*_omega_variants(poset), counting]
+                yield [(space, poset, omega, top) for top in (1, None) for omega in omegas]
+
+
+def _traced_outcome(space, poset, omega, top):
+    """A scan's outcome with the counts and status its trace gives."""
+    trace = {}
+    outcome = _outcome(mep_brute_force, space, poset, omega, max_dim=top, trace=trace)
+    return outcome, trace["codes_read"], trace["codes_decided"], trace.get("verdict")
+
+
+class TestKeptVerdictOracle:
+    """The kept verdict against the cold scan, run with nothing kept."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_kept(self):
+        _clear_kept()
+        yield
+        _clear_kept()
+
+    def test_kept_verdicts_equal_the_cold_scan(self):
+        cases = [case for group in _verdict_grid() for case in group]
+        cold = []
+        for case in cases:
+            _clear_kept()
+            outcome, read, decided, verdict = _traced_outcome(*case)
+            assert verdict == "scanned"
+            cold.append((outcome, read, decided))
+        _clear_kept()
+        statuses = Counter()
+        for case, expected in zip(cases, cold):
+            outcome, read, decided, verdict = _traced_outcome(*case)
+            assert (outcome, read, decided) == expected, (case[1].leq, case[0].dims, case[2:])
+            statuses[verdict] += 1
+        assert len(cases) == 23 * 3 * 8 and statuses["kept"] > 0 and statuses["scanned"] > 0
+        outcomes = Counter((v.holds, v.complete) for v, *_ in cold)
+        assert outcomes[True, True] > 0 and outcomes[False, True] > 0 and outcomes[True, False] > 0
+
+    def test_equal_partitions_share_one_entry(self):
+        # unit and constant-two weights class the closure masks alike; the
+        # doubling weights split every class
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 1)
+        twos = WeightFunction(ANTI3.elements, (Fraction(2),) * 3)
+        omegas = [WeightFunction.ones(ANTI3.elements), twos, powers_of_two_weight(ANTI3)]
+        partitions = [
+            tuple(spaces.mask_classes(space, ANTI3, weight_sum_functional(ANTI3, omega))[1].values())
+            for omega in omegas
+        ]
+        assert partitions[0] == partitions[1] != partitions[2]
+        traces = [{} for _ in omegas]
+        verdicts = [mep_brute_force(space, ANTI3, omega, trace=trace)
+                    for omega, trace in zip(omegas, traces)]
+        assert [trace["verdict"] for trace in traces] == ["scanned", "kept", "scanned"]
+        assert mep._kept_verdict.cache_info().currsize == 2
+        assert verdicts == [held_set_scan_oracle(space, ANTI3, omega) for omega in omegas]
+        assert {k: traces[1][k] for k in traces[0] if k not in ("kernel", "group_table", "verdict")} \
+            == {k: traces[0][k] for k in traces[0] if k not in ("kernel", "group_table", "verdict")}
+
+    def test_a_lower_map_bound_scans_again_and_refuses(self):
+        chain5 = Poset.chain(tuple("abcde"))
+        space = AlphabetSpec.uniform(F2, chain5.elements, 1)
+        ones = WeightFunction.ones(chain5.elements)
+        assert mep_brute_force(space, chain5, ones, max_dim=3).holds  # 32^3 maps at dimension 3
+        message = "^32768 candidate maps at dimension 3 exceed the bound 32767$"
+        for scan in (mep_brute_force, mep_brute_force, held_set_scan_oracle):
+            with pytest.raises(MapBoundExceeded, match=message):  # a refusal keeps nothing
+                scan(space, chain5, ones, max_dim=3, map_bound=32**3 - 1)
+        assert mep._kept_verdict.cache_info().currsize == 2
+
+    def test_a_refused_scan_traces_its_counts(self):
+        # the q = 2 5-chain at the default bound reads every code up to
+        # dimension 3, as the scan to dimension 3 does, and then the first
+        # code of dimension 4, where it refuses
+        chain5 = Poset.chain(tuple("abcde"))
+        space = AlphabetSpec.uniform(F2, chain5.elements, 1)
+        ones = WeightFunction.ones(chain5.elements)
+        held, refused = {}, {}
+        assert mep_brute_force(space, chain5, ones, max_dim=3, trace=held).holds
+        message = "^1048576 candidate maps at dimension 4 exceed the bound 524288$"
+        with pytest.raises(MapBoundExceeded, match=message):
+            mep_brute_force(space, chain5, ones, trace=refused)
+        assert held["codes_read"] == 31 + 155 + 155 and held["verdict"] == "scanned"
+        assert refused == {"group_order": held["group_order"], "kernel": "kept",
+                           "group_table": "kept", "codes_read": held["codes_read"] + 1,
+                           "codes_decided": held["codes_decided"]}
+
+    def test_a_hit_does_no_group_or_span_work(self, monkeypatch):
+        # the kept verdict is rebuilt on the caller's space: relabeled
+        # planes with the same order, dims and partition meet it too
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
+        omega = WeightFunction.ones(ANTI3.elements)
+        scanned = {}
+        verdict = mep_brute_force(space, ANTI3, omega, max_dim=2, trace=scanned)
+        relabeled = Poset.antichain(("x", "y", "z"))
+        other = AlphabetSpec.uniform(F2, relabeled.elements, 2)
+        other_omega = WeightFunction.ones(relabeled.elements)
+        expected = held_set_scan_oracle(other, relabeled, other_omega, max_dim=2)
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a kept verdict did group, index or span work")
+
+        for name in ("admissible_lams", "_scan_group", "shape_tables", "enumerate_codes"):
+            monkeypatch.setattr(mep, name, unreachable)
+        monkeypatch.setattr(isometries, "admissible_automorphisms", unreachable)
+        monkeypatch.setattr(SpaceIndex, "__init__", unreachable)
+        monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
+        for args, wanted in (((space, ANTI3, omega), verdict), ((other, relabeled, other_omega), expected)):
+            trace = {}
+            found = mep_brute_force(*args, max_dim=2, trace=trace)
+            assert found == wanted and not found.holds
+            assert found.counterexample[0].space is args[0]
+            assert trace == {**scanned, "kernel": "none", "group_table": "none", "verdict": "kept"}
+
+
 class TestStabilizerDecision:
     def test_decision_equals_the_leaf_search_on_every_code(self):
         codes = rejected = 0
@@ -1106,12 +1267,14 @@ class TestStabilizerDecision:
             for space, poset, omega in _small_grid()
         ]
 
-        def listed(space, poset, key, trace=None):
+        def listed(space, poset, key, trace=None, values=None):
             si, listing = indexed_group_oracle(space, poset, key)
+            assert values is None or values == si.values
             return si, list(zip(*listing)), {}
 
         monkeypatch.setattr(mep, "_scan_group", listed)
         for space, poset, omega, verdict in verdicts:
+            mep._kept_verdict.cache_clear()  # each scan reads the listing
             assert mep_brute_force(space, poset, omega) == verdict
         assert sum(not verdict.holds for *_, verdict in verdicts) > 0
 
