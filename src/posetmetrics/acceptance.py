@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 import time
+from bisect import bisect_left
 from fractions import Fraction
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
@@ -185,8 +186,8 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
     moves closures by its label map, so the label-map projection is a
     homomorphism, with the closure-preserving elements as kernel."""
     from .isometries import (
+        _action_table,
         brute_force_isometries,
-        invertible_index_perms,
         weight_isometry_group,
         weight_sum_functional,
     )
@@ -196,36 +197,35 @@ def criterion_isometry_group_structure() -> tuple[bool, str]:
     instances = _group_grid()
     for space, poset, omega in instances:
         q = space.q
-        # GL_N(F_q) acts faithfully on F_q^N, so group elements are compared
-        # as permutations of the indexed vectors (None for a matrix outside
-        # the oracle's cached table fails the comparison)
-        perm_of = invertible_index_perms(q, space.total_dim).get
-        pairs = [(perm_of(iso.matrix), iso.lam) for iso in weight_isometry_group(space, poset, omega)]
-        key = weight_sum_functional(poset, omega)
-        brute = set(map(perm_of, brute_force_isometries(space, poset, key)))
-        structured = {perm for perm, _ in pairs}
-        if len(structured) != len(pairs) or structured != brute:
+        group = weight_isometry_group(space, poset, omega)
+        brute = brute_force_isometries(space, poset, weight_sum_functional(poset, omega))
+        structured = {iso.matrix for iso in group}
+        if len(structured) != len(group) or structured != set(brute):
             return False, (
                 f"group mismatch q={q} dims={space.dims} poset={poset.elements}"
-                f" ({len(pairs)} structured vs {len(brute)} brute)"
+                f" ({len(group)} structured vs {len(brute)} brute)"
             )
         # the label maps apart from the group's coloured search: the plain one, filtered
         colours = list(zip(omega.scaled(poset.elements), space.dims))
         admissible = {lam for lam in poset.automorphisms() if [colours[j] for j in lam] == colours}
-        if {lam for _, lam in pairs} != admissible:
+        if {iso.lam for iso in group} != admissible:
             return False, f"label-map image mismatch for dims={space.dims}"
-        masks = vector_masks(space, poset._down)  # the closure mask of each vector
-        kernel = {perm for perm, lam in pairs if lam == tuple(range(len(lam)))}
-        if kernel != {perm for perm in brute if list(map(masks.__getitem__, perm)) == masks}:
+        # GL_N(F_q) acts faithfully, so an element is its matrix's place in the
+        # oracle's kept table, whose columns there give its images' closure masks
+        masks = tuple(vector_masks(space, poset._down))  # the closure mask of each vector
+        matrices, columns = _action_table(q, space.total_dim)
+        places = [bisect_left(matrices, iso.matrix) for iso in group]
+        images = list(zip(*[map(masks.__getitem__, map(c.__getitem__, places)) for c in columns]))
+        kernel = {g for g, iso in zip(places, group) if iso.lam == tuple(range(len(iso.lam)))}
+        if kernel != {g for g, image in zip(places, images) if image == masks}:
             return False, f"kernel mismatch for dims={space.dims}"
-        if len(pairs) != len(kernel) * len(admissible):
+        if len(group) != len(kernel) * len(admissible):
             return False, f"order != kernel * image for dims={space.dims}"
         # g sends closure(v) to lam_g(closure(v)) for every v; on the principal
         # ideals this gives lam_gh = lam_g lam_h over the whole group
-        moved = {lam: [sum(1 << lam[i] for i in set_bits(m)) for m in masks] for lam in admissible}
-        for perm, lam in pairs:
-            if list(map(masks.__getitem__, perm)) != moved[lam]:
-                return False, "label map disagrees with the action on closures"
+        moved = {lam: tuple(sum(1 << lam[i] for i in set_bits(m)) for m in masks) for lam in admissible}
+        if any(image != moved[iso.lam] for iso, image in zip(group, images)):
+            return False, "label map disagrees with the action on closures"
     return True, f"{len(instances)} instances, sets equal and projection multiplicative"
 
 

@@ -199,15 +199,15 @@ def cmd_isometries(args) -> tuple[dict, int]:
         "order_splits": order == kernel_size * len(admissible),
         "sample": sample,
     }
-    code = 0
+    code, trace = 0, {}  # the oracle scan's work, outside the digest
     if args.brute_force:
-        brute = brute_force_isometries(space, poset, key)
+        brute = brute_force_isometries(space, poset, key, trace.setdefault("brute_force", {}))
         agrees = {iso.matrix for iso in group} == set(brute)
         results["brute_force_order"] = len(brute)
         results["oracle_agrees"] = agrees
         if not agrees:
             code = 1
-    return build_report("isometries", inst.digest, results), code
+    return build_report("isometries", inst.digest, results, trace=trace or None), code
 
 
 def cmd_mep(args) -> tuple[dict, int]:

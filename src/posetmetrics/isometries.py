@@ -19,10 +19,10 @@ a table of packed 16-bit image columns with no element built on its own
 (`mep._scan_group`).  The diagonal and strict blocks make the kernel K(P),
 the same for every weight, and the label maps act on it (the semidirect
 splitting), so the scan keeps the kernel's table per order and block dims
-and joins only the label maps over it for a new weight; criterion 4 reads
-the permutations of matrices off
-the brute-force oracle's action table (`invertible_index_perms`), and
-matrices serve reports and the oracles.
+and joins only the label maps over it for a new weight.  The brute-force
+oracle keeps one packed action table per (q, N) (`_action_table`) and
+filters GL_N(F_q) one vector at a time; criterion 4 reads the permutations
+of matrices off that table, and matrices serve reports and the oracles.
 
 The same machinery runs for any integer key on ideal masks (bit t for
 poset.elements[t]).  `weight_sum_functional` gives the (P, omega)-weight of
@@ -36,6 +36,8 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
+from array import array
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -356,32 +358,36 @@ def support_isometry_group(
 # -- brute force & decomposition ------------------------------------------------
 
 
-# The brute-force oracle refuses an action table of more entries than this.
+# The oracle's action-table bound; under it q^N <= 2048, so indices fit in 16 bits.
 ACTION_TABLE_BOUND = 1 << 22
 
 
 @lru_cache(maxsize=8)
-def invertible_index_perms(q: int, n: int) -> dict[Matrix, tuple[int, ...]]:
-    """Each invertible matrix, in `fields` order, mapped to its action on indexed vectors.
-
-    The image of v has index sum_r q^(n-1-r) (row_r . v mod q), summed row by
-    row from one dot table per row; matrices sharing leading rows share those sums."""
+def _action_table(q: int, n: int) -> tuple[tuple[Matrix, ...], list[array]]:
+    """The invertible matrices, in `fields` order, and per vector t a packed
+    column: columns[t][g] indexes matrices[g] times t.  The index of M v sums
+    q^(n-1-r) (row_r . v mod q) from the rows' dot tables, shared by matrices
+    sharing leading rows, into one flat array; column t is flat[t::q^n]."""
     matrices = fields.invertible_matrices(q, n)
-    if n == 0:
-        return dict.fromkeys(matrices, (0,))
-    dots = {w: fields.dot_values(q, w) for w in itertools.product(range(q), repeat=n)}
-    perms: list[tuple[int, ...]] = []
+    size, order = q**n, sys.byteorder
+    flat = array("H", [0] * (n == 0))  # the empty matrix fixes the one vector
+    # a dot table is one int of 16-bit lanes, lane t = <row, t>: every lane stays
+    # under q^n <= 2048, so tables add and scale by q lane by lane, with no carry
+    dots = {w: int.from_bytes(array("H", fields.dot_values(q, w)).tobytes(), order)
+            for w in itertools.product(range(q), repeat=n)}
 
-    def walk(group: Iterable[Matrix], r: int, scaled: list[int]) -> None:
+    def walk(group: Iterable[Matrix], r: int, scaled: int) -> None:
         # group: consecutive matrices sharing rows 0..r-1; scaled: q times their sums
         if r == n - 1:
-            perms.extend(tuple(map(operator.add, scaled, dots[m[r]])) for m in group)
+            for m in group:
+                flat.frombytes((scaled + dots[m[r]]).to_bytes(2 * size, order))
             return
         for row, sub in itertools.groupby(group, key=operator.itemgetter(r)):
-            walk(sub, r + 1, [(s + d) * q for s, d in zip(scaled, dots[row])])
+            walk(sub, r + 1, (scaled + dots[row]) * q)
 
-    walk(matrices, 0, [0] * q**n)
-    return dict(zip(matrices, perms))
+    if n:
+        walk(matrices, 0, 0)
+    return matrices, [flat[t::size] for t in range(size)]
 
 
 def check_action_table(space: AlphabetSpec) -> None:
@@ -397,22 +403,26 @@ def check_action_table(space: AlphabetSpec) -> None:
         )
 
 
-def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key) -> list[Matrix]:
+def brute_force_isometries(space: AlphabetSpec, poset: Poset, key: Key,
+                           trace: Optional[dict] = None) -> list[Matrix]:
     """All invertible N x N matrices preserving the key of the support closure.
 
-    An oracle for small spaces only: `check_action_table` runs first.  The
-    matrix actions on indexed vectors are cached.
-    """
+    An oracle for small spaces only: `check_action_table` runs first.  Each
+    nonzero vector, the unit vectors first, keeps the matrices that send it
+    into its own class, read off its column of the kept `_action_table`."""
     check_action_table(space)
-    perms = invertible_index_perms(space.q, space.total_dim)
+    q, n, misses = space.q, space.total_dim, _action_table.cache_info().misses
+    matrices, columns = _action_table(q, n)
     values = support_classes(space, poset, key)
-    # perm[t] is the index of the image of vector t; the scan of a matrix
-    # stops at the first vector whose class it moves
-    return [
-        m
-        for m, perm in perms.items()
-        if all(map(operator.eq, map(values.__getitem__, perm), values))
-    ]
+    units = [q**r for r in reversed(range(n))]  # e_r has index q^(n-1-r)
+    survivors = range(len(matrices))
+    for t in units + [t for t in range(1, q**n) if t not in units]:
+        column, value = columns[t], values[t]
+        survivors = [g for g in survivors if values[column[g]] == value]
+    if trace is not None:
+        trace.update(matrices=len(matrices), vectors_checked=q**n - 1, survivors=len(survivors),
+                     action_table="built" if _action_table.cache_info().misses > misses else "kept")
+    return [matrices[g] for g in survivors]
 
 
 def decompose(space: AlphabetSpec, poset: Poset, matrix: Matrix, key: Key) -> Isometry:

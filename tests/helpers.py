@@ -1,5 +1,6 @@
 """Small helpers shared by the test modules."""
 
+import functools
 import itertools
 import math
 import operator
@@ -103,6 +104,46 @@ def invert_perm(perm: Perm) -> Perm:
     return tuple(out)
 
 
+@functools.lru_cache(maxsize=8)
+def invertible_index_perms(q: int, n: int) -> dict:
+    """isometries' brute-force action table as it was: each invertible matrix,
+    in `fields` order, mapped to the tuple of its action on indexed vectors.
+
+    The image of v has index sum_r q^(n-1-r) (row_r . v mod q), summed row by
+    row from one dot table per row; matrices sharing leading rows share those
+    sums.  The oracle of isometries._action_table."""
+    matrices = fields.invertible_matrices(q, n)
+    if n == 0:
+        return dict.fromkeys(matrices, (0,))
+    dots = {w: fields.dot_values(q, w) for w in itertools.product(range(q), repeat=n)}
+    perms: list[tuple[int, ...]] = []
+
+    def walk(group, r: int, scaled: list[int]) -> None:
+        # group: consecutive matrices sharing rows 0..r-1; scaled: q times their sums
+        if r == n - 1:
+            perms.extend(tuple(map(operator.add, scaled, dots[m[r]])) for m in group)
+            return
+        for row, sub in itertools.groupby(group, key=operator.itemgetter(r)):
+            walk(sub, r + 1, [(s + d) * q for s, d in zip(scaled, dots[row])])
+
+    walk(matrices, 0, [0] * q**n)
+    return dict(zip(matrices, perms))
+
+
+def brute_force_isometries_oracle(space, poset, key) -> list:
+    """isometries.brute_force_isometries as it was: matrix by matrix over the
+    dict of action tuples, each matrix's scan stopping at the first vector
+    whose class it moves.  The oracle of the vector-by-vector filter."""
+    isometries.check_action_table(space)
+    perms = invertible_index_perms(space.q, space.total_dim)
+    values = spaces.support_classes(space, poset, key)
+    return [
+        m
+        for m, perm in perms.items()
+        if all(map(operator.eq, map(values.__getitem__, perm), values))
+    ]
+
+
 def criterion_four_oracle() -> tuple[bool, str]:
     """Criterion 4 as it was, kept as the oracle of the closure-action check:
     the structured group equals brute force as a matrix set, the kernel is
@@ -113,7 +154,6 @@ def criterion_four_oracle() -> tuple[bool, str]:
     from posetmetrics.fields import vec_index
     from posetmetrics.isometries import (
         brute_force_isometries,
-        invertible_index_perms,
         support_isometry_group,
         weight_automorphisms,
         weight_isometry_group,

@@ -281,6 +281,23 @@ class TestCommands:
         assert payload["results"]["group_order"] == 144
         assert payload["results"]["oracle_agrees"] is True
 
+    def test_isometries_with_oracle_trace_the_scan_outside_the_digest(self, capsys):
+        path = str(INSTANCES / "weighted_vee.json")
+        isometries._action_table.cache_clear()
+        reports = [run_json(capsys, "isometries", "--instance", path, "--brute-force")[1]
+                   for _ in range(2)]
+        traces = [report.pop("trace") for report in reports]
+        assert traces == [
+            {"brute_force": {"matrices": 11232, "action_table": table, "vectors_checked": 26,
+                             "survivors": 144}}
+            for table in ("built", "kept")
+        ]
+        assert reports[0]["report_digest"] == reports[1]["report_digest"]
+        report = reports[0]
+        rebuilt = build_report("isometries", report["instance_digest"], report["results"])
+        assert rebuilt["report_digest"] == report["report_digest"]
+        assert "trace" not in run_json(capsys, "isometries", "--instance", path)[1]
+
     def test_isometries_with_oracle_list_the_group_once(self, capsys, monkeypatch):
         # the sample is the first three elements of the one listing
         listed = []

@@ -21,7 +21,6 @@ from posetmetrics.isometries import (
     ACTION_TABLE_BOUND,
     GROUP_BOUND,
     Isometry,
-    invertible_index_perms,
     admissible_automorphisms,
     admissible_lams,
     brute_force_isometries,
@@ -43,10 +42,10 @@ from posetmetrics.posets import (
 from posetmetrics.spaces import AlphabetSpec, FieldSpec, p_support, support_classes
 
 from helpers import (
-    admissible_automorphisms_oracle, apply_perm, block_matrix_oracle, closure_key,
-    compose_perms, enumerate_group_oracle, filtered_automorphisms, invert_perm, key_for,
-    order_factors_oracle, order_walk_oracle, prefix_sum_automorphisms, value_for,
-    weight_automorphisms_oracle,
+    admissible_automorphisms_oracle, apply_perm, block_matrix_oracle, brute_force_isometries_oracle,
+    closure_key, compose_perms, enumerate_group_oracle, filtered_automorphisms, invert_perm,
+    invertible_index_perms, key_for, order_factors_oracle, order_walk_oracle,
+    prefix_sum_automorphisms, value_for, weight_automorphisms_oracle,
 )
 
 F2 = FieldSpec(2)
@@ -947,6 +946,7 @@ class TestBruteForce:
         "q,n", [(q, n) for q in (2, 3, 5, 7) for n in range(5) if q ** (n * n) <= 1 << 16]
     )
     def test_index_perms_equal_mat_vec_action(self, q, n):
+        # the oracle's own check: its table of tuples against one mat_vec per vector
         perms = invertible_index_perms(q, n)
         matrices = fields.invertible_matrices(q, n)
         assert tuple(perms) == matrices
@@ -954,7 +954,7 @@ class TestBruteForce:
 
     @pytest.mark.parametrize("q,n", [(2, 3), (3, 3), (2, 4), (5, 2)])
     def test_dot_tables_equal_the_rowwise_sums(self, q, n):
-        # the per-row tables of invertible_index_perms come from fields.dot_values
+        # the per-row tables of the action table come from fields.dot_values
         vectors = list(itertools.product(range(q), repeat=n))
         for w in vectors:
             assert fields.dot_values(q, w) == [sum(map(operator.mul, w, v)) % q for v in vectors]
@@ -994,6 +994,102 @@ class TestBruteForce:
             iso = decompose(space, vee, matrix, key)
             assert iso.matrix == matrix
             assert iso.lam in admissible
+
+
+class TestActionTable:
+    """The packed action table and the vector-by-vector filter against the
+    matrix-major oracle they replaced (helpers.brute_force_isometries_oracle)."""
+
+    @pytest.mark.parametrize(
+        "q,n", [(q, n) for q in (2, 3, 5, 7) for n in range(5) if q ** (n * n) <= 1 << 16]
+        + [(11, 2)]
+    )
+    def test_columns_equal_the_oracle_tuples(self, q, n):
+        matrices, columns = isometries._action_table(q, n)
+        perms = invertible_index_perms(q, n)
+        assert matrices == tuple(perms) == fields.invertible_matrices(q, n)
+        assert list(matrices) == sorted(matrices)  # criterion 4 finds a matrix by bisection
+        assert len(columns) == q**n and {column.typecode for column in columns} == {"H"}
+        assert list(zip(*columns)) == list(perms.values())
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q,first", [(2, 1), (2, 2), (3, 1)])  # first: the first block's dim
+    def test_equals_the_oracle_on_every_small_poset(self, q, first, n):
+        # unit, doubling and rational weights, and the closure key
+        for poset in _labeled_posets(n):
+            space = AlphabetSpec(FieldSpec(q), poset.elements, (first,) + (1,) * (n - 1))
+            keys = [weight_sum_functional(poset, omega) for omega in _omega_variants(poset)]
+            for key in keys + [closure_key]:
+                assert brute_force_isometries(space, poset, key) == brute_force_isometries_oracle(
+                    space, poset, key
+                )
+
+    @pytest.mark.parametrize(
+        "q,dims,shape",
+        [
+            (2, (4,), "chain"),
+            (2, (2, 2), "chain"),
+            (2, (1, 1, 1, 1), "antichain"),
+            (3, (3,), "chain"),
+            (3, (1, 2), "chain"),
+            (3, (1, 1, 1), "antichain"),
+            (11, (2,), "chain"),
+            (11, (1, 1), "chain"),
+            (11, (1, 1), "antichain"),
+            (1021, (1,), "chain"),  # 1,041,420 entries, a quarter of the bound, indices past 8 bits
+        ],
+    )
+    def test_equals_the_oracle_on_the_largest_shapes(self, q, dims, shape):
+        labels = tuple("abcd"[: len(dims)])
+        poset = getattr(Poset, shape)(labels)
+        space = AlphabetSpec(FieldSpec(q), labels, dims)
+        keys = [weight_sum_functional(poset, WeightFunction.ones(labels)), closure_key]
+        try:
+            for key in keys:
+                assert brute_force_isometries(space, poset, key) == brute_force_isometries_oracle(
+                    space, poset, key
+                )
+        finally:  # neither table of F_1021 stays for the rest of the session
+            if q > 11:
+                isometries._action_table.cache_clear()
+                invertible_index_perms.cache_clear()
+
+    def test_trace_says_what_the_scan_did(self):
+        isometries._action_table.cache_clear()
+        space = AlphabetSpec.uniform(F3, VEE3.elements, 1)
+        traces = [{}, {}]
+        found = [brute_force_isometries(space, VEE3, closure_key, trace) for trace in traces]
+        assert found[0] == found[1] == brute_force_isometries_oracle(space, VEE3, closure_key)
+        assert traces == [
+            {"matrices": 11232, "action_table": table, "vectors_checked": 26,
+             "survivors": len(found[0])}
+            for table in ("built", "kept")
+        ]
+
+    def test_criterion_four_and_the_oracle_share_one_table_per_shape(self):
+        from posetmetrics.acceptance import criterion_isometry_group_structure
+
+        isometries._action_table.cache_clear()
+        passed, details = criterion_isometry_group_structure()
+        assert passed, details
+        shapes = {(space.q, space.total_dim) for space, _, _ in _group_grid()}
+        info = isometries._action_table.cache_info()
+        assert info.misses == info.currsize == len(shapes) == 6
+        for space, poset, omega in _group_grid():
+            brute_force_isometries(space, poset, closure_key)
+        assert isometries._action_table.cache_info().misses == len(shapes)
+
+    @pytest.mark.parametrize("field,dims", [(FieldSpec(13), (1, 1)), (F2, (40,))])
+    def test_a_refused_shape_lists_no_matrix(self, monkeypatch, field, dims):
+        def unreachable(*args):
+            raise AssertionError("a refused shape reached the matrices")
+
+        monkeypatch.setattr(isometries, "_action_table", unreachable)
+        monkeypatch.setattr(fields, "invertible_matrices", unreachable)
+        labels = tuple("ab"[: len(dims)])
+        space, poset = AlphabetSpec(field, labels, dims), Poset.antichain(labels)
+        with pytest.raises(BoundExceeded, match="entries, over the bound 4194304$"):
+            brute_force_isometries(space, poset, closure_key, {})
 
 
 class TestDecompose:
