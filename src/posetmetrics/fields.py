@@ -73,8 +73,10 @@ def dot_values(q: int, column: Sequence[int]) -> list[int]:
     lexicographic order, grown one digit of x at a time.  Coordinate c of
     the codeword sum_r x_r row_r is <x, column c>, so a code's codewords
     come column by column with no table over the space."""
-    values = [0]
-    for a in column:
+    if not column:
+        return [0]
+    values = [x * column[0] % q for x in range(q)]
+    for a in column[1:]:
         steps = [x * a % q for x in range(q)]
         values = [(v + s) % q for v in values for s in steps]
     return values

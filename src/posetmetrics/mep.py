@@ -12,11 +12,19 @@ so the scan depends on the weighting only through its class partition of
 the closure masks (`spaces.mask_classes`), computed first: with dims >= 1
 every principal ideal is the closure of a unit vector, so the partition
 fixes the label maps, the group, the held sets, the verdict and its counts.
-The verdict (failing basis and images by vector index, or None; codes read
-and decided; group order) is kept per (q, dims, down-set masks, partition,
-top dimension, map bound, group bounds) for the last `spaces.CACHED_SHAPES`
-questions and rebuilt on the caller's space with no group, index or table
-work (trace "verdict": "kept"); a scan that raises keeps nothing.
+A label permutation keeping the dims carries the codes, maps and isometries
+of one labeling onto another's, so answers are kept per class of questions
+for the last KEPT_QUESTIONS classes, under q, the top dimension, the map
+and group bounds and a canonical form of (dims, down sets, partition)
+(`_class_key`); past KEY_SEARCH_BOUND the class is one labeling, keyed by
+position.  A record (failing basis and images by vector index, or None;
+codes read and decided; group order; map-bound refusal) is rebuilt on the
+caller's space with no group, index or table work (trace "verdict":
+"kept").  A holding verdict and a map-bound refusal read and decide the
+same counts under every labeling, and answer them all; a failing verdict's
+counterexample is the first in its own labeling's scan order, so it
+answers that labeling alone, until another labeling's failing scan takes
+the class's one record.  Group- and table-bound refusals keep nothing.
 
 The scan and the orbit check see each group element only as the permutation
 it induces on the indexed vectors, spanned for the group's factors with no
@@ -55,9 +63,11 @@ question; the route reads its condition from one `condition_report`.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import Container, Iterator, Optional, Sequence
@@ -103,6 +113,13 @@ FACTOR_TABLE_BOUND = 1 << 27
 KEPT_TABLE_BOUND = 1 << 20
 # The default bound on a code dimension d's candidate maps, (q^N)^d (`mep --bound`).
 MAP_BOUND = 1 << 19
+# The most label orders x 2^n mask renamings the canonical key of a question
+# tries (`_class_key`); past it the question is kept by position alone.  On
+# a 2-vCPU VM (Python 3.11) the unit 4-antichain's 384 took 0.18 ms, and the
+# 5-antichain's 3,840 took 2 ms, as long as a cold scan of it to dimension 1.
+KEY_SEARCH_BOUND = 1 << 9
+# The most question classes whose records are kept (`_kept_verdict`).
+KEPT_QUESTIONS = 256
 
 
 class SpaceIndex:
@@ -280,23 +297,15 @@ def mep_brute_force(
     max_dim cuts the scan short and no counterexample was found, the verdict
     is marked complete=False.
 
-    A code gC in the orbit of a code C that held is skipped (f on gC extends
-    to F iff f o g on C extends to F o g), so the first failing code and its
-    counterexample are unchanged.  Each scanned code is decided by `_holds_on`
-    on the stabilizer chain of its basis; only a code it rejects gets the
-    leaf search for the first unreachable map.  The group's columns and its
-    orbit memo come from `_scan_group`: the memo maps a span to the first
-    span of its orbit in scan order, the same for every weighting, and a code
-    is skipped when that first span held in this scan; a held code with no
-    memo entry writes its orbit (`_orbit_spans`).  Only sets of images are
-    read, so nothing depends on the table's order.  After the space and
-    label checks the class partition comes first, and a question whose
-    verdict is kept by it (module notes) is answered from it.
+    After the space and label checks the class partition comes first, and a
+    question whose verdict or map-bound refusal is kept (module notes) is
+    answered from it; otherwise `_scanned_record` scans.
 
-    A given trace dict gets the group's order, whether its kernel and its
-    table were built or kept ("none" when the verdict was kept), the nonzero
-    codes read, the codes decided and whether the verdict was "scanned" or
-    "kept"; a map-bound refusal writes the two counts before it raises.
+    A given trace dict gets the key the record is kept by ("canonical" or
+    "positional"), the group's order, whether its kernel and its table were
+    built or kept ("none" when the record was kept), the nonzero codes read,
+    the codes decided and whether the verdict was "scanned" or "kept"; a
+    map-bound refusal writes the two counts before it raises.
 
     Weight-preserving maps are automatically injective (only the zero vector
     has weight zero), so no injectivity filter is applied or needed.
@@ -307,50 +316,28 @@ def mep_brute_force(
     masks, class_of_mask = mask_classes(space, poset, key)
     n = space.total_dim
     top = n if max_dim is None else min(max_dim, n)
-    kept = _kept_verdict(space.q, space.dims, poset._down, tuple(class_of_mask.values()), top,
-                         map_bound, GROUP_BOUND, GROUP_TABLE_BOUND)
-    status = "kept" if kept else "scanned"
-    if not kept:
-        values = list(map(class_of_mask.__getitem__, masks))
-        si, columns, first_of = _scan_group(space, poset, key, trace, values)
-        count = len(si.vectors)
-        held: set[frozenset[int]] = set()  # the first spans of the orbits that held in this scan
-        tables = shape_tables(space.q, n)
-        if tables is None:  # a shape past the code bound keeps no span and no orbit memo
-            spans, first_of = {}, {}
-        else:
-            spans = tables[1]
-        failing = images = None
-        for read, basis_idx in enumerate(enumerate_codes(space, max_dim=top, indices=True)):
-            d = len(basis_idx)  # the zero code is read first and never decided
-            if d == 0:
-                continue
-            if count**d > map_bound:
-                if trace is not None:
-                    trace.update(codes_read=read, codes_decided=len(held))
-                raise MapBoundExceeded(f"{count_text(count**d)} candidate maps at dimension {d} "
-                                       f"exceed the bound {map_bound}")
-            span = spans.get(basis_idx)
-            if span is None:
-                span = frozenset(si.span_indices(basis_idx))
-                if tables is not None:
-                    spans[basis_idx] = span
-            first = first_of.get(span)
-            if first in held:
-                continue
-            if not _holds_on(si, basis_idx, columns):
-                reachable = set(zip(*map(columns.__getitem__, basis_idx)))
-                failing, images = basis_idx, _first_unreachable_map(si, basis_idx, reachable)
-                break
-            held.add(span)
-            if first is None:
-                first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
-        kept.append((failing, images, read, len(held) + (failing is not None), len(columns[0])))
-    elif trace is not None:  # a kept verdict does no group work
-        trace.update(group_order=kept[0][4], kernel="none", group_table="none")
-    failing, images, read, decided, _ = kept[0]
+    bounds = (space.q, top, map_bound, GROUP_BOUND, GROUP_TABLE_BOUND)
+    positional = (*bounds, space.dims, poset._down, tuple(class_of_mask.values()))
+    canonical = _class_key(poset, space.dims, class_of_mask)
     if trace is not None:
-        trace.update(codes_read=read, codes_decided=decided, verdict=status)
+        trace["key"] = "positional" if canonical is None else "canonical"
+    holder = _kept_verdict(*(positional if canonical is None else (*bounds, canonical)))
+    record = holder.get(None) or holder.get(positional)
+    status = "kept" if record else "scanned"
+    if record is None:
+        values = list(map(class_of_mask.__getitem__, masks))
+        record = _scanned_record(space, poset, key, values, top, map_bound, trace)
+        holder.clear()  # one record a class: a failing one is its last labeling's
+        holder[positional if record[0] else None] = record
+    elif trace is not None:  # a kept record does no group work
+        trace.update(group_order=record[4], kernel="none", group_table="none")
+    failing, images, read, decided, _, refusal = record
+    if trace is not None:
+        trace.update(codes_read=read, codes_decided=decided)
+    if refusal is not None:
+        raise MapBoundExceeded(refusal)
+    if trace is not None:
+        trace["verdict"] = status
     if failing is None:
         return MepVerdict(holds=True, complete=(top >= n))
     q = space.q  # vector t spells its base-q digits
@@ -359,10 +346,104 @@ def mep_brute_force(
     return MepVerdict(holds=False, counterexample=(code, tuple(vectors[len(failing):])))
 
 
-@lru_cache(maxsize=CACHED_SHAPES)
-def _kept_verdict(*key) -> list:
-    """The holder of one question's verdict, filled when its scan returns."""
-    return []
+def _scanned_record(
+    space: AlphabetSpec, poset: Poset, key: Key, values: list[int], top: int, map_bound: int,
+    trace: Optional[dict],
+) -> tuple:
+    """Scan the codes up to dimension top; the record (failing basis, its
+    images, as vector indices, or None twice; codes read; codes decided;
+    group order; the map-bound refusal's message or None).
+
+    A code gC in the orbit of a code C that held is skipped (f on gC extends
+    to F iff f o g on C extends to F o g), so the first failing code and its
+    counterexample are unchanged.  Each scanned code is decided by `_holds_on`
+    on the stabilizer chain of its basis; only a code it rejects gets the
+    leaf search for the first unreachable map.  The group's columns and its
+    orbit memo come from `_scan_group`: the memo maps a span to the first
+    span of its orbit in scan order, the same for every weighting, and a code
+    is skipped when that first span held in this scan; a held code with no
+    memo entry writes its orbit (`_orbit_spans`).  Only sets of images are
+    read, so nothing depends on the table's order.
+    """
+    si, columns, first_of = _scan_group(space, poset, key, trace, values)
+    count, order = len(si.vectors), len(columns[0])
+    held: set[frozenset[int]] = set()  # the first spans of the orbits that held in this scan
+    tables = shape_tables(space.q, space.total_dim)
+    if tables is None:  # a shape past the code bound keeps no span and no orbit memo
+        spans, first_of = {}, {}
+    else:
+        spans = tables[1]
+    for read, basis_idx in enumerate(enumerate_codes(space, max_dim=top, indices=True)):
+        d = len(basis_idx)  # the zero code is read first and never decided
+        if d == 0:
+            continue
+        if count**d > map_bound:
+            return None, None, read, len(held), order, (
+                f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}")
+        span = spans.get(basis_idx)
+        if span is None:
+            span = frozenset(si.span_indices(basis_idx))
+            if tables is not None:
+                spans[basis_idx] = span
+        first = first_of.get(span)
+        if first in held:
+            continue
+        if not _holds_on(si, basis_idx, columns):
+            reachable = set(zip(*map(columns.__getitem__, basis_idx)))
+            images = _first_unreachable_map(si, basis_idx, reachable)
+            return basis_idx, images, read, len(held) + 1, order, None
+        held.add(span)
+        if first is None:
+            first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
+    return None, None, read, len(held), order, None
+
+
+def _class_key(poset: Poset, dims: tuple[int, ...], class_of_mask: dict[int, int]) -> Optional[tuple]:
+    """A canonical form of the order, block dims and class partition of the
+    closure masks, or None when its search passes KEY_SEARCH_BOUND.  Two
+    questions share it exactly when a label permutation keeping the dims
+    carries one's down sets and classes onto the other's.
+
+    The labels are sorted by what a relabeling keeps (block dim, down-set
+    size, up-set size, the size of its principal ideal's class), and each
+    order of the labels within equal invariants renames every mask through
+    one table over the 2^n masks.  The form is the sorted invariants and the
+    least (renamed down sets by new position, sorted renamed classes).
+    """
+    down, n = poset._down, len(dims)
+    sizes = Counter(class_of_mask.values())
+    invariants = [(k, d.bit_count(), u.bit_count(), sizes[class_of_mask[d]])
+                  for k, d, u in zip(dims, down, poset._up)]
+    ranked = sorted(range(n), key=invariants.__getitem__)
+    runs = [tuple(run) for _, run in itertools.groupby(ranked, key=invariants.__getitem__)]
+    if math.prod(math.factorial(len(run)) for run in runs) << n > KEY_SEARCH_BOUND:
+        return None
+    classes: dict[int, list[int]] = {}
+    for mask, c in class_of_mask.items():
+        classes.setdefault(c, []).append(mask)
+    best = None
+    for picks in itertools.product(*map(itertools.permutations, runs)):
+        order = [i for pick in picks for i in pick]  # order[p]: the label renamed p
+        bits = [0] * n
+        for p, i in enumerate(order):
+            bits[i] = 1 << p
+        renamed = [0]
+        for bit in bits:
+            renamed += [mask | bit for mask in renamed]
+        downs = tuple([renamed[down[i]] for i in order])
+        if best is None or downs <= best[0]:
+            form = (downs, tuple(sorted(tuple(sorted(map(renamed.__getitem__, members)))
+                                        for members in classes.values())))
+            best = form if best is None else min(best, form)
+    return tuple(sorted(invariants)), best
+
+
+@lru_cache(maxsize=KEPT_QUESTIONS)
+def _kept_verdict(*key) -> dict:
+    """The record of one question class: a holding verdict or a map-bound
+    refusal under None, for every labeling, or the last failing verdict
+    scanned, under its labeling's positional key."""
+    return {}
 
 
 def _orbit_spans(

@@ -104,6 +104,16 @@ def invert_perm(perm: Perm) -> Perm:
     return tuple(out)
 
 
+def dot_values_oracle(q: int, column) -> list[int]:
+    """fields.dot_values as it was: every digit of x, the first included,
+    added onto the sums so far with a reduction mod q per entry."""
+    values = [0]
+    for a in column:
+        steps = [x * a % q for x in range(q)]
+        values = [(v + s) % q for v in values for s in steps]
+    return values
+
+
 @functools.lru_cache(maxsize=8)
 def invertible_index_perms(q: int, n: int) -> dict:
     """isometries' brute-force action table as it was: each invertible matrix,
@@ -342,6 +352,30 @@ def held_set_scan_oracle(space, poset, omega, max_dim=None, map_bound=mep.MAP_BO
             )
         held.update(mep._orbit_spans(columns, span))
     return mep.MepVerdict(holds=True, complete=(top >= n))
+
+
+def question_form_oracle(space, poset: posets.Poset, omega) -> tuple:
+    """The least relabeling of (block dims, order relation, classes of the
+    ideals by exact weight) over all n! label permutations: equal for two
+    questions exactly when one permutation keeping the dims carries one's
+    order and weight classes onto the other's.  Read from the order matrix
+    and Fraction weights, with no mask, key or invariant; the oracle of
+    mep._class_key."""
+    n, leq = len(poset.elements), poset.leq
+    place = {label: i for i, label in enumerate(poset.elements)}
+    classes: dict = {}
+    for ideal in poset.all_ideals():
+        classes.setdefault(omega.total(ideal), []).append([place[label] for label in ideal])
+    forms = []
+    for perm in itertools.permutations(range(n)):  # perm[i]: the new place of label i
+        dims = [0] * n
+        for i, p in enumerate(perm):
+            dims[p] = space.dims[i]
+        relation = sorted((perm[i], perm[j]) for i in range(n) for j in range(n) if leq[i][j])
+        partition = sorted(sorted(tuple(sorted(perm[i] for i in ideal)) for ideal in members)
+                           for members in classes.values())
+        forms.append((tuple(dims), tuple(relation), tuple(map(tuple, partition))))
+    return min(forms)
 
 
 # -- the boolean-matrix poset core, kept as the oracle of the mask core ------------

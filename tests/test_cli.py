@@ -560,7 +560,7 @@ class TestCommands:
         identity = audit_trace["macwilliams_identity"]
         assert (identity["class_table"], identity["codes_enumerated"]) == ("built", 16)
         assert list(audit_trace["brute_force"]) == [
-            "group_order", "kernel", "group_table", "codes_read", "codes_decided", "verdict"]
+            "key", "group_order", "kernel", "group_table", "codes_read", "codes_decided", "verdict"]
         assert audit_trace["brute_force"]["verdict"] == "scanned"
         assert reports[0]["report_digest"] == reports[1]["report_digest"]
         for report in (reports[0], audit):

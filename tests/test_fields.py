@@ -9,6 +9,8 @@ import pytest
 from posetmetrics import fields
 from posetmetrics.errors import BoundExceeded, count_text, power_over, power_text
 
+from helpers import dot_values_oracle
+
 
 def scan_invertible(q, n):
     """Every invertible n x n matrix by filtering all q^(n^2) candidates: the row walk's oracle."""
@@ -109,6 +111,15 @@ class TestDotValues:
             (x0 + 2 * x1) % 3 for x0 in range(3) for x1 in range(3)
         ]
         assert fields.dot_values(5, ()) == [0]
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 2039])
+    def test_equal_to_the_two_pass_oracle(self, q):
+        # every column of length 0-3 with q^length <= 5000 (q = 2039: length 1)
+        for length in range(4):
+            if q**length > 5000:
+                break
+            for column in itertools.product(range(q), repeat=length):
+                assert fields.dot_values(q, column) == dot_values_oracle(q, column), column
 
 
 class TestPowerBounds:

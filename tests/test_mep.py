@@ -61,7 +61,7 @@ from posetmetrics.spaces import (
 from helpers import (
     closure_key, column_table_oracle, condition_report_oracle, enumerate_codes_oracle,
     held_set_scan_oracle, indexed_group, indexed_group_oracle, key_for, linear_maps,
-    mep_predicate_oracle,
+    mep_predicate_oracle, question_form_oracle,
 )
 
 F2 = FieldSpec(2)
@@ -644,7 +644,7 @@ class TestOrbitReducedScan:
         states = []
 
         def hook(frame, event, arg):
-            if event == "return" and frame.f_code is mep.mep_brute_force.__code__:
+            if event == "return" and frame.f_code is mep._scanned_record.__code__:
                 local = frame.f_locals
                 states.append((set(local["held"]), dict(local["first_of"])))
 
@@ -1190,7 +1190,7 @@ class TestKeptVerdictOracle:
         assert mep_brute_force(space, chain5, ones, max_dim=3).holds  # 32^3 maps at dimension 3
         message = "^32768 candidate maps at dimension 3 exceed the bound 32767$"
         for scan in (mep_brute_force, mep_brute_force, held_set_scan_oracle):
-            with pytest.raises(MapBoundExceeded, match=message):  # a refusal keeps nothing
+            with pytest.raises(MapBoundExceeded, match=message):  # the second ask meets the first's refusal
                 scan(space, chain5, ones, max_dim=3, map_bound=32**3 - 1)
         assert mep._kept_verdict.cache_info().currsize == 2
 
@@ -1207,13 +1207,14 @@ class TestKeptVerdictOracle:
         with pytest.raises(MapBoundExceeded, match=message):
             mep_brute_force(space, chain5, ones, trace=refused)
         assert held["codes_read"] == 31 + 155 + 155 and held["verdict"] == "scanned"
-        assert refused == {"group_order": held["group_order"], "kernel": "kept",
+        assert refused == {"key": "canonical", "group_order": held["group_order"], "kernel": "kept",
                            "group_table": "kept", "codes_read": held["codes_read"] + 1,
                            "codes_decided": held["codes_decided"]}
 
     def test_a_hit_does_no_group_or_span_work(self, monkeypatch):
         # the kept verdict is rebuilt on the caller's space: relabeled
-        # planes with the same order, dims and partition meet it too
+        # planes with the same order, dims and partition meet it too, and a
+        # holding verdict answers a relabeling that moves the labels' places
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
         omega = WeightFunction.ones(ANTI3.elements)
         scanned = {}
@@ -1222,6 +1223,18 @@ class TestKeptVerdictOracle:
         other = AlphabetSpec.uniform(F2, relabeled.elements, 2)
         other_omega = WeightFunction.ones(relabeled.elements)
         expected = held_set_scan_oracle(other, relabeled, other_omega, max_dim=2)
+        # a < b < c with the 2-dim block on top, and c < b < a with it in the first place
+        chain = Poset.chain(("a", "b", "c"))
+        turned = Poset.from_covers(("a", "b", "c"), [("c", "b"), ("b", "a")])
+        chain_space = AlphabetSpec(F2, chain.elements, (1, 1, 2))
+        turned_space = AlphabetSpec(F2, turned.elements, (2, 1, 1))
+        chain_omega = WeightFunction(chain.elements, (Fraction(1), Fraction(1, 2), Fraction(1)))
+        turned_omega = WeightFunction(turned.elements, (Fraction(1), Fraction(1, 2), Fraction(1)))
+        assert chain._down != turned._down
+        chain_scanned = {}
+        held = mep_brute_force(chain_space, chain, chain_omega, trace=chain_scanned)
+        assert held.holds and chain_scanned["verdict"] == "scanned"
+        assert held_set_scan_oracle(turned_space, turned, turned_omega) == held
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a kept verdict did group, index or span work")
@@ -1237,6 +1250,190 @@ class TestKeptVerdictOracle:
             assert found == wanted and not found.holds
             assert found.counterexample[0].space is args[0]
             assert trace == {**scanned, "kernel": "none", "group_table": "none", "verdict": "kept"}
+        for args in ((chain_space, chain, chain_omega), (turned_space, turned, turned_omega)):
+            trace = {}
+            assert mep_brute_force(*args, trace=trace) == held
+            assert trace == {**chain_scanned, "kernel": "none", "group_table": "none", "verdict": "kept"}
+
+    def test_a_map_bound_refusal_is_kept_for_every_labeling(self, monkeypatch):
+        # the 5-chain refuses at dimension 4 after every code below held, so
+        # its refusal and counts are the class's: the chain with its places
+        # reversed meets it, with no group work
+        chain5 = Poset.chain(tuple("abcde"))
+        turned5 = Poset.from_covers(tuple("abcde"), [(b, a) for a, b in zip("abcd", "bcde")])
+        assert chain5._down != turned5._down
+        ones = WeightFunction.ones(chain5.elements)
+        spaces5 = [AlphabetSpec.uniform(F2, poset.elements, 1) for poset in (chain5, turned5)]
+        message = "^1048576 candidate maps at dimension 4 exceed the bound 524288$"
+        refused = {}
+        with pytest.raises(MapBoundExceeded, match=message):
+            mep_brute_force(spaces5[0], chain5, ones, trace=refused)
+        assert refused["kernel"] == refused["group_table"] == "built"
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a kept refusal did group, index or span work")
+
+        for name in ("_scan_group", "shape_tables", "enumerate_codes"):
+            monkeypatch.setattr(mep, name, unreachable)
+        for space, poset in zip(spaces5, (chain5, turned5)):
+            trace = {}
+            with pytest.raises(MapBoundExceeded, match=message):
+                mep_brute_force(space, poset, ones, trace=trace)
+            assert trace == {**refused, "kernel": "none", "group_table": "none"}
+
+    def test_group_and_table_bound_refusals_keep_nothing(self, monkeypatch):
+        calls = []
+        scan_group = mep._scan_group
+
+        def counting(*args, **kwargs):
+            calls.append(None)
+            return scan_group(*args, **kwargs)
+
+        monkeypatch.setattr(mep, "_scan_group", counting)
+        for name, bound in (("GROUP_TABLE_BOUND", 7), ("GROUP_BOUND", 1)):
+            with monkeypatch.context() as bounded:
+                bounded.setattr(mep, name, bound)
+                for _ in range(2):  # each ask scans up to its refusal again
+                    with pytest.raises(BoundExceeded):
+                        mep_brute_force(SP21, CHAIN2, ONES2)
+        assert len(calls) == 4
+
+
+def _canonical_grid():
+    """Every labeled poset on up to 4 elements at q = 2 with unit dims, and
+    on up to 3 elements at q = 3 with unit dims and at q = 2 with one 2-dim
+    block in each place; unit, doubling and alternating 1/2, 1 weights and
+    weights 1..n."""
+    for size in range(1, 5):
+        for poset in _labeled_posets(size):
+            units = (1,) * size
+            shapes = [(2, units)]
+            if size <= 3:
+                shapes += [(3, units), *((2, units[:j] + (2,) + units[j + 1:]) for j in range(size))]
+            counting = WeightFunction(poset.elements, tuple(map(Fraction, range(1, size + 1))))
+            for q, dims in shapes:
+                space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                for omega in (*_omega_variants(poset), counting):
+                    yield space, poset, omega
+
+
+def _relabeled(space, poset, omega, rng):
+    """The question with its labels renamed and moved to shuffled places."""
+    n = len(poset.elements)
+    back = rng.sample(range(n), n)  # back[p]: the label moved to place p
+    names = tuple(rng.sample([f"x{t}" for t in range(2 * n)], n))
+    leq = tuple(tuple(poset.leq[i][j] for j in back) for i in back)
+    moved = Poset(names, leq)
+    return (AlphabetSpec(FieldSpec(space.q), names, tuple(space.dims[i] for i in back)), moved,
+            WeightFunction(names, tuple(omega.of(poset.elements[i]) for i in back)))
+
+
+def _classes_of(space, poset, omega):
+    return spaces.mask_classes(space, poset, weight_sum_functional(poset, omega))[1]
+
+
+def _positional(space, poset, omega):
+    return space.q, space.dims, poset._down, tuple(_classes_of(space, poset, omega).values())
+
+
+class TestCanonicalKey:
+    """The question's canonical key against an n! isomorphism oracle, and
+    the verdicts kept by it against the cold scan."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_kept(self):
+        _clear_kept()
+        yield
+        _clear_kept()
+
+    def test_equal_keys_exactly_for_isomorphic_questions(self):
+        rng = random.Random(0)
+        cases = list(_canonical_grid())
+        cases += [_relabeled(*case, rng) for case in cases]
+        pairs = Counter()
+        for space, poset, omega in cases:
+            key = mep._class_key(poset, space.dims, _classes_of(space, poset, omega))
+            assert key is not None
+            shape = (space.q, len(poset.elements))
+            pairs[shape, key, question_form_oracle(space, poset, omega)] += 1
+        keys = Counter((shape, key) for shape, key, _ in pairs)
+        forms = Counter((shape, form) for shape, _, form in pairs)
+        # one oracle form per key and one key per form
+        assert set(keys.values()) == set(forms.values()) == {1}
+        assert len(pairs) < len(cases) // 4  # the classes do join labelings
+        assert len(cases) == 2 * 4 * ((1 + 3 + 19 + 219) + (1 + 3 + 19) + (1 + 2 * 3 + 3 * 19))
+
+    def test_relabeled_asks_equal_the_cold_scan(self):
+        rng = random.Random(0)
+        cases = list(_canonical_grid())
+        shuffled = [_relabeled(*case, rng) for case in cases]
+        rng.shuffle(shuffled)
+        asks = [*cases, *shuffled]
+        cold = []
+        for case in asks:
+            _clear_kept()
+            outcome, read, decided, verdict = _traced_outcome(*case, None)
+            assert verdict == "scanned"
+            cold.append((outcome, read, decided))
+        _clear_kept()
+        seen, statuses = set(), Counter()
+        for case, expected in zip(asks, cold):
+            trace = {}
+            outcome = mep_brute_force(*case, trace=trace)
+            assert (outcome, trace["codes_read"], trace["codes_decided"]) == expected, case
+            assert trace["key"] == "canonical"
+            positional = _positional(*case)
+            if trace["verdict"] == "kept" and not outcome.holds:
+                # a failing verdict answers only its own labeling
+                assert positional in seen
+            statuses[trace["verdict"], outcome.holds, positional in seen] += 1
+            seen.add(positional)
+        assert statuses["kept", True, False] > 0  # kept for another labeling
+        assert statuses["scanned", False, False] > 0 and statuses["kept", False, True] > 0
+
+    def test_a_failing_class_keeps_its_last_labeling(self):
+        # the three F_2 planes fail at dimension 2; moved to other places,
+        # with dims (1, 2, 2) against (2, 2, 1), each labeling scans and
+        # replaces the class's one failing record
+        anti = Poset.antichain(("a", "b", "c"))
+        omega = WeightFunction.ones(anti.elements)
+        asks = [AlphabetSpec(F2, anti.elements, dims) for dims in ((1, 2, 2), (2, 2, 1))]
+        expected = [held_set_scan_oracle(space, anti, omega, max_dim=2) for space in asks]
+        keys = {mep._class_key(anti, space.dims, _classes_of(space, anti, omega)) for space in asks}
+        assert len(keys) == 1 and not any(verdict.holds for verdict in expected)
+        assert expected[0].counterexample != expected[1].counterexample
+        statuses = []
+        for t in (0, 0, 1, 1, 0):
+            trace = {}
+            assert mep_brute_force(asks[t], anti, omega, max_dim=2, trace=trace) == expected[t]
+            statuses.append(trace["verdict"])
+        assert statuses == ["scanned", "kept", "scanned", "kept", "scanned"]
+        assert mep._kept_verdict.cache_info().currsize == 1
+
+    def test_the_key_search_is_capped(self, monkeypatch):
+        # five unit labels apart: 5! orders x 2^5 renamings pass the cap
+        anti5 = Poset.antichain(tuple("abcde"))
+        space5 = AlphabetSpec.uniform(F2, anti5.elements, 1)
+        ones5 = WeightFunction.ones(anti5.elements)
+        assert mep._class_key(anti5, space5.dims, _classes_of(space5, anti5, ones5)) is None
+        # four unit labels apart search 4! x 2^4 = 384 renamings
+        anti4 = Poset.antichain(tuple("abcd"))
+        space4 = AlphabetSpec.uniform(F2, anti4.elements, 1)
+        ones4 = WeightFunction.ones(anti4.elements)
+        for bound, key in ((384, "canonical"), (383, "positional")):
+            monkeypatch.setattr(mep, "KEY_SEARCH_BOUND", bound)
+            trace = {}
+            assert mep_brute_force(space4, anti4, ones4, max_dim=1, trace=trace).holds
+            assert trace["key"] == key and trace["verdict"] == "scanned"
+        monkeypatch.undo()
+        # sixteen unit labels apart: keyed by position, then refused by the
+        # automorphism bound as before
+        anti16 = Poset.antichain(tuple(f"x{t}" for t in range(16)))
+        space16 = AlphabetSpec.uniform(F2, anti16.elements, 1)
+        trace = {}
+        with pytest.raises(BoundExceeded, match="^automorphism search over"):
+            mep_brute_force(space16, anti16, WeightFunction.ones(anti16.elements), trace=trace)
+        assert trace == {"key": "positional"}
 
 
 class TestStabilizerDecision:
