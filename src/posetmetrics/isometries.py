@@ -12,10 +12,11 @@ choice of strict blocks, so a listed element costs only concatenations.  The
 elements with a given label map depend on the space, the poset and the map
 alone, so `enumerate_group` keeps each map's completed slice on the poset,
 keyed by the space and the map, as immutable (diag, strict, matrix) tuples,
-and replays it on the next listing for any key.  The MEP layer builds the
-permutations of the indexed vectors for the group's nontrivial factors
-without any matrix (`mep._group_factors`), and the MEP scan joins them into
-a table of packed 16-bit image columns with no element built on its own
+and replays it on the next listing for any key.  The MEP scan's lines and
+the orbit check are decided on closure masks, under the label maps alone;
+for wider codes the scan builds the permutations of the indexed vectors for
+the group's nontrivial factors without any matrix and joins them into a
+table of packed 16-bit image columns with no element built on its own
 (`mep._scan_group`).  The diagonal and strict blocks make the kernel K(P),
 the same for every weight, and the label maps act on it (the semidirect
 splitting), so the scan keeps the kernel's table per order and block dims

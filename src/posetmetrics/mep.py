@@ -26,34 +26,30 @@ counterexample is the first in its own labeling's scan order, so it
 answers that labeling alone, until another labeling's failing scan takes
 the class's one record.  Group- and table-bound refusals keep nothing.
 
-The scan and the orbit check see each group element only as the permutation
-it induces on the indexed vectors, spanned for the group's factors with no
-`Isometry` and no matrix (`_group_factors`).  Only the scan lists the group,
+The group is the label maps acting on a kernel K(P) of block maps, which
+is transitive on the vectors of one closure mask, so lines (codes of
+dimension 1) and the orbit check are decided on the label maps' orbits of
+masks (`_mask_orbit`).  Only a wider code fetches the group (`_scan_group`),
 as a table of columns: column t holds the image of vector t under every
-element, packed as 16-bit indices and joined one factor at a time
-(`_scan_group`).  The group is the label maps acting on a kernel K(P) of
-block maps that depends only on the order and the block dims, so the
-kernel's table is kept per (q, dims, down sets) and the group's table per
-(q, dims, down sets, label maps), for the last `spaces.CACHED_SHAPES` of
-each, up to KEPT_TABLE_BOUND entries (2 MB); weightings with the same label
-maps share one table and one held-orbit memo.  Spans read one addition
-table (xor at q = 2).
+element, packed as 16-bit indices, spanned factor by factor with no
+`Isometry` and no matrix and joined one factor at a time.  The kernel
+depends only on the order and the block dims, so its table is kept per (q,
+dims, down sets) and the group's, with its held-orbit memo, per (q, dims,
+down sets, label maps), for the last `spaces.CACHED_SHAPES` of each, up to
+KEPT_TABLE_BOUND entries (2 MB).  Spans read one addition table (xor at q = 2).
 
-A code is decided on the stabilizer chain of its basis (`_holds_on`): only
-the images of the identity prefix at each level are looked at, a level whose
-class is its basis vector's orbit is skipped before its tables are built, and
-the leaf search that names the first counterexample runs only on a code that
-fails.  A held code's orbit is marked in one pass over the table's columns
-at the code's vectors, into the group's memo, which sends each span of the
-orbit to the orbit's first span in scan order, so a later scan of the group
-under another weight skips an orbit once its first code held there too; a
-shape past the code bound keeps no memo, as it keeps no span.  The label
-maps are searched once per class partition of the poset
+A wider code is decided on the stabilizer chain of its basis (`_holds_on`):
+only the images of the identity prefix at each level are looked at, a level
+whose class is its basis vector's orbit is skipped before its tables are
+built, and only a failing code gets the leaf search for its counterexample.
+A held wider code's orbit is marked in one pass over the table's columns at
+its vectors, into the group's memo, which sends each span of the orbit to
+its first span in scan order; a shape past the code bound keeps no memo and
+no span.  The label maps are searched once per class partition of the poset
 (`Poset.automorphisms`) and shared by the scan, the extension search and
 the orbit check (`isometries.admissible_lams`).  Codes come from
-`enumerate_codes` as tuples of vector indices, and a code's span is read
-from the span table of its shape (q, N) in `spaces.shape_tables`, spanned
-only on a miss.
+`enumerate_codes` as index tuples, and a code's span is read from the span
+table of its shape (q, N) in `spaces.shape_tables`, spanned only on a miss.
 
 The closed form (`mep_predicate`) picks its route, all-ones weights or a
 hierarchical poset, before it computes any condition, and refuses any other
@@ -91,7 +87,6 @@ from .isometries import (
     _strict_pairs,
     admissible_lams,
     build_isometry,
-    gl_order,
     group_order,
     weight_sum_functional,
 )
@@ -106,8 +101,6 @@ from .spaces import (
 ADD_TABLE_BOUND = 1 << 20
 # The most entries |G| x q^N of the group's listed index permutations.
 GROUP_TABLE_BOUND = 1 << 27
-# The most entries of the group's factor lists: their summed lengths x q^N.
-FACTOR_TABLE_BOUND = 1 << 27
 # The most entries |G| x q^N of a group table kept across scans (2 MB of
 # 16-bit entries); a larger one, F_3^5's 90.7M, is built, read and dropped.
 KEPT_TABLE_BOUND = 1 << 20
@@ -303,12 +296,10 @@ def mep_brute_force(
 
     A given trace dict gets the key the record is kept by ("canonical" or
     "positional"), the group's order, whether its kernel and its table were
-    built or kept ("none" when the record was kept), the nonzero codes read,
+    built or kept ("none" when no table was fetched), the nonzero codes read,
     the codes decided and whether the verdict was "scanned" or "kept"; a
-    map-bound refusal writes the two counts before it raises.
-
-    Weight-preserving maps are automatically injective (only the zero vector
-    has weight zero), so no injectivity filter is applied or needed.
+    map-bound refusal writes the two counts before it raises.  Maps keeping
+    the weight are injective (only 0 has weight 0), so none is filtered.
     """
     key = weight_sum_functional(poset, omega)
     SpaceIndex.check_bounds(space)
@@ -325,8 +316,7 @@ def mep_brute_force(
     record = holder.get(None) or holder.get(positional)
     status = "kept" if record else "scanned"
     if record is None:
-        values = list(map(class_of_mask.__getitem__, masks))
-        record = _scanned_record(space, poset, key, values, top, map_bound, trace)
+        record = _scanned_record(space, poset, key, masks, class_of_mask, top, map_bound, trace)
         holder.clear()  # one record a class: a failing one is its last labeling's
         holder[positional if record[0] else None] = record
     elif trace is not None:  # a kept record does no group work
@@ -340,46 +330,74 @@ def mep_brute_force(
         trace["verdict"] = status
     if failing is None:
         return MepVerdict(holds=True, complete=(top >= n))
-    q = space.q  # vector t spells its base-q digits
-    vectors = [tuple(t // q ** (n - 1 - c) % q for c in range(n)) for t in (*failing, *images)]
+    vectors = [_vector(space, t) for t in (*failing, *images)]
     code = LinearCode(space, tuple(vectors[:len(failing)]))
     return MepVerdict(holds=False, counterexample=(code, tuple(vectors[len(failing):])))
 
 
 def _scanned_record(
-    space: AlphabetSpec, poset: Poset, key: Key, values: list[int], top: int, map_bound: int,
-    trace: Optional[dict],
+    space: AlphabetSpec, poset: Poset, key: Key, masks: list[int], class_of_mask: dict[int, int],
+    top: int, map_bound: int, trace: Optional[dict],
 ) -> tuple:
-    """Scan the codes up to dimension top; the record (failing basis, its
-    images, as vector indices, or None twice; codes read; codes decided;
-    group order; the map-bound refusal's message or None).
+    """Scan the codes up to dimension top, after the label maps and the
+    table's entry bound; the record (failing basis, its images, as vector
+    indices, or None twice; codes read; codes decided; group order; the
+    map-bound refusal's message or None).  A code gC in the orbit of a code
+    C that held is skipped (f on gC extends to F iff f o g on C extends to
+    F o g), so the first failing code and its counterexample are unchanged.
 
-    A code gC in the orbit of a code C that held is skipped (f on gC extends
-    to F iff f o g on C extends to F o g), so the first failing code and its
-    counterexample are unchanged.  Each scanned code is decided by `_holds_on`
-    on the stabilizer chain of its basis; only a code it rejects gets the
-    leaf search for the first unreachable map.  The group's columns and its
-    orbit memo come from `_scan_group`: the memo maps a span to the first
-    span of its orbit in scan order, the same for every weighting, and a code
-    is skipped when that first span held in this scan; a held code with no
-    memo entry writes its orbit (`_orbit_spans`).  Only sets of images are
-    read, so nothing depends on the table's order.
+    A line <b> is decided on masks.  With I b's closure mask, the diagonal
+    GL_{k_m} at each maximal m of I sends b_m to any nonzero u_m, and a
+    strict block (k, m), k strictly below m, sets block k to anything: K b
+    is every vector of closure mask I, and G b = Lambda K b every vector
+    whose mask lies in Lambda I (`_mask_orbit`).  Every x in b's class keeps
+    the weight on <b> (c x has x's support), so <b> holds exactly when
+    Lambda I is its class's masks, whose lines are then one orbit, and
+    otherwise the first unreachable image is the class's first vector whose
+    mask lies outside Lambda I.
+
+    The first wider code, after its map-bound check, fetches the group
+    (`_scan_group`); each is decided by `_holds_on`, and only a code it
+    rejects gets the leaf search.  The group's memo maps a span to the first
+    span of its orbit in scan order, and a code is skipped when that first
+    span held in this scan; a held code with no memo entry writes its orbit
+    (`_orbit_spans`).  Only sets of images are read.
     """
-    si, columns, first_of = _scan_group(space, poset, key, trace, values)
-    count, order = len(si.vectors), len(columns[0])
-    held: set[frozenset[int]] = set()  # the first spans of the orbits that held in this scan
+    lams = admissible_lams(space, poset, key, GROUP_BOUND)
+    count = len(masks)
+    order = _checked_entries(space, poset, len(lams), count) // count
+    if trace is not None:  # until a wider code fetches the group
+        trace.update(group_order=order, kernel="none", group_table="none")
+    sizes = Counter(class_of_mask.values())  # Lambda keeps the key, so Lambda I lies in I's class
+    held_classes: set[int] = set()  # the classes whose lines held in this scan
+    held: set[frozenset[int]] = set()  # the first spans of the wider orbits that held in this scan
+    decided, group = 0, None
     tables = shape_tables(space.q, space.total_dim)
-    if tables is None:  # a shape past the code bound keeps no span and no orbit memo
-        spans, first_of = {}, {}
-    else:
-        spans = tables[1]
+    spans = {} if tables is None else tables[1]  # a shape past the code bound keeps no span
     for read, basis_idx in enumerate(enumerate_codes(space, max_dim=top, indices=True)):
         d = len(basis_idx)  # the zero code is read first and never decided
         if d == 0:
             continue
         if count**d > map_bound:
-            return None, None, read, len(held), order, (
+            return None, None, read, decided, order, (
                 f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}")
+        if d == 1:
+            mask = masks[basis_idx[0]]
+            c = class_of_mask[mask]
+            if c in held_classes:
+                continue
+            orbit = _mask_orbit(lams, mask)
+            if len(orbit) < sizes[c]:
+                image = next(t for t, m in enumerate(masks) if class_of_mask[m] == c and m not in orbit)
+                return basis_idx, (image,), read, decided + 1, order, None
+            held_classes.add(c)
+            decided += 1
+            continue
+        if group is None:
+            values = list(map(class_of_mask.__getitem__, masks))
+            si, columns, first_of = group = _scan_group(space, poset, key, trace, values)
+            if tables is None:
+                first_of = {}
         span = spans.get(basis_idx)
         if span is None:
             span = frozenset(si.span_indices(basis_idx))
@@ -391,11 +409,25 @@ def _scanned_record(
         if not _holds_on(si, basis_idx, columns):
             reachable = set(zip(*map(columns.__getitem__, basis_idx)))
             images = _first_unreachable_map(si, basis_idx, reachable)
-            return basis_idx, images, read, len(held) + 1, order, None
+            return basis_idx, images, read, decided + 1, order, None
         held.add(span)
+        decided += 1
         if first is None:
             first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
-    return None, None, read, len(held), order, None
+    return None, None, read, decided, order, None
+
+
+def _mask_orbit(lams: Sequence[Perm], mask: int) -> set[int]:
+    """The label maps' images of an ideal mask (P(lam, I) sends block i to
+    block lam(i)): a vector's orbit is the vectors whose closure masks lie
+    in its mask's (`_scanned_record`)."""
+    bits = list(set_bits(mask))
+    return {sum([1 << lam[i] for i in bits]) for lam in lams}
+
+
+def _vector(space: AlphabetSpec, t: int) -> Vector:
+    """Vector t of the space: its base-q digits, most significant first."""
+    return tuple(t // space.q**e % space.q for e in reversed(range(space.total_dim)))
 
 
 def _class_key(poset: Poset, dims: tuple[int, ...], class_of_mask: dict[int, int]) -> Optional[tuple]:
@@ -455,23 +487,12 @@ def _orbit_spans(
     return map(frozenset, set(zip(*map(columns.__getitem__, span))))
 
 
-def _checked_entries(
-    space: AlphabetSpec, poset: Poset, lam_count: int, count: int, listed: bool
-) -> int:
-    """The entries of the group table (listed: |G| x count) or of the factor
-    lists (their summed sizes, identities included, times count), refused
-    over their bound.  The factors are the label maps, GL_{k_i} per block
-    and the strict blocks below each block."""
-    q, dims = space.q, space.dims
-    if listed:  # |G| is the kept kernel order times the label maps
-        entries = group_order(space, poset, 1, GROUP_BOUND) * lam_count * count
-    else:
-        under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
-        sizes = [lam_count, *(gl_order(q, k) for k in dims), *(q ** (k * d) for k, d in zip(dims, under))]
-        entries = sum(sizes) * count
-    bound = GROUP_TABLE_BOUND if listed else FACTOR_TABLE_BOUND
-    if entries > bound:
-        raise BoundExceeded(f"group index table of {entries} entries exceeds {bound}")
+def _checked_entries(space: AlphabetSpec, poset: Poset, lam_count: int, count: int) -> int:
+    """The entries |G| x count of the group table, refused over
+    GROUP_TABLE_BOUND; |G| is the kept kernel order times the label maps."""
+    entries = group_order(space, poset, 1, GROUP_BOUND) * lam_count * count
+    if entries > GROUP_TABLE_BOUND:
+        raise BoundExceeded(f"group index table of {entries} entries exceeds {GROUP_TABLE_BOUND}")
     return entries
 
 
@@ -490,7 +511,10 @@ def _label_map_columns(space: AlphabetSpec, poset: Poset, lams: Sequence[Perm]) 
 
 def _kernel_columns(space: AlphabetSpec, poset: Poset) -> list[list[list[int]]]:
     """The kernel's factors as column lists: a GL_{k_i} on block i per block,
-    then the unipotent factors C_i top-down."""
+    then the unipotent factors C_i top-down.  With X_i the part of a strict
+    X in block column i, X_a X_b = 0 unless a is strictly below b, so the
+    C_i = {I + X_i} top-down give the unipotent group of strict blocks with
+    no cross terms, and each product of one pick per factor arises once."""
     q, n = space.q, space.total_dim
     bounds, units = _coordinates(space, poset)
     # place[i][t]: index of the vector holding block vector t in block i and zeros elsewhere
@@ -519,33 +543,6 @@ def _spanned(si: SpaceIndex, factors: Sequence[Sequence[list[int]]]) -> list[lis
     before it is spanned."""
     return [[array("H", si.span_indices(columns)) for columns in factor]
             for factor in factors if len(factor) > 1]
-
-
-def _group_factors(
-    space: AlphabetSpec, poset: Poset, key: Key, listed: bool = False
-) -> tuple[SpaceIndex, list[list[array]]]:
-    """The space's dense index and the group's factors as lists of index
-    permutations (perm[t] indexes the image of vector t; 16-bit entries): the
-    label maps P(lam, I), a GL_{k_i} on block i per block, then the unipotent
-    factors C_i top-down.  Each element is f_1 o f_2 o ... for one pick per
-    list, once.  A one-element factor is the identity (a lone label map,
-    GL_1(F_2)) and is dropped before it is spanned.  The entries of the group
-    table (listed: |G| q^N) or of the lists (their summed lengths, identities
-    included, times q^N) are bounded first.
-
-    P(lam, D) = P(lam, I) diag(D_i) sends block i into block lam(i) by D_i.
-    u = I + X lies in the unipotent group U of strict blocks (k, i), k
-    strictly below i.  With X_i the part of X in block column i, X_a X_b = 0
-    unless a is strictly below b, so the C_i = {I + X_i} top-down give U with
-    no cross terms: the diagonal blocks and U make the kernel K(P), which
-    depends on P and the dims alone, and the label maps act on it.  Each
-    element is spanned from its column indices.
-    """
-    si = SpaceIndex(space, poset, key)
-    lams = admissible_lams(space, poset, key, GROUP_BOUND)
-    _checked_entries(space, poset, len(lams), len(si.vectors), listed)
-    factors = [_label_map_columns(space, poset, lams), *_kernel_columns(space, poset)]
-    return si, _spanned(si, factors)
 
 
 def _joined(count: int, factors: Sequence[Sequence[array]]) -> list[bytes]:
@@ -591,7 +588,7 @@ def _scan_group(
     kernel's columns: for each entry x of the kernel's column t, in order,
     the images of x under every label map, so element g is p o k.  The
     kernel table starts as the identity and takes its factors one at a time
-    (`_joined`), so it is f_1 o f_2 o ... with `_group_factors`' lists in
+    (`_joined`), so it is f_1 o f_2 o ... with `_kernel_columns`' factors in
     their order.  Every reader reads only sets of images, so no verdict,
     counterexample or digest depends on the order.
 
@@ -606,7 +603,7 @@ def _scan_group(
     si = SpaceIndex(space, poset, key, values)
     lams = admissible_lams(space, poset, key, GROUP_BOUND)
     count = len(si.vectors)
-    entries = _checked_entries(space, poset, len(lams), count, listed=True)
+    entries = _checked_entries(space, poset, len(lams), count)
     shape = (space.q, space.dims, poset._down)
     kernel = _kept_kernel(*shape) if entries // len(lams) <= KEPT_TABLE_BOUND else []
     group = _kept_group(*shape, lams) if entries <= KEPT_TABLE_BOUND else []
@@ -862,18 +859,19 @@ def single_orbit_check(
     space: AlphabetSpec, poset: Poset, omega: WeightFunction
 ) -> tuple[bool, Optional[tuple[Vector, Vector]]]:
     """Does the isometry group act transitively on each equal-weight class?
-    A class's first vector x has the orbit G x = F_1 (F_2 (... F_m x)), so x
-    goes through the group's factors from the last to the first, unlisted."""
-    si, factors = _group_factors(space, poset, weight_sum_functional(poset, omega))
-    orbits = []
-    for members in si.classes:
-        orbit = {members[0]}
-        for factor in reversed(factors):
-            orbit = set().union(*(map(perm.__getitem__, orbit) for perm in factor))
-        orbits.append(orbit)
-    for t, value in enumerate(si.values):
-        if t not in orbits[value]:
-            return False, (si.vectors[si.classes[value][0]], si.vectors[t])
+    Each class is checked against its first vector's mask orbit
+    (`_mask_orbit`); the witness is that vector and the first outside it."""
+    key = weight_sum_functional(poset, omega)
+    SpaceIndex.check_bounds(space)
+    lams = admissible_lams(space, poset, key, GROUP_BOUND)
+    masks, class_of_mask = mask_classes(space, poset, key)
+    orbits: dict[int, tuple[int, set[int]]] = {}  # class -> its first vector and mask orbit
+    for t, mask in enumerate(masks):
+        c = class_of_mask[mask]
+        if c not in orbits:
+            orbits[c] = t, _mask_orbit(lams, mask)
+        elif mask not in orbits[c][1]:
+            return False, (_vector(space, orbits[c][0]), _vector(space, t))
     return True, None
 
 

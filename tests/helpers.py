@@ -294,12 +294,125 @@ def order_walk_oracle(space, poset, lam_count: int, bound: Optional[int] = None)
     return order
 
 
+# The most entries of the orbit check's factor lists when it read them
+# (group_factors_oracle): their summed lengths, identities included, x q^N.
+FACTOR_TABLE_BOUND = 1 << 27
+
+
+def group_factors_oracle(space, poset, key, listed: bool = False) -> tuple:
+    """The space's dense index and the group's factors as lists of index
+    permutations, as the MEP scan and the orbit check once read them: the
+    label maps P(lam, I), a GL_{k_i} on block i per block, then the
+    unipotent factors C_i top-down (mep._label_map_columns and
+    mep._kernel_columns, spanned by mep._spanned).  Each element is
+    f_1 o f_2 o ... for one pick per list, once.  The entries of the group
+    table (listed: |G| q^N, mep._checked_entries) or of the lists (their
+    summed lengths, identities included, times q^N, FACTOR_TABLE_BOUND)
+    are bounded first."""
+    si = mep.SpaceIndex(space, poset, key)
+    lams = isometries.admissible_lams(space, poset, key, mep.GROUP_BOUND)
+    count = len(si.vectors)
+    if listed:
+        mep._checked_entries(space, poset, len(lams), count)
+    else:
+        q, dims = space.q, space.dims
+        under = [sum(map(dims.__getitem__, set_bits(poset.strictly_below(i)))) for i in range(len(dims))]
+        sizes = [len(lams), *(isometries.gl_order(q, k) for k in dims),
+                 *(q ** (k * d) for k, d in zip(dims, under))]
+        entries = sum(sizes) * count
+        if entries > FACTOR_TABLE_BOUND:
+            raise BoundExceeded(f"group index table of {entries} entries exceeds {FACTOR_TABLE_BOUND}")
+    factors = [mep._label_map_columns(space, poset, lams), *mep._kernel_columns(space, poset)]
+    return si, mep._spanned(si, factors)
+
+
+def single_orbit_check_oracle(space, poset, omega) -> tuple:
+    """mep.single_orbit_check as it was before the mask orbits: a class's
+    first vector x has the orbit G x = F_1 (F_2 (... F_m x)), so x goes
+    through the group's factors from the last to the first, unlisted."""
+    si, factors = group_factors_oracle(space, poset, weight_sum_functional(poset, omega))
+    orbits = []
+    for members in si.classes:
+        orbit = {members[0]}
+        for factor in reversed(factors):
+            orbit = set().union(*(map(perm.__getitem__, orbit) for perm in factor))
+        orbits.append(orbit)
+    for t, value in enumerate(si.values):
+        if t not in orbits[value]:
+            return False, (si.vectors[si.classes[value][0]], si.vectors[t])
+    return True, None
+
+
+def scanned_record_oracle(space, poset, key, values, top, map_bound, trace) -> tuple:
+    """mep._scanned_record as it was before lines were decided on masks:
+    the group table and its orbit memo fetched before the first code, and
+    every code, lines included, decided on the table (mep._holds_on), its
+    orbit marked in the memo.  The oracle of records: failing basis and
+    images by vector index, codes read and decided, group order, map-bound
+    refusal."""
+    si, columns, first_of = mep._scan_group(space, poset, key, trace, values)
+    count, order = len(si.vectors), len(columns[0])
+    held: set = set()
+    tables = spaces.shape_tables(space.q, space.total_dim)
+    if tables is None:
+        spans, first_of = {}, {}
+    else:
+        spans = tables[1]
+    for read, basis_idx in enumerate(spaces.enumerate_codes(space, max_dim=top, indices=True)):
+        d = len(basis_idx)
+        if d == 0:
+            continue
+        if count**d > map_bound:
+            return None, None, read, len(held), order, (
+                f"{count_text(count**d)} candidate maps at dimension {d} exceed the bound {map_bound}")
+        span = spans.get(basis_idx)
+        if span is None:
+            span = frozenset(si.span_indices(basis_idx))
+            if tables is not None:
+                spans[basis_idx] = span
+        first = first_of.get(span)
+        if first in held:
+            continue
+        if not mep._holds_on(si, basis_idx, columns):
+            reachable = set(zip(*map(columns.__getitem__, basis_idx)))
+            images = mep._first_unreachable_map(si, basis_idx, reachable)
+            return basis_idx, images, read, len(held) + 1, order, None
+        held.add(span)
+        if first is None:
+            first_of.update(dict.fromkeys(mep._orbit_spans(columns, span), span))
+    return None, None, read, len(held), order, None
+
+
+def scanned_records(space, poset, key, max_dim=None, map_bound=mep.MAP_BOUND) -> tuple:
+    """The record and group order of mep._scanned_record and of
+    scanned_record_oracle on one question, each from a cold start (no kept
+    group, kernel, span or verdict); a refusal is its type and message."""
+    mep.SpaceIndex.check_bounds(space)
+    masks, class_of_mask = spaces.mask_classes(space, poset, key)
+    values = list(map(class_of_mask.__getitem__, masks))
+    top = space.total_dim if max_dim is None else min(max_dim, space.total_dim)
+    runs = (
+        lambda trace: mep._scanned_record(space, poset, key, masks, class_of_mask, top, map_bound, trace),
+        lambda trace: scanned_record_oracle(space, poset, key, values, top, map_bound, trace),
+    )
+    outcomes = []
+    for run in runs:
+        for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group, mep._kept_verdict):
+            cache.cache_clear()
+        trace: dict = {}
+        try:
+            outcomes.append((run(trace), trace.get("group_order")))
+        except BoundExceeded as exc:
+            outcomes.append((type(exc), str(exc)))
+    return tuple(outcomes)
+
+
 def indexed_group_oracle(space, poset, key) -> tuple:
     """The MEP scan's group as it was before the column table: the space's
     index and every element's index permutation as a tuple, f_1 o f_2 o ...
-    folded from mep._group_factors' lists in (lam, D, u) order, the first
+    folded from group_factors_oracle's lists in (lam, D, u) order, the first
     factor's pick varying slowest.  The oracle of the packed columns."""
-    si, factors = mep._group_factors(space, poset, key, listed=True)
+    si, factors = group_factors_oracle(space, poset, key, listed=True)
     listing = [tuple(range(len(si.vectors)))]
     for factor in factors:
         listing = [tuple(map(a.__getitem__, f)) for a in listing for f in factor]
@@ -314,9 +427,9 @@ def indexed_group(space, poset, key) -> tuple:
 
 def column_table_oracle(space, poset, key) -> tuple:
     """The MEP scan's table as it was before the kept kernel: the space's index
-    and the column table joined from all of mep._group_factors' lists, label
-    maps first, built afresh on every call.  The oracle of the kept tables."""
-    si, factors = mep._group_factors(space, poset, key, listed=True)
+    and the column table joined from all of group_factors_oracle's lists,
+    label maps first, built afresh on every call.  The oracle of the kept tables."""
+    si, factors = group_factors_oracle(space, poset, key, listed=True)
     table = [t.to_bytes(2, sys.byteorder) for t in range(len(si.vectors))]
     for factor in factors:
         table = [b"".join(map(table.__getitem__, column)) for column in zip(*factor)]

@@ -837,8 +837,10 @@ class TestBoundsAtLoad:
     )
     def test_f3_five_scans_in_a_memory_capped_child(self, tmp_path, command, digest):
         # a < b, c apart, dims (2, 2, 1): 373,248 elements over 243 vectors,
-        # 90.7M table entries of 2 bytes each; as tuples they took 1.45 GB
-        # and 12-17 s, which the child's 1 GB cap ends in MemoryError (exit 4)
+        # 90.7M table entries; as tuples they took 1.45 GB and 12-17 s, which
+        # the child's 1 GB cap ends in MemoryError (exit 4), and the packed
+        # table 195 MB; now the scan fails at its first line, on closure
+        # masks, and the orbit check reads masks too, so no table is built
         resource = pytest.importorskip("resource")
         path = tmp_path / "f3_five.json"
         doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": [["a", "b"]]},
@@ -851,8 +853,9 @@ class TestBoundsAtLoad:
         self, tmp_path
     ):
         # the doubling weights admit no label map but the identity: 110,592
-        # elements and 80.6M table entries, under the entry bound, so the
-        # table is built and the candidate-map bound stops the scan
+        # elements and 80.6M table entries, under the entry bound; every line
+        # holds on closure masks, and the candidate-map bound stops the scan
+        # at the first plane, before any table is built
         resource = pytest.importorskip("resource")
         path = tmp_path / "planes3_f3.json"
         doc = {"q": 3, "poset": {"elements": ["a", "b", "c"], "covers": []},
@@ -865,6 +868,19 @@ class TestBoundsAtLoad:
             "bound exceeded: 531441 candidate maps at dimension 2 exceed the bound 524288; "
             "raise it with --bound\n"
         )
+
+    def test_eight_labels_beside_a_chain_scan_in_a_memory_capped_child(self, tmp_path):
+        # eight unrelated F_2 points and a 2-chain: 8! x 2 elements over 1024
+        # vectors, whose table took 11-17 s and 272 MB; the first line fails
+        # on closure masks, so no table is built
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "eight_beside_chain.json"
+        doc = {"q": 2, "poset": {"elements": list("abcdefghij"), "covers": [["i", "j"]]}}
+        path.write_text(json.dumps(doc))
+        command = "mep --brute-force"
+        code, elapsed, err, got = run_capped(resource, path, [command])[command]
+        digest = "559d3813eb6fb55d54718fdd1b1be7bbfd2ef4f52c7717b9ed296f7a573848d2"
+        assert (code, err, got) == (0, "", digest) and elapsed < 3, (code, elapsed, err)
 
     @pytest.mark.parametrize(
         "dims, covers, digest",

@@ -60,8 +60,9 @@ from posetmetrics.spaces import (
 
 from helpers import (
     closure_key, column_table_oracle, condition_report_oracle, enumerate_codes_oracle,
-    held_set_scan_oracle, indexed_group, indexed_group_oracle, key_for, linear_maps,
-    mep_predicate_oracle, question_form_oracle,
+    group_factors_oracle, held_set_scan_oracle, indexed_group, indexed_group_oracle, key_for,
+    linear_maps, mep_predicate_oracle, question_form_oracle, scanned_record_oracle,
+    scanned_records, single_orbit_check_oracle,
 )
 
 F2 = FieldSpec(2)
@@ -318,21 +319,22 @@ def _unreduced_scan(space, poset, omega, max_dim=None, map_bound=mep.MAP_BOUND):
     return MepVerdict(True, complete=(top >= n))
 
 
-def _orbits_scanned(space, poset, omega, max_dim, verdict) -> int:
-    """Code orbits met up to the code the scan stops at, each code's span
-    closed under every group permutation (from mat_vec, not the span tables)."""
+def _orbits_scanned(space, poset, omega, max_dim, verdict) -> Counter:
+    """Code orbits met up to the code the scan stops at, by dimension, each
+    code's span closed under every group permutation (from mat_vec, not the
+    span tables)."""
     key = key_for(poset, omega, "weight")
     si = SpaceIndex(space, poset, key)
     perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, key)]
     stop = verdict.counterexample[0] if verdict.counterexample else None
     seen: set = set()
-    orbits = 0
+    orbits = Counter()
     for code in enumerate_codes(space, max_dim=max_dim):
         if code.dim == 0:
             continue
         span = frozenset(fields.vec_index(si.q, v) for v in code.codewords())
         if span not in seen:
-            orbits += 1
+            orbits[code.dim] += 1
             seen |= {frozenset(p[t] for t in span) for p in perms}
         if code == stop:
             break
@@ -373,7 +375,7 @@ def _assert_table_matches_the_oracles(space, poset, key):
     _, columns = indexed_group(space, poset, key)
     rows = list(zip(*columns))
     _, listing = indexed_group_oracle(space, poset, key)
-    sizes = [len(factor) for factor in mep._group_factors(space, poset, key)[1]]
+    sizes = [len(factor) for factor in group_factors_oracle(space, poset, key)[1]]
     assert rows == _factor_outer(listing, sizes)
     assert Counter(rows) == Counter(listing) == Counter(_oracle_perms(space, poset, key))
 
@@ -417,7 +419,7 @@ class TestIndexedGroup:
     def test_one_element_factors_are_not_spanned(self):
         # the 2-chain over F_2: one label map and GL_1(F_2) twice are identities,
         # so the strict block's two elements are the only factor spanned
-        _, factors = mep._group_factors(SP21, CHAIN2, key_for(CHAIN2, ONES2, "weight"))
+        _, factors = group_factors_oracle(SP21, CHAIN2, key_for(CHAIN2, ONES2, "weight"))
         assert [len(factor) for factor in factors] == [2]
         assert sorted(map(tuple, factors[0])) == [(0, 1, 2, 3), (0, 3, 2, 1)]  # (0, 1) -> (1, 1)
 
@@ -427,7 +429,7 @@ class TestIndexedGroup:
         # tuples of fresh ints, and at 354 MB packed
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
         key = key_for(ANTI3, WeightFunction.ones(ANTI3.elements), "weight")
-        _, factors = mep._group_factors(space, ANTI3, key)
+        _, factors = group_factors_oracle(space, ANTI3, key)
         assert [len(factor) for factor in factors] == [6, 6, 6, 6]  # S_3, then GL_2(F_2) thrice
         assert {(type(f), f.typecode, len(f)) for factor in factors for f in factor} == {
             (array, "H", 64)
@@ -503,7 +505,7 @@ class TestIndexedGroup:
             raise AssertionError("the group table was built")
 
         monkeypatch.setattr(mep, "GROUP_TABLE_BOUND", entries - 1)
-        # the orbit check reads the factors, whose own bound the table's does not lower
+        # the orbit check reads no table, so the table's bound does not refuse it
         scan_group = mep._scan_group
         monkeypatch.setattr(mep, "_scan_group", unfolded)
         assert single_orbit_check(SP21, CHAIN2, ones) == verdict == (True, None)
@@ -513,17 +515,22 @@ class TestIndexedGroup:
         with pytest.raises(BoundExceeded, match=message):
             mep_brute_force(SP21, CHAIN2, ones)
 
-    def test_factor_bound_fires_before_any_permutation(self, monkeypatch):
-        # the orbit check's tables: 1 label map, GL_1(F_2) twice, C_1 and C_2
-        # of 1 and 2 elements, over 4 vectors
-        def unreachable(*args):
-            raise AssertionError("a permutation was spanned")
+    def test_the_orbit_check_spans_no_permutation(self, monkeypatch):
+        # the orbit check reads closure masks and label maps alone: no index,
+        # factor, span or table, on the 2-chain (holding) and on a 2-dim
+        # block beside a point (failing), against the factor-list oracle
+        cases = [(SP21, CHAIN2), (AlphabetSpec(F2, ANTI2.elements, (1, 2)), ANTI2)]
+        expected = [single_orbit_check_oracle(space, poset, ONES2) for space, poset in cases]
+        assert [ok for ok, _ in expected] == [True, False]
 
-        ones = WeightFunction.ones(CHAIN2.elements)
+        def unreachable(*args, **kwargs):
+            raise AssertionError("the orbit check built an index or a permutation")
+
+        for name in ("_scan_group", "_spanned", "_label_map_columns", "_kernel_columns"):
+            monkeypatch.setattr(mep, name, unreachable)
+        monkeypatch.setattr(SpaceIndex, "__init__", unreachable)
         monkeypatch.setattr(SpaceIndex, "span_indices", unreachable)
-        monkeypatch.setattr(mep, "FACTOR_TABLE_BOUND", 23)
-        with pytest.raises(BoundExceeded, match=r"^group index table of 24 entries exceeds 23$"):
-            single_orbit_check(SP21, CHAIN2, ones)
+        assert [single_orbit_check(space, poset, ONES2) for space, poset in cases] == expected
 
 
 class TestSpaceIndexTables:
@@ -623,6 +630,8 @@ class TestOrbitReducedScan:
 
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
     def test_one_search_per_code_orbit(self, monkeypatch, poset, dims, max_dim, orbits):
+        # one decision per orbit met: lines on their closure masks, wider
+        # codes by one stabilizer-chain search each
         calls = []
 
         def counting(*args):
@@ -632,21 +641,27 @@ class TestOrbitReducedScan:
         monkeypatch.setattr(mep, "_holds_on", counting)
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
-        assert len(calls) == _orbits_scanned(space, poset, omega, max_dim, verdict) == orbits
+        trace = {}
+        verdict = mep_brute_force(space, poset, omega, max_dim=max_dim, trace=trace)
+        met = _orbits_scanned(space, poset, omega, max_dim, verdict)
+        assert trace["codes_decided"] == sum(met.values()) == orbits
+        assert len(calls) == orbits - met[1] > 0
 
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES[:2], ids=LARGE_IDS[:2])
     def test_held_spans_are_the_full_orbit_closure(self, poset, dims, max_dim, orbits):
         # marking one element per basis-image tuple leaves the same spans held
         # as marking with every element: the memo's spans whose first span
-        # held are the closure, when the scan writes the memo and when a
-        # second scan reads it; read the scan's held set and memo as it returns
+        # held are the closure of the wider codes, when the scan writes the
+        # memo and when a second scan reads it, and the lines of the classes
+        # that held are the closure of the lines; read the scan's held sets
+        # and memo as it returns
         states = []
 
         def hook(frame, event, arg):
             if event == "return" and frame.f_code is mep._scanned_record.__code__:
                 local = frame.f_locals
-                states.append((set(local["held"]), dict(local["first_of"])))
+                states.append((set(local["held"]), dict(local["first_of"]),
+                               set(local["held_classes"]), local["class_of_mask"], local["masks"]))
 
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
@@ -663,15 +678,19 @@ class TestOrbitReducedScan:
         key = key_for(poset, omega, "weight")
         si = SpaceIndex(space, poset, key)
         perms = [_mat_vec_perm(si, iso.matrix) for iso in enumerate_group(space, poset, key)]
-        closure = set()
+        closure = {1: set(), 2: set()}  # the lines, and the wider codes
         for code in enumerate_codes(space, max_dim=max_dim):
             if code.dim:
                 span = frozenset(fields.vec_index(si.q, v) for v in code.codewords())
-                closure |= {frozenset(p[t] for t in span) for p in perms}
+                closure[min(code.dim, 2)] |= {frozenset(p[t] for t in span) for p in perms}
+        met = _orbits_scanned(space, poset, omega, max_dim, verdicts[0])
         assert len(states) == 2 and states[0][1] == states[1][1]  # the warm scan wrote nothing
-        for held, first_of in states:
-            assert {span for span, first in first_of.items() if first in held} == closure
-            assert len(held) == orbits and held <= closure  # one first span per orbit decided
+        for held, first_of, held_classes, class_of_mask, masks in states:
+            assert {span for span, first in first_of.items() if first in held} == closure[2]
+            assert len(held) == orbits - met[1] and held <= closure[2]  # one first span per orbit decided
+            lines = {frozenset(si.span_indices((t,))) for t in range(1, len(masks))
+                     if class_of_mask[masks[t]] in held_classes}
+            assert lines == closure[1] and len(held_classes) == met[1]
 
     def test_stabilizer_decision_prunes_the_leaf_search(self, monkeypatch):
         # a timing-free work count on chain5: spans under the stabilizer-chain
@@ -746,18 +765,31 @@ class TestRecordedScan:
             (True, False): 488, (False, True): 307,
         }
 
-    def test_a_scan_failing_at_dimension_one_spans_no_later_code(self):
+    def test_a_scan_failing_at_dimension_one_spans_no_code(self, monkeypatch):
+        # lines are decided on closure masks, so a scan that fails among them
+        # spans nothing and fetches no group; a scan failing at dimension 2
+        # spans every code of dimension 2 up to the counterexample, held,
+        # skipped or failing, and no line
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a line scan fetched the group or spanned")
+
         space = AlphabetSpec(F2, ANTI2.elements, (2, 1))
-        verdict = mep_brute_force(space, ANTI2, WeightFunction.ones(ANTI2.elements))
+        with monkeypatch.context() as patched:
+            patched.setattr(mep, "_scan_group", unreachable)
+            patched.setattr(SpaceIndex, "span_indices", unreachable)
+            verdict = mep_brute_force(space, ANTI2, WeightFunction.ones(ANTI2.elements))
         code, _ = verdict.counterexample
         assert code.dim == 1
-        oracle = list(enumerate_codes_oracle(space, indices=True))
         kept, spans = spaces._shape_tables(2, 3)
+        assert kept == tuple(enumerate_codes_oracle(space, indices=True)) and spans == {}
+        planes = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
+        verdict = mep_brute_force(planes, ANTI3, WeightFunction.ones(ANTI3.elements))
+        code, _ = verdict.counterexample
+        assert code.dim == 2
+        oracle = list(enumerate_codes_oracle(planes, indices=True))
         failing = oracle.index(tuple(fields.vec_index(2, row) for row in code.basis))
-        assert kept == tuple(oracle)
-        # every nonzero code up to the counterexample, held, skipped or failing,
-        # all of dimension one
-        assert set(spans) == set(oracle[1 : failing + 1])
+        spans = spaces._shape_tables(2, 6)[1]
+        assert set(spans) == {basis for basis in oracle[:failing + 1] if len(basis) == 2}
 
     def test_span_tables_hold_their_own_shapes_spans(self):
         # two shapes of one q in turn, so a table keyed by q alone would
@@ -770,14 +802,18 @@ class TestRecordedScan:
             si = SpaceIndex(space, poset, closure_key)
             bases = set(enumerate_codes_oracle(space, indices=True))
             spans = spaces._shape_tables(2, n)[1]
-            assert set(spans) == bases - {()}  # a scan that holds spans every nonzero code
+            # a scan that holds spans every code of dimension 2 and up, and no line
+            assert set(spans) == {basis for basis in bases if len(basis) >= 2}
             assert all(span == frozenset(si.span_indices(b)) for b, span in spans.items())
 
     def test_a_warm_scan_spans_no_code(self, monkeypatch):
-        # a cold scan spans every code it reads and every factor element of
-        # the group; a warm one, under another weighting with the same label
-        # maps (MIXED has only the identity) and another class partition,
-        # spans neither and builds nothing; the kept verdict reads nothing
+        # a cold scan spans every code of dimension 2 and up that it reads
+        # (lines are decided on masks) and every factor element of the
+        # group; a warm one, another question with the same label maps
+        # (MIXED has only the identity) and partition, scanned to dimension
+        # 2, spans neither and builds nothing; a question whose lines fail
+        # (unit weights: a and c share a class but no label map) fetches no
+        # group and spans nothing; the kept verdict reads nothing
         calls = []
         span_indices = SpaceIndex.span_indices
 
@@ -789,21 +825,27 @@ class TestRecordedScan:
         doubling = powers_of_two_weight(MIXED)
         for dims in ((1, 1, 1), (1, 2, 1)):
             space = AlphabetSpec(F2, MIXED.elements, dims)
-            elements = sum(map(len, mep._group_factors(space, MIXED, key, listed=True)[1]))
+            elements = sum(map(len, group_factors_oracle(space, MIXED, key, listed=True)[1]))
             monkeypatch.setattr(SpaceIndex, "span_indices", counting)
-            cold_trace, warm_trace, kept_trace = {}, {}, {}
-            # the doubling scan holds, so it reads and spans every code
+            cold_trace, warm_trace, failing_trace, kept_trace = {}, {}, {}, {}
+            # the doubling scan holds, so it reads every code and spans the wider ones
             assert mep_brute_force(space, MIXED, doubling, trace=cold_trace).holds
-            assert calls.count(False) == cold_trace["codes_read"] + elements
+            lines = space.vector_count - 1  # over F_2 each nonzero vector spans one line
+            assert calls.count(False) == cold_trace["codes_read"] - lines + elements
             assert elements > 0 and cold_trace["kernel"] == cold_trace["group_table"] == "built"
             calls.clear()
-            verdict = mep_brute_force(space, MIXED, ONES3, trace=warm_trace)
+            assert mep_brute_force(space, MIXED, doubling, max_dim=2, trace=warm_trace).holds
             assert calls.count(False) == 0 and warm_trace["verdict"] == "scanned"
             assert warm_trace["kernel"] == warm_trace["group_table"] == "kept"
+            assert warm_trace["codes_decided"] < warm_trace["codes_read"] < cold_trace["codes_read"]
             calls.clear()
+            verdict = mep_brute_force(space, MIXED, ONES3, trace=failing_trace)
+            assert calls == [] and failing_trace["verdict"] == "scanned"
+            assert failing_trace["kernel"] == failing_trace["group_table"] == "none"
+            assert verdict.counterexample[0].dim == 1
             assert mep_brute_force(space, MIXED, ONES3, trace=kept_trace) == verdict
             assert calls == [] and kept_trace["verdict"] == "kept"
-            assert kept_trace["codes_read"] == warm_trace["codes_read"]
+            assert kept_trace["codes_read"] == failing_trace["codes_read"]
             indexed_group(space, MIXED, key)
             assert calls.count(False) == 0
             monkeypatch.undo()
@@ -818,11 +860,41 @@ class TestRecordedScan:
         assert spaces._shape_tables.cache_info().misses == 0
 
 
+def _held_lines(space, poset, omega, max_dim=None) -> tuple[set, set, int]:
+    """The lines of the classes whose lines held in mep._scanned_record, the
+    orbits of the lines that held in scanned_record_oracle (decided and
+    marked on the table), and the held line orbits both counted, each read
+    from its scan's frame as it returns; the two records are equal."""
+    names = {mep._scanned_record.__code__: "scan", scanned_record_oracle.__code__: "oracle"}
+    frames = {}
+
+    def hook(frame, event, arg):
+        if event == "return" and frame.f_code in names:
+            frames[names[frame.f_code]] = dict(frame.f_locals)
+
+    sys.setprofile(hook)
+    try:
+        scanned, oracle_scanned = scanned_records(space, poset, key_for(poset, omega, "weight"), max_dim)
+    finally:
+        sys.setprofile(None)
+    assert scanned == oracle_scanned
+    scan, oracle = frames["scan"], frames["oracle"]
+    si, columns = oracle["si"], oracle["columns"]
+    oracle_lines = [span for span in oracle["held"] if len(span) == si.q]
+    classes, masks = scan["class_of_mask"], scan["masks"]
+    lines = {frozenset(si.span_indices((t,))) for t in range(1, len(masks))
+             if classes[masks[t]] in scan["held_classes"]}
+    assert len(scan["held_classes"]) == len(oracle_lines)
+    return lines, set().union(*(mep._orbit_spans(columns, span) for span in oracle_lines)), len(oracle_lines)
+
+
 class TestHeldOrbitOracle:
     @staticmethod
-    def _marked_codes(monkeypatch, space, poset, omega, max_dim=None) -> int:
-        """Scan with every held code's marking checked against the movers
-        oracle: equal spans per code, so equal held sets after every code."""
+    def _marked_codes(monkeypatch, space, poset, omega, max_dim=None) -> tuple[int, int]:
+        """Scan with every held wider code's marking checked against the
+        movers oracle: equal spans per code, so equal held sets after every
+        code.  The lines of the classes that held are the oracle scan's held
+        lines.  The held wider codes and the held line orbits, counted."""
         bases, held, oracle = [], set(), set()
 
         def deciding(si, basis_idx, columns):
@@ -845,21 +917,27 @@ class TestHeldOrbitOracle:
         monkeypatch.undo()
         mep._kept_verdict.cache_clear()  # the rerun reads the memo the patched scan wrote
         assert verdict == mep_brute_force(space, poset, omega, max_dim=max_dim)
-        return len(bases) - (not verdict.holds)
+        lines, oracle_lines, line_orbits = _held_lines(space, poset, omega, max_dim)
+        assert lines == oracle_lines
+        failing_wide = verdict.counterexample is not None and verdict.counterexample[0].dim > 1
+        return len(bases) - failing_wide, line_orbits
 
     def test_small_grid(self, monkeypatch):
-        marked = sum(
+        marked = [
             self._marked_codes(monkeypatch, space, poset, omega)
             for space, poset, omega in _small_grid()
-        )
-        assert marked == 2038  # held codes over the 276 scans
+        ]
+        # held codes over the 276 scans: wider codes marked on the table, and
+        # line orbits held on masks; 2038 in all, as when lines were marked too
+        assert [sum(counts) for counts in zip(*marked)] == [1246, 792]
 
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES, ids=LARGE_IDS)
     def test_large_shapes(self, monkeypatch, poset, dims, max_dim, orbits):
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        marked = self._marked_codes(monkeypatch, space, poset, omega, max_dim=max_dim)
-        assert marked == (orbits if dims != (2, 2, 2) else orbits - 1)
+        wide, lines = self._marked_codes(monkeypatch, space, poset, omega, max_dim=max_dim)
+        assert wide + lines == (orbits if dims != (2, 2, 2) else orbits - 1)
+        assert wide > 0 and lines > 0
 
 
 def _clear_kept():
@@ -977,8 +1055,26 @@ class TestKeptGroupOracle:
             seen.add(key)
             tables["rebuilt"] += seen_before and trace["kernel"] == "built"  # evicted
         assert len(cases) == 2 * sum(map(len, groups)) == 2 * 4 * 309
-        assert kernels["kept"] > 0 and tables["kept"] > 0 and tables["built"] > 0
-        assert tables["rebuilt"] > 0
+        # a table is fetched only by a scan whose lines all hold, and then the
+        # class partition is the label maps' orbits of the masks, so no other
+        # weighting with those label maps asks another question of the table
+        assert kernels["kept"] > 0 and tables["built"] > 0 and tables["none"] > 0
+        assert tables["kept"] == 0 and tables["rebuilt"] > 0
+        # the support question to dimension 2 after its full scan, back to
+        # back, is another question on the same group: it reads the kept
+        # table and memo when the table is under the keep bound
+        _clear_kept()
+        for group in groups:
+            space, poset, omega = group[-1]
+            trace = {}
+            full = _outcome(mep_brute_force, space, poset, omega)  # holds, or meets the map bound
+            assert full[0] is MapBoundExceeded if isinstance(full, tuple) else full.holds
+            outcome = _outcome(mep_brute_force, space, poset, omega, max_dim=2, trace=trace)
+            assert outcome == _outcome(held_set_scan_oracle, space, poset, omega, max_dim=2)
+            kept = trace["group_order"] * space.vector_count <= mep.KEPT_TABLE_BOUND
+            tables["second", kept, trace["group_table"]] += 1
+        assert tables["second", True, "kept"] > 0 and tables["second", False, "built"] > 0
+        assert tables["second", True, "built"] == tables["second", False, "kept"] == 0
         # back to back, each (poset, dims)'s repeated support question meets
         # the kept verdict of its first ask, unless that ask was refused
         repeats = verdicts[3:len(cases) // 2:4]
@@ -1014,19 +1110,36 @@ class TestKeptGroupOracle:
 
     def test_skips_only_orbits_that_held_in_this_scan(self):
         # an antichain of three points with weights 1, 2, 3 admits only the
-        # identity label map, as the doubling weights 1, 2, 4 do, so the two
-        # share one group and its memo; the doubling scan holds on every
-        # code, and then the first code fails under 1, 2, 3 (1 + 2 = 3)
+        # identity label map, as the doubling weights 1, 2, 4 do; the
+        # doubling scan holds on every code, and then the first code fails
+        # under 1, 2, 3 (1 + 2 = 3), on masks, with no group fetched.  A
+        # table's memo is read by another question only with the same
+        # partition (a scan reaching dimension 2 has a class per orbit of
+        # masks), so the chain's scans to dimensions 3 and then 2 share one:
+        # the second decides the codes of its own first orbits, as it does
+        # cold, and skips only those that held in it
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 1)
         doubling = powers_of_two_weight(ANTI3)
         summing = WeightFunction(ANTI3.elements, (Fraction(1), Fraction(2), Fraction(3)))
         traces = [{}, {}]
         assert mep_brute_force(space, ANTI3, doubling, trace=traces[0]).holds
         verdict = mep_brute_force(space, ANTI3, summing, trace=traces[1])
-        assert traces[1]["group_table"] == "kept" and traces[1]["group_order"] == 1
+        assert traces[1]["group_table"] == "none" and traces[1]["group_order"] == 1
         assert [trace["verdict"] for trace in traces] == ["scanned", "scanned"]
         assert verdict == held_set_scan_oracle(space, ANTI3, summing)
         assert not verdict.holds and traces[1]["codes_decided"] == traces[1]["codes_read"]
+        chain = Poset.chain(tuple("abcd"))
+        space = AlphabetSpec(F2, chain.elements, (1, 1, 1, 2))
+        ones = WeightFunction.ones(chain.elements)
+        cold = {}
+        assert mep_brute_force(space, chain, ones, max_dim=2, trace=cold).holds
+        _clear_kept()
+        warm = [{}, {}]
+        for top, trace in zip((3, 2), warm):
+            assert mep_brute_force(space, chain, ones, max_dim=top, trace=trace).holds
+        assert warm[1]["group_table"] == "kept" and warm[1]["verdict"] == "scanned"
+        assert (warm[1]["codes_read"], warm[1]["codes_decided"]) == (cold["codes_read"], cold["codes_decided"])
+        assert cold["codes_decided"] < warm[0]["codes_decided"]
 
     def test_a_table_over_the_keep_bound_is_built_and_not_kept(self, monkeypatch):
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)  # 6 x 216 elements, 64 vectors
@@ -1066,10 +1179,11 @@ class TestKeptGroupOracle:
         omega = WeightFunction.ones(ANTI3.elements)
         monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", 216 * 64 - 1)
         for weights in (omega, powers_of_two_weight(ANTI3)):  # two partitions, one kernel
-            trace = {}
-            mep_brute_force(space, ANTI3, weights, max_dim=1, trace=trace)
-            assert (trace["verdict"], trace["kernel"], trace["group_table"]) == (
-                "scanned", "built", "built")
+            for top, built in ((1, "none"), (2, "built")):  # lines fetch no group
+                trace = {}
+                mep_brute_force(space, ANTI3, weights, max_dim=top, trace=trace)
+                assert (trace["verdict"], trace["kernel"], trace["group_table"]) == (
+                    "scanned", built, built)
         assert mep._kept_kernel.cache_info().currsize == mep._kept_group.cache_info().currsize == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
@@ -1282,21 +1396,24 @@ class TestKeptVerdictOracle:
             assert trace == {**refused, "kernel": "none", "group_table": "none"}
 
     def test_group_and_table_bound_refusals_keep_nothing(self, monkeypatch):
-        calls = []
-        scan_group = mep._scan_group
+        # both bounds refuse before any code is read, by arithmetic and the
+        # label-map search, so no group is fetched
+        calls, fetched = [], []
+        scanned_record = mep._scanned_record
 
         def counting(*args, **kwargs):
             calls.append(None)
-            return scan_group(*args, **kwargs)
+            return scanned_record(*args, **kwargs)
 
-        monkeypatch.setattr(mep, "_scan_group", counting)
+        monkeypatch.setattr(mep, "_scanned_record", counting)
+        monkeypatch.setattr(mep, "_scan_group", lambda *args, **kwargs: fetched.append(None))
         for name, bound in (("GROUP_TABLE_BOUND", 7), ("GROUP_BOUND", 1)):
             with monkeypatch.context() as bounded:
                 bounded.setattr(mep, name, bound)
                 for _ in range(2):  # each ask scans up to its refusal again
                     with pytest.raises(BoundExceeded):
                         mep_brute_force(SP21, CHAIN2, ONES2)
-        assert len(calls) == 4
+        assert len(calls) == 4 and fetched == []
 
 
 def _canonical_grid():
@@ -1434,6 +1551,158 @@ class TestCanonicalKey:
         with pytest.raises(BoundExceeded, match="^automorphism search over"):
             mep_brute_force(space16, anti16, WeightFunction.ones(anti16.elements), trace=trace)
         assert trace == {"key": "positional"}
+
+
+def _line_grid():
+    """Every labeled poset on up to 4 elements at q = 2 and on up to 3 at
+    q = 3 with unit dims, and on up to 3 at q = 2 with one 2-dim block in
+    each place; the keys of unit, doubling and alternating 1/2, 1 weights,
+    and the support closure key (the mask itself)."""
+    for q, most in ((2, 4), (3, 3)):
+        for size in range(1, most + 1):
+            for poset in _labeled_posets(size):
+                shapes = [(1,) * size]
+                if q == 2 and size <= 3:
+                    shapes += [tuple(2 if t == place else 1 for t in range(size)) for place in range(size)]
+                for dims in shapes:
+                    space = AlphabetSpec(FieldSpec(q), poset.elements, dims)
+                    omegas = _omega_variants(poset)
+                    yield space, poset, omegas, [*map(weight_sum_functional, [poset] * 3, omegas), closure_key]
+
+
+F3 = FieldSpec(3)
+ANTI8 = Poset.antichain(tuple(f"x{t}" for t in range(8)))
+POWERS_OF_3 = [3**t for t in range(7)]
+PLANES_112 = WeightFunction.from_map({"a": 1, "b": 1, "c": 2})
+PLANES_113 = WeightFunction.from_map({"a": 1, "b": 1, "c": 3})
+# larger questions: (space, poset, omegas, top dimension)
+LINE_SHAPES = [
+    *((AlphabetSpec(F2, poset.elements, dims), poset, _omega_variants(poset), top)
+      for poset, dims, top, _ in LARGE_SHAPES),
+    (AlphabetSpec(F2, ANTI3.elements, (2, 2, 2)), ANTI3, [PLANES_112, PLANES_113], 3),
+    (AlphabetSpec(F3, MIXED.elements, (2, 2, 1)), MIXED, [ONES3, powers_of_two_weight(MIXED)], 2),
+    # past the code bound, where no span or memo is kept across scans: under
+    # 1, 1, 3, 9, ... only masks that swap x0 and x1 share a class, each
+    # class is one orbit of 2 lines, and each orbit is decided once
+    (AlphabetSpec.uniform(F2, ANTI8.elements, 1), ANTI8,
+     [powers_of_two_weight(ANTI8), WeightFunction(ANTI8.elements, (Fraction(1), *map(Fraction, POWERS_OF_3)))],
+     1),
+]
+LINE_SHAPE_IDS = [*LARGE_IDS, "three-f2-planes", "f3-five", "eight-points"]
+
+
+class TestLinesOnMasks:
+    """Lines decided on closure masks and the orbit check on mask orbits,
+    against the scan that decides every code on the group table and the
+    orbit check that runs through the factor lists
+    (helpers.scanned_record_oracle, single_orbit_check_oracle)."""
+
+    @pytest.fixture(autouse=True)
+    def _nothing_kept(self):
+        _clear_kept()
+        yield
+        _clear_kept()
+
+    @staticmethod
+    def _fetches(monkeypatch) -> list:
+        """The callers of mep._scan_group, by function name, from now on."""
+        callers = []
+        scan_group = mep._scan_group
+
+        def fetching(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return scan_group(*args, **kwargs)
+
+        monkeypatch.setattr(mep, "_scan_group", fetching)
+        return callers
+
+    def _compare(self, monkeypatch, space, poset, key, top=None, map_bound=mep.MAP_BOUND):
+        """Equal records (verdict, counterexample, codes read and decided,
+        group order, refusal); a scan that fails among the lines or refuses
+        before dimension 2 fetches no group.  The record, or the refusal."""
+        callers = self._fetches(monkeypatch)
+        scanned, oracle = scanned_records(space, poset, key, top, map_bound)
+        monkeypatch.undo()
+        assert scanned == oracle, (poset.leq, space.dims, top)
+        fetched = callers.count("_scanned_record")
+        if isinstance(scanned[0], type):  # a group or table bound, before any code
+            assert fetched == 0
+            return scanned
+        record, order = scanned
+        failing, _, _, _, group_order, refusal = record
+        assert order == group_order
+        if refusal is not None:  # refused at dimension d: read up to d - 1
+            reached = int(refusal.split(" at dimension ")[1].split()[0]) - 1
+        else:
+            reached = space.total_dim if top is None else min(top, space.total_dim)
+            reached = reached if failing is None else len(failing)
+        assert fetched == (reached > 1)
+        return record
+
+    def test_grid_equals_the_table_scan(self, monkeypatch):
+        outcomes = Counter()
+        for space, poset, _, keys in _line_grid():
+            for key in keys:
+                failing, *_, refusal = self._compare(monkeypatch, space, poset, key)
+                assert refusal is None  # at most 16^4 maps
+                outcomes["holds" if failing is None else f"fails at {len(failing)}"] += 1
+        assert sum(outcomes.values()) == 4 * (242 + 23 + 1 + 3 * 2 + 19 * 3)
+        # no question of this grid fails past its lines
+        assert outcomes == {"holds": 949, "fails at 1": 367}
+
+    @pytest.mark.parametrize("space, poset, omegas, top", LINE_SHAPES, ids=LINE_SHAPE_IDS)
+    def test_larger_shapes_equal_the_table_scan(self, monkeypatch, space, poset, omegas, top):
+        for omega in omegas:
+            self._compare(monkeypatch, space, poset, weight_sum_functional(poset, omega), top)
+
+    def test_refusals_equal_the_table_scan(self, monkeypatch):
+        # three F_3 planes: unit weights meet the table's entry bound before
+        # any code, and support closure the map bound at the first plane,
+        # after every line held on masks and before any group is fetched
+        planes = AlphabetSpec.uniform(F3, ANTI3.elements, 2)
+        ones = WeightFunction.ones(ANTI3.elements)
+        refused = self._compare(monkeypatch, planes, ANTI3, key_for(ANTI3, ones, "weight"))
+        assert refused == (BoundExceeded, "group index table of 483729408 entries exceeds 134217728")
+        record = self._compare(monkeypatch, planes, ANTI3, closure_key)
+        assert record[-1] == "531441 candidate maps at dimension 2 exceed the bound 524288"
+        assert record[2:5] == (1 + 364, 7, 110592)  # every line read, one held orbit per mask
+        chain5 = Poset.chain(tuple("abcde"))
+        space5 = AlphabetSpec.uniform(F2, chain5.elements, 1)
+        ones5 = WeightFunction.ones(chain5.elements)
+        for top, bound in ((None, mep.MAP_BOUND), (1, 31), (2, 32**2 - 1)):
+            self._compare(monkeypatch, space5, chain5, key_for(chain5, ones5, "weight"), top, bound)
+
+    def test_eight_labels_beside_a_chain(self, monkeypatch):
+        # eight unrelated F_2 points and a 2-chain i < j (8! x 2 elements over
+        # 1024 vectors): the table and factor oracles take about 10 s here, so
+        # the answers are pinned to the values they gave
+        poset = Poset.from_covers(tuple("abcdefghij"), [("i", "j")])
+        space = AlphabetSpec.uniform(F2, poset.elements, 1)
+        ones = WeightFunction.ones(poset.elements)
+        callers = self._fetches(monkeypatch)
+        trace = {}
+        verdict = mep_brute_force(space, poset, ones, trace=trace)
+
+        def unit(t):
+            return tuple(int(c == t) for c in range(10))
+
+        assert verdict.counterexample == (LinearCode(space, (unit(0),)), (unit(8),))
+        assert trace == {"key": "positional", "group_order": 80640, "kernel": "none",
+                         "group_table": "none", "codes_read": 1, "codes_decided": 1,
+                         "verdict": "scanned"}
+        assert single_orbit_check(space, poset, ones) == (False, (unit(8), unit(7)))
+        assert callers == []
+
+    def test_orbit_checks_equal_the_factor_oracle(self, monkeypatch):
+        callers = self._fetches(monkeypatch)
+        outcomes = Counter()
+        cases = [(space, poset, omega) for space, poset, omegas, _ in _line_grid() for omega in omegas]
+        cases += [(space, poset, omega) for space, poset, omegas, _ in LINE_SHAPES for omega in omegas]
+        for space, poset, omega in cases:
+            result = single_orbit_check(space, poset, omega)
+            assert result == single_orbit_check_oracle(space, poset, omega), (poset.leq, space.dims)
+            outcomes[result[0]] += 1
+        assert callers == [] and outcomes[True] > 0 and outcomes[False] > 0
 
 
 class TestStabilizerDecision:
