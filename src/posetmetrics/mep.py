@@ -34,19 +34,18 @@ as a table of columns: column t holds the image of vector t under every
 element, packed as 16-bit indices, spanned factor by factor with no
 `Isometry` and no matrix and joined one factor at a time.  The kernel
 depends only on the order and the block dims, so its table is kept per (q,
-dims, down sets) and the group's, with its held-orbit memo, per (q, dims,
-down sets, label maps), for the last `spaces.CACHED_SHAPES` of each, up to
-KEPT_TABLE_BOUND entries (2 MB).  Spans read one addition table (xor at q = 2).
+dims, down sets), for the last `spaces.CACHED_SHAPES`, up to
+KEPT_TABLE_BOUND entries (2 MB); the group's table is joined over it for
+each scan.  Spans read one addition table (xor at q = 2).
 
 A wider code is decided on the stabilizer chain of its basis (`_holds_on`):
 only the images of the identity prefix at each level are looked at, a level
 whose class is its basis vector's orbit is skipped before its tables are
 built, and only a failing code gets the leaf search for its counterexample.
 A held wider code's orbit is marked in one pass over the table's columns at
-its vectors, into the group's memo, which sends each span of the orbit to
-its first span in scan order; a shape past the code bound keeps no memo and
-no span.  The label maps are searched once per class partition of the poset
-(`Poset.automorphisms`) and shared by the scan, the extension search and
+its vectors, into the scan's held spans; a shape past the code bound keeps
+no span table.  The label maps are searched once per class partition of the
+poset (`Poset.automorphisms`) and shared by the scan, the extension search and
 the orbit check (`isometries.admissible_lams`).  Codes come from
 `enumerate_codes` as index tuples, and a code's span is read from the span
 table of its shape (q, N) in `spaces.shape_tables`, spanned only on a miss.
@@ -101,8 +100,8 @@ from .spaces import (
 ADD_TABLE_BOUND = 1 << 20
 # The most entries |G| x q^N of the group's listed index permutations.
 GROUP_TABLE_BOUND = 1 << 27
-# The most entries |G| x q^N of a group table kept across scans (2 MB of
-# 16-bit entries); a larger one, F_3^5's 90.7M, is built, read and dropped.
+# The most entries |K| x q^N of a kernel table kept across scans (2 MB of
+# 16-bit entries); a larger one is built, read and dropped.
 KEPT_TABLE_BOUND = 1 << 20
 # The default bound on a code dimension d's candidate maps, (q^N)^d (`mep --bound`).
 MAP_BOUND = 1 << 19
@@ -295,11 +294,12 @@ def mep_brute_force(
     answered from it; otherwise `_scanned_record` scans.
 
     A given trace dict gets the key the record is kept by ("canonical" or
-    "positional"), the group's order, whether its kernel and its table were
-    built or kept ("none" when no table was fetched), the nonzero codes read,
-    the codes decided and whether the verdict was "scanned" or "kept"; a
-    map-bound refusal writes the two counts before it raises.  Maps keeping
-    the weight are injective (only 0 has weight 0), so none is filtered.
+    "positional"), the group's order, whether its kernel was built or kept
+    and its table built ("none" for both when no table was fetched), the
+    nonzero codes read, the codes decided and whether the verdict was
+    "scanned" or "kept"; a map-bound refusal writes the two counts before it
+    raises.  Maps keeping the weight are injective (only 0 has weight 0), so
+    none is filtered.
     """
     key = weight_sum_functional(poset, omega)
     SpaceIndex.check_bounds(space)
@@ -358,20 +358,20 @@ def _scanned_record(
 
     The first wider code, after its map-bound check, fetches the group
     (`_scan_group`); each is decided by `_holds_on`, and only a code it
-    rejects gets the leaf search.  The group's memo maps a span to the first
-    span of its orbit in scan order, and a code is skipped when that first
-    span held in this scan; a held code with no memo entry writes its orbit
-    (`_orbit_spans`).  Only sets of images are read.
+    rejects gets the leaf search.  A held code marks its orbit's spans
+    held (`_orbit_spans`), and a code whose span is marked is skipped.  Only
+    sets of images are read.
     """
     lams = admissible_lams(space, poset, key, GROUP_BOUND)
     count = len(masks)
-    order = _checked_entries(space, poset, len(lams), count) // count
+    entries = _checked_entries(space, poset, len(lams), count)
+    order = entries // count
     if trace is not None:  # until a wider code fetches the group
         trace.update(group_order=order, kernel="none", group_table="none")
     sizes = Counter(class_of_mask.values())  # Lambda keeps the key, so Lambda I lies in I's class
-    held_classes: set[int] = set()  # the classes whose lines held in this scan
-    held: set[frozenset[int]] = set()  # the first spans of the wider orbits that held in this scan
-    decided, group = 0, None
+    held_classes: set[int] = set()  # the classes whose lines held
+    held: set[frozenset[int]] = set()  # the spans of the wider orbits that held
+    decided, si = 0, None
     tables = shape_tables(space.q, space.total_dim)
     spans = {} if tables is None else tables[1]  # a shape past the code bound keeps no span
     for read, basis_idx in enumerate(enumerate_codes(space, max_dim=top, indices=True)):
@@ -393,27 +393,22 @@ def _scanned_record(
             held_classes.add(c)
             decided += 1
             continue
-        if group is None:
+        if si is None:
             values = list(map(class_of_mask.__getitem__, masks))
-            si, columns, first_of = group = _scan_group(space, poset, key, trace, values)
-            if tables is None:
-                first_of = {}
+            si, columns = _scan_group(space, poset, key, lams, entries, trace, values)
         span = spans.get(basis_idx)
         if span is None:
             span = frozenset(si.span_indices(basis_idx))
             if tables is not None:
                 spans[basis_idx] = span
-        first = first_of.get(span)
-        if first in held:
+        if span in held:
             continue
         if not _holds_on(si, basis_idx, columns):
             reachable = set(zip(*map(columns.__getitem__, basis_idx)))
             images = _first_unreachable_map(si, basis_idx, reachable)
             return basis_idx, images, read, decided + 1, order, None
-        held.add(span)
+        held.update(_orbit_spans(columns, span))
         decided += 1
-        if first is None:
-            first_of.update(dict.fromkeys(_orbit_spans(columns, span), span))
     return None, None, read, decided, order, None
 
 
@@ -566,21 +561,13 @@ def _kept_kernel(q: int, dims: tuple[int, ...], down: tuple[int, ...]) -> list:
     return []
 
 
-@lru_cache(maxsize=CACHED_SHAPES)
-def _kept_group(
-    q: int, dims: tuple[int, ...], down: tuple[int, ...], lams: tuple[Perm, ...]
-) -> list:
-    """The holder of one group's table and held-orbit memo, filled by its
-    first reader; weightings with the same label maps share it."""
-    return []
-
-
 def _scan_group(
-    space: AlphabetSpec, poset: Poset, key: Key, trace: Optional[dict] = None, values: Optional[list] = None
-) ->tuple[SpaceIndex, list[memoryview], dict]:
-    """The space's dense index (on the given class ids, if any), the group's
-    column table and its held-orbit memo (span -> first span of its orbit in
-    scan order).
+    space: AlphabetSpec, poset: Poset, key: Key, lams: Sequence[Perm], entries: int,
+    trace: Optional[dict] = None, values: Optional[list] = None,
+) -> tuple[SpaceIndex, list[memoryview]]:
+    """The space's dense index (on the given class ids, if any) and the
+    column table of the group of the label maps lams over the kernel, whose
+    entries |G| x q^N the caller has checked (`_checked_entries`).
 
     columns[t][g] is the index of the image of vector t under the g-th group
     element, as native unsigned 16-bit entries (indices stay below
@@ -592,35 +579,27 @@ def _scan_group(
     their order.  Every reader reads only sets of images, so no verdict,
     counterexample or digest depends on the order.
 
-    The kernel is kept per (q, dims, down-set masks) and the table with its
-    memo per (q, dims, down sets, label maps), the last
-    `spaces.CACHED_SHAPES` of each, and only the missing piece is built.  A
-    table of more than KEPT_TABLE_BOUND entries goes to a throwaway holder;
-    the kernel divides the group, so a kept table has its kernel kept.  The
-    label maps' permutations are folded into one packed row per vector
-    before the table is joined; one label map leaves the kernel as it is.
+    The kernel is kept per (q, dims, down-set masks), for the last
+    `spaces.CACHED_SHAPES`, up to KEPT_TABLE_BOUND entries; the table is
+    joined for each call.  The label maps' permutations are folded into one
+    packed row per vector before the table is joined; one label map leaves
+    the kernel as it is.
     """
     si = SpaceIndex(space, poset, key, values)
-    lams = admissible_lams(space, poset, key, GROUP_BOUND)
-    count = len(si.vectors)
-    entries = _checked_entries(space, poset, len(lams), count)
-    shape = (space.q, space.dims, poset._down)
-    kernel = _kept_kernel(*shape) if entries // len(lams) <= KEPT_TABLE_BOUND else []
-    group = _kept_group(*shape, lams) if entries <= KEPT_TABLE_BOUND else []
+    kept = entries // len(lams) <= KEPT_TABLE_BOUND
+    kernel = _kept_kernel(space.q, space.dims, poset._down) if kept else []
     if trace is not None:
-        trace.update(group_order=entries // count, kernel="kept" if kernel else "built",
-                     group_table="kept" if group else "built")
-    if not group:
-        if not kernel:
-            table = _joined(count, _spanned(si, _kernel_columns(space, poset)))
-            kernel.append([memoryview(column).cast("H") for column in table])
-        columns = kernel[0]
-        if len(lams) > 1:  # row x: x's images under every label map
-            rows = _joined(count, _spanned(si, [_label_map_columns(space, poset, lams)]))
-            columns = [memoryview(b"".join(map(rows.__getitem__, kernel_column))).cast("H")
-                       for kernel_column in columns]
-        group += columns, {}
-    return si, group[0], group[1]
+        trace.update(kernel="kept" if kernel else "built", group_table="built")
+    count = len(si.vectors)
+    if not kernel:
+        table = _joined(count, _spanned(si, _kernel_columns(space, poset)))
+        kernel.append([memoryview(column).cast("H") for column in table])
+    columns = kernel[0]
+    if len(lams) > 1:  # row x: x's images under every label map
+        rows = _joined(count, _spanned(si, [_label_map_columns(space, poset, lams)]))
+        columns = [memoryview(b"".join(map(rows.__getitem__, kernel_column))).cast("H")
+                   for kernel_column in columns]
+    return si, columns
 
 
 def _levels(

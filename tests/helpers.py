@@ -345,19 +345,19 @@ def single_orbit_check_oracle(space, poset, omega) -> tuple:
 
 def scanned_record_oracle(space, poset, key, values, top, map_bound, trace) -> tuple:
     """mep._scanned_record as it was before lines were decided on masks:
-    the group table and its orbit memo fetched before the first code, and
+    the group table fetched before the first code, and
     every code, lines included, decided on the table (mep._holds_on), its
-    orbit marked in the memo.  The oracle of records: failing basis and
-    images by vector index, codes read and decided, group order, map-bound
-    refusal."""
-    si, columns, first_of = mep._scan_group(space, poset, key, trace, values)
+    orbit marked in a memo that maps each span to its orbit's first span in
+    scan order.  The oracle of records: failing basis and images by vector
+    index, codes read and decided, group order, map-bound refusal."""
+    si, columns = scan_group(space, poset, key, trace, values)
     count, order = len(si.vectors), len(columns[0])
+    if trace is not None:
+        trace["group_order"] = order
     held: set = set()
+    first_of: dict = {}
     tables = spaces.shape_tables(space.q, space.total_dim)
-    if tables is None:
-        spans, first_of = {}, {}
-    else:
-        spans = tables[1]
+    spans = {} if tables is None else tables[1]
     for read, basis_idx in enumerate(spaces.enumerate_codes(space, max_dim=top, indices=True)):
         d = len(basis_idx)
         if d == 0:
@@ -383,10 +383,19 @@ def scanned_record_oracle(space, poset, key, values, top, map_bound, trace) -> t
     return None, None, read, len(held), order, None
 
 
+def scan_group(space, poset, key, trace=None, values=None) -> tuple:
+    """mep._scan_group on the label maps and table entries that
+    mep._scanned_record checks first: the space's index and the group's
+    column table, its kernel kept or built."""
+    lams = isometries.admissible_lams(space, poset, key, mep.GROUP_BOUND)
+    entries = mep._checked_entries(space, poset, len(lams), space.vector_count)
+    return mep._scan_group(space, poset, key, lams, entries, trace, values)
+
+
 def scanned_records(space, poset, key, max_dim=None, map_bound=mep.MAP_BOUND) -> tuple:
     """The record and group order of mep._scanned_record and of
     scanned_record_oracle on one question, each from a cold start (no kept
-    group, kernel, span or verdict); a refusal is its type and message."""
+    kernel, span or verdict); a refusal is its type and message."""
     mep.SpaceIndex.check_bounds(space)
     masks, class_of_mask = spaces.mask_classes(space, poset, key)
     values = list(map(class_of_mask.__getitem__, masks))
@@ -397,7 +406,7 @@ def scanned_records(space, poset, key, max_dim=None, map_bound=mep.MAP_BOUND) ->
     )
     outcomes = []
     for run in runs:
-        for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group, mep._kept_verdict):
+        for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_verdict):
             cache.cache_clear()
         trace: dict = {}
         try:
@@ -421,8 +430,8 @@ def indexed_group_oracle(space, poset, key) -> tuple:
 
 def indexed_group(space, poset, key) -> tuple:
     """The space's index and the group's column table as the MEP scan reads
-    them, kept or built (mep._scan_group, without its orbit memo)."""
-    return mep._scan_group(space, poset, key)[:2]
+    them (scan_group)."""
+    return scan_group(space, poset, key)
 
 
 def column_table_oracle(space, poset, key) -> tuple:

@@ -61,7 +61,7 @@ from posetmetrics.spaces import (
 from helpers import (
     closure_key, column_table_oracle, condition_report_oracle, enumerate_codes_oracle,
     group_factors_oracle, held_set_scan_oracle, indexed_group, indexed_group_oracle, key_for,
-    linear_maps, mep_predicate_oracle, question_form_oracle, scanned_record_oracle,
+    linear_maps, mep_predicate_oracle, question_form_oracle, scan_group, scanned_record_oracle,
     scanned_records, single_orbit_check_oracle,
 )
 
@@ -650,26 +650,25 @@ class TestOrbitReducedScan:
     @pytest.mark.parametrize("poset, dims, max_dim, orbits", LARGE_SHAPES[:2], ids=LARGE_IDS[:2])
     def test_held_spans_are_the_full_orbit_closure(self, poset, dims, max_dim, orbits):
         # marking one element per basis-image tuple leaves the same spans held
-        # as marking with every element: the memo's spans whose first span
-        # held are the closure of the wider codes, when the scan writes the
-        # memo and when a second scan reads it, and the lines of the classes
-        # that held are the closure of the lines; read the scan's held sets
-        # and memo as it returns
+        # as marking with every element: the held spans are the closure of
+        # the wider codes, cold and with the kernel kept, and the lines of
+        # the classes that held are the closure of the lines; read the
+        # scan's held sets as it returns
         states = []
 
         def hook(frame, event, arg):
             if event == "return" and frame.f_code is mep._scanned_record.__code__:
                 local = frame.f_locals
-                states.append((set(local["held"]), dict(local["first_of"]),
-                               set(local["held_classes"]), local["class_of_mask"], local["masks"]))
+                states.append((set(local["held"]), set(local["held_classes"]),
+                               local["class_of_mask"], local["masks"]))
 
         space = AlphabetSpec(F2, poset.elements, dims)
         omega = WeightFunction.ones(poset.elements)
-        mep._kept_group.cache_clear()
+        mep._kept_kernel.cache_clear()
         verdicts = []
         sys.setprofile(hook)
         try:
-            for _ in range(2):  # the second scan meets the memo, not the kept verdict
+            for _ in range(2):  # the second scan meets the kept kernel, not the kept verdict
                 mep._kept_verdict.cache_clear()
                 verdicts.append(mep_brute_force(space, poset, omega, max_dim=max_dim))
         finally:
@@ -684,10 +683,9 @@ class TestOrbitReducedScan:
                 span = frozenset(fields.vec_index(si.q, v) for v in code.codewords())
                 closure[min(code.dim, 2)] |= {frozenset(p[t] for t in span) for p in perms}
         met = _orbits_scanned(space, poset, omega, max_dim, verdicts[0])
-        assert len(states) == 2 and states[0][1] == states[1][1]  # the warm scan wrote nothing
-        for held, first_of, held_classes, class_of_mask, masks in states:
-            assert {span for span, first in first_of.items() if first in held} == closure[2]
-            assert len(held) == orbits - met[1] and held <= closure[2]  # one first span per orbit decided
+        assert len(states) == 2 and states[0] == states[1]
+        for held, held_classes, class_of_mask, masks in states:
+            assert held == closure[2]
             lines = {frozenset(si.span_indices((t,))) for t in range(1, len(masks))
                      if class_of_mask[masks[t]] in held_classes}
             assert lines == closure[1] and len(held_classes) == met[1]
@@ -811,7 +809,7 @@ class TestRecordedScan:
         # (lines are decided on masks) and every factor element of the
         # group; a warm one, another question with the same label maps
         # (MIXED has only the identity) and partition, scanned to dimension
-        # 2, spans neither and builds nothing; a question whose lines fail
+        # 2, spans neither: its table is the kept kernel; a question whose lines fail
         # (unit weights: a and c share a class but no label map) fetches no
         # group and spans nothing; the kept verdict reads nothing
         calls = []
@@ -836,7 +834,7 @@ class TestRecordedScan:
             calls.clear()
             assert mep_brute_force(space, MIXED, doubling, max_dim=2, trace=warm_trace).holds
             assert calls.count(False) == 0 and warm_trace["verdict"] == "scanned"
-            assert warm_trace["kernel"] == warm_trace["group_table"] == "kept"
+            assert (warm_trace["kernel"], warm_trace["group_table"]) == ("kept", "built")
             assert warm_trace["codes_decided"] < warm_trace["codes_read"] < cold_trace["codes_read"]
             calls.clear()
             verdict = mep_brute_force(space, MIXED, ONES3, trace=failing_trace)
@@ -910,12 +908,11 @@ class TestHeldOrbitOracle:
 
         monkeypatch.setattr(mep, "_holds_on", deciding)
         monkeypatch.setattr(mep, "_orbit_spans", marking)
-        # a kept memo or a kept verdict would leave held orbits unmarked
-        for cache in (mep._kept_group, mep._kept_verdict):
-            cache.cache_clear()
+        # a kept verdict would leave held orbits unmarked
+        mep._kept_verdict.cache_clear()
         verdict = mep_brute_force(space, poset, omega, max_dim=max_dim)
         monkeypatch.undo()
-        mep._kept_verdict.cache_clear()  # the rerun reads the memo the patched scan wrote
+        mep._kept_verdict.cache_clear()  # the rerun scans again, unpatched
         assert verdict == mep_brute_force(space, poset, omega, max_dim=max_dim)
         lines, oracle_lines, line_orbits = _held_lines(space, poset, omega, max_dim)
         assert lines == oracle_lines
@@ -941,7 +938,7 @@ class TestHeldOrbitOracle:
 
 
 def _clear_kept():
-    for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_group, mep._kept_verdict):
+    for cache in (spaces._shape_tables, mep._kept_kernel, mep._kept_verdict):
         cache.cache_clear()
 
 
@@ -985,9 +982,15 @@ def _table_bytes(columns):
     return [column.tobytes() for column in columns]
 
 
-class TestKeptGroupOracle:
-    """The kept kernel, table and orbit memo against the table built afresh
-    and the held-set scan (helpers.column_table_oracle, held_set_scan_oracle)."""
+def _kernel_kept(space, poset):
+    """Is the kernel table of the space's order under the keep bound?"""
+    return isometries.group_order(space, poset, 1) * space.vector_count <= mep.KEPT_TABLE_BOUND
+
+
+class TestKeptKernelOracle:
+    """The kept kernel and the tables joined over it against the table built
+    afresh and the held-set scan (helpers.column_table_oracle,
+    held_set_scan_oracle)."""
 
     @pytest.fixture(autouse=True)
     def _nothing_kept(self):
@@ -997,9 +1000,10 @@ class TestKeptGroupOracle:
 
     def test_kept_tables_equal_the_oracle_cold_warm_and_evicted(self):
         # two orders with equal dims and two label-map sets on one order meet
-        # in turn, so a kernel keyed without its below masks or a group keyed
-        # without its label maps would return another group's table
-        # (F_3 with a 2-dim block has tables over the keep bound, built each time)
+        # in turn, so a kernel keyed without its below masks, or a table
+        # joined with another question's label maps, would give another
+        # group's table (F_3 with a 2-dim block has kernels over the keep
+        # bound, built each time); every table is joined afresh
         groups = list(_kept_grid(most_q2=3))
         statuses = Counter()
         for cases in groups:
@@ -1008,21 +1012,20 @@ class TestKeptGroupOracle:
                 expected = _table_bytes(column_table_oracle(space, poset, key)[1])
                 for read in ("cold or kept", "warm"):
                     trace = {}
-                    columns = mep._scan_group(space, poset, key, trace)[1]
+                    columns = scan_group(space, poset, key, trace)[1]
                     assert _table_bytes(columns) == expected, (poset.leq, space.dims, omega)
-                    assert trace["group_order"] == len(columns[0])
-                    kept = len(columns[0]) * len(columns) <= mep.KEPT_TABLE_BOUND
-                    statuses[read, kept, trace["group_table"]] += 1
+                    assert trace["group_table"] == "built"
+                    statuses[read, _kernel_kept(space, poset), trace["kernel"]] += 1
         assert statuses["warm", True, "built"] == statuses["cold or kept", False, "kept"] == 0
-        assert statuses["warm", False, "built"] > 0
+        assert statuses["warm", False, "kept"] == 0 and statuses["warm", False, "built"] > 0
         for space, poset, omega in (cases[0] for cases in groups[:2 * spaces.CACHED_SHAPES]):
             key = weight_sum_functional(poset, omega)
             trace = {}
-            columns = mep._scan_group(space, poset, key, trace)[1]  # evicted by the later groups
+            columns = scan_group(space, poset, key, trace)[1]  # evicted by the later groups
             assert trace["kernel"] == trace["group_table"] == "built"
             assert _table_bytes(columns) == _table_bytes(column_table_oracle(space, poset, key)[1])
         assert statuses["cold or kept", True, "built"] > 0
-        assert statuses["cold or kept", True, "kept"] > 0  # the support question, at least
+        assert statuses["cold or kept", True, "kept"] > 0  # an order's second weighting, at least
 
     def test_large_shapes_keep_tables_equal_to_the_oracle(self):
         for poset, dims, _, _ in LARGE_SHAPES:
@@ -1055,14 +1058,11 @@ class TestKeptGroupOracle:
             seen.add(key)
             tables["rebuilt"] += seen_before and trace["kernel"] == "built"  # evicted
         assert len(cases) == 2 * sum(map(len, groups)) == 2 * 4 * 309
-        # a table is fetched only by a scan whose lines all hold, and then the
-        # class partition is the label maps' orbits of the masks, so no other
-        # weighting with those label maps asks another question of the table
         assert kernels["kept"] > 0 and tables["built"] > 0 and tables["none"] > 0
-        assert tables["kept"] == 0 and tables["rebuilt"] > 0
+        assert set(tables) <= {"built", "none", "rebuilt"} and tables["rebuilt"] > 0
         # the support question to dimension 2 after its full scan, back to
         # back, is another question on the same group: it reads the kept
-        # table and memo when the table is under the keep bound
+        # kernel when that is under the keep bound, and joins its own table
         _clear_kept()
         for group in groups:
             space, poset, omega = group[-1]
@@ -1071,10 +1071,11 @@ class TestKeptGroupOracle:
             assert full[0] is MapBoundExceeded if isinstance(full, tuple) else full.holds
             outcome = _outcome(mep_brute_force, space, poset, omega, max_dim=2, trace=trace)
             assert outcome == _outcome(held_set_scan_oracle, space, poset, omega, max_dim=2)
-            kept = trace["group_order"] * space.vector_count <= mep.KEPT_TABLE_BOUND
-            tables["second", kept, trace["group_table"]] += 1
-        assert tables["second", True, "kept"] > 0 and tables["second", False, "built"] > 0
-        assert tables["second", True, "built"] == tables["second", False, "kept"] == 0
+            # a refusal at dimension 2 fetches no group
+            assert trace["group_table"] == ("none" if trace["kernel"] == "none" else "built")
+            kernels["second", _kernel_kept(space, poset), trace["kernel"]] += 1
+        assert kernels["second", True, "kept"] > 0 and kernels["second", False, "built"] > 0
+        assert kernels["second", True, "built"] == kernels["second", False, "kept"] == 0
         # back to back, each (poset, dims)'s repeated support question meets
         # the kept verdict of its first ask, unless that ask was refused
         repeats = verdicts[3:len(cases) // 2:4]
@@ -1112,12 +1113,10 @@ class TestKeptGroupOracle:
         # an antichain of three points with weights 1, 2, 3 admits only the
         # identity label map, as the doubling weights 1, 2, 4 do; the
         # doubling scan holds on every code, and then the first code fails
-        # under 1, 2, 3 (1 + 2 = 3), on masks, with no group fetched.  A
-        # table's memo is read by another question only with the same
-        # partition (a scan reaching dimension 2 has a class per orbit of
-        # masks), so the chain's scans to dimensions 3 and then 2 share one:
-        # the second decides the codes of its own first orbits, as it does
-        # cold, and skips only those that held in it
+        # under 1, 2, 3 (1 + 2 = 3), on masks, with no group fetched.  The
+        # chain's scans to dimensions 3 and then 2 share the kept kernel: the
+        # second decides the codes of its own orbits, as it does cold, and
+        # skips only those that held in it
         space = AlphabetSpec.uniform(F2, ANTI3.elements, 1)
         doubling = powers_of_two_weight(ANTI3)
         summing = WeightFunction(ANTI3.elements, (Fraction(1), Fraction(2), Fraction(3)))
@@ -1137,41 +1136,30 @@ class TestKeptGroupOracle:
         warm = [{}, {}]
         for top, trace in zip((3, 2), warm):
             assert mep_brute_force(space, chain, ones, max_dim=top, trace=trace).holds
-        assert warm[1]["group_table"] == "kept" and warm[1]["verdict"] == "scanned"
+        assert (warm[1]["kernel"], warm[1]["group_table"], warm[1]["verdict"]) == ("kept", "built", "scanned")
         assert (warm[1]["codes_read"], warm[1]["codes_decided"]) == (cold["codes_read"], cold["codes_decided"])
         assert cold["codes_decided"] < warm[0]["codes_decided"]
 
-    def test_a_table_over_the_keep_bound_is_built_and_not_kept(self, monkeypatch):
-        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)  # 6 x 216 elements, 64 vectors
+    def test_each_scan_joins_its_own_table(self):
+        # three F_2 planes, a group of 6 x 216 elements over 64 vectors:
+        # every weighting with these label maps has this class partition, so
+        # the ask of another top dimension is another question, which the
+        # kept verdict does not answer; it finds the kernel kept and joins
+        # the table again, and the repeated ask meets the kept verdict
+        space = AlphabetSpec.uniform(F2, ANTI3.elements, 2)
         omega = WeightFunction.ones(ANTI3.elements)
         key = weight_sum_functional(ANTI3, omega)
-        entries = 1296 * 64
         expected = _table_bytes(column_table_oracle(space, ANTI3, key)[1])
-        verdict = held_set_scan_oracle(space, ANTI3, omega, max_dim=3)
-        assert mep.KEPT_TABLE_BOUND == 1 << 20 >= entries
-        # every weighting of three planes with these label maps has this
-        # class partition, so the second question of each pair asks another
-        # top dimension, which the kept verdict does not answer
         verdicts = {top: held_set_scan_oracle(space, ANTI3, omega, max_dim=top) for top in (2, 3)}
-        assert verdicts[2] == verdicts[3] == verdict
-        monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", entries - 1)
-        statuses = []
-        for top in (3, 2):  # over the bound: each call builds the table afresh
-            trace = {}
-            assert mep_brute_force(space, ANTI3, omega, max_dim=top, trace=trace) == verdicts[top]
-            statuses.append((trace["verdict"], trace["kernel"], trace["group_table"]))
-            assert _table_bytes(indexed_group(space, ANTI3, key)[1]) == expected
-        assert statuses == [("scanned", "built", "built"), ("scanned", "kept", "built")]
-        assert mep._kept_group.cache_info().currsize == 0
-        monkeypatch.setattr(mep, "KEPT_TABLE_BOUND", entries)
-        mep._kept_verdict.cache_clear()
+        assert verdicts[2] == verdicts[3]
         statuses = []
         for top in (3, 2, 3):
             trace = {}
             assert mep_brute_force(space, ANTI3, omega, max_dim=top, trace=trace) == verdicts[top]
-            statuses.append((trace["verdict"], trace["group_table"]))
-        assert statuses == [("scanned", "built"), ("scanned", "kept"), ("kept", "none")]
-        assert mep._kept_group.cache_info().currsize == 1
+            statuses.append((trace["verdict"], trace["kernel"], trace["group_table"]))
+        assert statuses == [("scanned", "built", "built"), ("scanned", "kept", "built"),
+                            ("kept", "none", "none")]
+        assert _table_bytes(indexed_group(space, ANTI3, key)[1]) == expected
 
     def test_a_kernel_over_the_keep_bound_is_not_kept(self, monkeypatch):
         # the kernel of three F_2 planes, GL_2(F_2)^3: 216 elements over 64 vectors
@@ -1184,7 +1172,7 @@ class TestKeptGroupOracle:
                 mep_brute_force(space, ANTI3, weights, max_dim=top, trace=trace)
                 assert (trace["verdict"], trace["kernel"], trace["group_table"]) == (
                     "scanned", built, built)
-        assert mep._kept_kernel.cache_info().currsize == mep._kept_group.cache_info().currsize == 0
+        assert mep._kept_kernel.cache_info().currsize == 0
 
     @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
     def test_refusals_keep_their_messages(self, monkeypatch, warm):
@@ -1322,7 +1310,7 @@ class TestKeptVerdictOracle:
             mep_brute_force(space, chain5, ones, trace=refused)
         assert held["codes_read"] == 31 + 155 + 155 and held["verdict"] == "scanned"
         assert refused == {"key": "canonical", "group_order": held["group_order"], "kernel": "kept",
-                           "group_table": "kept", "codes_read": held["codes_read"] + 1,
+                           "group_table": "built", "codes_read": held["codes_read"] + 1,
                            "codes_decided": held["codes_decided"]}
 
     def test_a_hit_does_no_group_or_span_work(self, monkeypatch):
@@ -1733,10 +1721,11 @@ class TestStabilizerDecision:
             for space, poset, omega in _small_grid()
         ]
 
-        def listed(space, poset, key, trace=None, values=None):
+        def listed(space, poset, key, lams, entries, trace=None, values=None):
             si, listing = indexed_group_oracle(space, poset, key)
             assert values is None or values == si.values
-            return si, list(zip(*listing)), {}
+            assert len(listing) * len(si.vectors) == entries
+            return si, list(zip(*listing))
 
         monkeypatch.setattr(mep, "_scan_group", listed)
         for space, poset, omega, verdict in verdicts:
